@@ -9,7 +9,6 @@ import pytest
 
 from benchmarks.common import fmt_table, measure_blendhouse, record
 from repro.planner.optimizer import ExecutionStrategy
-from repro.sqlparser.parser import parse_statement
 from repro.workloads.vectorbench import make_hybrid_workload
 
 
@@ -23,13 +22,11 @@ def test_fig15_cbo_on_off(benchmark, reset_settings, workload):
     db.execute(workload.sql(0))  # warmup
 
     db.execute("SET enable_cbo = 1")
-    plan = db._plan_select(workload.sql(1), parse_statement(workload.sql(1)))
-    strategy_on = plan.strategy
+    strategy_on = db.execute("EXPLAIN " + workload.sql(1)).plan.strategy
     qps_on, recall_on = measure_blendhouse(db, workload)
 
     db.execute("SET enable_cbo = 0")
-    plan = db._plan_select(workload.sql(1), parse_statement(workload.sql(1)))
-    strategy_off = plan.strategy
+    strategy_off = db.execute("EXPLAIN " + workload.sql(1)).plan.strategy
     qps_off, recall_off = measure_blendhouse(db, workload)
     db.execute("SET enable_cbo = 1")
 

@@ -11,21 +11,131 @@ the planning stack.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
-from repro.cluster.warehouse import VirtualWarehouse, WarehouseConfig
-from repro.core.database import BlendHouse, EngineSettings
-from repro.executor.pipeline import QueryResult
+from repro.cluster.warehouse import (
+    VirtualWarehouse,
+    WarehouseBackend,
+    WarehouseConfig,
+)
+from repro.core.database import BlendHouse, EngineSettings, SelectStage
+from repro.executor.cancel import CancelToken
 from repro.ingest.writer import IngestConfig
-from repro.planner.cost import CostModelParams
 from repro.simulate.clock import SimulatedClock
 from repro.simulate.costmodel import DeviceCostModel
 from repro.sqlparser.ast_nodes import Insert, Select
 from repro.sqlparser.parser import parse_statement
 
 
-class ClusteredBlendHouse:
+class SeparatedEngine:
+    """What the engines with a separate read side share.
+
+    ``self.db`` is the core :class:`BlendHouse`: it plans, ingests and
+    owns the SELECT lifecycle.  A subclass supplies the warehouse that
+    scans a query (:meth:`_backend`) and hooks each table's compactor to
+    its caches (:meth:`_wire_table`); SQL dispatch, ingest and the
+    surface a :class:`~repro.serving.frontend.ServingFrontend` drives
+    are here.
+    """
+
+    engine_name = ""
+
+    def __init__(
+        self,
+        clock: Optional[SimulatedClock],
+        cost_model: Optional[DeviceCostModel],
+        ingest_config: Optional[IngestConfig],
+        settings: Optional[EngineSettings],
+    ) -> None:
+        self.db = BlendHouse(
+            clock=clock, cost_model=cost_model,
+            ingest_config=ingest_config, settings=settings,
+        )
+
+    def _backend(self, tenant: str, lane: str) -> WarehouseBackend:
+        """The warehouse that scans this (tenant, lane)'s query."""
+        raise NotImplementedError
+
+    def _wire_table(self, table: str) -> None:
+        """Idempotently hook ``table``'s retired indexes to the read side."""
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # Passthroughs to the core engine
+    # ------------------------------------------------------------------
+    @property
+    def clock(self) -> SimulatedClock:
+        return self.db.clock
+
+    @property
+    def settings(self) -> EngineSettings:
+        return self.db.settings
+
+    @property
+    def metrics(self):
+        return self.db.metrics
+
+    @property
+    def tracer(self):
+        return self.db.tracer
+
+    def table(self, name: str):
+        return self.db.table(name)
+
+    def export_metrics(self):
+        return self.db.export_metrics()
+
+    def offer_flight(self, *args: Any, **kwargs: Any) -> None:
+        self.db.offer_flight(*args, **kwargs)
+
+    # ------------------------------------------------------------------
+    # Ingest (write side)
+    # ------------------------------------------------------------------
+    def insert_rows(self, table: str, rows: List[Dict[str, Any]]):
+        report = self.db.insert_rows(table, rows)
+        self._wire_table(table)
+        return report
+
+    def insert_columns(self, table: str, scalar_columns, vectors):
+        report = self.db.insert_columns(table, scalar_columns, vectors)
+        self._wire_table(table)
+        return report
+
+    # ------------------------------------------------------------------
+    # SQL
+    # ------------------------------------------------------------------
+    def execute(
+        self, sql: str, tenant: str = "default", lane: str = "interactive"
+    ) -> Any:
+        """Execute SQL: SELECTs scan on the read side, everything else
+        goes through the write-side engine."""
+        statement = parse_statement(sql)
+        if isinstance(statement, Select):
+            backend = self._backend(tenant, lane)
+            return self.db.run_select(
+                sql, statement, backend,
+                engine=self.engine_name, warehouse=backend.name,
+            )
+        result = self.db.execute(sql)
+        if isinstance(statement, Insert):
+            self._wire_table(statement.table)
+        return result
+
+    def select_stages(
+        self, sql: str, cancel: Optional[CancelToken] = None,
+        tenant: str = "default", lane: str = "interactive",
+    ) -> Iterator[SelectStage]:
+        """:meth:`BlendHouse.select_stages` scanning on the read side; the
+        finish stage's ``flight["warehouse"]`` names who served it."""
+        return self.db.select_stages(
+            sql, cancel, tenant, lane, backend=self._backend(tenant, lane)
+        )
+
+
+class ClusteredBlendHouse(SeparatedEngine):
     """BlendHouse with query execution spread over a read warehouse."""
+
+    engine_name = "cluster"
 
     def __init__(
         self,
@@ -38,10 +148,7 @@ class ClusteredBlendHouse:
         replicas: int = 1,
         shared_cache_bytes: int = 0,
     ) -> None:
-        self.db = BlendHouse(
-            clock=clock, cost_model=cost_model,
-            ingest_config=ingest_config, settings=settings,
-        )
+        super().__init__(clock, cost_model, ingest_config, settings)
         # Optional disaggregated block-cache tier between worker disks
         # and the object store (d-HNSW style); with replicas > 1 it stops
         # every replica from re-promoting the same payload.
@@ -72,54 +179,18 @@ class ClusteredBlendHouse:
             )
             for _ in range(read_workers):
                 self.read_vw.add_worker()
+        self._read_backend = WarehouseBackend(self.read_vw, self.db)
 
-    # ------------------------------------------------------------------
-    # Convenience passthroughs
-    # ------------------------------------------------------------------
-    @property
-    def clock(self) -> SimulatedClock:
-        """The shared simulated clock."""
-        return self.db.clock
+    def _backend(self, tenant: str, lane: str) -> WarehouseBackend:
+        return self._read_backend
 
-    @property
-    def settings(self) -> EngineSettings:
-        """Session settings (shared with the planning engine)."""
-        return self.db.settings
-
-    @property
-    def metrics(self):
-        """Shared metric registry."""
-        return self.db.metrics
-
-    @property
-    def tracer(self):
-        """Shared tracer (spans from both write and read sides)."""
-        return self.db.tracer
-
-    def export_metrics(self):
-        """Exporter over the shared registry and tracer."""
-        return self.db.export_metrics()
-
-    def insert_rows(self, table: str, rows: List[Dict[str, Any]]):
-        """Ingest through the write path; wires compaction invalidation."""
-        report = self.db.insert_rows(table, rows)
-        self._wire_retire_hook(table)
-        return report
-
-    def insert_columns(self, table: str, scalar_columns, vectors):
-        """Columnar ingest through the write path."""
-        report = self.db.insert_columns(table, scalar_columns, vectors)
-        self._wire_retire_hook(table)
-        return report
-
-    def _wire_retire_hook(self, table: str) -> None:
+    def _wire_table(self, table: str) -> None:
         runtime = self.db.table(table)
-        hook_attr = "_cluster_invalidation_wired"
-        if not getattr(runtime, hook_attr, False):
+        if not getattr(runtime, "_cluster_invalidation_wired", False):
             runtime.compactor.on_retire(
                 lambda _sid, index_key: self.read_vw.invalidate_index(index_key)
             )
-            setattr(runtime, hook_attr, True)
+            runtime._cluster_invalidation_wired = True
 
     def preload(self, table: str) -> int:
         """Preload every segment's index into its scheduled worker."""
@@ -133,65 +204,4 @@ class ClusteredBlendHouse:
 
         In replicated mode every replica scales to the same size.
         """
-        if hasattr(self.read_vw, "scale_to"):
-            self.read_vw.scale_to(workers)
-        else:
-            for replica in self.read_vw.replicas:
-                replica.scale_to(workers)
-
-    # ------------------------------------------------------------------
-    # SQL
-    # ------------------------------------------------------------------
-    def execute(self, sql: str) -> Any:
-        """Execute SQL: SELECTs run on the read warehouse, everything
-        else goes through the write-side engine."""
-        statement = parse_statement(sql)
-        if not isinstance(statement, Select):
-            result = self.db.execute(sql)
-            if isinstance(statement, Insert):
-                self._wire_retire_hook(statement.table)
-            return result
-        return self._execute_select(sql, statement)
-
-    def _execute_select(self, sql: str, statement: Select) -> QueryResult:
-        db = self.db
-        with db.tracer.span("query", statement="Select", engine="cluster"):
-            return self._execute_select_traced(sql, statement)
-
-    def _execute_select_traced(self, sql: str, statement: Select) -> QueryResult:
-        db = self.db
-        runtime = db.table(statement.table)
-        # Pin one manifest for the distributed query: pruning, bitmaps,
-        # index-key resolution on every worker, and the widening retry
-        # all read the same version, even while the write side commits.
-        with runtime.manager.snapshot(statement.as_of) as snap:
-            plan = db._plan_select(sql, statement, version=snap.manifest_id)
-            scheduled, reserve = db._select_segments(runtime, plan, view=snap)
-            bitmaps = {
-                segment.segment_id: snap.bitmap(segment.segment_id)
-                for segment in scheduled + reserve
-            }
-            schema = runtime.entry.schema
-            params = CostModelParams.from_device_model(
-                db.cost, max(schema.vector_dim, 1)
-            )
-            start = db.clock.now
-            result = self.read_vw.execute_query(
-                plan, scheduled, bitmaps, snap.index_key, db.reader, params,
-                manifest_id=snap.manifest_id,
-            )
-            wanted = plan.logical.k or 0
-            if (
-                reserve
-                and db.settings.adaptive_widening
-                and plan.logical.is_vector_query
-                and len(result) < max(wanted - plan.logical.offset, 0)
-            ):
-                db.metrics.incr("pruning.adaptive_widenings")
-                result = self.read_vw.execute_query(
-                    plan, scheduled + reserve, bitmaps,
-                    snap.index_key, db.reader, params,
-                    manifest_id=snap.manifest_id,
-                )
-            result.simulated_seconds = db.clock.elapsed_since(start)
-        return result
+        self.read_vw.scale_to(workers)

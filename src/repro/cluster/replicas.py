@@ -24,17 +24,12 @@ from typing import Dict, List, Optional
 from repro.cluster.stats import SegmentAccessStats
 from repro.cluster.warehouse import VirtualWarehouse, WarehouseConfig
 from repro.errors import NoWorkersError, WorkerUnavailableError
-from repro.executor.columnio import ColumnReader
 from repro.executor.pipeline import QueryResult
 from repro.observe.trace import Tracer
-from repro.planner.cost import CostModelParams
-from repro.planner.optimizer import PhysicalPlan
 from repro.simulate.clock import SimulatedClock
 from repro.simulate.costmodel import DeviceCostModel
 from repro.simulate.metrics import MetricRegistry
-from repro.storage.deletebitmap import DeleteBitmap
 from repro.storage.objectstore import ObjectStore
-from repro.storage.segment import Segment
 
 ROUTING_POLICIES = ("primary", "round_robin")
 
@@ -113,6 +108,11 @@ class ReplicatedWarehouse:
         """Direct access to one replica (tests, fault injection)."""
         return self.replicas[index]
 
+    def scale_to(self, workers: int) -> None:
+        """Scale every replica to ``workers`` nodes."""
+        for replica in self.replicas:
+            replica.scale_to(workers)
+
     def preload_indexes(self, segment_ids, index_key_of) -> int:
         """Preload every replica's caches (each has its own scheduler).
 
@@ -162,17 +162,8 @@ class ReplicatedWarehouse:
         self._next += 1
         return healthy[start:] + healthy[:start]
 
-    def execute_query(
-        self,
-        plan: PhysicalPlan,
-        segments: List[Segment],
-        bitmaps: Dict[str, DeleteBitmap],
-        index_key_of,
-        reader: ColumnReader,
-        params: CostModelParams,
-        manifest_id: Optional[int] = None,
-    ) -> QueryResult:
-        """Run one query, failing over across replicas as needed.
+    def _on_first_healthy(self, call):
+        """``call(replica)`` on the rotation, failing over as needed.
 
         Raises
         ------
@@ -182,18 +173,29 @@ class ReplicatedWarehouse:
         last_error: Optional[Exception] = None
         for replica in self._rotation():
             try:
-                result = replica.execute_query(
-                    plan, segments, bitmaps, index_key_of, reader, params,
-                    manifest_id=manifest_id,
-                )
-                self.metrics.incr(f"replicas.served_by.{replica.name}")
-                return result
+                outcome = call(replica)
             except (NoWorkersError, WorkerUnavailableError) as error:
                 last_error = error
                 self.metrics.incr("replicas.failovers")
                 continue
+            self.metrics.incr(f"replicas.served_by.{replica.name}")
+            return outcome
         if last_error is not None:
             raise NoWorkersError(
                 f"all replicas of {self.name!r} failed; last error: {last_error}"
             )
         raise NoWorkersError(f"replicated warehouse {self.name!r} has no live replicas")
+
+    def execute_query(self, *args, **kwargs) -> QueryResult:
+        """:meth:`VirtualWarehouse.execute_query` with replica failover."""
+        return self._on_first_healthy(
+            lambda replica: replica.execute_query(*args, **kwargs)
+        )
+
+    def scan(self, *args, **kwargs):
+        """:meth:`VirtualWarehouse.scan` with replica failover."""
+        return self._on_first_healthy(lambda replica: replica.scan(*args, **kwargs))
+
+    def merge_partials(self, *args, **kwargs) -> QueryResult:
+        """Merging touches no worker state, so any replica can do it."""
+        return self.replicas[0].merge_partials(*args, **kwargs)

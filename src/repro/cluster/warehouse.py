@@ -216,7 +216,8 @@ class VirtualWarehouse:
         manifest_id: Optional[int] = None,
         cancel: Optional[CancelToken] = None,
     ) -> QueryResult:
-        """Run one planned query across the warehouse.
+        """Run one planned query across the warehouse, synchronously:
+        :meth:`scan`, the makespan onto the clock, :meth:`merge_partials`.
 
         ``manifest_id`` is the manifest the caller's snapshot pinned; it
         rides along so scheduling and worker spans attribute work to the
@@ -230,17 +231,29 @@ class VirtualWarehouse:
         QueryCancelledError
             If ``cancel`` is set while segments remain to scan.
         """
-        if not self.workers:
-            raise NoWorkersError(f"warehouse {self.name!r} has no workers")
+        start = self.clock.now
+        partials, _, effective = self.scan(
+            plan, segments, bitmaps, index_key_of, reader, params,
+            manifest_id=manifest_id, cancel=cancel,
+        )
+        self.clock.advance(effective)
+        result = self.merge_partials(plan, partials, reader, params, len(segments))
+        result.simulated_seconds = self.clock.elapsed_since(start)
+        return result
+
+    def scan(self, *args, **kwargs):
+        """:meth:`capture_scans` under the query-level retry (§II-E).
+
+        A worker that died since scheduling fails the whole wave; it is
+        retried on the refreshed topology up to ``max_query_retries``
+        times.  Every wave that completes counts as one warehouse query
+        and records its makespan.
+        """
         attempts = 0
         while True:
             try:
-                return self._execute_once(
-                    plan, segments, bitmaps, index_key_of, reader, params,
-                    manifest_id, cancel,
-                )
+                partials, scan_costs, makespan = self.capture_scans(*args, **kwargs)
             except WorkerUnavailableError:
-                # Query-level retry on the refreshed topology (§II-E).
                 # Memoized remote-cache handshakes may be stale; refresh.
                 for worker in self.workers.values():
                     worker.forget_remote_holdings()
@@ -248,6 +261,10 @@ class VirtualWarehouse:
                 self.metrics.incr("warehouse.query_retries")
                 if attempts > self.config.max_query_retries:
                     raise
+                continue
+            self.metrics.record_latency("warehouse.makespan", makespan)
+            self.metrics.incr("warehouse.queries")
+            return partials, scan_costs, makespan
 
     def capture_scans(
         self,
@@ -266,9 +283,8 @@ class VirtualWarehouse:
         ``segment_costs`` is ``[(segment_id, cost_s), ...]`` in scan
         order and the makespan already includes interference.  The clock
         is NOT advanced — :meth:`execute_query` applies the makespan
-        directly, while the staged fleet path hands it to the serving
-        loop as a stage's ``advance_s`` (virtual time applied by the
-        frontend, exactly like ``BlendHouse.select_stages``).
+        directly, while the SELECT lifecycle hands it to whoever drains
+        the stages as the scan stage's ``advance_s``.
         """
         if not self.workers:
             raise NoWorkersError(f"warehouse {self.name!r} has no workers")
@@ -336,30 +352,6 @@ class VirtualWarehouse:
         effective = makespan * self._interference_factor()
         return partials, scan_costs, effective
 
-    def _execute_once(
-        self,
-        plan: PhysicalPlan,
-        segments: List[Segment],
-        bitmaps: Dict[str, DeleteBitmap],
-        index_key_of: IndexKeyLookup,
-        reader: ColumnReader,
-        params: CostModelParams,
-        manifest_id: Optional[int] = None,
-        cancel: Optional[CancelToken] = None,
-    ) -> QueryResult:
-        start = self.clock.now
-        partials, _, effective = self.capture_scans(
-            plan, segments, bitmaps, index_key_of, reader, params,
-            manifest_id=manifest_id, cancel=cancel,
-        )
-        self.metrics.record_latency("warehouse.makespan", effective)
-        self.clock.advance(effective)
-
-        result = self.merge_partials(plan, partials, reader, params, len(segments))
-        result.simulated_seconds = self.clock.elapsed_since(start)
-        self.metrics.incr("warehouse.queries")
-        return result
-
     def merge_partials(
         self,
         plan: PhysicalPlan,
@@ -415,3 +407,36 @@ class VirtualWarehouse:
             return provider
 
         return resolve
+
+
+class WarehouseBackend:
+    """SELECT scan backend that executes on a warehouse's workers.
+
+    Adapts a :class:`VirtualWarehouse` or ``ReplicatedWarehouse`` to the
+    contract of :meth:`repro.core.database.BlendHouse.select_stages`;
+    ``db``, the planning engine, supplies the column reader and the
+    table's cost constants the workers charge with.
+    """
+
+    def __init__(self, warehouse, db) -> None:
+        self.warehouse = warehouse
+        self.db = db
+        self.name = warehouse.name
+
+    def _params(self, plan: PhysicalPlan) -> CostModelParams:
+        schema = self.db.table(plan.logical.table).entry.schema
+        return self.db.cost_params(schema)
+
+    def scan(self, plan, segments, bitmaps, snapshot, cancel):
+        """Scan one wave; per-segment costs are reported after the join."""
+        partials, scan_costs, makespan = self.warehouse.scan(
+            plan, segments, bitmaps, snapshot.index_key, self.db.reader,
+            self._params(plan), manifest_id=snapshot.manifest_id, cancel=cancel,
+        )
+        yield from scan_costs
+        return partials, makespan
+
+    def merge(self, plan, partials, n_segments) -> QueryResult:
+        return self.warehouse.merge_partials(
+            plan, partials, self.db.reader, self._params(plan), n_segments
+        )

@@ -27,6 +27,7 @@ Session settings mirror the paper's ablation switches::
 from __future__ import annotations
 
 import os
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -44,13 +45,12 @@ from repro.executor.parallel import (
     BatchExecutionResult,
     ParallelConfig,
     execute_batch_on_segments,
-    execute_plan_on_segments_parallel,
+    fan_out_segments,
     lane_makespan,
 )
 from repro.executor.pipeline import (
     ExecContext,
     QueryResult,
-    execute_plan_on_segments,
     execute_segment,
     merge_and_project,
 )
@@ -242,10 +242,56 @@ class SelectStage:
     advance_s: float = 0.0
     manifest_id: Optional[int] = None
     result: Optional[QueryResult] = None
-    # Flight-record payload (plan, cache deltas, manifest_id, synthetic
-    # trace) attached to the final stage; the serving tier hands it to
-    # the slow-query log when the query turns out to warrant a record.
+    # On the final stage only: what a flight record is built from (the
+    # plan, manifest_id, serving warehouse, cache counters before the
+    # query, stage timeline).  :meth:`BlendHouse.offer_flight` turns it
+    # into a record if the slow-query log wants one.
     flight: Optional[Dict[str, Any]] = None
+
+
+class _InProcessBackend:
+    """Scan backend that runs segment scans in the engine's process.
+
+    Serially, reporting each segment as it completes (a real interleave
+    point for whoever drives the stages); with ``parallel_workers > 1``
+    over threads — or the process pool under ``executor_mode='process'``
+    — reporting after the join.
+    """
+
+    name: Optional[str] = None  # no warehouse serves these queries
+
+    def __init__(self, db: "BlendHouse") -> None:
+        self.db = db
+
+    def scan(self, plan, segments, bitmaps, snapshot, cancel):
+        db = self.db
+        ctx = db._exec_context(db.table(plan.logical.table), snapshot, cancel)
+        lanes = max(1, db.settings.parallel_workers)
+        if lanes > 1 and len(segments) > 1:
+            partials, costs, makespan = fan_out_segments(
+                plan, segments, bitmaps, ctx, lanes
+            )
+            for segment, cost_s in zip(segments, costs):
+                yield segment.segment_id, cost_s
+            return partials, makespan
+        partials, costs = [], []
+        for segment in segments:
+            if cancel is not None:
+                cancel.raise_if_cancelled()
+            with db.clock.capturing() as captured:
+                partials.append(
+                    execute_segment(
+                        plan, segment, bitmaps.get(segment.segment_id), ctx
+                    )
+                )
+            costs.append(captured.total)
+            yield segment.segment_id, captured.total
+        return partials, lane_makespan(costs, lanes)
+
+    def merge(self, plan, partials, n_segments) -> QueryResult:
+        db = self.db
+        ctx = db._exec_context(db.table(plan.logical.table))
+        return merge_and_project(plan, partials, ctx, n_segments)
 
 
 def _strip_explain_prefix(sql: str) -> str:
@@ -312,6 +358,7 @@ class BlendHouse:
         # bounded-size pools); None means executor_mode='process' uses
         # the process-wide shared pool.
         self._scan_pool_override: Optional[Any] = None
+        self._in_process = _InProcessBackend(self)
 
     # ------------------------------------------------------------------
     # Table access
@@ -359,7 +406,7 @@ class BlendHouse:
         if isinstance(statement, Insert):
             return self._execute_insert(statement)
         if isinstance(statement, Select):
-            return self._execute_select(sql, statement)
+            return self._drain(sql, self._lifecycle(sql, statement))[0]
         if isinstance(statement, Update):
             runtime = self.table(statement.table)
             result = apply_update(
@@ -528,10 +575,14 @@ class BlendHouse:
     # ------------------------------------------------------------------
     # SELECT
     # ------------------------------------------------------------------
-    def _optimizer(self, schema: TableSchema) -> Optimizer:
-        params = CostModelParams.from_device_model(
+    def cost_params(self, schema: TableSchema) -> CostModelParams:
+        """The cost-model constants at ``schema``'s vector dimension."""
+        return CostModelParams.from_device_model(
             self.cost, max(schema.vector_dim, 1)
         )
+
+    def _optimizer(self, schema: TableSchema) -> Optimizer:
+        params = self.cost_params(schema)
         forced = None
         if self.settings.forced_strategy:
             forced = ExecutionStrategy(self.settings.forced_strategy)
@@ -572,8 +623,11 @@ class BlendHouse:
             )
         with self.tracer.span("plan") as span:
             span.set_tag("manifest_id", version)
+            captured = self.clock.captured_total()
             plan = self._plan_select_traced(sql, statement, span, version)
             span.set_tag("strategy", plan.strategy.value)
+            if captured is not None:  # as on segment_scan spans
+                span.set_tag("cost_s", round(self.clock.captured_total() - captured, 9))
             return plan
 
     def _plan_rebindable(self, template: PhysicalPlan) -> bool:
@@ -675,8 +729,7 @@ class BlendHouse:
         snapshot: Optional[Any] = None,
         cancel: Optional[CancelToken] = None,
     ) -> ExecContext:
-        schema = runtime.entry.schema
-        params = CostModelParams.from_device_model(self.cost, max(schema.vector_dim, 1))
+        params = self.cost_params(runtime.entry.schema)
         reader = self.reader
         if not self.settings.enable_read_opt:
             reader = ColumnReader(
@@ -719,63 +772,209 @@ class BlendHouse:
         workers = max(DEFAULT_POOL_WORKERS, self.settings.parallel_workers)
         return shared_pool(workers=workers, metrics=self.metrics)
 
-    def _select_segments(
-        self, runtime: TableRuntime, plan: PhysicalPlan,
-        view: Optional[Any] = None,
-    ) -> List[List[Segment]]:
-        """Scheduling-phase pruning: returns [scheduled, reserve] waves.
-
-        ``view`` is the pinned snapshot the query reads; falling back to
-        the live manager view is only for internal single-version paths.
-        """
+    def _prune(
+        self, runtime: TableRuntime, plan: PhysicalPlan, snapshot: Any,
+        bitmaps: Dict[str, Any],
+    ) -> Tuple[List[Segment], List[Segment]]:
+        """Scheduling-phase pruning of the pinned ``snapshot``: the
+        (scheduled, reserve) waves, their delete bitmaps captured into
+        ``bitmaps`` (a batch passes one dict across all its queries)."""
         with self.tracer.span("prune") as span:
-            manager = view if view is not None else runtime.manager
-            total = len(manager)
-            metas = manager.metas()
-            metas = prune_segments_scalar(metas, plan.logical.scalar_predicate)
+            total = len(snapshot)
+            metas = prune_segments_scalar(
+                snapshot.metas(), plan.logical.scalar_predicate
+            )
             self.metrics.incr("pruning.scalar_kept", len(metas))
             span.set_tag("segments_total", total)
             span.set_tag("scalar_kept", len(metas))
-            schema = runtime.entry.schema
-            use_semantic = (
+            reserve_metas: List[Any] = []
+            if (
                 self.settings.enable_semantic_pruning
-                and schema.cluster_buckets > 0
+                and runtime.entry.schema.cluster_buckets > 0
                 and plan.logical.is_vector_query
+            ):
+                keep = max(1, self.settings.semantic_prune_keep)
+                metas, reserve_metas = select_semantic_candidates(
+                    metas, plan.logical.distance.query_vector, keep
+                )
+                self.metrics.incr("pruning.semantic_kept", len(metas))
+                span.set_tag("semantic_kept", len(metas))
+                span.set_tag("reserve", len(reserve_metas))
+            scheduled, reserve = (
+                [snapshot.segment(meta.segment_id) for meta in wave]
+                for wave in (metas, reserve_metas)
             )
-            if not use_semantic:
-                return [[manager.segment(meta.segment_id) for meta in metas], []]
-            keep = max(1, self.settings.semantic_prune_keep)
-            scheduled, reserve = select_semantic_candidates(
-                metas, plan.logical.distance.query_vector, keep
+            for segment in scheduled + reserve:
+                if segment.segment_id not in bitmaps:
+                    bitmaps[segment.segment_id] = snapshot.bitmap(segment.segment_id)
+            return scheduled, reserve
+
+    def _needs_widening(
+        self, plan: PhysicalPlan, reserve: List[Segment], result: QueryResult
+    ) -> bool:
+        """Runtime-adaptive widening: the centroid ranking under-estimated
+        and the scheduled wave came back short of the requested rows."""
+        return bool(
+            reserve
+            and self.settings.adaptive_widening
+            and plan.logical.is_vector_query
+            and len(result) < (plan.logical.k or 0) - plan.logical.offset
+        )
+
+    # ------------------------------------------------------------------
+    # The SELECT lifecycle
+    # ------------------------------------------------------------------
+    def select_stages(
+        self, sql: str, cancel: Optional[CancelToken] = None,
+        tenant: str = "default", lane: str = "interactive",
+        backend: Optional[Any] = None,
+    ) -> Iterator[SelectStage]:
+        """Run one SELECT as a generator of resumable stages.
+
+        The one implementation of a SELECT: :meth:`execute`, ``EXPLAIN
+        ANALYZE`` and :meth:`run_select` drain it on the calling thread,
+        the serving tier drives it stage by stage.  Each ``yield`` is a
+        cancellation checkpoint; stage costs are *captured*, not applied
+        to the shared clock (the driver turns ``advance_s`` into time on
+        its own timeline, so many queries can be in flight at once); and
+        the snapshot pin is released in a ``finally``, so closing the
+        generator at any stage never leaks a pinned manifest.  Captures
+        and spans open and close *between* yields — both are thread-local
+        stacks that an interleaved query on the same thread would corrupt.
+
+        Stages: ``pin`` → ``plan`` → one ``segment:<id>`` per scheduled
+        segment (cost only, zero advance) → ``scan`` (advance = the wave's
+        makespan) → the same again as ``widen`` when adaptive widening
+        scans the reserve wave → ``finish`` with the merge cost, the
+        :class:`QueryResult` and the flight payload.
+        ``result.simulated_seconds`` is the execute phase only (scan +
+        widen makespans + merge); planning is the ``plan`` stage's cost.
+
+        ``backend`` is where segments are scanned: ``scan(plan, segments,
+        bitmaps, snapshot, cancel)`` is a generator yielding
+        ``(segment_id, cost_s)`` as segments complete and returning
+        ``(partials, makespan_s)``; ``merge(plan, partials, n_segments)``
+        returns the result; ``name`` is the serving warehouse.  Default:
+        this process.  ``tenant`` / ``lane`` name the caller — a fleet
+        engine routes on them, here they select nothing.
+        """
+        statement = parse_statement(sql)
+        if not isinstance(statement, Select):
+            raise SQLError("staged serving execution supports SELECT only")
+        yield from self._lifecycle(sql, statement, backend, cancel)
+
+    def _lifecycle(
+        self, sql: str, statement: Select, backend: Optional[Any] = None,
+        cancel: Optional[CancelToken] = None,
+    ) -> Iterator[SelectStage]:
+        backend = backend or self._in_process
+        runtime = self.table(statement.table)
+        cache_before = self._cache_counters()
+        timeline: List[Tuple[str, float, float]] = []
+
+        def stage(
+            name: str, cost_s: float = 0.0, advance_s: float = 0.0, **fields: Any
+        ) -> SelectStage:
+            timeline.append((name, cost_s, advance_s))
+            return SelectStage(name, cost_s, advance_s, **fields)
+
+        # Pin one manifest for the query's whole lifetime: planning,
+        # pruning, bitmap capture, every worker's index resolution and
+        # the widening wave read this version, so concurrent commits are
+        # invisible and ``AS OF <manifest_id>`` replays history exactly.
+        snap = runtime.manager.snapshot(statement.as_of)
+        try:
+            yield stage("pin", manifest_id=snap.manifest_id)
+            if cancel is not None:
+                cancel.raise_if_cancelled()
+            bitmaps: Dict[str, Any] = {}
+            with maybe_profile("select.plan", self.clock), \
+                    self.clock.capturing() as captured:
+                plan = self._plan_select(sql, statement, version=snap.manifest_id)
+                scheduled, reserve = self._prune(runtime, plan, snap, bitmaps)
+            yield stage(
+                "plan", captured.total, captured.total,
+                manifest_id=snap.manifest_id,
             )
-            self.metrics.incr("pruning.semantic_kept", len(scheduled))
-            span.set_tag("semantic_kept", len(scheduled))
-            span.set_tag("reserve", len(reserve))
-            return [
-                [manager.segment(meta.segment_id) for meta in scheduled],
-                [manager.segment(meta.segment_id) for meta in reserve],
-            ]
+            partials: List[Any] = []
+            scanned = 0
+            elapsed = finish_cost = 0.0
+            for wave_name, wave in (("scan", scheduled), ("widen", reserve)):
+                if wave_name == "widen":
+                    if not self._needs_widening(plan, reserve, result):
+                        break
+                    self.metrics.incr("pruning.adaptive_widenings")
+                scan = backend.scan(plan, wave, bitmaps, snap, cancel)
+                wave_cost = 0.0
+                while True:
+                    try:
+                        segment_id, cost_s = next(scan)
+                    except StopIteration as done:
+                        wave_partials, makespan = done.value
+                        break
+                    wave_cost += cost_s
+                    yield stage(f"segment:{segment_id}", cost_s)
+                elapsed += makespan
+                yield stage(wave_name, wave_cost, makespan)
+                if cancel is not None:
+                    cancel.raise_if_cancelled()
+                partials += wave_partials
+                scanned += len(wave)
+                with self.clock.capturing() as captured:
+                    result = backend.merge(plan, partials, scanned)
+                finish_cost += captured.total
+            elapsed += finish_cost
+            result.simulated_seconds = elapsed
+            self.metrics.incr("queries")
+            self.metrics.record_latency("query.latency", elapsed)
+            yield stage(
+                "finish", finish_cost, finish_cost,
+                manifest_id=snap.manifest_id, result=result,
+                flight={
+                    "manifest_id": snap.manifest_id,
+                    "warehouse": backend.name,
+                    "plan": plan,
+                    "cache_before": cache_before,
+                    "timeline": timeline,
+                },
+            )
+        finally:
+            snap.release()
 
-    def _parallel_config(self) -> ParallelConfig:
-        return ParallelConfig(max_workers=max(1, self.settings.parallel_workers))
+    def _drain(
+        self, sql: str, stages: Iterator[SelectStage]
+    ) -> Tuple[QueryResult, PhysicalPlan]:
+        """Run a staged SELECT to completion on the calling thread: each
+        stage's ``advance_s`` goes onto the shared clock, an ``execute``
+        span wraps everything after planning, and the finished query is
+        offered to the slow-query log."""
+        with closing(stages):
+            for stage in stages:
+                if stage.name == "plan":
+                    break
+            self.clock.advance(stage.advance_s)
+            with maybe_profile("select.execute", self.clock), \
+                    self.tracer.span("execute", manifest_id=stage.manifest_id) as span:
+                for stage in stages:
+                    if stage.advance_s:  # not the per-segment checkpoints
+                        self.clock.advance(stage.advance_s)
+                    if stage.name == "widen":
+                        span.set_tag("adaptive_widened", True)
+                span.set_tag("rows", len(stage.result))
+        self.offer_flight(
+            sql, stage.result.simulated_seconds, stage.flight,
+            trace=self.tracer.last_root() if self.tracer.enabled else None,
+        )
+        return stage.result, stage.flight["plan"]
 
-    def _execute_segments(
-        self,
-        plan: PhysicalPlan,
-        segments: List[Segment],
-        bitmaps: Dict[str, Any],
-        ctx: ExecContext,
+    def run_select(
+        self, sql: str, statement: Select, backend: Any, **tags: Any
     ) -> QueryResult:
-        """Serial or fan-out execution, per the ``parallel_workers`` setting."""
-        if self.settings.parallel_workers > 1:
-            return execute_plan_on_segments_parallel(
-                plan, segments, bitmaps, ctx, self._parallel_config()
-            )
-        return execute_plan_on_segments(plan, segments, bitmaps, ctx)
-
-    def _execute_select(self, sql: str, statement: Select) -> QueryResult:
-        result, _ = self._run_select(sql, statement)
-        return result
+        """Run one parsed SELECT to completion on ``backend`` (the engines
+        that scan elsewhere): :meth:`execute`'s drain under a ``query``
+        root span tagged with ``tags``."""
+        with self.tracer.span("query", statement="Select", **tags):
+            return self._drain(sql, self._lifecycle(sql, statement, backend))[0]
 
     # ------------------------------------------------------------------
     # Flight recorder capture
@@ -788,246 +987,61 @@ class BlendHouse:
             "remote_fetches": self.metrics.count("index_cache.remote_fetches"),
         }
 
-    @staticmethod
-    def _cache_delta(before: Dict[str, int], after: Dict[str, int]) -> Dict[str, int]:
-        return {key: after[key] - before[key] for key in after}
-
-    @staticmethod
-    def _plan_payload(plan: PhysicalPlan) -> Dict[str, Any]:
-        """The chosen plan plus the CBO alternatives it rejected."""
-        return {
-            "strategy": plan.strategy.value,
-            "use_index": plan.use_index,
-            "search_params": dict(plan.search_params),
-            "cbo_used": plan.cbo_used,
-            "short_circuited": plan.short_circuited,
-            "sigma": plan.sigma,
-            "estimated_selectivity": plan.estimated_selectivity,
-            "alternatives": dict(plan.estimated_costs),
-        }
-
-    def _maybe_record_flight(
-        self,
-        sql: str,
-        plan: PhysicalPlan,
-        latency_s: float,
-        manifest_id: Optional[int],
-        cache_before: Dict[str, int],
+    def offer_flight(
+        self, sql: str, latency_s: float, flight: Dict[str, Any],
+        trace: Any = None, **serving: Any,
     ) -> None:
-        """Offer one synchronous query to the slow-query log.
+        """Offer one finished SELECT to the slow-query log.
 
-        The cheap threshold/sampling decision runs first so the hot path
-        pays nothing for fast, unsampled queries; the trace is the still-
-        open query root, held by reference and serialized at export time.
+        ``flight`` is the final stage's payload; the record (plan
+        payload, cache deltas, trace) is only built if the log's cheap
+        threshold/sampling check wants it.  ``trace`` is the query's span
+        tree when the caller has one (serialized at export time); the
+        stage timeline stands in otherwise.  ``serving`` carries the
+        serving tier's ``lane`` / ``tenant`` / ``queue_wait_s``.
         """
         reason = self.slowlog.should_record(latency_s)
         if reason is None:
             return
+        plan = flight["plan"]
+        before, after = flight["cache_before"], self._cache_counters()
+        if trace is None:
+            trace = {
+                "name": "select_stages",
+                "duration": latency_s,
+                "tags": {
+                    "manifest_id": flight["manifest_id"],
+                    "warehouse": flight["warehouse"],
+                },
+                "children": [
+                    {
+                        "name": name, "duration": advance_s,
+                        "tags": {"cost_s": cost_s}, "children": [],
+                    }
+                    for name, cost_s, advance_s in flight["timeline"]
+                ],
+            }
         self.slowlog.observe(
             timestamp=self.clock.now,
             sql=sql,
             latency_s=latency_s,
             reason=reason,
-            manifest_id=manifest_id,
-            plan=self._plan_payload(plan),
-            cache=self._cache_delta(cache_before, self._cache_counters()),
-            trace=self.tracer.last_root() if self.tracer.enabled else None,
+            manifest_id=flight["manifest_id"],
+            plan={
+                "strategy": plan.strategy.value,
+                "use_index": plan.use_index,
+                "search_params": dict(plan.search_params),
+                "cbo_used": plan.cbo_used,
+                "short_circuited": plan.short_circuited,
+                "sigma": plan.sigma,
+                "estimated_selectivity": plan.estimated_selectivity,
+                # The CBO alternatives the chosen plan beat.
+                "alternatives": dict(plan.estimated_costs),
+            },
+            cache={key: after[key] - before[key] for key in after},
+            trace=trace,
+            **serving,
         )
-
-    def _run_select(
-        self, sql: str, statement: Select
-    ) -> Tuple[QueryResult, PhysicalPlan]:
-        runtime = self.table(statement.table)
-        cache_before = self._cache_counters()
-        # Pin one manifest for the query's whole lifetime: planning,
-        # pruning, bitmap capture, and execution all read this version,
-        # so concurrent ingest/compaction commits are invisible and
-        # ``AS OF <manifest_id>`` replays history exactly.
-        with runtime.manager.snapshot(statement.as_of) as snap:
-            with maybe_profile("select.plan", self.clock):
-                plan = self._plan_select(sql, statement, version=snap.manifest_id)
-            ctx = self._exec_context(runtime, snapshot=snap)
-            scheduled, reserve = self._select_segments(runtime, plan, view=snap)
-            bitmaps = {
-                segment.segment_id: snap.bitmap(segment.segment_id)
-                for segment in scheduled + reserve
-            }
-            start = self.clock.now
-            with maybe_profile("select.execute", self.clock), \
-                    self.tracer.span("execute", segments=len(scheduled)) as span:
-                span.set_tag("manifest_id", snap.manifest_id)
-                result = self._execute_segments(plan, scheduled, bitmaps, ctx)
-                wanted = plan.logical.k or 0
-                if (
-                    reserve
-                    and self.settings.adaptive_widening
-                    and plan.logical.is_vector_query
-                    and len(result) < max(wanted - plan.logical.offset, 0)
-                ):
-                    # Runtime-adaptive widening: the centroid ranking under-
-                    # estimated; schedule everything and redo the merge.
-                    self.metrics.incr("pruning.adaptive_widenings")
-                    span.set_tag("adaptive_widened", True)
-                    result = self._execute_segments(
-                        plan, scheduled + reserve, bitmaps, ctx
-                    )
-                span.set_tag("rows", len(result))
-            result.simulated_seconds = self.clock.elapsed_since(start)
-            manifest_id = snap.manifest_id
-        self.metrics.incr("queries")
-        self.metrics.record_latency("query.latency", result.simulated_seconds)
-        self._maybe_record_flight(
-            sql, plan, result.simulated_seconds, manifest_id, cache_before
-        )
-        return result, plan
-
-    # ------------------------------------------------------------------
-    # Staged SELECT (serving tier)
-    # ------------------------------------------------------------------
-    def select_stages(
-        self, sql: str, cancel: Optional[CancelToken] = None
-    ) -> Iterator[SelectStage]:
-        """Run one SELECT as a generator of resumable stages.
-
-        The serving tier drives this instead of :meth:`execute`: each
-        ``yield`` is a cancellation checkpoint, per-stage simulated costs
-        are *captured* rather than applied to the shared clock (so the
-        caller can turn them into waiting on its own timeline, modelling
-        many queries in flight at once), and the snapshot pin is released
-        in a ``finally`` — closing the generator at any stage (client
-        timeout, disconnect, admission preemption) can never leak a
-        pinned manifest.
-
-        Every capture opens and closes *between* yields: cost capture and
-        tracer span stacks are thread-local, so holding one across a
-        yield would corrupt them when a cooperative scheduler interleaves
-        another query's stages on the same thread.
-
-        Stages, in order: ``pin`` → ``plan`` → one ``segment:<id>`` per
-        scheduled segment (cost only, zero advance — these are the
-        cancellation checkpoints) → ``scan`` (advance = fan-out makespan
-        over ``parallel_workers`` lanes) → optionally more ``segment:*``
-        plus a ``widen`` stage when adaptive widening triggers →
-        ``finish`` carrying the merge cost and the :class:`QueryResult`.
-        """
-        statement = parse_statement(sql)
-        if not isinstance(statement, Select):
-            raise SQLError("staged serving execution supports SELECT only")
-        runtime = self.table(statement.table)
-        cache_before = self._cache_counters()
-        # Spans cannot be held across yields (thread-local stacks), so
-        # the staged path records a synthetic trace: one child dict per
-        # stage, mirroring Span.to_dict for the flight record.
-        stage_spans: List[Dict[str, Any]] = []
-
-        def _stage_span(name: str, cost_s: float) -> None:
-            stage_spans.append(
-                {"name": name, "duration": cost_s, "tags": {}, "children": []}
-            )
-
-        snap = runtime.manager.snapshot(statement.as_of)
-        try:
-            yield SelectStage("pin", manifest_id=snap.manifest_id)
-            if cancel is not None:
-                cancel.raise_if_cancelled()
-            with self.clock.capturing() as captured:
-                plan = self._plan_select(sql, statement, version=snap.manifest_id)
-                ctx = self._exec_context(runtime, snapshot=snap, cancel=cancel)
-                scheduled, reserve = self._select_segments(runtime, plan, view=snap)
-                bitmaps = {
-                    segment.segment_id: snap.bitmap(segment.segment_id)
-                    for segment in scheduled + reserve
-                }
-            elapsed = captured.total
-            _stage_span("plan", captured.total)
-            yield SelectStage(
-                "plan", cost_s=captured.total, advance_s=captured.total,
-                manifest_id=snap.manifest_id,
-            )
-            lanes = max(1, self.settings.parallel_workers)
-            partials: List[Any] = []
-            costs: List[float] = []
-            for segment in scheduled:
-                if cancel is not None:
-                    cancel.raise_if_cancelled()
-                with self.clock.capturing() as captured:
-                    partials.append(
-                        execute_segment(
-                            plan, segment, bitmaps.get(segment.segment_id), ctx
-                        )
-                    )
-                costs.append(captured.total)
-                _stage_span(f"segment:{segment.segment_id}", captured.total)
-                yield SelectStage(
-                    f"segment:{segment.segment_id}", cost_s=captured.total
-                )
-            makespan = lane_makespan(costs, lanes)
-            elapsed += makespan
-            _stage_span("scan", makespan)
-            yield SelectStage("scan", cost_s=sum(costs), advance_s=makespan)
-            if cancel is not None:
-                cancel.raise_if_cancelled()
-            with self.clock.capturing() as captured:
-                result = merge_and_project(plan, partials, ctx, len(scheduled))
-            finish_cost = captured.total
-            wanted = plan.logical.k or 0
-            if (
-                reserve
-                and self.settings.adaptive_widening
-                and plan.logical.is_vector_query
-                and len(result) < max(wanted - plan.logical.offset, 0)
-            ):
-                # Runtime-adaptive widening: the centroid ranking under-
-                # estimated; scan the reserve wave and redo the merge.
-                self.metrics.incr("pruning.adaptive_widenings")
-                widen_costs: List[float] = []
-                for segment in reserve:
-                    if cancel is not None:
-                        cancel.raise_if_cancelled()
-                    with self.clock.capturing() as captured:
-                        partials.append(
-                            execute_segment(
-                                plan, segment, bitmaps.get(segment.segment_id), ctx
-                            )
-                        )
-                    widen_costs.append(captured.total)
-                    _stage_span(f"segment:{segment.segment_id}", captured.total)
-                    yield SelectStage(
-                        f"segment:{segment.segment_id}", cost_s=captured.total
-                    )
-                widen_makespan = lane_makespan(widen_costs, lanes)
-                elapsed += widen_makespan
-                _stage_span("widen", widen_makespan)
-                yield SelectStage(
-                    "widen", cost_s=sum(widen_costs), advance_s=widen_makespan
-                )
-                with self.clock.capturing() as captured:
-                    result = merge_and_project(
-                        plan, partials, ctx, len(scheduled) + len(reserve)
-                    )
-                finish_cost += captured.total
-            elapsed += finish_cost
-            result.simulated_seconds = elapsed
-            self.metrics.incr("queries")
-            self.metrics.record_latency("query.latency", elapsed)
-            _stage_span("finish", finish_cost)
-            flight = {
-                "manifest_id": snap.manifest_id,
-                "plan": self._plan_payload(plan),
-                "cache": self._cache_delta(cache_before, self._cache_counters()),
-                "trace": {
-                    "name": "select_stages",
-                    "duration": elapsed,
-                    "tags": {"manifest_id": snap.manifest_id},
-                    "children": stage_spans,
-                },
-            }
-            yield SelectStage(
-                "finish", cost_s=finish_cost, advance_s=finish_cost,
-                manifest_id=snap.manifest_id, result=result, flight=flight,
-            )
-        finally:
-            snap.release()
 
     # ------------------------------------------------------------------
     # Batched (nq > 1) queries
@@ -1159,46 +1173,39 @@ class BlendHouse:
             )
             plans.append(template.rebound(logical))
         ctx = self._exec_context(runtime, snapshot=snapshot)
-        segments_by_query: List[List[Segment]] = []
-        reserve_by_query: List[List[Segment]] = []
-        for plan in plans:
-            scheduled, reserve = self._select_segments(runtime, plan, view=snapshot)
-            segments_by_query.append(scheduled)
-            reserve_by_query.append(reserve)
-        bitmaps = {
-            segment.segment_id: snapshot.bitmap(segment.segment_id)
-            for scheduled in segments_by_query
-            for segment in scheduled
-        }
-        for reserve in reserve_by_query:
-            for segment in reserve:
-                bitmaps.setdefault(
-                    segment.segment_id, snapshot.bitmap(segment.segment_id)
-                )
+        bitmaps: Dict[str, Any] = {}
+        waves = [self._prune(runtime, plan, snapshot, bitmaps) for plan in plans]
+        config = ParallelConfig(max_workers=max(1, self.settings.parallel_workers))
         start = self.clock.now
         with self.tracer.span("execute_batch", queries=len(plans),
                               manifest_id=snapshot.manifest_id):
             batch = execute_batch_on_segments(
-                plans, segments_by_query, bitmaps, ctx, self._parallel_config()
+                plans, [scheduled for scheduled, _ in waves], bitmaps, ctx, config
             )
-            wanted = template.logical.k or 0
-            if self.settings.adaptive_widening and wanted:
-                for position, result in enumerate(batch.results):
-                    if reserve_by_query[position] and len(result) < wanted:
-                        # Per-query adaptive widening: redo just the
-                        # under-filled query over every candidate segment.
-                        self.metrics.incr("pruning.adaptive_widenings")
-                        batch.results[position] = self._execute_segments(
-                            plans[position],
-                            segments_by_query[position] + reserve_by_query[position],
-                            bitmaps,
-                            ctx,
-                        )
+            short = [
+                position for position, (_, reserve) in enumerate(waves)
+                if self._needs_widening(
+                    plans[position], reserve, batch.results[position]
+                )
+            ]
+            if short:
+                # Per-query adaptive widening: redo just the under-filled
+                # queries, together, over every candidate segment.
+                self.metrics.incr("pruning.adaptive_widenings", len(short))
+                widened = execute_batch_on_segments(
+                    [plans[position] for position in short],
+                    [waves[position][0] + waves[position][1] for position in short],
+                    bitmaps, ctx, config,
+                )
+                for position, result in zip(short, widened.results):
+                    batch.results[position] = result
         batch.simulated_seconds = self.clock.elapsed_since(start)
         nq = len(plans)
         for result in batch.results:
             result.simulated_seconds = batch.simulated_seconds / max(1, nq)
         self.metrics.incr("queries", nq)
+        self.metrics.incr("batch.submissions")
+        self.metrics.incr("batch.queries", nq)
         self.metrics.record_latency("batch.latency", batch.simulated_seconds)
         return batch
 
@@ -1211,7 +1218,9 @@ class BlendHouse:
         inner_sql = _strip_explain_prefix(sql)
         root.set_tag("explain", "analyze" if statement.analyze else "plan")
         if statement.analyze:
-            result, plan = self._run_select(inner_sql, statement.statement)
+            result, plan = self._drain(
+                inner_sql, self._lifecycle(inner_sql, statement.statement)
+            )
             return ExplainResult(
                 sql=inner_sql, analyze=True, plan=plan, trace=root, result=result
             )

@@ -4,40 +4,34 @@ Write-side planning stays in the core :class:`BlendHouse` (the dedicated
 write warehouse of the paper's read/write separation); every SELECT is
 routed by ``(tenant, lane)`` to one member of a
 :class:`~repro.elastic.fleet.WarehouseFleet` and executes on that
-warehouse's workers.  The staged generator (:meth:`select_stages`)
-speaks the same :class:`~repro.core.database.SelectStage` protocol as
-``BlendHouse.select_stages``, so a
+warehouse's workers.  ``select_stages`` is the core engine's staged
+SELECT with the routed warehouse as its scan backend, so a
 :class:`~repro.serving.frontend.ServingFrontend` can front the whole
 fleet — staged queries route across warehouses instead of one frontend
-pinning one engine (``routed_serving``).
+pinning one engine.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Optional
 
-from repro.core.database import BlendHouse, EngineSettings, SelectStage
+from repro.cluster.engine import SeparatedEngine
+from repro.cluster.warehouse import WarehouseBackend
+from repro.core.database import EngineSettings
 from repro.elastic.autoscaler import AutoscalerPolicy, FleetAutoscaler
 from repro.elastic.fleet import FleetConfig, WarehouseFleet
 from repro.elastic.preloader import BackgroundPreloader
-from repro.errors import SQLError
-from repro.executor.cancel import CancelToken
 from repro.executor.pipeline import QueryResult
 from repro.ingest.writer import IngestConfig
 from repro.observe.slo import SLOMonitor
-from repro.planner.cost import CostModelParams
 from repro.simulate.clock import SimulatedClock
 from repro.simulate.costmodel import DeviceCostModel
-from repro.sqlparser.ast_nodes import Insert, Select
-from repro.sqlparser.parser import parse_statement
 
 
-class FleetBlendHouse:
+class FleetBlendHouse(SeparatedEngine):
     """BlendHouse with SELECTs spread across an elastic warehouse fleet."""
 
-    # Capability flag the ServingFrontend probes: select_stages accepts
-    # tenant/lane keywords and routes per query.
-    routed_serving = True
+    engine_name = "fleet"
 
     def __init__(
         self,
@@ -47,10 +41,7 @@ class FleetBlendHouse:
         settings: Optional[EngineSettings] = None,
         fleet_config: Optional[FleetConfig] = None,
     ) -> None:
-        self.db = BlendHouse(
-            clock=clock, cost_model=cost_model,
-            ingest_config=ingest_config, settings=settings,
-        )
+        super().__init__(clock, cost_model, ingest_config, settings)
         self.fleet = WarehouseFleet(
             self.db.clock, self.db.cost, self.db.store,
             metrics=self.db.metrics, tracer=self.db.tracer,
@@ -58,35 +49,6 @@ class FleetBlendHouse:
         )
         self.preloader = BackgroundPreloader(self.fleet)
         self.autoscaler: Optional[FleetAutoscaler] = None
-
-    # ------------------------------------------------------------------
-    # Passthroughs
-    # ------------------------------------------------------------------
-    @property
-    def clock(self) -> SimulatedClock:
-        return self.db.clock
-
-    @property
-    def settings(self) -> EngineSettings:
-        return self.db.settings
-
-    @property
-    def metrics(self):
-        return self.db.metrics
-
-    @property
-    def tracer(self):
-        return self.db.tracer
-
-    @property
-    def slowlog(self):
-        return self.db.slowlog
-
-    def table(self, name: str):
-        return self.db.table(name)
-
-    def export_metrics(self):
-        return self.db.export_metrics()
 
     # ------------------------------------------------------------------
     # Autoscaling
@@ -114,18 +76,8 @@ class FleetBlendHouse:
         return self.fleet.remove_warehouse(name)
 
     # ------------------------------------------------------------------
-    # Ingest (write side) + catalog wiring
+    # Catalog wiring + preload
     # ------------------------------------------------------------------
-    def insert_rows(self, table: str, rows: List[Dict[str, Any]]):
-        report = self.db.insert_rows(table, rows)
-        self._wire_table(table)
-        return report
-
-    def insert_columns(self, table: str, scalar_columns, vectors):
-        report = self.db.insert_columns(table, scalar_columns, vectors)
-        self._wire_table(table)
-        return report
-
     def _wire_table(self, table: str) -> None:
         """Retire-hook invalidation across the fleet + catalog entry."""
         runtime = self.db.table(table)
@@ -148,203 +100,25 @@ class FleetBlendHouse:
         )
 
     # ------------------------------------------------------------------
-    # SQL execution
+    # Routing
     # ------------------------------------------------------------------
+    def _backend(self, tenant: str, lane: str) -> WarehouseBackend:
+        """Route one query: the serving member's workers scan it."""
+        warehouse = self.fleet.route(tenant, lane)
+        self.metrics.incr("fleet.queries")
+        self.metrics.incr(f"fleet.served_by.{warehouse.name}")
+        return WarehouseBackend(warehouse, self.db)
+
     def execute(
-        self,
-        sql: str,
-        tenant: str = "default",
-        lane: str = "interactive",
+        self, sql: str, tenant: str = "default", lane: str = "interactive"
     ) -> Any:
-        """Execute SQL; SELECTs route through the fleet by (tenant, lane)."""
-        statement = parse_statement(sql)
-        if not isinstance(statement, Select):
-            result = self.db.execute(sql)
-            if isinstance(statement, Insert):
-                self._wire_table(statement.table)
-            return result
+        """Execute SQL; SELECTs route through the fleet by (tenant, lane)
+        and tick the autoscaler."""
         start = self.db.clock.now
-        result = self._execute_select(sql, statement, tenant, lane)
-        if self.autoscaler is not None:
+        result = super().execute(sql, tenant, lane)
+        if self.autoscaler is not None and isinstance(result, QueryResult):
             self.autoscaler.observe_latency(
                 lane, self.db.clock.elapsed_since(start)
             )
             self.autoscaler.tick()
         return result
-
-    def _execute_select(
-        self, sql: str, statement: Select, tenant: str, lane: str
-    ) -> QueryResult:
-        db = self.db
-        warehouse = self.fleet.route(tenant, lane)
-        with db.tracer.span(
-            "query", statement="Select", engine="fleet", warehouse=warehouse.name
-        ):
-            runtime = db.table(statement.table)
-            with runtime.manager.snapshot(statement.as_of) as snap:
-                plan = db._plan_select(sql, statement, version=snap.manifest_id)
-                scheduled, reserve = db._select_segments(runtime, plan, view=snap)
-                bitmaps = {
-                    segment.segment_id: snap.bitmap(segment.segment_id)
-                    for segment in scheduled + reserve
-                }
-                schema = runtime.entry.schema
-                params = CostModelParams.from_device_model(
-                    db.cost, max(schema.vector_dim, 1)
-                )
-                start = db.clock.now
-                result = warehouse.execute_query(
-                    plan, scheduled, bitmaps, snap.index_key, db.reader, params,
-                    manifest_id=snap.manifest_id,
-                )
-                wanted = plan.logical.k or 0
-                if (
-                    reserve
-                    and db.settings.adaptive_widening
-                    and plan.logical.is_vector_query
-                    and len(result) < max(wanted - plan.logical.offset, 0)
-                ):
-                    db.metrics.incr("pruning.adaptive_widenings")
-                    result = warehouse.execute_query(
-                        plan, scheduled + reserve, bitmaps,
-                        snap.index_key, db.reader, params,
-                        manifest_id=snap.manifest_id,
-                    )
-                result.simulated_seconds = db.clock.elapsed_since(start)
-            self.metrics.incr("fleet.queries")
-            self.metrics.incr(f"fleet.served_by.{warehouse.name}")
-        return result
-
-    # ------------------------------------------------------------------
-    # Staged serving execution (drives a ServingFrontend)
-    # ------------------------------------------------------------------
-    def select_stages(
-        self,
-        sql: str,
-        cancel: Optional[CancelToken] = None,
-        tenant: str = "default",
-        lane: str = "interactive",
-    ) -> Iterator[SelectStage]:
-        """One SELECT as resumable stages, executed on a routed warehouse.
-
-        Same contract as :meth:`BlendHouse.select_stages` — captured
-        costs, zero-advance per-segment checkpoints, a ``scan`` stage
-        carrying the warehouse fan-out makespan, snapshot released in a
-        ``finally`` — except segment scans run on the workers of the
-        warehouse the router picked for this (tenant, lane), resolving
-        indexes through that warehouse's hierarchical caches.
-        """
-        statement = parse_statement(sql)
-        if not isinstance(statement, Select):
-            raise SQLError("staged serving execution supports SELECT only")
-        db = self.db
-        warehouse = self.fleet.route(tenant, lane)
-        runtime = db.table(statement.table)
-        cache_before = db._cache_counters()
-        stage_spans: List[Dict[str, Any]] = []
-
-        def _stage_span(name: str, cost_s: float) -> None:
-            stage_spans.append(
-                {"name": name, "duration": cost_s, "tags": {}, "children": []}
-            )
-
-        snap = runtime.manager.snapshot(statement.as_of)
-        try:
-            yield SelectStage("pin", manifest_id=snap.manifest_id)
-            if cancel is not None:
-                cancel.raise_if_cancelled()
-            with db.clock.capturing() as captured:
-                plan = db._plan_select(sql, statement, version=snap.manifest_id)
-                scheduled, reserve = db._select_segments(runtime, plan, view=snap)
-                bitmaps = {
-                    segment.segment_id: snap.bitmap(segment.segment_id)
-                    for segment in scheduled + reserve
-                }
-                schema = runtime.entry.schema
-                params = CostModelParams.from_device_model(
-                    db.cost, max(schema.vector_dim, 1)
-                )
-            elapsed = captured.total
-            _stage_span("plan", captured.total)
-            yield SelectStage(
-                "plan", cost_s=captured.total, advance_s=captured.total,
-                manifest_id=snap.manifest_id,
-            )
-            partials, scan_costs, makespan = warehouse.capture_scans(
-                plan, scheduled, bitmaps, snap.index_key, db.reader, params,
-                manifest_id=snap.manifest_id, cancel=cancel,
-            )
-            for segment_id, cost_s in scan_costs:
-                _stage_span(f"segment:{segment_id}", cost_s)
-                yield SelectStage(f"segment:{segment_id}", cost_s=cost_s)
-            elapsed += makespan
-            _stage_span("scan", makespan)
-            yield SelectStage(
-                "scan", cost_s=sum(cost for _, cost in scan_costs),
-                advance_s=makespan,
-            )
-            if cancel is not None:
-                cancel.raise_if_cancelled()
-            with db.clock.capturing() as captured:
-                result = warehouse.merge_partials(
-                    plan, partials, db.reader, params, len(scheduled)
-                )
-            finish_cost = captured.total
-            wanted = plan.logical.k or 0
-            if (
-                reserve
-                and db.settings.adaptive_widening
-                and plan.logical.is_vector_query
-                and len(result) < max(wanted - plan.logical.offset, 0)
-            ):
-                db.metrics.incr("pruning.adaptive_widenings")
-                widen_partials, widen_costs, widen_makespan = (
-                    warehouse.capture_scans(
-                        plan, reserve, bitmaps, snap.index_key, db.reader,
-                        params, manifest_id=snap.manifest_id, cancel=cancel,
-                    )
-                )
-                for segment_id, cost_s in widen_costs:
-                    _stage_span(f"segment:{segment_id}", cost_s)
-                    yield SelectStage(f"segment:{segment_id}", cost_s=cost_s)
-                elapsed += widen_makespan
-                _stage_span("widen", widen_makespan)
-                yield SelectStage(
-                    "widen", cost_s=sum(cost for _, cost in widen_costs),
-                    advance_s=widen_makespan,
-                )
-                partials = partials + widen_partials
-                with db.clock.capturing() as captured:
-                    result = warehouse.merge_partials(
-                        plan, partials, db.reader, params,
-                        len(scheduled) + len(reserve),
-                    )
-                finish_cost += captured.total
-            elapsed += finish_cost
-            result.simulated_seconds = elapsed
-            db.metrics.incr("queries")
-            db.metrics.incr("fleet.queries")
-            db.metrics.incr(f"fleet.served_by.{warehouse.name}")
-            db.metrics.record_latency("query.latency", elapsed)
-            _stage_span("finish", finish_cost)
-            flight = {
-                "manifest_id": snap.manifest_id,
-                "warehouse": warehouse.name,
-                "plan": db._plan_payload(plan),
-                "cache": db._cache_delta(cache_before, db._cache_counters()),
-                "trace": {
-                    "name": "select_stages",
-                    "duration": elapsed,
-                    "tags": {
-                        "manifest_id": snap.manifest_id,
-                        "warehouse": warehouse.name,
-                    },
-                    "children": stage_spans,
-                },
-            }
-            yield SelectStage(
-                "finish", cost_s=finish_cost, advance_s=finish_cost,
-                manifest_id=snap.manifest_id, result=result, flight=flight,
-            )
-        finally:
-            snap.release()

@@ -18,7 +18,6 @@ from repro.executor.parallel import (
     BatchExecutionResult,
     ParallelConfig,
     execute_batch_on_segments,
-    execute_plan_on_segments_parallel,
     fan_out,
     lane_makespan,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "ReadOptConfig",
     "execute_batch_on_segments",
     "execute_plan_on_segments",
-    "execute_plan_on_segments_parallel",
     "fan_out",
     "lane_makespan",
 ]

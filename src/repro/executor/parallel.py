@@ -14,11 +14,11 @@ that fan-out to the reproduction:
   simulated cores with longest-processing-time-first scheduling, and the
   clock advances by the busiest lane — *max* over concurrent scans, not
   the sum.
-* :func:`execute_plan_on_segments_parallel` is the parallel counterpart
-  of :func:`repro.executor.pipeline.execute_plan_on_segments`.  Partial
-  results are collected in scheduling order and the global merge keeps
-  its stable ``(distance, segment_id, offset)`` tie-breaking, so the
-  final top-k is byte-identical to the serial path for any pool size.
+* :func:`fan_out_segments` is the bulk scan of the in-process SELECT
+  backend under ``parallel_workers > 1``.  Partial results are collected
+  in scheduling order and the global merge keeps its stable
+  ``(distance, segment_id, offset)`` tie-breaking, so the final top-k is
+  byte-identical to the serial path for any pool size.
 * :func:`execute_batch_on_segments` executes ``nq > 1`` same-shape
   vector queries together: each segment is scanned once for the whole
   batch, with brute-force distances computed as a single ``(nq, n)``
@@ -49,10 +49,8 @@ from repro.executor.pipeline import (
     QueryResult,
     _charger,
     _execute_segment,
-    _merge_partials,
-    _project,
     _structured_scan_mask,
-    execute_plan_on_segments,
+    merge_and_project,
 )
 from repro.observe.profile import maybe_profile
 from repro.observe.trace import maybe_span
@@ -76,7 +74,6 @@ class ParallelConfig:
     """
 
     max_workers: int = DEFAULT_PARALLEL_WORKERS
-    min_segments: int = 2            # below this, fan-out overhead isn't worth it
 
     def effective_workers(self, n_tasks: int) -> int:
         """Lanes actually used for ``n_tasks`` tasks."""
@@ -143,9 +140,10 @@ def fan_out(
     return results, costs
 
 
-def _locked_resolver(ctx: ExecContext, lock: threading.Lock):
+def _locked_resolver(ctx: ExecContext):
     """Serialize index resolution: it mutates shared caches (memoized
     loads, LRU tiers) that are not safe under concurrent mutation."""
+    lock = threading.Lock()
 
     def resolve(segment: Segment):
         with lock:
@@ -154,34 +152,57 @@ def _locked_resolver(ctx: ExecContext, lock: threading.Lock):
     return resolve
 
 
-def execute_plan_on_segments_parallel(
+def fan_out_segments(
     plan: PhysicalPlan,
     segments: List[Segment],
     bitmaps: Dict[str, DeleteBitmap],
     ctx: ExecContext,
-    config: Optional[ParallelConfig] = None,
-) -> QueryResult:
-    """Run ``plan`` over ``segments`` with intra-query parallelism.
+    lanes: int,
+) -> Tuple[List[PartialResult], List[float], float]:
+    """Scan ``segments`` concurrently; returns (partials, costs, makespan).
 
-    Byte-identical results to the serial path: partials are ordered by
-    scheduling position and the merge's stable tie-breaking is
-    completion-order independent.  Simulated wall-time is the lane
-    makespan of the per-segment scan costs (gated by ``max_workers``
-    simulated cores) plus the serial merge/projection tail.
+    On threads, or on the worker-process pool when ``ctx.scan_pool`` is
+    set.  Either way partials and captured costs come back in scheduling
+    order and the makespan packs the costs onto ``lanes`` simulated
+    cores, so results and simulated time are identical in both modes.
+    The clock is not advanced: the caller owns the timeline.
     """
-    config = config or ParallelConfig()
-    if len(segments) < max(2, config.min_segments) or config.max_workers <= 1:
-        return execute_plan_on_segments(plan, segments, bitmaps, ctx)
+    lanes = max(1, min(lanes, len(segments)))
+    with maybe_profile("parallel.fanout", ctx.clock), \
+            maybe_span(ctx.tracer, "parallel_fanout",
+                       segments=len(segments), workers=lanes) as fan_span:
+        if ctx.scan_pool is not None:
+            partials, costs = ctx.scan_pool.scan_many(plan, segments, bitmaps, ctx)
+            ctx.metrics.incr("parallel.process_fanouts")
+        else:
+            partials, costs = _fan_out_threads(plan, segments, bitmaps, ctx, lanes)
+        # Post-hoc per-segment spans: zero-duration (the scans ran under
+        # captures, so the shared clock never moved), with the charged
+        # cost attached the same way warehouse worker scans record it.
+        for position, segment in enumerate(segments):
+            with maybe_span(ctx.tracer, "segment_scan",
+                            segment=segment.segment_id,
+                            strategy=plan.strategy.value) as span:
+                if span is not None:
+                    span.set_tag("rows", int(partials[position].offsets.size))
+                    span.set_tag("cost_s", round(costs[position], 9))
+        makespan = lane_makespan(costs, lanes)
+        if fan_span is not None:
+            fan_span.set_tag("makespan_s", round(makespan, 9))
+    ctx.metrics.incr("parallel.fanouts")
+    ctx.metrics.incr("parallel.segments_scanned", len(segments))
+    ctx.metrics.record_latency("parallel.makespan", makespan)
+    return list(partials), costs, makespan
 
-    start = ctx.clock.now
-    lanes = config.effective_workers(len(segments))
-    if ctx.scan_pool is not None:
-        # Process plane: fan the segments out across worker processes.
-        # Simulated time still packs onto ``lanes`` simulated cores, so
-        # thread and process modes report identical makespans.
-        return _fan_out_process(plan, segments, bitmaps, ctx, lanes, start)
-    resolve_lock = threading.Lock()
-    resolve = _locked_resolver(ctx, resolve_lock)
+
+def _fan_out_threads(
+    plan: PhysicalPlan,
+    segments: List[Segment],
+    bitmaps: Dict[str, DeleteBitmap],
+    ctx: ExecContext,
+    lanes: int,
+) -> Tuple[List[PartialResult], List[float]]:
+    resolve = _locked_resolver(ctx)
     task_metrics = [MetricRegistry() for _ in segments]
 
     def make_task(position: int, segment: Segment) -> Callable[[], PartialResult]:
@@ -205,94 +226,10 @@ def execute_plan_on_segments_parallel(
         return run
 
     tasks = [make_task(i, segment) for i, segment in enumerate(segments)]
-    with maybe_profile("parallel.fanout", ctx.clock), \
-            maybe_span(ctx.tracer, "parallel_fanout",
-                       segments=len(segments), workers=lanes) as fan_span:
-        partials, costs = fan_out(ctx.clock, tasks, lanes, cancel=ctx.cancel)
-        for registry in task_metrics:
-            ctx.metrics.merge(registry)
-        # Post-hoc per-segment spans: zero-duration (the scans ran under
-        # captures, so the shared clock never moved), with the charged
-        # cost attached the same way warehouse worker scans record it.
-        for position, segment in enumerate(segments):
-            with maybe_span(ctx.tracer, "segment_scan",
-                            segment=segment.segment_id,
-                            strategy=plan.strategy.value) as span:
-                if span is not None:
-                    span.set_tag("rows", int(partials[position].offsets.size))
-                    span.set_tag("cost_s", round(costs[position], 9))
-        makespan = lane_makespan(costs, lanes)
-        if fan_span is not None:
-            fan_span.set_tag("makespan_s", round(makespan, 9))
-        ctx.clock.advance(makespan)
-    ctx.metrics.incr("parallel.fanouts")
-    ctx.metrics.incr("parallel.segments_scanned", len(segments))
-    ctx.metrics.record_latency("parallel.makespan", makespan)
-
-    result = merge_ordered(plan, list(partials), ctx, len(segments))
-    result.simulated_seconds = ctx.clock.elapsed_since(start)
-    return result
-
-
-def _fan_out_process(
-    plan: PhysicalPlan,
-    segments: List[Segment],
-    bitmaps: Dict[str, DeleteBitmap],
-    ctx: ExecContext,
-    lanes: int,
-    start: float,
-) -> QueryResult:
-    """Process-pool counterpart of the threaded fan-out body.
-
-    ``scan_many`` returns partials and captured per-segment costs in
-    input order and merges worker metrics in input order after the join,
-    so everything downstream (post-hoc spans, LPT makespan, stable
-    merge) is shared verbatim with the thread path.
-    """
-    with maybe_profile("parallel.fanout", ctx.clock), \
-            maybe_span(ctx.tracer, "parallel_fanout",
-                       segments=len(segments), workers=lanes) as fan_span:
-        partials, costs = ctx.scan_pool.scan_many(plan, segments, bitmaps, ctx)
-        for position, segment in enumerate(segments):
-            with maybe_span(ctx.tracer, "segment_scan",
-                            segment=segment.segment_id,
-                            strategy=plan.strategy.value) as span:
-                if span is not None:
-                    span.set_tag("rows", int(partials[position].offsets.size))
-                    span.set_tag("cost_s", round(costs[position], 9))
-        makespan = lane_makespan(costs, lanes)
-        if fan_span is not None:
-            fan_span.set_tag("makespan_s", round(makespan, 9))
-        ctx.clock.advance(makespan)
-    ctx.metrics.incr("parallel.fanouts")
-    ctx.metrics.incr("parallel.process_fanouts")
-    ctx.metrics.incr("parallel.segments_scanned", len(segments))
-    ctx.metrics.record_latency("parallel.makespan", makespan)
-
-    result = merge_ordered(plan, list(partials), ctx, len(segments))
-    result.simulated_seconds = ctx.clock.elapsed_since(start)
-    return result
-
-
-def merge_ordered(
-    plan: PhysicalPlan,
-    partials: List[PartialResult],
-    ctx: ExecContext,
-    segments_scanned: int,
-) -> QueryResult:
-    """Serial merge + projection tail shared by the fan-out paths."""
-    with maybe_span(ctx.tracer, "merge_project",
-                    partials=len(partials)) as span:
-        merged = _merge_partials(plan, partials)
-        names, rows = _project(plan, merged, ctx)
-        if span is not None:
-            span.set_tag("rows", len(rows))
-        return QueryResult(
-            columns=names,
-            rows=rows,
-            strategy=plan.strategy,
-            segments_scanned=segments_scanned,
-        )
+    partials, costs = fan_out(ctx.clock, tasks, lanes, cancel=ctx.cancel)
+    for registry in task_metrics:
+        ctx.metrics.merge(registry)
+    return partials, costs
 
 
 # ----------------------------------------------------------------------
@@ -449,8 +386,7 @@ def execute_batch_on_segments(
             positions_by_segment[segment.segment_id].append(position)
 
     lanes = config.effective_workers(max(1, len(segment_order)))
-    resolve_lock = threading.Lock()
-    resolve = _locked_resolver(ctx, resolve_lock)
+    resolve = _locked_resolver(ctx)
     task_metrics = [MetricRegistry() for _ in segment_order]
     # One (nq, dim) stack for the whole batch; segment tasks slice it.
     query_matrix = np.stack([
@@ -487,8 +423,6 @@ def execute_batch_on_segments(
         if fan_span is not None:
             fan_span.set_tag("makespan_s", round(makespan, 9))
         ctx.clock.advance(makespan)
-    ctx.metrics.incr("batch.submissions")
-    ctx.metrics.incr("batch.queries", len(plans))
     ctx.metrics.record_latency("batch.makespan", makespan)
 
     partials_by_query: List[List[PartialResult]] = [[] for _ in plans]
@@ -499,7 +433,7 @@ def execute_batch_on_segments(
     results: List[QueryResult] = []
     for position, plan in enumerate(plans):
         results.append(
-            merge_ordered(
+            merge_and_project(
                 plan, partials_by_query[position], ctx,
                 len(segments_by_query[position]),
             )

@@ -433,6 +433,7 @@ def execute_segment(
     with maybe_span(ctx.tracer, "segment_scan",
                     segment=segment.segment_id,
                     strategy=plan.strategy.value) as span:
+        captured = ctx.clock.captured_total()
         with maybe_profile("segment.scan", ctx.clock):
             if ctx.scan_pool is not None:
                 partial, cost = ctx.scan_pool.scan_one(plan, segment, bitmap, ctx)
@@ -441,6 +442,10 @@ def execute_segment(
                 partial = _execute_segment(plan, segment, bitmap, ctx)
         if span is not None:
             span.set_tag("rows", int(partial.offsets.size))
+            if captured is not None:
+                # A cost capture (every SELECT stage) holds the clock, and so
+                # the span, still: tag what the scan charged instead.
+                span.set_tag("cost_s", round(ctx.clock.captured_total() - captured, 9))
         return partial
 
 

@@ -20,7 +20,7 @@ flow-control a cloud deployment needs under heavy concurrent traffic:
   the query's :class:`~repro.executor.cancel.CancelToken` stops segment
   scans and serving RPCs at the next boundary.  No pin ever leaks.
 
-Execution itself drives :meth:`BlendHouse.select_stages`: each stage's
+Execution itself drives the engine's ``select_stages``: each stage's
 captured simulated cost becomes an ``await asyncio.sleep`` on the
 (virtual-time) event loop, so thousands of queries genuinely contend for
 slots on one timeline while every latency number stays deterministic.
@@ -358,18 +358,12 @@ class ServingFrontend:
         Closing the generator (any exception at the awaits, including
         cancellation) releases the snapshot pin via its ``finally``.
         """
-        if getattr(self.db, "routed_serving", False):
-            # Fleet-backed engine: each staged query routes by
-            # (tenant, lane) to one warehouse instead of pinning the
-            # frontend to a single engine.
-            stages = self.db.select_stages(
-                request.sql, cancel=request.cancel,
-                tenant=request.tenant, lane=request.lane.value,
-            )
-        else:
-            stages = self.db.select_stages(request.sql, cancel=request.cancel)
-        result: Optional[QueryResult] = None
-        flight: Optional[Dict[str, object]] = None
+        # One signature on whatever engine this fronts; a fleet engine
+        # routes each query by (tenant, lane) to one warehouse.
+        stages = self.db.select_stages(
+            request.sql, cancel=request.cancel,
+            tenant=request.tenant, lane=request.lane.value,
+        )
         try:
             while True:
                 self._sync_clock()
@@ -377,10 +371,6 @@ class ServingFrontend:
                     stage = next(stages)
                 except StopIteration:
                     break
-                if stage.result is not None:
-                    result = stage.result
-                if stage.flight is not None:
-                    flight = stage.flight
                 advance = stage.advance_s * self.config.time_scale
                 if advance > 0:
                     await asyncio.sleep(advance)
@@ -391,15 +381,14 @@ class ServingFrontend:
         finally:
             stages.close()
             self._sync_clock()
-        if result is None:  # pragma: no cover - select_stages always finishes
-            raise ServingError("staged execution produced no result")
+        result = stage.result  # the generator ends on its finish stage
         with maybe_span(
             self.tracer, "serving.query",
             lane=request.lane.value, tenant=request.tenant,
         ) as span:
             if span is not None:
                 span.set_tag("latency_s", round(result.simulated_seconds, 9))
-        return result, flight
+        return result, stage.flight
 
     def _sync_clock(self) -> None:
         """Pull the engine's simulated clock up to serving virtual time.
@@ -435,23 +424,8 @@ class ServingFrontend:
             f"serving.queue_wait.{lane.value}", reply.queue_wait_s
         )
         self.metrics.record_latency("serving.service", reply.service_s)
-        slowlog = getattr(self.db, "slowlog", None)
-        if slowlog is None:
-            return
-        reason = slowlog.should_record(reply.latency_s)
-        if reason is None:
-            return
-        payload = reply.flight or {}
-        slowlog.observe(
-            timestamp=self.db.clock.now,
-            sql=request.sql,
-            latency_s=reply.latency_s,
-            reason=reason,
-            lane=lane.value,
-            tenant=request.tenant,
+        self.db.offer_flight(
+            request.sql, reply.latency_s, reply.flight,
+            lane=lane.value, tenant=request.tenant,
             queue_wait_s=reply.queue_wait_s,
-            manifest_id=payload.get("manifest_id"),
-            plan=payload.get("plan"),
-            cache=payload.get("cache"),
-            trace=payload.get("trace"),
         )

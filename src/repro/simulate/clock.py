@@ -13,18 +13,31 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Iterator, List
+from typing import Iterator, List, Optional
 
 
 class CostCapture:
-    """Accumulator receiving charges while a capture context is active."""
+    """Accumulator receiving charges while a capture context is active.
 
-    def __init__(self) -> None:
+    A plain (not generator-based) context manager: every segment scan of
+    every SELECT sits inside one."""
+
+    __slots__ = ("total", "_stack")
+
+    def __init__(self, stack: List["CostCapture"]) -> None:
         self.total = 0.0
+        self._stack = stack
 
     def add(self, seconds: float) -> None:
         """Record a charge without moving the clock."""
         self.total += seconds
+
+    def __enter__(self) -> "CostCapture":
+        self._stack.append(self)
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self._stack.pop()
 
 
 class SimulatedClock:
@@ -86,6 +99,12 @@ class SimulatedClock:
             self._now += seconds
             return self._now
 
+    def captured_total(self) -> Optional[float]:
+        """What the calling thread's innermost capture holds so far, or
+        None when charges are moving the clock itself."""
+        captures = getattr(self._captures_local, "stack", None)
+        return captures[-1].total if captures else None
+
     def advance_to(self, timestamp: float) -> float:
         """Move the clock forward to ``timestamp`` if it is in the future.
 
@@ -115,8 +134,7 @@ class SimulatedClock:
         finally:
             self._frozen_depth -= 1
 
-    @contextmanager
-    def capturing(self) -> Iterator["CostCapture"]:
+    def capturing(self) -> CostCapture:
         """Record charges into an accumulator instead of advancing time.
 
         Used to model parallelism: a virtual warehouse captures each
@@ -127,12 +145,7 @@ class SimulatedClock:
         each capture their own charges; the shared timeline only moves
         when the coordinating thread advances it by the makespan.
         """
-        capture = CostCapture()
-        self._captures.append(capture)
-        try:
-            yield capture
-        finally:
-            self._captures.pop()
+        return CostCapture(self._captures)
 
     def reset(self, start: float = 0.0) -> None:
         """Rewind the clock (only sensible between independent runs)."""

@@ -289,19 +289,6 @@ class TestFleetQueries:
         }
         assert len(served) > 1  # and more than one member actually served
 
-    def test_staged_matches_direct(self):
-        db = make_fleet_db()
-        sql = ann_sql(db)
-        direct = db.execute(sql, tenant="t-stage")
-        stages = list(db.select_stages(sql, tenant="t-stage"))
-        names = [stage.name for stage in stages]
-        assert names[0] == "pin" and names[1] == "plan" and names[-1] == "finish"
-        assert any(name.startswith("segment:") for name in names)
-        final = stages[-1]
-        assert final.result.rows == direct.rows
-        assert final.flight["warehouse"] in db.fleet.warehouse_names
-        assert db.db.table("docs").manager.store.pinned_count == 0
-
     def test_staged_generator_close_releases_pin(self):
         db = make_fleet_db()
         gen = db.select_stages(ann_sql(db))

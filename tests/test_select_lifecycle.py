@@ -1,0 +1,238 @@
+"""One SELECT lifecycle: every engine and entry point runs the same stages.
+
+``BlendHouse.select_stages`` is the single implementation of a SELECT;
+``execute`` drains it, and the clustered and fleet engines only swap the
+scan backend.  So for every engine x entry point x table the rows, the
+``simulated_seconds`` definition, the clock advance and the accounting
+(``queries``, ``query.latency``, widening, slow-query log, snapshot pin)
+must agree — the staged-vs-direct checks that used to live one per suite
+are this module's inputs.
+"""
+
+import numpy as np
+import pytest
+
+from repro.cluster.engine import ClusteredBlendHouse
+from repro.core.database import BlendHouse
+from repro.elastic import FleetBlendHouse, FleetConfig
+from repro.errors import WorkerUnavailableError
+from repro.workloads import make_cohere_like
+from tests.helpers import vector_sql
+
+DIM = 16
+
+
+def _core(**settings):
+    db = BlendHouse()
+    for name, value in settings.items():
+        db.execute(f"SET {name} = {value}")
+    return db
+
+
+ENGINES = {
+    "core-serial": _core,
+    "core-parallel4": lambda: _core(parallel_workers=4),
+    "core-process": lambda: _core(executor_mode="'process'"),
+    "clustered": lambda: ClusteredBlendHouse(read_workers=2),
+    "clustered-replicas2": lambda: ClusteredBlendHouse(read_workers=2, replicas=2),
+    "fleet-2x2": lambda: FleetBlendHouse(
+        fleet_config=FleetConfig(warehouses=2, workers_per_warehouse=2)
+    ),
+}
+
+
+def core_of(engine) -> BlendHouse:
+    return getattr(engine, "db", engine)
+
+
+def load_hybrid(engine) -> str:
+    """8 HNSW segments; a filtered kNN that scans all of them."""
+    ds = make_cohere_like(n=400, dim=DIM, n_queries=1)
+    engine.execute(
+        "CREATE TABLE t (id UInt64, attr Int64, embedding Array(Float32), "
+        f"INDEX ann embedding TYPE HNSW('DIM={DIM}'))"
+    )
+    core_of(engine).table("t").writer.config.max_segment_rows = 50
+    engine.insert_columns(
+        "t", {"id": ds.scalars["id"], "attr": ds.scalars["attr"]}, ds.vectors
+    )
+    assert len(core_of(engine).table("t").manager) == 8
+    threshold = int(np.median(ds.scalars["attr"]))
+    return (
+        f"SELECT id, dist FROM t WHERE attr < {threshold} ORDER BY "
+        f"L2Distance(embedding, {vector_sql(ds.queries[0])}) AS dist LIMIT 10"
+    )
+
+
+def load_widening(engine) -> str:
+    """6 semantic buckets, one kept, k larger than a bucket: widening fires."""
+    ds = make_cohere_like(n=600, dim=DIM, n_queries=1)
+    engine.execute(
+        "CREATE TABLE t (id UInt64, attr Int64, embedding Array(Float32), "
+        f"INDEX ann embedding TYPE FLAT('DIM={DIM}')) "
+        "CLUSTER BY embedding INTO 6 BUCKETS"
+    )
+    engine.insert_columns(
+        "t", {"id": ds.scalars["id"], "attr": ds.scalars["attr"]}, ds.vectors
+    )
+    engine.execute("SET semantic_prune_keep = 1")
+    segments = core_of(engine).table("t").manager.segments()
+    k = min(segment.row_count for segment in segments) + 50
+    return (
+        f"SELECT id, dist FROM t ORDER BY "
+        f"L2Distance(embedding, {vector_sql(ds.queries[0])}) AS dist LIMIT {k}"
+    )
+
+
+TABLES = {"hybrid": load_hybrid, "widening": load_widening}
+
+
+def build(engine_name: str, table: str):
+    engine = ENGINES[engine_name]()
+    sql = TABLES[table](engine)
+    if hasattr(engine, "preload"):
+        engine.preload("t")
+    engine.execute(sql)  # warm the plan cache and every index cache tier
+    return engine, sql
+
+
+def run_execute(engine, sql):
+    return engine.execute(sql), None
+
+
+def run_stages(engine, sql):
+    """Drain the generator the way ``execute`` does: advance the clock."""
+    stages = []
+    for stage in engine.select_stages(sql):
+        core_of(engine).clock.advance(stage.advance_s)
+        stages.append(stage)
+    return stages[-1].result, stages
+
+
+def accounted(engine, sql, run):
+    """Run once; returns (result, stages, clock advance, counter deltas)."""
+    core = core_of(engine)
+    metrics = core.metrics
+    names = ("queries", "pruning.adaptive_widenings", "warehouse.queries")
+    before = {name: metrics.count(name) for name in names}
+    samples = len(metrics.latency("query.latency").values)
+    start = core.clock.now
+    result, stages = run(engine, sql)
+    advance = core.clock.now - start
+    delta = {name: metrics.count(name) - before[name] for name in names}
+    delta["latency_samples"] = len(metrics.latency("query.latency").values) - samples
+    return result, stages, advance, delta
+
+
+_reference_rows = {}
+
+
+def reference_rows(table: str):
+    if table not in _reference_rows:
+        engine, sql = build("core-serial", table)
+        _reference_rows[table] = engine.execute(sql).rows
+    return _reference_rows[table]
+
+
+@pytest.mark.parametrize("table", list(TABLES))
+@pytest.mark.parametrize("engine_name", list(ENGINES))
+def test_every_engine_and_entry_point_agree(engine_name, table):
+    engine, sql = build(engine_name, table)
+    core = core_of(engine)
+    pins = core.table("t").manager.store
+    widened = 1 if table == "widening" else 0
+    waves = 0 if core is engine else 1 + widened
+
+    direct, _, direct_advance, direct_delta = accounted(engine, sql, run_execute)
+    staged, stages, staged_advance, staged_delta = accounted(engine, sql, run_stages)
+
+    assert direct.rows == staged.rows == reference_rows(table)
+    # Captured sums on both sides; clock differences lose the last bits.
+    assert staged.simulated_seconds == pytest.approx(
+        direct.simulated_seconds, rel=1e-12
+    )
+    assert direct.simulated_seconds > 0
+    assert staged_advance == pytest.approx(direct_advance, rel=1e-6)
+    # The plan stage is part of the clock advance, not of simulated_seconds.
+    assert direct_advance > direct.simulated_seconds
+    for delta in (direct_delta, staged_delta):
+        assert delta["queries"] == 1
+        assert delta["latency_samples"] == 1
+        assert delta["pruning.adaptive_widenings"] == widened
+        # One warehouse query per scanned wave, none in-process.
+        assert delta["warehouse.queries"] == waves
+    assert direct_delta == staged_delta
+    assert pins.pinned_count == 0
+
+    names = [stage.name for stage in stages]
+    assert names[:2] == ["pin", "plan"] and names[-1] == "finish"
+    assert ("widen" in names) == bool(widened)
+    scanned = sum(name.startswith("segment:") for name in names)
+    assert scanned == staged.segments_scanned
+    warehouse = stages[-1].flight["warehouse"]
+    if engine_name.startswith("fleet"):
+        assert warehouse in engine.fleet.warehouse_names
+    elif engine_name.startswith("clustered"):
+        assert warehouse == engine.read_vw.name
+    else:
+        assert warehouse is None
+
+    # Abandoning the generator after any number of stages releases the pin.
+    for stop in range(len(names) + 1):
+        gen = engine.select_stages(sql)
+        for _ in range(stop):
+            next(gen)
+        assert pins.pinned_count == (1 if stop else 0)
+        gen.close()
+        assert pins.pinned_count == 0
+
+
+@pytest.mark.parametrize("engine_name", list(ENGINES))
+def test_synchronous_selects_reach_the_slow_query_log(engine_name):
+    engine, sql = build(engine_name, "hybrid")
+    engine.execute("SET slowlog_threshold_ms = 0")
+    engine.execute(sql)
+    records = engine.execute("SHOW SLOW QUERIES").records
+    assert records and records[-1].sql == sql
+    assert records[-1].latency_s > 0
+    assert records[-1].plan["strategy"]
+
+
+def test_staged_fleet_scan_retries_when_a_worker_is_gone():
+    engine, sql = build("fleet-2x2", "hybrid")
+    expected = engine.execute(sql, tenant="t-retry").rows
+    warehouse = engine.fleet.route("t-retry", "interactive")
+    scan_once = warehouse.capture_scans
+    attempts = []
+
+    def flaky_scan(*args, **kwargs):
+        attempts.append(1)
+        if len(attempts) == 1:
+            raise WorkerUnavailableError("worker died since scheduling")
+        return scan_once(*args, **kwargs)
+
+    warehouse.capture_scans = flaky_scan
+    retries = engine.metrics.count("warehouse.query_retries")
+    stages = list(engine.select_stages(sql, tenant="t-retry"))
+    assert stages[-1].result.rows == expected
+    assert engine.metrics.count("warehouse.query_retries") == retries + 1
+
+
+def test_batch_widening_matches_sequential():
+    engine, sql = build("core-serial", "widening")
+    k = int(sql.rsplit("LIMIT", 1)[1])
+    queries = make_cohere_like(n=600, dim=DIM, n_queries=3).queries
+    sequential = [
+        engine.execute(
+            f"SELECT id, dist FROM t ORDER BY "
+            f"L2Distance(embedding, {vector_sql(query)}) AS dist LIMIT {k}"
+        ).rows
+        for query in queries
+    ]
+    widenings = engine.metrics.count("pruning.adaptive_widenings")
+    batch = engine.search_batch("t", queries, k=k)
+    assert [len(result.rows) for result in batch.results] == [k] * 3
+    assert [
+        [row[0] for row in result.rows] for result in batch.results
+    ] == [[row[0] for row in rows] for rows in sequential]
+    assert engine.metrics.count("pruning.adaptive_widenings") == widenings + 3

@@ -82,21 +82,6 @@ def make_frontend(db: BlendHouse, **config) -> ServingFrontend:
 
 
 class TestStagedSelect:
-    def test_stages_match_direct_execution(self):
-        db = make_db()
-        sql = ann_sql()
-        direct = db.execute(sql)
-        stages = list(db.select_stages(sql))
-        names = [stage.name for stage in stages]
-        assert names[0] == "pin" and names[1] == "plan"
-        assert names[-2] == "scan" or "scan" in names
-        assert names[-1] == "finish"
-        assert sum(name.startswith("segment:") for name in names) == 3
-        result = stages[-1].result
-        assert result is not None
-        assert result.rows == direct.rows
-        assert pinned(db) == 0
-
     def test_generator_close_releases_pin(self):
         db = make_db()
         gen = db.select_stages(ann_sql())
