@@ -2,21 +2,23 @@
 
 The observability plane (span trees, structured events, slow-query
 sampling) rides the query hot path, so this bench holds it to a
-committed bound: with everything on, real python wall time for a fixed
-query workload must stay within **10%** of the same workload with
-instrumentation off (tracer disabled, event log detached, slowlog
-sampling off).
+committed bound on the paths that are actually served: with everything
+on, real python wall time for a fixed query workload must stay within
+**10%** of the same workload with instrumentation off (tracer disabled,
+event log detached, slowlog sampling off) — both **direct**
+(``db.execute``) and **staged** (``ServingFrontend.submit`` on the
+virtual-time loop, the path every served query takes).  Under
+``BENCH_SMOKE`` a third, recorded-only row runs the direct loop with
+``executor_mode='process'``, where every scan's spans cross a pipe.
 
 Both engines are built once; only the query loop is timed, repeated
 ``REPEATS`` times taking the minimum (steadiest) wall time per config.
 All query *results* are identical either way — instrumentation must
 never change what a query returns.
 
-A third, separately-timed pass runs with ``PROFILER`` enabled to report
-where real python time goes per phase against the simulated cost it
-models — the attribution baseline for the ROADMAP item-1 multiprocess
-work (that run is excluded from the overhead comparison; the profiler
-has its own cost).
+The wall-vs-simulated attribution table is not a separate pass: it is
+:func:`repro.observe.trace.profile` over the span trees the instrumented
+engine retained while being measured.
 
 Artifacts: ``BENCH_observe_overhead.json`` plus the instrumented run's
 ``BENCH_observe_events.jsonl`` and ``BENCH_observe_slowlog.jsonl``.
@@ -30,19 +32,20 @@ import os
 import sys
 import time
 
-import pytest
 
 if __package__ in (None, ""):  # standalone CLI
     sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 from benchmarks.common import (
+    BENCH_SMOKE,
     fmt_table,
     load_blendhouse,
     record,
     smoke_scaled,
     write_bench_json,
 )
-from repro.observe.profile import PROFILER
+from repro.observe.trace import profile
+from repro.serving import QueryRequest, ServingFrontend, run_virtual
 from repro.workloads.datasets import make_cohere_like
 
 N = smoke_scaled(6000, 1500)
@@ -83,18 +86,52 @@ def build_engine(instrumented):
     return db, sqls
 
 
-def run_pass(db, sqls):
-    """One timed pass of the query loop; returns (wall_s, checksum)."""
+def checksum_of(results):
     checksum = 0
-    start = time.perf_counter()
-    for qi in range(QUERIES_PER_PASS):
-        result = db.execute(sqls[qi % len(sqls)])
+    for result in results:
         checksum ^= hash(tuple(row[0] for row in result.rows))
-    return time.perf_counter() - start, checksum
+    return checksum
+
+
+def run_direct(db, sqls):
+    """One timed pass of ``db.execute``; returns (wall_s, checksum)."""
+    start = time.perf_counter()
+    results = [db.execute(sqls[qi % len(sqls)]) for qi in range(QUERIES_PER_PASS)]
+    return time.perf_counter() - start, checksum_of(results)
+
+
+def run_staged(db, sqls):
+    """One timed pass through the serving front-end, one closed-loop client."""
+    frontend = ServingFrontend(db)
+
+    async def client():
+        return [
+            frontend.unwrap(await frontend.submit(QueryRequest(sql=sqls[qi % len(sqls)])))
+            for qi in range(QUERIES_PER_PASS)
+        ]
+
+    start = time.perf_counter()
+    results = run_virtual(client())
+    return time.perf_counter() - start, checksum_of(results)
+
+
+def run_process(db, sqls):
+    """The direct loop with every scan on the worker-process pool."""
+    db.execute("SET executor_mode = 'process'")
+    try:
+        return run_direct(db, sqls)
+    finally:
+        db.execute("SET executor_mode = 'thread'")
+
+
+# path -> (one timed pass, whether the bound gates it)
+PATHS = {"direct": (run_direct, True), "staged": (run_staged, True)}
+if BENCH_SMOKE:
+    PATHS["process"] = (run_process, False)
 
 
 def measure():
-    """Interleaved A/B wall-time measurement of both configs.
+    """Interleaved A/B wall-time measurement of both configs per path.
 
     Passes alternate dark/instrumented so slow machine-level drift
     (frequency scaling, page cache state) hits both configs equally;
@@ -102,85 +139,93 @@ def measure():
     """
     db_off, sqls = build_engine(instrumented=False)
     db_on, _ = build_engine(instrumented=True)
-    run_pass(db_off, sqls)  # warmups: caches, plan cache, index loads
-    run_pass(db_on, sqls)
-    walls_off, walls_on = [], []
-    sum_off = sum_on = 0
-    for _ in range(REPEATS):
-        wall, sum_off = run_pass(db_off, sqls)
-        walls_off.append(wall)
-        wall, sum_on = run_pass(db_on, sqls)
-        walls_on.append(wall)
-    assert sum_on == sum_off, "instrumentation changed query results"
-    return db_on, min(walls_off), min(walls_on)
+    rows = {}
+    for path, (run_pass, gated) in PATHS.items():
+        run_pass(db_off, sqls)  # warmups: caches, plan cache, index loads
+        run_pass(db_on, sqls)
+        walls_off, walls_on = [], []
+        sum_off = sum_on = 0
+        for _ in range(REPEATS):
+            wall, sum_off = run_pass(db_off, sqls)
+            walls_off.append(wall)
+            wall, sum_on = run_pass(db_on, sqls)
+            walls_on.append(wall)
+        assert sum_on == sum_off, f"instrumentation changed {path} query results"
+        wall_off, wall_on = min(walls_off), min(walls_on)
+        rows[path] = {
+            "gated": gated,
+            "wall_off_s": wall_off,
+            "wall_on_s": wall_on,
+            "overhead": (wall_on - wall_off) / wall_off,
+            "traced_minus_dark_us_per_query":
+                (wall_on - wall_off) / QUERIES_PER_PASS * 1e6,
+            # What the traces retained while this path ran say about it.
+            "profile": profile(db_on.tracer.roots),
+        }
+    return db_on, rows
 
 
-@pytest.fixture(scope="module")
-def overhead():
-    return measure()
-
-
-def profile_report():
-    """A separate profiled pass attributing real time per phase."""
-    db, sqls = build_engine(instrumented=True)
-    run_pass(db, sqls)
-    PROFILER.reset()
-    PROFILER.enable()
-    try:
-        run_pass(db, sqls)
-    finally:
-        PROFILER.disable()
-    return PROFILER.report()
-
-
-def test_observe_overhead(benchmark, overhead):
-    db_on, wall_off, wall_on = overhead
-    ratio = (wall_on - wall_off) / wall_off
-    profile = profile_report()
-
+def report(db_on, rows):
+    """Print both tables, write the artifacts, return the JSON payload."""
     print(fmt_table(
         f"Observability overhead: {QUERIES_PER_PASS} queries, "
         f"min of {REPEATS} passes (real seconds)",
-        ["config", "wall (s)", "per query (ms)"],
+        ["path", "dark (s)", "traced (s)", "traced - dark (us/query)",
+         "overhead", "gated"],
         [
-            ["instrumentation off", wall_off, wall_off / QUERIES_PER_PASS * 1e3],
-            ["instrumentation on", wall_on, wall_on / QUERIES_PER_PASS * 1e3],
-            ["overhead", ratio, ""],
+            [path, row["wall_off_s"], row["wall_on_s"],
+             row["traced_minus_dark_us_per_query"], row["overhead"],
+             f"<= {MAX_OVERHEAD:.0%}" if row["gated"] else "recorded"]
+            for path, row in rows.items()
         ],
     ))
-    phase_rows = [
-        [name, stat["calls"], stat["real_s"] * 1e3, stat["sim_s"] * 1e3,
-         f"{stat['overhead_x']:.2f}" if stat["overhead_x"] is not None else "-"]
-        for name, stat in profile["phases"].items()
-    ]
-    print(fmt_table(
-        "Wall-clock profile (separate pass, REPRO_PROFILE semantics)",
-        ["phase", "calls", "real ms", "sim ms", "real/sim"],
-        phase_rows,
-    ))
-
+    for path, row in rows.items():
+        print(fmt_table(
+            f"Wall vs simulated time per span name ({path}; retained traces)",
+            ["span", "calls", "wall ms", "sim ms", "wall/sim"],
+            [
+                [name, stat["calls"], stat["wall_s"] * 1e3, stat["sim_s"] * 1e3,
+                 "-" if stat["wall_per_sim"] is None else f"{stat['wall_per_sim']:.2f}"]
+                for name, stat in row["profile"].items()
+            ],
+        ))
     payload = {
         "queries_per_pass": QUERIES_PER_PASS,
         "repeats": REPEATS,
-        "wall_off_s": wall_off,
-        "wall_on_s": wall_on,
-        "overhead": ratio,
         "max_overhead": MAX_OVERHEAD,
+        "paths": rows,
         "events": db_on.events.summary(),
         "slowlog_recorded": db_on.slowlog.recorded,
-        "profile": profile,
     }
-    record(benchmark, "overhead", payload)
     write_bench_json("observe_overhead", payload)
     db_on.events.dump_jsonl("BENCH_observe_events.jsonl")
     db_on.slowlog.dump_jsonl("BENCH_observe_slowlog.jsonl")
+    return payload
 
-    # The instrumented run actually instrumented: events flowed and the
-    # tail sampler captured flight records.
+
+def over_bound(rows):
+    """The gated paths whose overhead exceeds the committed bound."""
+    return {
+        path: row["overhead"] for path, row in rows.items()
+        if row["gated"] and row["overhead"] > MAX_OVERHEAD
+    }
+
+
+def test_observe_overhead(benchmark):
+    db_on, rows = measure()
+    payload = report(db_on, rows)
+    record(benchmark, "overhead", payload)
+
+    # The instrumented run actually instrumented: events flowed, the
+    # tail sampler captured flight records, and every path left whole
+    # query trees behind with both clocks on them.
     assert payload["events"]["total"] > 0
     assert payload["slowlog_recorded"] > 0
-    assert ratio <= MAX_OVERHEAD, (
-        f"instrumentation overhead {ratio:.1%} exceeds the committed "
+    for path, row in rows.items():
+        assert row["profile"]["segment_scan"]["sim_s"] > 0, path
+        assert row["profile"]["query"]["wall_s"] > 0, path
+    assert not over_bound(rows), (
+        f"instrumentation overhead {over_bound(rows)} exceeds the committed "
         f"{MAX_OVERHEAD:.0%} bound"
     )
 
@@ -188,28 +233,9 @@ def test_observe_overhead(benchmark, overhead):
 
 
 def main():
-    db_on, wall_off, wall_on = measure()
-    ratio = (wall_on - wall_off) / wall_off
-    profile = profile_report()
-    payload = {
-        "queries_per_pass": QUERIES_PER_PASS,
-        "repeats": REPEATS,
-        "wall_off_s": wall_off,
-        "wall_on_s": wall_on,
-        "overhead": ratio,
-        "max_overhead": MAX_OVERHEAD,
-        "events": db_on.events.summary(),
-        "slowlog_recorded": db_on.slowlog.recorded,
-        "profile": profile,
-    }
-    write_bench_json("observe_overhead", payload)
-    db_on.events.dump_jsonl("BENCH_observe_events.jsonl")
-    db_on.slowlog.dump_jsonl("BENCH_observe_slowlog.jsonl")
-    print(
-        f"off {wall_off:.3f}s  on {wall_on:.3f}s  "
-        f"overhead {ratio:.1%} (bound {MAX_OVERHEAD:.0%})"
-    )
-    return 0 if ratio <= MAX_OVERHEAD else 1
+    db_on, rows = measure()
+    report(db_on, rows)
+    return 1 if over_bound(rows) else 0
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ dot-commands:
 ``.describe t``  table summary (segments, rows, index)
 ``.metrics``     Prometheus-style metrics dump (counters, latencies)
 ``.slowlog``     flight recorder (same as ``SHOW SLOW QUERIES``)
-``.profile``     wall-clock profile report (needs ``REPRO_PROFILE=1``)
+``.profile``     wall-clock vs simulated time per span name (retained traces)
 ``.compact t``   run compaction for table ``t``
 ``.seed t n d``  create demo table ``t`` with ``n`` random rows, dim ``d``
 ``.quit``        exit
@@ -30,8 +30,8 @@ import numpy as np
 from repro.core.database import BlendHouse, ExplainResult
 from repro.errors import BlendHouseError
 from repro.executor.pipeline import QueryResult
-from repro.observe.profile import PROFILER
 from repro.observe.slowlog import SlowQueryReport
+from repro.observe.trace import profile
 
 PROMPT = "blendhouse> "
 CONTINUATION = "        ...> "
@@ -114,7 +114,11 @@ def handle_dot_command(db: BlendHouse, line: str) -> Optional[str]:
     if command == ".slowlog":
         return db.slowlog.report().render()
     if command == ".profile":
-        return PROFILER.render()
+        return "\n".join(
+            f"{name:<22} calls {row['calls']:>6}  wall {row['wall_s'] * 1e3:>10.3f} ms"
+            f"  sim {row['sim_s'] * 1e3:>10.3f} ms  wall/sim {row['wall_per_sim'] or float('nan'):.2f}"
+            for name, row in profile(db.tracer.roots).items()
+        ) or "profile: (no traces retained)"
     if command == ".compact" and len(parts) == 2:
         merges = db.compact(parts[1])
         return f"{len(merges)} merges"

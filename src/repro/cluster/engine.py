@@ -23,8 +23,7 @@ from repro.executor.cancel import CancelToken
 from repro.ingest.writer import IngestConfig
 from repro.simulate.clock import SimulatedClock
 from repro.simulate.costmodel import DeviceCostModel
-from repro.sqlparser.ast_nodes import Insert, Select
-from repro.sqlparser.parser import parse_statement
+from repro.sqlparser.ast_nodes import Insert
 
 
 class SeparatedEngine:
@@ -37,8 +36,6 @@ class SeparatedEngine:
     surface a :class:`~repro.serving.frontend.ServingFrontend` drives
     are here.
     """
-
-    engine_name = ""
 
     def __init__(
         self,
@@ -109,14 +106,9 @@ class SeparatedEngine:
     ) -> Any:
         """Execute SQL: SELECTs scan on the read side, everything else
         goes through the write-side engine."""
-        statement = parse_statement(sql)
-        if isinstance(statement, Select):
-            backend = self._backend(tenant, lane)
-            return self.db.run_select(
-                sql, statement, backend,
-                engine=self.engine_name, warehouse=backend.name,
-            )
-        result = self.db.execute(sql)
+        statement, result = self.db.run_statement(
+            sql, route=lambda: self._backend(tenant, lane)
+        )
         if isinstance(statement, Insert):
             self._wire_table(statement.table)
         return result
@@ -134,8 +126,6 @@ class SeparatedEngine:
 
 class ClusteredBlendHouse(SeparatedEngine):
     """BlendHouse with query execution spread over a read warehouse."""
-
-    engine_name = "cluster"
 
     def __init__(
         self,

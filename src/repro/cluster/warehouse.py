@@ -308,9 +308,11 @@ class VirtualWarehouse:
             lanes = max(1, worker.cores)
             if capacity > 0:
                 lanes = max(1, min(lanes, capacity // active_workers))
-            with maybe_span(
+            # Each segment charges a capture of its own; replaying those
+            # into this one (never applied) is what the worker span reads.
+            with self.clock.capturing() as charged, maybe_span(
                 self.tracer, "worker_scan",
-                worker=worker_id, segments=len(segment_ids),
+                worker=worker_id, segments=len(segment_ids), lanes=lanes,
             ) as scan_span:
                 if scan_span is not None and manifest_id is not None:
                     scan_span.set_tag("manifest_id", manifest_id)
@@ -335,13 +337,9 @@ class VirtualWarehouse:
                         partials.append(
                             execute_segment(plan, segment, bitmaps.get(segment_id), ctx)
                         )
+                    charged.add(captured.total)
                     segment_costs.append(captured.total)
                     scan_costs.append((segment_id, captured.total))
-                if scan_span is not None:
-                    # Charged cost, not wall time: the capturing block keeps
-                    # the clock frozen, so span duration alone would read 0.
-                    scan_span.set_tag("cost_s", round(sum(segment_costs), 9))
-                    scan_span.set_tag("lanes", lanes)
             worker_costs.append(lane_makespan(segment_costs, lanes))
             queued = max(0, len(segment_ids) - lanes)
             if queued:
@@ -368,6 +366,7 @@ class VirtualWarehouse:
             reader=reader,
             resolve_index=lambda segment: None,
             metrics=self.metrics,
+            tracer=self.tracer,
         )
         return merge_and_project(plan, partials, merge_ctx, n_segments)
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 import os
 from contextlib import closing
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -58,7 +58,6 @@ from repro.ingest.update import apply_delete, apply_update
 from repro.ingest.writer import IngestConfig, IngestReport
 from repro.observe.events import EventLog
 from repro.observe.export import MetricsExporter
-from repro.observe.profile import maybe_profile
 from repro.observe.slowlog import SlowQueryLog
 from repro.observe.trace import Span, Tracer
 from repro.partition.pruning import prune_segments_scalar, select_semantic_candidates
@@ -244,7 +243,7 @@ class SelectStage:
     result: Optional[QueryResult] = None
     # On the final stage only: what a flight record is built from (the
     # plan, manifest_id, serving warehouse, cache counters before the
-    # query, stage timeline).  :meth:`BlendHouse.offer_flight` turns it
+    # query, its root span).  :meth:`BlendHouse.offer_flight` turns it
     # into a record if the slow-query log wants one.
     flight: Optional[Dict[str, Any]] = None
 
@@ -390,13 +389,23 @@ class BlendHouse:
         statements.  Every statement records a ``query`` root span with
         the parse and dispatch work as children.
         """
+        return self.run_statement(sql)[1]
+
+    def run_statement(
+        self, sql: str, route: Optional[Callable[[], Any]] = None
+    ) -> Tuple[Any, Any]:
+        """:meth:`execute`, also returning the parsed statement.
+
+        ``route()`` picks the scan backend of a SELECT — the engines
+        that scan elsewhere pass it; by default scans run in-process.
+        """
         with self.tracer.span("query") as root:
             with self.tracer.span("parse"):
                 statement = parse_statement(sql)
             root.set_tag("statement", type(statement).__name__)
-            return self._dispatch(sql, statement, root)
+            return statement, self._dispatch(sql, statement, root, route)
 
-    def _dispatch(self, sql: str, statement: Any, root: Span) -> Any:
+    def _dispatch(self, sql: str, statement: Any, root: Span, route: Any = None) -> Any:
         if isinstance(statement, Explain):
             return self._execute_explain(sql, statement, root)
         if isinstance(statement, CreateTable):
@@ -406,7 +415,8 @@ class BlendHouse:
         if isinstance(statement, Insert):
             return self._execute_insert(statement)
         if isinstance(statement, Select):
-            return self._drain(sql, self._lifecycle(sql, statement))[0]
+            backend = route() if route is not None else None
+            return self._drain(sql, self._lifecycle(sql, statement, root, backend))[0]
         if isinstance(statement, Update):
             runtime = self.table(statement.table)
             result = apply_update(
@@ -621,13 +631,9 @@ class BlendHouse:
                 if statement.as_of is not None
                 else runtime.manager.manifest_id
             )
-        with self.tracer.span("plan") as span:
-            span.set_tag("manifest_id", version)
-            captured = self.clock.captured_total()
+        with self.tracer.span("plan", manifest_id=version) as span:
             plan = self._plan_select_traced(sql, statement, span, version)
             span.set_tag("strategy", plan.strategy.value)
-            if captured is not None:  # as on segment_scan spans
-                span.set_tag("cost_s", round(self.clock.captured_total() - captured, 9))
             return plan
 
     def _plan_rebindable(self, template: PhysicalPlan) -> bool:
@@ -693,7 +699,6 @@ class BlendHouse:
             span.set_tag("plan_cache", "rebind")
             self.clock.advance(self.cost.plan_rebind_overhead_s)
             self.metrics.incr("planner.rebinds")
-            self.metrics.incr("planner.cache_hits")
             self.metrics.incr("plan_cache.hits")
             return plan
         plan = optimizer.choose(
@@ -709,7 +714,6 @@ class BlendHouse:
             # literals (the paper's extended plan matching), so only the
             # cheap parameter-binding overhead is charged.
             self.clock.advance(self.cost.plan_cached_overhead_s)
-            self.metrics.incr("planner.cache_hits")
             self.metrics.incr("plan_cache.hits")
             return plan
         if self.settings.enable_plan_cache:
@@ -831,16 +835,17 @@ class BlendHouse:
     ) -> Iterator[SelectStage]:
         """Run one SELECT as a generator of resumable stages.
 
-        The one implementation of a SELECT: :meth:`execute`, ``EXPLAIN
-        ANALYZE`` and :meth:`run_select` drain it on the calling thread,
-        the serving tier drives it stage by stage.  Each ``yield`` is a
-        cancellation checkpoint; stage costs are *captured*, not applied
-        to the shared clock (the driver turns ``advance_s`` into time on
-        its own timeline, so many queries can be in flight at once); and
-        the snapshot pin is released in a ``finally``, so closing the
-        generator at any stage never leaks a pinned manifest.  Captures
-        and spans open and close *between* yields — both are thread-local
-        stacks that an interleaved query on the same thread would corrupt.
+        The one implementation of a SELECT: :meth:`execute` and ``EXPLAIN
+        ANALYZE`` drain it on the calling thread, the serving tier drives
+        it stage by stage.  Each ``yield`` is a cancellation checkpoint;
+        stage costs are *captured*, not applied to the shared clock (the
+        driver turns ``advance_s`` into time on its own timeline, so many
+        queries can be in flight at once); and the snapshot pin is
+        released in a ``finally``, so closing the generator at any stage
+        never leaks a pinned manifest.  Captures open and close *between*
+        yields, and the query's long-lived spans are off the tracer's
+        thread-local stack while suspended — an interleaved query on the
+        same thread would corrupt either.
 
         Stages: ``pin`` → ``plan`` → one ``segment:<id>`` per scheduled
         segment (cost only, zero advance) → ``scan`` (advance = the wave's
@@ -850,6 +855,11 @@ class BlendHouse:
         ``result.simulated_seconds`` is the execute phase only (scan +
         widen makespans + merge); planning is the ``plan`` stage's cost.
 
+        The query records the one ``query`` span tree :meth:`execute`
+        records, and stage costs are span durations: ``plan`` + ``prune``,
+        the wave's ``segment_scan`` spans, the ``merge_project`` spans;
+        ``execute`` spans what the driver advanced after ``plan``.
+
         ``backend`` is where segments are scanned: ``scan(plan, segments,
         bitmaps, snapshot, cancel)`` is a generator yielding
         ``(segment_id, cost_s)`` as segments complete and returning
@@ -858,44 +868,49 @@ class BlendHouse:
         this process.  ``tenant`` / ``lane`` name the caller — a fleet
         engine routes on them, here they select nothing.
         """
-        statement = parse_statement(sql)
-        if not isinstance(statement, Select):
-            raise SQLError("staged serving execution supports SELECT only")
-        yield from self._lifecycle(sql, statement, backend, cancel)
+        tracer = self.tracer
+        root = tracer.open("query")
+        try:
+            with tracer.under(root), tracer.span("parse"):
+                statement = parse_statement(sql)
+            root.set_tag("statement", type(statement).__name__)
+            if not isinstance(statement, Select):
+                raise SQLError("staged serving execution supports SELECT only")
+            yield from self._lifecycle(sql, statement, root, backend, cancel)
+        finally:
+            tracer.finish(root)
 
     def _lifecycle(
-        self, sql: str, statement: Select, backend: Optional[Any] = None,
-        cancel: Optional[CancelToken] = None,
+        self, sql: str, statement: Select, root: Span,
+        backend: Optional[Any] = None, cancel: Optional[CancelToken] = None,
     ) -> Iterator[SelectStage]:
+        """The stages of one parsed SELECT, recorded under the caller's
+        open ``root`` span (which the caller finishes)."""
+        tracer = self.tracer
         backend = backend or self._in_process
         runtime = self.table(statement.table)
         cache_before = self._cache_counters()
-        timeline: List[Tuple[str, float, float]] = []
-
-        def stage(
-            name: str, cost_s: float = 0.0, advance_s: float = 0.0, **fields: Any
-        ) -> SelectStage:
-            timeline.append((name, cost_s, advance_s))
-            return SelectStage(name, cost_s, advance_s, **fields)
-
+        if backend.name is not None:
+            root.set_tag("warehouse", backend.name)
         # Pin one manifest for the query's whole lifetime: planning,
         # pruning, bitmap capture, every worker's index resolution and
         # the widening wave read this version, so concurrent commits are
         # invisible and ``AS OF <manifest_id>`` replays history exactly.
         snap = runtime.manager.snapshot(statement.as_of)
+        execute = None
         try:
-            yield stage("pin", manifest_id=snap.manifest_id)
+            yield SelectStage("pin", manifest_id=snap.manifest_id)
             if cancel is not None:
                 cancel.raise_if_cancelled()
             bitmaps: Dict[str, Any] = {}
-            with maybe_profile("select.plan", self.clock), \
-                    self.clock.capturing() as captured:
+            with tracer.under(root), self.clock.capturing() as captured:
                 plan = self._plan_select(sql, statement, version=snap.manifest_id)
                 scheduled, reserve = self._prune(runtime, plan, snap, bitmaps)
-            yield stage(
+            yield SelectStage(
                 "plan", captured.total, captured.total,
                 manifest_id=snap.manifest_id,
             )
+            execute = tracer.open("execute", root, manifest_id=snap.manifest_id)
             partials: List[Any] = []
             scanned = 0
             elapsed = finish_cost = 0.0
@@ -904,30 +919,33 @@ class BlendHouse:
                     if not self._needs_widening(plan, reserve, result):
                         break
                     self.metrics.incr("pruning.adaptive_widenings")
+                    execute.set_tag("adaptive_widened", True)
                 scan = backend.scan(plan, wave, bitmaps, snap, cancel)
                 wave_cost = 0.0
                 while True:
                     try:
-                        segment_id, cost_s = next(scan)
+                        with tracer.under(execute):
+                            segment_id, cost_s = next(scan)
                     except StopIteration as done:
                         wave_partials, makespan = done.value
                         break
                     wave_cost += cost_s
-                    yield stage(f"segment:{segment_id}", cost_s)
+                    yield SelectStage(f"segment:{segment_id}", cost_s)
                 elapsed += makespan
-                yield stage(wave_name, wave_cost, makespan)
+                yield SelectStage(wave_name, wave_cost, makespan)
                 if cancel is not None:
                     cancel.raise_if_cancelled()
                 partials += wave_partials
                 scanned += len(wave)
-                with self.clock.capturing() as captured:
+                with tracer.under(execute), self.clock.capturing() as captured:
                     result = backend.merge(plan, partials, scanned)
                 finish_cost += captured.total
             elapsed += finish_cost
             result.simulated_seconds = elapsed
+            execute.set_tag("rows", len(result))
             self.metrics.incr("queries")
             self.metrics.record_latency("query.latency", elapsed)
-            yield stage(
+            yield SelectStage(
                 "finish", finish_cost, finish_cost,
                 manifest_id=snap.manifest_id, result=result,
                 flight={
@@ -935,46 +953,26 @@ class BlendHouse:
                     "warehouse": backend.name,
                     "plan": plan,
                     "cache_before": cache_before,
-                    "timeline": timeline,
+                    "trace": root,
                 },
             )
         finally:
             snap.release()
+            if execute is not None:
+                tracer.finish(execute)
 
     def _drain(
         self, sql: str, stages: Iterator[SelectStage]
     ) -> Tuple[QueryResult, PhysicalPlan]:
         """Run a staged SELECT to completion on the calling thread: each
-        stage's ``advance_s`` goes onto the shared clock, an ``execute``
-        span wraps everything after planning, and the finished query is
-        offered to the slow-query log."""
+        stage's ``advance_s`` goes onto the shared clock and the finished
+        query is offered to the slow-query log."""
         with closing(stages):
             for stage in stages:
-                if stage.name == "plan":
-                    break
-            self.clock.advance(stage.advance_s)
-            with maybe_profile("select.execute", self.clock), \
-                    self.tracer.span("execute", manifest_id=stage.manifest_id) as span:
-                for stage in stages:
-                    if stage.advance_s:  # not the per-segment checkpoints
-                        self.clock.advance(stage.advance_s)
-                    if stage.name == "widen":
-                        span.set_tag("adaptive_widened", True)
-                span.set_tag("rows", len(stage.result))
-        self.offer_flight(
-            sql, stage.result.simulated_seconds, stage.flight,
-            trace=self.tracer.last_root() if self.tracer.enabled else None,
-        )
+                if stage.advance_s:  # not the per-segment checkpoints
+                    self.clock.advance(stage.advance_s)
+        self.offer_flight(sql, stage.result.simulated_seconds, stage.flight)
         return stage.result, stage.flight["plan"]
-
-    def run_select(
-        self, sql: str, statement: Select, backend: Any, **tags: Any
-    ) -> QueryResult:
-        """Run one parsed SELECT to completion on ``backend`` (the engines
-        that scan elsewhere): :meth:`execute`'s drain under a ``query``
-        root span tagged with ``tags``."""
-        with self.tracer.span("query", statement="Select", **tags):
-            return self._drain(sql, self._lifecycle(sql, statement, backend))[0]
 
     # ------------------------------------------------------------------
     # Flight recorder capture
@@ -988,39 +986,21 @@ class BlendHouse:
         }
 
     def offer_flight(
-        self, sql: str, latency_s: float, flight: Dict[str, Any],
-        trace: Any = None, **serving: Any,
+        self, sql: str, latency_s: float, flight: Dict[str, Any], **serving: Any
     ) -> None:
         """Offer one finished SELECT to the slow-query log.
 
         ``flight`` is the final stage's payload; the record (plan
-        payload, cache deltas, trace) is only built if the log's cheap
-        threshold/sampling check wants it.  ``trace`` is the query's span
-        tree when the caller has one (serialized at export time); the
-        stage timeline stands in otherwise.  ``serving`` carries the
-        serving tier's ``lane`` / ``tenant`` / ``queue_wait_s``.
+        payload, cache deltas, the query's span tree — serialized at
+        export time) is only built if the log's cheap threshold/sampling
+        check wants it.  ``serving`` carries the serving tier's ``lane``
+        / ``tenant`` / ``queue_wait_s``.
         """
         reason = self.slowlog.should_record(latency_s)
         if reason is None:
             return
         plan = flight["plan"]
         before, after = flight["cache_before"], self._cache_counters()
-        if trace is None:
-            trace = {
-                "name": "select_stages",
-                "duration": latency_s,
-                "tags": {
-                    "manifest_id": flight["manifest_id"],
-                    "warehouse": flight["warehouse"],
-                },
-                "children": [
-                    {
-                        "name": name, "duration": advance_s,
-                        "tags": {"cost_s": cost_s}, "children": [],
-                    }
-                    for name, cost_s, advance_s in flight["timeline"]
-                ],
-            }
         self.slowlog.observe(
             timestamp=self.clock.now,
             sql=sql,
@@ -1039,7 +1019,7 @@ class BlendHouse:
                 "alternatives": dict(plan.estimated_costs),
             },
             cache={key: after[key] - before[key] for key in after},
-            trace=trace,
+            trace=flight["trace"],
             **serving,
         )
 
@@ -1219,7 +1199,7 @@ class BlendHouse:
         root.set_tag("explain", "analyze" if statement.analyze else "plan")
         if statement.analyze:
             result, plan = self._drain(
-                inner_sql, self._lifecycle(inner_sql, statement.statement)
+                inner_sql, self._lifecycle(inner_sql, statement.statement, root)
             )
             return ExplainResult(
                 sql=inner_sql, analyze=True, plan=plan, trace=root, result=result

@@ -30,7 +30,7 @@ from repro.durability.crashpoints import CrashPointRegistry
 from repro.durability.wal import WriteAheadLog
 from repro.errors import RecoveryError
 from repro.observe.events import emit_event
-from repro.observe.trace import Tracer
+from repro.observe.trace import Tracer, maybe_span
 from repro.simulate.metrics import MetricRegistry
 from repro.storage.objectstore import ObjectStore
 
@@ -116,9 +116,7 @@ class Checkpointer:
     # ------------------------------------------------------------------
     def write(self, catalog: Any, tables: Dict[str, Any], reason: str) -> CheckpointInfo:
         """Capture, upload, swap the pointer, truncate the WAL."""
-        span = self._tracer.span("checkpoint", reason=reason) if self._tracer else None
-        context = span if span is not None else _null_context()
-        with context:
+        with maybe_span(self._tracer, "checkpoint", reason=reason):
             self._crash.hit("checkpoint.before_upload")
             wal_lsn = self._wal.last_flushed_lsn
             checkpoint_id = self.next_checkpoint_id
@@ -202,8 +200,3 @@ def load_checkpoint(store: ObjectStore, pointer: Dict[str, Any]) -> Dict[str, An
         )
     return data
 
-
-def _null_context():
-    from contextlib import nullcontext
-
-    return nullcontext()

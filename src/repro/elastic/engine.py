@@ -31,8 +31,6 @@ from repro.simulate.costmodel import DeviceCostModel
 class FleetBlendHouse(SeparatedEngine):
     """BlendHouse with SELECTs spread across an elastic warehouse fleet."""
 
-    engine_name = "fleet"
-
     def __init__(
         self,
         clock: Optional[SimulatedClock] = None,

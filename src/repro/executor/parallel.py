@@ -15,7 +15,8 @@ that fan-out to the reproduction:
   clock advances by the busiest lane — *max* over concurrent scans, not
   the sum.
 * :func:`fan_out_segments` is the bulk scan of the in-process SELECT
-  backend under ``parallel_workers > 1``.  Partial results are collected
+  backend under ``parallel_workers > 1``, on threads or through them on
+  the worker-process pool.  Partial results are collected
   in scheduling order and the global merge keeps its stable
   ``(distance, segment_id, offset)`` tie-breaking, so the final top-k is
   byte-identical to the serial path for any pool size.
@@ -28,16 +29,18 @@ that fan-out to the reproduction:
 Determinism is load-bearing here: completion order of threads is
 arbitrary, so nothing downstream of the pool may depend on it.  Results
 and metrics are indexed by task position, metrics registries are merged
-in input order after the join, and per-segment trace spans are emitted
-post-hoc by the coordinating thread (the shared tracer's span stack is
-not thread-safe).
+in input order after the join, and each task records its spans under a
+detached holder of its own that the coordinating thread grafts into the
+fan-out span in task order after the join (no span's children are ever
+appended to from two threads).
 """
 
 from __future__ import annotations
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -48,12 +51,12 @@ from repro.executor.pipeline import (
     PartialResult,
     QueryResult,
     _charger,
-    _execute_segment,
+    _resolve_index,
     _structured_scan_mask,
+    execute_segment,
     merge_and_project,
 )
-from repro.observe.profile import maybe_profile
-from repro.observe.trace import maybe_span
+from repro.observe.trace import Span, Tracer, maybe_span, maybe_under
 from repro.planner.optimizer import ExecutionStrategy, PhysicalPlan
 from repro.simulate.clock import SimulatedClock
 from repro.simulate.metrics import MetricRegistry
@@ -105,6 +108,7 @@ def fan_out(
     tasks: Sequence[Callable[[], object]],
     pool_size: int,
     cancel: Optional[CancelToken] = None,
+    tracer: Optional[Tracer] = None,
 ) -> Tuple[List[object], List[float]]:
     """Run ``tasks`` concurrently; returns (results, costs) in task order.
 
@@ -118,26 +122,29 @@ def fan_out(
     lands mid-fan-out lets in-flight scans finish (numpy kernels are not
     interruptible) but aborts every task that has not begun, raising
     :class:`~repro.errors.QueryCancelledError` out of the join.
-    """
-    results: List[object] = [None] * len(tasks)
-    costs: List[float] = [0.0] * len(tasks)
 
-    def run(position: int) -> Tuple[int, object, float]:
+    With a ``tracer``, the spans each task opens become children of the
+    caller's current span, in task order whatever the completion order.
+    """
+    parent = tracer.current if tracer is not None else None
+    holders = [Span("task", clock.now) for _ in tasks]
+
+    def run(position: int) -> Tuple[object, float]:
         if cancel is not None:
             cancel.raise_if_cancelled()
-        with clock.capturing() as captured:
+        with clock.capturing() as captured, maybe_under(tracer, holders[position]):
             out = tasks[position]()
-        return position, out, captured.total
+        return out, captured.total
 
     if pool_size <= 1 or len(tasks) <= 1:
-        for position in range(len(tasks)):
-            _, results[position], costs[position] = run(position)
-        return results, costs
-    with ThreadPoolExecutor(max_workers=pool_size) as pool:
-        for position, out, cost in pool.map(run, range(len(tasks))):
-            results[position] = out
-            costs[position] = cost
-    return results, costs
+        outcomes = [run(position) for position in range(len(tasks))]
+    else:
+        with ThreadPoolExecutor(max_workers=pool_size) as pool:
+            outcomes = list(pool.map(run, range(len(tasks))))
+    if parent is not None:
+        for holder in holders:
+            parent.adopt(holder.children)
+    return [out for out, _ in outcomes], [cost for _, cost in outcomes]
 
 
 def _locked_resolver(ctx: ExecContext):
@@ -161,75 +168,51 @@ def fan_out_segments(
 ) -> Tuple[List[PartialResult], List[float], float]:
     """Scan ``segments`` concurrently; returns (partials, costs, makespan).
 
-    On threads, or on the worker-process pool when ``ctx.scan_pool`` is
-    set.  Either way partials and captured costs come back in scheduling
-    order and the makespan packs the costs onto ``lanes`` simulated
-    cores, so results and simulated time are identical in both modes.
-    The clock is not advanced: the caller owns the timeline.
+    On threads, or — when ``ctx.scan_pool`` is set — on the pool's worker
+    processes, fed by as many threads as it has workers.  Either way a
+    task is :func:`execute_segment` with a metrics registry of its own,
+    partials and captured costs come back in scheduling order, and the
+    makespan packs the costs onto ``lanes`` simulated cores, so results,
+    simulated time and traces are identical in both modes.  The clock is
+    not advanced: the caller owns the timeline.
     """
     lanes = max(1, min(lanes, len(segments)))
-    with maybe_profile("parallel.fanout", ctx.clock), \
+    task_metrics = [MetricRegistry() for _ in segments]
+    if ctx.scan_pool is not None:
+        threads = min(ctx.scan_pool.size, len(segments))
+        contexts = [replace(ctx, metrics=metrics) for metrics in task_metrics]
+        ctx.metrics.incr("parallel.process_fanouts")
+    else:
+        threads = lanes
+        resolve = _locked_resolver(ctx)
+        contexts = [
+            replace(ctx, reader=ctx.reader.for_task(metrics),
+                    resolve_index=resolve, metrics=metrics)
+            for metrics in task_metrics
+        ]
+    tasks = [
+        partial(execute_segment, plan, segment,
+                bitmaps.get(segment.segment_id), task_ctx)
+        for segment, task_ctx in zip(segments, contexts)
+    ]
+    # The tasks charge captures of their own; replaying their total into
+    # this one (never applied) is what the fan-out span reads.
+    with ctx.clock.capturing() as charged, \
             maybe_span(ctx.tracer, "parallel_fanout",
                        segments=len(segments), workers=lanes) as fan_span:
-        if ctx.scan_pool is not None:
-            partials, costs = ctx.scan_pool.scan_many(plan, segments, bitmaps, ctx)
-            ctx.metrics.incr("parallel.process_fanouts")
-        else:
-            partials, costs = _fan_out_threads(plan, segments, bitmaps, ctx, lanes)
-        # Post-hoc per-segment spans: zero-duration (the scans ran under
-        # captures, so the shared clock never moved), with the charged
-        # cost attached the same way warehouse worker scans record it.
-        for position, segment in enumerate(segments):
-            with maybe_span(ctx.tracer, "segment_scan",
-                            segment=segment.segment_id,
-                            strategy=plan.strategy.value) as span:
-                if span is not None:
-                    span.set_tag("rows", int(partials[position].offsets.size))
-                    span.set_tag("cost_s", round(costs[position], 9))
+        partials, costs = fan_out(
+            ctx.clock, tasks, threads, cancel=ctx.cancel, tracer=ctx.tracer
+        )
+        charged.add(sum(costs))
         makespan = lane_makespan(costs, lanes)
         if fan_span is not None:
             fan_span.set_tag("makespan_s", round(makespan, 9))
+    for registry in task_metrics:
+        ctx.metrics.merge(registry)
     ctx.metrics.incr("parallel.fanouts")
     ctx.metrics.incr("parallel.segments_scanned", len(segments))
     ctx.metrics.record_latency("parallel.makespan", makespan)
     return list(partials), costs, makespan
-
-
-def _fan_out_threads(
-    plan: PhysicalPlan,
-    segments: List[Segment],
-    bitmaps: Dict[str, DeleteBitmap],
-    ctx: ExecContext,
-    lanes: int,
-) -> Tuple[List[PartialResult], List[float]]:
-    resolve = _locked_resolver(ctx)
-    task_metrics = [MetricRegistry() for _ in segments]
-
-    def make_task(position: int, segment: Segment) -> Callable[[], PartialResult]:
-        def run() -> PartialResult:
-            task_ctx = ExecContext(
-                clock=ctx.clock,
-                cost=ctx.cost,
-                params=ctx.params,
-                reader=ctx.reader.for_task(task_metrics[position]),
-                resolve_index=resolve,
-                metrics=task_metrics[position],
-                tracer=None,  # task spans are emitted post-hoc, in order
-                manifest_id=ctx.manifest_id,
-            )
-            # No clock here: the worker runs under a cost capture, so
-            # simulated time never moves — only real time is telling.
-            with maybe_profile("segment.scan.parallel"):
-                return _execute_segment(
-                    plan, segment, bitmaps.get(segment.segment_id), task_ctx
-                )
-        return run
-
-    tasks = [make_task(i, segment) for i, segment in enumerate(segments)]
-    partials, costs = fan_out(ctx.clock, tasks, lanes, cancel=ctx.cancel)
-    for registry in task_metrics:
-        ctx.metrics.merge(registry)
-    return partials, costs
 
 
 # ----------------------------------------------------------------------
@@ -300,9 +283,8 @@ def _batch_scan_segment(
         mask = _structured_scan_mask(representative, segment, bitmap, ctx)
 
     provider = None
-    if representative.use_index and representative.strategy is not ExecutionStrategy.BRUTE_FORCE:
-        with maybe_span(ctx.tracer, "index_resolve", segment=segment.segment_id):
-            provider = ctx.resolve_index(segment)
+    if representative.strategy is not ExecutionStrategy.BRUTE_FORCE:
+        provider = _resolve_index(representative, segment, ctx)
 
     out: List[Tuple[int, PartialResult]] = []
     if provider is not None and getattr(provider, "supports_batch", False):
@@ -395,28 +377,28 @@ def execute_batch_on_segments(
 
     def make_task(task_index: int, segment: Segment):
         def run() -> List[Tuple[int, PartialResult]]:
-            task_ctx = ExecContext(
-                clock=ctx.clock,
-                cost=ctx.cost,
-                params=ctx.params,
-                reader=ctx.reader.for_task(task_metrics[task_index]),
-                resolve_index=resolve,
-                metrics=task_metrics[task_index],
-                tracer=None,
-                manifest_id=ctx.manifest_id,
+            metrics = task_metrics[task_index]
+            task_ctx = replace(
+                ctx, reader=ctx.reader.for_task(metrics),
+                resolve_index=resolve, metrics=metrics,
             )
-            return _batch_scan_segment(
-                plans, positions_by_segment[segment.segment_id], segment,
-                bitmaps.get(segment.segment_id), task_ctx,
-                query_matrix=query_matrix,
-            )
+            positions = positions_by_segment[segment.segment_id]
+            with maybe_span(ctx.tracer, "segment_scan",
+                            segment=segment.segment_id, queries=len(positions)):
+                return _batch_scan_segment(
+                    plans, positions, segment,
+                    bitmaps.get(segment.segment_id), task_ctx,
+                    query_matrix=query_matrix,
+                )
         return run
 
     tasks = [make_task(i, segment) for i, segment in enumerate(segment_order)]
     with maybe_span(ctx.tracer, "batch_fanout",
                     queries=len(plans), segments=len(segment_order),
                     workers=lanes) as fan_span:
-        scans, costs = fan_out(ctx.clock, tasks, lanes, cancel=ctx.cancel)
+        scans, costs = fan_out(
+            ctx.clock, tasks, lanes, cancel=ctx.cancel, tracer=ctx.tracer
+        )
         for registry in task_metrics:
             ctx.metrics.merge(registry)
         makespan = lane_makespan(costs, lanes)

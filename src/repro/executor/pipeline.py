@@ -25,7 +25,6 @@ from repro.executor.annscan import (
 )
 from repro.executor.cancel import CancelToken
 from repro.executor.columnio import ColumnReader
-from repro.observe.profile import maybe_profile
 from repro.observe.trace import Tracer, maybe_span
 from repro.planner.cost import CostModelParams
 from repro.planner.optimizer import ExecutionStrategy, PhysicalPlan
@@ -183,12 +182,27 @@ def _charger(ctx: ExecContext, segment: Segment) -> ScanCharger:
     )
 
 
-def _execute_segment(
+def _resolve_index(
+    plan: PhysicalPlan, segment: Segment, ctx: ExecContext
+) -> Optional[SearchProvider]:
+    """The index ``plan`` searches ``segment`` with, or None when it
+    scans without one (scalar-only, index bypassed, none built)."""
+    if not plan.use_index or plan.strategy is ExecutionStrategy.SCALAR_ONLY:
+        return None
+    # Resolvers annotate the open span with the tier the index came
+    # from (built / memory / disk / serving / cold_load / brute).
+    with maybe_span(ctx.tracer, "index_resolve", segment=segment.segment_id):
+        return ctx.resolve_index(segment)
+
+
+def _scan_segment(
     plan: PhysicalPlan,
     segment: Segment,
     bitmap: Optional[DeleteBitmap],
     ctx: ExecContext,
+    provider: Optional[SearchProvider],
 ) -> PartialResult:
+    """Run ``plan`` on one segment through its resolved ``provider``."""
     logical = plan.logical
     strategy = plan.strategy
     charger = _charger(ctx, segment)
@@ -201,14 +215,6 @@ def _execute_segment(
     query = logical.distance.query_vector
     metric = logical.distance.metric
     k = logical.k or 10
-    if plan.use_index:
-        # Resolvers annotate the open span with the tier the index came
-        # from (built / memory / disk / serving / cold_load / brute).
-        with maybe_span(ctx.tracer, "index_resolve",
-                        segment=segment.segment_id):
-            provider = ctx.resolve_index(segment)
-    else:
-        provider = None
 
     if strategy is ExecutionStrategy.BRUTE_FORCE:
         mask = _structured_scan_mask(plan, segment, bitmap, ctx)
@@ -433,19 +439,15 @@ def execute_segment(
     with maybe_span(ctx.tracer, "segment_scan",
                     segment=segment.segment_id,
                     strategy=plan.strategy.value) as span:
-        captured = ctx.clock.captured_total()
-        with maybe_profile("segment.scan", ctx.clock):
-            if ctx.scan_pool is not None:
-                partial, cost = ctx.scan_pool.scan_one(plan, segment, bitmap, ctx)
-                ctx.clock.advance(cost)
-            else:
-                partial = _execute_segment(plan, segment, bitmap, ctx)
+        if ctx.scan_pool is not None:
+            partial, cost = ctx.scan_pool.scan_one(plan, segment, bitmap, ctx)
+            ctx.clock.advance(cost)
+        else:
+            partial = _scan_segment(
+                plan, segment, bitmap, ctx, _resolve_index(plan, segment, ctx)
+            )
         if span is not None:
             span.set_tag("rows", int(partial.offsets.size))
-            if captured is not None:
-                # A cost capture (every SELECT stage) holds the clock, and so
-                # the span, still: tag what the scan charged instead.
-                span.set_tag("cost_s", round(ctx.clock.captured_total() - captured, 9))
         return partial
 
 

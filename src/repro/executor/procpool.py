@@ -45,19 +45,24 @@ import multiprocessing
 import threading
 import traceback
 import weakref
-from collections import OrderedDict, deque
-from dataclasses import dataclass, replace
+from collections import OrderedDict
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ExecutionError, QueryCancelledError
 from repro.executor.columnio import ColumnReader, ReadOptConfig
-from repro.executor.pipeline import ExecContext, PartialResult, _execute_segment
+from repro.executor.pipeline import (
+    ExecContext,
+    PartialResult,
+    _resolve_index,
+    _scan_segment,
+)
 from repro.observe.events import emit_event
-from repro.observe.trace import maybe_span
+from repro.observe.trace import Span, Tracer, maybe_under
 from repro.planner.cost import CostModelParams
-from repro.planner.optimizer import ExecutionStrategy, PhysicalPlan
+from repro.planner.optimizer import PhysicalPlan
 from repro.simulate.clock import SimulatedClock
 from repro.simulate.costmodel import DeviceCostModel
 from repro.simulate.metrics import MetricRegistry
@@ -90,6 +95,9 @@ class ScanSpec:
     # and stays as the inline fallback for mutable/unshareable bitmaps.
     bitmap_spec: Optional[Any] = None
     bitmap_version: int = 0
+    # Whether the driver's tracer is recording: the worker then traces
+    # the scan and ships its spans back beside the partial.
+    traced: bool = False
 
 
 # ----------------------------------------------------------------------
@@ -157,12 +165,19 @@ def _run_scan(
     provider: Optional[VectorIndex],
     clock: SimulatedClock,
     bitmap: Optional[DeleteBitmap],
-) -> Tuple[np.ndarray, Optional[np.ndarray], float, MetricRegistry]:
-    """Execute one scan under a cost capture on the worker's clock."""
+) -> Tuple[np.ndarray, Optional[np.ndarray], float, MetricRegistry, List[Span]]:
+    """Execute one scan under a cost capture on the worker's clock.
+
+    The driver resolved ``provider`` (and recorded ``index_resolve``);
+    when it is tracing, the spans of everything after that are built
+    here, with a private tracer on the private clock, and returned.
+    """
     if get_kernel_mode() != spec.kernel_mode:
         set_kernel_mode(spec.kernel_mode)
     metrics = MetricRegistry()
     reader = ColumnReader(clock, spec.cost, metrics, spec.read_config)
+    tracer = Tracer(clock, max_roots=1) if spec.traced else None
+    holder = Span("scan", clock.now)
     ctx = ExecContext(
         clock=clock,
         cost=spec.cost,
@@ -170,12 +185,15 @@ def _run_scan(
         reader=reader,
         resolve_index=lambda _segment: provider,
         metrics=metrics,
-        tracer=None,
+        tracer=tracer,
         manifest_id=spec.manifest_id,
     )
-    with clock.capturing() as captured:
-        partial = _execute_segment(spec.plan, segment, bitmap, ctx)
-    return partial.offsets, partial.distances, captured.total, metrics
+    with clock.capturing() as captured, maybe_under(tracer, holder):
+        partial = _scan_segment(spec.plan, segment, bitmap, ctx, provider)
+    return (
+        partial.offsets, partial.distances, captured.total, metrics,
+        holder.children,
+    )
 
 
 def _worker_main(conn, cancel_flag) -> None:
@@ -219,10 +237,9 @@ def _worker_main(conn, cancel_flag) -> None:
                 cache.move_to_end(key)
                 _block, segment, provider = entry
                 bitmap = _resolve_bitmap(spec, bitmap_cache)
-                offsets, distances, cost, metrics = _run_scan(
-                    spec, segment, provider, clock, bitmap
+                conn.send(
+                    ("ok", req_id, *_run_scan(spec, segment, provider, clock, bitmap))
                 )
-                conn.send(("ok", req_id, offsets, distances, cost, metrics))
             except BaseException as exc:  # noqa: BLE001 - shipped to parent
                 conn.send((
                     "error", req_id, type(exc).__name__, str(exc),
@@ -451,55 +468,35 @@ class ProcessScanPool:
             self._rr += 1
             return handle
 
-    def _resolve(
-        self, plan: PhysicalPlan, segment: Segment, ctx: ExecContext
-    ) -> Tuple[Optional[Any], float]:
-        """Parent-side index resolution, charged exactly like the thread
-        path (inside the task's cost capture, against engine metrics)."""
-        needs_index = (
-            plan.use_index
-            and plan.strategy is not ExecutionStrategy.SCALAR_ONLY
-            and plan.logical.distance is not None
-        )
-        if not needs_index:
-            return None, 0.0
-        with ctx.clock.capturing() as captured:
-            with self._resolve_lock:
-                with maybe_span(ctx.tracer, "index_resolve",
-                                segment=segment.segment_id):
-                    provider = ctx.resolve_index(segment)
-        return provider, captured.total
-
     def scan_segment(
         self,
         plan: PhysicalPlan,
         segment: Segment,
         bitmap: Optional[DeleteBitmap],
         ctx: ExecContext,
-    ) -> Tuple[PartialResult, float, Optional[MetricRegistry]]:
+    ) -> Tuple[PartialResult, float]:
         """Run one segment scan on a worker process.
 
-        Returns ``(partial, charged_cost, worker_metrics)`` without
-        touching the shared clock; the caller decides how cost becomes
-        simulated time (serial advance or LPT makespan).
-        ``worker_metrics`` is None when the scan fell back in-process
-        (its charges already landed on ``ctx.metrics``).
+        Returns ``(partial, charged_cost)`` without touching the shared
+        clock; the caller decides how cost becomes simulated time (serial
+        advance or LPT makespan).  The worker's metrics fold into
+        ``ctx.metrics``, where an in-process fallback charges directly.
         """
         if ctx.cancel is not None and ctx.cancel.cancelled:
             self._cancel_flag.set()
             ctx.cancel.raise_if_cancelled()
-        provider, resolve_cost = self._resolve(plan, segment, ctx)
+        # Index resolution stays on the driver, charged exactly like the
+        # thread path (against engine metrics, under ``index_resolve``).
+        with ctx.clock.capturing() as captured, self._resolve_lock:
+            provider = _resolve_index(plan, segment, ctx)
+        resolve_cost = captured.total
         if provider is not None and not isinstance(provider, VectorIndex):
             # Live-state providers (serving RPC wrappers) cannot cross
             # the process boundary; execute in-process, same results.
-            task_ctx = replace(
-                ctx, resolve_index=lambda _segment: provider, tracer=None,
-                scan_pool=None,
-            )
             with ctx.clock.capturing() as captured:
-                partial = _execute_segment(plan, segment, bitmap, task_ctx)
+                partial = _scan_segment(plan, segment, bitmap, ctx, provider)
             self.metrics.incr("procpool.inprocess_fallbacks")
-            return partial, resolve_cost + captured.total, None
+            return partial, resolve_cost + captured.total
 
         try:
             spec = segment.ensure_shared()
@@ -516,6 +513,10 @@ class ProcessScanPool:
                 bitmap_spec = None
             if bitmap_spec is not None:
                 self.metrics.incr("procpool.bitmap_shm_ships")
+        # The worker traces the scan only while the driver is recording:
+        # its spans graft under the caller's ``segment_scan``, after the
+        # driver-side ``index_resolve``.
+        current = ctx.tracer.current if ctx.tracer is not None else None
         scan_spec = ScanSpec(
             plan=plan,
             bitmap=None if bitmap_spec is not None else bitmap,
@@ -526,14 +527,17 @@ class ProcessScanPool:
             kernel_mode=get_kernel_mode(),
             bitmap_spec=bitmap_spec,
             bitmap_version=bitmap.version if bitmap is not None else 0,
+            traced=current is not None,
         )
         key = self._payload_key(segment, ctx.manifest_id, provider is not None)
         handle = self._next_slot()
-        offsets, distances, worker_cost, worker_metrics = self._dispatch(
+        offsets, distances, worker_cost, worker_metrics, spans = self._dispatch(
             handle, key, scan_spec, segment, provider, ctx,
         )
-        partial = PartialResult(segment, offsets, distances)
-        return partial, resolve_cost + worker_cost, worker_metrics
+        ctx.metrics.merge(worker_metrics)
+        if current is not None:
+            current.adopt(spans)
+        return PartialResult(segment, offsets, distances), resolve_cost + worker_cost
 
     def _dispatch(
         self,
@@ -573,9 +577,8 @@ class ProcessScanPool:
                     handle.shipped.add(key)
             kind = reply[0]
             if kind == "ok":
-                _, _req, offsets, distances, cost, metrics = reply
                 self.metrics.incr("procpool.scans")
-                return offsets, distances, cost, metrics
+                return reply[2:]
             if kind == "need_payload":
                 # The worker lost the entry (eviction); re-ship once.
                 with handle.lock:
@@ -601,85 +604,15 @@ class ProcessScanPool:
         bitmap: Optional[DeleteBitmap],
         ctx: ExecContext,
     ) -> Tuple[PartialResult, float]:
-        """One segment scan with the worker's metrics folded in; used by
-        the serial path, the warehouse worker loop, and staged SELECT."""
+        """:meth:`scan_segment` as one query epoch of the pool: what
+        :func:`~repro.executor.pipeline.execute_segment` calls, from the
+        serial path, the warehouse worker loop, staged SELECT and every
+        task of a fan-out alike."""
         self._begin(ctx.cancel)
         try:
-            partial, cost, worker_metrics = self.scan_segment(
-                plan, segment, bitmap, ctx
-            )
+            return self.scan_segment(plan, segment, bitmap, ctx)
         finally:
             self._end()
-        if worker_metrics is not None:
-            ctx.metrics.merge(worker_metrics)
-        return partial, cost
-
-    def scan_many(
-        self,
-        plan: PhysicalPlan,
-        segments: List[Segment],
-        bitmaps: Dict[str, DeleteBitmap],
-        ctx: ExecContext,
-    ) -> Tuple[List[PartialResult], List[float]]:
-        """Fan ``segments`` out across the worker processes.
-
-        Results and costs come back in input order and worker metrics
-        merge in input order after the join, exactly like the thread
-        fan-out — nothing downstream observes completion order.
-        """
-        total = len(segments)
-        partials: List[Optional[PartialResult]] = [None] * total
-        costs: List[float] = [0.0] * total
-        registries: List[Optional[MetricRegistry]] = [None] * total
-        pending = deque(range(total))
-        pending_lock = threading.Lock()
-        failures: List[BaseException] = []
-
-        def feed() -> None:
-            while True:
-                if ctx.cancel is not None and ctx.cancel.cancelled:
-                    self._cancel_flag.set()
-                    return
-                with pending_lock:
-                    if not pending or failures:
-                        return
-                    position = pending.popleft()
-                segment = segments[position]
-                try:
-                    partial, cost, metrics = self.scan_segment(
-                        plan, segment, bitmaps.get(segment.segment_id), ctx
-                    )
-                except BaseException as exc:  # noqa: BLE001 - re-raised below
-                    failures.append(exc)
-                    return
-                partials[position] = partial
-                costs[position] = cost
-                registries[position] = metrics
-
-        self._begin(ctx.cancel)
-        try:
-            lanes = max(1, min(self.size, total))
-            if lanes == 1 or total <= 1:
-                feed()
-            else:
-                threads = [
-                    threading.Thread(target=feed, name=f"procpool-feed-{i}")
-                    for i in range(lanes)
-                ]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join()
-        finally:
-            self._end()
-        if failures:
-            raise failures[0]
-        if ctx.cancel is not None:
-            ctx.cancel.raise_if_cancelled()
-        for registry in registries:
-            if registry is not None:
-                ctx.metrics.merge(registry)
-        return list(partials), costs  # type: ignore[arg-type]
 
 
 # ----------------------------------------------------------------------

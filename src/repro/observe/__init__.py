@@ -1,11 +1,12 @@
 """The observability plane: traces, metrics, events, slowlog, SLOs.
 
-Five complementary surfaces, all (except the wall-clock profiler)
-measuring *simulated* time from the shared
-:class:`~repro.simulate.clock.SimulatedClock`:
+Five complementary surfaces measuring *simulated* time from the shared
+:class:`~repro.simulate.clock.SimulatedClock`; spans also carry the wall
+clock, and are the only place it is recorded:
 
-* **Traces** (:mod:`repro.observe.trace`) — per-query span trees;
-  ``EXPLAIN ANALYZE`` renders them.
+* **Traces** (:mod:`repro.observe.trace`) — one span tree per query,
+  both clocks on every span; ``EXPLAIN ANALYZE`` renders them and
+  :func:`~repro.observe.trace.profile` folds them per span name.
 * **Metrics** (:mod:`repro.simulate.metrics`,
   :mod:`repro.observe.export`) — counters, latency recorders, sampled
   gauges, histograms; Prometheus exposition via ``render()``.
@@ -16,8 +17,6 @@ measuring *simulated* time from the shared
   records with plan, cache deltas, and trace; ``SHOW SLOW QUERIES``.
 * **SLOs** (:mod:`repro.observe.slo`) — multi-window burn-rate alerts
   over serving latency and rejection rate.
-* **Profiling** (:mod:`repro.observe.profile`) — wall-clock python time
-  attributed against simulated cost (``REPRO_PROFILE=1``).
 
 The span model and metric name catalog are documented in DESIGN.md
 ("Observability") and README.md.
@@ -25,7 +24,6 @@ The span model and metric name catalog are documented in DESIGN.md
 
 from repro.observe.events import Event, EventLog, JsonlSink, emit_event
 from repro.observe.export import MetricsExporter
-from repro.observe.profile import PROFILER, PhaseStat, Profiler, maybe_profile
 from repro.observe.slo import SLOMonitor, SLObjective
 from repro.observe.slowlog import FlightRecord, SlowQueryLog, SlowQueryReport
 from repro.observe.trace import Span, Tracer, maybe_span
@@ -39,9 +37,6 @@ __all__ = [
     "JsonlSink",
     "MetricRegistry",
     "MetricsExporter",
-    "PROFILER",
-    "PhaseStat",
-    "Profiler",
     "SLOMonitor",
     "SLObjective",
     "SampledGauge",
@@ -50,6 +45,5 @@ __all__ = [
     "Span",
     "Tracer",
     "emit_event",
-    "maybe_profile",
     "maybe_span",
 ]

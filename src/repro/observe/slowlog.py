@@ -46,14 +46,11 @@ class FlightRecord:
     manifest_id: Optional[int] = None
     plan: Dict[str, Any] = field(default_factory=dict)
     cache: Dict[str, int] = field(default_factory=dict)
-    # A Span (serialized lazily — it may still be open at capture time)
-    # or an already-JSON-safe dict for synthetic trees.
+    # The query's root Span, serialized lazily: it may still be open at
+    # capture time.
     trace: Any = None
 
     def to_dict(self) -> Dict[str, Any]:
-        trace = self.trace
-        if trace is not None and hasattr(trace, "to_dict"):
-            trace = trace.to_dict()
         return {
             "query_id": self.query_id,
             "ts": self.timestamp,
@@ -66,7 +63,7 @@ class FlightRecord:
             "manifest_id": self.manifest_id,
             "plan": dict(self.plan),
             "cache": dict(self.cache),
-            "trace": trace,
+            "trace": self.trace.to_dict() if self.trace is not None else None,
         }
 
 

@@ -43,7 +43,6 @@ from repro.errors import (
 )
 from repro.executor.pipeline import QueryResult
 from repro.observe.events import emit_event
-from repro.observe.trace import maybe_span
 from repro.serving.session import Lane, QueryReply, QueryRequest, Session
 
 _LANE_ORDER = (Lane.INTERACTIVE, Lane.BATCH)
@@ -92,7 +91,6 @@ class ServingFrontend:
         self.db = db
         self.config = config or ServingConfig()
         self.metrics = db.metrics
-        self.tracer = db.tracer
         # Optional SLOMonitor observing every reply (see observe/slo.py);
         # benches attach one to assert burn-rate behaviour.
         self.slo = None
@@ -293,6 +291,10 @@ class ServingFrontend:
         finally:
             self._release_slot()
         finished = loop.time()
+        root = flight["trace"]  # the query's one tree: say who it served
+        root.set_tag("lane", request.lane.value)
+        root.set_tag("tenant", request.tenant)
+        root.set_tag("queue_wait_s", round(granted - submitted, 9))
         return QueryReply(
             status="ok",
             result=result,
@@ -381,14 +383,8 @@ class ServingFrontend:
         finally:
             stages.close()
             self._sync_clock()
-        result = stage.result  # the generator ends on its finish stage
-        with maybe_span(
-            self.tracer, "serving.query",
-            lane=request.lane.value, tenant=request.tenant,
-        ) as span:
-            if span is not None:
-                span.set_tag("latency_s", round(result.simulated_seconds, 9))
-        return result, stage.flight
+        # The generator ends on its finish stage.
+        return stage.result, stage.flight
 
     def _sync_clock(self) -> None:
         """Pull the engine's simulated clock up to serving virtual time.

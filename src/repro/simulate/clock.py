@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Tuple
 
 
 class CostCapture:
@@ -99,11 +99,15 @@ class SimulatedClock:
             self._now += seconds
             return self._now
 
-    def captured_total(self) -> Optional[float]:
-        """What the calling thread's innermost capture holds so far, or
-        None when charges are moving the clock itself."""
+    def meter(self) -> Tuple[float, float]:
+        """``(now, reading)`` for whoever times work on this clock (trace
+        spans): the timestamp, and a reading of whatever the calling
+        thread's charges are moving right now — its innermost capture's
+        total, else the clock itself.  The difference of two readings is
+        what the work between them charged."""
         captures = getattr(self._captures_local, "stack", None)
-        return captures[-1].total if captures else None
+        now = self._now
+        return now, (captures[-1].total if captures else now)
 
     def advance_to(self, timestamp: float) -> float:
         """Move the clock forward to ``timestamp`` if it is in the future.

@@ -18,7 +18,6 @@ from collections import OrderedDict
 from typing import Any, Callable, Optional, Tuple
 
 from repro.observe.events import emit_event
-from repro.observe.trace import Tracer, maybe_span
 from repro.simulate.clock import SimulatedClock
 from repro.simulate.costmodel import DeviceCostModel
 from repro.simulate.metrics import MetricRegistry
@@ -207,7 +206,6 @@ class HierarchicalIndexCache:
         deserialize: Callable[[bytes], Any],
         cost_model: Optional[DeviceCostModel] = None,
         metrics: Optional[MetricRegistry] = None,
-        tracer: Optional[Tracer] = None,
         shared: Optional[Any] = None,
     ) -> None:
         self._clock = clock
@@ -217,7 +215,6 @@ class HierarchicalIndexCache:
         self._deserialize = deserialize
         self._cost = cost_model or DeviceCostModel()
         self._metrics = metrics or MetricRegistry()
-        self._tracer = tracer
         self._shared = shared
         self._memory.data.on_evict = self._on_memory_evict
 
@@ -236,15 +233,12 @@ class HierarchicalIndexCache:
         ObjectNotFoundError
             If the key exists in no tier (index never persisted).
         """
-        with maybe_span(self._tracer, "index_cache.get", key=key) as span:
-            start = self._clock.now
-            value, tier = self._resolve(key)
-            if span is not None:
-                span.set_tag("tier", tier)
-            self._metrics.record_latency(
-                f"index_cache.tier.{tier}", self._clock.elapsed_since(start)
-            )
-            return value, tier
+        start = self._clock.now
+        value, tier = self._resolve(key)
+        self._metrics.record_latency(
+            f"index_cache.tier.{tier}", self._clock.elapsed_since(start)
+        )
+        return value, tier
 
     def _resolve(self, key: str) -> Tuple[Any, str]:
         value = self._memory.get_data(key)

@@ -43,6 +43,15 @@ class TestDotCommands:
         assert "ingest_rows_total 20" in text
         assert "# TYPE" in text
 
+    def test_profile_folds_retained_traces(self):
+        db = BlendHouse()
+        assert "no traces" in handle_dot_command(db, ".profile")
+        handle_dot_command(db, ".seed demo 20 4")
+        execute_line(db, "SELECT id FROM demo LIMIT 3")
+        lines = handle_dot_command(db, ".profile").splitlines()
+        assert lines[0].startswith("query") and "wall/sim" in lines[0]
+        assert any(line.startswith("merge_project") for line in lines)
+
     def test_quit_returns_none(self):
         assert handle_dot_command(BlendHouse(), ".quit") is None
 

@@ -79,6 +79,16 @@ class TestScaling:
         cluster.scale_to(5)
         top_ids(cluster)
         assert cluster.metrics.count("warehouse.tier.serving") > 0
+        # The serving RPCs ran inside captured scans; their spans still
+        # report what they charged, inside the scan that issued them.
+        calls = cluster.tracer.last_root().find_all("rpc.call")
+        assert calls
+        assert {call.tags["method"] for call in calls} == {"has_index", "search"}
+        for call in calls:
+            assert 0 < call.duration <= call.parent.duration
+            scan = call.parent if call.tags["method"] == "search" else call.parent.parent
+            assert scan.name == "segment_scan"
+            assert scan.find("index_resolve").tags["tier"] == "serving"
 
     def test_results_stable_across_scaling(self, cluster):
         cluster.preload("docs")

@@ -1,6 +1,7 @@
 """Cold-restart recovery tests: checkpoint + WAL tail, monotonicity, AS OF."""
 
 import numpy as np
+import pytest
 
 from repro.core.database import BlendHouse
 from repro.durability.manager import DurabilityConfig
@@ -117,8 +118,26 @@ class TestRecover:
         db = build_db(rng)
         query = rng.normal(size=DIM).astype(np.float32)
         expected = db.execute(topk_sql(query)).rows
+        db.execute("CHECKPOINT")
         recovered = db.restart()
-        assert recovered.execute(topk_sql(query)).rows == expected
+        cold = recovered.execute(topk_sql(query))
+        assert cold.rows == expected
+        # The cold query's trace says where its time went: every index
+        # came from the object store and the projection read cold columns,
+        # both inside captured stages that used to read zero.
+        root = recovered.tracer.last_root()
+        resolves = root.find_all("index_resolve")
+        assert resolves and all(
+            span.tags["tier"] == "remote" and span.duration > 0 for span in resolves
+        )
+        assert root.find("merge_project").duration > 0
+        assert root.find("delete_bitmap.filter").finished
+        assert root.find("execute").duration == pytest.approx(
+            cold.simulated_seconds, rel=1e-9
+        )
+        assert sum(child.duration for child in root.children) == pytest.approx(
+            root.duration, abs=1e-12
+        )
 
     def test_compaction_survives_restart(self, rng):
         db = build_db(rng)

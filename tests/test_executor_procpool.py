@@ -26,7 +26,7 @@ from repro.executor.procpool import (
 )
 from repro.storage.sharedblock import orphaned_shm_names
 
-from tests.helpers import vector_sql
+from tests.helpers import vector_sql, walk_spans
 
 INDEX_TYPES = ["FLAT", "IVFFLAT", "IVFPQ", "IVFPQFS", "HNSW", "HNSWSQ", "DISKANN"]
 
@@ -67,13 +67,30 @@ def _topk_sql(query, k=10, where="", suffix=""):
     )
 
 
-def both_modes(db: BlendHouse, sql: str):
+def both_modes(db: BlendHouse, sql: str, same_cost: bool = False):
     db.execute("SET executor_mode = 'thread'")
     db.execute(sql)  # warm the index cache: both timed runs see warm tiers
     thread = db.execute(sql)
+    thread_tree = list(walk_spans(db.tracer.last_root()))
     db.execute("SET executor_mode = 'process'")
     process = db.execute(sql)
+    process_tree = list(walk_spans(db.tracer.last_root()))
     db.execute("SET executor_mode = 'thread'")
+    # The worker's subtree crosses the pipe: both planes record the same
+    # spans and tags, with real time on every one — and, where the planes
+    # charge the same (``same_cost``), the same simulated seconds.
+    assert [(s.name, s.tags, len(s.children)) for s in process_tree] == [
+        (s.name, s.tags, len(s.children)) for s in thread_tree
+    ]
+    assert "segment_scan" in {s.name for s in process_tree}
+    for ours, theirs in zip(process_tree, thread_tree):
+        assert ours.finished and ours.wall_s > 0
+        if not same_cost:
+            continue
+        if ours.name in ("query", "execute"):  # clock deltas lose the last bits
+            assert ours.duration == pytest.approx(theirs.duration, rel=1e-9)
+        else:
+            assert ours.duration == theirs.duration, ours.name
     return thread, process
 
 
@@ -85,7 +102,7 @@ class TestModeEquivalence:
         db = _engine(rng, name)
         for i in (3, 60, 150):
             query = db._docs_rows[i]["embedding"]
-            thread, process = both_modes(db, _topk_sql(query))
+            thread, process = both_modes(db, _topk_sql(query), same_cost=True)
             assert process.rows == thread.rows
             assert process.simulated_seconds == thread.simulated_seconds
 
@@ -123,7 +140,7 @@ class TestModeEquivalence:
         db = _engine(rng, name)
         db.execute("SET parallel_workers = 4")
         query = db._docs_rows[33]["embedding"]
-        thread, process = both_modes(db, _topk_sql(query))
+        thread, process = both_modes(db, _topk_sql(query), same_cost=True)
         assert process.rows == thread.rows
         assert process.simulated_seconds == thread.simulated_seconds
 

@@ -7,8 +7,7 @@ import pytest
 
 from repro.core.database import BlendHouse, ExplainResult
 from repro.observe.export import MetricsExporter
-from repro.observe.profile import PROFILER, PhaseStat, Profiler, maybe_profile
-from repro.observe.trace import Span, Tracer, maybe_span
+from repro.observe.trace import Span, Tracer, maybe_span, profile
 from repro.simulate.metrics import MetricRegistry
 
 
@@ -345,57 +344,107 @@ class TestShowSlowQueries:
             db.execute("SHOW FAST QUERIES")
 
 
-class TestProfiler:
-    def test_phase_stat_overhead_factor(self):
-        stat = PhaseStat(real_s=0.2, sim_s=0.1, calls=3)
-        assert stat.as_dict()["overhead_x"] == pytest.approx(2.0)
-        assert PhaseStat(real_s=0.2).as_dict()["overhead_x"] is None
+class TestSpanClocks:
+    """A span is the one timing record: simulated cost and wall time."""
 
-    def test_phase_context_accumulates_real_and_sim(self, clock):
-        profiler = Profiler(enabled=True)
-        with profiler.phase("scan", clock):
-            clock.advance(0.5)
-        with profiler.phase("scan", clock):
-            clock.advance(0.25)
-        stat = profiler.phases()["scan"]
-        assert stat.calls == 2
-        assert stat.sim_s == pytest.approx(0.75)
-        assert stat.real_s > 0
+    def test_duration_is_capture_aware(self, clock, tracer):
+        # Inside a cost capture charges never move the clock; the span
+        # must still read what its work charged.
+        with tracer.span("stage") as outer:
+            with clock.capturing() as captured:
+                clock.advance(0.25)  # charged before the inner span opens
+                with tracer.span("scan") as scan:
+                    clock.advance(0.5)
+                    with tracer.span("resolve") as resolve:
+                        clock.advance(0.125)
+            clock.advance(1.0)
+        assert clock.now == pytest.approx(1.0)
+        assert captured.total == pytest.approx(0.875)
+        assert resolve.duration == pytest.approx(0.125)
+        assert scan.duration == pytest.approx(0.625)
+        assert outer.duration == pytest.approx(1.0)  # opened outside: the clock
 
-    def test_report_totals_and_render(self, clock):
-        profiler = Profiler(enabled=True)
-        with profiler.phase("plan", clock):
-            clock.advance(0.1)
-        profiler.add("pure_python", real_s=0.01)
-        report = profiler.report()
-        assert set(report["phases"]) == {"plan", "pure_python"}
-        assert report["total_sim_s"] == pytest.approx(0.1)
-        assert report["phases"]["pure_python"]["overhead_x"] is None
-        assert "plan" in profiler.render()
-        profiler.reset()
-        assert profiler.render() == "profile: (no phases recorded)"
+    def test_wall_clock_on_every_span(self, clock, tracer):
+        with tracer.span("root"):
+            with tracer.span("child"):
+                sum(range(1000))
+        root = tracer.last_root()
+        child = root.children[0]
+        assert 0 < child.wall_s <= root.wall_s
+        assert root.duration == 0.0  # nothing charged, wall time regardless
+        assert root.to_dict()["children"][0]["wall_s"] == child.wall_s
+        assert "wall-ms" in root.render()
 
-    def test_maybe_profile_is_shared_noop_when_disabled(self):
-        was_enabled = PROFILER.enabled
-        PROFILER.disable()
-        try:
-            first = maybe_profile("anything")
-            second = maybe_profile("other")
-            assert first is second  # the shared null context
-            with first:
-                pass
-        finally:
-            PROFILER.enabled = was_enabled
+    def test_held_span_is_off_the_stack_until_entered(self, clock, tracer):
+        root = tracer.open("query")
+        held = tracer.open("execute", root, manifest_id=3)
+        assert tracer.current is None and tracer.roots == [root]
+        with tracer.under(held):
+            with tracer.span("scan") as scan:
+                clock.advance(0.5)
+        assert tracer.current is None
+        assert scan.parent is held and held.parent is root
+        tracer.finish(held)
+        tracer.finish(root)
+        assert held.finished and held.duration == pytest.approx(0.5)
+        assert root.wall_s >= held.wall_s > 0
 
-    def test_engine_hot_paths_record_phases_when_enabled(self):
+    def test_maybe_span_without_tracer_is_one_shared_context(self):
+        assert maybe_span(None, "a") is maybe_span(None, "b", k=1)
+
+    def test_profile_folds_roots_per_span_name(self, clock, tracer):
+        for cost in (0.1, 0.3):
+            with tracer.span("query"):
+                with tracer.span("parse"):
+                    pass
+                with tracer.span("scan"):
+                    clock.advance(cost)
+        table = profile(tracer.roots)
+        assert set(table) == {"query", "parse", "scan"}
+        assert table["scan"]["calls"] == 2
+        assert table["scan"]["sim_s"] == pytest.approx(0.4)
+        assert table["scan"]["wall_per_sim"] == pytest.approx(
+            table["scan"]["wall_s"] / 0.4
+        )
+        assert table["parse"]["wall_s"] > 0
+        assert table["parse"]["wall_per_sim"] is None  # nothing to normalize by
+        assert list(table)[0] == "query"  # widest wall time first
+        assert profile([]) == {}
+
+    def test_fanout_children_graft_in_scheduling_order(self, clock, tracer):
+        import time
+
+        from repro.executor.parallel import fan_out
+
+        def make_task(position):
+            def run():
+                # Later tasks finish first: completion order is reversed.
+                time.sleep(0.02 * (4 - position))
+                with tracer.span("segment_scan", position=position):
+                    with tracer.span("index_resolve"):
+                        clock.advance(0.1 * (position + 1))
+                return position
+            return run
+
+        with tracer.span("parallel_fanout") as fan:
+            results, costs = fan_out(
+                clock, [make_task(i) for i in range(4)], 4, tracer=tracer
+            )
+        assert results == [0, 1, 2, 3]
+        assert [child.tags["position"] for child in fan.children] == [0, 1, 2, 3]
+        for child, cost in zip(fan.children, costs):
+            assert child.parent is fan and child.finished
+            assert child.duration == pytest.approx(cost)
+            assert child.find("index_resolve").duration == pytest.approx(cost)
+        assert tracer.roots == [fan]  # no task leaked a root of its own
+
+    def test_engine_queries_feed_the_profile(self):
         db = _seeded_db(rows=60)
-        PROFILER.reset()
-        PROFILER.enable()
-        try:
-            db.execute(_hybrid_sql())
-        finally:
-            PROFILER.disable()
-        phases = PROFILER.phases()
-        assert "select.plan" in phases and "select.execute" in phases
-        assert phases["select.execute"].sim_s > 0
-        PROFILER.reset()
+        db.tracer.reset()
+        db.execute(_hybrid_sql())
+        table = profile(db.tracer.roots)
+        for name in ("query", "parse", "plan", "execute", "segment_scan"):
+            assert table[name]["wall_s"] > 0, name
+        # Captured stages used to read zero simulated seconds.
+        assert table["plan"]["sim_s"] > 0
+        assert table["segment_scan"]["sim_s"] > 0

@@ -6,7 +6,9 @@ scan backend.  So for every engine x entry point x table the rows, the
 ``simulated_seconds`` definition, the clock advance and the accounting
 (``queries``, ``query.latency``, widening, slow-query log, snapshot pin)
 must agree — the staged-vs-direct checks that used to live one per suite
-are this module's inputs.
+are this module's inputs.  So must the trace: one ``query`` tree per
+query, the same spans on every path, both clocks on every span, and
+stage costs that are span durations.
 """
 
 import numpy as np
@@ -17,7 +19,7 @@ from repro.core.database import BlendHouse
 from repro.elastic import FleetBlendHouse, FleetConfig
 from repro.errors import WorkerUnavailableError
 from repro.workloads import make_cohere_like
-from tests.helpers import vector_sql
+from tests.helpers import vector_sql, walk_spans as walk
 
 DIM = 16
 
@@ -110,9 +112,11 @@ def run_stages(engine, sql):
 
 
 def accounted(engine, sql, run):
-    """Run once; returns (result, stages, clock advance, counter deltas)."""
+    """Run once; returns (result, stages, clock advance, counter deltas),
+    the deltas including the span trees the run retained."""
     core = core_of(engine)
     metrics = core.metrics
+    core.tracer.reset()
     names = ("queries", "pruning.adaptive_widenings", "warehouse.queries")
     before = {name: metrics.count(name) for name in names}
     samples = len(metrics.latency("query.latency").values)
@@ -121,7 +125,60 @@ def accounted(engine, sql, run):
     advance = core.clock.now - start
     delta = {name: metrics.count(name) - before[name] for name in names}
     delta["latency_samples"] = len(metrics.latency("query.latency").values) - samples
+    delta["roots"] = core.tracer.roots
     return result, stages, advance, delta
+
+
+def shape(span):
+    """The tree without its clocks: names, tags, children."""
+    return (span.name, span.tags, [shape(child) for child in span.children])
+
+
+def wave_scan_costs(execute):
+    """Summed ``segment_scan`` durations of each wave under ``execute``
+    (a wave ends at its ``merge_project``)."""
+    waves, cost = [], 0.0
+    for child in execute.children:
+        if child.name == "merge_project":
+            waves.append(cost)
+            cost = 0.0
+        else:
+            cost += sum(scan.duration for scan in child.find_all("segment_scan"))
+    return waves
+
+
+SPAN_NAMES = {
+    "query", "parse", "plan", "prune", "execute", "segment_scan",
+    "index_resolve", "merge_project",
+}
+
+
+def check_query_tree(engine_name, roots, result, widened):
+    """One finished ``query`` tree with the lifecycle's spans on it."""
+    assert [root.name for root in roots] == ["query"]
+    root = roots[0]
+    names = {span.name for span in walk(root)}
+    if engine_name == "core-parallel4":
+        grouping = {"parallel_fanout"}
+    elif engine_name.startswith("core"):
+        grouping = set()
+    else:
+        grouping = {"worker_scan"}
+    assert names - {"delete_bitmap.filter"} == SPAN_NAMES | grouping
+    for span in walk(root):
+        assert span.finished and span.wall_s > 0, span.name
+    assert [child.name for child in root.children] == [
+        "parse", "plan", "prune", "execute"
+    ]
+    execute = root.find("execute")
+    assert execute.duration == pytest.approx(result.simulated_seconds, rel=1e-9)
+    assert execute.tags.get("adaptive_widened", False) == bool(widened)
+    assert len(execute.find_all("segment_scan")) == result.segments_scanned
+    assert len(execute.find_all("merge_project")) == 1 + widened
+    for scan in execute.find_all("segment_scan"):
+        assert scan.duration > 0
+        assert scan.find("index_resolve").tags["tier"]
+    return root
 
 
 _reference_rows = {}
@@ -155,6 +212,32 @@ def test_every_engine_and_entry_point_agree(engine_name, table):
     assert staged_advance == pytest.approx(direct_advance, rel=1e-6)
     # The plan stage is part of the clock advance, not of simulated_seconds.
     assert direct_advance > direct.simulated_seconds
+    trees = [
+        check_query_tree(engine_name, delta.pop("roots"), result, widened)
+        for delta, result in ((direct_delta, direct), (staged_delta, staged))
+    ]
+    # A served tree equals a direct tree, down to every simulated second.
+    assert shape(trees[0]) == shape(trees[1])
+    for one, other in zip(*map(walk, trees)):
+        assert one.duration == pytest.approx(other.duration, rel=1e-9, abs=1e-15)
+    # Stage costs are span durations.
+    root = trees[1]
+    by_name = {stage.name: stage for stage in stages}
+    assert by_name["plan"].cost_s == pytest.approx(
+        root.find("plan").duration + root.find("prune").duration, rel=1e-12
+    )
+    assert [
+        stage.cost_s for stage in stages if stage.name in ("scan", "widen")
+    ] == pytest.approx(wave_scan_costs(root.find("execute")), rel=1e-12)
+    assert by_name["finish"].cost_s == pytest.approx(
+        sum(span.duration for span in root.find_all("merge_project")), rel=1e-12
+    )
+    for tree in trees:
+        assert tree.duration == pytest.approx(
+            sum(child.duration for child in tree.children), abs=1e-12
+        )
+    assert stages[-1].flight["trace"] is root
+
     for delta in (direct_delta, staged_delta):
         assert delta["queries"] == 1
         assert delta["latency_samples"] == 1
@@ -177,14 +260,20 @@ def test_every_engine_and_entry_point_agree(engine_name, table):
     else:
         assert warehouse is None
 
-    # Abandoning the generator after any number of stages releases the pin.
+    # Abandoning the generator after any number of stages releases the pin
+    # and closes the query's tree: nothing left open, nothing left current.
     for stop in range(len(names) + 1):
+        core.tracer.reset()
         gen = engine.select_stages(sql)
         for _ in range(stop):
             next(gen)
+            assert core.tracer.current is None
         assert pins.pinned_count == (1 if stop else 0)
         gen.close()
         assert pins.pinned_count == 0
+        assert core.tracer.current is None
+        assert [root.name for root in core.tracer.roots] == ["query"] * bool(stop)
+        assert all(span.finished for root in core.tracer.roots for span in walk(root))
 
 
 @pytest.mark.parametrize("engine_name", list(ENGINES))
@@ -196,6 +285,49 @@ def test_synchronous_selects_reach_the_slow_query_log(engine_name):
     assert records and records[-1].sql == sql
     assert records[-1].latency_s > 0
     assert records[-1].plan["strategy"]
+
+
+def test_served_queries_each_retain_one_tree():
+    """Ten interleaved queries through the serving loop: ten ``query``
+    roots (the 64-root ring used to hold < 6 queries of fragments), each
+    with its own eight scans, tagged with who it served."""
+    from repro.serving import QueryRequest, ServingConfig, ServingFrontend, run_virtual
+
+    engine, sql = build("core-serial", "hybrid")
+    engine.execute("SET slowlog_threshold_ms = 0")
+    frontend = ServingFrontend(engine, ServingConfig(max_inflight=4))
+    engine.tracer.reset()
+    dropped = engine.tracer.roots_dropped
+
+    async def main():
+        import asyncio
+
+        return await asyncio.gather(*(
+            frontend.submit(QueryRequest(sql=sql, tenant=f"t{i % 2}"))
+            for i in range(10)
+        ))
+
+    replies = run_virtual(main())
+    assert all(reply.ok for reply in replies)
+    roots = engine.tracer.roots
+    assert [root.name for root in roots] == ["query"] * 10
+    assert engine.tracer.roots_dropped == dropped
+    assert engine.tracer.current is None
+    for root in roots:
+        assert all(span.finished and span.wall_s > 0 for span in walk(root))
+        assert len(root.find_all("segment_scan")) == 8
+        assert root.tags["lane"] == "interactive" and root.tags["tenant"] in ("t0", "t1")
+        assert root.tags["queue_wait_s"] >= 0
+    assert any(root.tags["queue_wait_s"] > 0 for root in roots)  # 10 queries, 4 slots
+    for reply in replies:
+        # On the loop's timeline execute spans the service time, which
+        # interleaving can only make longer than the query's own cost.
+        execute = reply.flight["trace"].find("execute")
+        assert execute.duration >= reply.result.simulated_seconds * (1 - 1e-9)
+    exported = engine.export_metrics().as_dict()
+    assert exported["last_trace"]["name"] == "query"
+    assert exported["slow_queries"][-1]["trace"]["name"] == "query"
+    assert exported["slow_queries"][-1]["trace"]["wall_s"] > 0
 
 
 def test_staged_fleet_scan_retries_when_a_worker_is_gone():

@@ -35,7 +35,7 @@ from repro.serving import (
     ServingFrontend,
     run_virtual,
 )
-from tests.helpers import vector_sql
+from tests.helpers import vector_sql, walk_spans
 
 DIM = 8
 ROWS = 90
@@ -75,6 +75,14 @@ def ann_sql(seed: int = 3, k: int = 5) -> str:
 
 def pinned(db: BlendHouse) -> int:
     return db.table("t").manager.store.pinned_count
+
+
+def assert_traces_closed(db: BlendHouse) -> None:
+    """However a query stopped, its tree is whole: no span left open and
+    none left current on the thread that drove it."""
+    assert db.tracer.current is None
+    for root in db.tracer.roots:
+        assert all(span.finished for span in walk_spans(root)), root.name
 
 
 def make_frontend(db: BlendHouse, **config) -> ServingFrontend:
@@ -272,6 +280,7 @@ class TestCancellationNeverLeaksPins:
                 break
         gen.close()
         assert pinned(db) == 0
+        assert_traces_closed(db)
 
     @given(
         cancel_at=st.floats(0.0, 2e-3),
@@ -302,3 +311,4 @@ class TestCancellationNeverLeaksPins:
                 assert item.status in ("ok", "cancelled", "rejected_admission")
         assert frontend.running == 0 and frontend.queued == 0
         assert pinned(db) == 0
+        assert_traces_closed(db)
