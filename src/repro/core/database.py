@@ -62,7 +62,7 @@ from repro.observe.slowlog import SlowQueryLog
 from repro.observe.trace import Span, Tracer
 from repro.partition.pruning import prune_segments_scalar, select_semantic_candidates
 from repro.planner.cost import CostModelParams
-from repro.planner.logical import bind_select
+from repro.planner.logical import PreparedSelect, bind_select, prepare_select
 from repro.planner.optimizer import (
     ExecutionStrategy,
     Optimizer,
@@ -86,7 +86,7 @@ from repro.sqlparser.ast_nodes import (
     ShowSlowQueries,
     Update,
 )
-from repro.sqlparser.lexer import TokenType, tokenize
+from repro.sqlparser.lexer import Scan, scan_statement
 from repro.sqlparser.parser import parse_statement
 from repro.storage.objectstore import ObjectStore
 from repro.storage.segment import Segment
@@ -293,17 +293,25 @@ class _InProcessBackend:
         return merge_and_project(plan, partials, ctx, n_segments)
 
 
-def _strip_explain_prefix(sql: str) -> str:
-    """The SELECT text under an EXPLAIN [ANALYZE] prefix.
+@dataclass
+class _SelectQuery:
+    """One scanned [EXPLAIN] SELECT on its way through the lifecycle.
 
-    The bare text keys the plan cache, so ``EXPLAIN ANALYZE q`` and ``q``
-    share one plan-cache signature.
+    ``sql`` is the SELECT's own text and ``select`` its AST — on a
+    prepared hit the shape's shared template, whose literal values are
+    another statement's: this one's are ``scan.literals``.
     """
-    for token in tokenize(sql):
-        if token.type == TokenType.KEYWORD and token.value in ("EXPLAIN", "ANALYZE"):
-            continue
-        return sql[token.position:]
-    return sql
+
+    sql: str
+    scan: Scan
+    select: Select
+    prepared: Optional[PreparedSelect] = None
+
+    @property
+    def as_of(self) -> Optional[int]:
+        """The manifest id the statement pins itself to, if any."""
+        slot = self.select.as_of_slot
+        return None if slot is None else self.scan.integer(slot)
 
 
 class BlendHouse:
@@ -401,13 +409,39 @@ class BlendHouse:
         """
         with self.tracer.span("query") as root:
             with self.tracer.span("parse"):
-                statement = parse_statement(sql)
+                statement, query = self._parse(sql)
             root.set_tag("statement", type(statement).__name__)
-            return statement, self._dispatch(sql, statement, root, route)
+            return statement, self._dispatch(statement, query, root, route)
 
-    def _dispatch(self, sql: str, statement: Any, root: Span, route: Any = None) -> Any:
+    def _parse(self, sql: str) -> Tuple[Any, Optional[_SelectQuery]]:
+        """The statement front door: one scan of ``sql``, then its shape's
+        prepared SELECT if the plan cache holds one, else the parser.
+        Returns the statement (on a prepared hit the
+        shape's template: right type, another statement's literals) and,
+        for an [EXPLAIN] SELECT, the query the lifecycle runs."""
+        scan = scan_statement(sql)
+        if scan.error is not None:
+            raise scan.error
+        prepared = None
+        if self.settings.enable_plan_cache:
+            prepared = self.plan_cache.template(scan.signature)
+        if prepared is None:
+            statement = select = parse_statement(sql, scan)
+            if isinstance(statement, Explain):
+                select = statement.statement
+            elif not isinstance(statement, Select):
+                return statement, None
+        else:
+            select = prepared.select
+            statement = Explain(select, scan.explain == 2) if scan.explain else select
+        return statement, _SelectQuery(sql[scan.start:], scan, select, prepared)
+
+    def _dispatch(
+        self, statement: Any, query: Optional[_SelectQuery], root: Span,
+        route: Any = None,
+    ) -> Any:
         if isinstance(statement, Explain):
-            return self._execute_explain(sql, statement, root)
+            return self._execute_explain(query, statement.analyze, root)
         if isinstance(statement, CreateTable):
             return self._execute_create(statement)
         if isinstance(statement, DropTable):
@@ -416,7 +450,7 @@ class BlendHouse:
             return self._execute_insert(statement)
         if isinstance(statement, Select):
             backend = route() if route is not None else None
-            return self._drain(sql, self._lifecycle(sql, statement, root, backend))[0]
+            return self._drain(query.sql, self._lifecycle(query, root, backend))[0]
         if isinstance(statement, Update):
             runtime = self.table(statement.table)
             result = apply_update(
@@ -485,6 +519,7 @@ class BlendHouse:
         if schema.name not in self._tables:
             self._attach_runtime(entry)
         if created:
+            self.plan_cache.invalidate()
             self._durability.log_create(entry.schema)
             self._durability.statement_boundary()
         return schema
@@ -494,6 +529,8 @@ class BlendHouse:
         dropped = self.catalog.drop_table(statement.name, if_exists=statement.if_exists)
         self._tables.pop(statement.name, None)
         if dropped:
+            # Prepared templates are bound against the schema that just died.
+            self.plan_cache.invalidate()
             # The drop record must be durable before any payload dies.
             self._durability.log_drop(statement.name)
             self._durability.statement_boundary()
@@ -533,7 +570,7 @@ class BlendHouse:
                 statement.infile, schema, statement.columns or None
             )
             report = runtime.writer.ingest_rows(rows)
-            self.plan_cache.invalidate()
+            self.plan_cache.invalidate_plans()
             self._maybe_compact(runtime)
             self._durability.statement_boundary()
             return report
@@ -542,7 +579,7 @@ class BlendHouse:
             raise SQLError("INSERT must provide every column exactly once")
         rows = [dict(zip(columns, row)) for row in statement.rows]
         report = runtime.writer.ingest_rows(rows)
-        self.plan_cache.invalidate()
+        self.plan_cache.invalidate_plans()
         self._maybe_compact(runtime)
         self._durability.statement_boundary()
         return report
@@ -551,7 +588,7 @@ class BlendHouse:
         """Programmatic bulk insert of row dicts."""
         runtime = self.table(table)
         report = runtime.writer.ingest_rows(rows)
-        self.plan_cache.invalidate()
+        self.plan_cache.invalidate_plans()
         self._maybe_compact(runtime)
         self._durability.statement_boundary()
         return report
@@ -562,7 +599,7 @@ class BlendHouse:
         """Programmatic columnar bulk load (the CSV INFILE fast path)."""
         runtime = self.table(table)
         report = runtime.writer.ingest_columns(scalar_columns, vectors)
-        self.plan_cache.invalidate()
+        self.plan_cache.invalidate_plans()
         self._maybe_compact(runtime)
         self._durability.statement_boundary()
         return report
@@ -572,7 +609,7 @@ class BlendHouse:
         runtime = self.table(table)
         results = runtime.compactor.compact_all()
         if results:
-            self.plan_cache.invalidate()
+            self.plan_cache.invalidate_plans()
             self._durability.statement_boundary()
             if self._durability.config.checkpoint_on_compaction:
                 self._durability.checkpoint(reason="compaction")
@@ -613,26 +650,22 @@ class BlendHouse:
         return overrides
 
     def _plan_select(
-        self, sql: str, statement: Select, version: Optional[int] = None
+        self, query: _SelectQuery, version: Optional[int] = None
     ) -> PhysicalPlan:
         """Plan one SELECT against manifest ``version``.
 
         ``version`` is the manifest id the query is pinned to; when the
         caller has not pinned a snapshot yet it defaults to the
         statement's ``AS OF`` target or the table's current manifest.
-        The plan cache is keyed by (version, signature), so commits
-        implicitly fence stale plans and an ``AS OF`` re-run reuses the
-        exact plan its manifest produced.
+        Physical plans are cached by (version, signature), so commits
+        implicitly fence stale ones.
         """
         if version is None:
-            runtime = self.table(statement.table)
-            version = (
-                statement.as_of
-                if statement.as_of is not None
-                else runtime.manager.manifest_id
-            )
+            version = query.as_of
+            if version is None:
+                version = self.table(query.select.table).manager.manifest_id
         with self.tracer.span("plan", manifest_id=version) as span:
-            plan = self._plan_select_traced(sql, statement, span, version)
+            plan = self._plan_select_traced(query, span, version)
             span.set_tag("strategy", plan.strategy.value)
             return plan
 
@@ -658,17 +691,25 @@ class BlendHouse:
         )
 
     def _plan_select_traced(
-        self, sql: str, statement: Select, span: Span, version: int
+        self, query: _SelectQuery, span: Span, version: int
     ) -> PhysicalPlan:
-        runtime = self.table(statement.table)
+        runtime = self.table(query.select.table)
         schema = runtime.entry.schema
+        signature = query.scan.signature
         cached = None
         if self.settings.enable_plan_cache:
-            cached = self.plan_cache.lookup(sql, version)
+            cached = self.plan_cache.lookup(query.sql, version, signature)
             span.set_tag("plan_cache", "hit" if cached is not None else "miss")
         else:
             span.set_tag("plan_cache", "disabled")
-        logical = apply_rules(bind_select(statement, schema))
+        if query.prepared is not None:
+            logical = query.prepared.bind(query.scan, schema)
+        else:
+            logical = apply_rules(bind_select(query.select, schema))
+            if self.settings.enable_plan_cache:
+                prepared = prepare_select(query.select, schema, logical, query.scan)
+                if prepared is not None:
+                    self.plan_cache.store_template(signature, prepared)
         optimizer = self._optimizer(schema)
         index_spec = schema.index_spec
         if (
@@ -723,7 +764,7 @@ class BlendHouse:
         else:
             self.clock.advance(self.cost.plan_overhead_s)
         if self.settings.enable_plan_cache:
-            self.plan_cache.store(sql, plan, version)
+            self.plan_cache.store(query.sql, plan, version, signature)
         self.metrics.incr("planner.optimizations")
         return plan
 
@@ -872,23 +913,23 @@ class BlendHouse:
         root = tracer.open("query")
         try:
             with tracer.under(root), tracer.span("parse"):
-                statement = parse_statement(sql)
+                statement, query = self._parse(sql)
             root.set_tag("statement", type(statement).__name__)
             if not isinstance(statement, Select):
                 raise SQLError("staged serving execution supports SELECT only")
-            yield from self._lifecycle(sql, statement, root, backend, cancel)
+            yield from self._lifecycle(query, root, backend, cancel)
         finally:
             tracer.finish(root)
 
     def _lifecycle(
-        self, sql: str, statement: Select, root: Span,
+        self, query: _SelectQuery, root: Span,
         backend: Optional[Any] = None, cancel: Optional[CancelToken] = None,
     ) -> Iterator[SelectStage]:
-        """The stages of one parsed SELECT, recorded under the caller's
-        open ``root`` span (which the caller finishes)."""
+        """The stages of one SELECT, recorded under the caller's open
+        ``root`` span (which the caller finishes)."""
         tracer = self.tracer
         backend = backend or self._in_process
-        runtime = self.table(statement.table)
+        runtime = self.table(query.select.table)
         cache_before = self._cache_counters()
         if backend.name is not None:
             root.set_tag("warehouse", backend.name)
@@ -896,7 +937,7 @@ class BlendHouse:
         # pruning, bitmap capture, every worker's index resolution and
         # the widening wave read this version, so concurrent commits are
         # invisible and ``AS OF <manifest_id>`` replays history exactly.
-        snap = runtime.manager.snapshot(statement.as_of)
+        snap = runtime.manager.snapshot(query.as_of)
         execute = None
         try:
             yield SelectStage("pin", manifest_id=snap.manifest_id)
@@ -904,7 +945,7 @@ class BlendHouse:
                 cancel.raise_if_cancelled()
             bitmaps: Dict[str, Any] = {}
             with tracer.under(root), self.clock.capturing() as captured:
-                plan = self._plan_select(sql, statement, version=snap.manifest_id)
+                plan = self._plan_select(query, version=snap.manifest_id)
                 scheduled, reserve = self._prune(runtime, plan, snap, bitmaps)
             yield SelectStage(
                 "plan", captured.total, captured.total,
@@ -1056,22 +1097,20 @@ class BlendHouse:
         function = self._METRIC_FUNCTIONS.get(metric)
         if function is None:
             raise SQLError(f"unknown metric {metric!r} for batched search")
-        literal = "[" + ",".join(
-            repr(float(x)) for x in query_matrix[0].tolist()
-        ) + "]"
+        # The batch's shape as SQL.  Its literal only carries the
+        # dimension: every row is rebound onto the plan in _run_batch.
+        literal = "[" + ",".join(["0"] * query_matrix.shape[1]) + "]"
         columns = ", ".join(output_columns)
         sql = (
-            f"SELECT {columns}, dist FROM {table} "
-            f"ORDER BY {function}(embedding_placeholder, {literal}) AS dist LIMIT {int(k)}"
-        ).replace("embedding_placeholder", schema.vector_column)
+            f"SELECT {columns}, dist FROM {table} ORDER BY "
+            f"{function}({schema.vector_column}, {literal}) AS dist LIMIT {int(k)}"
+        )
         with self.tracer.span("batch_query", queries=int(query_matrix.shape[0])):
-            statement = parse_statement(sql)
+            statement, query = self._parse(sql)
             if not isinstance(statement, Select):  # pragma: no cover - defensive
                 raise SQLError("batched search must compile to a SELECT")
             with runtime.manager.snapshot() as snap:
-                template = self._plan_select(
-                    sql, statement, version=snap.manifest_id
-                )
+                template = self._plan_select(query, version=snap.manifest_id)
                 return self._run_batch(runtime, template, query_matrix, snap)
 
     def execute_batch(self, sqls: Sequence[str]) -> List[Any]:
@@ -1085,13 +1124,11 @@ class BlendHouse:
         """
         if not sqls:
             return []
-        parsed = [parse_statement(sql) for sql in sqls]
-        plans: List[PhysicalPlan] = []
-        batchable = all(isinstance(statement, Select) for statement in parsed)
+        parsed = [self._parse(sql) for sql in sqls]
+        batchable = all(isinstance(statement, Select) for statement, _ in parsed)
         if batchable:
             with self.tracer.span("batch_query", queries=len(sqls)):
-                for sql, statement in zip(sqls, parsed):
-                    plans.append(self._plan_select(sql, statement))
+                plans = [self._plan_select(query) for _, query in parsed]
                 if self._plans_batchable(plans):
                     runtime = self.table(plans[0].logical.table)
                     query_matrix = np.stack([
@@ -1193,19 +1230,16 @@ class BlendHouse:
     # EXPLAIN
     # ------------------------------------------------------------------
     def _execute_explain(
-        self, sql: str, statement: Explain, root: Span
+        self, query: _SelectQuery, analyze: bool, root: Span
     ) -> ExplainResult:
-        inner_sql = _strip_explain_prefix(sql)
-        root.set_tag("explain", "analyze" if statement.analyze else "plan")
-        if statement.analyze:
-            result, plan = self._drain(
-                inner_sql, self._lifecycle(inner_sql, statement.statement, root)
-            )
+        root.set_tag("explain", "analyze" if analyze else "plan")
+        if analyze:
+            result, plan = self._drain(query.sql, self._lifecycle(query, root))
             return ExplainResult(
-                sql=inner_sql, analyze=True, plan=plan, trace=root, result=result
+                sql=query.sql, analyze=True, plan=plan, trace=root, result=result
             )
-        plan = self._plan_select(inner_sql, statement.statement)
-        return ExplainResult(sql=inner_sql, analyze=False, plan=plan, trace=root)
+        plan = self._plan_select(query)
+        return ExplainResult(sql=query.sql, analyze=False, plan=plan, trace=root)
 
     # ------------------------------------------------------------------
     # Durability

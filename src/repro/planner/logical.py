@@ -15,8 +15,8 @@ the engine executes with the same machinery minus the ANN operator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,7 +32,9 @@ from repro.sqlparser.ast_nodes import (
     UnaryOp,
     VectorLiteral,
     distance_metric_for,
+    fill_literals,
 )
+from repro.sqlparser.lexer import Scan
 
 
 @dataclass
@@ -93,26 +95,32 @@ def _bind_distance_call(
         )
     if not isinstance(vector_arg, VectorLiteral):
         raise BindError("distance function needs a vector literal argument")
-    query = np.asarray(vector_arg.values, dtype=np.float32)
+    return metric, _query_vector(vector_arg.values, schema)
+
+
+def _query_vector(values: Sequence[float], schema: TableSchema) -> np.ndarray:
+    """``values`` as a float32 query vector of the table's dimension."""
+    query = np.asarray(values, dtype=np.float32)
     if schema.vector_dim and query.shape[0] != schema.vector_dim:
         raise BindError(
             f"query vector length {query.shape[0]} != table DIM {schema.vector_dim}"
         )
-    return metric, query
+    return query
 
 
 def _split_distance_range(
     predicate: Optional[Expression], schema: TableSchema
-) -> Tuple[Optional[Expression], Optional[Tuple[str, np.ndarray, float]]]:
+) -> Tuple[Optional[Expression], Optional[Tuple[str, np.ndarray, Expression]]]:
     """Pull ``distance(...) < r`` conjuncts out of the WHERE clause.
 
-    Returns (remaining scalar predicate, (metric, query, radius) or None).
-    Implements the *distance range filter pushdown* extraction; the rule
-    itself (attaching the radius to the ANN scan) runs in rules.py.
+    Returns (remaining scalar predicate, (metric, query, radius
+    expression) or None).  Implements the *distance range filter
+    pushdown* extraction; the rule itself (attaching the radius to the
+    ANN scan) runs in rules.py.
     """
     if predicate is None:
         return None, None
-    found: List[Tuple[str, np.ndarray, float]] = []
+    found: List[Tuple[str, np.ndarray, Expression]] = []
 
     def walk(expr: Expression) -> Optional[Expression]:
         if isinstance(expr, BinaryOp) and expr.op == "and":
@@ -126,16 +134,14 @@ def _split_distance_range(
         if isinstance(expr, BinaryOp) and expr.op in ("<", "<="):
             if isinstance(expr.left, FunctionCall):
                 bound = _bind_distance_call(expr.left, schema)
-                radius = _numeric_literal(expr.right)
-                if bound is not None and radius is not None:
-                    found.append((bound[0], bound[1], float(radius)))
+                if bound is not None and _numeric_literal(expr.right) is not None:
+                    found.append((*bound, expr.right))
                     return None
         if isinstance(expr, BinaryOp) and expr.op in (">", ">="):
             if isinstance(expr.right, FunctionCall):
                 bound = _bind_distance_call(expr.right, schema)
-                radius = _numeric_literal(expr.left)
-                if bound is not None and radius is not None:
-                    found.append((bound[0], bound[1], float(radius)))
+                if bound is not None and _numeric_literal(expr.left) is not None:
+                    found.append((*bound, expr.left))
                     return None
         return expr
 
@@ -147,11 +153,26 @@ def _split_distance_range(
     return remaining, found[0]
 
 
-def _numeric_literal(expr: Expression) -> Optional[float]:
-    if isinstance(expr, Literal) and isinstance(expr.value, (int, float)):
-        return float(expr.value)
+def _numeric_literal(
+    expr: Expression, literals: Optional[Sequence[Any]] = None
+) -> Optional[float]:
+    """The value of a (possibly negated) numeric literal, else None; a
+    template's slotted literal is read from ``literals`` when given.
+
+    A number or string literal must *be* a number: which conjunct is the
+    range constraint is a property of the statement's shape (its
+    signature), never of a literal's type.
+    """
+    if isinstance(expr, Literal):
+        value = expr.value
+        if literals is not None and expr.slot is not None:
+            value = literals[expr.slot]
+        if isinstance(value, (int, float)):
+            return float(value)
+        if expr.slot is not None:
+            raise BindError(f"a distance range needs a number, got {value!r}")
     if isinstance(expr, UnaryOp) and expr.op == "-":
-        inner = _numeric_literal(expr.operand)
+        inner = _numeric_literal(expr.operand, literals)
         return None if inner is None else -inner
     return None
 
@@ -227,6 +248,7 @@ def bind_select(select: Select, schema: TableSchema) -> HybridLogicalPlan:
     distance_range: Optional[float] = None
     if range_constraint is not None:
         metric, query, radius = range_constraint
+        distance_range = _numeric_literal(radius)
         if distance is None:
             # Pure range query: SELECT ... WHERE dist(...) < r (no top-k).
             distance = DistanceExpr(metric=metric, query_vector=query)
@@ -237,7 +259,6 @@ def bind_select(select: Select, schema: TableSchema) -> HybridLogicalPlan:
                 raise PlannerError(
                     "distance range constraint must match the ORDER BY distance"
                 )
-        distance_range = radius
 
     # Distance alias referenced in the projection (`SELECT id, dist ...
     # ORDER BY L2Distance(...) AS dist`) resolves to the distance output.
@@ -270,4 +291,64 @@ def bind_select(select: Select, schema: TableSchema) -> HybridLogicalPlan:
         distance_range=distance_range,
         needs_vector_column=needs_vector,
         wants_distance_output=wants_distance,
+    )
+
+
+@dataclass
+class PreparedSelect:
+    """One SELECT shape, parsed, bound and rule-rewritten once.
+
+    ``select`` is the template AST and ``logical`` the plan bound from it
+    (both hold the literals of the statement they were made from);
+    ``vector_slot`` is the literal behind ``logical.distance``, ``radius``
+    the template expression behind ``logical.distance_range``.  Depends
+    on the table's schema only, never on its data.
+    """
+
+    select: Select
+    logical: HybridLogicalPlan
+    vector_slot: Optional[int] = None
+    radius: Optional[Expression] = None
+
+    def bind(self, scan: Scan, schema: TableSchema) -> HybridLogicalPlan:
+        """The plan that binding and rewriting ``scan``'s own AST would
+        give: every check that depends on a literal's value is made
+        again, and nothing mutable is shared with the template."""
+        select, template, literals = self.select, self.logical, scan.literals
+        k = None if select.limit_slot is None else scan.integer(select.limit_slot)
+        offset = 0 if select.offset_slot is None else scan.integer(select.offset_slot)
+        distance = template.distance
+        if distance is not None:
+            distance = replace(
+                distance, query_vector=_query_vector(literals[self.vector_slot], schema)
+            )
+            if k is not None:
+                k += offset  # topk_pushdown: the ANN scan yields offset + k rows
+        return replace(
+            template,
+            output_columns=list(template.output_columns),
+            output_aliases=list(template.output_aliases),
+            scalar_predicate=fill_literals(template.scalar_predicate, literals),
+            distance=distance,
+            k=k,
+            offset=offset,
+            distance_range=self.radius and _numeric_literal(self.radius, literals),
+        )
+
+
+def prepare_select(
+    select: Select, schema: TableSchema, logical: HybridLogicalPlan, scan: Scan
+) -> Optional[PreparedSelect]:
+    """The template of ``scan``'s shape from its parsed ``select`` and
+    bound, rewritten ``logical`` — or None when the slot map cannot
+    describe it.  The statement's vector literals must be exactly the one
+    the distance operator is bound from: a shape that compares two (ORDER
+    BY vector vs range vector), or keeps one in the predicate or the
+    projection, is bound in full every time."""
+    vectors = [slot for slot, value in enumerate(scan.literals) if type(value) is tuple]
+    if len(vectors) != (logical.distance is not None):
+        return None
+    constraint = _split_distance_range(select.where, schema)[1]
+    return PreparedSelect(
+        select, logical, vectors[0] if vectors else None, constraint and constraint[2]
     )

@@ -145,9 +145,6 @@ class Optimizer:
             return {"nprobe": self.config.default_nprobe}
         return {}
 
-    # Backwards-compatible alias (pre-public name).
-    _default_search_params = default_search_params
-
     def choose(
         self,
         logical: HybridLogicalPlan,
@@ -160,7 +157,7 @@ class Optimizer:
         ``search_params`` lets callers (or SET statements) override
         ef_search/nprobe; otherwise defaults apply.
         """
-        params = dict(self._default_search_params(index_spec))
+        params = dict(self.default_search_params(index_spec))
         params.update(search_params or {})
 
         # Degenerate shapes first.

@@ -2,12 +2,16 @@
 
 Nodes are plain dataclasses; the planner walks them directly.  Expression
 nodes share the :class:`Expression` base so predicates compose.
+
+Every parsed statement is also a *template*: a node built from a literal
+remembers the literal's ``slot`` in its scan's literal vector, so another
+statement of the same shape can be bound without being parsed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 
 class Statement:
@@ -26,6 +30,7 @@ class Literal(Expression):
     """A constant: number, string, boolean, or NULL."""
 
     value: Any
+    slot: Optional[int] = field(default=None, compare=False)
 
 
 @dataclass
@@ -33,6 +38,7 @@ class VectorLiteral(Expression):
     """A bracketed vector constant, e.g. ``[0.1, 0.2, 0.3]``."""
 
     values: Tuple[float, ...]
+    slot: Optional[int] = field(default=None, compare=False)
 
 
 @dataclass
@@ -102,6 +108,20 @@ DISTANCE_FUNCTIONS = {
 def distance_metric_for(function_name: str) -> Optional[str]:
     """Metric string for a distance function name, or None if not one."""
     return DISTANCE_FUNCTIONS.get(function_name.lower())
+
+
+def fill_literals(node: Any, literals: Sequence[Any]) -> Any:
+    """A fresh copy of the scalar template expression ``node`` with every
+    slotted :class:`Literal` read from ``literals``; leaves are shared."""
+    if isinstance(node, Literal):
+        return node if node.slot is None else Literal(literals[node.slot], node.slot)
+    if isinstance(node, tuple):
+        return tuple(fill_literals(item, literals) for item in node)
+    if not isinstance(node, (BinaryOp, UnaryOp, Between, InList, FunctionCall)):
+        return node
+    return type(node)(
+        *(fill_literals(getattr(node, name), literals) for name in node.__dataclass_fields__)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -223,7 +243,8 @@ class Select(Statement):
     """SELECT items FROM table [AS OF n] [WHERE ...] [ORDER BY ...] [LIMIT n].
 
     ``as_of`` pins the query to a historical manifest id (time travel);
-    None reads the current manifest.
+    None reads the current manifest.  The ``*_slot`` fields say which
+    literal each of the three integers was read from.
     """
 
     items: List[SelectItem]
@@ -233,6 +254,9 @@ class Select(Statement):
     limit: Optional[int] = None
     offset: int = 0
     as_of: Optional[int] = None
+    limit_slot: Optional[int] = field(default=None, compare=False)
+    offset_slot: Optional[int] = field(default=None, compare=False)
+    as_of_slot: Optional[int] = field(default=None, compare=False)
 
 
 @dataclass

@@ -1,8 +1,10 @@
 """Recursive-descent parser for the BlendHouse SQL dialect.
 
-Entry point: :func:`parse_statement`.  Expression parsing uses precedence
-climbing (OR < AND < NOT < comparison < additive < multiplicative <
-unary).
+Entry point: :func:`parse_statement`.  The parser consumes the scan's
+*template* — every literal, a whole query vector included, is one token —
+and fills each literal node from the scan's literal vector, remembering
+its slot.  Expression parsing uses precedence climbing (OR < AND < NOT <
+comparison < additive < multiplicative < unary).
 """
 
 from __future__ import annotations
@@ -36,14 +38,15 @@ from repro.sqlparser.ast_nodes import (
     Update,
     VectorLiteral,
 )
-from repro.sqlparser.lexer import Token, TokenType, tokenize
+from repro.sqlparser.lexer import Scan, Token, TokenType, scan_statement
 
 
 class _Parser:
-    """Stateful cursor over the token stream."""
+    """Stateful cursor over a scan's template tokens."""
 
-    def __init__(self, tokens: List[Token]) -> None:
-        self._tokens = tokens
+    def __init__(self, scan: Scan) -> None:
+        self._scan = scan
+        self._tokens = scan.tokens
         self._pos = 0
 
     # ------------------------------------------------------------------
@@ -107,6 +110,13 @@ class _Parser:
             position=token.position,
         )
 
+    def expect_integer(self) -> Tuple[int, int]:
+        """An integer literal: its value and its slot."""
+        if self.current.type not in (TokenType.NUMBER, TokenType.STRING):
+            self.expect(TokenType.NUMBER)  # raises: no scalar literal here
+        slot = self.advance().slot
+        return self._scan.integer(slot), slot
+
     # ------------------------------------------------------------------
     # Statements
     # ------------------------------------------------------------------
@@ -157,7 +167,7 @@ class _Parser:
         self.expect_keyword("QUERIES")
         limit: Optional[int] = None
         if self.match_keyword("LIMIT"):
-            limit = int(self.expect(TokenType.NUMBER).value)
+            limit = self.expect_integer()[0]
         self._finish()
         return ShowSlowQueries(limit=limit)
 
@@ -209,8 +219,7 @@ class _Parser:
                 self.expect_keyword("BY")
                 cluster_by = self.expect_identifier()
                 self.expect_keyword("INTO")
-                buckets_token = self.expect(TokenType.NUMBER)
-                cluster_buckets = int(buckets_token.value)
+                cluster_buckets = self.expect_integer()[0]
                 self.expect_keyword("BUCKETS")
             else:
                 break
@@ -382,10 +391,10 @@ class _Parser:
         table = self.expect_identifier()
         # Time travel: FROM <table> AS OF <manifest_id>.  Unambiguous
         # because the grammar has no table aliases.
-        as_of: Optional[int] = None
+        as_of = limit = as_of_slot = limit_slot = offset_slot = None
         if self.match_keyword("AS"):
             self.expect_keyword("OF")
-            as_of = int(self.expect(TokenType.NUMBER).value)
+            as_of, as_of_slot = self.expect_integer()
         where = None
         if self.match_keyword("WHERE"):
             where = self.parse_expression()
@@ -407,12 +416,11 @@ class _Parser:
                 )
                 if not self.match(TokenType.COMMA):
                     break
-        limit: Optional[int] = None
         offset = 0
         if self.match_keyword("LIMIT"):
-            limit = int(self.expect(TokenType.NUMBER).value)
+            limit, limit_slot = self.expect_integer()
             if self.match_keyword("OFFSET"):
-                offset = int(self.expect(TokenType.NUMBER).value)
+                offset, offset_slot = self.expect_integer()
         self._finish()
         return Select(
             items=items,
@@ -422,6 +430,9 @@ class _Parser:
             limit=limit,
             offset=offset,
             as_of=as_of,
+            limit_slot=limit_slot,
+            offset_slot=offset_slot,
+            as_of_slot=as_of_slot,
         )
 
     # ------------------------------------------------------------------
@@ -509,15 +520,12 @@ class _Parser:
 
     def _parse_primary(self) -> Expression:
         token = self.current
-        if token.type == TokenType.NUMBER:
+        if token.type in (TokenType.NUMBER, TokenType.STRING):
             self.advance()
-            text = token.value
-            if "." in text or "e" in text or "E" in text:
-                return Literal(float(text))
-            return Literal(int(text))
-        if token.type == TokenType.STRING:
+            return Literal(self._scan.literals[token.slot], token.slot)
+        if token.type == TokenType.VECTOR:
             self.advance()
-            return Literal(token.value)
+            return VectorLiteral(self._scan.literals[token.slot], token.slot)
         if token.is_keyword("NULL"):
             self.advance()
             return Literal(None)
@@ -527,8 +535,6 @@ class _Parser:
         if token.is_keyword("FALSE"):
             self.advance()
             return Literal(False)
-        if token.type == TokenType.LBRACKET:
-            return self._parse_vector_literal()
         if token.type == TokenType.LPAREN:
             self.advance()
             inner = self.parse_expression()
@@ -551,28 +557,20 @@ class _Parser:
             position=token.position,
         )
 
-    def _parse_vector_literal(self) -> VectorLiteral:
-        self.expect(TokenType.LBRACKET)
-        values: List[float] = []
-        while not self.check(TokenType.RBRACKET):
-            negative = False
-            if self.check(TokenType.OPERATOR, "-"):
-                self.advance()
-                negative = True
-            number = self.expect(TokenType.NUMBER)
-            value = float(number.value)
-            values.append(-value if negative else value)
-            self.match(TokenType.COMMA)
-        self.expect(TokenType.RBRACKET)
-        return VectorLiteral(values=tuple(values))
 
-
-def parse_statement(sql: str) -> Statement:
+def parse_statement(sql: str, scan: Optional[Scan] = None) -> Statement:
     """Parse one SQL statement into its AST.
+
+    ``scan`` is the statement's lexer pass when the caller already made
+    one, so the text is lexed once.
 
     Raises
     ------
     ParseError
         With the offending source position on any syntax error.
     """
-    return _Parser(tokenize(sql)).parse_statement()
+    if scan is None:
+        scan = scan_statement(sql)
+    if scan.error is not None:
+        raise scan.error
+    return _Parser(scan).parse_statement()

@@ -94,3 +94,60 @@ class TestTokenHelpers:
         assert token.is_keyword("SELECT")
         assert token.is_keyword("SELECT", "FROM")
         assert not token.is_keyword("FROM")
+
+
+from repro.sqlparser.lexer import scan_statement  # noqa: E402 - added with the scan
+
+
+class TestScan:
+    SQL = ("explain analyze SELECT id FROM t WHERE a < 5 AND b = 'it\\'s' "
+           "ORDER BY L2Distance(v, [1.5, -2, 3e-1]) LIMIT 10;")
+
+    def test_template_collapses_each_literal_to_one_slotted_token(self):
+        scan = scan_statement(self.SQL)
+        slotted = [(t.type, t.slot) for t in scan.tokens if t.slot >= 0]
+        assert slotted == [
+            (TokenType.NUMBER, 0), (TokenType.STRING, 1),
+            (TokenType.VECTOR, 2), (TokenType.NUMBER, 3),
+        ]
+        assert scan.literals == [5, "it's", (1.5, -2.0, 0.3), 10]
+        assert [self.SQL[t.position] for t in scan.tokens if t.slot >= 0] == [
+            "5", "'", "[", "1",
+        ]
+        assert scan.tokens[-1].type == TokenType.EOF
+        assert len(scan.tokens) < len(tokenize(self.SQL)) - 6
+
+    def test_signature_excludes_the_explain_prefix(self):
+        scan = scan_statement(self.SQL)
+        assert scan.explain == 2
+        assert self.SQL[scan.start:].startswith("SELECT id")
+        assert scan.signature == scan_statement(self.SQL[scan.start:]).signature
+        assert scan.signature == (
+            "SELECT id FROM t WHERE a < ? AND b = ? "
+            "ORDER BY L2Distance ( v , [?] ) LIMIT ? ;"
+        )
+        assert scan_statement("EXPLAIN SELECT 1").explain == 1
+        assert scan_statement("SELECT 1").explain == 0
+
+    def test_number_conversion_is_the_parsers_rule(self):
+        assert scan_statement("1 1.0 1e0 .5 2.").literals == [1, 1.0, 1.0, 0.5, 2.0]
+        assert [type(v) for v in scan_statement("7 7e0").literals] == [int, float]
+
+    def test_bulk_and_token_wise_vectors_agree(self):
+        bulk = scan_statement("[0.1, -2.5e-3,7]").literals
+        slow = scan_statement("[0.1 -2.5e-3 , 7,]").literals
+        assert bulk == slow == [(0.1, -0.0025, 7.0)]
+
+    def test_malformed_literal_is_deferred_not_raised(self):
+        # The signature of a malformed statement is still well defined.
+        scan = scan_statement("SELECT [[1, 2], [3, 4]], 1e FROM t")
+        assert scan.signature == "SELECT [?] , ? FROM t"
+        assert isinstance(scan.error, ParseError) and scan.error.position == 8
+        assert scan_statement("SELECT 1").error is None
+
+    def test_integer_slot(self):
+        scan = scan_statement("LIMIT 10 OFFSET 2.5")
+        assert scan.integer(0) == 10
+        with pytest.raises(ParseError) as info:
+            scan.integer(1)
+        assert info.value.position == 16

@@ -231,3 +231,48 @@ class TestErrors:
         with pytest.raises(ParseError) as info:
             parse_statement("SELECT FROM")
         assert info.value.position >= 0
+
+    @pytest.mark.parametrize("sql, at", [
+        ("SELECT id FROM t WHERE x < 1e", "1e"),
+        ("SELECT id FROM t LIMIT 1.5", "1.5"),
+        ("SELECT id FROM t LIMIT 1e3", "1e3"),
+        ("SELECT id FROM t AS OF 1.5 LIMIT 3", "1.5"),
+        ("SELECT id FROM t ORDER BY L2Distance(v, [1e, 2]) LIMIT 3", "1e"),
+    ])
+    def test_malformed_number_is_a_parse_error_with_position(self, sql, at):
+        # These used to escape as bare ValueErrors from float() / int().
+        with pytest.raises(ParseError) as info:
+            parse_statement(sql)
+        assert info.value.position == sql.index(at)
+
+
+class TestTemplate:
+    def test_literal_nodes_remember_their_slot(self):
+        statement = parse_statement(
+            "SELECT id FROM t AS OF 3 WHERE a < 5 AND b = 'x' "
+            "ORDER BY L2Distance(v, [1.0, -2.0]) LIMIT 10 OFFSET 2"
+        )
+        assert statement.as_of_slot == 0 and statement.as_of == 3
+        assert statement.where.left.right == Literal(5)
+        assert statement.where.left.right.slot == 1
+        assert statement.where.right.right.slot == 2
+        vector = statement.order_by[0].expression.args[1]
+        assert (vector.values, vector.slot) == ((1.0, -2.0), 3)
+        assert (statement.limit, statement.limit_slot) == (10, 4)
+        assert (statement.offset, statement.offset_slot) == (2, 5)
+
+    def test_keyword_constants_have_no_slot(self):
+        where = parse_statement("SELECT id FROM t WHERE a IS NULL AND TRUE").where
+        assert where.left.right.slot is None and where.right.slot is None
+
+    def test_vector_grammar(self):
+        def values(text):
+            return parse_statement(f"UPDATE t SET v = {text}").assignments[0][1].values
+
+        assert values("[]") == ()
+        assert values("[1 2,3,]") == (1.0, 2.0, 3.0)
+        assert values("[- 1, -2e-1 .5]") == (-1.0, -0.2, 0.5)
+        assert values("[1, -- one\n 2]") == (1.0, 2.0)
+        for bad in ("[1,,2]", "[nan]", "[inf]", "[1_0]", "[[1]]", "['1']", "[+1]", "[1"):
+            with pytest.raises(ParseError):
+                values(bad)
