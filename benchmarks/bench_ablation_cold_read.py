@@ -15,18 +15,40 @@ Cold = first query on an empty cache; warm = the same query with the
 index resident.  The engine currently loads any index payload wholesale
 (the conservative choice); a head/graph split of the persisted layout is
 the future-work item this ablation motivates.
+
+Beside the simulated fetch, ``load us`` records what materialising the
+persisted image costs on the wall clock (median ``deserialize_index``),
+so the bytes-vs-materialisation split of a cold read is on one row.
 """
+
+import statistics
+import time
 
 import numpy as np
 import pytest
 
 from benchmarks.common import BENCH_COST, fmt_table, record
 from repro.simulate.clock import SimulatedClock
-from repro.vindex.registry import IndexSpec, create_index, serialize_index
+from repro.vindex.registry import (
+    IndexSpec,
+    create_index,
+    deserialize_index,
+    serialize_index,
+)
 from repro.workloads.datasets import make_cohere_like
 
 DIM = 64
 N = 4000
+LOAD_REPEATS = 51
+
+
+def _median_load_us(persisted: bytes) -> float:
+    samples = []
+    for _ in range(LOAD_REPEATS):
+        start = time.perf_counter()
+        deserialize_index(persisted)
+        samples.append(time.perf_counter() - start)
+    return statistics.median(samples) * 1e6
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +66,9 @@ def cold_read_results():
         index = create_index(IndexSpec(index_type=index_type, dim=DIM, params=params))
         index.train(vectors)
         index.add_with_ids(vectors, np.arange(N))
-        persisted_bytes = len(serialize_index(index))
+        persisted = serialize_index(index)
+        persisted_bytes = len(persisted)
+        load_us = _median_load_us(persisted)
         resident_bytes = index.memory_bytes()
 
         clock = SimulatedClock()
@@ -71,6 +95,7 @@ def cold_read_results():
             "cold": cold,
             "warm": warm,
             "persisted_bytes": persisted_bytes,
+            "load_us": load_us,
             "resident_bytes": resident_bytes,
         }
     return out
@@ -82,6 +107,7 @@ def test_ablation_cold_read(benchmark, cold_read_results):
         rows.append([
             label,
             values["persisted_bytes"] / 1024,
+            values["load_us"],
             values["resident_bytes"] / 1024,
             values["cold"] * 1e3,
             values["warm"] * 1e3,
@@ -89,12 +115,15 @@ def test_ablation_cold_read(benchmark, cold_read_results):
         ])
     print(fmt_table(
         "Ablation: cold vs warm query latency by index residency",
-        ["index", "persisted KiB", "RAM-resident KiB",
+        ["index", "persisted KiB", "load us (wall)", "RAM-resident KiB",
          "cold (sim ms)", "warm (sim ms)", "cold/warm"],
         rows,
     ))
     record(benchmark, "cold_ms", {
         label: values["cold"] * 1e3 for label, values in cold_read_results.items()
+    })
+    record(benchmark, "load_us", {
+        label: values["load_us"] for label, values in cold_read_results.items()
     })
 
     hnsw = cold_read_results["HNSW"]

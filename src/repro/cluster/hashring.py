@@ -13,8 +13,9 @@ removing one worker moves only ≈ 1/(n+1) of the segments.
 from __future__ import annotations
 
 import bisect
+import functools
 import hashlib
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import NoWorkersError
 
@@ -27,6 +28,17 @@ _RING_SIZE = 1 << _RING_BITS
 def _hash64(value: str) -> int:
     digest = hashlib.blake2b(value.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big")
+
+
+@functools.lru_cache(maxsize=4096)
+def _probe_positions(key: str, probes: int) -> Tuple[int, ...]:
+    """Ring positions of ``key``'s probes.
+
+    They depend on the key and the probe count only — not on who is on
+    the ring — so the digests are memoised: a scheduler re-assigning the
+    same segments every query pays ``probes`` bisects, no hashing.
+    """
+    return tuple(_hash64(f"key::{key}::probe::{probe}") for probe in range(probes))
 
 
 class MultiProbeHashRing:
@@ -99,8 +111,7 @@ class MultiProbeHashRing:
             raise NoWorkersError("hash ring has no workers")
         best_worker: Optional[str] = None
         best_distance: Optional[int] = None
-        for probe in range(self.probes):
-            position = _hash64(f"key::{key}::probe::{probe}")
+        for position in _probe_positions(key, self.probes):
             distance = self._clockwise_distance(position)
             assert distance is not None
             if best_distance is None or distance < best_distance:

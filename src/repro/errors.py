@@ -101,6 +101,13 @@ class IndexParameterError(IndexError_):
     """An index was created or searched with invalid parameters."""
 
 
+class IndexCorruptError(IndexError_):
+    """Persisted index bytes are not a valid index image: bad magic or
+    version, a header that does not parse, a section that leaves the
+    buffer, or structural arrays (graph / cell offsets) that could not
+    be gathered through safely."""
+
+
 class PlannerError(BlendHouseError):
     """Plan construction or optimization failed."""
 

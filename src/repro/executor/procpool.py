@@ -8,8 +8,9 @@ per-segment scans in *worker processes* instead:
 * Workers are persistent and spawn-started (safe with the engine's
   threads); each holds an **attach cache** keyed by
   ``(segment_id, manifest_id, block token, has_index)`` so a segment's
-  shared-memory vector block is mapped once and its index deserialized
-  once, then reused across queries.
+  shared-memory vector block is mapped once and its index loaded once
+  — an index image (:mod:`repro.vindex.image`) shipped as bytes, whose
+  arrays the worker views in place — then reused across queries.
 * Scan requests ship **pickled scan specs, never data**: the plan, the
   cost model, and :class:`~repro.storage.sharedblock.SharedBlockSpec`
   attach handles.  Vector payloads — and frozen delete bitmaps, which

@@ -299,13 +299,16 @@ class HierarchicalIndexCache:
         payload = None
         if self._shared is not None:
             payload = self._shared.get(key)
-        if payload is None:
+        from_store = payload is None
+        if from_store:
             if key not in self._store:
                 return False
             payload = self._store.get(key)
-            if self._shared is not None:
-                self._shared.put(key, payload)
+        # Deserialize before any back-fill, as _resolve does: bytes that
+        # do not load must not reach a lower tier.
         value = self._deserialize(payload)
+        if from_store and self._shared is not None:
+            self._shared.put(key, payload)
         if self._disk is not None:
             self._disk.write(key, payload)
         self._fill_memory(key, value, source="preload")

@@ -19,7 +19,7 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.errors import IndexParameterError
+from repro.errors import IndexCorruptError, IndexParameterError
 from repro.vindex.api import (
     SearchResult,
     VectorIndex,
@@ -27,6 +27,14 @@ from repro.vindex.api import (
     get_kernel_mode,
     l2sq_pairwise_via_norms,
     pairwise_distance,
+)
+from repro.vindex.image import (
+    adjacency_bytes,
+    adjacency_fields,
+    array_field,
+    freeze_adjacency,
+    load_adjacency,
+    thaw_adjacency,
 )
 
 DEFAULT_R = 24            # max out-degree
@@ -71,15 +79,16 @@ class DiskANNIndex(VectorIndex):
         self.seed = seed
         self._vectors = np.empty((0, dim), dtype=np.float32)
         self._ids = np.empty(0, dtype=np.int64)
-        self._graph: List[List[int]] = []
+        # The Vamana graph in two forms, at least one of them present
+        # (same discipline as HNSWIndex): the builder's adjacency lists
+        # while a build runs and for the reference kernel, the frozen
+        # CSR ``(offsets, indices)`` for the fast kernel and the image.
+        # During construction the graph mutates per node, so search
+        # takes the list-of-lists walk.
+        self._graph_lists: Optional[List[List[int]]] = []
+        self._csr: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._medoid = -1
         self._io_charger: Optional[Callable[[int], None]] = None
-        # CSR adjacency for the fast search kernel; rebuilt lazily after
-        # each (re)build.  During construction the graph mutates per
-        # node, so search falls back to the list-of-lists walk.
-        self._csr_indptr: Optional[np.ndarray] = None
-        self._csr_indices: Optional[np.ndarray] = None
-        self._csr_dirty = True
         self._building = False
 
     @property
@@ -102,23 +111,23 @@ class DiskANNIndex(VectorIndex):
         """
         return boundary_distances(np.asarray(internal, dtype=np.float32), self.metric)
 
-    def _graph_csr(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Adjacency as (indptr, indices), rebuilt after graph rebuilds."""
-        if self._csr_dirty or self._csr_indptr is None:
-            n = len(self._graph)
-            counts = np.fromiter(
-                (len(neighbors) for neighbors in self._graph), dtype=np.int64, count=n
-            )
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(counts, out=indptr[1:])
-            indices = np.fromiter(
-                (v for neighbors in self._graph for v in neighbors),
-                dtype=np.int64, count=int(indptr[-1]),
-            )
-            self._csr_indices = indices
-            self._csr_indptr = indptr
-            self._csr_dirty = False
-        return self._csr_indptr, self._csr_indices
+    def _frozen_graph(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Adjacency as CSR ``(offsets, indices)``, frozen after a rebuild."""
+        lists = self._graph_lists
+        csr = self._csr
+        if csr is None:
+            csr = self._csr = freeze_adjacency(lists)
+            self._graph_lists = None
+        return csr
+
+    @property
+    def _graph(self) -> List[List[int]]:
+        """Adjacency lists, thawed from the CSR when the reference
+        kernel (or a test) asks for them after a freeze or a load."""
+        lists = self._graph_lists
+        if lists is None:
+            lists = self._graph_lists = thaw_adjacency(*self._csr)
+        return lists
 
     def set_io_charger(self, charger: Optional[Callable[[int], None]]) -> None:
         """Install a callable charged ``nbytes`` per simulated disk read."""
@@ -158,14 +167,16 @@ class DiskANNIndex(VectorIndex):
         mean = self._vectors.mean(axis=0)
         self._medoid = int(np.argmin(pairwise_distance(mean, self._vectors, "l2")))
         # Random initial R-regular graph.
-        self._graph = []
+        graph: List[List[int]] = []
+        self._graph_lists = graph
+        self._csr = None
         for node in range(n):
             if n == 1:
-                self._graph.append([])
+                graph.append([])
                 continue
             choices = rng.choice(n - 1, size=min(self.r, n - 1), replace=False)
             neighbors = [c if c < node else c + 1 for c in choices.tolist()]
-            self._graph.append(neighbors)
+            graph.append(neighbors)
         # One Vamana pass in random order (a second pass with larger alpha
         # marginally improves recall; one suffices at repro scale).
         order = rng.permutation(n)
@@ -174,18 +185,17 @@ class DiskANNIndex(VectorIndex):
                 self._vectors[node], self.build_beam, charge=False
             )
             candidates = [(d, v) for d, v in visited if v != node]
-            self._graph[node] = self._robust_prune(node, candidates)
-            for neighbor in self._graph[node]:
-                back = self._graph[neighbor]
+            graph[node] = self._robust_prune(node, candidates)
+            for neighbor in graph[node]:
+                back = graph[neighbor]
                 if node not in back:
                     back.append(node)
                     if len(back) > self.r:
                         dists = self._dist_internal(self._vectors[neighbor], back)
-                        self._graph[neighbor] = self._robust_prune(
+                        graph[neighbor] = self._robust_prune(
                             neighbor, list(zip(dists.tolist(), back))
                         )
         self._building = False
-        self._csr_dirty = True
 
     def _robust_prune(self, node: int, candidates: List[Tuple[float, int]]) -> List[int]:
         """Vamana's alpha-relaxed pruning: drop candidates dominated by an
@@ -240,6 +250,7 @@ class DiskANNIndex(VectorIndex):
         """
         if get_kernel_mode() == "fast" and not self._building:
             return self._greedy_search_fast(query, beam, charge)
+        graph = self._graph
         start = self._medoid
         visited: Set[int] = {start}
         if charge:
@@ -253,7 +264,7 @@ class DiskANNIndex(VectorIndex):
             if len(results) >= beam and dist > -results[0][0]:
                 break
             settled.append((dist, node))
-            fresh = [v for v in self._graph[node] if v not in visited]
+            fresh = [v for v in graph[node] if v not in visited]
             if not fresh:
                 continue
             visited.update(fresh)
@@ -278,7 +289,7 @@ class DiskANNIndex(VectorIndex):
         walk (same arithmetic, heap discipline, neighbor order) with CSR
         neighbor gather and a boolean visited mask replacing per-node
         python loops, so results are byte-identical."""
-        indptr, indices = self._graph_csr()
+        indptr, indices = self._frozen_graph()
         start = self._medoid
         visited = np.zeros(self.ntotal, dtype=bool)
         visited[start] = True
@@ -349,8 +360,7 @@ class DiskANNIndex(VectorIndex):
 
     def disk_bytes(self) -> int:
         """Size of the disk-resident portion (vectors + adjacency)."""
-        graph = sum(8 * len(neighbors) + 16 for neighbors in self._graph)
-        return int(self._vectors.nbytes) + graph
+        return int(self._vectors.nbytes) + adjacency_bytes(*self._frozen_graph())
 
     def to_payload(self) -> Dict[str, Any]:
         return {
@@ -363,7 +373,7 @@ class DiskANNIndex(VectorIndex):
             "seed": self.seed,
             "vectors": self._vectors,
             "ids": self._ids,
-            "graph": self._graph,
+            **adjacency_fields("graph", *self._frozen_graph(), self.ntotal),
             "medoid": self._medoid,
         }
 
@@ -377,8 +387,14 @@ class DiskANNIndex(VectorIndex):
             build_beam=payload["build_beam"],
             seed=payload["seed"],
         )
-        index._vectors = np.asarray(payload["vectors"], dtype=np.float32)
-        index._ids = np.asarray(payload["ids"], dtype=np.int64)
-        index._graph = payload["graph"]
-        index._medoid = payload["medoid"]
+        index._vectors = array_field(payload, "vectors", np.float32, None, index.dim)
+        n = index.ntotal
+        index._ids = array_field(payload, "ids", np.int64, n)
+        csr = load_adjacency(payload, "graph", n, slots=n)
+        medoid = payload["medoid"]
+        if not (isinstance(medoid, int) and (0 <= medoid < n or (n == 0 and medoid == -1))):
+            raise IndexCorruptError(f"DISKANN image: medoid {medoid!r} outside its {n} rows")
+        index._graph_lists = None
+        index._csr = csr
+        index._medoid = medoid
         return index

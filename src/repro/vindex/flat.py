@@ -19,6 +19,7 @@ from repro.vindex.api import (
     pairwise_distance_batch,
     top_k_from_distances,
 )
+from repro.vindex.image import array_field
 
 
 class FlatIndex(VectorIndex):
@@ -147,6 +148,6 @@ class FlatIndex(VectorIndex):
     @classmethod
     def from_payload(cls, payload: Dict[str, Any]) -> "FlatIndex":
         index = cls(payload["dim"], payload["metric"])
-        index._vectors = np.asarray(payload["vectors"], dtype=np.float32)
-        index._ids = np.asarray(payload["ids"], dtype=np.int64)
+        index._vectors = array_field(payload, "vectors", np.float32, None, index.dim)
+        index._ids = array_field(payload, "ids", np.int64, index.ntotal)
         return index

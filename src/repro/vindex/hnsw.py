@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.errors import IndexParameterError
+from repro.errors import IndexCorruptError, IndexParameterError
 from repro.vindex.api import (
     SearchResult,
     VectorIndex,
@@ -34,11 +34,35 @@ from repro.vindex.api import (
     l2sq_pairwise_via_norms,
     pairwise_distance,
 )
+from repro.vindex.image import (
+    adjacency_bytes,
+    adjacency_fields,
+    array_field,
+    check_offsets,
+    freeze_adjacency,
+    load_adjacency,
+    thaw_adjacency,
+)
 from repro.vindex.iterator import SearchIterator
 
 DEFAULT_M = 16
 DEFAULT_EF_CONSTRUCTION = 100
 DEFAULT_EF_SEARCH = 64
+
+
+class _FrozenLinks(NamedTuple):
+    """Every layer's adjacency as one CSR over *slots* (DESIGN.md §5).
+
+    Slot ``node`` (``node < ntotal``) is the node's layer-0 list, so
+    layer 0 reads ``offsets`` / ``indices`` as a plain per-node CSR; the
+    list of ``node`` on layer ``l >= 1`` is slot
+    ``ntotal + upper_ptr[node] + l - 1``, and ``upper_ptr[node + 1] -
+    upper_ptr[node]`` is the node's level.
+    """
+
+    offsets: np.ndarray    # uint32[slots + 1]
+    indices: np.ndarray    # int64[links]
+    upper_ptr: np.ndarray  # uint32[ntotal + 1]
 
 
 class HNSWIndex(VectorIndex):
@@ -74,35 +98,34 @@ class HNSWIndex(VectorIndex):
         self.ef_construction = ef_construction
         self.seed = seed
         self._level_mult = 1.0 / math.log(m)
-        self._rng = np.random.default_rng(seed)
+        # Level draws: built on the first add, so a load constructs none.
+        self._rng: Optional[np.random.Generator] = None
         self._vectors = np.empty((0, dim), dtype=np.float32)
         self._ids = np.empty(0, dtype=np.int64)
-        # _links[node][level] -> list of neighbor node indices.
-        self._links: List[List[List[int]]] = []
+        # Adjacency in two forms, at least one present: the builder's
+        # lists (``_links[node][level]`` -> neighbor node indices) while
+        # rows are added and for the reference kernels, the frozen CSR
+        # for the fast kernels and the image.  A mutation drops the CSR
+        # (the dirty flag), the next freeze drops the lists, a load
+        # starts CSR-only.  Each transition publishes the new form before
+        # dropping the old and readers fetch lists-then-CSR, so
+        # concurrent searches always find one.
+        self._links: Optional[List[List[List[int]]]] = []
+        self._frozen: Optional[_FrozenLinks] = None
         self._entry_point = -1
         self._max_level = -1
-        # Layer-0 adjacency in CSR form for the fast search kernel:
-        # rebuilt lazily after mutations, so immutable segments pay the
-        # flatten once and every query gathers neighbors with one slice.
-        self._csr_indptr: Optional[np.ndarray] = None
-        self._csr_indices: Optional[np.ndarray] = None
-        self._csr_dirty = True
 
     # ------------------------------------------------------------------
     # Basic state
     # ------------------------------------------------------------------
     @property
     def ntotal(self) -> int:
-        return int(self._vectors.shape[0])
-
-    def _vector_store(self) -> np.ndarray:
-        """Vectors used for distance computation (hook for SQ subclass)."""
-        return self._vectors
+        return int(self._ids.shape[0])
 
     def _gather_rows(self, nodes: np.ndarray) -> np.ndarray:
         """Float32 rows for ``nodes`` (hook: the SQ subclass decodes its
         uint8 codes on the gather instead of keeping a float mirror hot)."""
-        return self._vector_store()[nodes]
+        return self._vectors[nodes]
 
     def _distance(self, query: np.ndarray, nodes: Any) -> np.ndarray:
         """Internal *comparison* distance: squared L2 (monotone in true L2)
@@ -127,24 +150,36 @@ class HNSWIndex(VectorIndex):
         """
         return boundary_distances(np.asarray(internal, dtype=np.float32), self.metric)
 
-    def _layer0_csr(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Layer-0 adjacency as (indptr, indices), rebuilt after mutation."""
-        if self._csr_dirty or self._csr_indptr is None:
-            n = len(self._links)
-            counts = np.fromiter(
-                ((len(links[0]) if links else 0) for links in self._links),
-                dtype=np.int64, count=n,
+    def _frozen_links(self) -> _FrozenLinks:
+        """The CSR adjacency, frozen from the builder's lists after a
+        mutation (immutable segments pay the flatten once, for their
+        first search or save, whichever comes first)."""
+        lists = self._links
+        frozen = self._frozen
+        if frozen is None:
+            upper_ptr = np.zeros(len(lists) + 1, dtype=np.uint32)
+            upper_ptr[1:] = np.cumsum(
+                np.fromiter(map(len, lists), dtype=np.int64, count=len(lists)) - 1
             )
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(counts, out=indptr[1:])
-            indices = np.fromiter(
-                (neighbor for links in self._links for neighbor in (links[0] if links else ())),
-                dtype=np.int64, count=int(indptr[-1]),
-            )
-            self._csr_indices = indices
-            self._csr_indptr = indptr
-            self._csr_dirty = False
-        return self._csr_indptr, self._csr_indices
+            slots = [node[0] for node in lists]
+            slots.extend(layer for node in lists for layer in node[1:])
+            frozen = self._frozen = _FrozenLinks(*freeze_adjacency(slots), upper_ptr)
+            self._links = None
+        return frozen
+
+    def _thawed_links(self) -> List[List[List[int]]]:
+        """The builder's lists, thawed from the CSR on the first add or
+        reference-kernel search after a freeze or a load."""
+        lists = self._links
+        if lists is None:
+            frozen = self._frozen
+            n = self.ntotal
+            slots = thaw_adjacency(frozen.offsets, frozen.indices)
+            ptr = frozen.upper_ptr.tolist()
+            lists = self._links = [
+                [slots[node], *slots[n + ptr[node] : n + ptr[node + 1]]] for node in range(n)
+            ]
+        return lists
 
     def _random_level(self) -> int:
         uniform = float(self._rng.random())
@@ -162,11 +197,19 @@ class HNSWIndex(VectorIndex):
                 f"{ids.shape[0]} ids for {vectors.shape[0]} vectors"
             )
         start = self.ntotal
+        if self._rng is None:
+            # Every inserted row drew exactly one level, so skipping
+            # ``start`` draws resumes the stream where the index that was
+            # saved left it: extending a loaded index builds the same
+            # graph as extending the original.
+            self._rng = np.random.default_rng(self.seed)
+            self._rng.random(start)
+        self._thawed_links()  # before the CSR is dropped
+        self._frozen = None
         self._vectors = np.vstack([self._vectors, vectors])
         self._ids = np.concatenate([self._ids, ids])
         for offset in range(vectors.shape[0]):
             self._insert(start + offset)
-        self._csr_dirty = True
 
     def _insert(self, node: int) -> None:
         level = self._random_level()
@@ -222,8 +265,7 @@ class HNSWIndex(VectorIndex):
         if len(ordered) <= m:
             return ordered
         nodes = [idx for _, idx in ordered]
-        store = self._vector_store()
-        sub = store[nodes]
+        sub = self._vectors[nodes]
         if self.metric == "l2":
             pairwise = l2sq_pairwise_via_norms(sub)
         else:
@@ -273,6 +315,42 @@ class HNSWIndex(VectorIndex):
                 current = links[best]
                 current_dist = float(dists[best])
                 improved = True
+        return current
+
+    def _greedy_closest_fast(
+        self, query: np.ndarray, start: int, layer: int, frozen: _FrozenLinks
+    ) -> int:
+        """:meth:`_greedy_closest` over the CSR: same distances, same
+        first-minimum tie-break, same neighbor order."""
+        offsets, indices, upper_ptr = frozen
+        base = self.ntotal + layer - 1
+        current = start
+        current_dist = float(self._distance(query, [current])[0])
+        while True:
+            slot = base + int(upper_ptr[current])
+            links = indices[offsets[slot]:offsets[slot + 1]]
+            if links.size == 0:
+                break
+            dists = self._distance(query, links)
+            best = int(np.argmin(dists))
+            if float(dists[best]) >= current_dist:
+                break
+            current = int(links[best])
+            current_dist = float(dists[best])
+        return current
+
+    def _descend(self, query: np.ndarray) -> int:
+        """Greedy walk from the entry point through the upper layers;
+        returns the layer-0 entry, through the active kernel mode."""
+        current = self._entry_point
+        if get_kernel_mode() == "fast":
+            frozen = self._frozen_links()
+            for layer in range(self._max_level, 0, -1):
+                current = self._greedy_closest_fast(query, current, layer, frozen)
+        else:
+            self._thawed_links()
+            for layer in range(self._max_level, 0, -1):
+                current = self._greedy_closest(query, current, layer)
         return current
 
     def _search_layer(
@@ -330,7 +408,7 @@ class HNSWIndex(VectorIndex):
 
         Returns (ascending (distance, node) list, visited count).
         """
-        indptr, indices = self._layer0_csr()
+        indptr, indices, _ = self._frozen_links()
         visited = np.zeros(self.ntotal, dtype=bool)
         visited[entry] = True
         visited_count = 1
@@ -364,6 +442,7 @@ class HNSWIndex(VectorIndex):
         """Layer-0 search through the active kernel mode."""
         if get_kernel_mode() == "fast":
             return self._search_layer0_fast(query, entry, ef)
+        self._thawed_links()
         visited: Set[int] = set()
         candidates = self._search_layer(query, [entry], 0, ef, visited=visited)
         return candidates, len(visited)
@@ -384,9 +463,7 @@ class HNSWIndex(VectorIndex):
         if self.ntotal == 0 or k <= 0 or self._entry_point < 0:
             return SearchResult.empty()
         ef = max(int(ef_search), k)
-        current = self._entry_point
-        for layer in range(self._max_level, 0, -1):
-            current = self._greedy_closest(query, current, layer)
+        current = self._descend(query)
         candidates, visited_count = self._query_layer0(query, current, ef)
         if bitset is not None:
             # Filtered collection: traversal saw `candidates`; keep only
@@ -420,15 +497,22 @@ class HNSWIndex(VectorIndex):
     # ------------------------------------------------------------------
     # Persistence / accounting
     # ------------------------------------------------------------------
+    def _link_bytes(self) -> int:
+        frozen = self._frozen_links()
+        return adjacency_bytes(frozen.offsets, frozen.indices)
+
     def memory_bytes(self) -> int:
-        vectors = int(self._vectors.nbytes)
-        ids = int(self._ids.nbytes)
-        links = sum(
-            8 * len(layer) + 16 for node in self._links for layer in node
-        )
-        return vectors + ids + links
+        return int(self._vectors.nbytes) + int(self._ids.nbytes) + self._link_bytes()
+
+    def _rows_payload(self) -> Dict[str, Any]:
+        """The persisted form of the row store (hook for the SQ subclass)."""
+        return {"vectors": self._vectors}
+
+    def _load_rows(self, payload: Dict[str, Any]) -> None:
+        self._vectors = array_field(payload, "vectors", np.float32, self.ntotal, self.dim)
 
     def to_payload(self) -> Dict[str, Any]:
+        frozen = self._frozen_links()
         return {
             "index_type": self.index_type,
             "dim": self.dim,
@@ -436,9 +520,10 @@ class HNSWIndex(VectorIndex):
             "m": self.m,
             "ef_construction": self.ef_construction,
             "seed": self.seed,
-            "vectors": self._vectors,
+            **self._rows_payload(),
             "ids": self._ids,
-            "links": self._links,
+            **adjacency_fields("link", frozen.offsets, frozen.indices, self.ntotal),
+            "upper_ptr": frozen.upper_ptr,
             "entry_point": self._entry_point,
             "max_level": self._max_level,
         }
@@ -452,11 +537,34 @@ class HNSWIndex(VectorIndex):
             ef_construction=payload["ef_construction"],
             seed=payload["seed"],
         )
-        index._vectors = np.asarray(payload["vectors"], dtype=np.float32)
-        index._ids = np.asarray(payload["ids"], dtype=np.int64)
-        index._links = payload["links"]
-        index._entry_point = payload["entry_point"]
-        index._max_level = payload["max_level"]
+        index._ids = array_field(payload, "ids", np.int64, None)
+        n = index.ntotal
+        index._load_rows(payload)
+        # Everything the fast kernels gather through is checked once
+        # here: the CSR, the slot arithmetic of the upper layers, and
+        # that the descent can only ever step onto a node that has a
+        # list on the layer it is walking.
+        offsets, indices = load_adjacency(payload, "link", n)
+        upper_ptr = array_field(payload, "upper_ptr", np.uint32, n + 1)
+        entry, top = payload["entry_point"], payload["max_level"]
+        upper = offsets.shape[0] - 1 - n
+        check_offsets("upper_ptr", upper_ptr, upper)
+        levels = np.diff(upper_ptr)
+        well_formed = isinstance(entry, int) and isinstance(top, int)
+        if well_formed and n == 0:
+            well_formed = entry == -1 and top == -1
+        elif well_formed:
+            well_formed = 0 <= entry < n and top == levels.max() == levels[entry]
+        if well_formed and upper:
+            slot_layer = np.arange(upper) - np.repeat(upper_ptr[:-1], levels)
+            link_layer = np.repeat(slot_layer, np.diff(offsets[n:]))
+            well_formed = bool((levels[indices[offsets[n]:]] > link_layer).all())
+        if not well_formed:
+            raise IndexCorruptError("HNSW image: entry point, levels and upper links disagree")
+        index._links = None
+        index._frozen = _FrozenLinks(offsets, indices, upper_ptr)
+        index._entry_point = entry
+        index._max_level = top
         return index
 
 
@@ -496,9 +604,7 @@ class HNSWSearchIterator(SearchIterator):
         self._graph_exhausted = index.ntotal == 0 or index._entry_point < 0
         self.visited_total = 0
         if not self._graph_exhausted:
-            current = index._entry_point
-            for layer in range(index._max_level, 0, -1):
-                current = index._greedy_closest(query, current, layer)
+            current = index._descend(query)
             dist = float(index._distance(query, [current])[0])
             if self._visited_mask is not None:
                 self._visited_mask[current] = True
@@ -519,7 +625,7 @@ class HNSWSearchIterator(SearchIterator):
         if self._bitset is None or self._bitset[external]:
             heapq.heappush(self._pool, (dist, node))
         if self._visited_mask is not None:
-            indptr, indices = index._layer0_csr()
+            indptr, indices, _ = index._frozen_links()
             neighbors = indices[indptr[node]:indptr[node + 1]]
             fresh_arr = neighbors[~self._visited_mask[neighbors]]
             if fresh_arr.size:
@@ -529,7 +635,7 @@ class HNSWSearchIterator(SearchIterator):
                 for neighbor_dist, neighbor in zip(dists.tolist(), fresh_arr.tolist()):
                     heapq.heappush(self._candidates, (neighbor_dist, neighbor))
         else:
-            links = index._links[node][0] if index._links[node] else []
+            links = index._thawed_links()[node][0]
             fresh = [n for n in links if n not in self._visited]
             if fresh:
                 self._visited.update(fresh)

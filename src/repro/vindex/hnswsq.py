@@ -14,8 +14,11 @@ the distance block, exactly like an asymmetric distance computation that
 dequantizes in registers.  The affine decode ``code * scale + min`` is
 elementwise, so decode-on-gather is bitwise identical to searching a
 precomputed float mirror; the mirror kept by the parent class serves
-graph construction and persistence only.  :meth:`memory_bytes` reports
-the quantized footprint, which is what Table VI measures.
+graph construction only.  It is not persisted — the image holds codes,
+ranges and the link CSR, the paper's ≈4× at rest as well as in RAM — and
+a loaded index rebuilds it with one ``_decode(codes)`` if it is ever
+extended.  :meth:`memory_bytes` reports the quantized footprint, which
+is what Table VI measures.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import numpy as np
 
 from repro.errors import IndexParameterError
 from repro.vindex.hnsw import DEFAULT_EF_CONSTRUCTION, DEFAULT_M, HNSWIndex
+from repro.vindex.image import array_field
 
 
 class HNSWSQIndex(HNSWIndex):
@@ -84,9 +88,7 @@ class HNSWSQIndex(HNSWIndex):
         (the affine decode is elementwise), but models the real kernel
         shape — quantized storage, dequantize-in-registers compare.
         """
-        if self._codes.shape[0] == self._vectors.shape[0] and self._codes.shape[0]:
-            return self._decode(self._codes[nodes])
-        return self._vector_store()[nodes]
+        return self._decode(self._codes[nodes])
 
     # ------------------------------------------------------------------
     # Overrides
@@ -97,9 +99,11 @@ class HNSWSQIndex(HNSWIndex):
             # Lazy range learning keeps the uniform no-training call path.
             self.train(vectors)
         codes = self._encode(vectors)
+        if self._vectors.shape[0] != self._codes.shape[0]:
+            self._vectors = self._decode(self._codes)  # first add after a load
         self._codes = np.vstack([self._codes, codes])
-        # The parent builds the graph over whatever `_vector_store` returns;
-        # feed it the decoded (lossy) vectors so search sees SQ error.
+        # The parent builds the graph over the vectors it is handed;
+        # feed it the decoded (lossy) ones so search sees SQ error.
         super().add_with_ids(self._decode(codes), ids)
 
     def memory_bytes(self) -> int:
@@ -108,36 +112,13 @@ class HNSWSQIndex(HNSWIndex):
         ranges = 0
         if self._vmin is not None and self._vscale is not None:
             ranges = int(self._vmin.nbytes + self._vscale.nbytes)
-        links = sum(8 * len(layer) + 16 for node in self._links for layer in node)
-        return codes + ids + ranges + links
+        return codes + ids + ranges + self._link_bytes()
 
-    def to_payload(self) -> Dict[str, Any]:
-        payload = super().to_payload()
-        payload.update(
-            {
-                "index_type": self.index_type,
-                "vmin": self._vmin,
-                "vscale": self._vscale,
-                "codes": self._codes,
-            }
-        )
-        return payload
+    def _rows_payload(self) -> Dict[str, Any]:
+        return {"vmin": self._vmin, "vscale": self._vscale, "codes": self._codes}
 
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "HNSWSQIndex":
-        index = cls(
-            payload["dim"],
-            payload["metric"],
-            m=payload["m"],
-            ef_construction=payload["ef_construction"],
-            seed=payload["seed"],
-        )
-        index._vectors = np.asarray(payload["vectors"], dtype=np.float32)
-        index._ids = np.asarray(payload["ids"], dtype=np.int64)
-        index._links = payload["links"]
-        index._entry_point = payload["entry_point"]
-        index._max_level = payload["max_level"]
-        index._vmin = payload["vmin"]
-        index._vscale = payload["vscale"]
-        index._codes = np.asarray(payload["codes"], dtype=np.uint8)
-        return index
+    def _load_rows(self, payload: Dict[str, Any]) -> None:
+        self._codes = array_field(payload, "codes", np.uint8, self.ntotal, self.dim)
+        if payload["vmin"] is not None:
+            self._vmin = array_field(payload, "vmin", np.float32, self.dim)
+            self._vscale = array_field(payload, "vscale", np.float32, self.dim)

@@ -8,7 +8,7 @@ computes exact distances within them.  ``nprobe / nlist`` is the paper's
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -20,10 +20,44 @@ from repro.vindex.api import (
     pairwise_distance_batch,
     top_k_from_distances,
 )
+from repro.vindex.image import array_field, check_offsets
 from repro.vindex.kmeans import assign_to_centroids, kmeans
 
 DEFAULT_NLIST = 64
 DEFAULT_NPROBE = 8
+
+
+def post_to_cells(
+    cell_ptr: np.ndarray, new_cells: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Merge a batch into cell-ordered postings.
+
+    The posted rows are kept as one matrix ordered by cell, cell ``c``
+    owning rows ``cell_ptr[c]:cell_ptr[c + 1]`` — the layout the index
+    image stores.  Returns ``(order, cell_ptr')`` where ``order``
+    permutes ``concatenate([old rows, new rows])`` back into cell order;
+    the sort is stable, so inside a cell old rows stay ahead of new ones
+    in arrival order, exactly as per-cell appends would leave them.
+    """
+    nlist = cell_ptr.shape[0] - 1
+    cells = np.concatenate([np.repeat(np.arange(nlist), np.diff(cell_ptr)), new_cells])
+    grown = np.zeros(nlist + 1, dtype=np.uint32)
+    grown[1:] = np.cumsum(np.bincount(cells, minlength=nlist))
+    return np.argsort(cells, kind="stable"), grown
+
+
+def cell_ranges(cell_ptr: np.ndarray, cells: np.ndarray) -> Iterator[Tuple[int, int, int]]:
+    """``(cell, lo, hi)`` row ranges of ``cells`` as Python ints: two
+    gathers for the whole probe list instead of numpy-scalar indexing
+    per probed cell."""
+    return zip(cells.tolist(), cell_ptr[cells].tolist(), cell_ptr[cells + 1].tolist())
+
+
+def load_cell_ptr(payload: Dict[str, Any], nlist: int, ntotal: int) -> np.ndarray:
+    """The validated ``cell_ptr`` of an IVF image."""
+    cell_ptr = array_field(payload, "cell_ptr", np.uint32, nlist + 1)
+    check_offsets("cell_ptr", cell_ptr, ntotal)
+    return cell_ptr
 
 
 class IVFFlatIndex(VectorIndex):
@@ -50,13 +84,14 @@ class IVFFlatIndex(VectorIndex):
         self.nlist = nlist
         self.seed = seed
         self._centroids: Optional[np.ndarray] = None
-        self._cell_vectors: List[np.ndarray] = []
-        self._cell_ids: List[np.ndarray] = []
-        self._ntotal = 0
+        # Postings in cell order (see post_to_cells).
+        self._vectors = np.empty((0, dim), dtype=np.float32)
+        self._ids = np.empty(0, dtype=np.int64)
+        self._cell_ptr = np.zeros(nlist + 1, dtype=np.uint32)
 
     @property
     def ntotal(self) -> int:
-        return self._ntotal
+        return int(self._ids.shape[0])
 
     @property
     def is_trained(self) -> bool:
@@ -70,8 +105,9 @@ class IVFFlatIndex(VectorIndex):
             self.nlist = max(1, vectors.shape[0])
         result = kmeans(vectors, self.nlist, seed=self.seed)
         self._centroids = result.centroids
-        self._cell_vectors = [np.empty((0, self.dim), dtype=np.float32) for _ in range(self.nlist)]
-        self._cell_ids = [np.empty(0, dtype=np.int64) for _ in range(self.nlist)]
+        self._vectors = np.empty((0, self.dim), dtype=np.float32)
+        self._ids = np.empty(0, dtype=np.int64)
+        self._cell_ptr = np.zeros(self.nlist + 1, dtype=np.uint32)
         self.stats.train_points = int(vectors.shape[0])
 
     def add_with_ids(self, vectors: np.ndarray, ids: np.ndarray) -> None:
@@ -84,15 +120,9 @@ class IVFFlatIndex(VectorIndex):
                 f"{ids.shape[0]} ids for {vectors.shape[0]} vectors"
             )
         cells = assign_to_centroids(vectors, self._centroids)
-        for cell in np.unique(cells):
-            members = cells == cell
-            self._cell_vectors[cell] = np.vstack(
-                [self._cell_vectors[cell], vectors[members]]
-            )
-            self._cell_ids[cell] = np.concatenate(
-                [self._cell_ids[cell], ids[members]]
-            )
-        self._ntotal += int(vectors.shape[0])
+        order, self._cell_ptr = post_to_cells(self._cell_ptr, cells)
+        self._vectors = np.vstack([self._vectors, vectors])[order]
+        self._ids = np.concatenate([self._ids, ids])[order]
 
     def _probe_order(self, query: np.ndarray) -> np.ndarray:
         """Cell indices sorted by centroid distance to the query."""
@@ -118,11 +148,11 @@ class IVFFlatIndex(VectorIndex):
         gathered_ids: List[np.ndarray] = []
         gathered_dist: List[np.ndarray] = []
         visited = 0
-        for cell in probe:
-            ids = self._cell_ids[cell]
-            if ids.size == 0:
+        for _, lo, hi in cell_ranges(self._cell_ptr, probe):
+            if lo == hi:
                 continue
-            vectors = self._cell_vectors[cell]
+            ids = self._ids[lo:hi]
+            vectors = self._vectors[lo:hi]
             if bitset is not None:
                 allowed = bitset[ids]
                 visited += int(ids.size)  # bitmap test touches every posting
@@ -176,23 +206,24 @@ class IVFFlatIndex(VectorIndex):
 
         # cell -> (query rows probing it, filtered ids, distance block).
         blocks: Dict[int, tuple] = {}
-        for cell in np.unique(probe):
-            ids = self._cell_ids[cell]
-            if ids.size == 0:
-                blocks[int(cell)] = None
+        cell_sizes = np.diff(self._cell_ptr)
+        for cell, lo, hi in cell_ranges(self._cell_ptr, np.unique(probe)):
+            if lo == hi:
+                blocks[cell] = None
                 continue
-            vectors = self._cell_vectors[cell]
+            ids = self._ids[lo:hi]
+            vectors = self._vectors[lo:hi]
             if bitset is not None:
                 allowed = bitset[ids]
                 if not allowed.any():
-                    blocks[int(cell)] = None
+                    blocks[cell] = None
                     continue
                 ids = ids[allowed]
                 vectors = vectors[allowed]
             rows = np.flatnonzero((probe == cell).any(axis=1))
             row_index = {int(row): i for i, row in enumerate(rows)}
             distances = pairwise_distance_batch(queries[rows], vectors, self.metric)
-            blocks[int(cell)] = (row_index, ids, distances)
+            blocks[cell] = (row_index, ids, distances)
 
         results: List[SearchResult] = []
         for row in range(nq):
@@ -200,10 +231,9 @@ class IVFFlatIndex(VectorIndex):
             gathered_dist: List[np.ndarray] = []
             visited = 0
             for cell in probe[row]:
-                posted = self._cell_ids[cell]
                 # The bitmap test touches every posting, like the
                 # sequential path.
-                visited += int(posted.size)
+                visited += int(cell_sizes[cell])
                 block = blocks[int(cell)]
                 if block is None:
                     continue
@@ -220,9 +250,7 @@ class IVFFlatIndex(VectorIndex):
 
     def memory_bytes(self) -> int:
         total = 0 if self._centroids is None else int(self._centroids.nbytes)
-        total += sum(int(v.nbytes) for v in self._cell_vectors)
-        total += sum(int(i.nbytes) for i in self._cell_ids)
-        return total
+        return total + int(self._vectors.nbytes) + int(self._ids.nbytes)
 
     def to_payload(self) -> Dict[str, Any]:
         return {
@@ -232,9 +260,9 @@ class IVFFlatIndex(VectorIndex):
             "nlist": self.nlist,
             "seed": self.seed,
             "centroids": self._centroids,
-            "cell_vectors": self._cell_vectors,
-            "cell_ids": self._cell_ids,
-            "ntotal": self._ntotal,
+            "vectors": self._vectors,
+            "ids": self._ids,
+            "cell_ptr": self._cell_ptr,
         }
 
     @classmethod
@@ -242,8 +270,11 @@ class IVFFlatIndex(VectorIndex):
         index = cls(
             payload["dim"], payload["metric"], nlist=payload["nlist"], seed=payload["seed"]
         )
-        index._centroids = payload["centroids"]
-        index._cell_vectors = list(payload["cell_vectors"])
-        index._cell_ids = list(payload["cell_ids"])
-        index._ntotal = payload["ntotal"]
+        if payload["centroids"] is not None:
+            index._centroids = array_field(
+                payload, "centroids", np.float32, index.nlist, index.dim
+            )
+        index._vectors = array_field(payload, "vectors", np.float32, None, index.dim)
+        index._ids = array_field(payload, "ids", np.int64, index._vectors.shape[0])
+        index._cell_ptr = load_cell_ptr(payload, index.nlist, index.ntotal)
         return index

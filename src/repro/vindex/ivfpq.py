@@ -23,7 +23,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.errors import IndexNotTrainedError, IndexParameterError
+from repro.errors import IndexCorruptError, IndexNotTrainedError, IndexParameterError
 from repro.vindex.api import (
     SearchResult,
     VectorIndex,
@@ -32,6 +32,8 @@ from repro.vindex.api import (
     pairwise_distance,
     top_k_from_distances,
 )
+from repro.vindex.image import array_field
+from repro.vindex.ivf import cell_ranges, load_cell_ptr, post_to_cells
 from repro.vindex.kmeans import assign_to_centroids, kmeans
 from repro.vindex.pq import ProductQuantizer
 
@@ -78,9 +80,10 @@ class IVFPQIndex(VectorIndex):
         self.seed = seed
         self._pq = ProductQuantizer(dim, m=m, nbits=self._nbits, seed=seed)
         self._centroids: Optional[np.ndarray] = None
-        self._cell_codes: List[np.ndarray] = []
-        self._cell_ids: List[np.ndarray] = []
-        self._ntotal = 0
+        # Postings in cell order (see repro.vindex.ivf.post_to_cells).
+        self._codes = np.empty((0, m), dtype=np.uint8)
+        self._ids = np.empty(0, dtype=np.int64)
+        self._cell_ptr = np.zeros(nlist + 1, dtype=np.uint32)
         self._refiner: Optional[Refiner] = None
         # Per-(query, codebook) ADC table cache (DESIGN.md §9): tables
         # depend only on the query, the coarse centroids, and the PQ
@@ -95,7 +98,7 @@ class IVFPQIndex(VectorIndex):
 
     @property
     def ntotal(self) -> int:
-        return self._ntotal
+        return int(self._ids.shape[0])
 
     @property
     def is_trained(self) -> bool:
@@ -117,10 +120,9 @@ class IVFPQIndex(VectorIndex):
         self._centroids = coarse.centroids
         residuals = vectors - coarse.centroids[coarse.assignments]
         self._pq.train(residuals)
-        self._cell_codes = [
-            np.empty((0, self.m), dtype=np.uint8) for _ in range(self.nlist)
-        ]
-        self._cell_ids = [np.empty(0, dtype=np.int64) for _ in range(self.nlist)]
+        self._codes = np.empty((0, self.m), dtype=np.uint8)
+        self._ids = np.empty(0, dtype=np.int64)
+        self._cell_ptr = np.zeros(self.nlist + 1, dtype=np.uint32)
         with self._lut_lock:
             self._lut_cache.clear()
         self.stats.train_points = int(vectors.shape[0])
@@ -164,15 +166,9 @@ class IVFPQIndex(VectorIndex):
         cells = assign_to_centroids(vectors, self._centroids)
         residuals = vectors - self._centroids[cells]
         codes = self._pq.encode(residuals)
-        for cell in np.unique(cells):
-            members = cells == cell
-            self._cell_codes[cell] = np.vstack(
-                [self._cell_codes[cell], codes[members]]
-            )
-            self._cell_ids[cell] = np.concatenate(
-                [self._cell_ids[cell], ids[members]]
-            )
-        self._ntotal += int(vectors.shape[0])
+        order, self._cell_ptr = post_to_cells(self._cell_ptr, cells)
+        self._codes = np.vstack([self._codes, codes])[order]
+        self._ids = np.concatenate([self._ids, ids])[order]
 
     def search_with_filter(
         self,
@@ -199,11 +195,11 @@ class IVFPQIndex(VectorIndex):
         # lists fall through to the documented empty SearchResult.
         cell_rows: List[Any] = []
         visited = 0
-        for cell in probe:
-            ids = self._cell_ids[cell]
-            if ids.size == 0:
+        for cell, lo, hi in cell_ranges(self._cell_ptr, probe):
+            if lo == hi:
                 continue
-            codes = self._cell_codes[cell]
+            ids = self._ids[lo:hi]
+            codes = self._codes[lo:hi]
             visited += int(ids.size)
             if bitset is not None:
                 allowed = bitset[ids]
@@ -211,7 +207,7 @@ class IVFPQIndex(VectorIndex):
                     continue
                 ids = ids[allowed]
                 codes = codes[allowed]
-            cell_rows.append((int(cell), ids, codes))
+            cell_rows.append((cell, ids, codes))
         if not cell_rows:
             return SearchResult.empty(visited=visited)
 
@@ -263,9 +259,8 @@ class IVFPQIndex(VectorIndex):
         # 4-bit codes pack two units per byte on real hardware; report the
         # packed size so the memory table shows the fast-scan advantage.
         per_vector = self._pq.code_bytes_per_vector()
-        total += int(self._ntotal * per_vector)
-        total += sum(int(i.nbytes) for i in self._cell_ids)
-        return total
+        total += int(self.ntotal * per_vector)
+        return total + int(self._ids.nbytes)
 
     def to_payload(self) -> Dict[str, Any]:
         return {
@@ -277,9 +272,9 @@ class IVFPQIndex(VectorIndex):
             "seed": self.seed,
             "pq": self._pq.to_payload(),
             "centroids": self._centroids,
-            "cell_codes": self._cell_codes,
-            "cell_ids": self._cell_ids,
-            "ntotal": self._ntotal,
+            "codes": self._codes,
+            "ids": self._ids,
+            "cell_ptr": self._cell_ptr,
         }
 
     @classmethod
@@ -292,10 +287,17 @@ class IVFPQIndex(VectorIndex):
             seed=payload["seed"],
         )
         index._pq = ProductQuantizer.from_payload(payload["pq"])
-        index._centroids = payload["centroids"]
-        index._cell_codes = list(payload["cell_codes"])
-        index._cell_ids = list(payload["cell_ids"])
-        index._ntotal = payload["ntotal"]
+        if payload["centroids"] is not None:
+            index._centroids = array_field(
+                payload, "centroids", np.float32, index.nlist, index.dim
+            )
+        index._codes = array_field(payload, "codes", np.uint8, None, index.m)
+        index._ids = array_field(payload, "ids", np.int64, index._codes.shape[0])
+        index._cell_ptr = load_cell_ptr(payload, index.nlist, index.ntotal)
+        if index._pq.nbits < 8 and index.ntotal and int(index._codes.max()) >= index._pq.ksub:
+            raise IndexCorruptError(
+                f"{cls.index_type} image: a code addresses past its {index._pq.ksub} codewords"
+            )
         return index
 
 

@@ -17,6 +17,7 @@ from typing import Any, Dict
 import numpy as np
 
 from repro.errors import IndexNotTrainedError, IndexParameterError
+from repro.vindex.image import array_field
 from repro.vindex.kmeans import assign_to_centroids, kmeans
 
 
@@ -174,6 +175,8 @@ class ProductQuantizer:
         """Inverse of :meth:`to_payload`."""
         pq = cls(payload["dim"], payload["m"], payload["nbits"], payload["seed"])
         if payload["codebooks"] is not None:
-            pq._codebooks = payload["codebooks"]
+            pq._codebooks = array_field(
+                payload, "codebooks", np.float32, pq.m, pq.ksub, pq.dsub
+            )
             pq._trained = True
         return pq

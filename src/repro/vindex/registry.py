@@ -9,16 +9,16 @@ auto-index machinery pick it up with no further changes.
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Type
 
-from repro.errors import IndexParameterError, UnknownIndexTypeError
+from repro.errors import IndexCorruptError, IndexParameterError, UnknownIndexTypeError
 from repro.vindex.api import VectorIndex
 from repro.vindex.diskann import DiskANNIndex
 from repro.vindex.flat import FlatIndex
 from repro.vindex.hnsw import HNSWIndex
 from repro.vindex.hnswsq import HNSWSQIndex
+from repro.vindex.image import decode_image, encode_image
 from repro.vindex.ivf import IVFFlatIndex
 from repro.vindex.ivfpq import IVFPQFastScanIndex, IVFPQIndex
 
@@ -154,42 +154,36 @@ def create_index(spec: IndexSpec) -> VectorIndex:
     return cls(spec.dim, spec.metric, **kwargs)
 
 
-def _canonical_payload(value: Any) -> Any:
-    """Normalize a payload tree so serialization is byte-stable.
-
-    Arrays are rewritten as fresh C-contiguous copies carrying the
-    canonical dtype singleton: unpickled arrays come back as
-    buffer-backed views with per-stream dtype instances, which perturbs
-    pickle memoization and would make save(load(save(x))) != save(x).
-    """
-    import numpy as np
-
-    if isinstance(value, np.ndarray):
-        if value.dtype.fields is not None:
-            return np.ascontiguousarray(value)
-        return value.astype(np.dtype(value.dtype.str), order="C", copy=True)
-    if isinstance(value, dict):
-        return {key: _canonical_payload(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return type(value)(_canonical_payload(item) for item in value)
-    return value
-
-
 def serialize_index(index: VectorIndex) -> bytes:
-    """Persistable bytes for any registered index (SaveIndex).
+    """The index image of any registered index (SaveIndex).
 
     Byte-stable: the same logical index serializes to the same bytes,
-    including after a load round trip.
+    including after a load round trip.  A payload value the image cannot
+    hold is a ``TypeError`` naming its key.
     """
-    payload = _canonical_payload(index.to_payload())
-    return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+    return encode_image(index.to_payload())
 
 
-def deserialize_index(payload: bytes) -> VectorIndex:
-    """Inverse of :func:`serialize_index` (LoadIndex)."""
-    state = pickle.loads(payload)
-    type_name = state.get("index_type")
+def deserialize_index(buffer: Any) -> VectorIndex:
+    """Inverse of :func:`serialize_index` (LoadIndex).
+
+    ``buffer`` is anything exposing the buffer protocol; the loaded
+    index's bulk arrays are read-only views of it, so it stays alive as
+    long as the index does.  Raises :class:`IndexCorruptError` for bytes
+    that are not a valid image of their type and
+    :class:`UnknownIndexTypeError` for a well-formed image of a type
+    nobody registered.
+    """
+    state = decode_image(buffer)
+    type_name = state.get("index_type") if isinstance(state, dict) else None
+    if not isinstance(type_name, str):
+        raise IndexCorruptError("index image names no index type")
     cls = _REGISTRY.get(type_name)
     if cls is None:
         raise UnknownIndexTypeError(f"cannot deserialize unknown index type {type_name!r}")
-    return cls.from_payload(state)
+    try:
+        return cls.from_payload(state)
+    except (LookupError, TypeError, ValueError, IndexParameterError) as exc:
+        raise IndexCorruptError(
+            f"{type_name} image does not describe a valid index: {exc!r}"
+        ) from exc

@@ -18,7 +18,12 @@ from repro.vindex.api import kernel_mode, pairwise_distance
 from repro.vindex.hnsw import HNSWIndex
 from repro.vindex.ivfpq import IVFPQIndex
 from repro.vindex.pq import ProductQuantizer
-from repro.vindex.registry import IndexSpec, create_index
+from repro.vindex.registry import (
+    IndexSpec,
+    create_index,
+    deserialize_index,
+    serialize_index,
+)
 
 from tests.helpers import vector_sql
 
@@ -89,6 +94,42 @@ class TestFastReferenceIdentity:
         bitset[100:140] = True
         fast, ref = both_modes(built[name], queries[0], 5, bitset=bitset)
         assert_byte_identical(fast, ref)
+
+
+@pytest.mark.parametrize("name", ["HNSW", "HNSWSQ", "DISKANN"])
+class TestLoadedGraphIdentity:
+    """A loaded graph index holds only the CSR: the fast kernels search
+    it as it is, the reference kernels thaw their lists from it.  Either
+    way the answer is the built index's, byte for byte."""
+
+    @pytest.mark.parametrize("mode", ["fast", "reference"])
+    def test_loaded_matches_built(self, built, data, queries, name, mode):
+        loaded = deserialize_index(serialize_index(built[name]))
+        bitset = np.ones(data.shape[0], dtype=bool)
+        bitset[::3] = False
+        with kernel_mode(mode):
+            for query in queries:
+                for params in ({}, {"bitset": bitset}):
+                    want = built[name].search_with_filter(query, 10, **params)
+                    got = loaded.search_with_filter(query, 10, **params)
+                    assert_byte_identical(got, want)
+                    assert got.visited == want.visited
+
+    def test_loaded_fast_matches_loaded_reference(self, built, queries, name):
+        loaded = deserialize_index(serialize_index(built[name]))
+        for query in queries:
+            fast, ref = both_modes(loaded, query, 10)
+            assert_byte_identical(fast, ref)
+            assert fast.visited == ref.visited
+
+    @pytest.mark.parametrize("mode", ["fast", "reference"])
+    def test_loaded_iterator_matches_built(self, built, queries, name, mode):
+        loaded = deserialize_index(serialize_index(built[name]))
+        with kernel_mode(mode):
+            want = built[name].search_iterator(queries[0], batch_size=16)
+            got = loaded.search_iterator(queries[0], batch_size=16)
+            for _ in range(3):
+                assert_byte_identical(got.next_batch(), want.next_batch())
 
 
 class TestDepthKnobs:

@@ -89,9 +89,9 @@ class TestSerialization:
             assert restored.ntotal == index.ntotal
 
     def test_unknown_payload_rejected(self):
-        import pickle
+        from repro.vindex.image import encode_image
 
-        payload = pickle.dumps({"index_type": "GHOST"})
+        payload = encode_image({"index_type": "GHOST"})
         with pytest.raises(UnknownIndexTypeError):
             deserialize_index(payload)
 
