@@ -72,12 +72,10 @@ def cold_read_results():
         resident_bytes = index.memory_bytes()
 
         clock = SimulatedClock()
-        charger = getattr(index, "set_io_charger", None)
-        if callable(charger):
-            # Disk-resident nodes are read per beam round; DiskANN keeps
-            # ~8 I/Os in flight, so the effective per-read latency is the
-            # SSD latency divided by the I/O parallelism.
-            charger(lambda nbytes: clock.advance(cost.disk_read(nbytes) / 8.0))
+        # Disk-resident nodes are read per beam round; DiskANN keeps
+        # ~8 I/Os in flight, so the effective per-read latency is the
+        # SSD latency divided by the I/O parallelism.
+        index.set_io_charger(lambda nbytes: clock.advance(cost.disk_read(nbytes) / 8.0))
 
         # Cold: fetch whatever must be RAM-resident, then search.
         clock.advance(cost.object_store_read(resident_bytes))

@@ -1,45 +1,74 @@
-"""Capture the exact Fig 13 top-k results for kernel byte-identity checks.
+"""Kernel byte-identity as a small committed digest.
 
-Runs the same sweep as ``bench_fig13_index_recall_qps.py`` and dumps, per
-(index, knob) point, the simulated QPS/recall plus every query's result
-rows with distances in ``float.hex()`` form, so two captures can be
-compared bit-for-bit.  Used to record the before/after state of a kernel
-pass (ISSUE 6 acceptance: top-k ids byte-identical across the pass):
+Runs the Fig 13 sweep of ``bench_fig13_index_recall_qps.py`` plus a
+DISKANN sweep through the full engine and keeps, per (index, knob
+value), the simulated QPS, the recall, one sha256 over every query's
+ids, and one sha256 per query over its ids + ``float.hex()`` distances.
+Two kernels that return the same rows and charge the same simulated
+seconds produce the same file, so a traversal change is checked against
+``benchmarks/baselines/kernel_digests.json`` instead of a raw row dump:
 
-    PYTHONPATH=src:. python benchmarks/capture_kernel_state.py before
+    PYTHONPATH=src:. python benchmarks/capture_kernel_state.py capture
     ... apply kernel changes ...
-    PYTHONPATH=src:. python benchmarks/capture_kernel_state.py after
-    PYTHONPATH=src:. python benchmarks/capture_kernel_state.py diff \
-        BENCH_fig13_kernels_before.json BENCH_fig13_kernels_after.json
+    PYTHONPATH=src:. python benchmarks/capture_kernel_state.py check
+
+Both run the sweep once per kernel mode.  ``capture`` rewrites the
+baseline (do it at the parent commit of a kernel pass): one set of
+digests, which the two modes must agree on, and each mode's simulated
+QPS, which they do not (fast traversal is charged the vectorized rate).
+``check`` exits 1 on any id, distance or simulated-QPS mismatch.
+Distances come from float32 numpy kernels, so the baseline names the
+numpy it was captured with: equal ids with differing distances on
+another build means the float kernels differ, not the traversal.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 
-from benchmarks.common import load_blendhouse, run_workload_sql, write_bench_json
+import numpy as np
+
+from benchmarks.common import load_blendhouse
+from repro.vindex.api import KERNEL_MODES, kernel_mode
 from repro.workloads.datasets import make_cohere_like
 from repro.workloads.recall import recall_at_k
 from repro.workloads.vectorbench import make_hybrid_workload, qps_from_latencies
 
+BASELINE = "benchmarks/baselines/kernel_digests.json"
+
+# DISKANN has no SET depth knob, so its sweep is the filter's pass
+# percentage under a forced bitmap scan: 100 is the pure search, the
+# rest walk the graph under a bitset and widen the beam.
 SWEEPS = (
     ("BH-HNSW", "HNSW", "M=8, ef_construction=64", "ef_search", [16, 32, 64, 128]),
     ("BH-HNSWSQ", "HNSWSQ", "M=8, ef_construction=64", "ef_search", [16, 32, 64, 128]),
     ("BH-IVFPQFS", "IVFPQFS", "m=8", "nprobe", [2, 4, 8, 16]),
+    ("BH-DISKANN", "DISKANN", "R=16, build_beam=32", "pass_pct", [100, 50, 25, 10]),
 )
 
 
-def capture(tag: str) -> str:
+def _sha256(parts: list) -> str:
+    return hashlib.sha256(json.dumps(parts).encode()).hexdigest()
+
+
+def sweep() -> dict:
+    """Every sweep point under the active kernel mode."""
     dataset = make_cohere_like(n=3000, dim=32, n_queries=40)
-    workload = make_hybrid_workload(dataset, k=10)
+    pure = make_hybrid_workload(dataset, k=10)
     out = {}
-    for label, index_type, options, knob, sweep in SWEEPS:
+    for label, index_type, options, knob, values in SWEEPS:
         db = load_blendhouse(dataset, index_type=index_type, index_options=options)
-        db.execute(workload.sql(0))  # warmup: plan + column caches
+        db.execute(pure.sql(0))  # warmup: plan + column caches
         points = []
-        for value in sweep:
-            db.execute(f"SET {knob} = {value}")
+        for value in values:
+            workload = pure
+            if knob != "pass_pct":
+                db.execute(f"SET {knob} = {value}")
+            elif value < 100:
+                db.execute("SET forced_strategy = 'pre_filter'")
+                workload = make_hybrid_workload(dataset, k=10, pass_fraction=value / 100)
             latencies = []
             rows_per_query = []
             for qi in range(len(workload.queries)):
@@ -56,57 +85,84 @@ def capture(tag: str) -> str:
                     "value": value,
                     "qps": qps_from_latencies(latencies),
                     "recall": recall_at_k(ids, workload.truth, workload.k),
-                    "topk": rows_per_query,
+                    "ids": _sha256(ids),
+                    "rows": [_sha256(rows) for rows in rows_per_query],
                 }
             )
         out[label] = points
-    path = write_bench_json(f"fig13_kernels_{tag}", out)
-    print(f"wrote {path}")
-    return path
+    return out
 
 
-def diff(before_path: str, after_path: str) -> int:
-    with open(before_path) as handle:
-        before = json.load(handle)
-    with open(after_path) as handle:
-        after = json.load(handle)
-    id_mismatches = 0
-    dist_mismatches = 0
-    max_rel = 0.0
-    for label, points in before.items():
-        for point, other in zip(points, after[label]):
-            for qi, (rows_b, rows_a) in enumerate(zip(point["topk"], other["topk"])):
-                ids_b = [row[0] for row in rows_b]
-                ids_a = [row[0] for row in rows_a]
-                if ids_b != ids_a:
-                    id_mismatches += 1
-                    print(f"ID MISMATCH {label} {point['knob']}={point['value']} q{qi}:")
-                    print(f"  before {ids_b}\n  after  {ids_a}")
-                for row_b, row_a in zip(rows_b, rows_a):
-                    if row_b[1] != row_a[1]:
-                        dist_mismatches += 1
-                        db_, da_ = float.fromhex(row_b[1]), float.fromhex(row_a[1])
-                        if db_ > 0:
-                            max_rel = max(max_rel, abs(da_ - db_) / db_)
-            ratio = other["qps"] / max(point["qps"], 1e-12)
+def capture() -> dict:
+    """The baseline: the digests both modes produce, QPS keyed by mode."""
+    runs = {}
+    for mode in KERNEL_MODES:
+        with kernel_mode(mode):
+            runs[mode] = sweep()
+    first, *others = runs.values()
+    for label, points in first.items():
+        for index, point in enumerate(points):
+            for other in others:
+                twin = other[label][index]
+                if (point["ids"], point["rows"]) != (twin["ids"], twin["rows"]):
+                    raise SystemExit(
+                        f"kernel modes disagree on {label} {point['knob']}={point['value']}"
+                    )
+            point["qps"] = {mode: run[label][index]["qps"] for mode, run in runs.items()}
+    return first
+
+
+def compare(baseline: dict, current: dict, mode: str) -> int:
+    """Print one line per sweep point; returns the number of mismatches."""
+    id_mismatches = dist_mismatches = qps_mismatches = 0
+    for label, points in baseline.items():
+        for point, other in zip(points, current[label]):
+            qps = point["qps"][mode]
+            ids_differ = point["ids"] != other["ids"]
+            rows_differ = sum(a != b for a, b in zip(point["rows"], other["rows"]))
+            rows_differ += abs(len(point["rows"]) - len(other["rows"]))
+            qps_differs = (qps, point["recall"]) != (other["qps"], other["recall"])
+            id_mismatches += ids_differ
+            dist_mismatches += 0 if ids_differ else rows_differ
+            qps_mismatches += qps_differs
+            status = "ok"
+            if ids_differ or rows_differ or qps_differs:
+                status = (
+                    f"MISMATCH ids={'differ' if ids_differ else 'equal'} "
+                    f"rows_differing={rows_differ}"
+                )
             print(
-                f"{label:12s} {point['knob']}={point['value']:<4d} "
-                f"qps {point['qps']:9.1f} -> {other['qps']:9.1f} ({ratio:4.2f}x)  "
-                f"recall {point['recall']:.4f} -> {other['recall']:.4f}"
+                f"[{mode:9s}] {label:11s} {point['knob']}={point['value']:<4d} "
+                f"qps {qps:9.1f} -> {other['qps']:9.1f}  "
+                f"recall {point['recall']:.4f} -> {other['recall']:.4f}  [{status}]"
             )
     print(
-        f"\nid mismatches: {id_mismatches}; distance value diffs: {dist_mismatches} "
-        f"(max rel {max_rel:.3e})"
+        f"[{mode:9s}] id mismatches: {id_mismatches} points; distance mismatches: "
+        f"{dist_mismatches} queries; simulated qps/recall mismatches: {qps_mismatches} points"
     )
-    return 1 if id_mismatches else 0
+    return id_mismatches + dist_mismatches + qps_mismatches
 
 
 def main(argv: list) -> int:
-    if len(argv) >= 3 and argv[0] == "diff":
-        return diff(argv[1], argv[2])
-    tag = argv[0] if argv else "before"
-    capture(tag)
-    return 0
+    command = argv[0] if argv else "check"
+    path = argv[1] if len(argv) > 1 else BASELINE
+    if command == "capture":
+        with open(path, "w") as handle:
+            json.dump({"numpy": np.__version__, "points": capture()}, handle, indent=1)
+            handle.write("\n")
+        print(f"wrote {path}")
+        return 0
+    if command != "check":
+        print(__doc__, file=sys.stderr)
+        return 2
+    with open(path) as handle:
+        baseline = json.load(handle)
+    print(f"baseline {path} captured with numpy {baseline['numpy']}; this is {np.__version__}")
+    mismatches = 0
+    for mode in KERNEL_MODES:
+        with kernel_mode(mode):
+            mismatches += compare(baseline["points"], sweep(), mode)
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":

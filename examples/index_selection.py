@@ -63,8 +63,7 @@ def main() -> None:
         index.train(vectors)
         index.add_with_ids(vectors, np.arange(N))
         build_seconds = time.perf_counter() - start
-        if hasattr(index, "set_refiner"):
-            index.set_refiner(lambda ids: vectors[np.asarray(ids)])
+        index.set_refiner(lambda ids: vectors[np.asarray(ids)])
 
         start = time.perf_counter()
         results = [

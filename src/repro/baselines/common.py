@@ -119,10 +119,9 @@ class BaselineVectorDB:
         return total
 
     def _attach_refiner(self, index: VectorIndex, rows: np.ndarray) -> None:
-        setter = getattr(index, "set_refiner", None)
-        if callable(setter) and self._vectors is not None:
+        if self._vectors is not None:
             vectors = self._vectors
-            setter(lambda ids: vectors[np.asarray(ids, dtype=np.int64)])
+            index.set_refiner(lambda ids: vectors[np.asarray(ids, dtype=np.int64)])
 
     # ------------------------------------------------------------------
     # Search plumbing shared by subclasses

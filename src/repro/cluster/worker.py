@@ -204,12 +204,8 @@ class Worker:
         return None, "brute"
 
     def _attach_hooks(self, index: VectorIndex, segment: Segment) -> None:
-        refiner_setter = getattr(index, "set_refiner", None)
-        if callable(refiner_setter):
-            refiner_setter(lambda ids: segment.vectors_at(ids))
-        io_setter = getattr(index, "set_io_charger", None)
-        if callable(io_setter):
-            io_setter(lambda nbytes: self.clock.advance(self.cost.disk_read(nbytes)))
+        index.set_refiner(segment.vectors_at)
+        index.set_io_charger(lambda nbytes: self.clock.advance(self.cost.disk_read(nbytes)))
 
     # ------------------------------------------------------------------
     # Serving endpoint

@@ -130,9 +130,5 @@ class TableRuntime:
 
     def _attach_segment_hooks(self, index: VectorIndex, segment: Segment) -> None:
         """Re-wire non-persisted hooks after deserialization."""
-        refiner_setter = getattr(index, "set_refiner", None)
-        if callable(refiner_setter):
-            refiner_setter(lambda ids: segment.vectors_at(ids))
-        io_setter = getattr(index, "set_io_charger", None)
-        if callable(io_setter):
-            io_setter(lambda nbytes: self.clock.advance(self.cost.disk_read(nbytes)))
+        index.set_refiner(segment.vectors_at)
+        index.set_io_charger(lambda nbytes: self.clock.advance(self.cost.disk_read(nbytes)))

@@ -119,20 +119,14 @@ def _install_payload(
     provider: Optional[VectorIndex] = None
     if payload["index_payload"] is not None:
         provider = deserialize_index(payload["index_payload"])
-        refiner_setter = getattr(provider, "set_refiner", None)
-        if callable(refiner_setter):
-            refiner_setter(lambda ids: segment.vectors_at(ids))
+        provider.set_refiner(segment.vectors_at)
         # Mirror the parent's hook state exactly: a freshly *built*
         # index charges no per-search disk reads (its io_charger is
         # unset), so the worker copy must not either — simulated time
         # stays identical between the two planes.
         if payload["attach_io_charger"]:
-            io_setter = getattr(provider, "set_io_charger", None)
-            if callable(io_setter):
-                cost = payload["cost"]
-                io_setter(
-                    lambda nbytes: clock.advance(cost.disk_read(nbytes))
-                )
+            cost = payload["cost"]
+            provider.set_io_charger(lambda nbytes: clock.advance(cost.disk_read(nbytes)))
     return block, segment, provider
 
 

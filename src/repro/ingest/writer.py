@@ -254,7 +254,8 @@ class SegmentWriter:
             vindex = create_index(spec)
             vindex.train(seg_vectors)
             vindex.add_with_ids(seg_vectors, np.arange(segment.row_count))
-            _attach_refiner(vindex, segment)
+            # PQ refinement re-ranks from the owning segment's raw vectors.
+            vindex.set_refiner(segment.vectors_at)
             payload = serialize_index(vindex)
             index_key = index_storage_key(segment_id, spec.index_type)
             self._store.put(index_key, payload)
@@ -293,13 +294,6 @@ class SegmentWriter:
         self._entry.statistics.refresh(merged, total)
         if self.on_stats_refresh is not None:
             self.on_stats_refresh()
-
-
-def _attach_refiner(vindex: VectorIndex, segment: Segment) -> None:
-    """Wire PQ refinement to the owning segment's raw vectors."""
-    setter = getattr(vindex, "set_refiner", None)
-    if callable(setter):
-        setter(lambda ids: segment.vectors_at(ids))
 
 
 def _chunks(offsets: List[int], size: int) -> List[List[int]]:

@@ -259,9 +259,6 @@ class Compactor:
                 vindex = create_index(spec)
                 vindex.train(merged_vectors)
                 vindex.add_with_ids(merged_vectors, np.arange(merged.row_count))
-                refiner_setter = getattr(vindex, "set_refiner", None)
-                if callable(refiner_setter):
-                    refiner_setter(lambda ids, seg=merged: seg.vectors_at(ids))
                 payload = serialize_index(vindex)
                 index_key = index_storage_key(new_id, spec.index_type)
                 self.store.put(index_key, payload)

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import abc
 import contextlib
-import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -37,9 +36,7 @@ SUPPORTED_METRICS = ("l2", "ip", "cosine")
 # that.  The switch exists for that suite and for bisecting kernel
 # regressions, not for production tuning.
 KERNEL_MODES = ("fast", "reference")
-_kernel_mode = os.environ.get("REPRO_KERNEL_MODE", "fast")
-if _kernel_mode not in KERNEL_MODES:  # pragma: no cover - env misuse
-    _kernel_mode = "fast"
+_kernel_mode = "fast"
 
 
 def get_kernel_mode() -> str:
@@ -277,6 +274,14 @@ class VectorIndex(abc.ABC):
     def add_with_ids(self, vectors: np.ndarray, ids: np.ndarray) -> None:
         """Index ``vectors`` under caller-supplied integer ``ids``."""
 
+    def set_refiner(self, refiner: Optional[Callable[[np.ndarray], np.ndarray]]) -> None:
+        """Offer a callable mapping an id array to raw vectors, for
+        indexes that re-rank a lossy shortlist (IVFPQ); others ignore it."""
+
+    def set_io_charger(self, charger: Optional[Callable[[int], None]]) -> None:
+        """Offer a callable charged ``nbytes`` per simulated disk read,
+        for disk-resident indexes (DISKANN); others ignore it."""
+
     @abc.abstractmethod
     def to_payload(self) -> Dict[str, Any]:
         """State dict for persistence (inverse of ``from_payload``)."""
@@ -392,6 +397,14 @@ class VectorIndex(abc.ABC):
                 f"expected (*, {self.dim}) vectors, got shape {vectors.shape}"
             )
         return vectors
+
+    def _check_add(self, vectors: np.ndarray, ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Validate an ``add_with_ids`` batch: one int64 id per row."""
+        vectors = self._check_vectors(vectors)
+        ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+        if ids.shape[0] != vectors.shape[0]:
+            raise IndexParameterError(f"{ids.shape[0]} ids for {vectors.shape[0]} vectors")
+        return vectors, ids
 
     def _check_query(self, query: np.ndarray) -> np.ndarray:
         query = np.asarray(query, dtype=np.float32).reshape(-1)

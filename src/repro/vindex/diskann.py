@@ -14,19 +14,17 @@ medoid), matching DiskANN's "graph on SSD, tiny RAM footprint" split.
 
 from __future__ import annotations
 
-import heapq
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import IndexCorruptError, IndexParameterError
-from repro.vindex.api import (
-    SearchResult,
-    VectorIndex,
-    boundary_distances,
-    get_kernel_mode,
-    l2sq_pairwise_via_norms,
-    pairwise_distance,
+from repro.vindex.api import SearchResult, VectorIndex, get_kernel_mode, pairwise_distance
+from repro.vindex.graph import (
+    beam_search_csr,
+    beam_search_lists,
+    candidate_pairwise,
+    filtered_top_k,
 )
 from repro.vindex.image import (
     adjacency_bytes,
@@ -103,14 +101,6 @@ class DiskANNIndex(VectorIndex):
             return np.einsum("ij,ij->i", diff, diff)
         return pairwise_distance(query, sub, self.metric)
 
-    def _to_external(self, internal: np.ndarray) -> np.ndarray:
-        """Convert internal comparison distances to API distances.
-
-        Boundary contract (DESIGN.md §9): the sqrt runs in float32 like
-        every other kernel; float64 appears only inside SearchResult.
-        """
-        return boundary_distances(np.asarray(internal, dtype=np.float32), self.metric)
-
     def _frozen_graph(self) -> Tuple[np.ndarray, np.ndarray]:
         """Adjacency as CSR ``(offsets, indices)``, frozen after a rebuild."""
         lists = self._graph_lists
@@ -147,12 +137,7 @@ class DiskANNIndex(VectorIndex):
     def add_with_ids(self, vectors: np.ndarray, ids: np.ndarray) -> None:
         """Bulk build: DiskANN is constructed once per immutable segment,
         so incremental adds rebuild the graph over the union."""
-        vectors = self._check_vectors(vectors)
-        ids = np.asarray(ids, dtype=np.int64).reshape(-1)
-        if ids.shape[0] != vectors.shape[0]:
-            raise IndexParameterError(
-                f"{ids.shape[0]} ids for {vectors.shape[0]} vectors"
-            )
+        vectors, ids = self._check_add(vectors, ids)
         self._vectors = np.vstack([self._vectors, vectors])
         self._ids = np.concatenate([self._ids, ids])
         self._build()
@@ -181,9 +166,7 @@ class DiskANNIndex(VectorIndex):
         # marginally improves recall; one suffices at repro scale).
         order = rng.permutation(n)
         for node in order.tolist():
-            visited = self._greedy_search(
-                self._vectors[node], self.build_beam, charge=False
-            )
+            visited = self._greedy_search(self._vectors[node], self.build_beam)
             candidates = [(d, v) for d, v in visited if v != node]
             graph[node] = self._robust_prune(node, candidates)
             for neighbor in graph[node]:
@@ -209,15 +192,9 @@ class DiskANNIndex(VectorIndex):
             return [v for _, v in pool]
         nodes = np.array([v for _, v in pool], dtype=np.int64)
         to_node = np.array([d for d, _ in pool])
-        sub = self._vectors[nodes]
-        if self.metric == "l2":
-            pairwise = l2sq_pairwise_via_norms(sub)
-            alpha = self.alpha ** 2  # internal distances are squared
-        else:
-            pairwise = np.stack(
-                [pairwise_distance(sub[i], sub, self.metric) for i in range(len(pool))]
-            )
-            alpha = self.alpha
+        pairwise = candidate_pairwise(self._vectors[nodes], self.metric)
+        # Internal l2 distances are squared, so the relaxation is too.
+        alpha = self.alpha ** 2 if self.metric == "l2" else self.alpha
         alive = np.ones(len(pool), dtype=bool)
         alive_list = alive.tolist()
         kept: List[int] = []
@@ -239,88 +216,27 @@ class DiskANNIndex(VectorIndex):
     # ------------------------------------------------------------------
     # Search
     # ------------------------------------------------------------------
-    def _greedy_search(
-        self, query: np.ndarray, beam: int, charge: bool = True
-    ) -> List[Tuple[float, int]]:
-        """Beam search from the medoid; returns visited (distance, node).
+    def _greedy_search(self, query: np.ndarray, beam: int) -> List[Tuple[float, int]]:
+        """Beam search from the medoid; returns the visited pool — every
+        node expanded plus the final beam — as ascending (distance, node).
 
-        Dispatches to the CSR/bitmask kernel when the fast mode is
-        active and the graph is frozen; construction-time calls (graph
-        still mutating per node) always take the list walk.
+        Takes the CSR kernel when the fast mode is active and the graph
+        is frozen; construction-time calls (graph still mutating per
+        node) always take the list walk and charge no reads.
         """
+        charged = self._io_charger is not None and not self._building
+        on_read = self._charge_node_read if charged else None
         if get_kernel_mode() == "fast" and not self._building:
-            return self._greedy_search_fast(query, beam, charge)
-        graph = self._graph
-        start = self._medoid
-        visited: Set[int] = {start}
-        if charge:
-            self._charge_node_read()
-        start_dist = float(self._dist_internal(query, [start])[0])
-        frontier: List[Tuple[float, int]] = [(start_dist, start)]
-        results: List[Tuple[float, int]] = [(-start_dist, start)]
-        settled: List[Tuple[float, int]] = []
-        while frontier:
-            dist, node = heapq.heappop(frontier)
-            if len(results) >= beam and dist > -results[0][0]:
-                break
-            settled.append((dist, node))
-            fresh = [v for v in graph[node] if v not in visited]
-            if not fresh:
-                continue
-            visited.update(fresh)
-            if charge:
-                self._charge_node_read(len(fresh))
-            dists = self._dist_internal(query, fresh)
-            for neighbor_dist, neighbor in zip(dists.tolist(), fresh):
-                if len(results) < beam or neighbor_dist < -results[0][0]:
-                    heapq.heappush(frontier, (neighbor_dist, neighbor))
-                    heapq.heappush(results, (-neighbor_dist, neighbor))
-                    if len(results) > beam:
-                        heapq.heappop(results)
+            nearest, settled, _ = beam_search_csr(
+                self._dist_internal, query, *self._frozen_graph(), self._medoid, beam, on_read
+            )
+        else:
+            nearest, settled, _ = beam_search_lists(
+                self._dist_internal, query, self._graph, self._medoid, beam, on_read=on_read
+            )
         merged = {node: dist for dist, node in settled}
-        for negdist, node in results:
-            merged.setdefault(node, -negdist)
-        return sorted((dist, node) for node, dist in merged.items())
-
-    def _greedy_search_fast(
-        self, query: np.ndarray, beam: int, charge: bool = True
-    ) -> List[Tuple[float, int]]:
-        """Vectorized beam search: identical traversal to the reference
-        walk (same arithmetic, heap discipline, neighbor order) with CSR
-        neighbor gather and a boolean visited mask replacing per-node
-        python loops, so results are byte-identical."""
-        indptr, indices = self._frozen_graph()
-        start = self._medoid
-        visited = np.zeros(self.ntotal, dtype=bool)
-        visited[start] = True
-        if charge:
-            self._charge_node_read()
-        start_dist = float(self._dist_internal(query, [start])[0])
-        frontier: List[Tuple[float, int]] = [(start_dist, start)]
-        results: List[Tuple[float, int]] = [(-start_dist, start)]
-        settled: List[Tuple[float, int]] = []
-        while frontier:
-            dist, node = heapq.heappop(frontier)
-            if len(results) >= beam and dist > -results[0][0]:
-                break
-            settled.append((dist, node))
-            neighbors = indices[indptr[node]:indptr[node + 1]]
-            fresh = neighbors[~visited[neighbors]]
-            if fresh.size == 0:
-                continue
-            visited[fresh] = True
-            if charge:
-                self._charge_node_read(int(fresh.size))
-            dists = self._dist_internal(query, fresh)
-            for neighbor_dist, neighbor in zip(dists.tolist(), fresh.tolist()):
-                if len(results) < beam or neighbor_dist < -results[0][0]:
-                    heapq.heappush(frontier, (neighbor_dist, neighbor))
-                    heapq.heappush(results, (-neighbor_dist, neighbor))
-                    if len(results) > beam:
-                        heapq.heappop(results)
-        merged = {node: dist for dist, node in settled}
-        for negdist, node in results:
-            merged.setdefault(node, -negdist)
+        for dist, node in nearest:
+            merged.setdefault(node, dist)
         return sorted((dist, node) for node, dist in merged.items())
 
     def search_with_filter(
@@ -335,21 +251,12 @@ class DiskANNIndex(VectorIndex):
         bitset = self._check_bitset(bitset, self.ntotal)
         if self.ntotal == 0 or k <= 0 or self._medoid < 0:
             return SearchResult.empty()
-        beam = max(int(beam), k)
-        visited = self._greedy_search(query, beam)
-        if bitset is not None:
-            allowed = [(d, n) for d, n in visited if bitset[self._ids[n]]]
-            while len(allowed) < k and beam < self.ntotal:
-                beam = min(beam * 2, self.ntotal)
-                visited = self._greedy_search(query, beam)
-                allowed = [(d, n) for d, n in visited if bitset[self._ids[n]]]
-            pool = allowed
-        else:
-            pool = visited
-        top = pool[:k]
-        ids = np.array([self._ids[node] for _, node in top], dtype=np.int64)
-        distances = self._to_external(np.array([dist for dist, _ in top], dtype=np.float32))
-        return SearchResult(ids, distances, visited=len(visited))
+
+        def search(width: int) -> Tuple[List[Tuple[float, int]], int]:
+            pool = self._greedy_search(query, width)
+            return pool, len(pool)  # visited: the settled ∪ kept pool
+
+        return filtered_top_k(search, k, max(int(beam), k), self._ids, bitset, self.metric)
 
     # ------------------------------------------------------------------
     # Persistence / accounting

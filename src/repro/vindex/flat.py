@@ -39,12 +39,7 @@ class FlatIndex(VectorIndex):
         return int(self._vectors.shape[0])
 
     def add_with_ids(self, vectors: np.ndarray, ids: np.ndarray) -> None:
-        vectors = self._check_vectors(vectors)
-        ids = np.asarray(ids, dtype=np.int64).reshape(-1)
-        if ids.shape[0] != vectors.shape[0]:
-            raise IndexParameterError(
-                f"{ids.shape[0]} ids for {vectors.shape[0]} vectors"
-            )
+        vectors, ids = self._check_add(vectors, ids)
         self._vectors = np.vstack([self._vectors, vectors])
         self._ids = np.concatenate([self._ids, ids])
 

@@ -1,0 +1,191 @@
+"""The graph family's one traversal (DESIGN.md §9, "One graph walk").
+
+HNSW, HNSWSQ, DiskANN and the native HNSW iterator walk a proximity
+graph the same way — pop the nearest frontier node, gather its unseen
+neighbours, admit those that beat the beam's worst — so the walk lives
+here once per adjacency form: :func:`beam_search_lists` (python lists
+and a ``set``: the builders' walk, since the graph mutates between
+calls, and the *reference* kernel) and :func:`beam_search_csr` (frozen
+CSR and a boolean mask: the *fast* kernel).  They are two independent
+implementations of one traversal — same arithmetic, heap discipline,
+strict-``<`` admission and neighbour order — which is what lets the
+kernel-equivalence suite hold either against the other.
+
+Both take ``distance(query, nodes)``, an index's bound method (passed
+with the query so a hop pays no closure frame), and return ``(beam,
+settled, marked)``: the ``width`` nearest nodes found as ascending
+``(distance, node)`` pairs, the nodes expanded in pop order (DiskANN
+adds them to its pool) and how many nodes were marked seen (HNSW's
+``visited``).  ``on_read(count)``, when given, is called with 1 for the
+entry and then once per non-empty expansion with the number of
+neighbours gathered, in traversal order — DiskANN's simulated reads.
+
+Lists are expected to name a neighbour at most once, as every builder
+guarantees; a repeated edge is admitted once per repeat, by both walks.
+"""
+
+from __future__ import annotations
+
+import heapq
+from typing import Any, Callable, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
+
+from repro.vindex.api import (
+    SearchResult,
+    boundary_distances,
+    l2sq_pairwise_via_norms,
+    pairwise_distance,
+)
+
+Pair = Tuple[float, int]
+Distance = Callable[[np.ndarray, Any], np.ndarray]
+Walk = Tuple[List[Pair], List[Pair], int]
+
+
+def candidate_pairwise(rows: np.ndarray, metric: str) -> np.ndarray:
+    """Candidate-to-candidate comparison distances, computed once so
+    HNSW's Algorithm 4 and Vamana's robust prune loop over a matrix."""
+    if metric == "l2":
+        return l2sq_pairwise_via_norms(rows)
+    return np.stack([pairwise_distance(row, rows, metric) for row in rows])
+
+
+def beam_search_lists(
+    distance: Distance,
+    query: np.ndarray,
+    links: Sequence[Any],
+    entry: int,
+    width: int,
+    layer: Optional[int] = None,
+    on_read: Optional[Callable[[int], None]] = None,
+) -> Walk:
+    """Beam search over adjacency lists: ``links[node]``, or
+    ``links[node][layer]`` for HNSW's per-node layer lists."""
+    seen: Set[int] = {entry}
+    marked = 1
+    if on_read is not None:
+        on_read(1)
+    dist = float(distance(query, [entry])[0])
+    frontier: List[Pair] = [(dist, entry)]
+    beam: List[Pair] = [(-dist, entry)]  # max-heap via negated distance
+    settled: List[Pair] = []
+    while frontier:
+        nearest = heapq.heappop(frontier)
+        dist, node = nearest
+        if dist > -beam[0][0] and len(beam) >= width:
+            break
+        settled.append(nearest)
+        neighbors = links[node] if layer is None else links[node][layer]
+        fresh = [n for n in neighbors if n not in seen]
+        if not fresh:
+            continue
+        seen.update(fresh)
+        marked += len(fresh)
+        if on_read is not None:
+            on_read(len(fresh))
+        dists = distance(query, fresh)
+        worst = -beam[0][0]
+        for neighbor_dist, neighbor in zip(dists.tolist(), fresh):
+            if len(beam) < width or neighbor_dist < worst:
+                heapq.heappush(frontier, (neighbor_dist, neighbor))
+                heapq.heappush(beam, (-neighbor_dist, neighbor))
+                if len(beam) > width:
+                    heapq.heappop(beam)
+                worst = -beam[0][0]
+    return sorted((-negdist, node) for negdist, node in beam), settled, marked
+
+
+def beam_search_csr(
+    distance: Distance,
+    query: np.ndarray,
+    offsets: np.ndarray,
+    indices: np.ndarray,
+    entry: int,
+    width: int,
+    on_read: Optional[Callable[[int], None]] = None,
+) -> Walk:
+    """Beam search over a CSR: node ``i``'s neighbours are
+    ``indices[offsets[i]:offsets[i + 1]]`` (the query hot path)."""
+    seen = np.zeros(offsets.shape[0] - 1, dtype=bool)
+    seen[entry] = True
+    marked = 1
+    if on_read is not None:
+        on_read(1)
+    dist = float(distance(query, [entry])[0])
+    frontier: List[Pair] = [(dist, entry)]
+    beam: List[Pair] = [(-dist, entry)]  # max-heap via negated distance
+    settled: List[Pair] = []
+    while frontier:
+        nearest = heapq.heappop(frontier)
+        dist, node = nearest
+        if dist > -beam[0][0] and len(beam) >= width:
+            break
+        settled.append(nearest)
+        neighbors = indices[offsets[node]:offsets[node + 1]]
+        fresh = neighbors[~seen[neighbors]]
+        if fresh.size == 0:
+            continue
+        seen[fresh] = True
+        marked += int(fresh.size)
+        if on_read is not None:
+            on_read(int(fresh.size))
+        dists = distance(query, fresh)
+        worst = -beam[0][0]
+        for neighbor_dist, neighbor in zip(dists.tolist(), fresh.tolist()):
+            if len(beam) < width or neighbor_dist < worst:
+                heapq.heappush(frontier, (neighbor_dist, neighbor))
+                heapq.heappush(beam, (-neighbor_dist, neighbor))
+                if len(beam) > width:
+                    heapq.heappop(beam)
+                worst = -beam[0][0]
+    return sorted((-negdist, node) for negdist, node in beam), settled, marked
+
+
+def unseen_in_list(neighbors: Sequence[int], seen: Set[int]) -> List[int]:
+    """The native iterator's unbounded expansion: the neighbours not yet
+    in ``seen``, in list order, marked on the way out."""
+    fresh = [n for n in neighbors if n not in seen]
+    seen.update(fresh)
+    return fresh
+
+
+def unseen_in_csr(
+    offsets: np.ndarray, indices: np.ndarray, node: int, seen: np.ndarray
+) -> np.ndarray:
+    """:func:`unseen_in_list` over the CSR."""
+    neighbors = indices[offsets[node]:offsets[node + 1]]
+    fresh = neighbors[~seen[neighbors]]
+    seen[fresh] = True
+    return fresh
+
+
+def filtered_top_k(
+    search: Callable[[int], Tuple[List[Pair], int]],
+    k: int,
+    width: int,
+    ids: np.ndarray,
+    bitset: Optional[np.ndarray],
+    metric: str,
+) -> SearchResult:
+    """Top-``k`` of ``search(width) -> (ascending pool, visited)``.
+
+    Traversal may pass through filtered-out nodes (hnswlib semantics);
+    only collection consults the bitset, so when fewer than ``k`` allowed
+    rows survive, the walk is re-run with the beam doubled until ``k`` do
+    or the beam covers the graph.
+    """
+    pool, visited = search(width)
+    if bitset is not None:
+        ntotal = int(ids.shape[0])
+        pool = [(d, n) for d, n in pool if bitset[ids[n]]]
+        while len(pool) < k and width < ntotal:
+            width = min(width * 2, ntotal)
+            pool, visited = search(width)
+            pool = [(d, n) for d, n in pool if bitset[ids[n]]]
+    top = pool[:k]
+    found = np.array([ids[node] for _, node in top], dtype=np.int64)
+    # Boundary contract (DESIGN.md §9): the sqrt runs in float32, like
+    # every other kernel; float64 appears only inside SearchResult.
+    internal = np.array([dist for dist, _ in top], dtype=np.float32)
+    return SearchResult(found, boundary_distances(internal, metric), visited=visited)

@@ -19,9 +19,10 @@ Two extensions the BlendHouse paper relies on:
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
-from typing import Any, Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -31,8 +32,15 @@ from repro.vindex.api import (
     VectorIndex,
     boundary_distances,
     get_kernel_mode,
-    l2sq_pairwise_via_norms,
     pairwise_distance,
+)
+from repro.vindex.graph import (
+    beam_search_csr,
+    beam_search_lists,
+    candidate_pairwise,
+    filtered_top_k,
+    unseen_in_csr,
+    unseen_in_list,
 )
 from repro.vindex.image import (
     adjacency_bytes,
@@ -135,20 +143,13 @@ class HNSWIndex(VectorIndex):
         arithmetic as :func:`pairwise_distance`, which keeps traversal
         comparison order bit-stable against the canonical kernel (the
         norms identity would differ by cancellation ulps; DESIGN.md §9).
+        Not shared with DiskANN's copy: a helper is one more frame a hop.
         """
         rows = self._gather_rows(np.asarray(nodes, dtype=np.int64))
         if self.metric == "l2":
             diff = rows - query
             return np.einsum("ij,ij->i", diff, diff)
         return pairwise_distance(query, rows, self.metric)
-
-    def _to_external(self, internal: np.ndarray) -> np.ndarray:
-        """Internal comparison distances → result-boundary distances.
-
-        Boundary contract (DESIGN.md §9): the sqrt runs in float32, like
-        every other kernel; float64 appears only inside SearchResult.
-        """
-        return boundary_distances(np.asarray(internal, dtype=np.float32), self.metric)
 
     def _frozen_links(self) -> _FrozenLinks:
         """The CSR adjacency, frozen from the builder's lists after a
@@ -190,12 +191,7 @@ class HNSWIndex(VectorIndex):
     # Construction
     # ------------------------------------------------------------------
     def add_with_ids(self, vectors: np.ndarray, ids: np.ndarray) -> None:
-        vectors = self._check_vectors(vectors)
-        ids = np.asarray(ids, dtype=np.int64).reshape(-1)
-        if ids.shape[0] != vectors.shape[0]:
-            raise IndexParameterError(
-                f"{ids.shape[0]} ids for {vectors.shape[0]} vectors"
-            )
+        vectors, ids = self._check_add(vectors, ids)
         start = self.ntotal
         if self._rng is None:
             # Every inserted row drew exactly one level, so skipping
@@ -226,7 +222,9 @@ class HNSWIndex(VectorIndex):
             current = self._greedy_closest(query, current, layer)
         # Beam search + heuristic link selection on each layer <= level.
         for layer in range(min(level, self._max_level), -1, -1):
-            candidates = self._search_layer(query, [current], layer, self.ef_construction)
+            candidates, _, _ = beam_search_lists(
+                self._distance, query, self._links, current, self.ef_construction, layer
+            )
             m_max = self.m_max0 if layer == 0 else self.m
             neighbors = self._select_heuristic(query, candidates, self.m)
             self._links[node][layer] = [idx for _, idx in neighbors]
@@ -265,13 +263,7 @@ class HNSWIndex(VectorIndex):
         if len(ordered) <= m:
             return ordered
         nodes = [idx for _, idx in ordered]
-        sub = self._vectors[nodes]
-        if self.metric == "l2":
-            pairwise = l2sq_pairwise_via_norms(sub)
-        else:
-            pairwise = np.stack(
-                [pairwise_distance(sub[i], sub, self.metric) for i in range(len(nodes))]
-            )
+        pairwise = candidate_pairwise(self._vectors[nodes], self.metric)
         # min_to_selected[row] tracks each candidate's distance to the
         # nearest already-selected neighbor, updated incrementally so the
         # greedy loop is O(1) per candidate.
@@ -353,99 +345,19 @@ class HNSWIndex(VectorIndex):
                 current = self._greedy_closest(query, current, layer)
         return current
 
-    def _search_layer(
-        self,
-        query: np.ndarray,
-        entry_points: List[int],
-        layer: int,
-        ef: int,
-        visited: Optional[Set[int]] = None,
-    ) -> List[Tuple[float, int]]:
-        """Beam search on one layer; returns (distance, node) ascending."""
-        if visited is None:
-            visited = set()
-        results: List[Tuple[float, int]] = []  # max-heap via negated dist
-        candidates: List[Tuple[float, int]] = []
-        for point in entry_points:
-            if point in visited:
-                continue
-            visited.add(point)
-            dist = float(self._distance(query, [point])[0])
-            heapq.heappush(candidates, (dist, point))
-            heapq.heappush(results, (-dist, point))
-        while candidates:
-            dist, node = heapq.heappop(candidates)
-            if results and dist > -results[0][0] and len(results) >= ef:
-                break
-            links = self._links[node][layer] if layer < len(self._links[node]) else []
-            fresh = [n for n in links if n not in visited]
-            if not fresh:
-                continue
-            visited.update(fresh)
-            dists = self._distance(query, fresh)
-            worst = -results[0][0] if results else math.inf
-            for neighbor_dist, neighbor in zip(dists.tolist(), fresh):
-                if len(results) < ef or neighbor_dist < worst:
-                    heapq.heappush(candidates, (neighbor_dist, neighbor))
-                    heapq.heappush(results, (-neighbor_dist, neighbor))
-                    if len(results) > ef:
-                        heapq.heappop(results)
-                    worst = -results[0][0]
-        return sorted((-negdist, node) for negdist, node in results)
-
-    def _search_layer0_fast(
-        self, query: np.ndarray, entry: int, ef: int
-    ) -> Tuple[List[Tuple[float, int]], int]:
-        """Vectorized layer-0 beam search (the query hot path).
-
-        Same traversal as :meth:`_search_layer` — identical arithmetic,
-        heap discipline, and neighbor order, so the output is
-        byte-identical — but candidate expansion runs on the CSR
-        adjacency with a boolean visited mask: one slice gathers a
-        node's neighbors, one mask lookup filters the already-visited,
-        and one contiguous block feeds the distance kernel, replacing
-        the per-neighbor python set probes of the reference kernel.
-
-        Returns (ascending (distance, node) list, visited count).
-        """
-        indptr, indices, _ = self._frozen_links()
-        visited = np.zeros(self.ntotal, dtype=bool)
-        visited[entry] = True
-        visited_count = 1
-        dist = float(self._distance(query, [entry])[0])
-        candidates: List[Tuple[float, int]] = [(dist, entry)]
-        results: List[Tuple[float, int]] = [(-dist, entry)]
-        while candidates:
-            dist, node = heapq.heappop(candidates)
-            if dist > -results[0][0] and len(results) >= ef:
-                break
-            neighbors = indices[indptr[node]:indptr[node + 1]]
-            fresh = neighbors[~visited[neighbors]]
-            if fresh.size == 0:
-                continue
-            visited[fresh] = True
-            visited_count += int(fresh.size)
-            dists = self._distance(query, fresh)
-            worst = -results[0][0]
-            for neighbor_dist, neighbor in zip(dists.tolist(), fresh.tolist()):
-                if len(results) < ef or neighbor_dist < worst:
-                    heapq.heappush(candidates, (neighbor_dist, neighbor))
-                    heapq.heappush(results, (-neighbor_dist, neighbor))
-                    if len(results) > ef:
-                        heapq.heappop(results)
-                    worst = -results[0][0]
-        return sorted((-negdist, node) for negdist, node in results), visited_count
-
     def _query_layer0(
         self, query: np.ndarray, entry: int, ef: int
     ) -> Tuple[List[Tuple[float, int]], int]:
-        """Layer-0 search through the active kernel mode."""
+        """Layer-0 beam search through the active kernel mode: the
+        ascending (distance, node) beam and the visited count."""
         if get_kernel_mode() == "fast":
-            return self._search_layer0_fast(query, entry, ef)
-        self._thawed_links()
-        visited: Set[int] = set()
-        candidates = self._search_layer(query, [entry], 0, ef, visited=visited)
-        return candidates, len(visited)
+            offsets, indices, _ = self._frozen_links()
+            beam, _, marked = beam_search_csr(self._distance, query, offsets, indices, entry, ef)
+        else:
+            beam, _, marked = beam_search_lists(
+                self._distance, query, self._thawed_links(), entry, ef, layer=0
+            )
+        return beam, marked
 
     # ------------------------------------------------------------------
     # Queries
@@ -462,24 +374,9 @@ class HNSWIndex(VectorIndex):
         bitset = self._check_bitset(bitset, self.ntotal)
         if self.ntotal == 0 or k <= 0 or self._entry_point < 0:
             return SearchResult.empty()
-        ef = max(int(ef_search), k)
-        current = self._descend(query)
-        candidates, visited_count = self._query_layer0(query, current, ef)
-        if bitset is not None:
-            # Filtered collection: traversal saw `candidates`; keep only
-            # allowed rows, widening the beam if too few survive.
-            allowed = [(d, n) for d, n in candidates if bitset[self._ids[n]]]
-            while len(allowed) < k and ef < self.ntotal:
-                ef = min(ef * 2, self.ntotal)
-                candidates, visited_count = self._query_layer0(query, current, ef)
-                allowed = [(d, n) for d, n in candidates if bitset[self._ids[n]]]
-                if ef >= self.ntotal:
-                    break
-            candidates = allowed
-        top = candidates[:k]
-        ids = np.array([self._ids[node] for _, node in top], dtype=np.int64)
-        distances = self._to_external(np.array([dist for dist, _ in top], dtype=np.float32))
-        return SearchResult(ids, distances, visited=visited_count or len(candidates))
+        entry = self._descend(query)
+        search = functools.partial(self._query_layer0, query, entry)
+        return filtered_top_k(search, k, max(int(ef_search), k), self._ids, bitset, self.metric)
 
     def search_iterator(
         self,
@@ -593,12 +490,10 @@ class HNSWSearchIterator(SearchIterator):
         self._batch_size = batch_size
         self._ef = ef
         # Kernel mode is pinned at construction so one iterator never
-        # mixes bookkeeping structures mid-stream.
+        # mixes bookkeeping structures mid-stream: a boolean mask over
+        # the CSR in fast mode, a set over the lists in reference mode.
         self._fast = get_kernel_mode() == "fast"
-        self._visited: Set[int] = set()
-        self._visited_mask: Optional[np.ndarray] = None
-        if self._fast and index.ntotal:
-            self._visited_mask = np.zeros(index.ntotal, dtype=bool)
+        self._seen: Any = np.zeros(index.ntotal, dtype=bool) if self._fast else set()
         self._candidates: List[Tuple[float, int]] = []  # frontier min-heap
         self._pool: List[Tuple[float, int]] = []        # settled, not yet emitted
         self._graph_exhausted = index.ntotal == 0 or index._entry_point < 0
@@ -606,10 +501,10 @@ class HNSWSearchIterator(SearchIterator):
         if not self._graph_exhausted:
             current = index._descend(query)
             dist = float(index._distance(query, [current])[0])
-            if self._visited_mask is not None:
-                self._visited_mask[current] = True
+            if self._fast:
+                self._seen[current] = True
             else:
-                self._visited.add(current)
+                self._seen.add(current)
             self.visited_total += 1
             heapq.heappush(self._candidates, (dist, current))
 
@@ -624,25 +519,17 @@ class HNSWSearchIterator(SearchIterator):
         external = int(index._ids[node])
         if self._bitset is None or self._bitset[external]:
             heapq.heappush(self._pool, (dist, node))
-        if self._visited_mask is not None:
-            indptr, indices, _ = index._frozen_links()
-            neighbors = indices[indptr[node]:indptr[node + 1]]
-            fresh_arr = neighbors[~self._visited_mask[neighbors]]
-            if fresh_arr.size:
-                self._visited_mask[fresh_arr] = True
-                self.visited_total += int(fresh_arr.size)
-                dists = index._distance(self._query, fresh_arr)
-                for neighbor_dist, neighbor in zip(dists.tolist(), fresh_arr.tolist()):
-                    heapq.heappush(self._candidates, (neighbor_dist, neighbor))
+        if self._fast:
+            offsets, indices, _ = index._frozen_links()
+            fresh = unseen_in_csr(offsets, indices, node, self._seen)
+            nodes = fresh.tolist()
         else:
-            links = index._thawed_links()[node][0]
-            fresh = [n for n in links if n not in self._visited]
-            if fresh:
-                self._visited.update(fresh)
-                self.visited_total += len(fresh)
-                dists = index._distance(self._query, fresh)
-                for neighbor_dist, neighbor in zip(dists.tolist(), fresh):
-                    heapq.heappush(self._candidates, (neighbor_dist, neighbor))
+            fresh = nodes = unseen_in_list(index._thawed_links()[node][0], self._seen)
+        if nodes:
+            self.visited_total += len(nodes)
+            dists = index._distance(self._query, fresh)
+            for pair in zip(dists.tolist(), nodes):
+                heapq.heappush(self._candidates, pair)
         if not self._candidates:
             self._graph_exhausted = True
 
@@ -676,6 +563,6 @@ class HNSWSearchIterator(SearchIterator):
             out_dists.append(dist)
         return SearchResult(
             np.asarray(out_ids, dtype=np.int64),
-            index._to_external(np.asarray(out_dists, dtype=np.float32)),
+            boundary_distances(np.asarray(out_dists, dtype=np.float32), index.metric),
             visited=self.visited_total,
         )

@@ -113,12 +113,7 @@ class IVFFlatIndex(VectorIndex):
     def add_with_ids(self, vectors: np.ndarray, ids: np.ndarray) -> None:
         if self._centroids is None:
             raise IndexNotTrainedError("IVFFLAT requires train() before add_with_ids()")
-        vectors = self._check_vectors(vectors)
-        ids = np.asarray(ids, dtype=np.int64).reshape(-1)
-        if ids.shape[0] != vectors.shape[0]:
-            raise IndexParameterError(
-                f"{ids.shape[0]} ids for {vectors.shape[0]} vectors"
-            )
+        vectors, ids = self._check_add(vectors, ids)
         cells = assign_to_centroids(vectors, self._centroids)
         order, self._cell_ptr = post_to_cells(self._cell_ptr, cells)
         self._vectors = np.vstack([self._vectors, vectors])[order]
@@ -140,6 +135,7 @@ class IVFFlatIndex(VectorIndex):
     ) -> SearchResult:
         self._require_trained()
         query = self._check_query(query)
+        bitset = self._check_bitset(bitset, self.ntotal)
         if self.ntotal == 0 or k <= 0:
             return SearchResult.empty()
         nprobe = max(1, min(int(nprobe), self.nlist))
@@ -153,15 +149,13 @@ class IVFFlatIndex(VectorIndex):
                 continue
             ids = self._ids[lo:hi]
             vectors = self._vectors[lo:hi]
+            visited += int(ids.size)  # a bitmap test touches every posting too
             if bitset is not None:
                 allowed = bitset[ids]
-                visited += int(ids.size)  # bitmap test touches every posting
                 if not allowed.any():
                     continue
                 ids = ids[allowed]
                 vectors = vectors[allowed]
-            else:
-                visited += int(ids.size)
             gathered_ids.append(ids)
             gathered_dist.append(pairwise_distance(query, vectors, self.metric))
         if not gathered_ids:

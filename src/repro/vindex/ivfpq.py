@@ -156,12 +156,7 @@ class IVFPQIndex(VectorIndex):
     def add_with_ids(self, vectors: np.ndarray, ids: np.ndarray) -> None:
         if not self.is_trained:
             raise IndexNotTrainedError("IVFPQ requires train() before add_with_ids()")
-        vectors = self._check_vectors(vectors)
-        ids = np.asarray(ids, dtype=np.int64).reshape(-1)
-        if ids.shape[0] != vectors.shape[0]:
-            raise IndexParameterError(
-                f"{ids.shape[0]} ids for {vectors.shape[0]} vectors"
-            )
+        vectors, ids = self._check_add(vectors, ids)
         assert self._centroids is not None
         cells = assign_to_centroids(vectors, self._centroids)
         residuals = vectors - self._centroids[cells]
@@ -181,6 +176,7 @@ class IVFPQIndex(VectorIndex):
     ) -> SearchResult:
         self._require_trained()
         query = self._check_query(query)
+        bitset = self._check_bitset(bitset, self.ntotal)
         if self.ntotal == 0 or k <= 0:
             return SearchResult.empty()
         assert self._centroids is not None

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import IndexParameterError
 from repro.vindex.api import pairwise_distance, top_k_from_distances
 from repro.vindex.registry import IndexSpec, create_index
 
@@ -48,6 +49,21 @@ class TestInterfaceContract:
         bitset[50:100] = True
         result = built[name].search_with_filter(data[60], 5, bitset=bitset)
         assert set(result.ids.tolist()) <= set(range(50, 100))
+
+    def test_bitset_validated(self, built, data, name):
+        # A 0/1 integer bitset is a mask, not a fancy index: it must
+        # answer exactly like its boolean twin; one that cannot cover
+        # the rows is refused, not indexed out of bounds.
+        mask = np.zeros(data.shape[0], dtype=bool)
+        mask[:5] = True
+        want = built[name].search_with_filter(data[4], 3, bitset=mask)
+        got = built[name].search_with_filter(data[4], 3, bitset=mask.astype(np.int64))
+        assert got.ids.tolist() == want.ids.tolist()
+        assert got.distances.tolist() == want.distances.tolist()
+        assert set(want.ids.tolist()) <= set(range(5))
+        for bad in (mask[:10], np.ones((2, data.shape[0]), dtype=bool)):
+            with pytest.raises(IndexParameterError):
+                built[name].search_with_filter(data[4], 3, bitset=bad)
 
     def test_range_search_respects_radius(self, built, data, name):
         result = built[name].search_with_range(data[0], 3.0)
