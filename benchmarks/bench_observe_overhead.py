@@ -7,9 +7,7 @@ on, real python wall time for a fixed query workload must stay within
 **10%** of the same workload with instrumentation off (tracer disabled,
 event log detached, slowlog sampling off) — both **direct**
 (``db.execute``) and **staged** (``ServingFrontend.submit`` on the
-virtual-time loop, the path every served query takes).  Under
-``BENCH_SMOKE`` a third, recorded-only row runs the direct loop with
-``executor_mode='process'``, where every scan's spans cross a pipe.
+virtual-time loop, the path every served query takes).
 
 Both engines are built once; only the query loop is timed, repeated
 ``REPEATS`` times taking the minimum (steadiest) wall time per config.
@@ -37,7 +35,6 @@ if __package__ in (None, ""):  # standalone CLI
     sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 from benchmarks.common import (
-    BENCH_SMOKE,
     fmt_table,
     load_blendhouse,
     record,
@@ -115,19 +112,8 @@ def run_staged(db, sqls):
     return time.perf_counter() - start, checksum_of(results)
 
 
-def run_process(db, sqls):
-    """The direct loop with every scan on the worker-process pool."""
-    db.execute("SET executor_mode = 'process'")
-    try:
-        return run_direct(db, sqls)
-    finally:
-        db.execute("SET executor_mode = 'thread'")
-
-
-# path -> (one timed pass, whether the bound gates it)
-PATHS = {"direct": (run_direct, True), "staged": (run_staged, True)}
-if BENCH_SMOKE:
-    PATHS["process"] = (run_process, False)
+# path -> one timed pass
+PATHS = {"direct": run_direct, "staged": run_staged}
 
 
 def measure():
@@ -140,7 +126,7 @@ def measure():
     db_off, sqls = build_engine(instrumented=False)
     db_on, _ = build_engine(instrumented=True)
     rows = {}
-    for path, (run_pass, gated) in PATHS.items():
+    for path, run_pass in PATHS.items():
         run_pass(db_off, sqls)  # warmups: caches, plan cache, index loads
         run_pass(db_on, sqls)
         walls_off, walls_on = [], []
@@ -153,7 +139,6 @@ def measure():
         assert sum_on == sum_off, f"instrumentation changed {path} query results"
         wall_off, wall_on = min(walls_off), min(walls_on)
         rows[path] = {
-            "gated": gated,
             "wall_off_s": wall_off,
             "wall_on_s": wall_on,
             "overhead": (wall_on - wall_off) / wall_off,
@@ -171,11 +156,10 @@ def report(db_on, rows):
         f"Observability overhead: {QUERIES_PER_PASS} queries, "
         f"min of {REPEATS} passes (real seconds)",
         ["path", "dark (s)", "traced (s)", "traced - dark (us/query)",
-         "overhead", "gated"],
+         f"overhead (<= {MAX_OVERHEAD:.0%})"],
         [
             [path, row["wall_off_s"], row["wall_on_s"],
-             row["traced_minus_dark_us_per_query"], row["overhead"],
-             f"<= {MAX_OVERHEAD:.0%}" if row["gated"] else "recorded"]
+             row["traced_minus_dark_us_per_query"], row["overhead"]]
             for path, row in rows.items()
         ],
     ))
@@ -204,10 +188,10 @@ def report(db_on, rows):
 
 
 def over_bound(rows):
-    """The gated paths whose overhead exceeds the committed bound."""
+    """The paths whose overhead exceeds the committed bound."""
     return {
         path: row["overhead"] for path, row in rows.items()
-        if row["gated"] and row["overhead"] > MAX_OVERHEAD
+        if row["overhead"] > MAX_OVERHEAD
     }
 
 

@@ -63,45 +63,3 @@ class FaultSchedule:
         """Events not yet fired."""
         return len(self._events)
 
-
-# ----------------------------------------------------------------------
-# Process-plane faults
-# ----------------------------------------------------------------------
-WORKER_CRASH = "worker_crash"
-
-
-@dataclass
-class WorkerCrashFault:
-    """The WORKER_CRASH lever: kill a live scan *process* mid-scan.
-
-    Unlike :class:`FaultSchedule` (which fails *simulated* warehouse
-    workers on the simulated clock), this lever targets the real
-    process-pool plane: arming it makes the pool SIGKILL one of its
-    worker processes immediately after the next scan request is written
-    to its pipe — the worker dies holding the segment.  The pool must
-    detect the dead pipe, emit ``worker.crash``, respawn the process,
-    re-ship the segment payload, retry the scan, and emit
-    ``worker.respawn``; the query completes as if nothing happened.
-
-    Works against any :class:`~repro.executor.procpool.ProcessScanPool`:
-    an engine's (``executor_mode='process'``) or one attached to a
-    :class:`VirtualWarehouse` via ``warehouse.scan_pool``.
-    """
-
-    pool: object  # ProcessScanPool (duck-typed; avoids an import cycle)
-    kind: str = WORKER_CRASH
-
-    def arm(self, times: int = 1) -> "WorkerCrashFault":
-        """Arm ``times`` mid-scan kills on the pool."""
-        self.pool.inject_crash(times)
-        return self
-
-    @property
-    def crashes_seen(self) -> int:
-        """Worker deaths the pool has detected so far."""
-        return self.pool.crashes
-
-    @property
-    def respawns_seen(self) -> int:
-        """Replacement workers the pool has started so far."""
-        return self.pool.respawns

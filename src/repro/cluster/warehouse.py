@@ -106,11 +106,6 @@ class VirtualWarehouse:
         # work (write workload interference, Fig 12).  0 = dedicated VW.
         self.background_load = 0.0
         self._next_worker_seq = 0
-        # Optional ProcessScanPool: when attached, each simulated
-        # worker's segment scans execute on real worker *processes*
-        # (admission control, LPT lanes, and interference accounting
-        # stay exactly as in thread mode).
-        self.scan_pool = None
 
     # ------------------------------------------------------------------
     # Topology management
@@ -326,7 +321,6 @@ class VirtualWarehouse:
                     tracer=self.tracer,
                     manifest_id=manifest_id,
                     cancel=cancel,
-                    scan_pool=self.scan_pool,
                 )
                 segment_costs: List[float] = []
                 for segment_id in segment_ids:

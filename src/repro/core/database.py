@@ -26,9 +26,8 @@ Session settings mirror the paper's ablation switches::
 
 from __future__ import annotations
 
-import os
 from contextlib import closing
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -43,9 +42,7 @@ from repro.executor.cancel import CancelToken
 from repro.executor.columnio import ColumnReader, ReadOptConfig
 from repro.executor.parallel import (
     BatchExecutionResult,
-    ParallelConfig,
     execute_batch_on_segments,
-    fan_out_segments,
     lane_makespan,
 )
 from repro.executor.pipeline import (
@@ -109,19 +106,10 @@ class EngineSettings:
     nprobe: Optional[int] = None
     forced_strategy: Optional[str] = None  # brute_force / pre_filter / post_filter
     auto_compaction: bool = False
-    # Intra-query fan-out: per-segment scans run on this many simulated
-    # cores (and real threads).  1 = strictly serial execution; results
-    # are byte-identical either way, only simulated wall-time changes.
+    # Simulated cores a query's per-segment scan costs are packed onto
+    # (>= 1).  Scans always run one after another on the calling thread;
+    # rows are identical at any value, only simulated wall-time changes.
     parallel_workers: int = 1
-    # Where per-segment scans execute: 'thread' runs them on the calling
-    # thread / thread fan-out; 'process' ships them to the persistent
-    # spawn-started worker pool (repro.executor.procpool) over shared
-    # memory, escaping the GIL for python-heavy index traversals.
-    # Results are byte-identical in both modes.  Defaults from the
-    # REPRO_EXECUTOR environment variable.
-    executor_mode: str = field(
-        default_factory=lambda: os.environ.get("REPRO_EXECUTOR", "thread")
-    )
     # Tracer root retention (SET trace_max_roots): completed query trees
     # kept for EXPLAIN ANALYZE / the flight recorder before the oldest
     # fall off (counted in ``trace.roots_dropped``).
@@ -144,7 +132,7 @@ class EngineSettings:
         Raises
         ------
         SQLError
-            For unknown setting names.
+            For unknown setting names and ``parallel_workers < 1``.
         """
         key = name.lower()
         if key == "read_opt":
@@ -155,18 +143,13 @@ class EngineSettings:
         if key in ("ef_search", "nprobe", "semantic_prune_keep",
                    "prefilter_row_threshold", "parallel_workers",
                    "trace_max_roots", "slowlog_sample_every"):
-            setattr(self, key, int(value))
+            number = int(value)
+            if key == "parallel_workers" and number < 1:
+                raise SQLError(f"parallel_workers must be >= 1, got {value!r}")
+            setattr(self, key, number)
             return
         if key == "slowlog_threshold_ms":
             self.slowlog_threshold_ms = float(value)
-            return
-        if key == "executor_mode":
-            text = str(value).lower()
-            if text not in ("thread", "process"):
-                raise SQLError(
-                    f"executor_mode must be 'thread' or 'process', got {value!r}"
-                )
-            self.executor_mode = text
             return
         if key == "forced_strategy":
             text = str(value).lower()
@@ -251,10 +234,9 @@ class SelectStage:
 class _InProcessBackend:
     """Scan backend that runs segment scans in the engine's process.
 
-    Serially, reporting each segment as it completes (a real interleave
-    point for whoever drives the stages); with ``parallel_workers > 1``
-    over threads — or the process pool under ``executor_mode='process'``
-    — reporting after the join.
+    One after another, reporting each segment as it completes (a real
+    interleave point for whoever drives the stages); the wave's time is
+    the captured costs packed onto ``parallel_workers`` simulated cores.
     """
 
     name: Optional[str] = None  # no warehouse serves these queries
@@ -265,14 +247,8 @@ class _InProcessBackend:
     def scan(self, plan, segments, bitmaps, snapshot, cancel):
         db = self.db
         ctx = db._exec_context(db.table(plan.logical.table), snapshot, cancel)
-        lanes = max(1, db.settings.parallel_workers)
-        if lanes > 1 and len(segments) > 1:
-            partials, costs, makespan = fan_out_segments(
-                plan, segments, bitmaps, ctx, lanes
-            )
-            for segment, cost_s in zip(segments, costs):
-                yield segment.segment_id, cost_s
-            return partials, makespan
+        lanes = db.settings.parallel_workers
+        db.tracer.annotate("lanes", lanes)  # the ``execute`` span
         partials, costs = [], []
         for segment in segments:
             if cancel is not None:
@@ -361,10 +337,6 @@ class BlendHouse:
         self._tables: Dict[str, TableRuntime] = {}
         self.last_recovery: Optional[RecoveryReport] = None
         self._durability = DurabilityManager(self, durability)
-        # Tests attach a private ProcessScanPool here (crash injection,
-        # bounded-size pools); None means executor_mode='process' uses
-        # the process-wide shared pool.
-        self._scan_pool_override: Optional[Any] = None
         self._in_process = _InProcessBackend(self)
 
     # ------------------------------------------------------------------
@@ -797,25 +769,7 @@ class BlendHouse:
             tracer=self.tracer,
             manifest_id=manifest_id,
             cancel=cancel,
-            scan_pool=self._scan_pool_or_none(),
         )
-
-    def _scan_pool_or_none(self) -> Optional[Any]:
-        """The process scan pool when ``executor_mode='process'``.
-
-        Lazy import keeps single-process deployments free of any
-        multiprocessing machinery; the shared pool is sized to at least
-        the configured ``parallel_workers`` lanes and its metric/event
-        sink rebinds to this engine.
-        """
-        if self.settings.executor_mode != "process":
-            return None
-        if self._scan_pool_override is not None:
-            return self._scan_pool_override
-        from repro.executor.procpool import DEFAULT_POOL_WORKERS, shared_pool
-
-        workers = max(DEFAULT_POOL_WORKERS, self.settings.parallel_workers)
-        return shared_pool(workers=workers, metrics=self.metrics)
 
     def _prune(
         self, runtime: TableRuntime, plan: PhysicalPlan, snapshot: Any,
@@ -1083,9 +1037,10 @@ class BlendHouse:
         The batch is planned once (one optimizer pass, rebound per query
         vector), each scheduled segment is scanned a single time for all
         queries probing it — brute-force and IVF distance computation run
-        as one ``(nq, n)`` kernel — and segment scans fan out across the
-        ``parallel_workers`` lanes.  Results match issuing the queries
-        one at a time through SQL (bit-for-bit under the ``l2`` metric).
+        as one ``(nq, n)`` kernel — and the segment scans' costs are packed
+        onto the ``parallel_workers`` simulated lanes.  Results match
+        issuing the queries one at a time through SQL (bit-for-bit under
+        the ``l2`` metric).
         """
         query_matrix = np.asarray(queries, dtype=np.float32)
         if query_matrix.ndim == 1:
@@ -1192,12 +1147,12 @@ class BlendHouse:
         ctx = self._exec_context(runtime, snapshot=snapshot)
         bitmaps: Dict[str, Any] = {}
         waves = [self._prune(runtime, plan, snapshot, bitmaps) for plan in plans]
-        config = ParallelConfig(max_workers=max(1, self.settings.parallel_workers))
+        lanes = self.settings.parallel_workers
         start = self.clock.now
         with self.tracer.span("execute_batch", queries=len(plans),
                               manifest_id=snapshot.manifest_id):
             batch = execute_batch_on_segments(
-                plans, [scheduled for scheduled, _ in waves], bitmaps, ctx, config
+                plans, [scheduled for scheduled, _ in waves], bitmaps, ctx, lanes
             )
             short = [
                 position for position, (_, reserve) in enumerate(waves)
@@ -1212,7 +1167,7 @@ class BlendHouse:
                 widened = execute_batch_on_segments(
                     [plans[position] for position in short],
                     [waves[position][0] + waves[position][1] for position in short],
-                    bitmaps, ctx, config,
+                    bitmaps, ctx, lanes,
                 )
                 for position, result in zip(short, widened.results):
                     batch.results[position] = result

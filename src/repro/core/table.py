@@ -58,11 +58,6 @@ class TableRuntime:
         )
         self._loaded_indexes: Dict[str, VectorIndex] = {}
         self.compactor.on_retire(self._forget_index)
-        # Shared-memory reclamation rides the MVCC lifecycle: the moment
-        # the last strong manifest reference to a segment drops, its
-        # shared vector block's name is unlinked (in-flight scans keep
-        # their mappings; memory frees when the last view closes).
-        self.manager.on_retire(lambda segment, _key: segment.release_shared())
 
     # ------------------------------------------------------------------
     # Index resolution (local mode)

@@ -8,17 +8,15 @@
   split-buffer cache (§IV-C).
 * :mod:`repro.executor.pipeline` — per-segment plan execution and the
   global partial top-k merge.
-* :mod:`repro.executor.parallel` — intra-query parallel segment fan-out
-  (thread pool + lane-makespan simulated accounting) and batched
-  ``nq > 1`` multi-query execution.
+* :mod:`repro.executor.parallel` — lane-makespan accounting of
+  simulated scan parallelism and batched ``nq > 1`` multi-query
+  execution.
 """
 
 from repro.executor.columnio import ColumnReader, ReadOptConfig
 from repro.executor.parallel import (
     BatchExecutionResult,
-    ParallelConfig,
     execute_batch_on_segments,
-    fan_out,
     lane_makespan,
 )
 from repro.executor.pipeline import (
@@ -32,12 +30,10 @@ __all__ = [
     "BatchExecutionResult",
     "ColumnReader",
     "ExecContext",
-    "ParallelConfig",
     "PartialResult",
     "QueryResult",
     "ReadOptConfig",
     "execute_batch_on_segments",
     "execute_plan_on_segments",
-    "fan_out",
     "lane_makespan",
 ]

@@ -105,17 +105,6 @@ class ColumnReader:
             self._clock.advance(self._cost.object_store_read(int(block_bytes)))
             self._metrics.incr("columnio.block_reads")
 
-    def for_task(self, metrics: Optional[MetricRegistry] = None) -> "ColumnReader":
-        """A reader for one parallel scan task: same clock/cost/config,
-        private metrics and a private block cache.
-
-        Parallel per-segment tasks must not share the mutable LRU state
-        (or a metrics registry) across threads; block-cache keys are
-        per-segment anyway, so within one query nothing is lost by
-        splitting the cache.
-        """
-        return ColumnReader(self._clock, self._cost, metrics, self.config)
-
     # ------------------------------------------------------------------
     # Data access
     # ------------------------------------------------------------------

@@ -63,13 +63,9 @@ class ExecContext:
     tracer: Optional[Tracer] = None
     # Manifest this execution is pinned to (MVCC); None outside snapshots.
     manifest_id: Optional[int] = None
-    # Cooperative cancellation: checked at every scan boundary (serial
-    # loop, fan-out task start, warehouse worker groups, RPC dispatch).
+    # Cooperative cancellation: checked at every scan boundary (the
+    # segment loops, warehouse worker groups, RPC dispatch).
     cancel: Optional[CancelToken] = None
-    # When set (executor_mode='process'), segment scans route to this
-    # ProcessScanPool instead of running on the calling thread.  Typed
-    # as Any to keep the executor core import-free of multiprocessing.
-    scan_pool: Optional[Any] = None
 
 
 @dataclass
@@ -427,25 +423,13 @@ def execute_segment(
     bitmap: Optional[DeleteBitmap],
     ctx: ExecContext,
 ) -> PartialResult:
-    """Run ``plan`` on one segment (the unit a cluster worker executes).
-
-    This is the single routing point between the thread and process
-    execution planes: with ``ctx.scan_pool`` set the scan runs on a
-    worker process and the captured cost is replayed onto the caller's
-    clock (equivalently: into the caller's active cost capture), so the
-    serial loop, the warehouse worker groups, and staged SELECT all
-    account simulated time identically in both modes.
-    """
+    """Run ``plan`` on one segment (the unit a cluster worker executes)."""
     with maybe_span(ctx.tracer, "segment_scan",
                     segment=segment.segment_id,
                     strategy=plan.strategy.value) as span:
-        if ctx.scan_pool is not None:
-            partial, cost = ctx.scan_pool.scan_one(plan, segment, bitmap, ctx)
-            ctx.clock.advance(cost)
-        else:
-            partial = _scan_segment(
-                plan, segment, bitmap, ctx, _resolve_index(plan, segment, ctx)
-            )
+        partial = _scan_segment(
+            plan, segment, bitmap, ctx, _resolve_index(plan, segment, ctx)
+        )
         if span is not None:
             span.set_tag("rows", int(partial.offsets.size))
         return partial

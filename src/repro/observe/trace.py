@@ -7,7 +7,7 @@ span is the engine's one timing record:
 
 * ``duration`` — the *simulated* seconds its work charged.  Inside a
   :class:`~repro.simulate.clock.CostCapture` (every SELECT stage, every
-  fan-out task) charges land in the capture instead of moving the clock,
+  segment scan) charges land in the capture instead of moving the clock,
   so the span measures the capture's total; otherwise it measures the
   clock.  Either way sequential children sum to at most their parent.
 * ``wall_s`` — the real ``perf_counter`` seconds it took.
@@ -90,19 +90,6 @@ class Span:
         """Attach or overwrite one tag."""
         self.tags[key] = value
 
-    def adopt(self, spans: Iterable["Span"]) -> None:
-        """Graft subtrees built elsewhere (a fan-out task's thread, a
-        worker process) under this span, in the order given."""
-        for span in spans:
-            span.parent = self
-            self.children.append(span)
-
-    def __reduce__(self) -> Any:
-        # Crosses the scan-worker pipe as a detached subtree: no tracer
-        # (it holds thread-local state), no parent.
-        return _revive, (self.name, self.start, self.end, self.duration,
-                         self.wall_s, self.tags, self.children)
-
     def find(self, name: str) -> Optional["Span"]:
         """First descendant (depth-first, self included) named ``name``."""
         if self.name == name:
@@ -153,13 +140,6 @@ class Span:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Span({self.name!r}, {self.duration * 1e3:.3f}ms, tags={self.tags})"
-
-
-def _revive(name, start, end, duration, wall_s, tags, children) -> Span:
-    span = Span(name, start, tags=tags)
-    span.end, span.duration, span.wall_s = end, duration, wall_s
-    span.adopt(children)
-    return span
 
 
 def _fmt_tag(value: Any) -> str:
@@ -227,8 +207,8 @@ class Tracer:
 
     The stack only nests spans inside one synchronous block.  A span
     that outlives its block — a staged SELECT's ``query`` and ``execute``
-    spans across ``yield``s, a fan-out task's detached holder — is held
-    by its owner *off* the stack and made current with :meth:`under`.
+    spans across ``yield``s — is held by its owner *off* the stack and
+    made current with :meth:`under`.
     """
 
     def __init__(
@@ -373,13 +353,6 @@ def maybe_span(
     if tracer is None:
         return _NULL_CONTEXT
     return tracer.start(name, **tags)
-
-
-def maybe_under(tracer: Optional[Tracer], span: Span) -> ContextManager[Any]:
-    """``tracer.under`` when a tracer is present, else a shared no-op."""
-    if tracer is None:
-        return _NULL_CONTEXT
-    return tracer.under(span)
 
 
 def profile(roots: Iterable[Span]) -> Dict[str, Dict[str, Any]]:

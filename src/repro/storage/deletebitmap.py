@@ -14,18 +14,12 @@ seeing the exact alive set they were opened against.
 
 from __future__ import annotations
 
-import threading
-import weakref
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.errors import SegmentError
 from repro.storage.blockio import decode_block, encode_block
-
-# Serializes shared-block promotion (concurrent scans may promote the
-# same frozen bitmap; double-creation would leak a block name).
-_PROMOTE_LOCK = threading.Lock()
 
 
 class DeleteBitmap:
@@ -37,8 +31,6 @@ class DeleteBitmap:
         self._deleted = np.zeros(row_count, dtype=bool)
         self.version = version
         self._frozen = False
-        self._shared_block = None
-        self._shared_finalizer = None
 
     @property
     def row_count(self) -> int:
@@ -150,75 +142,8 @@ class DeleteBitmap:
         clone._deleted = self._deleted.copy()
         return clone
 
-    # ------------------------------------------------------------------
-    # Shared-memory backing (multiprocess scan plane)
-    # ------------------------------------------------------------------
-    def ensure_shared(self, prefer: str = "shm"):
-        """Move a *frozen* bitmap into a process-shareable block.
-
-        Returns the block's attach spec, or ``None`` for mutable bitmaps
-        (a mutable alive set cannot be safely shared — callers fall back
-        to shipping the bitmap inline).  Idempotent: the first call
-        copies the deleted mask into a
-        :class:`~repro.storage.sharedblock.SharedVectorBlock` and
-        re-points this bitmap at the shared read-only view, so parent
-        and workers observe identical bytes; later calls return the
-        existing spec.  The block's name is released when this bitmap is
-        collected (copy-on-write means a new version is a new object,
-        hence a new block).
-        """
-        if not self._frozen:
-            return None
-        from repro.storage.sharedblock import SharedVectorBlock
-
-        with _PROMOTE_LOCK:
-            if self._shared_block is None:
-                block = SharedVectorBlock.allocate(
-                    self.row_count, 1, dtype="bool", prefer=prefer
-                )
-                np.copyto(block.writable_view(), self._deleted.reshape(-1, 1))
-                self._shared_block = block
-                self._deleted = block.view().reshape(-1)
-                self._shared_finalizer = weakref.finalize(self, block.close)
-        return self._shared_block.spec
-
-    @property
-    def shared_spec(self):
-        """Attach spec for the shared backing, or None if not shared."""
-        if self._shared_block is None:
-            return None
-        return self._shared_block.spec
-
-    @classmethod
-    def from_shared(cls, spec, version: int = 0) -> "DeleteBitmap":
-        """Attach a bitmap shipped by spec (worker side, zero-copy).
-
-        The result is frozen — it is a view over another process's
-        committed version — and keeps the mapping open for its own
-        lifetime (eviction from a worker's attach cache drops the last
-        reference and closes the block).
-        """
-        from repro.storage.sharedblock import SharedVectorBlock
-
-        block = SharedVectorBlock.attach(spec)
-        rows = int(spec.shape[0])
-        bitmap = cls(rows, version=version)
-        bitmap._deleted = block.view().reshape(-1)
-        bitmap._frozen = True
-        bitmap._shared_block = block
-        bitmap._shared_finalizer = weakref.finalize(bitmap, block.close)
-        return bitmap
-
-    def __getstate__(self):
-        """Pickle without the shared block (attach handles don't pickle);
-        the mask is detached into a private array."""
-        state = self.__dict__.copy()
-        state["_deleted"] = np.array(self._deleted, dtype=bool)
-        state["_shared_block"] = None
-        state["_shared_finalizer"] = None
-        return state
-
     def __setstate__(self, state) -> None:
+        # numpy arrays unpickle writeable: re-seal a frozen mask.
         self.__dict__.update(state)
         if self._frozen:
             self._deleted.setflags(write=False)

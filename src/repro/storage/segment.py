@@ -13,8 +13,6 @@ only the columns (and ranges) they need.
 
 from __future__ import annotations
 
-import threading
-import weakref
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -23,7 +21,6 @@ import numpy as np
 from repro.errors import SegmentError
 from repro.storage.blockio import block_nbytes, decode_block, encode_block
 from repro.storage.objectstore import ObjectStore
-from repro.storage.sharedblock import SharedBlockSpec, SharedVectorBlock
 
 
 @dataclass
@@ -80,10 +77,6 @@ def _compute_stats(name: str, values: Any) -> Optional[ColumnStats]:
     return None
 
 
-# Guards shared-block promotion (ensure_shared) across scan threads.
-_PROMOTE_LOCK = threading.Lock()
-
-
 class Segment:
     """An immutable bundle of scalar columns plus one vector column.
 
@@ -116,9 +109,9 @@ class Segment:
                 )
         self.meta = meta
         # Scalar numpy columns are exposed through read-only views: the
-        # column buffer may be shared (decoded blocks, parallel scans)
-        # and segments are immutable by contract.  The caller's array
-        # stays writable — only the segment-held view is locked.
+        # column buffer may be shared (decoded blocks, concurrent
+        # queries) and segments are immutable by contract.  The caller's
+        # array stays writable — only the segment-held view is locked.
         self._scalars = {}
         for name, values in scalar_columns.items():
             if isinstance(values, np.ndarray):
@@ -127,9 +120,6 @@ class Segment:
             self._scalars[name] = values
         self._vectors = np.ascontiguousarray(vectors, dtype=np.float32)
         self._vectors.setflags(write=False)
-        # Shared-memory backing (see ensure_shared); None until requested.
-        self._shared_block: Optional[SharedVectorBlock] = None
-        self._shared_finalizer = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -203,71 +193,8 @@ class Segment:
         return self.meta.dim
 
     def vectors(self) -> np.ndarray:
-        """Read-only view of the full vector column.
-
-        When the segment has a shared-memory backing (see
-        :meth:`ensure_shared`), this is a zero-copy view over the shared
-        buffer — identical bytes in every process that attaches it.
-        """
+        """Read-only view of the full vector column."""
         return self._vectors
-
-    # ------------------------------------------------------------------
-    # Shared-memory backing (multiprocess scan plane)
-    # ------------------------------------------------------------------
-    def ensure_shared(self, prefer: str = "shm") -> "SharedBlockSpec":
-        """Move the vector payload into a process-shareable block.
-
-        Idempotent: the first call copies the vectors into a
-        :class:`~repro.storage.sharedblock.SharedVectorBlock` and
-        re-points :meth:`vectors` at the shared read-only view; later
-        calls return the existing spec.  The block's name is unlinked by
-        the MVCC retire hooks (when the last strong manifest reference
-        drops) and its mapping closes when this segment is collected.
-        """
-        with _PROMOTE_LOCK:
-            # Locked: concurrent scan threads may promote the same
-            # segment; double-creation would leak a block.
-            if self._shared_block is None:
-                block = SharedVectorBlock.create(self._vectors, prefer=prefer)
-                self._shared_block = block
-                self._vectors = block.view()
-                self._shared_finalizer = weakref.finalize(self, block.close)
-        return self._shared_block.spec
-
-    def attach_shared_block(self, block: "SharedVectorBlock") -> None:
-        """Adopt an already-filled shared block as this segment's backing
-        (streamed ingest writes chunks straight into the block, so the
-        segment never owns a private copy)."""
-        if self._shared_block is not None:
-            raise SegmentError(
-                f"segment {self.segment_id!r} already has a shared backing"
-            )
-        view = block.view()
-        if view.shape != self._vectors.shape:
-            raise SegmentError(
-                f"shared block shape {view.shape} != segment "
-                f"shape {self._vectors.shape}"
-            )
-        self._shared_block = block
-        self._vectors = view
-        self._shared_finalizer = weakref.finalize(self, block.close)
-
-    @property
-    def shared_spec(self) -> Optional["SharedBlockSpec"]:
-        """Attach spec for the shared backing, or None if not shared."""
-        if self._shared_block is None:
-            return None
-        return self._shared_block.spec
-
-    def release_shared(self) -> None:
-        """Unlink the shared block's name (MVCC retire hook target).
-
-        Existing views — this segment's and any attached in workers —
-        stay valid; the memory itself is reclaimed when the last mapping
-        closes.  No-op for segments without a shared backing.
-        """
-        if self._shared_block is not None:
-            self._shared_block.unlink()
 
     def vectors_at(self, offsets: Sequence[int]) -> np.ndarray:
         """Vectors at specific row offsets (gather for re-ranking)."""

@@ -20,12 +20,9 @@ production       30M × (multi-column)    ``make_production_like`` 8k × 48
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, Tuple
 
 import numpy as np
-
-from repro.storage.segment import Segment
-from repro.storage.sharedblock import SharedVectorBlock
 
 _WORDS = (
     "dog cat bird fish sunset mountain river city street portrait food "
@@ -95,9 +92,9 @@ def stream_clustered_vectors(
     Yields ``(start_row, chunk)`` pairs; each chunk is at most
     ``chunk_rows`` rows, drawn from the same mixture-of-Gaussians model
     (centers sampled once up front).  Peak driver memory is one chunk,
-    so paper-scale datasets (1M × 128 ≈ 512 MB) can be written straight
-    into segment-sized shared blocks without ever materializing the
-    full ``(n, dim)`` array.  Deterministic for a given
+    so paper-scale datasets (1M × 128 ≈ 512 MB) can be ingested segment
+    by segment without ever materializing the full ``(n, dim)`` array.
+    Deterministic for a given
     ``(seed, n_clusters, chunk_rows)``; chunking changes the RNG call
     sequence, so the values differ from the one-shot generator.
     """
@@ -112,120 +109,6 @@ def stream_clustered_vectors(
         norms = np.linalg.norm(points, axis=1, keepdims=True)
         norms[norms == 0] = 1.0
         yield start, (points / norms).astype(np.float32)
-
-
-@dataclass
-class StreamedDataset:
-    """A dataset generated straight into shared-memory segments.
-
-    ``segments`` are :class:`~repro.storage.segment.Segment` objects
-    whose vector payloads live in :class:`SharedVectorBlock` backings
-    from birth — the driver heap never holds more than one generation
-    chunk.  Ready for the multiprocess scan plane without a promotion
-    copy.
-    """
-
-    name: str
-    segments: List[Segment]
-    queries: np.ndarray
-    n_clusters: int
-
-    @property
-    def n(self) -> int:
-        """Total base vectors across all segments."""
-        return sum(segment.row_count for segment in self.segments)
-
-    @property
-    def dim(self) -> int:
-        """Vector dimensionality."""
-        return self.segments[0].dim if self.segments else 0
-
-
-def make_streamed_shared_dataset(
-    n: int = 100_000,
-    dim: int = 64,
-    rows_per_segment: int = 8192,
-    n_queries: int = 100,
-    seed: int = 0,
-    chunk_rows: int = 2048,
-    n_clusters: Optional[int] = None,
-    prefer: str = "shm",
-    table: str = "streamed",
-) -> StreamedDataset:
-    """Generate a clustered dataset chunk-by-chunk into shared segments.
-
-    Each segment's vector block is allocated up front
-    (:meth:`SharedVectorBlock.allocate`) and filled one generation chunk
-    at a time through the owner's writable view; the finished block is
-    adopted via :meth:`Segment.attach_shared_block`, so the segment
-    never owns a private copy.  Scalar columns (``id``, ``attr``) are
-    per-segment and segment-sized.  Queries are perturbed samples
-    collected *during* streaming — nothing requires the full vector
-    matrix.
-    """
-    rng = np.random.default_rng(seed)
-    clusters = n_clusters or max(8, n // 500)
-    # Query picks are chosen up front by global row; samples are
-    # collected as their chunks stream past.
-    picks = np.sort(rng.choice(n, size=min(n_queries, n), replace=False))
-    samples = np.empty((picks.size, dim), dtype=np.float32)
-
-    segments: List[Segment] = []
-    block: Optional[SharedVectorBlock] = None
-    staging: Optional[np.ndarray] = None
-    seg_start = 0
-    seg_fill = 0
-
-    def finish_segment() -> None:
-        nonlocal block, staging, seg_start, seg_fill
-        assert block is not None and seg_fill == block.spec.shape[0]
-        seq = len(segments)
-        rows = block.spec.shape[0]
-        segment = Segment.from_columns(
-            segment_id=f"{table}/seg-{seq:08d}",
-            table=table,
-            scalar_columns={
-                "id": np.arange(seg_start, seg_start + rows, dtype=np.uint64),
-                "attr": rng.integers(0, 10_000, size=rows).astype(np.int64),
-            },
-            vectors=block.view(),
-        )
-        segment.attach_shared_block(block)
-        segments.append(segment)
-        seg_start += rows
-        block, staging, seg_fill = None, None, 0
-
-    rows_per_segment = max(1, int(rows_per_segment))
-    for start, chunk in stream_clustered_vectors(
-        n, dim, clusters, rng, chunk_rows=chunk_rows
-    ):
-        # Collect query samples whose global rows fall in this chunk.
-        in_chunk = (picks >= start) & (picks < start + chunk.shape[0])
-        if in_chunk.any():
-            samples[np.flatnonzero(in_chunk)] = chunk[picks[in_chunk] - start]
-        offset = 0
-        while offset < chunk.shape[0]:
-            if block is None:
-                rows = min(rows_per_segment, n - (seg_start + seg_fill))
-                block = SharedVectorBlock.allocate(rows, dim, prefer=prefer)
-                staging = block.writable_view()
-            take = min(chunk.shape[0] - offset, staging.shape[0] - seg_fill)
-            staging[seg_fill:seg_fill + take] = chunk[offset:offset + take]
-            seg_fill += take
-            offset += take
-            if seg_fill == staging.shape[0]:
-                finish_segment()
-
-    noise = rng.normal(scale=0.05, size=samples.shape).astype(np.float32)
-    queries = samples + noise
-    norms = np.linalg.norm(queries, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    return StreamedDataset(
-        name="streamed-clustered",
-        segments=segments,
-        queries=(queries / norms).astype(np.float32),
-        n_clusters=clusters,
-    )
 
 
 def make_cohere_like(

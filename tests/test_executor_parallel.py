@@ -1,9 +1,11 @@
-"""Tests for the parallel segment fan-out and batched execution engine.
+"""Tests for simulated scan lanes and the batched execution engine.
 
-The contract under test: for any thread-pool size, any index type, and
-any segment layout, parallel execution returns byte-identical results to
-serial execution — including distance ties — and simulated time only
-improves.  Batched (nq > 1) submissions must match issuing the same
+The contract under test: segments are scanned one after another whatever
+``parallel_workers`` says, so for any lane count, any index type and any
+segment layout the rows and every per-segment cost are those of the
+serial run — including distance ties, cold and warm — and a wave's
+simulated time is ``lane_makespan`` of those costs, never more than
+serial.  Batched (nq > 1) submissions must match issuing the same
 queries sequentially.
 """
 
@@ -15,7 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.database import BlendHouse
-from repro.executor.parallel import ParallelConfig, fan_out, lane_makespan
+from repro.errors import QueryCancelledError, SQLError
+from repro.executor.cancel import CancelToken
+from repro.executor.parallel import lane_makespan
 from repro.simulate.clock import SimulatedClock
 
 
@@ -87,36 +91,92 @@ class TestLaneMakespan:
             assert span <= sum(costs) + 1e-12
 
 
-class TestFanOut:
-    def test_results_in_task_order_any_pool_size(self):
-        clock = SimulatedClock()
+def knn_sql(query, k=5) -> str:
+    return (
+        f"SELECT id FROM t ORDER BY "
+        f"L2Distance(embedding, {full_vector_sql(query)}) AS dist LIMIT {k}"
+    )
 
-        def make(i):
-            def task():
-                clock.advance(0.001 * (i + 1))
-                return i * 10
-            return task
 
-        tasks = [make(i) for i in range(9)]
-        for pool in (1, 2, 8):
-            results, costs = fan_out(clock, tasks, pool)
-            assert results == [i * 10 for i in range(9)]
-            assert costs == pytest.approx([0.001 * (i + 1) for i in range(9)])
-            # Charges were captured, not applied.
-            assert clock.now == 0.0
+def hybrid_sql(query, k=5) -> str:
+    return (
+        f"SELECT id, tag FROM t WHERE tag < 3 ORDER BY "
+        f"L2Distance(embedding, {full_vector_sql(query)}) AS dist LIMIT {k}"
+    )
 
-    def test_concurrent_charges_do_not_race(self):
-        clock = SimulatedClock()
 
-        def task():
-            for _ in range(200):
-                clock.advance(1e-6)
-            return True
+def staged_run(db: BlendHouse, sql: str):
+    """Drain one staged SELECT the way ``execute`` does.  Returns (rows,
+    per-segment stage costs in stage order, each wave's ``advance_s``)."""
+    segment_costs, wave_advances = [], []
+    for stage in db.select_stages(sql):
+        db.clock.advance(stage.advance_s)
+        if stage.name.startswith("segment:"):
+            segment_costs.append((stage.name, stage.cost_s))
+        elif stage.name in ("scan", "widen"):
+            wave_advances.append(stage.advance_s)
+    return stage.result.rows, segment_costs, wave_advances
 
-        results, costs = fan_out(clock, [task] * 16, 8)
-        assert all(results)
-        assert costs == pytest.approx([2e-4] * 16)
-        assert clock.now == 0.0
+
+# (index type, rows per segment, statement, the strategy the CBO picks)
+LANE_CASES = {
+    "flat-knn": ("FLAT", 40, knn_sql, "ann_only"),
+    "hnsw-hybrid-postfilter": ("HNSW", 200, hybrid_sql, "post_filter"),
+}
+
+
+class TestScanLoop:
+    """The one loop's contract: segments are scanned in task order under
+    a capture each, and ``parallel_workers`` only packs the captured
+    costs onto simulated cores."""
+
+    def test_results_and_costs_in_task_order_any_lane_count(self):
+        query = np.random.default_rng(2).standard_normal(DIM).astype(np.float32)
+        for case, (index_type, per_segment, sql_of, strategy) in LANE_CASES.items():
+            sql = sql_of(query)
+            serial_db = build_db(index_type, segments=8, rows_per_segment=per_segment)
+            # Cold, then the second and third repeat of the same statement.
+            serial = [staged_run(serial_db, sql) for _ in range(3)]
+            plan = serial_db.tracer.last_root().find("plan")
+            assert plan.tags["strategy"] == strategy
+            assert len(serial[0][1]) == 8
+            for workers in (2, 4, 8):
+                db = build_db(
+                    index_type, segments=8, rows_per_segment=per_segment,
+                    workers=workers,
+                )
+                for repeat, (rows, costs, _) in enumerate(serial):
+                    got_rows, got_costs, got_advances = staged_run(db, sql)
+                    where = f"{case} workers={workers} repeat={repeat}"
+                    assert got_rows == rows, where
+                    assert got_costs == costs, where  # bit-equal, in task order
+                    assert got_advances == [
+                        lane_makespan([cost for _, cost in costs], workers)
+                    ], where
+
+    def test_charges_are_captured_not_applied(self):
+        query = np.random.default_rng(2).standard_normal(DIM).astype(np.float32)
+        db = build_db("FLAT", segments=8, workers=4)
+        start = db.clock.now
+        stages = list(db.select_stages(knn_sql(query)))  # nobody advances
+        assert db.clock.now == start
+        assert sum(stage.cost_s > 0 for stage in stages
+                   if stage.name.startswith("segment:")) == 8
+
+    def test_cancel_mid_scan_stops_before_the_next_segment(self):
+        query = np.random.default_rng(2).standard_normal(DIM).astype(np.float32)
+        db = build_db("FLAT", segments=8, workers=4)
+        pins = db.table("t").manager.store
+        token = CancelToken()
+        seen = []
+        with pytest.raises(QueryCancelledError):
+            for stage in db.select_stages(knn_sql(query), cancel=token):
+                seen.append(stage.name)
+                if sum(name.startswith("segment:") for name in seen) == 3:
+                    token.cancel()
+        assert sum(name.startswith("segment:") for name in seen) == 3
+        assert "scan" not in seen
+        assert pins.pinned_count == 0
 
 
 class TestParallelDeterminism:
@@ -181,17 +241,27 @@ class TestParallelDeterminism:
         assert parallel == serial
 
     def test_parallel_simulated_latency_never_worse(self):
+        # The hybrid case reads scalar columns through the block cache:
+        # the thread fan-out gave every task an empty one on every query,
+        # so a *warm* query cost 60 ms at 4 lanes against 0.005 ms at 1.
         query = np.random.default_rng(2).standard_normal(DIM).astype(np.float32)
-        sql = (
-            f"SELECT id FROM t ORDER BY "
-            f"L2Distance(embedding, {full_vector_sql(query)}) AS dist LIMIT 5"
-        )
-        latencies = {}
-        for workers in (1, 8):
-            db = build_db("FLAT", segments=8, workers=workers)
-            db.execute(sql)  # warm caches
-            latencies[workers] = db.execute(sql).simulated_seconds
-        assert latencies[8] <= latencies[1]
+        for case, (index_type, per_segment, sql_of, _) in LANE_CASES.items():
+            sql = sql_of(query)
+            latencies = {}
+            for workers in (1, 2, 4, 8):
+                db = build_db(
+                    index_type, segments=8, rows_per_segment=per_segment,
+                    workers=workers,
+                )
+                # Cold, then warm.
+                latencies[workers] = [
+                    db.execute(sql).simulated_seconds for _ in range(2)
+                ]
+            cold, warm = latencies[1]
+            assert warm < cold, case
+            for workers in (2, 4, 8):
+                assert latencies[workers][0] <= cold, (case, workers)
+                assert latencies[workers][1] <= warm, (case, workers)
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -338,22 +408,43 @@ class TestBatchedExecution:
                 assert row[1] != 0
 
     def test_batch_cheaper_than_sequential(self):
-        db = build_db("FLAT", segments=6, rows_per_segment=100)
         queries = np.random.default_rng(61).standard_normal((16, DIM)).astype(np.float32)
         sqls = [
             f"SELECT id FROM t ORDER BY "
             f"L2Distance(embedding, {full_vector_sql(q)}) AS dist LIMIT 10"
             for q in queries
         ]
-        db.execute(sqls[0])  # warm caches
-        start = db.clock.now
-        for sql in sqls:
-            db.execute(sql)
-        sequential_elapsed = db.clock.now - start
-        start = db.clock.now
-        db.search_batch("t", queries, k=10)
-        batch_elapsed = db.clock.now - start
-        assert batch_elapsed < sequential_elapsed
+
+        def timed(db, run):
+            start = db.clock.now
+            out = run()
+            return out, db.clock.now - start
+
+        batch_elapsed = {}
+        for workers in (1, 4):
+            db = build_db("FLAT", segments=6, rows_per_segment=100, workers=workers)
+            db.execute(sqls[0])  # warm caches
+            for repeat in range(3):  # the same statements again: warm
+                sequential, sequential_s = timed(
+                    db, lambda: [db.execute(sql).rows for sql in sqls]
+                )
+                searched, searched_s = timed(
+                    db, lambda: db.search_batch("t", queries, k=10)
+                )
+                executed, executed_s = timed(db, lambda: db.execute_batch(sqls))
+                assert [
+                    [row[:1] for row in result.rows] for result in searched.results
+                ] == sequential
+                assert [result.rows for result in executed] == sequential
+                assert searched_s < sequential_s, (workers, repeat)
+                assert executed_s < sequential_s, (workers, repeat)
+                batch_elapsed[workers, repeat] = (searched_s, executed_s)
+        # Lanes never cost a batch more than serial, warm included.
+        for repeat in range(3):
+            for lanes_s, serial_s in zip(
+                batch_elapsed[4, repeat], batch_elapsed[1, repeat]
+            ):
+                assert lanes_s <= serial_s, repeat
 
     def test_empty_batch(self):
         db = build_db("FLAT", segments=2)
@@ -387,15 +478,18 @@ class TestClockThreadSafety:
 
 
 class TestParallelConfig:
-    def test_effective_workers(self):
-        config = ParallelConfig(max_workers=8)
-        assert config.effective_workers(3) == 3
-        assert config.effective_workers(20) == 8
-        assert config.effective_workers(0) == 1
-
     def test_parallel_workers_setting_validation(self):
         db = build_db("FLAT", segments=2)
         db.execute("SET parallel_workers = 4")
         assert db.settings.parallel_workers == 4
         db.execute("SET parallel_workers = 1")
         assert db.settings.parallel_workers == 1
+        # Input from outside the program: rejected, not clamped.
+        with pytest.raises(SQLError, match="parallel_workers"):
+            db.execute("SET parallel_workers = 0")
+        with pytest.raises(SQLError, match="parallel_workers"):
+            db.settings.apply("parallel_workers", -3)
+        assert db.settings.parallel_workers == 1
+        # The planes are gone, and so is the option that chose one.
+        with pytest.raises(SQLError, match="unknown setting"):
+            db.execute("SET executor_mode = 'process'")

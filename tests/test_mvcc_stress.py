@@ -138,6 +138,10 @@ class TestConcurrentReaders:
     def test_concurrent_search_matches_serial_as_of(self):
         db = make_db(parallel_workers=8)
         runtime = db.table("t")
+        # Keep the whole history addressable: a search is cheap next to a
+        # commit, so which manifests the searchers pin is up to the
+        # scheduler, and every one of them is verified below.
+        runtime.manager.store._retain = 1000
         rng = np.random.default_rng(42)
         for batch in range(3):
             db.insert_rows("t", batch_rows(batch, rng))
@@ -149,11 +153,18 @@ class TestConcurrentReaders:
         recorded = []  # (sql, rows) per concurrent query
         errors = []
         stop = threading.Event()
+        writer_done = threading.Event()
         lock = threading.Lock()
 
         def searcher(vec) -> None:
             try:
-                for _ in range(self.SEARCHES_PER_THREAD):
+                searches = 0
+                # Keep racing until the writer is through: a fixed count
+                # can finish before the first commit lands.
+                while not stop.is_set() and (
+                    searches < self.SEARCHES_PER_THREAD or not writer_done.is_set()
+                ):
+                    searches += 1
                     # Pin first, then query AS OF the pinned id: the
                     # outer pin keeps the manifest strong so the rerun
                     # below races nothing.
@@ -186,17 +197,20 @@ class TestConcurrentReaders:
         # The writer: ingest new batches, delete one whole early batch,
         # and compact — each an atomic manifest swap under the readers.
         deleted_batch = 0
-        for batch in range(3, 3 + self.WRITER_BATCHES):
-            if stop.is_set():
-                break
-            db.insert_rows("t", batch_rows(batch, rng))
-            if batch % 4 == 0:
-                lo = deleted_batch * BATCH_ROWS
-                hi = lo + BATCH_ROWS
-                db.execute(f"DELETE FROM t WHERE id >= {lo} AND id < {hi}")
-                deleted_batch += 1
-            if batch % 3 == 0:
-                db.compact("t")
+        try:
+            for batch in range(3, 3 + self.WRITER_BATCHES):
+                if stop.is_set():
+                    break
+                db.insert_rows("t", batch_rows(batch, rng))
+                if batch % 4 == 0:
+                    lo = deleted_batch * BATCH_ROWS
+                    hi = lo + BATCH_ROWS
+                    db.execute(f"DELETE FROM t WHERE id >= {lo} AND id < {hi}")
+                    deleted_batch += 1
+                if batch % 3 == 0:
+                    db.compact("t")
+        finally:
+            writer_done.set()
         for thread in threads:
             thread.join(timeout=120)
             assert not thread.is_alive(), "searcher thread hung"
@@ -213,8 +227,9 @@ class TestConcurrentReaders:
                 continue
             assert db.execute(sql).rows == rows
             verified += 1
-        assert verified > 0
-        assert len(recorded) == self.SEARCH_THREADS * self.SEARCHES_PER_THREAD
+        assert verified == len(recorded)
+        assert len(recorded) >= self.SEARCH_THREADS * self.SEARCHES_PER_THREAD
+        assert len({sql for sql, _ in recorded}) > self.SEARCH_THREADS  # > 1 manifest
 
         # No leaked pins; retirement kept flowing under concurrency.
         assert runtime.manager.store.pinned_count == 0

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from repro.core.database import BlendHouse, ExplainResult
+from repro.executor.parallel import lane_makespan
 from repro.observe.export import MetricsExporter
 from repro.observe.trace import Span, Tracer, maybe_span, profile
 from repro.simulate.metrics import MetricRegistry
+from tests.helpers import walk_spans
 
 
 @pytest.fixture
@@ -172,12 +174,14 @@ class TestMetricsExporter:
 DIM = 8
 
 
-def _seeded_db(rows=300):
+def _seeded_db(rows=300, segment_rows=None):
     db = BlendHouse()
     db.execute(
         f"CREATE TABLE t (id UInt64, views UInt64, embedding Array(Float32), "
         f"INDEX ann embedding TYPE HNSW('DIM={DIM}'))"
     )
+    if segment_rows is not None:
+        db.table("t").writer.config.max_segment_rows = segment_rows
     rng = np.random.default_rng(7)
     db.insert_rows(
         "t",
@@ -411,32 +415,34 @@ class TestSpanClocks:
         assert list(table)[0] == "query"  # widest wall time first
         assert profile([]) == {}
 
-    def test_fanout_children_graft_in_scheduling_order(self, clock, tracer):
-        import time
-
-        from repro.executor.parallel import fan_out
-
-        def make_task(position):
-            def run():
-                # Later tasks finish first: completion order is reversed.
-                time.sleep(0.02 * (4 - position))
-                with tracer.span("segment_scan", position=position):
-                    with tracer.span("index_resolve"):
-                        clock.advance(0.1 * (position + 1))
-                return position
-            return run
-
-        with tracer.span("parallel_fanout") as fan:
-            results, costs = fan_out(
-                clock, [make_task(i) for i in range(4)], 4, tracer=tracer
+    def test_lanes_change_no_span_but_the_execute_duration(self):
+        """``parallel_workers`` is simulated cores only: the ``execute``
+        subtree at 4 lanes is the one at 1, span for span, cold and warm;
+        only ``execute`` itself reads the shorter makespan."""
+        trees = {}
+        for lanes in (1, 4):
+            db = _seeded_db(rows=300, segment_rows=50)
+            db.execute(f"SET parallel_workers = {lanes}")
+            trees[lanes] = []
+            for _ in range(2):
+                db.execute(_hybrid_sql())
+                trees[lanes].append(db.tracer.last_root().find("execute"))
+        for serial, parallel in zip(trees[1], trees[4]):
+            assert serial.tags.pop("lanes") == 1 and parallel.tags.pop("lanes") == 4
+            pairs = list(zip(walk_spans(serial), walk_spans(parallel), strict=True))
+            assert len(serial.find_all("segment_scan")) == 6
+            for one, other in pairs:
+                assert (one.name, one.tags) == (other.name, other.tags)
+                assert [c.name for c in one.children] == [c.name for c in other.children]
+            for one, other in pairs[1:]:
+                assert one.duration == other.duration, one.name  # bit-equal
+            scans = [scan.duration for scan in serial.find_all("segment_scan")]
+            merge = serial.find("merge_project").duration
+            assert serial.duration == pytest.approx(sum(scans) + merge, rel=1e-9)
+            assert parallel.duration == pytest.approx(
+                lane_makespan(scans, 4) + merge, rel=1e-9
             )
-        assert results == [0, 1, 2, 3]
-        assert [child.tags["position"] for child in fan.children] == [0, 1, 2, 3]
-        for child, cost in zip(fan.children, costs):
-            assert child.parent is fan and child.finished
-            assert child.duration == pytest.approx(cost)
-            assert child.find("index_resolve").duration == pytest.approx(cost)
-        assert tracer.roots == [fan]  # no task leaked a root of its own
+            assert parallel.duration < serial.duration
 
     def test_engine_queries_feed_the_profile(self):
         db = _seeded_db(rows=60)

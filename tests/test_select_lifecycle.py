@@ -34,7 +34,6 @@ def _core(**settings):
 ENGINES = {
     "core-serial": _core,
     "core-parallel4": lambda: _core(parallel_workers=4),
-    "core-process": lambda: _core(executor_mode="'process'"),
     "clustered": lambda: ClusteredBlendHouse(read_workers=2),
     "clustered-replicas2": lambda: ClusteredBlendHouse(read_workers=2, replicas=2),
     "fleet-2x2": lambda: FleetBlendHouse(
@@ -158,12 +157,7 @@ def check_query_tree(engine_name, roots, result, widened):
     assert [root.name for root in roots] == ["query"]
     root = roots[0]
     names = {span.name for span in walk(root)}
-    if engine_name == "core-parallel4":
-        grouping = {"parallel_fanout"}
-    elif engine_name.startswith("core"):
-        grouping = set()
-    else:
-        grouping = {"worker_scan"}
+    grouping = set() if engine_name.startswith("core") else {"worker_scan"}
     assert names - {"delete_bitmap.filter"} == SPAN_NAMES | grouping
     for span in walk(root):
         assert span.finished and span.wall_s > 0, span.name

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.errors import SegmentError
 from repro.storage.deletebitmap import DeleteBitmap
 
 
@@ -96,6 +97,18 @@ class TestSerialization:
         assert restored.row_count == 8
         np.testing.assert_array_equal(restored.alive_mask(), bitmap.alive_mask())
 
+    def test_pickle_keeps_a_frozen_mask_immutable(self):
+        import pickle
+
+        bitmap = DeleteBitmap(30)
+        bitmap.mark_deleted([5])
+        bitmap.freeze()
+        clone = pickle.loads(pickle.dumps(bitmap))
+        assert clone.frozen and clone.is_deleted(5)
+        with pytest.raises(SegmentError):
+            clone.mark_deleted([1])
+        assert not clone._deleted.flags.writeable
+
 
 class TestProperties:
     @given(
@@ -125,58 +138,3 @@ class TestProperties:
         np.testing.assert_array_equal(
             restored.deleted_offsets(), bitmap.deleted_offsets()
         )
-
-
-class TestSharedBacking:
-    """Frozen bitmaps ship across processes as shared-memory blocks."""
-
-    def test_mutable_bitmap_refuses_to_share(self):
-        bitmap = DeleteBitmap(50)
-        assert bitmap.ensure_shared() is None
-        assert bitmap.shared_spec is None
-
-    def test_frozen_bitmap_shares_idempotently(self):
-        bitmap = DeleteBitmap(50)
-        bitmap.mark_deleted([1, 2, 40])
-        bitmap.freeze()
-        spec = bitmap.ensure_shared()
-        assert spec is not None and spec.dtype == "bool"
-        assert bitmap.ensure_shared().name == spec.name
-        assert bitmap.shared_spec.name == spec.name
-        # Promotion must not change what readers observe.
-        assert bitmap.deleted_count == 3 and bitmap.is_deleted(40)
-
-    def test_from_shared_sees_identical_mask(self):
-        bitmap = DeleteBitmap(80, version=4)
-        bitmap.mark_deleted(range(0, 80, 7))
-        bitmap.freeze()
-        spec = bitmap.ensure_shared()
-        attached = DeleteBitmap.from_shared(spec, bitmap.version)
-        assert attached.frozen
-        assert attached.version == 4
-        np.testing.assert_array_equal(
-            attached.alive_mask(), bitmap.alive_mask()
-        )
-        with pytest.raises(Exception):
-            attached.mark_deleted([0])
-
-    def test_pickle_detaches_from_shared_block(self):
-        import pickle
-
-        bitmap = DeleteBitmap(30)
-        bitmap.mark_deleted([5])
-        bitmap.freeze()
-        bitmap.ensure_shared()
-        clone = pickle.loads(pickle.dumps(bitmap))
-        assert clone.shared_spec is None
-        assert clone.frozen and clone.is_deleted(5)
-        # The restored mask is private and still immutable.
-        with pytest.raises(Exception):
-            clone.mark_deleted([1])
-
-    def test_empty_bitmap_roundtrip(self):
-        bitmap = DeleteBitmap(0)
-        bitmap.freeze()
-        spec = bitmap.ensure_shared()
-        attached = DeleteBitmap.from_shared(spec)
-        assert attached.row_count == 0 and attached.deleted_count == 0

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from repro.errors import SegmentError
+from repro.storage.blockio import decode_block, encode_block
 from repro.storage.segment import ColumnStats, Segment
+from repro.vindex.registry import IndexSpec, create_index
+
+INDEX_TYPES = ["FLAT", "IVFFLAT", "IVFPQ", "IVFPQFS", "HNSW", "HNSWSQ", "DISKANN"]
 
 
 def make_segment(n=50, dim=8, seed=0, **kwargs):
@@ -124,3 +128,59 @@ class TestColumnStats:
         stats = ColumnStats(minimum="apple", maximum="melon")
         assert stats.overlaps_range("banana", "banana")
         assert not stats.overlaps_range("zebra", None)
+
+
+class TestReadOnlyContract:
+    """Segment arrays are read-only views (concurrent queries and cached
+    index images share them): no hot-path kernel may mutate one in place."""
+
+    def test_decoded_blocks_are_read_only(self, rng):
+        payload = encode_block(rng.normal(size=(20, 4)).astype(np.float32))
+        decoded = decode_block(payload)
+        assert not decoded.flags.writeable
+        with pytest.raises(ValueError):
+            decoded[0, 0] = 1.0
+
+    def test_segment_views_are_read_only(self, rng):
+        segment = Segment.from_columns(
+            "t/seg-00000010", "t",
+            {"id": np.arange(30, dtype=np.uint64)},
+            rng.normal(size=(30, 8)).astype(np.float32),
+        )
+        assert not segment.vectors().flags.writeable
+        assert not segment.scalar_column("id").flags.writeable
+        with pytest.raises(ValueError):
+            segment.vectors()[0, 0] = 9.9
+
+    def test_caller_arrays_stay_writable(self, rng):
+        ids = np.arange(30, dtype=np.uint64)
+        Segment.from_columns(
+            "t/seg-00000011", "t", {"id": ids},
+            rng.normal(size=(30, 8)).astype(np.float32),
+        )
+        ids[0] = 7  # the segment holds a locked *view*, not the base
+
+    @pytest.mark.parametrize("name", INDEX_TYPES)
+    def test_no_kernel_mutates_segment_vectors(self, rng, name):
+        """Search every index type against a segment's read-only payload
+        and prove the bytes are untouched afterwards."""
+        data = rng.normal(size=(300, 16)).astype(np.float32)
+        segment = Segment.from_columns(
+            f"t/seg-ro-{name}", "t",
+            {"id": np.arange(300, dtype=np.uint64)}, data,
+        )
+        held = segment.vectors()
+        before = held.tobytes()
+        params = {"m": 4} if name.startswith("IVFPQ") else {}
+        index = create_index(IndexSpec(index_type=name, dim=16, params=params))
+        index.train(held)
+        index.add_with_ids(held, np.arange(300))
+        refiner = getattr(index, "set_refiner", None)
+        if callable(refiner):
+            refiner(lambda ids: segment.vectors_at(ids))
+        for query in held[:5]:
+            index.search_with_filter(query, 10)
+        bitset = np.ones(300, dtype=bool)
+        bitset[::3] = False
+        index.search_with_filter(held[7], 10, bitset=bitset)
+        assert held.tobytes() == before
