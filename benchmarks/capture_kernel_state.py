@@ -20,18 +20,33 @@ QPS, which they do not (fast traversal is charged the vectorized rate).
 Distances come from float32 numpy kernels, so the baseline names the
 numpy it was captured with: equal ids with differing distances on
 another build means the float kernels differ, not the traversal.
+
+``time`` claims nothing about bytes: it prints the wall-clock grid the
+distance-table size rule (``repro.vindex.hnsw._TABLE_MAX_FLOATS``,
+DESIGN.md §9) was chosen on — µs per HNSW search with the table forced
+on and forced off, and which side the committed constant picks.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import sys
+import time
+
+if sys.argv[1:2] == ["time"]:
+    # One BLAS thread, like the ledger, set before numpy loads; the
+    # digest commands keep the host's default, which they were captured with.
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, "1")
 
 import numpy as np
 
 from benchmarks.common import load_blendhouse
+from repro.vindex import hnsw
 from repro.vindex.api import KERNEL_MODES, kernel_mode
+from repro.vindex.registry import IndexSpec, create_index
 from repro.workloads.datasets import make_cohere_like
 from repro.workloads.recall import recall_at_k
 from repro.workloads.vectorbench import make_hybrid_workload, qps_from_latencies
@@ -143,8 +158,48 @@ def compare(baseline: dict, current: dict, mode: str) -> int:
     return id_mismatches + dist_mismatches + qps_mismatches
 
 
+TIME_ROWS = (500, 2000, 4000, 16000)
+TIME_DIMS = (64, 256, 768)
+
+
+def time_table_grid() -> None:
+    """µs per pure ``search_with_filter`` (k=10, default ef_search, the
+    ledger's HNSW build parameters) with the distance table forced on
+    and off: best of five passes over 40 queries, clustered data."""
+    committed = hnsw._TABLE_MAX_FLOATS
+    print("ntotal   dim  table-on us  table-off us   on/off  rule")
+    try:
+        for n in TIME_ROWS:
+            for dim in TIME_DIMS:
+                dataset = make_cohere_like(n=n, dim=dim, n_queries=40)
+                index = create_index(
+                    IndexSpec("HNSW", dim, params={"m": 8, "ef_construction": 64})
+                )
+                index.add_with_ids(dataset.vectors, np.arange(n))
+                best = {}
+                for label, limit in (("on", float("inf")), ("off", -1)):
+                    hnsw._TABLE_MAX_FLOATS = limit
+                    passes = []
+                    for _ in range(5):
+                        start = time.perf_counter()
+                        for query in dataset.queries:
+                            index.search_with_filter(query, 10)
+                        passes.append(time.perf_counter() - start)
+                    best[label] = min(passes) / len(dataset.queries) * 1e6
+                rule = "on" if n * dim <= committed else "off"
+                print(
+                    f"{n:6d} {dim:5d} {best['on']:12.1f} {best['off']:13.1f} "
+                    f"{best['on'] / best['off']:8.2f}  {rule}"
+                )
+    finally:
+        hnsw._TABLE_MAX_FLOATS = committed
+
+
 def main(argv: list) -> int:
     command = argv[0] if argv else "check"
+    if command == "time":
+        time_table_grid()
+        return 0
     path = argv[1] if len(argv) > 1 else BASELINE
     if command == "capture":
         with open(path, "w") as handle:

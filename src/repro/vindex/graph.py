@@ -6,10 +6,11 @@ neighbours, admit those that beat the beam's worst — so the walk lives
 here once per adjacency form: :func:`beam_search_lists` (python lists
 and a ``set``: the builders' walk, since the graph mutates between
 calls, and the *reference* kernel) and :func:`beam_search_csr` (frozen
-CSR and a boolean mask: the *fast* kernel).  They are two independent
-implementations of one traversal — same arithmetic, heap discipline,
-strict-``<`` admission and neighbour order — which is what lets the
-kernel-equivalence suite hold either against the other.
+CSR, a ``bytearray`` and an optional per-query distance table: the
+*fast* kernel).  They are two independent implementations of one
+traversal — same arithmetic, heap discipline, strict-``<`` admission
+and neighbour order — which is what lets the kernel-equivalence suite
+hold either against the other.
 
 Both take ``distance(query, nodes)``, an index's bound method (passed
 with the query so a hop pays no closure frame), and return ``(beam,
@@ -27,6 +28,7 @@ guarantees; a repeated edge is admitted once per repeat, by both walks.
 from __future__ import annotations
 
 import heapq
+from itertools import compress
 from typing import Any, Callable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -104,40 +106,56 @@ def beam_search_csr(
     entry: int,
     width: int,
     on_read: Optional[Callable[[int], None]] = None,
+    table: Optional[List[float]] = None,
 ) -> Walk:
     """Beam search over a CSR: node ``i``'s neighbours are
-    ``indices[offsets[i]:offsets[i + 1]]`` (the query hot path)."""
-    seen = np.zeros(offsets.shape[0] - 1, dtype=bool)
-    seen[entry] = True
+    ``indices[offsets[i]:offsets[i + 1]]`` (the query hot path).
+
+    ``table``, when given, is ``distance(query, node)`` for every node
+    as a python list (:meth:`HNSWIndex._distance_table`): the hop then
+    looks distances up and calls numpy once, for the CSR slice.
+    """
+    seen = bytearray(offsets.shape[0] - 1)
+    seen[entry] = 1
     marked = 1
     if on_read is not None:
         on_read(1)
-    dist = float(distance(query, [entry])[0])
+    dist = float(distance(query, [entry])[0]) if table is None else table[entry]
     frontier: List[Pair] = [(dist, entry)]
     beam: List[Pair] = [(-dist, entry)]  # max-heap via negated distance
     settled: List[Pair] = []
+    worst = dist       # -beam[0][0], kept current
+    room = width - 1   # width - len(beam)
+    heappop, heappush, heappushpop = heapq.heappop, heapq.heappush, heapq.heappushpop
     while frontier:
-        nearest = heapq.heappop(frontier)
+        nearest = heappop(frontier)
         dist, node = nearest
-        if dist > -beam[0][0] and len(beam) >= width:
+        if dist > worst and room <= 0:
             break
         settled.append(nearest)
-        neighbors = indices[offsets[node]:offsets[node + 1]]
-        fresh = neighbors[~seen[neighbors]]
-        if fresh.size == 0:
+        # Filter, then mark: a repeated edge is gathered once per repeat.
+        fresh = [n for n in indices[offsets[node]:offsets[node + 1]].tolist() if not seen[n]]
+        if not fresh:
             continue
-        seen[fresh] = True
-        marked += int(fresh.size)
+        for neighbor in fresh:
+            seen[neighbor] = 1
+        marked += len(fresh)
         if on_read is not None:
-            on_read(int(fresh.size))
-        dists = distance(query, fresh)
-        worst = -beam[0][0]
-        for neighbor_dist, neighbor in zip(dists.tolist(), fresh.tolist()):
-            if len(beam) < width or neighbor_dist < worst:
-                heapq.heappush(frontier, (neighbor_dist, neighbor))
-                heapq.heappush(beam, (-neighbor_dist, neighbor))
-                if len(beam) > width:
-                    heapq.heappop(beam)
+            on_read(len(fresh))
+        if table is None:
+            dists = distance(query, fresh).tolist()
+        else:
+            dists = [table[n] for n in fresh]
+        for pair in zip(dists, fresh):
+            neighbor_dist, neighbor = pair
+            if room > 0:
+                room -= 1
+                heappush(frontier, pair)
+                heappush(beam, (-neighbor_dist, neighbor))
+                worst = -beam[0][0]
+            elif neighbor_dist < worst:
+                heappush(frontier, pair)
+                heappushpop(beam, (-neighbor_dist, neighbor))
                 worst = -beam[0][0]
     return sorted((-negdist, node) for negdist, node in beam), settled, marked
 
@@ -151,12 +169,13 @@ def unseen_in_list(neighbors: Sequence[int], seen: Set[int]) -> List[int]:
 
 
 def unseen_in_csr(
-    offsets: np.ndarray, indices: np.ndarray, node: int, seen: np.ndarray
-) -> np.ndarray:
-    """:func:`unseen_in_list` over the CSR."""
-    neighbors = indices[offsets[node]:offsets[node + 1]]
-    fresh = neighbors[~seen[neighbors]]
-    seen[fresh] = True
+    offsets: np.ndarray, indices: np.ndarray, node: int, seen: Any
+) -> List[int]:
+    """:func:`unseen_in_list` over the CSR; ``seen`` is a ``bytearray``
+    (or any mask indexable by node)."""
+    fresh = [n for n in indices[offsets[node]:offsets[node + 1]].tolist() if not seen[n]]
+    for neighbor in fresh:
+        seen[neighbor] = 1
     return fresh
 
 
@@ -178,14 +197,20 @@ def filtered_top_k(
     pool, visited = search(width)
     if bitset is not None:
         ntotal = int(ids.shape[0])
-        pool = [(d, n) for d, n in pool if bitset[ids[n]]]
+        pool = _allowed(pool, ids, bitset)
         while len(pool) < k and width < ntotal:
             width = min(width * 2, ntotal)
             pool, visited = search(width)
-            pool = [(d, n) for d, n in pool if bitset[ids[n]]]
+            pool = _allowed(pool, ids, bitset)
     top = pool[:k]
-    found = np.array([ids[node] for _, node in top], dtype=np.int64)
+    found = ids[np.array([node for _, node in top], dtype=np.intp)]
     # Boundary contract (DESIGN.md §9): the sqrt runs in float32, like
     # every other kernel; float64 appears only inside SearchResult.
     internal = np.array([dist for dist, _ in top], dtype=np.float32)
     return SearchResult(found, boundary_distances(internal, metric), visited=visited)
+
+
+def _allowed(pool: List[Pair], ids: np.ndarray, bitset: np.ndarray) -> List[Pair]:
+    """The pool entries whose external id the bitset admits (one gather)."""
+    keep = bitset[ids[np.array([node for _, node in pool], dtype=np.intp)]]
+    return list(compress(pool, keep.tolist()))

@@ -57,6 +57,13 @@ DEFAULT_M = 16
 DEFAULT_EF_CONSTRUCTION = 100
 DEFAULT_EF_SEARCH = 64
 
+# A frozen l2 segment whose row store holds at most this many floats
+# (``ntotal * dim``: 512 KiB of float32, so the ``rows - query`` scratch
+# array stays cache-resident) gets one per-query distance table instead
+# of a numpy call per hop.  The grid that chose it is in DESIGN.md §9;
+# ``benchmarks/capture_kernel_state.py time`` re-runs it.
+_TABLE_MAX_FLOATS = 1 << 17
+
 
 class _FrozenLinks(NamedTuple):
     """Every layer's adjacency as one CSR over *slots* (DESIGN.md §5).
@@ -130,9 +137,10 @@ class HNSWIndex(VectorIndex):
     def ntotal(self) -> int:
         return int(self._ids.shape[0])
 
-    def _gather_rows(self, nodes: np.ndarray) -> np.ndarray:
-        """Float32 rows for ``nodes`` (hook: the SQ subclass decodes its
-        uint8 codes on the gather instead of keeping a float mirror hot)."""
+    def _gather_rows(self, nodes: Any) -> np.ndarray:
+        """Float32 rows for ``nodes`` — an index array, or ``slice(None)``
+        for the whole store (hook: the SQ subclass decodes its uint8
+        codes on the gather instead of keeping a float mirror hot)."""
         return self._vectors[nodes]
 
     def _distance(self, query: np.ndarray, nodes: Any) -> np.ndarray:
@@ -150,6 +158,23 @@ class HNSWIndex(VectorIndex):
             diff = rows - query
             return np.einsum("ij,ij->i", diff, diff)
         return pairwise_distance(query, rows, self.metric)
+
+    def _distance_table(self, query: np.ndarray) -> Optional[List[float]]:
+        """``_distance(query, node)`` for every node as a python list, or
+        None where a table is not proven or does not pay: only the fast
+        kernels take one, only for l2 (``einsum`` reduces each row on its
+        own, so the whole store gives the gathered form's bits; ip and
+        cosine go through a GEMV, which sums a full product in another
+        order than a gathered one) and only for a cache-sized store.
+        """
+        if (
+            self.metric != "l2"
+            or self.ntotal * self.dim > _TABLE_MAX_FLOATS
+            or get_kernel_mode() != "fast"
+        ):
+            return None
+        diff = self._gather_rows(slice(None)) - query
+        return np.einsum("ij,ij->i", diff, diff).tolist()
 
     def _frozen_links(self) -> _FrozenLinks:
         """The CSR adjacency, frozen from the builder's lists after a
@@ -310,35 +335,52 @@ class HNSWIndex(VectorIndex):
         return current
 
     def _greedy_closest_fast(
-        self, query: np.ndarray, start: int, layer: int, frozen: _FrozenLinks
+        self,
+        query: np.ndarray,
+        start: int,
+        layer: int,
+        frozen: _FrozenLinks,
+        table: Optional[List[float]],
     ) -> int:
         """:meth:`_greedy_closest` over the CSR: same distances, same
-        first-minimum tie-break, same neighbor order."""
+        first-minimum tie-break, same neighbor order — through numpy
+        (``argmin``) without a table, through ``min`` + ``list.index``
+        with one."""
         offsets, indices, upper_ptr = frozen
         base = self.ntotal + layer - 1
         current = start
-        current_dist = float(self._distance(query, [current])[0])
+        if table is None:
+            current_dist = float(self._distance(query, [current])[0])
+        else:
+            current_dist = table[current]
         while True:
             slot = base + int(upper_ptr[current])
             links = indices[offsets[slot]:offsets[slot + 1]]
             if links.size == 0:
                 break
-            dists = self._distance(query, links)
-            best = int(np.argmin(dists))
-            if float(dists[best]) >= current_dist:
+            if table is None:
+                dists = self._distance(query, links)
+                best = int(np.argmin(dists))
+                best_dist = float(dists[best])
+            else:
+                links = links.tolist()
+                dists = [table[n] for n in links]
+                best_dist = min(dists)
+                best = dists.index(best_dist)
+            if best_dist >= current_dist:
                 break
             current = int(links[best])
-            current_dist = float(dists[best])
+            current_dist = best_dist
         return current
 
-    def _descend(self, query: np.ndarray) -> int:
+    def _descend(self, query: np.ndarray, table: Optional[List[float]]) -> int:
         """Greedy walk from the entry point through the upper layers;
         returns the layer-0 entry, through the active kernel mode."""
         current = self._entry_point
         if get_kernel_mode() == "fast":
             frozen = self._frozen_links()
             for layer in range(self._max_level, 0, -1):
-                current = self._greedy_closest_fast(query, current, layer, frozen)
+                current = self._greedy_closest_fast(query, current, layer, frozen, table)
         else:
             self._thawed_links()
             for layer in range(self._max_level, 0, -1):
@@ -346,13 +388,15 @@ class HNSWIndex(VectorIndex):
         return current
 
     def _query_layer0(
-        self, query: np.ndarray, entry: int, ef: int
+        self, query: np.ndarray, entry: int, table: Optional[List[float]], ef: int
     ) -> Tuple[List[Tuple[float, int]], int]:
         """Layer-0 beam search through the active kernel mode: the
         ascending (distance, node) beam and the visited count."""
         if get_kernel_mode() == "fast":
             offsets, indices, _ = self._frozen_links()
-            beam, _, marked = beam_search_csr(self._distance, query, offsets, indices, entry, ef)
+            beam, _, marked = beam_search_csr(
+                self._distance, query, offsets, indices, entry, ef, table=table
+            )
         else:
             beam, _, marked = beam_search_lists(
                 self._distance, query, self._thawed_links(), entry, ef, layer=0
@@ -374,8 +418,11 @@ class HNSWIndex(VectorIndex):
         bitset = self._check_bitset(bitset, self.ntotal)
         if self.ntotal == 0 or k <= 0 or self._entry_point < 0:
             return SearchResult.empty()
-        entry = self._descend(query)
-        search = functools.partial(self._query_layer0, query, entry)
+        # One table per call: the descent, the walk and every widening
+        # re-walk of filtered_top_k look distances up in it.
+        table = self._distance_table(query)
+        entry = self._descend(query, table)
+        search = functools.partial(self._query_layer0, query, entry, table)
         return filtered_top_k(search, k, max(int(ef_search), k), self._ids, bitset, self.metric)
 
     def search_iterator(
@@ -389,7 +436,7 @@ class HNSWIndex(VectorIndex):
         """Native incremental iterator: keeps the beam alive across batches."""
         query = self._check_query(query)
         bitset = self._check_bitset(bitset, self.ntotal)
-        return HNSWSearchIterator(self, query, bitset, batch_size, max(ef_search, batch_size))
+        return HNSWSearchIterator(self, query, bitset, batch_size, max(int(ef_search), batch_size))
 
     # ------------------------------------------------------------------
     # Persistence / accounting
@@ -486,23 +533,30 @@ class HNSWSearchIterator(SearchIterator):
             raise IndexParameterError("batch_size must be positive")
         self._index = index
         self._query = query
-        self._bitset = bitset
         self._batch_size = batch_size
         self._ef = ef
         # Kernel mode is pinned at construction so one iterator never
-        # mixes bookkeeping structures mid-stream: a boolean mask over
-        # the CSR in fast mode, a set over the lists in reference mode.
+        # mixes bookkeeping structures mid-stream: the CSR, a bytearray
+        # and (where the index grants one) a distance table in fast mode,
+        # a set over the lists in reference mode.
         self._fast = get_kernel_mode() == "fast"
-        self._seen: Any = np.zeros(index.ntotal, dtype=bool) if self._fast else set()
+        self._seen: Any = bytearray(index.ntotal) if self._fast else set()
+        self._table: Optional[List[float]] = None
+        # The bitset by node, as bytes: a pop reads a python int.
+        self._allowed = None if bitset is None else bitset[index._ids].tobytes()
         self._candidates: List[Tuple[float, int]] = []  # frontier min-heap
         self._pool: List[Tuple[float, int]] = []        # settled, not yet emitted
         self._graph_exhausted = index.ntotal == 0 or index._entry_point < 0
         self.visited_total = 0
         if not self._graph_exhausted:
-            current = index._descend(query)
-            dist = float(index._distance(query, [current])[0])
             if self._fast:
-                self._seen[current] = True
+                self._offsets, self._indices, _ = index._frozen_links()
+                self._table = index._distance_table(query)
+            table = self._table
+            current = index._descend(query, table)
+            dist = float(index._distance(query, [current])[0]) if table is None else table[current]
+            if self._fast:
+                self._seen[current] = 1
             else:
                 self._seen.add(current)
             self.visited_total += 1
@@ -514,21 +568,22 @@ class HNSWSearchIterator(SearchIterator):
 
     def _expand_one(self) -> None:
         """Pop the nearest frontier node, settle it, and grow the frontier."""
-        index = self._index
-        dist, node = heapq.heappop(self._candidates)
-        external = int(index._ids[node])
-        if self._bitset is None or self._bitset[external]:
-            heapq.heappush(self._pool, (dist, node))
+        nearest = heapq.heappop(self._candidates)
+        node = nearest[1]
+        if self._allowed is None or self._allowed[node]:
+            heapq.heappush(self._pool, nearest)
         if self._fast:
-            offsets, indices, _ = index._frozen_links()
-            fresh = unseen_in_csr(offsets, indices, node, self._seen)
-            nodes = fresh.tolist()
+            fresh = unseen_in_csr(self._offsets, self._indices, node, self._seen)
         else:
-            fresh = nodes = unseen_in_list(index._thawed_links()[node][0], self._seen)
-        if nodes:
-            self.visited_total += len(nodes)
-            dists = index._distance(self._query, fresh)
-            for pair in zip(dists.tolist(), nodes):
+            fresh = unseen_in_list(self._index._thawed_links()[node][0], self._seen)
+        if fresh:
+            self.visited_total += len(fresh)
+            table = self._table
+            if table is None:
+                dists = self._index._distance(self._query, fresh).tolist()
+            else:
+                dists = [table[n] for n in fresh]
+            for pair in zip(dists, fresh):
                 heapq.heappush(self._candidates, pair)
         if not self._candidates:
             self._graph_exhausted = True
@@ -555,14 +610,14 @@ class HNSWSearchIterator(SearchIterator):
                 break
             self._expand_one()
         index = self._index
-        out_ids: List[int] = []
+        out_nodes: List[int] = []
         out_dists: List[float] = []
-        while self._pool and len(out_ids) < want:
+        while self._pool and len(out_nodes) < want:
             dist, node = heapq.heappop(self._pool)
-            out_ids.append(int(index._ids[node]))
+            out_nodes.append(node)
             out_dists.append(dist)
         return SearchResult(
-            np.asarray(out_ids, dtype=np.int64),
+            index._ids[np.array(out_nodes, dtype=np.intp)],
             boundary_distances(np.asarray(out_dists, dtype=np.float32), index.metric),
             visited=self.visited_total,
         )

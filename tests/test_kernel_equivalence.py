@@ -28,6 +28,9 @@ from repro.vindex.registry import (
 from tests.helpers import vector_sql
 
 INDEX_TYPES = ["FLAT", "IVFFLAT", "IVFPQ", "IVFPQFS", "HNSW", "HNSWSQ", "DISKANN"]
+# HNSW small enough for a distance table, under the metrics that must not
+# get one (a full GEMV sums in another order than a gathered one).
+NON_L2_GRAPHS = ["HNSW/ip", "HNSW/cosine"]
 
 
 @pytest.fixture(scope="module")
@@ -49,9 +52,12 @@ def built(data):
     # use the norms form; DiskANN pins reference greedy search while
     # building), so one build serves both modes.
     out = {}
-    for name in INDEX_TYPES:
+    for name in INDEX_TYPES + NON_L2_GRAPHS:
         params = {"m": 4} if name.startswith("IVFPQ") else {}
-        index = create_index(IndexSpec(index_type=name, dim=16, params=params))
+        index_type, _, metric = name.partition("/")
+        index = create_index(
+            IndexSpec(index_type=index_type, dim=16, metric=metric or "l2", params=params)
+        )
         index.train(data)
         index.add_with_ids(data, np.arange(data.shape[0]))
         out[name] = index
@@ -73,7 +79,7 @@ def both_modes(index, query, k, **params):
     return fast, ref
 
 
-@pytest.mark.parametrize("name", INDEX_TYPES)
+@pytest.mark.parametrize("name", INDEX_TYPES + NON_L2_GRAPHS)
 class TestFastReferenceIdentity:
     def test_topk_byte_identical(self, built, queries, name):
         for query in queries:

@@ -14,8 +14,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.vindex import hnsw
 from repro.vindex.api import kernel_mode
-from repro.vindex.graph import beam_search_csr, beam_search_lists, filtered_top_k
+from repro.vindex.graph import (
+    beam_search_csr,
+    beam_search_lists,
+    filtered_top_k,
+    unseen_in_csr,
+    unseen_in_list,
+)
 from repro.vindex.image import freeze_adjacency
 from repro.vindex.registry import IndexSpec, create_index
 
@@ -230,3 +237,209 @@ class TestModesAgreeOnCost:
             assert all(nbytes % node_bytes == 0 for nbytes in charged["fast"])
         else:
             assert charged["fast"] == []  # memory-resident: nothing to charge
+
+
+# ----------------------------------------------------------------------
+# The per-query distance table (DESIGN.md §9, "One graph walk")
+# ----------------------------------------------------------------------
+def stored(rows, form):
+    """``rows`` as a built index holds them (owned), as a frozen one does
+    (read-only), or as a loaded one does: a read-only view at an odd
+    byte offset into a ``bytes`` image."""
+    if form == "owned":
+        return rows.copy()
+    if form == "readonly":
+        out = rows.copy()
+        out.setflags(write=False)
+        return out
+    image = b"\x00" * form + rows.tobytes()
+    return np.frombuffer(image, dtype=rows.dtype, count=rows.size, offset=form).reshape(rows.shape)
+
+
+def unbuilt(name, rows, form):
+    """An index holding ``rows`` with no graph: enough for the distance
+    arithmetic, at 600 rows a hypothesis example can afford."""
+    n, dim = rows.shape
+    index = create_index(IndexSpec(index_type=name, dim=dim))
+    index._ids = np.arange(n, dtype=np.int64)
+    if name == "HNSWSQ":
+        index.train(rows)
+        index._codes = stored(index._encode(rows), form)
+        index._vmin = stored(index._vmin, form)
+        index._vscale = stored(index._vscale, form)
+    else:
+        index._vectors = stored(rows, form)
+    return index
+
+
+class TestDistanceTableBits:
+    """What the table rests on: scoring the whole store at once gives
+    every node the bits the per-hop gather gives it."""
+
+    @pytest.mark.parametrize("name", ["HNSW", "HNSWSQ"])
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 600),
+        dim=st.integers(1, 200),
+        form=st.sampled_from(["owned", "readonly", 1, 3, 5, 7]),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_table_equals_gathered_distance(self, name, seed, n, dim, form, scale):
+        rng = np.random.default_rng(seed)
+        rows = (rng.normal(size=(n, dim)) * scale).astype(np.float32)
+        rows[rng.integers(0, n)] = rows[0]  # a duplicate row
+        rows[rng.integers(0, n)] = 0.0      # a zero row
+        index = unbuilt(name, rows, form)
+        query = (rng.normal(size=dim) * scale).astype(np.float32)
+        with pytest.MonkeyPatch.context() as patch:  # whatever the size rule says
+            patch.setattr(hnsw, "_TABLE_MAX_FLOATS", float("inf"))
+            table = index._distance_table(query)
+        assert isinstance(table, list) and len(table) == n
+        for size in (1, min(n, 16), n):
+            nodes = rng.permutation(n)[:size]
+            assert [table[node] for node in nodes] == index._distance(query, nodes).tolist()
+
+
+@pytest.fixture(scope="module")
+def across_the_rule(built):
+    """An HNSW on each side of the size rule (the small one also as SQ)."""
+    rng = np.random.default_rng(5)
+    wide = rng.normal(size=(700, 192)).astype(np.float32)
+    assert wide.size > hnsw._TABLE_MAX_FLOATS
+    big = create_index(IndexSpec(index_type="HNSW", dim=192, params={"m": 6}))
+    big.add_with_ids(wide, np.arange(700))
+    return {"small": built["HNSW"], "small-sq": built["HNSWSQ"], "big": big}
+
+
+def table_spy(monkeypatch):
+    """Record what every ``_distance_table`` call returns."""
+    returned = []
+    real = hnsw.HNSWIndex._distance_table
+
+    def spy(self, query):
+        returned.append(real(self, query))
+        return returned[-1]
+
+    monkeypatch.setattr(hnsw.HNSWIndex, "_distance_table", spy)
+    return returned
+
+
+def everything(index, query):
+    """Every search shape that can take a table, as comparable bytes."""
+    n = index.ntotal
+    half = np.arange(n) % 2 == 0
+    tenth = np.arange(n) % 10 == 3
+    out = []
+    for bitset in (None, half, tenth, np.zeros(n, dtype=bool)):
+        result = index.search_with_filter(query, 5, bitset=bitset, ef_search=8)
+        out.append((result.ids.tobytes(), result.distances.tobytes(), result.visited))
+    for bitset in (None, tenth):
+        for batch in index.search_iterator(query, bitset=bitset, batch_size=32):
+            out.append((batch.ids.tobytes(), batch.distances.tobytes(), batch.visited))
+    return out
+
+
+class TestTableChangesNothing:
+    @pytest.mark.parametrize("which", ["small", "small-sq", "big"])
+    def test_same_bytes_with_and_without(self, monkeypatch, across_the_rule, which):
+        index = across_the_rule[which]
+        query = index._gather_rows(np.array([3]))[0] + np.float32(0.05)
+        with kernel_mode("reference"):
+            want = everything(index, query)
+        assert all(ids for ids, _, _ in want[:3]) and not want[3][0]  # all-false: nothing
+        tables = table_spy(monkeypatch)
+        assert everything(index, query) == want  # the rule as committed
+        assert all((table is None) == (which == "big") for table in tables)
+        for limit, built_one in ((float("inf"), True), (-1, False)):
+            del tables[:]
+            monkeypatch.setattr(hnsw, "_TABLE_MAX_FLOATS", limit)
+            assert everything(index, query) == want
+            assert tables and all((table is not None) == built_one for table in tables)
+
+    def test_one_table_per_call_and_no_numpy_per_hop(self, monkeypatch, built, data):
+        index = built["HNSW"]
+        sparse = np.zeros(data.shape[0], dtype=bool)
+        sparse[::37] = True
+        tables = table_spy(monkeypatch)
+        hops = []
+        real = hnsw.HNSWIndex._distance
+        monkeypatch.setattr(
+            hnsw.HNSWIndex, "_distance", lambda self, q, nodes: hops.append(1) or real(self, q, nodes)
+        )
+        widths = []
+        real_walk = hnsw.beam_search_csr
+
+        def walk(*args, **kwargs):
+            widths.append(args[5])
+            return real_walk(*args, **kwargs)
+
+        monkeypatch.setattr(hnsw, "beam_search_csr", walk)
+        index.search_with_filter(data[2] + 0.05, 5, bitset=sparse, ef_search=8)
+        assert len(widths) > 2 and widths == sorted(widths)  # the beam was widened
+        assert len(tables) == 1 and hops == []
+        iterator = index.search_iterator(data[2] + 0.05, bitset=sparse, batch_size=8)
+        assert sum(len(batch) for batch in iterator) == int(sparse.sum())
+        assert len(tables) == 2 and hops == []
+
+    @pytest.mark.parametrize("metric", ["ip", "cosine"])
+    def test_ip_and_cosine_get_no_table(self, monkeypatch, data, metric):
+        index = create_index(IndexSpec(index_type="HNSW", dim=12, metric=metric))
+        index.add_with_ids(data[:120], np.arange(120))
+        tables = table_spy(monkeypatch)
+        index.search_with_filter(data[0], 5)
+        index.search_iterator(data[0], batch_size=8).next_batch()
+        assert tables == [None, None]
+
+    def test_reference_mode_gets_no_table(self, monkeypatch, built, data):
+        tables = table_spy(monkeypatch)
+        with kernel_mode("reference"):
+            built["HNSW"].search_with_filter(data[0], 5)
+        assert tables == [None]
+
+    def test_diskann_passes_no_table(self, monkeypatch, built, data):
+        from repro.vindex import diskann
+
+        passed = []
+        real = diskann.beam_search_csr
+
+        def walk(*args, **kwargs):
+            passed.append((len(args), kwargs))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(diskann, "beam_search_csr", walk)
+        assert not hasattr(built["DISKANN"], "_distance_table")
+        built["DISKANN"].search_with_filter(data[0], 5)
+        assert passed and all(count <= 7 and "table" not in kwargs for count, kwargs in passed)
+
+
+class TestCsrWalkWithTable:
+    @given(walk=walks())
+    @settings(max_examples=300, deadline=None)
+    def test_table_walk_is_the_same_walk(self, walk):
+        points, lists, query, entry, width = walk
+        distance = distance_over(points)
+        table = distance(query, np.arange(len(lists))).tolist()
+        csr = freeze_adjacency(lists)
+        reads_plain, reads_table = [], []
+        plain = beam_search_csr(distance, query, *csr, entry, width, reads_plain.append)
+        tabled = beam_search_csr(
+            None, None, *csr, entry, width, on_read=reads_table.append, table=table
+        )
+        assert plain == tabled == beam_search_lists(distance, query, lists, entry, width)
+        assert reads_plain == reads_table
+
+    @given(walk=walks())
+    @settings(max_examples=200, deadline=None)
+    def test_unseen_in_csr_matches_list_form(self, walk):
+        _, lists, _, entry, _ = walk
+        offsets, indices = freeze_adjacency(lists)
+        marks = (set(), bytearray(len(lists)), np.zeros(len(lists), dtype=bool))
+        order = [entry, *range(len(lists))]
+        for node in order:
+            want = unseen_in_list(lists[node], marks[0])
+            for mask in marks[1:]:
+                fresh = unseen_in_csr(offsets, indices, node, mask)
+                assert fresh == want and all(type(n) is int for n in fresh)
+        for mask in marks[1:]:
+            assert {n for n in range(len(lists)) if mask[n]} == marks[0]
