@@ -21,10 +21,11 @@ Distances come from float32 numpy kernels, so the baseline names the
 numpy it was captured with: equal ids with differing distances on
 another build means the float kernels differ, not the traversal.
 
-``time`` claims nothing about bytes: it prints the wall-clock grid the
+``time`` claims nothing about bytes: it prints the wall-clock grids the
 distance-table size rule (``repro.vindex.hnsw._TABLE_MAX_FLOATS``,
-DESIGN.md §9) was chosen on — µs per HNSW search with the table forced
-on and forced off, and which side the committed constant picks.
+DESIGN.md §9) was chosen on — µs per HNSW search, then µs per inserted
+row, with the table forced on and forced off, and which side the
+committed constant picks.  ``time search`` / ``time build`` print one.
 """
 
 from __future__ import annotations
@@ -195,10 +196,55 @@ def time_table_grid() -> None:
         hnsw._TABLE_MAX_FLOATS = committed
 
 
+BUILD_ROWS = (250, 500, 1000, 2000, 4000, 8000, 16000)
+BUILD_CHUNK = 50
+
+
+def time_build_grid() -> None:
+    """µs per inserted row with the builder's distance table forced on
+    and off, at store sizes around each of ``BUILD_ROWS``.
+
+    Both sides build the same graph (``check`` and the tests hold that),
+    so one index per dim serves both: it grows under the committed rule
+    to ``4 * BUILD_CHUNK`` rows short of each size, then takes four
+    timed chunks — on, off, off, on, so neither side sees the larger
+    store on average.  Each chunk pays one ``vstack`` of the row store,
+    the same on both sides.
+    """
+    committed = hnsw._TABLE_MAX_FLOATS
+    limits = {"on": float("inf"), "off": -1}
+    print("  stop   dim  table-on us  table-off us   on/off  rule")
+    try:
+        for dim in TIME_DIMS:
+            rows = make_cohere_like(n=BUILD_ROWS[-1], dim=dim, n_queries=1).vectors
+            index = create_index(IndexSpec("HNSW", dim, params={"m": 8, "ef_construction": 64}))
+
+            def grow(stop: int) -> float:
+                start = time.perf_counter()
+                index.add_with_ids(rows[index.ntotal:stop], np.arange(index.ntotal, stop))
+                return time.perf_counter() - start
+
+            for n in BUILD_ROWS:
+                grow(n - 4 * BUILD_CHUNK)
+                spent = {"on": 0.0, "off": 0.0}
+                for label in ("on", "off", "off", "on"):
+                    hnsw._TABLE_MAX_FLOATS = limits[label]
+                    spent[label] += grow(index.ntotal + BUILD_CHUNK)
+                hnsw._TABLE_MAX_FLOATS = committed
+                on, off = (spent[label] / (2 * BUILD_CHUNK) * 1e6 for label in ("on", "off"))
+                rule = "on" if n * dim <= committed else "off"
+                print(f"{n:6d} {dim:5d} {on:12.1f} {off:13.1f} {on / off:8.2f}  {rule}")
+    finally:
+        hnsw._TABLE_MAX_FLOATS = committed
+
+
 def main(argv: list) -> int:
     command = argv[0] if argv else "check"
     if command == "time":
-        time_table_grid()
+        if argv[1:2] != ["build"]:
+            time_table_grid()
+        if argv[1:2] != ["search"]:
+            time_build_grid()
         return 0
     path = argv[1] if len(argv) > 1 else BASELINE
     if command == "capture":

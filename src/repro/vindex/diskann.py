@@ -26,6 +26,7 @@ from repro.vindex.graph import (
     candidate_pairwise,
     filtered_top_k,
 )
+from repro.vindex.hnsw import table_granted
 from repro.vindex.image import (
     adjacency_bytes,
     adjacency_fields,
@@ -165,8 +166,14 @@ class DiskANNIndex(VectorIndex):
         # One Vamana pass in random order (a second pass with larger alpha
         # marginally improves recall; one suffices at repro scale).
         order = rng.permutation(n)
+        # Where an HNSW of this size would get a distance table
+        # (DESIGN.md §9), so does the pass: each row is scored against
+        # the whole store once and its walk looks distances up.
+        tabled = table_granted(self.metric, n * self.dim)
         for node in order.tolist():
-            visited = self._greedy_search(self._vectors[node], self.build_beam)
+            query = self._vectors[node]
+            table = self._dist_internal(query, slice(None)).tolist() if tabled else None
+            visited = self._greedy_search(query, self.build_beam, table)
             candidates = [(d, v) for d, v in visited if v != node]
             graph[node] = self._robust_prune(node, candidates)
             for neighbor in graph[node]:
@@ -216,13 +223,16 @@ class DiskANNIndex(VectorIndex):
     # ------------------------------------------------------------------
     # Search
     # ------------------------------------------------------------------
-    def _greedy_search(self, query: np.ndarray, beam: int) -> List[Tuple[float, int]]:
+    def _greedy_search(
+        self, query: np.ndarray, beam: int, table: Optional[List[float]] = None
+    ) -> List[Tuple[float, int]]:
         """Beam search from the medoid; returns the visited pool — every
         node expanded plus the final beam — as ascending (distance, node).
 
         Takes the CSR kernel when the fast mode is active and the graph
         is frozen; construction-time calls (graph still mutating per
-        node) always take the list walk and charge no reads.
+        node) always take the list walk, charge no reads and are the
+        only ones that pass a ``table``.
         """
         charged = self._io_charger is not None and not self._building
         on_read = self._charge_node_read if charged else None
@@ -232,7 +242,8 @@ class DiskANNIndex(VectorIndex):
             )
         else:
             nearest, settled, _ = beam_search_lists(
-                self._dist_internal, query, self._graph, self._medoid, beam, on_read=on_read
+                self._dist_internal, query, self._graph, self._medoid, beam,
+                on_read=on_read, table=table,
             )
         merged = {node: dist for dist, node in settled}
         for dist, node in nearest:

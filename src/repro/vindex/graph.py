@@ -61,14 +61,20 @@ def beam_search_lists(
     width: int,
     layer: Optional[int] = None,
     on_read: Optional[Callable[[int], None]] = None,
+    table: Optional[List[float]] = None,
 ) -> Walk:
     """Beam search over adjacency lists: ``links[node]``, or
-    ``links[node][layer]`` for HNSW's per-node layer lists."""
+    ``links[node][layer]`` for HNSW's per-node layer lists.
+
+    ``table``, when a builder in fast mode passes one, is
+    ``distance(query, node)`` for every node the lists can name; the
+    reference kernel never does, and walks exactly as it always has.
+    """
     seen: Set[int] = {entry}
     marked = 1
     if on_read is not None:
         on_read(1)
-    dist = float(distance(query, [entry])[0])
+    dist = float(distance(query, [entry])[0]) if table is None else table[entry]
     frontier: List[Pair] = [(dist, entry)]
     beam: List[Pair] = [(-dist, entry)]  # max-heap via negated distance
     settled: List[Pair] = []
@@ -86,9 +92,9 @@ def beam_search_lists(
         marked += len(fresh)
         if on_read is not None:
             on_read(len(fresh))
-        dists = distance(query, fresh)
+        dists = distance(query, fresh).tolist() if table is None else [table[n] for n in fresh]
         worst = -beam[0][0]
-        for neighbor_dist, neighbor in zip(dists.tolist(), fresh):
+        for neighbor_dist, neighbor in zip(dists, fresh):
             if len(beam) < width or neighbor_dist < worst:
                 heapq.heappush(frontier, (neighbor_dist, neighbor))
                 heapq.heappush(beam, (-neighbor_dist, neighbor))

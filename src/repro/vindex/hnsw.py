@@ -60,9 +60,25 @@ DEFAULT_EF_SEARCH = 64
 # A frozen l2 segment whose row store holds at most this many floats
 # (``ntotal * dim``: 512 KiB of float32, so the ``rows - query`` scratch
 # array stays cache-resident) gets one per-query distance table instead
-# of a numpy call per hop.  The grid that chose it is in DESIGN.md §9;
-# ``benchmarks/capture_kernel_state.py time`` re-runs it.
+# of a numpy call per hop, and so does the builder for each row it
+# inserts into one.  The grids that chose it are in DESIGN.md §9;
+# ``benchmarks/capture_kernel_state.py time`` re-runs them.
 _TABLE_MAX_FLOATS = 1 << 17
+
+
+def table_granted(metric: str, floats: int) -> bool:
+    """The one rule for who scores a whole row store at once and walks
+    on lookups: proven only for l2 (``einsum`` reduces each row on its
+    own, so the whole store gives the gathered form's bits; ip and
+    cosine go through a GEMV, which sums a full product in another order
+    than a gathered one), paying only for a cache-sized store, and never
+    granted to reference mode, the independent side."""
+    return metric == "l2" and floats <= _TABLE_MAX_FLOATS and get_kernel_mode() == "fast"
+
+
+# ``(node, layer)`` -> distances from the node to its links on that
+# layer, in list order, for the length of one ``add_with_ids``.
+_Carried = Dict[Tuple[int, int], List[float]]
 
 
 class _FrozenLinks(NamedTuple):
@@ -159,21 +175,16 @@ class HNSWIndex(VectorIndex):
             return np.einsum("ij,ij->i", diff, diff)
         return pairwise_distance(query, rows, self.metric)
 
-    def _distance_table(self, query: np.ndarray) -> Optional[List[float]]:
-        """``_distance(query, node)`` for every node as a python list, or
-        None where a table is not proven or does not pay: only the fast
-        kernels take one, only for l2 (``einsum`` reduces each row on its
-        own, so the whole store gives the gathered form's bits; ip and
-        cosine go through a GEMV, which sums a full product in another
-        order than a gathered one) and only for a cache-sized store.
-        """
-        if (
-            self.metric != "l2"
-            or self.ntotal * self.dim > _TABLE_MAX_FLOATS
-            or get_kernel_mode() != "fast"
-        ):
+    def _distance_table(
+        self, query: np.ndarray, stop: Optional[int] = None
+    ) -> Optional[List[float]]:
+        """``_distance(query, node)`` for every node — every node below
+        ``stop`` when the builder asks on behalf of row ``stop`` — as a
+        python list, or None where :func:`table_granted` says no."""
+        rows = self.ntotal if stop is None else stop
+        if not table_granted(self.metric, rows * self.dim):
             return None
-        diff = self._gather_rows(slice(None)) - query
+        diff = self._gather_rows(slice(None, stop)) - query
         return np.einsum("ij,ij->i", diff, diff).tolist()
 
     def _frozen_links(self) -> _FrozenLinks:
@@ -229,108 +240,137 @@ class HNSWIndex(VectorIndex):
         self._frozen = None
         self._vectors = np.vstack([self._vectors, vectors])
         self._ids = np.concatenate([self._ids, ids])
+        # Fast l2 builds carry ``d(node, link)`` beside each list this
+        # call writes, keyed ``(node, layer)``: subtract-einsum is
+        # symmetric to the bit, so a back-link's score is the distance
+        # its walk already found and a shrink looks up instead of
+        # gathering.  ip / cosine GEMVs are not, and reference mode is
+        # the judge: both keep ``_distance`` there.
+        carried: Optional[_Carried] = None
+        if self.metric == "l2" and get_kernel_mode() == "fast":
+            carried = {}
         for offset in range(vectors.shape[0]):
-            self._insert(start + offset)
+            self._insert(start + offset, carried)
 
-    def _insert(self, node: int) -> None:
+    def _insert(self, node: int, carried: Optional[_Carried]) -> None:
         level = self._random_level()
         self._links.append([[] for _ in range(level + 1)])
+        if carried is not None:
+            carried.update(((node, layer), []) for layer in range(level + 1))
         if self._entry_point < 0:
             self._entry_point = node
             self._max_level = level
             return
 
         query = self._vectors[node]
+        # The row is scored against every earlier row once (where the
+        # query path would get a table, DESIGN.md §9): the descent and
+        # every hop of the walks below look their distances up.
+        table = self._distance_table(query, stop=node)
         current = self._entry_point
         # Greedy descent through layers above the node's level.
         for layer in range(self._max_level, level, -1):
-            current = self._greedy_closest(query, current, layer)
+            current = self._greedy_closest(query, current, layer, table)
         # Beam search + heuristic link selection on each layer <= level.
         for layer in range(min(level, self._max_level), -1, -1):
             candidates, _, _ = beam_search_lists(
-                self._distance, query, self._links, current, self.ef_construction, layer
+                self._distance, query, self._links, current, self.ef_construction, layer,
+                table=table,
             )
             m_max = self.m_max0 if layer == 0 else self.m
-            neighbors = self._select_heuristic(query, candidates, self.m)
+            neighbors = self._select_heuristic(candidates, self.m)
             self._links[node][layer] = [idx for _, idx in neighbors]
-            for _, neighbor in neighbors:
+            if carried is not None:
+                carried[node, layer] = [dist for dist, _ in neighbors]
+            for dist, neighbor in neighbors:
                 links = self._links[neighbor][layer]
                 links.append(node)
+                if carried is not None and (neighbor, layer) in carried:
+                    carried[neighbor, layer].append(dist)  # d(neighbor, node)
                 if len(links) > m_max:
-                    self._shrink_links(neighbor, layer, m_max)
+                    self._shrink_links(neighbor, layer, m_max, carried)
             if candidates:
                 current = candidates[0][1]
         if level > self._max_level:
             self._max_level = level
             self._entry_point = node
 
-    def _shrink_links(self, node: int, layer: int, m_max: int) -> None:
+    def _shrink_links(
+        self, node: int, layer: int, m_max: int, carried: Optional[_Carried]
+    ) -> None:
         """Re-apply heuristic selection when a node's links overflow."""
         links = self._links[node][layer]
-        dists = self._distance(self._vectors[node], links)
-        candidates = sorted(zip(dists.tolist(), links))
-        kept = self._select_heuristic(self._vectors[node], candidates, m_max)
+        dists = None if carried is None else carried.get((node, layer))
+        if dists is None:  # not carrying, or a list thawed from a loaded CSR
+            dists = self._distance(self._vectors[node], links).tolist()
+        kept = self._select_heuristic(sorted(zip(dists, links)), m_max)
         self._links[node][layer] = [idx for _, idx in kept]
+        if carried is not None:
+            carried[node, layer] = [dist for dist, _ in kept]
 
     def _select_heuristic(
-        self,
-        query: np.ndarray,
-        candidates: List[Tuple[float, int]],
-        m: int,
+        self, candidates: List[Tuple[float, int]], m: int
     ) -> List[Tuple[float, int]]:
         """Algorithm 4: keep candidates closer to the query than to any
         already-selected neighbor, which preserves graph diversity.
 
-        The candidate-to-candidate distance matrix is computed once so
-        the greedy loop runs over precomputed values.
+        ``candidates`` arrive ascending: ``(distance to the query, node)``
+        pairs as a beam search returns them.  The candidate-to-candidate
+        distance matrix is computed once; the greedy loop reads the rows
+        of the selected ones as python lists.
         """
-        ordered = sorted(candidates)
-        if len(ordered) <= m:
-            return ordered
-        nodes = [idx for _, idx in ordered]
+        if len(candidates) <= m:
+            return candidates
+        nodes = [idx for _, idx in candidates]
         pairwise = candidate_pairwise(self._vectors[nodes], self.metric)
-        # min_to_selected[row] tracks each candidate's distance to the
-        # nearest already-selected neighbor, updated incrementally so the
-        # greedy loop is O(1) per candidate.
-        min_to_selected = np.full(len(ordered), np.inf)
-        chosen_rows: List[int] = []
         selected: List[Tuple[float, int]] = []
-        for row, (dist, node) in enumerate(ordered):
+        rejected: List[Tuple[float, int]] = []
+        to_selected: List[List[float]] = []  # pairwise rows of the selected
+        for row, pair in enumerate(candidates):
             if len(selected) >= m:
                 break
-            if dist <= min_to_selected[row]:
-                chosen_rows.append(row)
-                selected.append((dist, node))
-                np.minimum(min_to_selected, pairwise[row], out=min_to_selected)
+            dist = pair[0]
+            for distances in to_selected:
+                if not dist <= distances[row]:  # not ``>``: a NaN rejects
+                    rejected.append(pair)
+                    break
+            else:
+                selected.append(pair)
+                to_selected.append(pairwise[row].tolist())
         # Fill remaining slots with nearest rejected candidates (hnswlib
         # behaviour keeps connectivity on clustered data).
-        if len(selected) < m:
-            chosen = set(chosen_rows)
-            for row, (dist, node) in enumerate(ordered):
-                if len(selected) >= m:
-                    break
-                if row not in chosen:
-                    selected.append((dist, node))
-                    chosen.add(row)
-        return selected
+        return selected + rejected[: m - len(selected)]
 
     # ------------------------------------------------------------------
     # Traversal primitives
     # ------------------------------------------------------------------
-    def _greedy_closest(self, query: np.ndarray, start: int, layer: int) -> int:
+    def _greedy_closest(
+        self, query: np.ndarray, start: int, layer: int, table: Optional[List[float]] = None
+    ) -> int:
+        """One layer of the descent over the lists: the reference kernel,
+        and — looking distances up in ``table`` — the fast builder."""
         current = start
-        current_dist = float(self._distance(query, [current])[0])
+        if table is None:
+            current_dist = float(self._distance(query, [current])[0])
+        else:
+            current_dist = table[current]
         improved = True
         while improved:
             improved = False
             links = self._links[current][layer] if layer < len(self._links[current]) else []
             if not links:
                 break
-            dists = self._distance(query, links)
-            best = int(np.argmin(dists))
-            if float(dists[best]) < current_dist:
+            if table is None:
+                dists = self._distance(query, links)
+                best = int(np.argmin(dists))
+                best_dist = float(dists[best])
+            else:
+                dists = [table[n] for n in links]
+                best_dist = min(dists)
+                best = dists.index(best_dist)
+            if best_dist < current_dist:
                 current = links[best]
-                current_dist = float(dists[best])
+                current_dist = best_dist
                 improved = True
         return current
 

@@ -6,8 +6,9 @@ index builders never produce — isolated nodes, self-loops, repeated
 edges, disconnected components — over points chosen so that tied and
 zero distances are the common case.  ``test_kernel_equivalence.py``
 pins the two kernel modes on built indexes; the cost side it leaves
-open (``visited`` under a bitset, DiskANN's charged reads) is pinned at
-the bottom.
+open (``visited`` under a bitset, DiskANN's charged reads) is pinned
+below, then the per-query distance table, then — at the bottom — the
+table-driven build: fast and reference mode must write the same image.
 """
 
 import numpy as np
@@ -19,12 +20,13 @@ from repro.vindex.api import kernel_mode
 from repro.vindex.graph import (
     beam_search_csr,
     beam_search_lists,
+    candidate_pairwise,
     filtered_top_k,
     unseen_in_csr,
     unseen_in_list,
 )
 from repro.vindex.image import freeze_adjacency
-from repro.vindex.registry import IndexSpec, create_index
+from repro.vindex.registry import IndexSpec, create_index, deserialize_index, serialize_index
 
 
 @pytest.fixture(scope="module")
@@ -317,8 +319,8 @@ def table_spy(monkeypatch):
     returned = []
     real = hnsw.HNSWIndex._distance_table
 
-    def spy(self, query):
-        returned.append(real(self, query))
+    def spy(self, query, stop=None):
+        returned.append(real(self, query, stop))
         return returned[-1]
 
     monkeypatch.setattr(hnsw.HNSWIndex, "_distance_table", spy)
@@ -443,3 +445,198 @@ class TestCsrWalkWithTable:
                 assert fresh == want and all(type(n) is int for n in fresh)
         for mask in marks[1:]:
             assert {n for n in range(len(lists)) if mask[n]} == marks[0]
+
+
+# ----------------------------------------------------------------------
+# The table-driven build (DESIGN.md §9, "Score each inserted row once")
+# ----------------------------------------------------------------------
+class TestListWalkWithTable:
+    @given(walk=walks(), layered=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_table_walk_is_the_same_walk(self, walk, layered):
+        points, lists, query, entry, width = walk
+        distance = distance_over(points)
+        table = distance(query, np.arange(len(lists))).tolist()
+        links, layer = ([[[], neighbors] for neighbors in lists], 1) if layered else (lists, None)
+        reads_plain, reads_table = [], []
+        plain = beam_search_lists(
+            distance, query, links, entry, width, layer, on_read=reads_plain.append
+        )
+        tabled = beam_search_lists(
+            None, None, links, entry, width, layer, on_read=reads_table.append, table=table
+        )
+        assert plain == tabled  # beam, settled and marked count
+        assert reads_plain == reads_table
+
+
+def select_heuristic_as_it_was(index, candidates, m):
+    """Algorithm 4 as the builder ran it before the greedy loop moved
+    to python lists: its own sort, ``np.minimum`` per selected row."""
+    ordered = sorted(candidates)
+    if len(ordered) <= m:
+        return ordered
+    pairwise = candidate_pairwise(index._vectors[[idx for _, idx in ordered]], index.metric)
+    min_to_selected = np.full(len(ordered), np.inf)
+    chosen, selected = set(), []
+    for row, (dist, node) in enumerate(ordered):
+        if len(selected) >= m:
+            break
+        if dist <= min_to_selected[row]:
+            chosen.add(row)
+            selected.append((dist, node))
+            np.minimum(min_to_selected, pairwise[row], out=min_to_selected)
+    for row, pair in enumerate(ordered):
+        if len(selected) >= m:
+            break
+        if row not in chosen:
+            selected.append(pair)
+    return selected
+
+
+class TestSelectHeuristic:
+    @pytest.mark.parametrize("metric", ["l2", "ip", "cosine"])
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 40), m=st.integers(1, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_same_selection_from_ascending_candidates(self, metric, seed, count, m):
+        rng = np.random.default_rng(seed)
+        # A coarse grid: tied distances and duplicate rows are common,
+        # so dominance ties (``<=``) and the fill order are exercised.
+        rows = rng.integers(-2, 3, size=(60, 3)).astype(np.float32)
+        index = create_index(IndexSpec(index_type="HNSW", dim=3, metric=metric))
+        index._vectors = rows
+        query = rng.integers(-2, 3, size=3).astype(np.float32)
+        nodes = rng.permutation(60)[:count]
+        candidates = sorted(zip(index._distance(query, nodes).tolist(), nodes.tolist()))
+        got = index._select_heuristic(candidates, m)
+        assert got == select_heuristic_as_it_was(index, candidates, m)
+        assert len(got) == min(m, count) and len(set(got)) == len(got)
+
+
+BUILD_PARAMS = {"m": 6, "ef_construction": 32}
+# The size rule, scaled so a 260 x 12 build crosses it: rows up to 150
+# are scored through a table, later ones through the per-hop gather.
+STRADDLED = 150 * 12
+
+
+def build_image(name, metric, rows, how):
+    """The image of ``rows`` built one of three ways under the active
+    kernel mode: one ``add_with_ids``; several; or some, a save and a
+    load (lists thawed from the CSR, ``start > 0``), then the rest."""
+    n = rows.shape[0]
+    index = create_index(
+        IndexSpec(index_type=name, dim=rows.shape[1], metric=metric, params=BUILD_PARAMS)
+    )
+    if name == "HNSWSQ":
+        index.train(rows)  # one range, however the rows arrive
+    cuts = {"once": [n], "incremental": [1, 2, n // 3, n // 3 + 1, n], "reloaded": [n // 2, n]}[how]
+    lo = 0
+    for hi in cuts:
+        if how == "reloaded" and lo:
+            index = deserialize_index(serialize_index(index))
+        index.add_with_ids(rows[lo:hi], np.arange(lo, hi))
+        lo = hi
+    return serialize_index(index)
+
+
+@pytest.mark.parametrize("how", ["once", "incremental", "reloaded"])
+@pytest.mark.parametrize("metric", ["l2", "ip", "cosine"])
+@pytest.mark.parametrize("name", ["HNSW", "HNSWSQ"])
+class TestBuildModesWriteOneImage:
+    def test_fast_and_reference_images_are_equal(self, monkeypatch, data, name, metric, how):
+        rows = data[:260]
+        with kernel_mode("reference"):
+            want = build_image(name, metric, rows, how)
+        for limit in (hnsw._TABLE_MAX_FLOATS, STRADDLED):  # all under the rule; across it
+            monkeypatch.setattr(hnsw, "_TABLE_MAX_FLOATS", limit)
+            tables = table_spy(monkeypatch)
+            assert build_image(name, metric, rows, how) == want
+            # One table per inserted row but the first, of exactly the
+            # earlier rows, wherever the rule grants one; no other
+            # build is granted any.
+            stops = list(range(1, 260))
+            assert len(tables) == len(stops)
+            for stop, table in zip(stops, tables):
+                if metric == "l2" and stop * 12 <= limit:
+                    assert len(table) == stop
+                else:
+                    assert table is None
+            monkeypatch.undo()
+
+
+class TestBuildLooksDistancesUp:
+    def test_no_numpy_distance_in_a_tabled_build(self, monkeypatch, data):
+        """With a table the descent and every hop are lookups, and the
+        shrink scores are the distances the walks already found: a fresh
+        l2 build never calls ``_distance``.  Lists thawed from a loaded
+        CSR carry nothing, so each is gathered for at most once."""
+        calls = []
+        real = hnsw.HNSWIndex._distance
+        monkeypatch.setattr(
+            hnsw.HNSWIndex, "_distance",
+            lambda self, q, nodes: calls.append(len(nodes)) or real(self, q, nodes),
+        )
+        shrunk = []
+        real_shrink = hnsw.HNSWIndex._shrink_links
+        monkeypatch.setattr(
+            hnsw.HNSWIndex, "_shrink_links",
+            lambda self, node, layer, *rest: shrunk.append((node, layer))
+            or real_shrink(self, node, layer, *rest),
+        )
+        index = create_index(IndexSpec(index_type="HNSW", dim=12, params=BUILD_PARAMS))
+        index.add_with_ids(data[:200], np.arange(200))
+        assert shrunk and calls == []
+        index = deserialize_index(serialize_index(index))
+        del shrunk[:]
+        index.add_with_ids(data[200:260], np.arange(200, 260))
+        assert 0 < len(calls) <= len(set(shrunk)) < len(shrunk)
+        with kernel_mode("reference"):
+            del calls[:], shrunk[:]
+            index = create_index(IndexSpec(index_type="HNSW", dim=12, params=BUILD_PARAMS))
+            index.add_with_ids(data[:200], np.arange(200))
+        assert len(calls) > 10 * len(shrunk) > 0
+
+    def test_real_rule_boundary(self, monkeypatch):
+        """No scaling: a 192-wide store crosses 2**17 floats at row 682."""
+        rng = np.random.default_rng(5)
+        wide = rng.normal(size=(700, 192)).astype(np.float32)
+        index = create_index(IndexSpec(index_type="HNSW", dim=192, params=BUILD_PARAMS))
+        tables = table_spy(monkeypatch)
+        index.add_with_ids(wide, np.arange(700))
+        granted = [stop for stop, table in zip(range(1, 700), tables) if table is not None]
+        assert granted == list(range(1, hnsw._TABLE_MAX_FLOATS // 192 + 1))
+        monkeypatch.undo()
+        with kernel_mode("reference"):
+            twin = create_index(IndexSpec(index_type="HNSW", dim=192, params=BUILD_PARAMS))
+            twin.add_with_ids(wide, np.arange(700))
+        assert serialize_index(index) == serialize_index(twin)
+
+
+class TestVamanaPassWithTable:
+    @pytest.mark.parametrize("metric", ["l2", "ip", "cosine"])
+    def test_fast_and_reference_images_are_equal(self, monkeypatch, data, metric):
+        from repro.vindex import diskann
+
+        def build():
+            params = {"r": 8, "build_beam": 16}
+            index = create_index(
+                IndexSpec(index_type="DISKANN", dim=12, metric=metric, params=params)
+            )
+            index.add_with_ids(data[:200], np.arange(200))
+            return serialize_index(index)
+
+        with kernel_mode("reference"):
+            want = build()
+        tables = []
+        real = diskann.beam_search_lists
+
+        def walk(*args, **kwargs):
+            tables.append(kwargs.get("table"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(diskann, "beam_search_lists", walk)
+        for limit, tabled in ((hnsw._TABLE_MAX_FLOATS, metric == "l2"), (200 * 12 - 1, False)):
+            monkeypatch.setattr(hnsw, "_TABLE_MAX_FLOATS", limit)
+            del tables[:]
+            assert build() == want
+            assert len(tables) == 200
+            assert all((table is not None and len(table) == 200) == tabled for table in tables)
