@@ -1,6 +1,7 @@
 """Parallel segment fan-out and batched multi-query execution.
 
-Two claims, both on simulated latency:
+Two claims, both asserted on *simulated* latency (the wall clock is
+recorded beside it for the batch table, and only loosely gated):
 
 * **Fan-out**: an 8-segment ANN scan on 8 simulated cores finishes at
   the per-segment makespan, not the per-segment sum — at least 2x
@@ -8,8 +9,14 @@ Two claims, both on simulated latency:
 * **Batching**: submitting ``nq = 32`` brute-force queries as one batch
   computes one ``(nq, n)`` distance kernel (GEMM) instead of 32
   sequential ``(1, n)`` scans, and the amortized plan + kernel cost
-  beats 32 separate submissions.
+  beats 32 separate submissions.  The same three submissions (a loop
+  of ``execute``, ``execute_batch``, ``search_batch``) are recorded on
+  both clocks for FLAT, IVFFLAT and HNSW — a batch is a group through
+  the one SELECT lifecycle, and the batched segment kernel it selects
+  has to earn its place on the clock the Python runs on too.
 """
+
+from time import perf_counter
 
 import numpy as np
 import pytest
@@ -112,38 +119,67 @@ def test_parallel_fanout_speedup(benchmark, fanout_results):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
 
+BATCH_INDEX_TYPES = ("FLAT", "IVFFLAT", "HNSW")
+WALL_REPEATS = 3
+
+
+def on_both_clocks(db, measure):
+    """``measure()`` → (simulated seconds, ids), run ``WALL_REPEATS``
+    times: the first run's simulated total and ids (what the
+    assertions have always read) and the best wall-clock ms."""
+    first, wall_ms = None, float("inf")
+    for _ in range(WALL_REPEATS):
+        start = perf_counter()
+        measured = measure()
+        wall_ms = min(wall_ms, (perf_counter() - start) * 1e3)
+        first = first or measured
+    return {"sim_s": first[0], "wall_ms": wall_ms, "ids": first[1]}
+
+
+def measure_api_batch(db, queries):
+    """One query matrix: one plan for the batch, rebinds are free."""
+    start = db.clock.now
+    batch = db.search_batch("bench", np.stack(list(queries)), k=K)
+    total = db.clock.now - start
+    return total, [[row[0] for row in result.rows] for result in batch.results]
+
+
 @pytest.fixture(scope="module")
 def batch_results():
-    """nq=32 brute-force queries: sequential vs one batched submission."""
-    db = build_db("FLAT", 1)
-    queries = db._bench_queries[:BATCH_NQ]
-    sqls = [knn_sql(q) for q in queries]
-    measure_serial_latency(db, sqls[:2])  # warm caches
-    sequential_total, sequential_ids = measure_serial_latency(db, sqls)
-    batch_total, batch_ids = measure_batch_latency(db, sqls)
-    # API-level batch: one plan for the whole matrix, rebinds are free.
-    start = db.clock.now
-    api_batch = db.search_batch("bench", np.stack(list(queries)), k=K)
-    api_total = db.clock.now - start
-    api_ids = [[row[0] for row in result.rows] for result in api_batch.results]
-    return {
-        "sequential": (sequential_total, sequential_ids),
-        "sql_batch": (batch_total, batch_ids),
-        "api_batch": (api_total, api_ids),
-    }
+    """nq=32 kNN queries per index type: a loop of ``execute`` vs one
+    ``execute_batch`` vs one ``search_batch``, on both clocks."""
+    by_index = {}
+    for index_type in BATCH_INDEX_TYPES:
+        db = build_db(index_type, 1)
+        queries = db._bench_queries[:BATCH_NQ]
+        sqls = [knn_sql(q) for q in queries]
+        measure_serial_latency(db, sqls[:2])  # warm caches
+        by_index[index_type] = {
+            "loop": on_both_clocks(db, lambda: measure_serial_latency(db, sqls)),
+            "execute_batch": on_both_clocks(
+                db, lambda: measure_batch_latency(db, sqls)
+            ),
+            "search_batch": on_both_clocks(
+                db, lambda: measure_api_batch(db, queries)
+            ),
+        }
+    return by_index
 
 
 def test_batched_queries_beat_sequential(benchmark, batch_results):
-    sequential_total, sequential_ids = batch_results["sequential"]
-    batch_total, batch_ids = batch_results["sql_batch"]
-    api_total, api_ids = batch_results["api_batch"]
+    flat = batch_results["FLAT"]
+    sequential_total, sequential_ids = flat["loop"]["sim_s"], flat["loop"]["ids"]
+    batch_total, batch_ids = flat["execute_batch"]["sim_s"], flat["execute_batch"]["ids"]
+    api_total, api_ids = flat["search_batch"]["sim_s"], flat["search_batch"]["ids"]
     print(fmt_table(
-        f"Batched nq={BATCH_NQ} brute force vs sequential (simulated)",
-        ["mode", "total_s", "per_query_s"],
+        f"Batched nq={BATCH_NQ} kNN vs a loop of execute: simulated ms | wall ms",
+        ["index", "loop sim", "execute_batch sim", "search_batch sim",
+         "loop wall", "execute_batch wall", "search_batch wall"],
         [
-            ["sequential", sequential_total, sequential_total / BATCH_NQ],
-            ["batched SQL", batch_total, batch_total / BATCH_NQ],
-            ["batched API", api_total, api_total / BATCH_NQ],
+            [index_type]
+            + [modes[mode]["sim_s"] * 1e3 for mode in modes]
+            + [modes[mode]["wall_ms"] for mode in modes]
+            for index_type, modes in batch_results.items()
         ],
     ))
     record(benchmark, "sequential_s", sequential_total)
@@ -156,6 +192,15 @@ def test_batched_queries_beat_sequential(benchmark, batch_results):
         "batch_s": batch_total,
         "api_batch_s": api_total,
         "speedup": speedup,
+        # Both clocks, every index type: simulated seconds of the first
+        # run, best wall-clock ms of WALL_REPEATS.
+        "by_index": {
+            index_type: {
+                mode: {"sim_s": run["sim_s"], "wall_ms": run["wall_ms"]}
+                for mode, run in modes.items()
+            }
+            for index_type, modes in batch_results.items()
+        },
     })
 
     # The batch returns the same neighbors per query...
@@ -165,5 +210,11 @@ def test_batched_queries_beat_sequential(benchmark, batch_results):
     # whether submitted as 32 SQL statements or one query matrix.
     assert batch_total < sequential_total
     assert api_total < batch_total
+    for modes in batch_results.values():
+        assert modes["execute_batch"]["ids"] == modes["loop"]["ids"]
+        assert modes["search_batch"]["ids"] == modes["loop"]["ids"]
+    # The one wall-clock gate: the (nq, n) kernel is not slower than the
+    # loop it replaces where it is a single GEMM per segment.
+    assert flat["execute_batch"]["wall_ms"] <= flat["loop"]["wall_ms"]
 
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)

@@ -320,7 +320,6 @@ class VirtualWarehouse:
                     metrics=self.metrics,
                     tracer=self.tracer,
                     manifest_id=manifest_id,
-                    cancel=cancel,
                 )
                 segment_costs: List[float] = []
                 for segment_id in segment_ids:
@@ -420,14 +419,16 @@ class WarehouseBackend:
         schema = self.db.table(plan.logical.table).entry.schema
         return self.db.cost_params(schema)
 
-    def scan(self, plan, segments, bitmaps, snapshot, cancel):
-        """Scan one wave; per-segment costs are reported after the join."""
+    def scan(self, plans, waves, bitmaps, snapshot, cancel):
+        """Scan one wave of a group of one (a warehouse takes no batch);
+        per-segment costs are reported after the join."""
+        (plan,), (segments,) = plans, waves
         partials, scan_costs, makespan = self.warehouse.scan(
             plan, segments, bitmaps, snapshot.index_key, self.db.reader,
             self._params(plan), manifest_id=snapshot.manifest_id, cancel=cancel,
         )
         yield from scan_costs
-        return partials, makespan
+        return [partials], makespan
 
     def merge(self, plan, partials, n_segments) -> QueryResult:
         return self.warehouse.merge_partials(

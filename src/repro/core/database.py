@@ -42,7 +42,7 @@ from repro.executor.cancel import CancelToken
 from repro.executor.columnio import ColumnReader, ReadOptConfig
 from repro.executor.parallel import (
     BatchExecutionResult,
-    execute_batch_on_segments,
+    _batch_scan_segment,
     lane_makespan,
 )
 from repro.executor.pipeline import (
@@ -237,6 +237,8 @@ class _InProcessBackend:
     One after another, reporting each segment as it completes (a real
     interleave point for whoever drives the stages); the wave's time is
     the captured costs packed onto ``parallel_workers`` simulated cores.
+    A group of one scans with ``execute_segment`` (every strategy), a
+    larger one with the batched kNN kernel — chosen by the group's size.
     """
 
     name: Optional[str] = None  # no warehouse serves these queries
@@ -244,21 +246,44 @@ class _InProcessBackend:
     def __init__(self, db: "BlendHouse") -> None:
         self.db = db
 
-    def scan(self, plan, segments, bitmaps, snapshot, cancel):
+    def scan(self, plans, waves, bitmaps, snapshot, cancel):
         db = self.db
-        ctx = db._exec_context(db.table(plan.logical.table), snapshot, cancel)
+        ctx = db._exec_context(db.table(plans[0].logical.table), snapshot)
         lanes = db.settings.parallel_workers
         db.tracer.annotate("lanes", lanes)  # the ``execute`` span
-        partials, costs = [], []
+        partials: List[List[Any]] = [[] for _ in plans]
+        probing = None
+        if len(plans) == 1:
+            (segments,) = waves
+        else:
+            # Plans probing one segment scan it together, once; segments
+            # are visited in the order the group first names them.
+            probing, segments = {}, []
+            for position, wave in enumerate(waves):
+                for segment in wave:
+                    if segment.segment_id not in probing:
+                        segments.append(segment)
+                    probing.setdefault(segment.segment_id, []).append(position)
+            matrix = np.stack(
+                [plan.logical.distance.query_vector for plan in plans]
+            )
+        costs = []
         for segment in segments:
             if cancel is not None:
                 cancel.raise_if_cancelled()
+            bitmap = bitmaps.get(segment.segment_id)
             with db.clock.capturing() as captured:
-                partials.append(
-                    execute_segment(
-                        plan, segment, bitmaps.get(segment.segment_id), ctx
+                if probing is None:
+                    partials[0].append(
+                        execute_segment(plans[0], segment, bitmap, ctx)
                     )
-                )
+                else:
+                    positions = probing[segment.segment_id]
+                    scanned = _batch_scan_segment(
+                        plans[0], matrix[positions], segment, bitmap, ctx
+                    )
+                    for position, partial in zip(positions, scanned):
+                        partials[position].append(partial)
             costs.append(captured.total)
             yield segment.segment_id, captured.total
         return partials, lane_makespan(costs, lanes)
@@ -288,6 +313,10 @@ class _SelectQuery:
         """The manifest id the statement pins itself to, if any."""
         slot = self.select.as_of_slot
         return None if slot is None else self.scan.integer(slot)
+
+
+class _NotOneBatch(Exception):
+    """The statements of an ``execute_batch`` plan to different shapes."""
 
 
 class BlendHouse:
@@ -422,7 +451,10 @@ class BlendHouse:
             return self._execute_insert(statement)
         if isinstance(statement, Select):
             backend = route() if route is not None else None
-            return self._drain(query.sql, self._lifecycle(query, root, backend))[0]
+            (stage,) = self._drain(
+                [query.sql], self._lifecycle([query], root, backend)
+            )
+            return stage.result
         if isinstance(statement, Update):
             runtime = self.table(statement.table)
             result = apply_update(
@@ -744,7 +776,6 @@ class BlendHouse:
         self,
         runtime: TableRuntime,
         snapshot: Optional[Any] = None,
-        cancel: Optional[CancelToken] = None,
     ) -> ExecContext:
         params = self.cost_params(runtime.entry.schema)
         reader = self.reader
@@ -768,7 +799,6 @@ class BlendHouse:
             metrics=self.metrics,
             tracer=self.tracer,
             manifest_id=manifest_id,
-            cancel=cancel,
         )
 
     def _prune(
@@ -777,7 +807,7 @@ class BlendHouse:
     ) -> Tuple[List[Segment], List[Segment]]:
         """Scheduling-phase pruning of the pinned ``snapshot``: the
         (scheduled, reserve) waves, their delete bitmaps captured into
-        ``bitmaps`` (a batch passes one dict across all its queries)."""
+        ``bitmaps`` (one dict across all the plans of a group)."""
         with self.tracer.span("prune") as span:
             total = len(snapshot)
             metas = prune_segments_scalar(
@@ -855,13 +885,15 @@ class BlendHouse:
         the wave's ``segment_scan`` spans, the ``merge_project`` spans;
         ``execute`` spans what the driver advanced after ``plan``.
 
-        ``backend`` is where segments are scanned: ``scan(plan, segments,
-        bitmaps, snapshot, cancel)`` is a generator yielding
-        ``(segment_id, cost_s)`` as segments complete and returning
-        ``(partials, makespan_s)``; ``merge(plan, partials, n_segments)``
-        returns the result; ``name`` is the serving warehouse.  Default:
-        this process.  ``tenant`` / ``lane`` name the caller — a fleet
-        engine routes on them, here they select nothing.
+        ``backend`` is where segments are scanned: ``scan(plans, waves,
+        bitmaps, snapshot, cancel)`` takes a group's plans and the wave
+        of segments each one probes (here a group of one) and is a
+        generator yielding ``(segment_id, cost_s)`` as segments complete
+        and returning ``(partials per plan, makespan_s)``; ``merge(plan,
+        partials, n_segments)`` returns one plan's result; ``name`` is
+        the serving warehouse.  Default: this process.  ``tenant`` /
+        ``lane`` name the caller — a fleet engine routes on them, here
+        they select nothing.
         """
         tracer = self.tracer
         root = tracer.open("query")
@@ -871,27 +903,36 @@ class BlendHouse:
             root.set_tag("statement", type(statement).__name__)
             if not isinstance(statement, Select):
                 raise SQLError("staged serving execution supports SELECT only")
-            yield from self._lifecycle(query, root, backend, cancel)
+            yield from self._lifecycle([query], root, backend, cancel)
         finally:
             tracer.finish(root)
 
     def _lifecycle(
-        self, query: _SelectQuery, root: Span,
+        self, queries: List[_SelectQuery], root: Span,
         backend: Optional[Any] = None, cancel: Optional[CancelToken] = None,
+        rows: Optional[np.ndarray] = None,
     ) -> Iterator[SelectStage]:
-        """The stages of one SELECT, recorded under the caller's open
-        ``root`` span (which the caller finishes)."""
+        """The stages of one *group* of SELECTs, recorded under the
+        caller's open ``root`` span (which the caller finishes).
+
+        A single SELECT is a group of one.  A batch is ``queries`` over
+        one table and one ``AS OF`` target — or one query whose plan is
+        rebound onto every row of ``rows`` — and shares the pin, the
+        bitmaps, every wave and the ``execute`` span; each of its members
+        is pruned, widened, merged, accounted and finished (one
+        ``finish`` stage each) on its own.
+        """
         tracer = self.tracer
         backend = backend or self._in_process
-        runtime = self.table(query.select.table)
+        runtime = self.table(queries[0].select.table)
         cache_before = self._cache_counters()
         if backend.name is not None:
             root.set_tag("warehouse", backend.name)
-        # Pin one manifest for the query's whole lifetime: planning,
+        # Pin one manifest for the group's whole lifetime: planning,
         # pruning, bitmap capture, every worker's index resolution and
         # the widening wave read this version, so concurrent commits are
         # invisible and ``AS OF <manifest_id>`` replays history exactly.
-        snap = runtime.manager.snapshot(query.as_of)
+        snap = runtime.manager.snapshot(queries[0].as_of)
         execute = None
         try:
             yield SelectStage("pin", manifest_id=snap.manifest_id)
@@ -899,23 +940,37 @@ class BlendHouse:
                 cancel.raise_if_cancelled()
             bitmaps: Dict[str, Any] = {}
             with tracer.under(root), self.clock.capturing() as captured:
-                plan = self._plan_select(query, version=snap.manifest_id)
-                scheduled, reserve = self._prune(runtime, plan, snap, bitmaps)
+                plans = self._plan_group(queries, rows, snap.manifest_id)
+                pruned = [
+                    self._prune(runtime, plan, snap, bitmaps) for plan in plans
+                ]
             yield SelectStage(
                 "plan", captured.total, captured.total,
                 manifest_id=snap.manifest_id,
             )
             execute = tracer.open("execute", root, manifest_id=snap.manifest_id)
-            partials: List[Any] = []
-            scanned = 0
-            elapsed = finish_cost = 0.0
-            for wave_name, wave in (("scan", scheduled), ("widen", reserve)):
+            members = range(len(plans))
+            partials: List[List[Any]] = [[] for _ in members]
+            results: List[Any] = [None] * len(plans)
+            finish_costs = [0.0] * len(plans)
+            elapsed = 0.0
+            for wave_name, wave in (("scan", 0), ("widen", 1)):
                 if wave_name == "widen":
-                    if not self._needs_widening(plan, reserve, result):
+                    members = [
+                        member for member in members
+                        if self._needs_widening(
+                            plans[member], pruned[member][1], results[member]
+                        )
+                    ]
+                    if not members:
                         break
-                    self.metrics.incr("pruning.adaptive_widenings")
+                    self.metrics.incr("pruning.adaptive_widenings", len(members))
                     execute.set_tag("adaptive_widened", True)
-                scan = backend.scan(plan, wave, bitmaps, snap, cancel)
+                scan = backend.scan(
+                    [plans[member] for member in members],
+                    [pruned[member][wave] for member in members],
+                    bitmaps, snap, cancel,
+                )
                 wave_cost = 0.0
                 while True:
                     try:
@@ -930,44 +985,55 @@ class BlendHouse:
                 yield SelectStage(wave_name, wave_cost, makespan)
                 if cancel is not None:
                     cancel.raise_if_cancelled()
-                partials += wave_partials
-                scanned += len(wave)
-                with tracer.under(execute), self.clock.capturing() as captured:
-                    result = backend.merge(plan, partials, scanned)
-                finish_cost += captured.total
-            elapsed += finish_cost
-            result.simulated_seconds = elapsed
-            execute.set_tag("rows", len(result))
-            self.metrics.incr("queries")
-            self.metrics.record_latency("query.latency", elapsed)
-            yield SelectStage(
-                "finish", finish_cost, finish_cost,
-                manifest_id=snap.manifest_id, result=result,
-                flight={
-                    "manifest_id": snap.manifest_id,
-                    "warehouse": backend.name,
-                    "plan": plan,
-                    "cache_before": cache_before,
-                    "trace": root,
-                },
-            )
+                for member, scans in zip(members, wave_partials):
+                    partials[member] += scans  # one per segment scanned
+                    with tracer.under(execute), self.clock.capturing() as captured:
+                        results[member] = backend.merge(
+                            plans[member], partials[member], len(partials[member])
+                        )
+                    finish_costs[member] += captured.total
+            elapsed += sum(finish_costs)
+            execute.set_tag("rows", sum(map(len, results)))
+            self.metrics.incr("queries", len(plans))
+            for plan, result, finish_cost in zip(plans, results, finish_costs):
+                # A batched query's latency is its share of the batch.
+                result.simulated_seconds = elapsed / len(plans)
+                self.metrics.record_latency(
+                    "query.latency", result.simulated_seconds
+                )
+                yield SelectStage(
+                    "finish", finish_cost, finish_cost,
+                    manifest_id=snap.manifest_id, result=result,
+                    flight={
+                        "manifest_id": snap.manifest_id,
+                        "warehouse": backend.name,
+                        "plan": plan,
+                        "cache_before": cache_before,
+                        "trace": root,
+                    },
+                )
         finally:
             snap.release()
             if execute is not None:
                 tracer.finish(execute)
 
     def _drain(
-        self, sql: str, stages: Iterator[SelectStage]
-    ) -> Tuple[QueryResult, PhysicalPlan]:
-        """Run a staged SELECT to completion on the calling thread: each
-        stage's ``advance_s`` goes onto the shared clock and the finished
-        query is offered to the slow-query log."""
+        self, sqls: Sequence[str], stages: Iterator[SelectStage]
+    ) -> List[SelectStage]:
+        """Run a staged group to completion on the calling thread: each
+        stage's ``advance_s`` goes onto the shared clock and every
+        finished query (its ``finish`` stage, returned in order) is
+        offered to the slow-query log under its own statement."""
+        finished = []
         with closing(stages):
             for stage in stages:
                 if stage.advance_s:  # not the per-segment checkpoints
                     self.clock.advance(stage.advance_s)
-        self.offer_flight(sql, stage.result.simulated_seconds, stage.flight)
-        return stage.result, stage.flight["plan"]
+                if stage.result is not None:
+                    finished.append(stage)
+        for sql, stage in zip(sqls, finished):
+            self.offer_flight(sql, stage.result.simulated_seconds, stage.flight)
+        return finished
 
     # ------------------------------------------------------------------
     # Flight recorder capture
@@ -1019,7 +1085,7 @@ class BlendHouse:
         )
 
     # ------------------------------------------------------------------
-    # Batched (nq > 1) queries
+    # Batched (nq > 1) queries: groups of more than one
     # ------------------------------------------------------------------
     _METRIC_FUNCTIONS = {"l2": "L2Distance", "ip": "IPDistance",
                          "cosine": "CosineDistance"}
@@ -1045,72 +1111,104 @@ class BlendHouse:
         query_matrix = np.asarray(queries, dtype=np.float32)
         if query_matrix.ndim == 1:
             query_matrix = query_matrix.reshape(1, -1)
-        runtime = self.table(table)
-        schema = runtime.entry.schema
+        schema = self.table(table).entry.schema
         if metric is None:
             metric = schema.index_spec.metric if schema.index_spec else "l2"
         function = self._METRIC_FUNCTIONS.get(metric)
         if function is None:
             raise SQLError(f"unknown metric {metric!r} for batched search")
+        if not len(query_matrix):
+            return BatchExecutionResult([])
         # The batch's shape as SQL.  Its literal only carries the
-        # dimension: every row is rebound onto the plan in _run_batch.
+        # dimension: the lifecycle rebinds the plan onto every row.
         literal = "[" + ",".join(["0"] * query_matrix.shape[1]) + "]"
         columns = ", ".join(output_columns)
         sql = (
             f"SELECT {columns}, dist FROM {table} ORDER BY "
             f"{function}({schema.vector_column}, {literal}) AS dist LIMIT {int(k)}"
         )
-        with self.tracer.span("batch_query", queries=int(query_matrix.shape[0])):
-            statement, query = self._parse(sql)
-            if not isinstance(statement, Select):  # pragma: no cover - defensive
-                raise SQLError("batched search must compile to a SELECT")
-            with runtime.manager.snapshot() as snap:
-                template = self._plan_select(query, version=snap.manifest_id)
-                return self._run_batch(runtime, template, query_matrix, snap)
+        with self.tracer.span("query", queries=len(query_matrix)) as root:
+            with self.tracer.span("parse"):
+                statement, query = self._parse(sql)
+            root.set_tag("statement", type(statement).__name__)
+            return self._submit_batch(
+                root, [sql] * len(query_matrix), [query], query_matrix
+            )
 
     def execute_batch(self, sqls: Sequence[str]) -> List[Any]:
         """Execute several SQL statements submitted as one batch.
 
         When every statement is a pure vector top-k SELECT with the same
-        shape (same table, k, metric, projection; no scalar predicate or
-        distance range), the whole batch runs through the vectorized
-        multi-query engine.  Anything else falls back to sequential
-        execution, statement by statement.
+        shape (same table and ``AS OF`` target, k, metric, projection; no
+        scalar predicate or distance range), the whole batch runs as one
+        group of the SELECT lifecycle.  Anything else falls back to
+        sequential execution, statement by statement.
         """
         if not sqls:
             return []
-        parsed = [self._parse(sql) for sql in sqls]
-        batchable = all(isinstance(statement, Select) for statement, _ in parsed)
-        if batchable:
-            with self.tracer.span("batch_query", queries=len(sqls)):
-                plans = [self._plan_select(query) for _, query in parsed]
-                if self._plans_batchable(plans):
-                    runtime = self.table(plans[0].logical.table)
-                    query_matrix = np.stack([
-                        plan.logical.distance.query_vector for plan in plans
-                    ])
-                    with runtime.manager.snapshot() as snap:
-                        batch = self._run_batch(
-                            runtime, plans[0], query_matrix, snap
-                        )
-                    return list(batch.results)
+        with self.tracer.span("query", queries=len(sqls)) as root:
+            with self.tracer.span("parse"):
+                parsed = [self._parse(sql) for sql in sqls]
+            queries = [query for _, query in parsed]
+            # One group reads one table at one manifest; whether its
+            # plans are one shape is known once they are made.
+            if all(isinstance(statement, Select) for statement, _ in parsed) and (
+                len({(query.select.table, query.as_of) for query in queries}) == 1
+            ):
+                root.set_tag("statement", "Select")
+                try:
+                    return self._submit_batch(root, sqls, queries).results
+                except _NotOneBatch:
+                    pass
         # Mixed or non-batchable statements: sequential fallback.
         self.metrics.incr("batch.fallbacks")
         return [self.execute(sql) for sql in sqls]
 
-    def _plans_batchable(self, plans: List[PhysicalPlan]) -> bool:
-        if not plans:
-            return False
+    def _submit_batch(
+        self, root: Span, sqls: Sequence[str], queries: List[_SelectQuery],
+        rows: Optional[np.ndarray] = None,
+    ) -> BatchExecutionResult:
+        """Drain one group through the lifecycle as one batch submission."""
+        finished = self._drain(sqls, self._lifecycle(queries, root, rows=rows))
+        results = [stage.result for stage in finished]
+        batch = BatchExecutionResult(
+            results, sum(result.simulated_seconds for result in results)
+        )
+        self.metrics.incr("batch.submissions")
+        self.metrics.incr("batch.queries", len(results))
+        self.metrics.record_latency("batch.latency", batch.simulated_seconds)
+        return batch
+
+    def _plan_group(
+        self, queries: List[_SelectQuery], rows: Optional[np.ndarray], version: int
+    ) -> List[PhysicalPlan]:
+        """Every plan of a group, made against the pinned ``version``:
+        one per query, or the one query's plan rebound onto each of
+        ``rows``.  More than one must be same-shape pure vector top-k —
+        what the batched segment kernel can scan together.
+
+        Raises
+        ------
+        _NotOneBatch
+            If they are not.
+        """
+        plans = [self._plan_select(query, version) for query in queries]
+        if rows is not None:
+            (template,) = plans
+            distance = template.logical.distance
+            plans = [
+                template.rebound(replace(
+                    template.logical, distance=replace(distance, query_vector=row)
+                ))
+                for row in rows
+            ]
+        if len(plans) == 1:
+            return plans  # a group of one scans with any strategy
         head = plans[0].logical
-        if not head.is_vector_query or head.scalar_predicate is not None:
-            return False
-        if head.distance_range is not None or head.offset:
-            return False
-        for plan in plans[1:]:
+        for plan in plans:
             logical = plan.logical
             if (
-                logical.table != head.table
-                or not logical.is_vector_query
+                not logical.is_vector_query
                 or logical.scalar_predicate is not None
                 or logical.distance_range is not None
                 or logical.offset
@@ -1118,68 +1216,8 @@ class BlendHouse:
                 or logical.distance.metric != head.distance.metric
                 or logical.output_columns != head.output_columns
             ):
-                return False
-        return True
-
-    def _run_batch(
-        self,
-        runtime: TableRuntime,
-        template: PhysicalPlan,
-        query_matrix: np.ndarray,
-        snapshot: Any,
-    ) -> BatchExecutionResult:
-        """Plan rebinding + scheduling + batched execution for one batch.
-
-        The caller pins ``snapshot`` around the whole batch: every query
-        in it reads one manifest.
-        """
-        if template.logical.scalar_predicate is not None:
-            raise SQLError("batched search does not support scalar predicates")
-        plans: List[PhysicalPlan] = []
-        for row in range(query_matrix.shape[0]):
-            logical = replace(
-                template.logical,
-                distance=replace(
-                    template.logical.distance, query_vector=query_matrix[row]
-                ),
-            )
-            plans.append(template.rebound(logical))
-        ctx = self._exec_context(runtime, snapshot=snapshot)
-        bitmaps: Dict[str, Any] = {}
-        waves = [self._prune(runtime, plan, snapshot, bitmaps) for plan in plans]
-        lanes = self.settings.parallel_workers
-        start = self.clock.now
-        with self.tracer.span("execute_batch", queries=len(plans),
-                              manifest_id=snapshot.manifest_id):
-            batch = execute_batch_on_segments(
-                plans, [scheduled for scheduled, _ in waves], bitmaps, ctx, lanes
-            )
-            short = [
-                position for position, (_, reserve) in enumerate(waves)
-                if self._needs_widening(
-                    plans[position], reserve, batch.results[position]
-                )
-            ]
-            if short:
-                # Per-query adaptive widening: redo just the under-filled
-                # queries, together, over every candidate segment.
-                self.metrics.incr("pruning.adaptive_widenings", len(short))
-                widened = execute_batch_on_segments(
-                    [plans[position] for position in short],
-                    [waves[position][0] + waves[position][1] for position in short],
-                    bitmaps, ctx, lanes,
-                )
-                for position, result in zip(short, widened.results):
-                    batch.results[position] = result
-        batch.simulated_seconds = self.clock.elapsed_since(start)
-        nq = len(plans)
-        for result in batch.results:
-            result.simulated_seconds = batch.simulated_seconds / max(1, nq)
-        self.metrics.incr("queries", nq)
-        self.metrics.incr("batch.submissions")
-        self.metrics.incr("batch.queries", nq)
-        self.metrics.record_latency("batch.latency", batch.simulated_seconds)
-        return batch
+                raise _NotOneBatch
+        return plans
 
     # ------------------------------------------------------------------
     # EXPLAIN
@@ -1189,9 +1227,10 @@ class BlendHouse:
     ) -> ExplainResult:
         root.set_tag("explain", "analyze" if analyze else "plan")
         if analyze:
-            result, plan = self._drain(query.sql, self._lifecycle(query, root))
+            (stage,) = self._drain([query.sql], self._lifecycle([query], root))
             return ExplainResult(
-                sql=query.sql, analyze=True, plan=plan, trace=root, result=result
+                sql=query.sql, analyze=True, plan=stage.flight["plan"],
+                trace=root, result=stage.result,
             )
         plan = self._plan_select(query)
         return ExplainResult(sql=query.sql, analyze=False, plan=plan, trace=root)

@@ -9,22 +9,12 @@
 * :mod:`repro.executor.pipeline` — per-segment plan execution and the
   global partial top-k merge.
 * :mod:`repro.executor.parallel` — lane-makespan accounting of
-  simulated scan parallelism and batched ``nq > 1`` multi-query
-  execution.
+  simulated scan parallelism and the batched ``nq > 1`` segment kernel.
 """
 
 from repro.executor.columnio import ColumnReader, ReadOptConfig
-from repro.executor.parallel import (
-    BatchExecutionResult,
-    execute_batch_on_segments,
-    lane_makespan,
-)
-from repro.executor.pipeline import (
-    ExecContext,
-    PartialResult,
-    QueryResult,
-    execute_plan_on_segments,
-)
+from repro.executor.parallel import BatchExecutionResult, lane_makespan
+from repro.executor.pipeline import ExecContext, PartialResult, QueryResult
 
 __all__ = [
     "BatchExecutionResult",
@@ -33,7 +23,5 @@ __all__ = [
     "PartialResult",
     "QueryResult",
     "ReadOptConfig",
-    "execute_batch_on_segments",
-    "execute_plan_on_segments",
     "lane_makespan",
 ]

@@ -23,7 +23,6 @@ from repro.executor.annscan import (
     search_with_filter_op,
     search_with_range_op,
 )
-from repro.executor.cancel import CancelToken
 from repro.executor.columnio import ColumnReader
 from repro.observe.trace import Tracer, maybe_span
 from repro.planner.cost import CostModelParams
@@ -63,9 +62,6 @@ class ExecContext:
     tracer: Optional[Tracer] = None
     # Manifest this execution is pinned to (MVCC); None outside snapshots.
     manifest_id: Optional[int] = None
-    # Cooperative cancellation: checked at every scan boundary (the
-    # segment loops, warehouse worker groups, RPC dispatch).
-    cancel: Optional[CancelToken] = None
 
 
 @dataclass
@@ -454,23 +450,3 @@ def merge_and_project(
             strategy=plan.strategy,
             segments_scanned=segments_scanned,
         )
-
-
-def execute_plan_on_segments(
-    plan: PhysicalPlan,
-    segments: List[Segment],
-    bitmaps: Dict[str, DeleteBitmap],
-    ctx: ExecContext,
-) -> QueryResult:
-    """Run ``plan`` over ``segments`` and merge into the final result."""
-    start = ctx.clock.now
-    partials = []
-    for segment in segments:
-        if ctx.cancel is not None:
-            ctx.cancel.raise_if_cancelled()
-        partials.append(
-            execute_segment(plan, segment, bitmaps.get(segment.segment_id), ctx)
-        )
-    result = merge_and_project(plan, partials, ctx, len(segments))
-    result.simulated_seconds = ctx.clock.elapsed_since(start)
-    return result

@@ -10,3 +10,19 @@ def walk_spans(span):
     yield span
     for child in span.children:
         yield from walk_spans(child)
+
+
+def run_plan_on_segments(plan, segments, bitmaps, ctx):
+    """One plan over ``segments`` through the executor's two pieces —
+    ``execute_segment`` per segment, then ``merge_and_project`` — with
+    the time it charged to ``ctx.clock`` on the result."""
+    from repro.executor.pipeline import execute_segment, merge_and_project
+
+    start = ctx.clock.now
+    partials = [
+        execute_segment(plan, segment, bitmaps.get(segment.segment_id), ctx)
+        for segment in segments
+    ]
+    result = merge_and_project(plan, partials, ctx, len(segments))
+    result.simulated_seconds = ctx.clock.elapsed_since(start)
+    return result

@@ -5,11 +5,7 @@ import pytest
 
 from repro.catalog.schema import TableSchema
 from repro.executor.columnio import ColumnReader
-from repro.executor.pipeline import (
-    ExecContext,
-    execute_plan_on_segments,
-    referenced_columns,
-)
+from repro.executor.pipeline import ExecContext, referenced_columns
 from repro.planner.cost import CostModelParams
 from repro.planner.logical import bind_select
 from repro.planner.optimizer import ExecutionStrategy, Optimizer, OptimizerConfig, PhysicalPlan
@@ -21,6 +17,7 @@ from repro.storage.deletebitmap import DeleteBitmap
 from repro.storage.segment import Segment
 from repro.vindex.flat import FlatIndex
 from repro.vindex.registry import IndexSpec
+from tests.helpers import run_plan_on_segments
 
 DIM = 8
 
@@ -116,7 +113,7 @@ class TestStrategies:
             f"ORDER BY L2Distance(embedding, {VEC}) AS dist LIMIT 10"
         )
         plan = plan_for(sql, schema, strategy)
-        result = execute_plan_on_segments(plan, segments, bitmaps, ctx)
+        result = run_plan_on_segments(plan, segments, bitmaps, ctx)
         query = [0.1] * DIM
         expected = global_truth(segments, query, 10, predicate=lambda v: v < 800)
         assert [row[0] for row in result.rows] == expected
@@ -125,7 +122,7 @@ class TestStrategies:
         segments, bitmaps, ctx = world
         sql = f"SELECT id FROM t ORDER BY L2Distance(embedding, {VEC}) LIMIT 7"
         plan = plan_for(sql, schema)
-        result = execute_plan_on_segments(plan, segments, bitmaps, ctx)
+        result = run_plan_on_segments(plan, segments, bitmaps, ctx)
         assert [row[0] for row in result.rows] == global_truth(
             segments, [0.1] * DIM, 7
         )
@@ -133,7 +130,7 @@ class TestStrategies:
     def test_scalar_only(self, world, schema):
         segments, bitmaps, ctx = world
         plan = plan_for("SELECT id FROM t WHERE views < 100 LIMIT 1000", schema)
-        result = execute_plan_on_segments(plan, segments, bitmaps, ctx)
+        result = run_plan_on_segments(plan, segments, bitmaps, ctx)
         for segment in segments:
             views = segment.scalar_column("views")
             ids = segment.scalar_column("id")
@@ -147,7 +144,7 @@ class TestStrategies:
             f"SELECT id FROM t WHERE L2Distance(embedding, {VEC}) < 2.0", schema
         )
         assert plan.strategy is ExecutionStrategy.RANGE
-        result = execute_plan_on_segments(plan, segments, bitmaps, ctx)
+        result = run_plan_on_segments(plan, segments, bitmaps, ctx)
         for segment in segments:
             ids = segment.scalar_column("id")
             for offset in range(segment.row_count):
@@ -169,7 +166,7 @@ class TestDeletes:
                 bitmaps[segment.segment_id].mark_deleted(hit.tolist())
         sql = f"SELECT id FROM t ORDER BY L2Distance(embedding, {VEC}) LIMIT 5"
         plan = plan_for(sql, schema)
-        result = execute_plan_on_segments(plan, segments, bitmaps, ctx)
+        result = run_plan_on_segments(plan, segments, bitmaps, ctx)
         assert top not in [row[0] for row in result.rows]
 
 
@@ -177,7 +174,7 @@ class TestProjectionAndMerge:
     def test_distance_column_and_alias(self, world, schema):
         segments, bitmaps, ctx = world
         sql = f"SELECT id, dist FROM t ORDER BY L2Distance(embedding, {VEC}) AS dist LIMIT 3"
-        result = execute_plan_on_segments(plan_for(sql, schema), segments, bitmaps, ctx)
+        result = run_plan_on_segments(plan_for(sql, schema), segments, bitmaps, ctx)
         assert result.columns == ["id", "dist"]
         distances = [row[1] for row in result.rows]
         assert distances == sorted(distances)
@@ -185,11 +182,11 @@ class TestProjectionAndMerge:
     def test_offset_slicing(self, world, schema):
         segments, bitmaps, ctx = world
         base = f"SELECT id FROM t ORDER BY L2Distance(embedding, {VEC}) LIMIT 10"
-        full = execute_plan_on_segments(plan_for(base, schema), segments, bitmaps, ctx)
+        full = run_plan_on_segments(plan_for(base, schema), segments, bitmaps, ctx)
         shifted_sql = (
             f"SELECT id FROM t ORDER BY L2Distance(embedding, {VEC}) LIMIT 5 OFFSET 5"
         )
-        shifted = execute_plan_on_segments(
+        shifted = run_plan_on_segments(
             plan_for(shifted_sql, schema), segments, bitmaps, ctx
         )
         assert [r[0] for r in shifted.rows] == [r[0] for r in full.rows[5:10]]
@@ -197,13 +194,13 @@ class TestProjectionAndMerge:
     def test_vector_column_projection(self, world, schema):
         segments, bitmaps, ctx = world
         sql = f"SELECT id, embedding FROM t ORDER BY L2Distance(embedding, {VEC}) LIMIT 2"
-        result = execute_plan_on_segments(plan_for(sql, schema), segments, bitmaps, ctx)
+        result = run_plan_on_segments(plan_for(sql, schema), segments, bitmaps, ctx)
         assert isinstance(result.rows[0][1], np.ndarray)
 
     def test_query_result_column_accessor(self, world, schema):
         segments, bitmaps, ctx = world
         sql = f"SELECT id FROM t ORDER BY L2Distance(embedding, {VEC}) LIMIT 4"
-        result = execute_plan_on_segments(plan_for(sql, schema), segments, bitmaps, ctx)
+        result = run_plan_on_segments(plan_for(sql, schema), segments, bitmaps, ctx)
         assert len(result.column("id")) == 4
         from repro.errors import ExecutionError
 
@@ -213,7 +210,7 @@ class TestProjectionAndMerge:
     def test_simulated_time_charged(self, world, schema):
         segments, bitmaps, ctx = world
         sql = f"SELECT id FROM t ORDER BY L2Distance(embedding, {VEC}) LIMIT 4"
-        result = execute_plan_on_segments(plan_for(sql, schema), segments, bitmaps, ctx)
+        result = run_plan_on_segments(plan_for(sql, schema), segments, bitmaps, ctx)
         assert result.simulated_seconds > 0
         assert result.segments_scanned == 2
 
@@ -234,7 +231,7 @@ class TestBruteForcePath:
             metrics=metrics,
         )
         sql = f"SELECT id FROM t ORDER BY L2Distance(embedding, {VEC}) LIMIT 5"
-        result = execute_plan_on_segments(plan_for(sql, schema), segments, bitmaps, ctx)
+        result = run_plan_on_segments(plan_for(sql, schema), segments, bitmaps, ctx)
         assert [row[0] for row in result.rows] == global_truth(segments, [0.1] * DIM, 5)
         assert metrics.count("annscan.brute_force_rows") == 200
 

@@ -9,15 +9,26 @@ must agree — the staged-vs-direct checks that used to live one per suite
 are this module's inputs.  So must the trace: one ``query`` tree per
 query, the same spans on every path, both clocks on every span, and
 stage costs that are span durations.
+
+A batch — ``search_batch`` of a query matrix, ``execute_batch`` of
+same-shape statements — is a *group* through that same lifecycle, so on
+the core engines it is held to the same rows, accounting, single
+``query`` tree and leak checks, plus what only a group can get wrong:
+one pin honouring ``AS OF``, and a widen wave that scans the reserve
+segments only.
 """
+
+import re
 
 import numpy as np
 import pytest
 
 from repro.cluster.engine import ClusteredBlendHouse
+from repro.core import database
 from repro.core.database import BlendHouse
 from repro.elastic import FleetBlendHouse, FleetConfig
-from repro.errors import WorkerUnavailableError
+from repro.errors import QueryCancelledError, WorkerUnavailableError
+from repro.executor.cancel import CancelToken
 from repro.workloads import make_cohere_like
 from tests.helpers import vector_sql, walk_spans as walk
 
@@ -342,6 +353,173 @@ def test_staged_fleet_scan_retries_when_a_worker_is_gone():
     stages = list(engine.select_stages(sql, tenant="t-retry"))
     assert stages[-1].result.rows == expected
     assert engine.metrics.count("warehouse.query_retries") == retries + 1
+
+
+def knn_sqls(sql: str, queries) -> list:
+    """``sql`` without its filter, once per query vector."""
+    shape = re.sub(r"WHERE .* ORDER", "ORDER", sql)
+    return [re.sub(r"\[.*\]", vector_sql(query), shape) for query in queries]
+
+
+def run_search_batch(engine, sqls, queries):
+    k = int(sqls[0].rsplit("LIMIT", 1)[1])
+    return engine.search_batch("t", queries, k=k, output_columns=("id",)).results
+
+
+def run_execute_batch(engine, sqls, queries):
+    return engine.execute_batch(sqls)
+
+
+BATCH_ENTRIES = {"search_batch": run_search_batch, "execute_batch": run_execute_batch}
+BATCH_COUNTERS = (
+    "queries", "pruning.adaptive_widenings", "batch.submissions",
+    "batch.queries", "batch.fallbacks",
+)
+
+
+@pytest.mark.parametrize("entry", list(BATCH_ENTRIES))
+@pytest.mark.parametrize("nq", [1, 3])
+@pytest.mark.parametrize("table", list(TABLES))
+@pytest.mark.parametrize("engine_name", ["core-serial", "core-parallel4"])
+def test_a_batch_is_a_group_through_the_same_lifecycle(engine_name, table, nq, entry):
+    engine, sql = build(engine_name, table)
+    engine.execute("SET slowlog_threshold_ms = 0")
+    widened = table == "widening"
+    queries = make_cohere_like(n=600, dim=DIM, n_queries=nq).queries
+    sqls = knn_sqls(sql, queries)
+    sequential = [engine.execute(one) for one in sqls]
+    assert all(len(result.rows) > 0 for result in sequential)
+
+    metrics, pins = engine.metrics, engine.table("t").manager.store
+    engine.tracer.reset()
+    before = {name: metrics.count(name) for name in BATCH_COUNTERS}
+    samples = len(metrics.latency("query.latency").values)
+    offered, start = engine.slowlog.seen, engine.clock.now
+    results = BATCH_ENTRIES[entry](engine, sqls, queries)
+    advance = engine.clock.now - start
+
+    assert [[row[0] for row in result.rows] for result in results] == [
+        [row[0] for row in result.rows] for result in sequential
+    ]
+    # Accounted once, per query, like any SELECT — and once as a batch.
+    assert {name: metrics.count(name) - before[name] for name in BATCH_COUNTERS} == {
+        "queries": nq, "pruning.adaptive_widenings": nq * widened,
+        "batch.submissions": 1, "batch.queries": nq, "batch.fallbacks": 0,
+    }
+    share = results[0].simulated_seconds
+    assert share > 0
+    assert metrics.latency("query.latency").values[samples:] == [share] * nq
+    assert [result.simulated_seconds for result in results] == [share] * nq
+    assert metrics.latency("batch.latency").values[-1] == pytest.approx(share * nq)
+    assert engine.slowlog.seen == offered + nq
+    assert [record.sql for record in engine.slowlog.records()[-nq:]] == (
+        sqls if entry == "execute_batch" else [engine.slowlog.records()[-1].sql] * nq
+    )
+
+    # One tree: the group's plans and prunes, then one execute.
+    (root,) = engine.tracer.roots
+    assert root.name == "query" and root.tags["queries"] == nq
+    plans = nq if entry == "execute_batch" else 1
+    assert [child.name for child in root.children] == (
+        ["parse"] + ["plan"] * plans + ["prune"] * nq + ["execute"]
+    )
+    assert all(span.finished and span.wall_s > 0 for span in walk(root))
+    assert engine.tracer.current is None and pins.pinned_count == 0
+    execute = root.find("execute")
+    assert execute.duration == pytest.approx(share * nq, rel=1e-9)
+    assert advance == pytest.approx(
+        execute.duration + sum(
+            span.duration for span in root.children if span.name in ("plan", "prune")
+        ), rel=1e-6,
+    )
+    assert execute.tags.get("adaptive_widened", False) == widened
+    # Every plan was made against the manifest the group pinned.
+    assert {span.tags["manifest_id"] for span in root.find_all("plan")} == {
+        execute.tags["manifest_id"]
+    }
+    # Each (query, segment) pair is scanned once: the widen wave scans the
+    # reserve segments only (6 scans a widened query, not 7).
+    scans = execute.find_all("segment_scan")
+    assert sum(scan.tags.get("queries", 1) for scan in scans) == sum(
+        result.segments_scanned for result in results
+    ) == sum(result.segments_scanned for result in sequential)
+    if nq > 1:  # the batched kernel: one scan serves every query probing it
+        assert len(scans) < sum(result.segments_scanned for result in results)
+    assert len(execute.find_all("merge_project")) == nq * (1 + widened)
+
+
+@pytest.mark.parametrize("entry", list(BATCH_ENTRIES))
+def test_a_batch_that_raises_mid_scan_leaves_nothing_behind(entry, monkeypatch):
+    engine, sql = build("core-serial", "widening")
+    queries = make_cohere_like(n=600, dim=DIM, n_queries=3).queries
+    pins = engine.table("t").manager.store
+    kernel, calls = database._batch_scan_segment, []
+
+    def failing_kernel(*args):
+        calls.append(1)
+        if len(calls) == 3:  # the second segment of the widen wave
+            raise RuntimeError("kernel died")
+        return kernel(*args)
+
+    monkeypatch.setattr(database, "_batch_scan_segment", failing_kernel)
+    engine.tracer.reset()
+    queries_before = engine.metrics.count("queries")
+    with pytest.raises(RuntimeError, match="kernel died"):
+        BATCH_ENTRIES[entry](engine, knn_sqls(sql, queries), queries)
+    assert pins.pinned_count == 0
+    assert engine.tracer.current is None
+    assert [root.name for root in engine.tracer.roots] == ["query"]
+    assert all(span.finished for span in walk(engine.tracer.roots[0]))
+    assert engine.metrics.count("queries") == queries_before
+
+
+def test_a_batch_checks_for_cancellation_between_segments():
+    engine, sql = build("core-serial", "widening")
+    _, query = engine._parse(knn_sqls(sql, [np.zeros(DIM)])[0])
+    rows = make_cohere_like(n=600, dim=DIM, n_queries=3).queries
+    token, seen = CancelToken(), []
+    with engine.tracer.span("query") as root, pytest.raises(QueryCancelledError):
+        for stage in engine._lifecycle([query], root, cancel=token, rows=rows):
+            seen.append(stage.name)
+            if stage.name == "scan":
+                token.cancel()
+    assert seen[-1] == "scan" and "widen" not in seen
+    assert engine.table("t").manager.store.pinned_count == 0
+
+
+def test_execute_batch_honours_as_of():
+    engine, sql = build("core-serial", "widening")
+    manager = engine.table("t").manager
+    queries = make_cohere_like(n=600, dim=DIM, n_queries=3).queries
+    sqls = knn_sqls(sql, queries)
+    current = [engine.execute(one).rows for one in sqls]
+    old = manager.manifest_id
+    victims = sorted({row[0] for rows in current for row in rows[:3]})
+    engine.execute(f"DELETE FROM t WHERE id IN ({', '.join(map(str, victims))})")
+    new = manager.manifest_id
+    assert new > old
+    pinned = [one.replace("FROM t", f"FROM t AS OF {old}") for one in sqls]
+    counters = ("batch.submissions", "batch.fallbacks")
+    before = [engine.metrics.count(name) for name in counters]
+
+    engine.tracer.reset()
+    assert [result.rows for result in engine.execute_batch(pinned)] == current
+    assert [engine.execute(one).rows for one in pinned] == current
+    root = engine.tracer.roots[0]
+    assert {span.tags["manifest_id"] for span in root.find_all("plan")} == {old}
+    assert root.find("execute").tags["manifest_id"] == old
+    assert [engine.metrics.count(name) for name in counters] == [before[0] + 1, before[1]]
+    # Without the pin the batch sees the delete, like the statements do.
+    after_delete = [result.rows for result in engine.execute_batch(sqls)]
+    assert after_delete == [engine.execute(one).rows for one in sqls] != current
+
+    # Statements pinned to different manifests are not one batch.
+    mixed = [pinned[0], sqls[1].replace("FROM t", f"FROM t AS OF {new}"), sqls[2]]
+    assert [result.rows for result in engine.execute_batch(mixed)] == [
+        current[0], after_delete[1], after_delete[2]
+    ]
+    assert [engine.metrics.count(name) for name in counters] == [before[0] + 2, before[1] + 1]
+    assert manager.store.pinned_count == 0
 
 
 def test_batch_widening_matches_sequential():
