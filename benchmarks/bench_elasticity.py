@@ -2,23 +2,19 @@
 
 A 200k+-row table is streamed into a two-warehouse fleet, a steady
 interactive workload runs across many tenants, and one warehouse is
-added *mid-workload*.  Three join protocols are measured through the
+added *mid-workload*.  Two join protocols are measured through the
 scale event (interactive p99, per-window cache hit-rate, result bytes):
 
 * ``masked``   — the background preloader warms the joining warehouse
-  from fleet-wide access stats; the router admits it only after the
-  warm-up's simulated cost has elapsed.  The paper's claim: the scale
-  event is invisible to foreground p99.
+  from fleet-wide access stats, reading each index from the object
+  store; the router admits it only after the warm-up's simulated cost
+  has elapsed.  The paper's claim: the scale event is invisible to
+  foreground p99.
 * ``unmasked`` — the joining warehouse enters the ring cold.  Index
   fetches are backgrounded (they never block a query), so every tenant
   rerouted to the cold member is served by exact brute-force scans —
   all rows at scalar flop rates instead of an HNSW walk over ``ef``
   candidates at vectorized rates.  That compute gap is the cliff.
-* ``unmasked_shared`` — cold join with the shared (disaggregated) block
-  cache enabled: misses resolve at RPC cost against blocks peers
-  already promoted.  The fleet hit-rate recovers, but the promotion
-  spike (pulling whole indexes over RPC) still lands on the query
-  path — the shared tier blunts *sustained* degradation, not p99.
 
 Gates (also enforced by the CI ``elasticity-smoke`` job): masked keeps
 during-scale p99 within 25% of steady state; unmasked degrades ≥ 2×;
@@ -48,7 +44,6 @@ SEGMENT_ROWS = smoke_scaled(4_000, 1_000)
 INGEST_CHUNK = smoke_scaled(10_000, 3_000)
 TENANTS = 12
 ROUNDS_PER_WINDOW = 3  # each tenant queries this many times per window
-SHARED_CACHE_BYTES = 512 << 20
 # Beam width sized so the merged top-10 is exact on this dataset
 # (verified against brute force per segment): byte-identity is a gate,
 # so the approximate index must be tuned until the global result set
@@ -63,14 +58,10 @@ def vector_sql(vector):
     return "[" + ",".join(f"{float(x):.6f}" for x in vector) + "]"
 
 
-def _build_fleet(dataset, shared_cache_bytes):
+def _build_fleet(dataset):
     db = FleetBlendHouse(
         cost_model=BENCH_COST,
-        fleet_config=FleetConfig(
-            warehouses=2,
-            workers_per_warehouse=2,
-            shared_cache_bytes=shared_cache_bytes,
-        ),
+        fleet_config=FleetConfig(warehouses=2, workers_per_warehouse=2),
     )
     db.execute(
         f"CREATE TABLE bench (id UInt64, attr Int64, embedding Array(Float32), "
@@ -126,8 +117,8 @@ def _run_window(db, sqls, rounds=ROUNDS_PER_WINDOW):
     return percentile(sorted(latencies), 99.0), hit_rate, results
 
 
-def _run_variant(dataset, masked, shared_cache_bytes):
-    db = _build_fleet(dataset, shared_cache_bytes)
+def _run_variant(dataset, masked):
+    db = _build_fleet(dataset)
     sqls = _tenant_sqls(dataset)
     _run_window(db, sqls)  # warm-up: plans cached, caches settled
     steady_p99, steady_hit, steady_results = _run_window(db, sqls)
@@ -151,7 +142,6 @@ def _run_variant(dataset, masked, shared_cache_bytes):
     return {
         "joined": joined,
         "masked": masked,
-        "shared_cache": shared_cache_bytes > 0,
         "warm_cost_s": warm_cost_s,
         "admitted_during_workload": admitted_during_workload,
         "joined_served_queries": db.metrics.count(f"fleet.served_by.{joined}"),
@@ -172,11 +162,10 @@ def _run_variant(dataset, masked, shared_cache_bytes):
 def elasticity():
     dataset = make_cohere_like(n=ROWS, dim=DIM, n_queries=TENANTS, seed=33)
     variants = {
-        "masked": _run_variant(dataset, True, SHARED_CACHE_BYTES),
-        "unmasked": _run_variant(dataset, False, 0),
-        "unmasked_shared": _run_variant(dataset, False, SHARED_CACHE_BYTES),
+        "masked": _run_variant(dataset, True),
+        "unmasked": _run_variant(dataset, False),
     }
-    # Same bytes regardless of join protocol or cache topology.
+    # Same bytes regardless of join protocol.
     reference = variants["masked"].pop("_results")
     for name, variant in list(variants.items()):
         rows = variant.pop("_results", reference)
@@ -243,12 +232,5 @@ def test_elasticity_scale_event(benchmark, elasticity):
     assert unmasked["hit_rate"]["during"] < masked["hit_rate"]["during"]
     # The joining warehouse really serves traffic after admission.
     assert masked["joined_served_queries"] > 0
-    # The shared tier restores the fleet hit-rate (misses resolve at
-    # RPC against peer-promoted blocks) but the promotion spike still
-    # lands on the query path: only masking removes the p99 cliff.
-    shared = variants["unmasked_shared"]
-    assert shared["hit_rate"]["during"] > unmasked["hit_rate"]["during"]
-    assert shared["during_over_steady"] > MASKED_P99_HEADROOM
-    assert shared["after_over_steady"] <= MASKED_P99_HEADROOM * 1.2
 
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)

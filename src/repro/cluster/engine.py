@@ -136,20 +136,8 @@ class ClusteredBlendHouse(SeparatedEngine):
         warehouse_config: Optional[WarehouseConfig] = None,
         settings: Optional[EngineSettings] = None,
         replicas: int = 1,
-        shared_cache_bytes: int = 0,
     ) -> None:
         super().__init__(clock, cost_model, ingest_config, settings)
-        # Optional disaggregated block-cache tier between worker disks
-        # and the object store (d-HNSW style); with replicas > 1 it stops
-        # every replica from re-promoting the same payload.
-        self.shared_cache = None
-        if shared_cache_bytes > 0:
-            from repro.storage.blockcache import SharedBlockCache
-
-            self.shared_cache = SharedBlockCache(
-                self.db.clock, self.db.cost,
-                capacity_bytes=shared_cache_bytes, metrics=self.db.metrics,
-            )
         if replicas > 1:
             # Critical-workload mode (paper §II-E): redundant read VWs
             # behind one query interface with transparent failover.
@@ -159,13 +147,13 @@ class ClusteredBlendHouse(SeparatedEngine):
                 "read-vw", self.db.clock, self.db.cost, self.db.store,
                 replicas=replicas, workers_per_replica=read_workers,
                 metrics=self.db.metrics, config=warehouse_config,
-                tracer=self.db.tracer, shared_cache=self.shared_cache,
+                tracer=self.db.tracer,
             )
         else:
             self.read_vw = VirtualWarehouse(
                 "read-vw", self.db.clock, self.db.cost, self.db.store,
                 metrics=self.db.metrics, config=warehouse_config,
-                tracer=self.db.tracer, shared_cache=self.shared_cache,
+                tracer=self.db.tracer,
             )
             for _ in range(read_workers):
                 self.read_vw.add_worker()

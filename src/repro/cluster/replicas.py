@@ -58,7 +58,6 @@ class ReplicatedWarehouse:
         config: Optional[WarehouseConfig] = None,
         routing: str = "primary",
         tracer: Optional[Tracer] = None,
-        shared_cache=None,
     ) -> None:
         if replicas < 1:
             raise ValueError("need at least one replica")
@@ -67,19 +66,16 @@ class ReplicatedWarehouse:
         self.name = name
         self.metrics = metrics or MetricRegistry()
         self.routing = routing
-        # One SharedBlockCache (when given) and one routing directory
-        # span all replicas: the cache stops replica N from re-promoting
-        # a block replica 1 already fetched, and the directory stays safe
-        # to share because entries are keyed per (segment, manifest,
-        # warehouse) — each replica is its own warehouse id.
-        self.shared_cache = shared_cache
+        # One routing directory spans all replicas; it is safe to share
+        # because entries are keyed per (segment, manifest, warehouse) —
+        # each replica is its own warehouse id.
         self.directory: OrderedDict = OrderedDict()
         self.replicas: List[VirtualWarehouse] = []
         for i in range(replicas):
             replica = VirtualWarehouse(
                 f"{name}-r{i}", clock, cost, store,
                 metrics=self.metrics, config=config, tracer=tracer,
-                shared_cache=shared_cache, directory=self.directory,
+                directory=self.directory,
             )
             for _ in range(workers_per_replica):
                 replica.add_worker()

@@ -17,7 +17,7 @@ from typing import Dict, Iterable, List, Optional
 
 # Tiers that count as a locally-served hit; everything else (serving RPC,
 # brute-force fallback) is a miss the preloader wants to prevent.
-HIT_TIERS = frozenset({"local", "disk", "shared"})
+HIT_TIERS = frozenset({"local", "disk"})
 
 
 @dataclass

@@ -50,16 +50,17 @@ from repro.storage.segment import Segment
 
 IndexKeyLookup = Callable[[str], Optional[str]]
 
+# Query-level retries on a refreshed topology after a worker dies (§II-E).
+MAX_QUERY_RETRIES = 1
+
 
 @dataclass
 class WarehouseConfig:
     """Warehouse behaviour knobs."""
 
     serving_enabled: bool = True
-    preload_enabled: bool = False
     worker_mem_data_bytes: int = 4 << 30
     worker_disk_bytes: int = 16 << 30
-    max_query_retries: int = 1
     # Simulated cores per worker: segment scans assigned to one worker
     # run on this many concurrent lanes (LPT packing); 1 = serial.
     worker_cores: int = 1
@@ -81,7 +82,6 @@ class VirtualWarehouse:
         metrics: Optional[MetricRegistry] = None,
         config: Optional[WarehouseConfig] = None,
         tracer: Optional[Tracer] = None,
-        shared_cache=None,
         directory=None,
     ) -> None:
         self.name = name
@@ -96,8 +96,6 @@ class VirtualWarehouse:
         # warehouse's name so a directory shared across a fleet never
         # mixes two warehouses' decisions for one (segment, manifest).
         self.scheduler = SegmentScheduler(warehouse_id=name, directory=directory)
-        # Optional fleet-wide SharedBlockCache handed to every worker.
-        self.shared_cache = shared_cache
         # Per-segment hit/miss/preload counters (the elastic preloader's
         # input signal); recorded at every index resolution.
         self.access_stats = SegmentAccessStats()
@@ -121,7 +119,6 @@ class VirtualWarehouse:
             mem_data_bytes=self.config.worker_mem_data_bytes,
             disk_bytes=self.config.worker_disk_bytes,
             cores=self.config.worker_cores,
-            shared_cache=self.shared_cache,
         )
         self.workers[worker_id] = worker
         self.scheduler.add_worker(worker_id)
@@ -240,7 +237,7 @@ class VirtualWarehouse:
         """:meth:`capture_scans` under the query-level retry (§II-E).
 
         A worker that died since scheduling fails the whole wave; it is
-        retried on the refreshed topology up to ``max_query_retries``
+        retried on the refreshed topology up to :data:`MAX_QUERY_RETRIES`
         times.  Every wave that completes counts as one warehouse query
         and records its makespan.
         """
@@ -254,7 +251,7 @@ class VirtualWarehouse:
                     worker.forget_remote_holdings()
                 attempts += 1
                 self.metrics.incr("warehouse.query_retries")
-                if attempts > self.config.max_query_retries:
+                if attempts > MAX_QUERY_RETRIES:
                     raise
                 continue
             self.metrics.record_latency("warehouse.makespan", makespan)

@@ -55,7 +55,6 @@ class Worker:
         mem_data_bytes: int = DEFAULT_MEM_DATA_BYTES,
         disk_bytes: int = DEFAULT_DISK_BYTES,
         cores: int = 1,
-        shared_cache=None,
     ) -> None:
         self.worker_id = worker_id
         self.clock = clock
@@ -69,12 +68,9 @@ class Worker:
         self.cores = max(1, int(cores))
         self._memory = SplitIndexCache(mem_meta_bytes, mem_data_bytes)
         self._disk = LocalDisk(clock, disk_bytes, cost, self.metrics)
-        # Optional fleet-wide SharedBlockCache (d-HNSW-style tier between
-        # this worker's disk and the object store).
-        self._shared = shared_cache
         self.cache = HierarchicalIndexCache(
             clock, self._memory, self._disk, store, deserialize_index,
-            cost, self.metrics, shared=shared_cache,
+            cost, self.metrics,
         )
         # index_key -> simulated completion time of an async warm-up load.
         self._pending_loads: Dict[str, float] = {}
@@ -151,7 +147,7 @@ class Worker:
     ) -> Tuple[Optional[SearchProvider], str]:
         """(provider, tier) for one scheduled segment.
 
-        tier ∈ {"local", "disk", "shared", "serving", "brute"}.
+        tier ∈ {"local", "disk", "serving", "brute"}.
         """
         if index_key is None:
             return None, "brute"
@@ -166,14 +162,6 @@ class Worker:
             self._attach_hooks(index, segment)
             self.metrics.incr("worker.disk_hits")
             return index, "disk"
-        if self._shared is not None and index_key in self._shared:
-            # A sibling warehouse/replica already promoted this index;
-            # pull it from the disaggregated pool at RPC cost instead of
-            # falling through to serving or brute force.
-            index, _ = self.cache.get(index_key)  # promotes via shared tier
-            self._attach_hooks(index, segment)
-            self.metrics.incr("worker.shared_hits")
-            return index, "shared"
         if serving_enabled and previous_owner is not None:
             memo_key = (previous_owner.worker_id, index_key)
             holds = self._known_remote.get(memo_key)

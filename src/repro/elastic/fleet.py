@@ -1,10 +1,11 @@
 """The warehouse fleet: concurrent virtual warehouses over one store.
 
 A :class:`WarehouseFleet` owns N :class:`VirtualWarehouse` members that
-share one simulated clock, one object store, one
-:class:`~repro.storage.blockcache.SharedBlockCache` (the disaggregated
-tier), and one scheduler routing directory (safe because directory
-entries are keyed per ``(segment_id, manifest_id, warehouse_id)``).
+share one simulated clock, one object store and one scheduler routing
+directory (safe because directory entries are keyed per
+``(segment_id, manifest_id, warehouse_id)``).  Each member's workers
+keep their own memory and local-disk tiers; nothing is cached
+fleet-wide, so a member that misses both reads the object store.
 
 Membership follows the paper's masking protocol:
 
@@ -20,7 +21,7 @@ Membership follows the paper's masking protocol:
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cluster.stats import SegmentAccessStats
@@ -31,7 +32,6 @@ from repro.observe.trace import Tracer
 from repro.simulate.clock import SimulatedClock
 from repro.simulate.costmodel import DeviceCostModel
 from repro.simulate.metrics import MetricRegistry
-from repro.storage.blockcache import SharedBlockCache
 from repro.storage.objectstore import ObjectStore
 
 from repro.elastic.router import FleetRouter
@@ -39,6 +39,8 @@ from repro.elastic.router import FleetRouter
 # A catalog provider returns (segment_ids, index_key_of) for one table —
 # re-evaluated at every warm-up so a preload sees the current manifest.
 CatalogProvider = Callable[[], Tuple[List[str], Callable[[str], Optional[str]]]]
+
+NAME_PREFIX = "fleet-vw"
 
 
 @dataclass
@@ -48,16 +50,9 @@ class FleetConfig:
     warehouses: int = 2
     workers_per_warehouse: int = 2
     warehouse: Optional[WarehouseConfig] = None
-    # Shared disaggregated block-cache budget; 0 disables the tier.
-    shared_cache_bytes: int = 256 << 20
     router_probes: int = 21
-    # Cap on hot segments the preloader warms per join; None = every
-    # segment with recorded accesses.
-    preload_top_k: Optional[int] = None
     # Default join mode for autoscaler-triggered scale-outs.
     masked_joins: bool = True
-    name_prefix: str = "fleet-vw"
-    extra: Dict[str, object] = field(default_factory=dict)
 
 
 class WarehouseFleet:
@@ -78,13 +73,6 @@ class WarehouseFleet:
         self.metrics = metrics or MetricRegistry()
         self.tracer = tracer
         self.config = config or FleetConfig()
-        self.shared_cache: Optional[SharedBlockCache] = None
-        if self.config.shared_cache_bytes > 0:
-            self.shared_cache = SharedBlockCache(
-                clock, cost,
-                capacity_bytes=self.config.shared_cache_bytes,
-                metrics=self.metrics,
-            )
         # One routing directory spans every member's scheduler; entries
         # are keyed (segment_id, manifest_id, warehouse_id) so members
         # never share a mutable entry.
@@ -140,13 +128,12 @@ class WarehouseFleet:
         """
         if masked is None:
             masked = self.config.masked_joins
-        name = f"{self.config.name_prefix}{self._next_seq}"
+        name = f"{NAME_PREFIX}{self._next_seq}"
         self._next_seq += 1
         warehouse = VirtualWarehouse(
             name, self.clock, self.cost, self.store,
             metrics=self.metrics, config=self.config.warehouse,
-            tracer=self.tracer, shared_cache=self.shared_cache,
-            directory=self.directory,
+            tracer=self.tracer, directory=self.directory,
         )
         for _ in range(self.config.workers_per_warehouse):
             warehouse.add_worker()
@@ -257,9 +244,10 @@ class WarehouseFleet:
         merged.merge_from(w.access_stats for w in self.members.values())
         return merged
 
-    def hot_segments(self, limit: Optional[int] = None) -> List[str]:
-        """Hottest segments fleet-wide (the preloader's ranking)."""
-        return self.access_stats().hot_segments(limit)
+    def hot_segments(self) -> List[str]:
+        """Every accessed segment fleet-wide, hottest first (the
+        preloader's ranking)."""
+        return self.access_stats().hot_segments()
 
     def export_metrics(self) -> Dict:
         """JSON-safe fleet snapshot."""
@@ -275,11 +263,4 @@ class WarehouseFleet:
             },
             "router": {"members": self.router.members, "routed": self.router.routed},
             "hit_rate": stats.hit_rate(),
-            "shared_cache": {
-                "hits": self.shared_cache.hits,
-                "misses": self.shared_cache.misses,
-                "used_bytes": self.shared_cache.used_bytes,
-            }
-            if self.shared_cache is not None
-            else None,
         }

@@ -10,10 +10,9 @@ cost to a *background* timeline — the fetches run with the shared clock
 capturing, and the fleet admits the warehouse only once that captured
 cost has elapsed on the simulated clock (``WarehouseFleet.poll``).
 
-With the shared block cache enabled the warm-up is itself cheap: the
-bytes were promoted by existing members, so the joining warehouse pulls
-them from the disaggregated tier at RPC cost instead of re-paying the
-object store per index.
+Each index is read from the object store, as in the paper's §II-D
+preload: a joining warehouse's caches are cold, and no tier sits
+between its workers' local disks and the store.
 """
 
 from __future__ import annotations
@@ -27,10 +26,8 @@ from repro.observe.events import emit_event
 class BackgroundPreloader:
     """Warms joining warehouses from fleet-wide access statistics."""
 
-    def __init__(self, fleet, top_k: Optional[int] = None) -> None:
+    def __init__(self, fleet) -> None:
         self.fleet = fleet
-        # None defers to the fleet config's preload_top_k.
-        self.top_k = top_k
         self.warmups = 0
 
     def _hot_set(self) -> Optional[set]:
@@ -38,12 +35,11 @@ class BackgroundPreloader:
 
         Before any query has run there is no heat signal; warming
         everything is the only defensible choice (matches the paper's
-        initial preload).  Once stats exist, only accessed segments are
+        initial preload).  Once stats exist, every accessed segment is
         warmed — cold data stays cold and the warm-up budget goes where
         queries actually land.
         """
-        limit = self.top_k if self.top_k is not None else self.fleet.config.preload_top_k
-        hot = self.fleet.hot_segments(limit)
+        hot = self.fleet.hot_segments()
         return set(hot) if hot else None
 
     def warm(self, warehouse: VirtualWarehouse) -> Tuple[int, float]:

@@ -184,17 +184,12 @@ def _object_size(value: Any) -> int:
 
 
 class HierarchicalIndexCache:
-    """Memory → local disk → shared pool → object store read path.
+    """Memory → local disk → object store read path (paper §II-D).
 
     ``get`` returns ``(value, tier)`` where tier is one of ``"memory"``,
-    ``"disk"``, ``"shared"``, ``"remote"`` — benches use the tier to
-    attribute latency.  The deserializer turns persisted bytes back into
-    a live index; the memory tier holds live objects, the disk and
-    shared tiers hold bytes.  The shared tier
-    (:class:`~repro.storage.blockcache.SharedBlockCache`) is optional and
-    typically spans every warehouse of a fleet: a remote fetch back-fills
-    it so sibling warehouses promote the same key at RPC cost instead of
-    re-paying the object store.
+    ``"disk"``, ``"remote"`` — benches use the tier to attribute latency.
+    The deserializer turns persisted bytes back into a live index; the
+    memory tier holds live objects, the disk tier holds bytes.
     """
 
     def __init__(
@@ -206,7 +201,6 @@ class HierarchicalIndexCache:
         deserialize: Callable[[bytes], Any],
         cost_model: Optional[DeviceCostModel] = None,
         metrics: Optional[MetricRegistry] = None,
-        shared: Optional[Any] = None,
     ) -> None:
         self._clock = clock
         self._memory = memory
@@ -215,7 +209,6 @@ class HierarchicalIndexCache:
         self._deserialize = deserialize
         self._cost = cost_model or DeviceCostModel()
         self._metrics = metrics or MetricRegistry()
-        self._shared = shared
         self._memory.data.on_evict = self._on_memory_evict
 
     def _on_memory_evict(self, key: str, nbytes: int) -> None:
@@ -233,11 +226,12 @@ class HierarchicalIndexCache:
         ObjectNotFoundError
             If the key exists in no tier (index never persisted).
         """
-        start = self._clock.now
+        # Meter readings, not ``clock.now``: a scan resolves its index
+        # inside a capture, where charges leave ``now`` where it was.
+        _, start = self._clock.meter()
         value, tier = self._resolve(key)
-        self._metrics.record_latency(
-            f"index_cache.tier.{tier}", self._clock.elapsed_since(start)
-        )
+        _, end = self._clock.meter()
+        self._metrics.record_latency(f"index_cache.tier.{tier}", end - start)
         return value, tier
 
     def _resolve(self, key: str) -> Tuple[Any, str]:
@@ -255,21 +249,10 @@ class HierarchicalIndexCache:
             self._fill_memory(key, value, source="disk")
             self._metrics.incr("index_cache.disk_hits")
             return value, "disk"
-        if self._shared is not None:
-            payload = self._shared.get(key)  # charges one payload RPC on hit
-            if payload is not None:
-                value = self._deserialize(payload)
-                if self._disk is not None:
-                    self._disk.write(key, payload)
-                self._fill_memory(key, value, source="shared")
-                self._metrics.incr("index_cache.shared_hits")
-                return value, "shared"
         payload = self._store.get(key)  # raises ObjectNotFoundError
         value = self._deserialize(payload)
         if self._disk is not None:
             self._disk.write(key, payload)
-        if self._shared is not None:
-            self._shared.put(key, payload)
         self._fill_memory(key, value, source="remote")
         self._metrics.incr("index_cache.remote_fetches")
         return value, "remote"
@@ -292,23 +275,14 @@ class HierarchicalIndexCache:
     def preload(self, key: str) -> bool:
         """Pull ``key`` into RAM and disk ahead of queries (paper §II-D).
 
-        Returns False if the object store does not hold the key.  A
-        preload served by the shared pool skips the object-store fetch —
-        this is what makes warming the Nth replica/warehouse cheap.
+        Returns False if the object store does not hold the key.
         """
-        payload = None
-        if self._shared is not None:
-            payload = self._shared.get(key)
-        from_store = payload is None
-        if from_store:
-            if key not in self._store:
-                return False
-            payload = self._store.get(key)
+        if key not in self._store:
+            return False
+        payload = self._store.get(key)
         # Deserialize before any back-fill, as _resolve does: bytes that
         # do not load must not reach a lower tier.
         value = self._deserialize(payload)
-        if from_store and self._shared is not None:
-            self._shared.put(key, payload)
         if self._disk is not None:
             self._disk.write(key, payload)
         self._fill_memory(key, value, source="preload")
@@ -316,13 +290,10 @@ class HierarchicalIndexCache:
         return True
 
     def invalidate(self, key: str) -> None:
-        """Drop ``key`` from RAM, disk, and the shared pool (segment
-        compacted or dropped)."""
+        """Drop ``key`` from RAM and disk (segment compacted or dropped)."""
         self._memory.evict_data(key)
         if self._disk is not None:
             self._disk.evict(key)
-        if self._shared is not None:
-            self._shared.invalidate(key)
 
     def clear_memory(self) -> None:
         """Drop the RAM tier only (models worker restart keeping its disk)."""

@@ -5,6 +5,7 @@ import pytest
 
 from repro.cluster.engine import ClusteredBlendHouse
 from repro.cluster.faults import FaultSchedule
+from repro.cluster.stats import SegmentAccessStats
 from repro.errors import NoWorkersError
 
 
@@ -70,6 +71,71 @@ class TestDistributedCorrectness:
         cluster.read_vw.scale_to(0)
         with pytest.raises(NoWorkersError):
             top_ids(cluster)
+
+
+class TestSegmentAccessStats:
+    def test_hit_and_miss_tiers(self):
+        stats = SegmentAccessStats()
+        stats.record("seg-a", "local", now=1.0)
+        stats.record("seg-a", "disk", now=2.0)
+        stats.record("seg-a", "serving", now=3.0)
+        access = stats.get("seg-a")
+        assert access.hits == 2 and access.misses == 1
+        assert access.last_access == 3.0
+        assert access.tiers == {"local": 1, "disk": 1, "serving": 1}
+
+    def test_hot_segments_ranked_by_heat(self):
+        stats = SegmentAccessStats()
+        for _ in range(3):
+            stats.record("seg-hot", "local", now=1.0)
+        stats.record("seg-warm", "disk", now=2.0)
+        assert stats.hot_segments() == ["seg-hot", "seg-warm"]
+        assert stats.hot_segments(limit=1) == ["seg-hot"]
+
+    def test_preloads_do_not_count_as_heat(self):
+        stats = SegmentAccessStats()
+        stats.record_preload("seg-a", now=1.0)
+        assert stats.hot_segments() == []
+        assert stats.get("seg-a").preloads == 1
+
+    def test_merge_from(self):
+        a, b = SegmentAccessStats(), SegmentAccessStats()
+        a.record("seg", "local", now=1.0)
+        b.record("seg", "remote", now=5.0)
+        merged = SegmentAccessStats()
+        merged.merge_from([a, b])
+        access = merged.get("seg")
+        assert access.hits == 1 and access.misses == 1
+        assert access.last_access == 5.0
+        assert merged.hit_rate() == 0.5
+
+
+class TestWarehouseAccessStats:
+    def test_export_metrics_records_segment_stats(self, cluster):
+        cluster.preload("docs")
+        top_ids(cluster)
+        exported = cluster.read_vw.export_metrics()
+        assert exported["name"] == "read-vw"
+        assert exported["segments"], "per-segment stats must be recorded"
+        assert exported["hit_rate"] > 0.0
+        for entry in exported["segments"].values():
+            assert set(entry) >= {"hits", "misses", "preloads", "tiers"}
+
+    def test_preload_counts_per_segment(self, cluster):
+        loaded = cluster.preload("docs")
+        assert loaded > 0
+        snapshot = cluster.read_vw.access_stats.snapshot()
+        assert sum(entry["preloads"] for entry in snapshot.values()) == loaded
+
+    def test_memory_tier_latency_is_charged_inside_the_scan(self, cluster):
+        # Index resolution runs inside the scan's clock capture, where
+        # ``clock.now`` stands still; the tier latency must still read
+        # what the lookup charged.
+        cluster.preload("docs")
+        top_ids(cluster)
+        latency = cluster.metrics.as_dict()["latencies"]["index_cache.tier.memory"]
+        assert latency["count"] > 0
+        assert latency["mean"] == pytest.approx(cluster.db.cost.ram_latency_s)
 
 
 class TestScaling:

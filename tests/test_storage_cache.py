@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import IndexCorruptError, ObjectNotFoundError
-from repro.storage.blockcache import SharedBlockCache
 from repro.storage.cache import HierarchicalIndexCache, LRUCache, SplitIndexCache
 from repro.storage.localdisk import LocalDisk
 from repro.vindex.registry import deserialize_index
@@ -220,27 +219,24 @@ class TestCorruptIndexBytes:
     def tiers(self, clock, cost, metrics, store):
         memory = SplitIndexCache(1 << 20, 1 << 20)
         disk = LocalDisk(clock, 1 << 20, cost, metrics)
-        shared = SharedBlockCache(clock, cost, metrics=metrics)
         cache = HierarchicalIndexCache(
             clock, memory, disk, store, deserialize=deserialize_index,
-            cost_model=cost, metrics=metrics, shared=shared,
+            cost_model=cost, metrics=metrics,
         )
-        return cache, disk, shared
+        return cache, disk
 
     @pytest.mark.parametrize("entry", ["get", "preload"])
     def test_corrupt_store_object_reaches_no_lower_tier(self, tiers, store, entry):
-        cache, disk, shared = tiers
+        cache, disk = tiers
         store.put("idx", b"BHIX" + b"\x00" * 40)
         with pytest.raises(IndexCorruptError):
             getattr(cache, entry)("idx")
         assert "idx" not in disk
-        assert "idx" not in shared
         assert not cache.contains_in_memory("idx")
 
-    def test_corrupt_shared_block_is_not_copied_to_disk(self, tiers, store):
-        cache, disk, shared = tiers
-        shared.put("idx", b"not an index image")
+    def test_corrupt_disk_block_is_not_promoted_to_memory(self, tiers):
+        cache, disk = tiers
+        disk.write("idx", b"not an index image")
         with pytest.raises(IndexCorruptError):
             cache.get("idx")
-        assert "idx" not in disk
         assert not cache.contains_in_memory("idx")
