@@ -25,7 +25,9 @@ another build means the float kernels differ, not the traversal.
 distance-table size rule (``repro.vindex.hnsw._TABLE_MAX_FLOATS``,
 DESIGN.md §9) was chosen on — µs per HNSW search, then µs per inserted
 row, with the table forced on and forced off, and which side the
-committed constant picks.  ``time search`` / ``time build`` print one.
+committed constant picks — and ms per ``kmeans`` call at the LSM's IVF
+training shapes, seeding and Lloyd apart.  ``time search`` / ``time
+build`` / ``time kmeans`` print one.
 """
 
 from __future__ import annotations
@@ -45,8 +47,9 @@ if sys.argv[1:2] == ["time"]:
 import numpy as np
 
 from benchmarks.common import load_blendhouse
-from repro.vindex import hnsw
+from repro.vindex import hnsw, kmeans
 from repro.vindex.api import KERNEL_MODES, kernel_mode
+from repro.vindex.autoindex import select_ivf_nlist
 from repro.vindex.registry import IndexSpec, create_index
 from repro.workloads.datasets import make_cohere_like
 from repro.workloads.recall import recall_at_k
@@ -238,13 +241,68 @@ def time_build_grid() -> None:
         hnsw._TABLE_MAX_FLOATS = committed
 
 
+KMEANS_ROWS = (500, 2000, 8000, 16000)
+KMEANS_DIMS = (64, 256)
+
+
+def _mixture(n: int, dim: int) -> np.ndarray:
+    """16 well-separated Gaussians, the shape of the ledger's ingest rows
+    (``ledger/data.py``).  ``make_cohere_like`` normalises its mixture onto
+    the unit sphere, where the clusters all but vanish."""
+    rng = np.random.default_rng(0)
+    centers = rng.normal(size=(16, dim))
+    return (centers[rng.integers(0, 16, n)] + 0.35 * rng.normal(size=(n, dim))).astype(
+        np.float32
+    )
+
+
+def _best_ms(call, repeats: int = 3):
+    """Best wall-clock ms of ``repeats`` calls, and the last call's result."""
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = call()
+        best = min(best, time.perf_counter() - start)
+    return best * 1e3, result
+
+
+def time_kmeans_grid() -> None:
+    """ms per ``kmeans`` call at the shapes the LSM trains IVF segments
+    on — ``k = select_ivf_nlist(rows)``, seed 0 as ``IVFFlatIndex.train``
+    — on two kinds of data, best of three calls.  Seeding
+    (``_kmeanspp_init``) is timed on its own; Lloyd is the call minus it."""
+    data = {
+        "mixture": _mixture,
+        "cohere": lambda n, dim: make_cohere_like(n=n, dim=dim, n_queries=1).vectors,
+    }
+    print("data       rows   dim     k  seeding ms  lloyd ms  total ms  iterations")
+    for name, make in data.items():
+        for dim in KMEANS_DIMS:
+            for n in KMEANS_ROWS:
+                vectors = np.ascontiguousarray(make(n, dim), dtype=np.float32)
+                k = select_ivf_nlist(n)
+                seeding, _ = _best_ms(
+                    lambda: kmeans._kmeanspp_init(vectors, k, np.random.default_rng(0))
+                )
+                total, fit = _best_ms(lambda: kmeans.kmeans(vectors, k, seed=0))
+                print(
+                    f"{name:8s} {n:6d} {dim:5d} {k:5d} {seeding:11.1f} "
+                    f"{total - seeding:9.1f} {total:9.1f} {fit.iterations:11d}"
+                )
+
+
+TIME_GRIDS = {"search": time_table_grid, "build": time_build_grid, "kmeans": time_kmeans_grid}
+
+
 def main(argv: list) -> int:
     command = argv[0] if argv else "check"
     if command == "time":
-        if argv[1:2] != ["build"]:
-            time_table_grid()
-        if argv[1:2] != ["search"]:
-            time_build_grid()
+        names = argv[1:2] or list(TIME_GRIDS)
+        if not set(names) <= set(TIME_GRIDS):
+            print(__doc__, file=sys.stderr)
+            return 2
+        for name in names:
+            TIME_GRIDS[name]()
         return 0
     path = argv[1] if len(argv) > 1 else BASELINE
     if command == "capture":

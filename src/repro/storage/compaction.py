@@ -201,6 +201,8 @@ class Compactor:
             inputs=[segment.segment_id for segment in group],
             level=first.meta.level,
         )
+        # Per column: the alive slice of each input for numpy columns,
+        # the alive values themselves for list columns.
         alive_scalars: Dict[str, List[Any]] = {
             name: [] for name in first.scalar_column_names
         }
@@ -217,7 +219,7 @@ class Compactor:
             for name in segment.scalar_column_names:
                 column = segment.scalar_column(name)
                 if isinstance(column, np.ndarray):
-                    alive_scalars[name].extend(column[alive].tolist())
+                    alive_scalars[name].append(column[alive])
                 else:
                     alive_scalars[name].extend(column[i] for i in alive.tolist())
             alive_vectors.append(segment.vectors_at(alive))
@@ -231,7 +233,11 @@ class Compactor:
         for name, values in alive_scalars.items():
             column = first.scalar_column(name)
             if isinstance(column, np.ndarray):
-                merged_scalars[name] = np.asarray(values, dtype=column.dtype)
+                merged_scalars[name] = (
+                    np.concatenate(values).astype(column.dtype, copy=False)
+                    if values
+                    else np.empty(0, dtype=column.dtype)
+                )
             else:
                 merged_scalars[name] = list(values)
 

@@ -3,6 +3,13 @@
 Used by three parts of the system: IVF index training, product-quantizer
 codebook training, and the semantic (CLUSTER BY) partitioner.  Pure numpy,
 deterministic under a caller-supplied seed.
+
+Both phases skip work without changing a bit of what they return
+(DESIGN.md §9, "k-means training"): seeding re-scores a point against a
+new seed only when the triangle inequality leaves room for the seed to be
+nearer than the point's current one, and each Lloyd update sorts the
+points by cluster once and averages contiguous slices — the rows a
+per-cluster boolean mask would select, in the same order.
 """
 
 from __future__ import annotations
@@ -11,6 +18,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+
+_FLOAT32_EPS = float(np.finfo(np.float32).eps)
 
 
 @dataclass
@@ -23,13 +32,35 @@ class KMeansResult:
     inertia: float
 
 
+def _squared_distances(rows: np.ndarray, centroid: np.ndarray) -> np.ndarray:
+    """``np.sum((rows - centroid) ** 2, axis=1)`` with one temporary, not
+    two.  ``sum`` reduces each row on its own, so a row's result has the
+    same bits whichever other rows are passed with it."""
+    diff = rows - centroid
+    np.square(diff, out=diff)
+    return diff.sum(axis=1)
+
+
 def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ seeding: spread initial centroids proportionally to D²."""
-    n = points.shape[0]
-    centroids = np.empty((k, points.shape[1]), dtype=np.float32)
+    """k-means++ seeding: spread initial centroids proportionally to D².
+
+    Each point remembers which seed is its closest (its owner).  A new
+    seed ``c`` can only lower a point's ``closest_sq`` if
+    d(owner, c) < 2·√closest_sq (Elkan, ICML 2003); every other point is
+    left alone, which is what ``np.minimum`` would have done with it.
+    The bound is widened by a margin of (dim + 8)·2⁻²³, about twice the
+    worst-case relative error of a float32 squared distance over ``dim``
+    coordinates, so it holds for the float32 distances compared here and
+    not only for exact ones (DESIGN.md §9, "k-means training").
+    """
+    n, dim = points.shape
+    centroids = np.empty((k, dim), dtype=np.float32)
     first = int(rng.integers(n))
     centroids[0] = points[first]
-    closest_sq = np.sum((points - centroids[0]) ** 2, axis=1)
+    closest_sq = _squared_distances(points, centroids[0])
+    owner = np.zeros(n, dtype=np.intp)
+    # A point is re-scored iff d(owner, c)² / reach_sq < closest_sq.
+    reach_sq = (2.0 * (1.0 + (dim + 8) * _FLOAT32_EPS)) ** 2
     for i in range(1, k):
         total = closest_sq.sum()
         if total <= 0:
@@ -38,18 +69,35 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
             continue
         probs = closest_sq / total
         choice = int(rng.choice(n, p=probs))
-        centroids[i] = points[choice]
-        dist_sq = np.sum((points - centroids[i]) ** 2, axis=1)
-        np.minimum(closest_sq, dist_sq, out=closest_sq)
+        seed = centroids[i] = points[choice]
+        gap = centroids[:i] - seed
+        np.square(gap, out=gap)
+        near = (gap.sum(axis=1) / reach_sq)[owner] < closest_sq
+        if 4 * np.count_nonzero(near) > 3 * n:
+            # Gathering a row costs up to a third of scoring it: when the
+            # bound rules out less than a quarter, score every row.
+            dist_sq = _squared_distances(points, seed)
+            np.putmask(owner, dist_sq < closest_sq, i)
+            np.minimum(closest_sq, dist_sq, out=closest_sq)
+            continue
+        rows = near.nonzero()[0]
+        dist_sq = _squared_distances(points.take(rows, axis=0), seed)
+        closer = dist_sq < closest_sq[rows]
+        moved = rows[closer]
+        closest_sq[moved] = dist_sq[closer]
+        owner[moved] = i
     return centroids
 
 
 def assign_to_centroids(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Index of the nearest centroid for each point (squared-L2)."""
     # ||p - c||² = ||p||² - 2 p·c + ||c||²; ||p||² is constant per row.
+    # In place, ``-2·cross + ||c||²`` has the bits of ``||c||² - 2·cross``:
+    # scaling by -2 is exact and IEEE a - b is (-b) + a.
     cross = points @ centroids.T
-    c_norms = np.einsum("ij,ij->i", centroids, centroids)
-    return np.argmin(c_norms[None, :] - 2.0 * cross, axis=1)
+    cross *= -2.0
+    cross += np.einsum("ij,ij->i", centroids, centroids)
+    return np.argmin(cross, axis=1)
 
 
 def kmeans(
@@ -87,18 +135,28 @@ def kmeans(
 
     centroids = _kmeanspp_init(points, k, rng)
     assignments = assign_to_centroids(points, centroids)
+    # The narrowest key lets the stable argsort below be a radix sort.
+    key_type = np.min_scalar_type(k - 1)
     iterations = 0
     for iterations in range(1, max_iterations + 1):
-        new_centroids = centroids.copy()
-        for cluster in range(k):
-            members = points[assignments == cluster]
-            if members.shape[0] > 0:
-                new_centroids[cluster] = members.mean(axis=0)
-            else:
-                # Re-seed empty clusters at the point farthest from its centroid.
-                residuals = points - centroids[assignments]
-                worst = int(np.argmax(np.einsum("ij,ij->i", residuals, residuals)))
-                new_centroids[cluster] = points[worst]
+        # One stable sort lays each cluster's members out as a contiguous
+        # slice in index order: the rows ``points[assignments == c]``
+        # selects, so ``slice.sum(axis=0) / count`` is that mask's
+        # ``mean(axis=0)`` bit for bit (``mean`` divides its float32 sum
+        # by an integer count the same way).
+        grouped = points.take(np.argsort(assignments.astype(key_type), kind="stable"), axis=0)
+        counts = np.bincount(assignments, minlength=k)
+        new_centroids = np.empty_like(centroids)
+        start = 0
+        for cluster, end in enumerate(np.cumsum(counts).tolist()):
+            new_centroids[cluster] = grouped[start:end].sum(axis=0)
+            start = end
+        new_centroids /= np.maximum(counts, 1)[:, None]
+        if not counts.all():
+            # Re-seed empty clusters at the point farthest from its centroid.
+            residuals = points - centroids[assignments]
+            worst = int(np.argmax(np.einsum("ij,ij->i", residuals, residuals)))
+            new_centroids[counts == 0] = points[worst]
         shift = float(np.linalg.norm(new_centroids - centroids))
         centroids = new_centroids
         assignments = assign_to_centroids(points, centroids)

@@ -93,6 +93,52 @@ class TestDeadRowCleanup:
         assert compactor.run_once() == []
 
 
+class TestScalarMerge:
+    def test_columns_keep_dtype_and_alive_values(self, clock, cost):
+        store = ObjectStore(clock, cost)
+        ddl = parse_statement(
+            "CREATE TABLE t (id UInt64, score Float32, ts DateTime, label String, "
+            "embedding Array(Float32), INDEX ai embedding TYPE FLAT('DIM=4'))"
+        )
+        schema = TableSchema.from_ddl(
+            ddl.name, ddl.columns, index_spec=IndexSpec(index_type="FLAT", dim=4)
+        )
+        entry = Catalog().create_table(schema)
+        manager = SegmentManager()
+        writer = SegmentWriter(
+            entry, manager, store, clock, cost_model=cost,
+            config=IngestConfig(max_segment_rows=30),
+        )
+        compactor = Compactor(
+            entry=entry, manager=manager, store=store, clock=clock, cost=cost,
+            config=CompactionConfig(fanout=3),
+        )
+        rng = np.random.default_rng(0)
+        writer.ingest_rows(
+            [
+                {"id": i, "score": i / 3, "ts": 10**12 + i, "label": f"row{i}",
+                 "embedding": rng.normal(size=4)}
+                for i in range(90)
+            ]
+        )
+        inputs = manager.segments()
+        manager.mark_deleted(inputs[1].segment_id, [0, 5, 29])
+        before = {
+            name: [inputs[0].scalar_column(name)[i] for i in range(30)]
+            + [inputs[1].scalar_column(name)[i] for i in range(30) if i not in (0, 5, 29)]
+            + [inputs[2].scalar_column(name)[i] for i in range(30)]
+            for name in ("id", "score", "ts", "label")
+        }
+        compactor.run_once()
+        (merged,) = manager.segments()
+        for name in ("id", "score", "ts"):
+            column = merged.scalar_column(name)
+            want = np.asarray(before[name], dtype=inputs[0].scalar_column(name).dtype)
+            assert column.dtype == want.dtype
+            assert column.tobytes() == want.tobytes()
+        assert merged.scalar_column("label") == before["label"]
+
+
 class TestIndexLifecycle:
     def test_merged_segment_gets_fresh_index(self, setup):
         _, manager, writer, compactor, store = setup
