@@ -149,19 +149,24 @@ def _structured_scan_mask(
     bitmap: Optional[DeleteBitmap],
     ctx: ExecContext,
 ) -> np.ndarray:
-    """Alive ∧ predicate mask, charging the structured scan cost T0."""
-    if bitmap is not None:
+    """Alive ∧ predicate mask, charging the structured scan cost T0.
+
+    A segment with nothing deleted builds no alive mask, as on the
+    index paths.  The mask returned is always the caller's to write.
+    """
+    alive: Optional[np.ndarray] = None
+    if bitmap is not None and bitmap.deleted_count > 0:
         alive = _alive_mask(bitmap, ctx)
-    else:
-        alive = np.ones(segment.row_count, bool)
     predicate = plan.logical.scalar_predicate
     if predicate is None:
-        return alive
+        return np.ones(segment.row_count, bool) if alive is None else alive
     needed = referenced_columns(predicate)
     columns = _segment_columns(segment, needed)
     ctx.clock.advance(segment.row_count * ctx.params.t0_per_row * max(1, len(needed)))
+    # evaluate_predicate returns a fresh array (its astype copies even a
+    # bare boolean column), never a view of the segment's data.
     mask = evaluate_predicate(predicate, columns, segment.row_count)
-    return mask & alive
+    return mask if alive is None else mask & alive
 
 
 def _charger(ctx: ExecContext, segment: Segment) -> ScanCharger:
@@ -384,12 +389,12 @@ def _project(
         by_segment.setdefault(segment.segment_id, []).append(position)
         segment_objects[segment.segment_id] = segment
 
-    values_by_position: List[List[Any]] = [[None] * len(merged) for _ in names]
-    for col_idx, column in enumerate(logical.output_columns):
+    columns: List[List[Any]] = []
+    for column in logical.output_columns:
         if column == "__distance__":
-            for position, (_, _, dist) in enumerate(merged):
-                values_by_position[col_idx][position] = dist
+            columns.append([dist for _, _, dist in merged])
             continue
+        values: List[Any] = [None] * len(merged)
         for segment_id, positions in by_segment.items():
             segment = segment_objects[segment_id]
             offsets = [merged[p][1] for p in positions]
@@ -400,17 +405,20 @@ def _project(
                 )
             else:
                 fetched = ctx.reader.fetch(segment, column, offsets)
-            for local, position in enumerate(positions):
-                value = fetched[local]
-                if isinstance(value, np.generic):
-                    value = value.item()
-                values_by_position[col_idx][position] = value
-
-    rows = [
-        tuple(values_by_position[col][pos] for col in range(len(names)))
-        for pos in range(len(merged))
-    ]
-    return names, rows
+            if isinstance(fetched, np.ndarray) and fetched.ndim == 1:
+                # One call, element by element the same as item().
+                fetched = fetched.tolist()
+            else:
+                # Vector rows stay ndarrays; a list column may hold numpy
+                # scalars.
+                fetched = [
+                    value.item() if isinstance(value, np.generic) else value
+                    for value in fetched
+                ]
+            for position, value in zip(positions, fetched):
+                values[position] = value
+        columns.append(values)
+    return names, list(zip(*columns))
 
 
 def execute_segment(

@@ -21,9 +21,10 @@ flow-control a cloud deployment needs under heavy concurrent traffic:
   scans and serving RPCs at the next boundary.  No pin ever leaks.
 
 Execution itself drives the engine's ``select_stages``: each stage's
-captured simulated cost becomes an ``await asyncio.sleep`` on the
-(virtual-time) event loop, so thousands of queries genuinely contend for
-slots on one timeline while every latency number stays deterministic.
+simulated advance becomes an ``await asyncio.sleep`` on the
+(virtual-time) event loop — stages that advance nothing are not awaited
+— so thousands of queries genuinely contend for slots on one timeline
+while every latency number stays deterministic.
 """
 
 from __future__ import annotations
@@ -357,6 +358,13 @@ class ServingFrontend:
     ) -> "tuple[QueryResult, Optional[Dict[str, object]]]":
         """Drive the staged generator, sleeping each stage's advance.
 
+        Only a stage that moves time is awaited, and the clock is synced
+        only after time moved.  Awaiting a zero-advance stage (``pin``,
+        each ``segment:<id>``) would cost an event-loop pass and change
+        nothing: on the virtual loop no timer can fire until the running
+        query sleeps, and the engine itself checks the query's
+        ``CancelToken`` before every segment it scans.
+
         Closing the generator (any exception at the awaits, including
         cancellation) releases the snapshot pin via its ``finally``.
         """
@@ -367,19 +375,12 @@ class ServingFrontend:
             tenant=request.tenant, lane=request.lane.value,
         )
         try:
-            while True:
-                self._sync_clock()
-                try:
-                    stage = next(stages)
-                except StopIteration:
-                    break
+            self._sync_clock()
+            for stage in stages:
                 advance = stage.advance_s * self.config.time_scale
                 if advance > 0:
                     await asyncio.sleep(advance)
-                else:
-                    # Zero-advance checkpoint: yield control so other
-                    # queries interleave and cancellation can land.
-                    await asyncio.sleep(0)
+                    self._sync_clock()
         finally:
             stages.close()
             self._sync_clock()

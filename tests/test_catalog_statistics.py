@@ -64,6 +64,90 @@ class TestHistogram:
         assert full == pytest.approx(1.0, abs=0.01)
 
 
+def reference_selectivity_range(hist, low, high):
+    """``EquiWidthHistogram.selectivity_range`` as it was written over
+    numpy scalars, frozen here as the oracle for the list loop."""
+    if hist.total == 0:
+        return 0.0
+    if low is not None and low > hist.value_max:
+        return 0.0
+    if high is not None and high < hist.value_min:
+        return 0.0
+    lo = hist.edges[0] if low is None else max(low, float(hist.edges[0]))
+    hi = hist.edges[-1] if high is None else min(high, float(hist.edges[-1]))
+    if hi < lo:
+        return 0.0
+    if hi == lo:
+        return hist.selectivity_eq(lo)
+    covered = 0.0
+    for i in range(hist.counts.shape[0]):
+        left, right = float(hist.edges[i]), float(hist.edges[i + 1])
+        width = right - left
+        if width <= 0:
+            continue
+        overlap = max(0.0, min(hi, right) - max(lo, left))
+        covered += hist.counts[i] * (overlap / width)
+    return min(1.0, covered / hist.total)
+
+
+SCALES = [1e-6, 1e-3, 1.0, 7.5, 1e3, 1e6, 1e9]
+
+
+@st.composite
+def column_values(draw):
+    """int or float columns, constant or not, with negatives, at scales
+    from 1e-6 to 1e9."""
+    size = draw(st.integers(1, 120))
+    scale = draw(st.sampled_from(SCALES))
+    kind = draw(st.sampled_from(["int", "float", "constant"]))
+    if kind == "int":
+        base = draw(st.lists(st.integers(-1000, 1000), min_size=size, max_size=size))
+    elif kind == "float":
+        base = draw(st.lists(
+            st.floats(-1.0, 1.0, allow_nan=False), min_size=size, max_size=size
+        ))
+    else:
+        base = [draw(st.floats(-1000.0, 1000.0, allow_nan=False))] * size
+    return np.asarray(base, dtype=np.float64) * scale
+
+
+@st.composite
+def bound(draw, values, hist):
+    """None, a data value, a bin edge, or a point in or well outside
+    ``[value_min, value_max]``."""
+    low, high = float(values.min()), float(values.max())
+    span = max(high - low, abs(low), 1.0)
+    return draw(st.one_of(
+        st.none(),
+        st.sampled_from(values.tolist()),
+        st.sampled_from(hist.edges.tolist()),
+        st.floats(low - 2 * span, high + 2 * span, allow_nan=False),
+    ))
+
+
+class TestSelectivityRangeBitEquality:
+    """The list loop returns the frozen numpy-scalar loop's exact bits."""
+
+    @given(data=st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_frozen_oracle(self, data):
+        values = data.draw(column_values())
+        hist = EquiWidthHistogram.build(values, bins=data.draw(st.integers(1, 64)))
+        low = data.draw(bound(values, hist))
+        high = data.draw(st.one_of(st.just(low), bound(values, hist)))
+        got = hist.selectivity_range(low, high)
+        want = reference_selectivity_range(hist, low, high)
+        assert float.hex(got) == float.hex(want), (low, high)
+
+    def test_point_and_outside_bounds(self):
+        hist = EquiWidthHistogram.build(np.array([-3.0, -1.0, 0.0, 2.0, 2.0, 9.0]), bins=5)
+        for low, high in [(2.0, 2.0), (-50.0, -40.0), (40.0, 50.0), (-50.0, 50.0),
+                          (None, -1.0), (0.0, None), (None, None), (5.0, 1.0)]:
+            got = hist.selectivity_range(low, high)
+            want = reference_selectivity_range(hist, low, high)
+            assert float.hex(got) == float.hex(want), (low, high)
+
+
 class TestStringStats:
     def test_frequencies(self):
         stats = StringStats.build(["a", "a", "b", "c"])
