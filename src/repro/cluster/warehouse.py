@@ -30,7 +30,6 @@ from repro.cluster.worker import Worker
 from repro.errors import NoWorkersError, WorkerUnavailableError
 from repro.executor.cancel import CancelToken
 from repro.executor.columnio import ColumnReader
-from repro.executor.parallel import lane_makespan
 from repro.observe.trace import Tracer, maybe_span
 from repro.executor.pipeline import (
     ExecContext,
@@ -58,16 +57,10 @@ MAX_QUERY_RETRIES = 1
 class WarehouseConfig:
     """Warehouse behaviour knobs."""
 
+    # Vector search serving (Fig 4): a cold worker asks the segment's
+    # previous owner to search for it (the ablation of Fig 11 turns it off).
     serving_enabled: bool = True
     worker_mem_data_bytes: int = 4 << 30
-    worker_disk_bytes: int = 16 << 30
-    # Simulated cores per worker: segment scans assigned to one worker
-    # run on this many concurrent lanes (LPT packing); 1 = serial.
-    worker_cores: int = 1
-    # Warehouse-wide admission control: at most this many segment scans
-    # in flight at once across all workers; 0 = unbounded.  Scans beyond
-    # the cap queue, surfacing in the ``warehouse.queue_depth`` metric.
-    max_inflight_scans: int = 0
 
 
 class VirtualWarehouse:
@@ -117,8 +110,6 @@ class VirtualWarehouse:
             worker_id, self.clock, self.cost, self.store, self.fabric,
             metrics=self.metrics,
             mem_data_bytes=self.config.worker_mem_data_bytes,
-            disk_bytes=self.config.worker_disk_bytes,
-            cores=self.config.worker_cores,
         )
         self.workers[worker_id] = worker
         self.scheduler.add_worker(worker_id)
@@ -284,12 +275,8 @@ class VirtualWarehouse:
         assignment = self.scheduler.assign(list(by_id), manifest_id=manifest_id)
         grouped = self.scheduler.group_by_worker(assignment)
 
-        # Admission control: the warehouse caps concurrent segment scans.
-        # Each worker's lane count is its core budget, further clamped by
-        # an even share of the warehouse-wide in-flight cap.
-        capacity = self.config.max_inflight_scans
-        active_workers = max(1, len(grouped))
-
+        # A worker scans its segments one after another; the warehouse's
+        # time is its slowest worker's.
         partials: List[PartialResult] = []
         worker_costs: List[float] = []
         scan_costs: List[tuple] = []
@@ -297,14 +284,11 @@ class VirtualWarehouse:
             worker = self.workers.get(worker_id)
             if worker is None or not worker.alive:
                 raise WorkerUnavailableError(f"worker {worker_id!r} is gone")
-            lanes = max(1, worker.cores)
-            if capacity > 0:
-                lanes = max(1, min(lanes, capacity // active_workers))
             # Each segment charges a capture of its own; replaying those
             # into this one (never applied) is what the worker span reads.
             with self.clock.capturing() as charged, maybe_span(
                 self.tracer, "worker_scan",
-                worker=worker_id, segments=len(segment_ids), lanes=lanes,
+                worker=worker_id, segments=len(segment_ids),
             ) as scan_span:
                 if scan_span is not None and manifest_id is not None:
                     scan_span.set_tag("manifest_id", manifest_id)
@@ -330,8 +314,8 @@ class VirtualWarehouse:
                     charged.add(captured.total)
                     segment_costs.append(captured.total)
                     scan_costs.append((segment_id, captured.total))
-            worker_costs.append(lane_makespan(segment_costs, lanes))
-            queued = max(0, len(segment_ids) - lanes)
+            worker_costs.append(sum(segment_costs))
+            queued = len(segment_ids) - 1
             if queued:
                 self.metrics.incr("warehouse.scans_queued", queued)
             self.metrics.sample("warehouse.queue_depth", float(queued))

@@ -54,7 +54,6 @@ class Worker:
         mem_meta_bytes: int = DEFAULT_MEM_META_BYTES,
         mem_data_bytes: int = DEFAULT_MEM_DATA_BYTES,
         disk_bytes: int = DEFAULT_DISK_BYTES,
-        cores: int = 1,
     ) -> None:
         self.worker_id = worker_id
         self.clock = clock
@@ -63,9 +62,6 @@ class Worker:
         self.fabric = fabric
         self.metrics = metrics or MetricRegistry()
         self.alive = True
-        # Simulated core count: how many segment scans this worker can
-        # run concurrently (the warehouse packs scans onto these lanes).
-        self.cores = max(1, int(cores))
         self._memory = SplitIndexCache(mem_meta_bytes, mem_data_bytes)
         self._disk = LocalDisk(clock, disk_bytes, cost, self.metrics)
         self.cache = HierarchicalIndexCache(

@@ -2,8 +2,9 @@
 
 One :class:`BlendHouse` instance is a single-process deployment of the
 full stack: SQL front-end → catalog → optimizer (RBO + CBO + plan cache
-+ short-circuit) → segment pruning (scalar + semantic with adaptive
-widening) → per-segment execution → partial top-k merge → projection.
++ short-circuit) → segment pruning (scalar, plus semantic on ``CLUSTER
+BY`` tables, widened to the reserve segments when the kept ones come
+back short) → per-segment execution → partial top-k merge → projection.
 
 Typical use::
 
@@ -16,12 +17,18 @@ Typical use::
         "SELECT id, dist FROM docs WHERE label = 'news' "
         "ORDER BY L2Distance(embedding, [...]) AS dist LIMIT 10")
 
-Session settings mirror the paper's ablation switches::
+Session settings (:mod:`repro.core.settings`, twelve names) mirror the
+paper's ablation switches plus the knobs its benchmarks turn::
 
     SET enable_cbo = 0          -- Fig 15: static pre-filter default
     SET enable_plan_cache = 0   -- Fig 17: pay full planning per query
     SET read_opt = 0            -- Fig 17: full-block column reads
     SET semantic_prune_keep = 4 -- Fig 16: segments kept by centroid rank
+    SET ef_search = 128         -- Figs 9, 10, 13: index search depth
+
+Everything else the engine decides by rule or by a module constant; an
+engine's whole history is a function of its inputs, never of the host's
+speed.
 """
 
 from __future__ import annotations
@@ -34,12 +41,14 @@ import numpy as np
 
 from repro.catalog.catalog import Catalog, TableEntry
 from repro.catalog.schema import TableSchema
+from repro.core.explain import ExplainResult
+from repro.core.settings import EngineSettings
 from repro.core.table import TableRuntime
 from repro.durability.manager import DurabilityConfig, DurabilityManager
 from repro.durability.recovery import RecoveryReport, run_recovery
 from repro.errors import BlendHouseError, SQLError
 from repro.executor.cancel import CancelToken
-from repro.executor.columnio import ColumnReader, ReadOptConfig
+from repro.executor.columnio import ColumnReader
 from repro.executor.parallel import (
     BatchExecutionResult,
     _batch_scan_segment,
@@ -60,12 +69,7 @@ from repro.observe.trace import Span, Tracer
 from repro.partition.pruning import prune_segments_scalar, select_semantic_candidates
 from repro.planner.cost import CostModelParams
 from repro.planner.logical import PreparedSelect, bind_select, prepare_select
-from repro.planner.optimizer import (
-    ExecutionStrategy,
-    Optimizer,
-    OptimizerConfig,
-    PhysicalPlan,
-)
+from repro.planner.optimizer import ExecutionStrategy, Optimizer, PhysicalPlan
 from repro.planner.plancache import PlanCache
 from repro.planner.rules import apply_rules
 from repro.simulate.clock import SimulatedClock
@@ -88,123 +92,6 @@ from repro.sqlparser.parser import parse_statement
 from repro.storage.objectstore import ObjectStore
 from repro.storage.segment import Segment
 from repro.vindex.registry import IndexSpec, parse_index_options
-
-
-@dataclass
-class EngineSettings:
-    """Session settings, adjustable via SET statements."""
-
-    enable_cbo: bool = True
-    enable_plan_cache: bool = True
-    enable_short_circuit: bool = True
-    enable_read_opt: bool = True
-    enable_semantic_pruning: bool = True
-    semantic_prune_keep: int = 4          # segments kept per round
-    adaptive_widening: bool = True
-    prefilter_row_threshold: int = 1000   # paper's "~10k rows" rule, scaled
-    ef_search: Optional[int] = None
-    nprobe: Optional[int] = None
-    forced_strategy: Optional[str] = None  # brute_force / pre_filter / post_filter
-    auto_compaction: bool = False
-    # Simulated cores a query's per-segment scan costs are packed onto
-    # (>= 1).  Scans always run one after another on the calling thread;
-    # rows are identical at any value, only simulated wall-time changes.
-    parallel_workers: int = 1
-    # Tracer root retention (SET trace_max_roots): completed query trees
-    # kept for EXPLAIN ANALYZE / the flight recorder before the oldest
-    # fall off (counted in ``trace.roots_dropped``).
-    trace_max_roots: int = 64
-    # Flight-recorder knobs: queries slower than the threshold are always
-    # recorded; one in every ``slowlog_sample_every`` fast queries is
-    # tail-sampled too (0 disables sampling).
-    slowlog_threshold_ms: float = 50.0
-    slowlog_sample_every: int = 100
-
-    _BOOL_KEYS = (
-        "enable_cbo", "enable_plan_cache", "enable_short_circuit",
-        "enable_read_opt", "enable_semantic_pruning", "adaptive_widening",
-        "auto_compaction",
-    )
-
-    def apply(self, name: str, value: Any) -> None:
-        """Apply one SET name = value.
-
-        Raises
-        ------
-        SQLError
-            For unknown setting names and ``parallel_workers < 1``.
-        """
-        key = name.lower()
-        if key == "read_opt":
-            key = "enable_read_opt"
-        if key in self._BOOL_KEYS:
-            setattr(self, key, bool(int(value)) if not isinstance(value, bool) else value)
-            return
-        if key in ("ef_search", "nprobe", "semantic_prune_keep",
-                   "prefilter_row_threshold", "parallel_workers",
-                   "trace_max_roots", "slowlog_sample_every"):
-            number = int(value)
-            if key == "parallel_workers" and number < 1:
-                raise SQLError(f"parallel_workers must be >= 1, got {value!r}")
-            setattr(self, key, number)
-            return
-        if key == "slowlog_threshold_ms":
-            self.slowlog_threshold_ms = float(value)
-            return
-        if key == "forced_strategy":
-            text = str(value).lower()
-            if text in ("", "none", "auto"):
-                self.forced_strategy = None
-            else:
-                self.forced_strategy = text
-            return
-        raise SQLError(f"unknown setting {name!r}")
-
-
-@dataclass
-class ExplainResult:
-    """Output of EXPLAIN / EXPLAIN ANALYZE.
-
-    Holds the chosen physical plan, the recorded span tree, and (for
-    ANALYZE) the executed query result.  :meth:`render` produces the
-    text form the shell prints.
-    """
-
-    sql: str
-    analyze: bool
-    plan: PhysicalPlan
-    trace: Optional[Span] = None
-    result: Optional[QueryResult] = None
-
-    def render(self) -> str:
-        """Plan summary plus the span tree with per-operator timings."""
-        mode = "EXPLAIN ANALYZE" if self.analyze else "EXPLAIN"
-        lines = [f"{mode} {self.sql.strip()}"]
-        lines.append(
-            f"plan: strategy={self.plan.strategy.value} "
-            f"use_index={self.plan.use_index} sigma={self.plan.sigma:.2f} "
-            f"search_params={self.plan.search_params}"
-        )
-        if self.trace is not None:
-            lines.append(self.trace.render())
-        if self.result is not None:
-            lines.append(
-                f"({len(self.result)} rows, "
-                f"{self.result.simulated_seconds * 1e3:.3f} sim-ms)"
-            )
-        return "\n".join(lines)
-
-    def as_dict(self) -> Dict[str, Any]:
-        """JSON-safe form: plan summary plus the nested span tree."""
-        return {
-            "sql": self.sql.strip(),
-            "analyze": self.analyze,
-            "strategy": self.plan.strategy.value,
-            "use_index": self.plan.use_index,
-            "search_params": dict(self.plan.search_params),
-            "trace": self.trace.to_dict() if self.trace is not None else None,
-            "rows": len(self.result) if self.result is not None else None,
-        }
 
 
 @dataclass
@@ -327,7 +214,6 @@ class BlendHouse:
         clock: Optional[SimulatedClock] = None,
         cost_model: Optional[DeviceCostModel] = None,
         ingest_config: Optional[IngestConfig] = None,
-        read_config: Optional[ReadOptConfig] = None,
         settings: Optional[EngineSettings] = None,
         store: Optional[ObjectStore] = None,
         durability: Optional[DurabilityConfig] = None,
@@ -343,10 +229,7 @@ class BlendHouse:
         # without constructor plumbing; see observe/events.emit_event.
         self.events = EventLog(self.clock)
         self.metrics.events = self.events
-        self.tracer = Tracer(
-            self.clock, max_roots=self.settings.trace_max_roots,
-            metrics=self.metrics,
-        )
+        self.tracer = Tracer(self.clock, metrics=self.metrics)
         self.slowlog = SlowQueryLog(
             threshold_s=self.settings.slowlog_threshold_ms / 1e3,
             sample_every=self.settings.slowlog_sample_every,
@@ -361,8 +244,7 @@ class BlendHouse:
         self.catalog = Catalog()
         self.plan_cache = PlanCache()
         self._ingest_config = ingest_config or IngestConfig()
-        self._read_config = read_config or ReadOptConfig()
-        self.reader = ColumnReader(self.clock, self.cost, self.metrics, self._read_config)
+        self.reader = ColumnReader(self.clock, self.cost, self.metrics)
         self._tables: Dict[str, TableRuntime] = {}
         self.last_recovery: Optional[RecoveryReport] = None
         self._durability = DurabilityManager(self, durability)
@@ -471,19 +353,14 @@ class BlendHouse:
             return result
         if isinstance(statement, SetStatement):
             self.settings.apply(statement.name, statement.value)
-            self._sync_observe_settings()
+            self.slowlog.threshold_s = self.settings.slowlog_threshold_ms / 1e3
+            self.slowlog.sample_every = self.settings.slowlog_sample_every
             return {"setting": statement.name, "value": statement.value}
         if isinstance(statement, Checkpoint):
             return self.checkpoint(reason="statement")
         if isinstance(statement, ShowSlowQueries):
             return self.slowlog.report(statement.limit)
         raise BlendHouseError(f"unhandled statement type {type(statement).__name__}")
-
-    def _sync_observe_settings(self) -> None:
-        """Push observability SET values into the live tracer/slowlog."""
-        self.tracer.set_max_roots(self.settings.trace_max_roots)
-        self.slowlog.threshold_s = self.settings.slowlog_threshold_ms / 1e3
-        self.slowlog.sample_every = self.settings.slowlog_sample_every
 
     # ------------------------------------------------------------------
     # DDL
@@ -615,8 +492,7 @@ class BlendHouse:
         if results:
             self.plan_cache.invalidate_plans()
             self._durability.statement_boundary()
-            if self._durability.config.checkpoint_on_compaction:
-                self._durability.checkpoint(reason="compaction")
+            self._durability.checkpoint(reason="compaction")
         return results
 
     def _maybe_compact(self, runtime: TableRuntime) -> None:
@@ -633,17 +509,12 @@ class BlendHouse:
         )
 
     def _optimizer(self, schema: TableSchema) -> Optimizer:
-        params = self.cost_params(schema)
-        forced = None
-        if self.settings.forced_strategy:
-            forced = ExecutionStrategy(self.settings.forced_strategy)
-        config = OptimizerConfig(
-            prefilter_row_threshold=self.settings.prefilter_row_threshold,
+        return Optimizer(
+            self.cost_params(schema),
             enable_cbo=self.settings.enable_cbo,
             enable_short_circuit=self.settings.enable_short_circuit,
-            forced_strategy=forced,
+            forced_strategy=self.settings.forced_strategy,
         )
-        return Optimizer(params, config)
 
     def _search_param_overrides(self) -> Dict[str, Any]:
         overrides: Dict[str, Any] = {}
@@ -684,7 +555,7 @@ class BlendHouse:
         override disables rebinding because SET changes do not fence the
         cache.
         """
-        if self.settings.forced_strategy:
+        if self.settings.forced_strategy is not None:
             return False
         if template.cbo_used:
             return False
@@ -780,10 +651,7 @@ class BlendHouse:
         params = self.cost_params(runtime.entry.schema)
         reader = self.reader
         if not self.settings.enable_read_opt:
-            reader = ColumnReader(
-                self.clock, self.cost, self.metrics,
-                ReadOptConfig(reduced_granularity=False, use_block_cache=False),
-            )
+            reader = ColumnReader(self.clock, self.cost, self.metrics, read_opt=False)
         if snapshot is None:
             resolve = runtime.resolve_index
             manifest_id = None
@@ -817,11 +685,7 @@ class BlendHouse:
             span.set_tag("segments_total", total)
             span.set_tag("scalar_kept", len(metas))
             reserve_metas: List[Any] = []
-            if (
-                self.settings.enable_semantic_pruning
-                and runtime.entry.schema.cluster_buckets > 0
-                and plan.logical.is_vector_query
-            ):
+            if runtime.entry.schema.cluster_buckets > 0 and plan.logical.is_vector_query:
                 keep = max(1, self.settings.semantic_prune_keep)
                 metas, reserve_metas = select_semantic_candidates(
                     metas, plan.logical.distance.query_vector, keep
@@ -845,7 +709,6 @@ class BlendHouse:
         and the scheduled wave came back short of the requested rows."""
         return bool(
             reserve
-            and self.settings.adaptive_widening
             and plan.logical.is_vector_query
             and len(result) < (plan.logical.k or 0) - plan.logical.offset
         )
@@ -964,7 +827,7 @@ class BlendHouse:
                     ]
                     if not members:
                         break
-                    self.metrics.incr("pruning.adaptive_widenings", len(members))
+                    self.metrics.incr("pruning.widenings", len(members))
                     execute.set_tag("adaptive_widened", True)
                 scan = backend.scan(
                     [plans[member] for member in members],
@@ -1247,7 +1110,7 @@ class BlendHouse:
         """
         info = self._durability.checkpoint(reason=reason)
         if info is None:
-            return {"checkpoint": None, "enabled": self._durability.enabled}
+            return {"checkpoint": None}
         return {
             "checkpoint": info.checkpoint_id,
             "wal_lsn": info.wal_lsn,
@@ -1271,7 +1134,6 @@ class BlendHouse:
         return type(self).recover(
             self.store,
             ingest_config=self._ingest_config,
-            read_config=self._read_config,
             durability=self._durability.config,
         )
 
@@ -1280,7 +1142,6 @@ class BlendHouse:
         cls,
         store: ObjectStore,
         ingest_config: Optional[IngestConfig] = None,
-        read_config: Optional[ReadOptConfig] = None,
         durability: Optional[DurabilityConfig] = None,
         settings: Optional[EngineSettings] = None,
     ) -> "BlendHouse":
@@ -1290,15 +1151,11 @@ class BlendHouse:
         fully usable engine.  The :class:`RecoveryReport` is available as
         ``db.last_recovery``.
         """
-        config = durability or DurabilityConfig()
-        if not config.enabled:
-            config = replace(config, enabled=True)
         db = cls(
             store=store,
             ingest_config=ingest_config,
-            read_config=read_config,
             settings=settings,
-            durability=config,
+            durability=durability,
         )
         with db._durability.suspended():
             report = run_recovery(db)

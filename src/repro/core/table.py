@@ -18,7 +18,7 @@ from repro.observe.trace import Tracer
 from repro.simulate.clock import SimulatedClock
 from repro.simulate.costmodel import DeviceCostModel
 from repro.simulate.metrics import MetricRegistry
-from repro.storage.compaction import CompactionConfig, Compactor
+from repro.storage.compaction import Compactor
 from repro.storage.lsm import SegmentManager
 from repro.storage.objectstore import ObjectStore
 from repro.storage.segment import Segment
@@ -37,7 +37,6 @@ class TableRuntime:
         cost: DeviceCostModel,
         metrics: MetricRegistry,
         ingest_config: Optional[IngestConfig] = None,
-        compaction_config: Optional[CompactionConfig] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.entry = entry
@@ -54,7 +53,6 @@ class TableRuntime:
         self.compactor = Compactor(
             entry=entry, manager=self.manager, store=store, clock=clock,
             cost=cost, metrics=metrics,
-            config=compaction_config or CompactionConfig(),
         )
         self._loaded_indexes: Dict[str, VectorIndex] = {}
         self.compactor.on_retire(self._forget_index)

@@ -11,7 +11,8 @@ WAL/checkpointer:
   ``stats`` records (histograms and cluster centroids are not derivable
   from replay alone, so they ride the log);
 * at each statement boundary the buffer is group-committed (the
-  acknowledgment point) and the WAL-bytes checkpoint trigger is checked;
+  acknowledgment point) and the WAL-bytes checkpoint trigger
+  (:data:`CHECKPOINT_WAL_BYTES`) is checked;
 * physical deletion of retired segment payloads is *deferred* until a
   checkpoint no longer references them — the previous checkpoint's
   manifest may still need those objects for recovery.
@@ -30,19 +31,16 @@ from repro.durability.wal import WriteAheadLog
 from repro.storage.manifest import Manifest
 from repro.storage.segment import Segment
 
+# Auto-checkpoint once this many WAL bytes accumulate since the last one.
+CHECKPOINT_WAL_BYTES = 8 * 1024 * 1024
+
 
 @dataclass
 class DurabilityConfig:
-    """Durability layer knobs."""
+    """Where the log and checkpoints live, and the crash-test seam."""
 
-    enabled: bool = True
     wal_prefix: str = "wal/"
     checkpoint_prefix: str = "checkpoints/"
-    # Auto-checkpoint once this many WAL bytes accumulate since the last
-    # checkpoint (0 disables the trigger).
-    checkpoint_wal_bytes: int = 8 * 1024 * 1024
-    # Checkpoint after Database.compact() finishes merging.
-    checkpoint_on_compaction: bool = True
     crashpoints: Optional[CrashPointRegistry] = None
 
 
@@ -60,24 +58,19 @@ class DurabilityManager:
     def __init__(self, db: Any, config: Optional[DurabilityConfig] = None) -> None:
         self.db = db
         self.config = config or DurabilityConfig()
-        self.enabled = self.config.enabled
         self.crashpoints = self.config.crashpoints or CrashPointRegistry()
         self._suspended = 0
         self._bytes_since_checkpoint = 0
         self._gc_pending: List[_DeferredDelete] = []
         self._checkpointing = False
-        if self.enabled:
-            self.wal: Optional[WriteAheadLog] = WriteAheadLog(
-                db.store, metrics=db.metrics,
-                prefix=self.config.wal_prefix, crashpoints=self.crashpoints,
-            )
-            self.checkpointer: Optional[Checkpointer] = Checkpointer(
-                db.store, self.wal, metrics=db.metrics, tracer=db.tracer,
-                crashpoints=self.crashpoints, prefix=self.config.checkpoint_prefix,
-            )
-        else:
-            self.wal = None
-            self.checkpointer = None
+        self.wal = WriteAheadLog(
+            db.store, metrics=db.metrics,
+            prefix=self.config.wal_prefix, crashpoints=self.crashpoints,
+        )
+        self.checkpointer = Checkpointer(
+            db.store, self.wal, metrics=db.metrics, tracer=db.tracer,
+            crashpoints=self.crashpoints, prefix=self.config.checkpoint_prefix,
+        )
 
     # ------------------------------------------------------------------
     # State
@@ -85,7 +78,7 @@ class DurabilityManager:
     @property
     def active(self) -> bool:
         """Whether mutations are being logged right now."""
-        return self.enabled and self._suspended == 0
+        return self._suspended == 0
 
     @contextmanager
     def suspended(self) -> Iterator[None]:
@@ -101,8 +94,6 @@ class DurabilityManager:
     # ------------------------------------------------------------------
     def register_table(self, runtime: Any) -> None:
         """Subscribe to one table runtime's durability-relevant events."""
-        if not self.enabled:
-            return
         table = runtime.entry.schema.name
         runtime.manager.on_publish(
             lambda previous, current, _t=table: self._log_publish(_t, previous, current)
@@ -201,8 +192,7 @@ class DurabilityManager:
         if not self.active:
             return
         self._bytes_since_checkpoint += self.wal.flush()
-        threshold = self.config.checkpoint_wal_bytes
-        if threshold and self._bytes_since_checkpoint >= threshold:
+        if self._bytes_since_checkpoint >= CHECKPOINT_WAL_BYTES:
             self.checkpoint(reason="wal_bytes")
 
     def checkpoint(self, reason: str = "statement") -> Optional[CheckpointInfo]:
@@ -244,8 +234,9 @@ class DurabilityManager:
         """Queue raw object keys for post-checkpoint deletion."""
         if not keys:
             return
-        safe_after = self.wal.last_assigned_lsn if self.wal is not None else 0
-        self._gc_pending.append(_DeferredDelete(safe_after_lsn=safe_after, keys=keys))
+        self._gc_pending.append(
+            _DeferredDelete(safe_after_lsn=self.wal.last_assigned_lsn, keys=keys)
+        )
 
     @property
     def gc_pending_keys(self) -> int:
@@ -271,10 +262,7 @@ class DurabilityManager:
     # ------------------------------------------------------------------
     def status(self) -> Dict[str, Any]:
         """Durability state summary (for shells and tests)."""
-        if not self.enabled:
-            return {"enabled": False}
         return {
-            "enabled": True,
             "last_flushed_lsn": self.wal.last_flushed_lsn,
             "pending_records": self.wal.pending_records,
             "next_checkpoint_id": self.checkpointer.next_checkpoint_id,

@@ -30,7 +30,7 @@ class AutoscalerPolicy:
     min_warehouses: int = 1
     max_warehouses: int = 8
     cooldown_s: float = 30.0
-    # Join mode for scale-outs; None defers to FleetConfig.masked_joins.
+    # Join mode for scale-outs; None defers to fleet.MASKED_JOINS.
     masked: Optional[bool] = None
 
 

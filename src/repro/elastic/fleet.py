@@ -41,6 +41,8 @@ from repro.elastic.router import FleetRouter
 CatalogProvider = Callable[[], Tuple[List[str], Callable[[str], Optional[str]]]]
 
 NAME_PREFIX = "fleet-vw"
+# Join mode of a scale-out that names none (the autoscaler's default).
+MASKED_JOINS = True
 
 
 @dataclass
@@ -50,9 +52,6 @@ class FleetConfig:
     warehouses: int = 2
     workers_per_warehouse: int = 2
     warehouse: Optional[WarehouseConfig] = None
-    router_probes: int = 21
-    # Default join mode for autoscaler-triggered scale-outs.
-    masked_joins: bool = True
 
 
 class WarehouseFleet:
@@ -77,7 +76,7 @@ class WarehouseFleet:
         # are keyed (segment_id, manifest_id, warehouse_id) so members
         # never share a mutable entry.
         self.directory: OrderedDict = OrderedDict()
-        self.router = FleetRouter(probes=self.config.router_probes)
+        self.router = FleetRouter()
         self.members: Dict[str, VirtualWarehouse] = {}
         # name -> simulated time its masked warm-up completes.
         self.pending: Dict[str, float] = {}
@@ -127,7 +126,7 @@ class WarehouseFleet:
         never see its cold caches.  ``masked=False`` admits immediately.
         """
         if masked is None:
-            masked = self.config.masked_joins
+            masked = MASKED_JOINS
         name = f"{NAME_PREFIX}{self._next_seq}"
         self._next_seq += 1
         warehouse = VirtualWarehouse(

@@ -12,7 +12,7 @@
   simulated scan parallelism and the batched ``nq > 1`` segment kernel.
 """
 
-from repro.executor.columnio import ColumnReader, ReadOptConfig
+from repro.executor.columnio import ColumnReader
 from repro.executor.parallel import BatchExecutionResult, lane_makespan
 from repro.executor.pipeline import ExecContext, PartialResult, QueryResult
 
@@ -22,6 +22,5 @@ __all__ = [
     "ExecContext",
     "PartialResult",
     "QueryResult",
-    "ReadOptConfig",
     "lane_makespan",
 ]

@@ -10,16 +10,16 @@ insertion/sort order (paper §IV-C "Read amplification").  The model:
   bytes (one request latency + per-row bytes).
 * **Adaptive cache** — an LRU over column blocks with split buffers
   (small hot metadata vs. large data) makes repeat access RAM-speed; a
-  ``row_limit`` guard bypasses the cache for huge reads so scans cannot
-  thrash it.
+  :data:`CACHE_ROW_LIMIT` guard bypasses the cache for huge reads so
+  scans cannot thrash it.
 
-Data values themselves come from the in-memory segment (the simulation
-holds them); only *costs* differ between configurations.
+READ_Opt (Fig 17) is the last two together: a reader built with
+``read_opt=False`` is the baseline.  Data values themselves come from
+the in-memory segment (the simulation holds them); only *costs* differ.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.simulate.clock import SimulatedClock
@@ -29,15 +29,9 @@ from repro.storage.cache import SplitIndexCache
 from repro.storage.segment import Segment
 
 
-@dataclass
-class ReadOptConfig:
-    """The READ_Opt knobs of Fig 17."""
-
-    reduced_granularity: bool = True
-    use_block_cache: bool = True
-    cache_row_limit: int = 4096          # bypass cache above this many rows
-    meta_cache_bytes: int = 8 << 20
-    data_cache_bytes: int = 256 << 20
+CACHE_ROW_LIMIT = 4096  # reads of more rows bypass the block cache
+META_CACHE_BYTES = 8 << 20
+DATA_CACHE_BYTES = 256 << 20
 
 
 class ColumnReader:
@@ -48,15 +42,13 @@ class ColumnReader:
         clock: SimulatedClock,
         cost: DeviceCostModel,
         metrics: Optional[MetricRegistry] = None,
-        config: Optional[ReadOptConfig] = None,
+        read_opt: bool = True,
     ) -> None:
         self._clock = clock
         self._cost = cost
         self._metrics = metrics or MetricRegistry()
-        self.config = config or ReadOptConfig()
-        self._cache = SplitIndexCache(
-            self.config.meta_cache_bytes, self.config.data_cache_bytes
-        )
+        self._read_opt = read_opt
+        self._cache = SplitIndexCache(META_CACHE_BYTES, DATA_CACHE_BYTES)
         # Per-(segment, column) cell-size memo: segments are immutable,
         # so the bytes-per-row ratio never changes for a given key and
         # the decode hot path skips the dict lookup + division per fetch.
@@ -78,7 +70,7 @@ class ColumnReader:
     def _charge_fetch(self, segment: Segment, column: str, n_rows: int) -> None:
         key = f"{segment.segment_id}/{column}"
         block_bytes = segment.meta.nbytes_by_column.get(column, 8 * segment.row_count)
-        if self.config.use_block_cache and n_rows <= self.config.cache_row_limit:
+        if self._read_opt and n_rows <= CACHE_ROW_LIMIT:
             if self._cache.get_data(key) is not None:
                 hit_bytes = int(n_rows * self._cell_bytes(segment, column))
                 self._clock.advance(self._cost.ram_read(hit_bytes))
@@ -90,13 +82,13 @@ class ColumnReader:
             self._metrics.incr("columnio.cache_fills")
             return
         self._charge_remote(segment, column, n_rows, block_bytes)
-        if n_rows > self.config.cache_row_limit:
+        if n_rows > CACHE_ROW_LIMIT:
             self._metrics.incr("columnio.cache_bypass")
 
     def _charge_remote(
         self, segment: Segment, column: str, n_rows: int, block_bytes: int
     ) -> None:
-        if self.config.reduced_granularity:
+        if self._read_opt:
             nbytes = int(n_rows * self._cell_bytes(segment, column))
             self._clock.advance(self._cost.object_store_read(nbytes))
             self._metrics.incr("columnio.ranged_reads")

@@ -9,7 +9,7 @@ immutable segments:
    semantics are stable across batches);
 3. each (partition, bucket) group is cut into segments of at most
    ``max_segment_rows``;
-4. a vector index is built for every segment (auto-index may adjust
+4. a vector index is built for every segment (auto-index adjusts IVF
    build parameters to the segment size), then segment and index are
    persisted to the object store.
 
@@ -18,7 +18,7 @@ immutable segments:
 time therefore follows the two-stage pipeline recurrence
 ``finish_build(i) = max(finish_write(i), finish_build(i-1)) + build(i)``
 instead of the blocking ``sum(write) + sum(build)`` a non-pipelined
-system pays.
+system (the baselines of Table IV) pays.
 """
 
 from __future__ import annotations
@@ -49,10 +49,6 @@ class IngestConfig:
     """Knobs for the write path."""
 
     max_segment_rows: int = 2048
-    pipelined_index_build: bool = True
-    build_indexes: bool = True
-    auto_index: bool = True
-    kmeans_seed: int = 0
 
 
 @dataclass
@@ -160,10 +156,7 @@ class SegmentWriter:
                         builds.append(build_cost)
         report.write_seconds = sum(writes)
         report.build_seconds = sum(builds)
-        if self.config.pipelined_index_build:
-            report.simulated_seconds = _pipeline_total(writes, builds)
-        else:
-            report.simulated_seconds = report.write_seconds + report.build_seconds
+        report.simulated_seconds = _pipeline_total(writes, builds)
         self._clock.advance(report.simulated_seconds)
         self._refresh_statistics(scalar_columns, row_count)
         self._metrics.incr("ingest.batches")
@@ -188,9 +181,7 @@ class SegmentWriter:
             return [(key, None, offsets) for key, offsets in scalar_groups.items()]
 
         if self._bucket_centroids is None:
-            clustering = cluster_vectors(
-                vectors, schema.cluster_buckets, seed=self.config.kmeans_seed
-            )
+            clustering = cluster_vectors(vectors, schema.cluster_buckets)
             self._bucket_centroids = clustering.centroids
             assignments = clustering.assignments
         else:
@@ -247,10 +238,8 @@ class SegmentWriter:
 
         build_cost = 0.0
         index_key = None
-        if self.config.build_indexes and schema.index_spec is not None:
-            spec = schema.index_spec
-            if self.config.auto_index:
-                spec = auto_build_spec(spec, segment.row_count)
+        if schema.index_spec is not None:
+            spec = auto_build_spec(schema.index_spec, segment.row_count)
             vindex = create_index(spec)
             vindex.train(seg_vectors)
             vindex.add_with_ids(seg_vectors, np.arange(segment.row_count))

@@ -230,29 +230,6 @@ class Tracer:
         self.enabled = True
 
     @property
-    def max_roots(self) -> int:
-        """Current root-retention bound."""
-        return self._roots.maxlen or 0
-
-    def set_max_roots(self, max_roots: int) -> None:
-        """Resize root retention (``SET trace_max_roots``), keeping the
-        newest roots when shrinking."""
-        if max_roots < 1:
-            raise ValueError(f"trace_max_roots must be positive: {max_roots}")
-        if max_roots == self._roots.maxlen:
-            return
-        kept = list(self._roots)[-max_roots:]
-        dropped = len(self._roots) - len(kept)
-        if dropped:
-            self._count_dropped(dropped)
-        self._roots = deque(kept, maxlen=max_roots)
-
-    def _count_dropped(self, n: int = 1) -> None:
-        self.roots_dropped += n
-        if self._metrics is not None:
-            self._metrics.incr("trace.roots_dropped", n)
-
-    @property
     def current(self) -> Optional[Span]:
         """The calling thread's innermost open span, or None."""
         spans = self._local.spans
@@ -295,7 +272,9 @@ class Tracer:
         span._mark = span_mark
         if parent is None:
             if len(self._roots) == self._roots.maxlen:
-                self._count_dropped()
+                self.roots_dropped += 1
+                if self._metrics is not None:
+                    self._metrics.incr("trace.roots_dropped")
             self._roots.append(span)
         span._wall_start = perf_counter()
         return span

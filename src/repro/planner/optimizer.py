@@ -7,8 +7,8 @@ The optimizer turns a bound :class:`HybridLogicalPlan` into a
   qualifying rows.  Wins when few rows qualify.
 * **Plan B / PRE_FILTER** — build a qualifying-row bitset, then an ANN
   bitmap scan.  Considered only when the structured scan returns at
-  least ``prefilter_row_threshold`` rows (the paper's "ten thousands of
-  rows" rule).
+  least :data:`PREFILTER_ROW_THRESHOLD` rows (the paper's "ten thousands
+  of rows" rule).
 * **Plan C / POST_FILTER** — iterative ANN scan first, filter after,
   widening until k rows survive.  Wins when most rows qualify.
 
@@ -32,6 +32,9 @@ from repro.vindex.registry import IndexSpec
 
 DEFAULT_EF_SEARCH = 64
 DEFAULT_NPROBE = 8
+# Plan B needs this many qualifying rows (the paper's "~10k rows" rule,
+# scaled to this reproduction's table sizes).
+PREFILTER_ROW_THRESHOLD = 1000
 # Graph beam searches expand roughly this many candidates per result slot.
 GRAPH_VISIT_EXPANSION = 4.0
 
@@ -104,29 +107,27 @@ def estimate_visit_fraction(
     return 1.0
 
 
-@dataclass
-class OptimizerConfig:
-    """Optimizer knobs."""
-
-    prefilter_row_threshold: int = 10_000
-    sigma: float = 2.0
-    default_ef_search: int = DEFAULT_EF_SEARCH
-    default_nprobe: int = DEFAULT_NPROBE
-    enable_cbo: bool = True
-    enable_short_circuit: bool = True
-    forced_strategy: Optional[ExecutionStrategy] = None
-
-
 class Optimizer:
-    """Chooses the physical plan for a bound logical plan."""
+    """Chooses the physical plan for a bound logical plan.
+
+    The switches are the session's: ``enable_cbo`` off plans the static
+    pre-filter default (Fig 15), ``enable_short_circuit`` off costs even
+    the simple pure-vector shape (Fig 17), and ``forced_strategy`` pins
+    every hybrid query to one plan.
+    """
 
     def __init__(
         self,
         params: CostModelParams,
-        config: Optional[OptimizerConfig] = None,
+        *,
+        enable_cbo: bool = True,
+        enable_short_circuit: bool = True,
+        forced_strategy: Optional[ExecutionStrategy] = None,
     ) -> None:
         self.params = params
-        self.config = config or OptimizerConfig()
+        self.enable_cbo = enable_cbo
+        self.enable_short_circuit = enable_short_circuit
+        self.forced_strategy = forced_strategy
 
     def default_search_params(self, index_spec: Optional[IndexSpec]) -> Dict[str, Any]:
         """Per-index-type search-parameter defaults.
@@ -138,11 +139,11 @@ class Optimizer:
         if index_spec is None:
             return {}
         if index_spec.index_type in ("HNSW", "HNSWSQ"):
-            return {"ef_search": self.config.default_ef_search}
+            return {"ef_search": DEFAULT_EF_SEARCH}
         if index_spec.index_type == "DISKANN":
-            return {"beam": self.config.default_ef_search}
+            return {"beam": DEFAULT_EF_SEARCH}
         if index_spec.index_type in ("IVFFLAT", "IVFPQ", "IVFPQFS"):
-            return {"nprobe": self.config.default_nprobe}
+            return {"nprobe": DEFAULT_NPROBE}
         return {}
 
     def choose(
@@ -172,19 +173,19 @@ class Optimizer:
             return PhysicalPlan(
                 logical, ExecutionStrategy.ANN_ONLY, search_params=params,
                 cbo_used=False,
-                short_circuited=self.config.enable_short_circuit,
+                short_circuited=self.enable_short_circuit,
             )
 
-        if self.config.forced_strategy is not None:
+        if self.forced_strategy is not None:
             return PhysicalPlan(
-                logical, self.config.forced_strategy, search_params=params,
-                sigma=self.config.sigma, cbo_used=False,
+                logical, self.forced_strategy, search_params=params,
+                sigma=self.params.sigma, cbo_used=False,
             )
-        if not self.config.enable_cbo:
+        if not self.enable_cbo:
             # Static default without CBO: pre-filter (Fig 15 baseline).
             return PhysicalPlan(
                 logical, ExecutionStrategy.PRE_FILTER, search_params=params,
-                sigma=self.config.sigma, cbo_used=False,
+                sigma=self.params.sigma, cbo_used=False,
             )
 
         n = max(statistics.row_count, 1)
@@ -207,7 +208,7 @@ class Optimizer:
         # Paper's threshold rule: the bitmap scan is only worth building
         # when the structured scan yields enough rows.
         candidates = dict(costs)
-        if s * n < self.config.prefilter_row_threshold:
+        if s * n < PREFILTER_ROW_THRESHOLD:
             candidates.pop("B")
         best = min(candidates, key=lambda key: candidates[key])
         strategy = {
@@ -219,7 +220,7 @@ class Optimizer:
             logical,
             strategy,
             search_params=params,
-            sigma=self.config.sigma,
+            sigma=self.params.sigma,
             estimated_costs=costs,
             estimated_selectivity=s,
             cbo_used=True,

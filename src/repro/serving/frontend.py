@@ -5,16 +5,16 @@
 flow-control a cloud deployment needs under heavy concurrent traffic:
 
 * **Admission control** — at most ``max_inflight`` queries execute at
-  once (backed by ``WarehouseConfig.max_inflight_scans`` via
-  :meth:`ServingConfig.from_warehouse`); excess queries queue up to
-  ``max_queue_depth``, beyond which they are rejected immediately rather
-  than building an unbounded backlog.
+  once; excess queries queue up to ``max_queue_depth``, beyond which
+  they are rejected immediately rather than building an unbounded
+  backlog.
 * **Priority lanes** — queued interactive queries are always granted
   slots before queued batch queries.
 * **Per-tenant quotas** — a tenant may hold at most ``tenant_quota``
   queries in flight (queued + running); the next one bounces with
   ``rejected_quota``.
-* **Timeout / cancellation** — a deadline or disconnect cancels the
+* **Timeout / cancellation** — a request's own deadline
+  (``QueryRequest.timeout_s``) or a disconnect cancels the
   query *wherever* it is: waiting for a slot, or mid-execution, where
   the staged generator's ``finally`` releases the MVCC snapshot pin and
   the query's :class:`~repro.executor.cancel.CancelToken` stops segment
@@ -34,7 +34,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, Optional
 
-from repro.cluster.warehouse import WarehouseConfig
 from repro.core.database import BlendHouse
 from repro.errors import (
     AdmissionRejectedError,
@@ -59,28 +58,10 @@ class ServingConfig:
     max_queue_depth: int = 64
     # Per-tenant in-flight (queued + running) cap; 0 = unlimited.
     tenant_quota: int = 0
-    # Applied when a request carries no timeout; None = no deadline.
-    default_timeout_s: Optional[float] = None
     # Multiplier on every stage's simulated advance: what-if derating
     # for capacity planning, and the CI gate's fault-injection lever
     # (SERVING_SLOWDOWN=2 must trip the regression check).
     time_scale: float = 1.0
-
-    @classmethod
-    def from_warehouse(
-        cls, config: WarehouseConfig, **overrides: object
-    ) -> "ServingConfig":
-        """Derive serving limits from a warehouse's admission cap.
-
-        ``max_inflight_scans`` bounds concurrent segment scans; with one
-        scan in flight per executing query slot, it maps directly onto
-        ``max_inflight`` (0 = unbounded keeps the default).
-        """
-        kwargs: Dict[str, object] = {}
-        if config.max_inflight_scans > 0:
-            kwargs["max_inflight"] = config.max_inflight_scans
-        kwargs.update(overrides)
-        return cls(**kwargs)  # type: ignore[arg-type]
 
 
 class ServingFrontend:
@@ -200,8 +181,6 @@ class ServingFrontend:
         loop = asyncio.get_running_loop()
         submitted = loop.time()
         timeout = request.timeout_s
-        if timeout is None:
-            timeout = self.config.default_timeout_s
         reply: QueryReply
         try:
             reply = await asyncio.wait_for(

@@ -7,10 +7,16 @@ compaction task simply builds one new index for the merged segment
 drops rows marked dead by updates, which is what restores query
 performance in Fig 14.
 
-Merge policy: within each (level, partition key, bucket) group, when the
-group holds at least ``fanout`` segments — or any segment's deleted
-fraction exceeds ``max_deleted_fraction`` — up to ``fanout`` oldest
-segments merge into one at the next level.
+Merge policy: within each (level, partition key, bucket) group below
+:data:`MAX_LEVEL`, when the group holds at least :data:`FANOUT` segments
+— or any segment's deleted fraction exceeds :data:`MAX_DELETED_FRACTION`
+— up to ``FANOUT`` oldest segments merge into one at the next level.
+
+The merged segment's index parameters come from the auto-index rule
+alone (:func:`repro.vindex.autoindex.auto_build_spec`), as at ingest.
+The paper also auto-tunes them by measurement during background
+compaction; this reproduction does not, because a choice made by timing
+searches would make the stored index depend on the host's speed.
 """
 
 from __future__ import annotations
@@ -29,26 +35,14 @@ from repro.simulate.metrics import MetricRegistry
 from repro.storage.lsm import SegmentManager, index_storage_key
 from repro.storage.objectstore import ObjectStore
 from repro.storage.segment import Segment
-from repro.vindex.autoindex import auto_build_spec, select_ivf_nlist, tune_nlist_by_probe
+from repro.vindex.autoindex import auto_build_spec
 from repro.vindex.registry import create_index, serialize_index
 
 RetireHook = Callable[[str, Optional[str]], None]
 
-
-@dataclass
-class CompactionConfig:
-    """Compaction policy knobs."""
-
-    fanout: int = 4
-    max_deleted_fraction: float = 0.3
-    max_level: int = 6
-    delete_retired_objects: bool = True
-    # Off the ingest path, compaction may refine IVF build parameters by
-    # measurement instead of the quick rule (paper §III-B: "for
-    # background compaction tasks, we combine the rule-based methods
-    # with auto-tuning tools").
-    auto_tune_ivf: bool = False
-    auto_tune_queries: int = 6
+FANOUT = 4
+MAX_DELETED_FRACTION = 0.3
+MAX_LEVEL = 6
 
 
 @dataclass
@@ -73,7 +67,6 @@ class Compactor:
     clock: SimulatedClock
     cost: DeviceCostModel = field(default_factory=DeviceCostModel)
     metrics: MetricRegistry = field(default_factory=MetricRegistry)
-    config: CompactionConfig = field(default_factory=CompactionConfig)
     retire_hooks: List[RetireHook] = field(default_factory=list)
     # When set (by the durability manager), retired payloads are not
     # deleted here but queued until a checkpoint no longer references
@@ -99,8 +92,6 @@ class Compactor:
         """Manifest-store callback: last reference to ``segment`` died."""
         for hook in self.retire_hooks:
             hook(segment.segment_id, index_key)
-        if not self.config.delete_retired_objects:
-            return
         if self.defer_physical_delete is not None:
             self.defer_physical_delete(segment, index_key)
             return
@@ -130,16 +121,16 @@ class Compactor:
         for (level, _, _), segments in sorted(
             self._groups().items(), key=lambda kv: (kv[0][0], str(kv[0][1]), str(kv[0][2]))
         ):
-            if level >= self.config.max_level:
+            if level >= MAX_LEVEL:
                 continue
             dirty = [
                 seg for seg in segments
                 if seg.row_count > 0
                 and self.manager.bitmap(seg.segment_id).deleted_count
-                > self.config.max_deleted_fraction * seg.row_count
+                > MAX_DELETED_FRACTION * seg.row_count
             ]
-            if len(segments) >= self.config.fanout:
-                candidates.append(segments[: self.config.fanout])
+            if len(segments) >= FANOUT:
+                candidates.append(segments[:FANOUT])
             elif dirty:
                 candidates.append(segments)
         return candidates
@@ -163,34 +154,6 @@ class Compactor:
                 break
             all_results.extend(round_results)
         return all_results
-
-    def _maybe_auto_tune(self, spec, vectors: np.ndarray):
-        """Measured nlist refinement for IVF-family indexes.
-
-        Probes the rule-based choice against its half and double using a
-        small sampled query set; returns (possibly adjusted spec,
-        simulated tuning cost).  The cost charged is the k-means work of
-        building the probe indexes — the price of tuning off the ingest
-        path.
-        """
-        if (
-            not self.config.auto_tune_ivf
-            or spec.index_type not in ("IVFFLAT", "IVFPQ", "IVFPQFS")
-            or vectors.shape[0] < 64
-        ):
-            return spec, 0.0
-        rule = int(spec.params.get("nlist", select_ivf_nlist(vectors.shape[0])))
-        candidates = sorted({max(1, rule // 2), rule, rule * 2})
-        queries = vectors[:: max(1, vectors.shape[0] // self.config.auto_tune_queries)][
-            : self.config.auto_tune_queries
-        ]
-        best, timings = tune_nlist_by_probe(vectors, candidates, queries)
-        tuning_cost = sum(
-            self.cost.kmeans_cost(vectors.shape[0], vectors.shape[1], c, 10)
-            for c in timings
-        )
-        self.metrics.incr("compaction.auto_tunes")
-        return spec.with_params(nlist=int(best)), tuning_cost
 
     def _merge(self, group: List[Segment]) -> CompactionResult:
         """Merge one group into a single next-level segment."""
@@ -260,8 +223,6 @@ class Compactor:
             simulated += self.cost.object_store_write(merged.meta.total_nbytes)
             if schema.index_spec is not None and merged.row_count > 0:
                 spec = auto_build_spec(schema.index_spec, merged.row_count)
-                spec, tuning_cost = self._maybe_auto_tune(spec, merged_vectors)
-                simulated += tuning_cost
                 vindex = create_index(spec)
                 vindex.train(merged_vectors)
                 vindex.add_with_ids(merged_vectors, np.arange(merged.row_count))

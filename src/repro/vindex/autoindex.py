@@ -13,20 +13,17 @@ The rule follows the faiss guideline ``K ≈ c·sqrt(N)`` with two clamps:
   centroid so k-means remains well-posed, and
 * within ``[MIN_NLIST, MAX_NLIST]``.
 
-Data ingestion uses this quick rule; background compaction may refine the
-choice by measuring (``tune_nlist_by_probe``), mirroring the paper's
-rule-based-then-auto-tuned split.
+Data ingestion and background compaction both use this rule.  The paper
+adds measured auto-tuning for compaction; it is left out here because a
+parameter picked by timing searches depends on the host's speed, and an
+engine's stored indexes must depend only on its inputs.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from typing import Any, Dict, Iterable, Optional, Tuple
 
-import numpy as np
-
-from repro.vindex.registry import IndexSpec, create_index
+from repro.vindex.registry import IndexSpec
 
 SQRT_COEFFICIENT = 4.0
 MIN_TRAIN_POINTS_PER_CENTROID = 39   # faiss's documented minimum
@@ -64,41 +61,3 @@ def auto_build_spec(spec: IndexSpec, n_rows: int) -> IndexSpec:
         return spec
     return spec.with_params(nlist=select_ivf_nlist(n_rows))
 
-
-def tune_nlist_by_probe(
-    vectors: np.ndarray,
-    candidates: Iterable[int],
-    queries: np.ndarray,
-    k: int = 10,
-    nprobe_beta: float = 0.1,
-    spec_template: Optional[IndexSpec] = None,
-) -> Tuple[int, Dict[int, float]]:
-    """Measure-and-pick auto-tuning used by background compaction.
-
-    Builds a small IVFFLAT per candidate ``nlist``, times ``queries``
-    against each, and returns the fastest candidate plus the full
-    timing table.  This is the "auto-tuning tools" half of the paper's
-    auto index: slower than the rule, run off the ingest path.
-    """
-    vectors = np.asarray(vectors, dtype=np.float32)
-    queries = np.asarray(queries, dtype=np.float32)
-    timings: Dict[int, float] = {}
-    dim = vectors.shape[1]
-    for nlist in candidates:
-        if nlist <= 0 or nlist > vectors.shape[0]:
-            continue
-        template_params: Dict[str, Any] = dict(spec_template.params) if spec_template else {}
-        template_params["nlist"] = int(nlist)
-        spec = IndexSpec(index_type="IVFFLAT", dim=dim, params=template_params)
-        index = create_index(spec)
-        index.train(vectors)
-        index.add_with_ids(vectors, np.arange(vectors.shape[0]))
-        nprobe = select_nprobe(int(nlist), nprobe_beta)
-        start = time.perf_counter()
-        for query in queries:
-            index.search_with_filter(query, k, nprobe=nprobe)
-        timings[int(nlist)] = time.perf_counter() - start
-    if not timings:
-        raise ValueError("no valid nlist candidates to tune over")
-    best = min(timings, key=lambda key: timings[key])
-    return best, timings

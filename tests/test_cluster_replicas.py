@@ -11,7 +11,7 @@ from repro.executor.columnio import ColumnReader
 from repro.ingest.writer import IngestConfig, SegmentWriter
 from repro.planner.cost import CostModelParams
 from repro.planner.logical import bind_select
-from repro.planner.optimizer import Optimizer, OptimizerConfig
+from repro.planner.optimizer import Optimizer
 from repro.sqlparser.parser import parse_statement
 from repro.storage.lsm import SegmentManager
 from repro.storage.objectstore import ObjectStore
@@ -53,7 +53,7 @@ def world(clock, cost):
             f"SELECT id FROM t ORDER BY L2Distance(embedding, {vec}) LIMIT 5"
         )
         logical = bind_select(select, schema)
-        plan = Optimizer(params, OptimizerConfig()).choose(
+        plan = Optimizer(params).choose(
             logical, entry.statistics, schema.index_spec
         )
         bitmaps = {sid: manager.bitmap(sid) for sid in manager.segment_ids()}

@@ -152,7 +152,6 @@ class TestPlanCacheIntegration:
         assert docs_db.plan_cache.hits == hits_before + 1
 
     def test_cache_hit_is_cheaper(self, docs_db):
-        docs_db.settings.enable_semantic_pruning = False
         sql = ann_sql(docs_db, k=3, where="views < 990")
         first = docs_db.execute(sql).simulated_seconds
         second = docs_db.execute(sql).simulated_seconds

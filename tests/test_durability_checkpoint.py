@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core.database import BlendHouse
+from repro.durability import manager
 from repro.durability.checkpoint import load_checkpoint, load_pointer
-from repro.durability.manager import DurabilityConfig
 from repro.errors import RecoveryError
 
 
-def small_db(durability=None, rows=60, dim=8):
-    db = BlendHouse(durability=durability)
+def small_db(rows=60, dim=8):
+    db = BlendHouse()
     db.execute(
         "CREATE TABLE t (id UInt64, label String, embedding Array(Float32), "
         f"INDEX ann embedding TYPE FLAT('DIM={dim}'))"
@@ -65,24 +65,17 @@ class TestCheckpointWrite:
         span = db.tracer.last_root()
         assert span is not None and "checkpoint" in span.render()
 
-    def test_wal_bytes_trigger(self):
-        config = DurabilityConfig(checkpoint_wal_bytes=1)
-        db = small_db(durability=config)
+    def test_wal_bytes_trigger(self, monkeypatch):
+        monkeypatch.setattr(manager, "CHECKPOINT_WAL_BYTES", 1)
+        db = small_db()
         # Every statement boundary exceeds the 1-byte threshold.
         assert db.metrics.count("durability.checkpoints") >= 2
         assert db.durability_status()["bytes_since_checkpoint"] == 0
 
-    def test_disabled_durability_writes_nothing(self):
-        db = small_db(durability=DurabilityConfig(enabled=False))
-        assert db.store.list_keys("wal/") == []
-        ack = db.execute("CHECKPOINT")
-        assert ack == {"checkpoint": None, "enabled": False}
-        assert db.store.list_keys("checkpoints/") == []
-
 
 class TestCompactionTrigger:
-    def _fragmented(self, durability=None):
-        db = small_db(durability=durability, rows=40)
+    def _fragmented(self):
+        db = small_db(rows=40)
         db.execute("DELETE FROM t WHERE id < 30")
         return db
 
@@ -93,10 +86,10 @@ class TestCompactionTrigger:
         assert db.metrics.count("durability.checkpoints") == 1
 
     def test_deferred_gc_holds_until_checkpoint(self):
-        config = DurabilityConfig(checkpoint_on_compaction=False)
-        db = self._fragmented(durability=config)
+        db = self._fragmented()
         before = set(db.store.list_keys("segments/"))
-        results = db.compact("t")
+        # The compactor alone: db.compact() would checkpoint right after.
+        results = db.table("t").compactor.compact_all()
         assert results
         # Retired inputs still referenced by a recoverable manifest: their
         # payloads must survive until a checkpoint covers the swap.

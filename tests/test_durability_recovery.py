@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.database import BlendHouse
-from repro.durability.manager import DurabilityConfig
 from tests.helpers import vector_sql
 
 DIM = 8
@@ -208,10 +207,12 @@ class TestRecoveryObservability:
 
     def test_recover_forces_durability_on(self, rng):
         db = build_db(rng)
-        recovered = BlendHouse.recover(
-            db.store, durability=DurabilityConfig(enabled=False)
-        )
-        assert recovered.durability_status()["enabled"] is True
+        recovered = BlendHouse.recover(db.store)
+        # A recovered engine logs its own writes: they survive the next crash.
+        recovered.execute("DELETE FROM docs WHERE id = 50")
+        again = BlendHouse.recover(recovered.store)
+        alive = db.describe("docs")["rows_alive"] - 1
+        assert again.describe("docs")["rows_alive"] == alive
 
 
 class TestStatsRecovery:

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.executor.columnio import ColumnReader, ReadOptConfig
+from repro.executor import columnio
+from repro.executor.columnio import ColumnReader
 from repro.storage.segment import Segment
 
 
@@ -18,8 +19,8 @@ def segment():
     )
 
 
-def reader(clock, cost, **cfg):
-    return ColumnReader(clock, cost, config=ReadOptConfig(**cfg))
+def reader(clock, cost, read_opt=True):
+    return ColumnReader(clock, cost, read_opt=read_opt)
 
 
 class TestDataCorrectness:
@@ -40,27 +41,28 @@ class TestDataCorrectness:
 
 class TestReadAmplification:
     def test_reduced_granularity_cheaper_for_few_rows(self, clock, cost, segment):
-        baseline = reader(clock, cost, reduced_granularity=False, use_block_cache=False)
+        baseline = reader(clock, cost, read_opt=False)
         t0 = clock.now
         baseline.fetch(segment, "id", [1, 2, 3])
         full_block = clock.now - t0
 
-        optimized = reader(clock, cost, reduced_granularity=True, use_block_cache=False)
+        optimized = reader(clock, cost)  # first read: a miss, ranged
         t1 = clock.now
         optimized.fetch(segment, "id", [1, 2, 3])
         ranged = clock.now - t1
         assert ranged < full_block
 
     def test_cache_makes_repeat_reads_ram_speed(self, clock, cost, segment):
-        r = reader(clock, cost, reduced_granularity=True, use_block_cache=True)
+        r = reader(clock, cost)
         r.fetch(segment, "id", [1, 2, 3])  # fill
         t0 = clock.now
         r.fetch(segment, "id", [4, 5, 6])  # hit
         cached = clock.now - t0
         assert cached < cost.object_store_latency_s
 
-    def test_row_limit_bypasses_cache(self, clock, cost, segment):
-        r = reader(clock, cost, use_block_cache=True, cache_row_limit=10)
+    def test_row_limit_bypasses_cache(self, monkeypatch, clock, cost, segment):
+        monkeypatch.setattr(columnio, "CACHE_ROW_LIMIT", 10)
+        r = reader(clock, cost)
         big = list(range(100))
         r.fetch(segment, "id", big)
         t0 = clock.now
@@ -80,7 +82,7 @@ class TestReadAmplification:
 
 class TestMetrics:
     def test_counters(self, clock, cost, segment, metrics):
-        r = ColumnReader(clock, cost, metrics, ReadOptConfig())
+        r = ColumnReader(clock, cost, metrics)
         r.fetch(segment, "id", [1])
         r.fetch(segment, "id", [2])
         assert metrics.count("columnio.cache_fills") == 1

@@ -8,7 +8,7 @@ from repro.executor.columnio import ColumnReader
 from repro.executor.pipeline import ExecContext, referenced_columns
 from repro.planner.cost import CostModelParams
 from repro.planner.logical import bind_select
-from repro.planner.optimizer import ExecutionStrategy, Optimizer, OptimizerConfig, PhysicalPlan
+from repro.planner.optimizer import ExecutionStrategy, Optimizer, PhysicalPlan
 from repro.planner.rules import apply_rules
 from repro.simulate.costmodel import DeviceCostModel
 from repro.sqlparser.ast_nodes import ColumnDef
@@ -76,7 +76,7 @@ def plan_for(sql, schema, strategy=None):
 
     stats = TableStatistics()
     stats.row_count = 200
-    return Optimizer(params, OptimizerConfig()).choose(logical, stats, schema.index_spec)
+    return Optimizer(params).choose(logical, stats, schema.index_spec)
 
 
 VEC = "[" + ",".join(["0.1"] * DIM) + "]"

@@ -144,20 +144,11 @@ class TestPipelining:
 
     def test_pipelined_faster_than_blocking(self, clock, cost):
         writer, _, _, _ = make_writer(
-            clock, cost, PLAIN_DDL, index_type="HNSW",
-            max_segment_rows=40, pipelined_index_build=True,
+            clock, cost, PLAIN_DDL, index_type="HNSW", max_segment_rows=40,
         )
-        pipelined = writer.ingest_rows(rows(160)).simulated_seconds
-
-        clock2 = type(clock)()
-        writer2, _, _, _ = make_writer(
-            clock2, cost, PLAIN_DDL, index_type="HNSW",
-            max_segment_rows=40, pipelined_index_build=False,
-        )
-        report = writer2.ingest_rows(rows(160))
-        blocking = report.simulated_seconds
-        assert pipelined < blocking
-        assert blocking == pytest.approx(report.write_seconds + report.build_seconds)
+        report = writer.ingest_rows(rows(160))
+        # Blocking (the baselines' build) pays every write, then every build.
+        assert report.simulated_seconds < report.write_seconds + report.build_seconds
 
     def test_report_decomposition(self, clock, cost):
         writer, _, _, _ = make_writer(clock, cost, PLAIN_DDL, max_segment_rows=40)
@@ -175,15 +166,8 @@ class TestPipelining:
 class TestAutoIndex:
     def test_auto_nlist_applied(self, clock, cost):
         writer, _, _, _ = make_writer(
-            clock, cost, PLAIN_DDL, index_type="IVFFLAT", auto_index=True,
+            clock, cost, PLAIN_DDL, index_type="IVFFLAT",
         )
         report = writer.ingest_rows(rows(500))
         spec = report.index_specs[0]
         assert "nlist" in spec.params
-
-    def test_auto_index_disabled(self, clock, cost):
-        writer, _, _, _ = make_writer(
-            clock, cost, PLAIN_DDL, index_type="IVFFLAT", auto_index=False,
-        )
-        report = writer.ingest_rows(rows(500))
-        assert "nlist" not in report.index_specs[0].params

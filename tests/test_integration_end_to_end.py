@@ -138,7 +138,7 @@ class TestSemanticPruningEndToEnd:
             f"L2Distance(embedding, {vector_sql(ds.queries[0])}) LIMIT {k}"
         )
         assert len(out) == k
-        assert db.metrics.count("pruning.adaptive_widenings") >= 1
+        assert db.metrics.count("pruning.widenings") >= 1
 
 
 class TestLaionMultiPredicate:

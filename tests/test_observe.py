@@ -114,12 +114,14 @@ class TestTracer:
     def test_annotate_without_open_span_is_noop(self, tracer):
         tracer.annotate("tier", "disk")  # must not raise
 
-    def test_roots_bounded(self, clock):
-        tracer = Tracer(clock, max_roots=3)
+    def test_roots_bounded(self, clock, metrics):
+        tracer = Tracer(clock, max_roots=3, metrics=metrics)
         for i in range(5):
             with tracer.span(f"q{i}"):
                 pass
         assert [root.name for root in tracer.roots] == ["q2", "q3", "q4"]
+        # The overflow is counted, not silently vanished.
+        assert tracer.roots_dropped == metrics.count("trace.roots_dropped") == 2
 
     def test_reset(self, tracer):
         with tracer.span("q"):
@@ -284,20 +286,6 @@ class TestExporterAccessors:
 
 
 class TestObserveSettings:
-    def test_set_trace_max_roots_applies_live(self):
-        db = _seeded_db(rows=40)
-        db.execute("SET trace_max_roots = 2")
-        assert db.tracer.max_roots == 2
-        for _ in range(3):
-            db.execute(_hybrid_sql())
-        assert len(db.tracer.roots) <= 2
-        # Ingest + three queries produced more than two roots: the
-        # overflow is visible as a counter, not silently vanished.
-        assert db.tracer.roots_dropped > 0
-        assert db.export_metrics().counter("trace.roots_dropped") == (
-            db.tracer.roots_dropped
-        )
-
     def test_set_slowlog_knobs_apply_live(self):
         db = _seeded_db(rows=40)
         db.execute("SET slowlog_threshold_ms = 0.25")

@@ -10,7 +10,6 @@ from repro.planner.logical import bind_select
 from repro.planner.optimizer import (
     ExecutionStrategy,
     Optimizer,
-    OptimizerConfig,
     estimate_visit_fraction,
 )
 from repro.simulate.costmodel import DeviceCostModel
@@ -42,9 +41,9 @@ def stats():
     return table_stats
 
 
-def optimizer(**config):
+def optimizer(**switches):
     params = CostModelParams.from_device_model(DeviceCostModel(), 4)
-    return Optimizer(params, OptimizerConfig(prefilter_row_threshold=1000, **config))
+    return Optimizer(params, **switches)
 
 
 def choose(sql, schema, stats, opt=None):

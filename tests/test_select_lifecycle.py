@@ -127,7 +127,7 @@ def accounted(engine, sql, run):
     core = core_of(engine)
     metrics = core.metrics
     core.tracer.reset()
-    names = ("queries", "pruning.adaptive_widenings", "warehouse.queries")
+    names = ("queries", "pruning.widenings", "warehouse.queries")
     before = {name: metrics.count(name) for name in names}
     samples = len(metrics.latency("query.latency").values)
     start = core.clock.now
@@ -246,7 +246,7 @@ def test_every_engine_and_entry_point_agree(engine_name, table):
     for delta in (direct_delta, staged_delta):
         assert delta["queries"] == 1
         assert delta["latency_samples"] == 1
-        assert delta["pruning.adaptive_widenings"] == widened
+        assert delta["pruning.widenings"] == widened
         # One warehouse query per scanned wave, none in-process.
         assert delta["warehouse.queries"] == waves
     assert direct_delta == staged_delta
@@ -372,7 +372,7 @@ def run_execute_batch(engine, sqls, queries):
 
 BATCH_ENTRIES = {"search_batch": run_search_batch, "execute_batch": run_execute_batch}
 BATCH_COUNTERS = (
-    "queries", "pruning.adaptive_widenings", "batch.submissions",
+    "queries", "pruning.widenings", "batch.submissions",
     "batch.queries", "batch.fallbacks",
 )
 
@@ -403,7 +403,7 @@ def test_a_batch_is_a_group_through_the_same_lifecycle(engine_name, table, nq, e
     ]
     # Accounted once, per query, like any SELECT — and once as a batch.
     assert {name: metrics.count(name) - before[name] for name in BATCH_COUNTERS} == {
-        "queries": nq, "pruning.adaptive_widenings": nq * widened,
+        "queries": nq, "pruning.widenings": nq * widened,
         "batch.submissions": 1, "batch.queries": nq, "batch.fallbacks": 0,
     }
     share = results[0].simulated_seconds
@@ -533,10 +533,10 @@ def test_batch_widening_matches_sequential():
         ).rows
         for query in queries
     ]
-    widenings = engine.metrics.count("pruning.adaptive_widenings")
+    widenings = engine.metrics.count("pruning.widenings")
     batch = engine.search_batch("t", queries, k=k)
     assert [len(result.rows) for result in batch.results] == [k] * 3
     assert [
         [row[0] for row in result.rows] for result in batch.results
     ] == [[row[0] for row in rows] for rows in sequential]
-    assert engine.metrics.count("pruning.adaptive_widenings") == widenings + 3
+    assert engine.metrics.count("pruning.widenings") == widenings + 3

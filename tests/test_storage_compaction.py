@@ -7,34 +7,35 @@ from repro.catalog.catalog import Catalog
 from repro.catalog.schema import TableSchema
 from repro.ingest.writer import IngestConfig, SegmentWriter
 from repro.sqlparser.parser import parse_statement
-from repro.storage.compaction import CompactionConfig, Compactor
+from repro.storage import compaction
+from repro.storage.compaction import Compactor
 from repro.storage.lsm import SegmentManager
 from repro.storage.objectstore import ObjectStore
-from repro.vindex.registry import IndexSpec
+from repro.vindex.registry import IndexSpec, deserialize_index
 
 
-@pytest.fixture
-def setup(clock, cost):
+def make_world(clock, cost, columns="", index_type="FLAT", dim=8, max_segment_rows=50):
+    """Table ``t`` (``id``, then ``columns``, then the vector), its writer
+    and its compactor."""
     store = ObjectStore(clock, cost)
-    catalog = Catalog()
-    ddl = parse_statement(
-        "CREATE TABLE t (id UInt64, embedding Array(Float32), "
-        "INDEX ai embedding TYPE FLAT('DIM=8'))"
-    )
+    ddl = parse_statement(f"CREATE TABLE t (id UInt64, {columns}embedding Array(Float32))")
     schema = TableSchema.from_ddl(
-        ddl.name, ddl.columns, index_spec=IndexSpec(index_type="FLAT", dim=8)
+        ddl.name, ddl.columns, index_spec=IndexSpec(index_type=index_type, dim=dim)
     )
-    entry = catalog.create_table(schema)
+    entry = Catalog().create_table(schema)
     manager = SegmentManager()
     writer = SegmentWriter(
         entry, manager, store, clock, cost_model=cost,
-        config=IngestConfig(max_segment_rows=50),
+        config=IngestConfig(max_segment_rows=max_segment_rows),
     )
-    compactor = Compactor(
-        entry=entry, manager=manager, store=store, clock=clock, cost=cost,
-        config=CompactionConfig(fanout=3),
-    )
+    compactor = Compactor(entry=entry, manager=manager, store=store, clock=clock, cost=cost)
     return entry, manager, writer, compactor, store
+
+
+@pytest.fixture
+def setup(monkeypatch, clock, cost):
+    monkeypatch.setattr(compaction, "FANOUT", 3)
+    return make_world(clock, cost)
 
 
 def ingest_batches(writer, batches: int, rows_per_batch: int = 40, dim: int = 8):
@@ -94,24 +95,10 @@ class TestDeadRowCleanup:
 
 
 class TestScalarMerge:
-    def test_columns_keep_dtype_and_alive_values(self, clock, cost):
-        store = ObjectStore(clock, cost)
-        ddl = parse_statement(
-            "CREATE TABLE t (id UInt64, score Float32, ts DateTime, label String, "
-            "embedding Array(Float32), INDEX ai embedding TYPE FLAT('DIM=4'))"
-        )
-        schema = TableSchema.from_ddl(
-            ddl.name, ddl.columns, index_spec=IndexSpec(index_type="FLAT", dim=4)
-        )
-        entry = Catalog().create_table(schema)
-        manager = SegmentManager()
-        writer = SegmentWriter(
-            entry, manager, store, clock, cost_model=cost,
-            config=IngestConfig(max_segment_rows=30),
-        )
-        compactor = Compactor(
-            entry=entry, manager=manager, store=store, clock=clock, cost=cost,
-            config=CompactionConfig(fanout=3),
+    def test_columns_keep_dtype_and_alive_values(self, monkeypatch, clock, cost):
+        monkeypatch.setattr(compaction, "FANOUT", 3)
+        _, manager, writer, compactor, _ = make_world(
+            clock, cost, "score Float32, ts DateTime, label String, ", dim=4, max_segment_rows=30
         )
         rng = np.random.default_rng(0)
         writer.ingest_rows(
@@ -148,6 +135,17 @@ class TestIndexLifecycle:
         key = manager.index_key(merged_id)
         assert key is not None
         assert key in store
+
+    def test_merged_ivf_index_uses_row_offsets(self, clock, cost):
+        _, manager, writer, compactor, store = make_world(
+            clock, cost, index_type="IVFFLAT", max_segment_rows=80
+        )
+        ingest_batches(writer, compaction.FANOUT, rows_per_batch=80)
+        compactor.run_once()
+        (segment,) = manager.segments()
+        index = deserialize_index(store.get(manager.index_key(segment.segment_id)))
+        result = index.search_with_filter(segment.vectors()[7], 1, nprobe=index.nlist)
+        assert result.ids[0] == 7  # row offsets within the merged segment
 
     def test_retired_objects_deleted_from_store(self, setup):
         _, manager, writer, compactor, store = setup

@@ -1,6 +1,5 @@
 """Tests for auto-index parameter selection."""
 
-import numpy as np
 import pytest
 
 from repro.vindex.autoindex import (
@@ -8,7 +7,6 @@ from repro.vindex.autoindex import (
     auto_build_spec,
     select_ivf_nlist,
     select_nprobe,
-    tune_nlist_by_probe,
 )
 from repro.vindex.registry import IndexSpec
 
@@ -58,25 +56,3 @@ class TestSpecAdjustment:
         spec = IndexSpec(index_type="HNSW", dim=8, params={"m": 8})
         assert auto_build_spec(spec, 10_000) is spec
 
-
-class TestMeasuredTuning:
-    def test_tune_returns_candidate_with_timings(self):
-        rng = np.random.default_rng(0)
-        data = rng.normal(size=(600, 8)).astype(np.float32)
-        queries = data[:5]
-        best, timings = tune_nlist_by_probe(data, [2, 8, 32], queries, k=5)
-        assert best in timings
-        assert set(timings) == {2, 8, 32}
-        assert all(t > 0 for t in timings.values())
-
-    def test_tune_skips_invalid_candidates(self):
-        rng = np.random.default_rng(0)
-        data = rng.normal(size=(50, 8)).astype(np.float32)
-        best, timings = tune_nlist_by_probe(data, [0, 4, 999], data[:2], k=3)
-        assert set(timings) == {4}
-        assert best == 4
-
-    def test_tune_no_candidates_rejected(self):
-        data = np.zeros((10, 4), dtype=np.float32)
-        with pytest.raises(ValueError):
-            tune_nlist_by_probe(data, [0], data[:1])

@@ -13,7 +13,8 @@ from repro.catalog.catalog import Catalog
 from repro.catalog.schema import TableSchema
 from repro.ingest.writer import IngestConfig, SegmentWriter
 from repro.sqlparser.parser import parse_statement
-from repro.storage.compaction import CompactionConfig, Compactor
+from repro.storage import compaction
+from repro.storage.compaction import Compactor
 from repro.storage.lsm import SegmentManager
 from repro.storage.objectstore import ObjectStore
 from repro.vindex.kmeans import KMeansResult, _kmeanspp_init, assign_to_centroids, kmeans
@@ -256,7 +257,6 @@ def _compact_to_level_two(clock, cost, index_sql: str, spec: IndexSpec) -> bytes
     )
     compactor = Compactor(
         entry=entry, manager=manager, store=store, clock=clock, cost=cost,
-        config=CompactionConfig(fanout=2),
     )
     points = make_points("blobs", 600, spec.dim, 1.0, seed=4).astype(np.float32)
     for start in range(0, 600, 150):
@@ -282,6 +282,7 @@ class TestIndexImagesThroughCompaction:
         ],
     )
     def test_same_image(self, monkeypatch, clock, cost, index_sql, spec):
+        monkeypatch.setattr(compaction, "FANOUT", 2)
         fast = _compact_to_level_two(clock, cost, index_sql, spec)
         for module in (repro.vindex.ivf, repro.vindex.ivfpq, repro.vindex.pq):
             monkeypatch.setattr(module, "kmeans", reference_kmeans)
