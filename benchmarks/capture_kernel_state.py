@@ -1,7 +1,8 @@
 """Kernel byte-identity as a small committed digest.
 
 Runs the Fig 13 sweep of ``bench_fig13_index_recall_qps.py`` plus a
-DISKANN sweep through the full engine and keeps, per (index, knob
+DISKANN sweep and an HNSW / HNSWSQ post-filter (Plan C) sweep through
+the full engine and keeps, per (index, knob
 value), the simulated QPS, the recall, one sha256 over every query's
 ids, and one sha256 per query over its ids + ``float.hex()`` distances.
 Two kernels that return the same rows and charge the same simulated
@@ -59,12 +60,17 @@ BASELINE = "benchmarks/baselines/kernel_digests.json"
 
 # DISKANN has no SET depth knob, so its sweep is the filter's pass
 # percentage under a forced bitmap scan: 100 is the pure search, the
-# rest walk the graph under a bitset and widen the beam.
+# rest walk the graph under a bitset and widen the beam.  The ``post_pct``
+# sweeps force Plan C at three pass percentages, so HNSW's native
+# iterator is covered as well as its one-shot search.
+FORCED = {"pass_pct": "pre_filter", "post_pct": "post_filter"}
 SWEEPS = (
     ("BH-HNSW", "HNSW", "M=8, ef_construction=64", "ef_search", [16, 32, 64, 128]),
     ("BH-HNSWSQ", "HNSWSQ", "M=8, ef_construction=64", "ef_search", [16, 32, 64, 128]),
     ("BH-IVFPQFS", "IVFPQFS", "m=8", "nprobe", [2, 4, 8, 16]),
     ("BH-DISKANN", "DISKANN", "R=16, build_beam=32", "pass_pct", [100, 50, 25, 10]),
+    ("BH-HNSW-C", "HNSW", "M=8, ef_construction=64", "post_pct", [50, 20, 5]),
+    ("BH-HNSWSQ-C", "HNSWSQ", "M=8, ef_construction=64", "post_pct", [50, 20, 5]),
 )
 
 
@@ -83,10 +89,10 @@ def sweep() -> dict:
         points = []
         for value in values:
             workload = pure
-            if knob != "pass_pct":
+            if knob not in FORCED:
                 db.execute(f"SET {knob} = {value}")
             elif value < 100:
-                db.execute("SET forced_strategy = 'pre_filter'")
+                db.execute(f"SET forced_strategy = '{FORCED[knob]}'")
                 workload = make_hybrid_workload(dataset, k=10, pass_fraction=value / 100)
             latencies = []
             rows_per_query = []
