@@ -1,9 +1,9 @@
 """The graph family's one traversal (DESIGN.md §9, "One graph walk").
 
-HNSW, HNSWSQ, DiskANN and the native HNSW iterator walk a proximity
-graph the same way — pop the nearest frontier node, gather its unseen
-neighbours, admit those that beat the beam's worst — so the walk lives
-here once per adjacency form: :func:`beam_search_lists` (python lists
+HNSW, HNSWSQ and DiskANN walk a proximity graph the same way — pop the
+nearest frontier node, gather its unseen neighbours, admit those that
+beat the beam's worst — so the walk lives here once per adjacency
+form: :func:`beam_search_lists` (python lists
 and a ``set``: the builders' walk, since the graph mutates between
 calls, and the *reference* kernel) and :func:`beam_search_csr` (frozen
 CSR, a ``bytearray`` and an optional per-query distance table: the
@@ -117,11 +117,14 @@ def beam_search_csr(
     """Beam search over a CSR: node ``i``'s neighbours are
     ``indices[offsets[i]:offsets[i + 1]]`` (the query hot path).
 
-    ``table``, when given, is ``distance(query, node)`` for every node
-    as a python list (:meth:`HNSWIndex._distance_table`): the hop then
-    looks distances up and calls numpy once, for the CSR slice.
+    Both arrays are read through ``memoryview``s, so a hop slices a
+    buffer and reads python ints without a numpy call.  ``table``, when
+    given, is ``distance(query, node)`` for every node as a python list
+    (:meth:`HNSWIndex._distance_table`): the hop then looks each fresh
+    neighbour's distance up as it admits it and calls numpy not at all.
     """
-    seen = bytearray(offsets.shape[0] - 1)
+    offsets, indices = memoryview(offsets), memoryview(indices)
+    seen = bytearray(len(offsets) - 1)
     seen[entry] = 1
     marked = 1
     if on_read is not None:
@@ -140,19 +143,29 @@ def beam_search_csr(
             break
         settled.append(nearest)
         # Filter, then mark: a repeated edge is gathered once per repeat.
-        fresh = [n for n in indices[offsets[node]:offsets[node + 1]].tolist() if not seen[n]]
+        fresh = [n for n in indices[offsets[node]:offsets[node + 1]] if not seen[n]]
         if not fresh:
             continue
-        for neighbor in fresh:
-            seen[neighbor] = 1
         marked += len(fresh)
         if on_read is not None:
             on_read(len(fresh))
-        if table is None:
-            dists = distance(query, fresh).tolist()
-        else:
-            dists = [table[n] for n in fresh]
-        for pair in zip(dists, fresh):
+        if table is not None:
+            for neighbor in fresh:
+                seen[neighbor] = 1
+                neighbor_dist = table[neighbor]
+                if room > 0:
+                    room -= 1
+                    heappush(frontier, (neighbor_dist, neighbor))
+                    heappush(beam, (-neighbor_dist, neighbor))
+                    worst = -beam[0][0]
+                elif neighbor_dist < worst:
+                    heappush(frontier, (neighbor_dist, neighbor))
+                    heappushpop(beam, (-neighbor_dist, neighbor))
+                    worst = -beam[0][0]
+            continue
+        for neighbor in fresh:
+            seen[neighbor] = 1
+        for pair in zip(distance(query, fresh).tolist(), fresh):
             neighbor_dist, neighbor = pair
             if room > 0:
                 room -= 1
@@ -167,21 +180,11 @@ def beam_search_csr(
 
 
 def unseen_in_list(neighbors: Sequence[int], seen: Set[int]) -> List[int]:
-    """The native iterator's unbounded expansion: the neighbours not yet
-    in ``seen``, in list order, marked on the way out."""
+    """The native iterator's unbounded expansion in reference mode: the
+    neighbours not yet in ``seen``, in list order, marked on the way out.
+    (The fast iterator inlines the same step over the CSR.)"""
     fresh = [n for n in neighbors if n not in seen]
     seen.update(fresh)
-    return fresh
-
-
-def unseen_in_csr(
-    offsets: np.ndarray, indices: np.ndarray, node: int, seen: Any
-) -> List[int]:
-    """:func:`unseen_in_list` over the CSR; ``seen`` is a ``bytearray``
-    (or any mask indexable by node)."""
-    fresh = [n for n in indices[offsets[node]:offsets[node + 1]].tolist() if not seen[n]]
-    for neighbor in fresh:
-        seen[neighbor] = 1
     return fresh
 
 

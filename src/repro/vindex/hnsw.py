@@ -39,7 +39,6 @@ from repro.vindex.graph import (
     beam_search_lists,
     candidate_pairwise,
     filtered_top_k,
-    unseen_in_csr,
     unseen_in_list,
 )
 from repro.vindex.image import (
@@ -88,11 +87,13 @@ class _FrozenLinks(NamedTuple):
     layer 0 reads ``offsets`` / ``indices`` as a plain per-node CSR; the
     list of ``node`` on layer ``l >= 1`` is slot
     ``ntotal + upper_ptr[node] + l - 1``, and ``upper_ptr[node + 1] -
-    upper_ptr[node]`` is the node's level.
+    upper_ptr[node]`` is the node's level.  The fast kernels read all
+    three through ``memoryview``s, so ``indices`` is int64 when frozen
+    here and the image's narrow unsigned view when loaded.
     """
 
     offsets: np.ndarray    # uint32[slots + 1]
-    indices: np.ndarray    # int64[links]
+    indices: np.ndarray    # int64 (frozen) or uint16 / uint32 (loaded) [links]
     upper_ptr: np.ndarray  # uint32[ntotal + 1]
 
 
@@ -382,11 +383,11 @@ class HNSWIndex(VectorIndex):
         frozen: _FrozenLinks,
         table: Optional[List[float]],
     ) -> int:
-        """:meth:`_greedy_closest` over the CSR: same distances, same
-        first-minimum tie-break, same neighbor order — through numpy
-        (``argmin``) without a table, through ``min`` + ``list.index``
-        with one."""
-        offsets, indices, upper_ptr = frozen
+        """:meth:`_greedy_closest` over the CSR, read through
+        ``memoryview``s: same distances, same first-minimum tie-break,
+        same neighbor order — through numpy (``argmin``) without a
+        table, through ``min`` + ``list.index`` with one."""
+        offsets, indices, upper_ptr = map(memoryview, frozen)
         base = self.ntotal + layer - 1
         current = start
         if table is None:
@@ -394,22 +395,21 @@ class HNSWIndex(VectorIndex):
         else:
             current_dist = table[current]
         while True:
-            slot = base + int(upper_ptr[current])
+            slot = base + upper_ptr[current]
             links = indices[offsets[slot]:offsets[slot + 1]]
-            if links.size == 0:
+            if not links:
                 break
             if table is None:
                 dists = self._distance(query, links)
                 best = int(np.argmin(dists))
                 best_dist = float(dists[best])
             else:
-                links = links.tolist()
                 dists = [table[n] for n in links]
                 best_dist = min(dists)
                 best = dists.index(best_dist)
             if best_dist >= current_dist:
                 break
-            current = int(links[best])
+            current = links[best]
             current_dist = best_dist
         return current
 
@@ -576,9 +576,9 @@ class HNSWSearchIterator(SearchIterator):
         self._batch_size = batch_size
         self._ef = ef
         # Kernel mode is pinned at construction so one iterator never
-        # mixes bookkeeping structures mid-stream: the CSR, a bytearray
-        # and (where the index grants one) a distance table in fast mode,
-        # a set over the lists in reference mode.
+        # mixes bookkeeping structures mid-stream: memoryviews of the
+        # CSR, a bytearray and (where the index grants one) a distance
+        # table in fast mode, a set over the lists in reference mode.
         self._fast = get_kernel_mode() == "fast"
         self._seen: Any = bytearray(index.ntotal) if self._fast else set()
         self._table: Optional[List[float]] = None
@@ -590,7 +590,8 @@ class HNSWSearchIterator(SearchIterator):
         self.visited_total = 0
         if not self._graph_exhausted:
             if self._fast:
-                self._offsets, self._indices, _ = index._frozen_links()
+                offsets, indices, _ = index._frozen_links()
+                self._offsets, self._indices = memoryview(offsets), memoryview(indices)
                 self._table = index._distance_table(query)
             table = self._table
             current = index._descend(query, table)
@@ -607,26 +608,55 @@ class HNSWSearchIterator(SearchIterator):
         return self._graph_exhausted and not self._pool
 
     def _expand_one(self) -> None:
-        """Pop the nearest frontier node, settle it, and grow the frontier."""
+        """Reference mode: pop the nearest frontier node, settle it, and
+        grow the frontier."""
         nearest = heapq.heappop(self._candidates)
         node = nearest[1]
         if self._allowed is None or self._allowed[node]:
             heapq.heappush(self._pool, nearest)
-        if self._fast:
-            fresh = unseen_in_csr(self._offsets, self._indices, node, self._seen)
-        else:
-            fresh = unseen_in_list(self._index._thawed_links()[node][0], self._seen)
+        fresh = unseen_in_list(self._index._thawed_links()[node][0], self._seen)
         if fresh:
             self.visited_total += len(fresh)
-            table = self._table
-            if table is None:
-                dists = self._index._distance(self._query, fresh).tolist()
-            else:
-                dists = [table[n] for n in fresh]
+            dists = self._index._distance(self._query, fresh).tolist()
             for pair in zip(dists, fresh):
                 heapq.heappush(self._candidates, pair)
         if not self._candidates:
             self._graph_exhausted = True
+
+    def _expand_fast(self, fill: int, slack: int) -> None:
+        """Fast mode: :meth:`_expand_one` over the CSR until the pool
+        holds ``fill`` entries (or ``slack`` that the frontier cannot
+        improve on), as one loop whose state lives in locals and is
+        written back once."""
+        candidates, pool, seen = self._candidates, self._pool, self._seen
+        offsets, indices = self._offsets, self._indices
+        table, allowed = self._table, self._allowed
+        distance, query = self._index._distance, self._query
+        visited = self.visited_total
+        heappop, heappush = heapq.heappop, heapq.heappush
+        while candidates and len(pool) < fill:
+            if len(pool) >= slack and candidates[0][0] > pool[0][0]:
+                break
+            nearest = heappop(candidates)
+            node = nearest[1]
+            if allowed is None or allowed[node]:
+                heappush(pool, nearest)
+            # Filter, then mark: a repeated edge is gathered once per repeat.
+            fresh = [n for n in indices[offsets[node]:offsets[node + 1]] if not seen[n]]
+            if not fresh:
+                continue
+            visited += len(fresh)
+            if table is not None:
+                for neighbor in fresh:
+                    seen[neighbor] = 1
+                    heappush(candidates, (table[neighbor], neighbor))
+                continue
+            for neighbor in fresh:
+                seen[neighbor] = 1
+            for pair in zip(distance(query, fresh).tolist(), fresh):
+                heappush(candidates, pair)
+        self.visited_total = visited
+        self._graph_exhausted = not candidates
 
     def next_batch(self) -> SearchResult:
         """Return up to ``batch_size`` more rows in ascending distance.
@@ -639,16 +669,19 @@ class HNSWSearchIterator(SearchIterator):
         """
         want = max(self._batch_size, 1)
         slack = max(self._ef, want)
-        while not self._graph_exhausted and len(self._pool) < want + slack:
-            # Stop early once the frontier cannot improve on what we hold.
-            if (
-                len(self._pool) >= want
-                and self._candidates
-                and self._candidates[0][0] > self._pool[0][0]
-                and len(self._pool) >= slack
-            ):
-                break
-            self._expand_one()
+        if self._fast:
+            self._expand_fast(want + slack, slack)
+        else:
+            while not self._graph_exhausted and len(self._pool) < want + slack:
+                # Stop early once the frontier cannot improve on what we hold.
+                if (
+                    len(self._pool) >= want
+                    and self._candidates
+                    and self._candidates[0][0] > self._pool[0][0]
+                    and len(self._pool) >= slack
+                ):
+                    break
+                self._expand_one()
         index = self._index
         out_nodes: List[int] = []
         out_dists: List[float] = []

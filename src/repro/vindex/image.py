@@ -223,13 +223,13 @@ def load_adjacency(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Inverse of :func:`adjacency_fields`, validated: ``slots`` lists
     (any number when ``None``), monotone offsets that end at the index
-    array, every neighbour a row of the index.  Kernels gather through
-    ``int64``, so the narrow ids are widened once here instead of being
-    cast on every hop — the one section of an image that is copied."""
+    array, every neighbour a row of the index.  Both come back as views
+    of the image: the fast kernels read a hop through a ``memoryview``
+    slice, which yields python ints whatever the id width."""
     name = f"{prefix}_offsets"
     offsets = array_field(payload, name, np.uint32, None if slots is None else slots + 1)
-    narrow = array_field(payload, f"{prefix}_indices", _id_dtype(ntotal), None)
-    check_offsets(name, offsets, narrow.shape[0])
-    if narrow.shape[0] and int(narrow.max()) >= ntotal:
+    indices = array_field(payload, f"{prefix}_indices", _id_dtype(ntotal), None)
+    check_offsets(name, offsets, indices.shape[0])
+    if indices.shape[0] and int(indices.max()) >= ntotal:
         raise IndexCorruptError(f"index image field {name!r}: neighbour id outside 0..{ntotal - 1}")
-    return offsets, narrow.astype(np.int64)
+    return offsets, indices

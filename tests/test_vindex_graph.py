@@ -7,7 +7,8 @@ edges, disconnected components — over points chosen so that tied and
 zero distances are the common case.  ``test_kernel_equivalence.py``
 pins the two kernel modes on built indexes; the cost side it leaves
 open (``visited`` under a bitset, DiskANN's charged reads) is pinned
-below, then the per-query distance table, then — at the bottom — the
+below, then the per-query distance table, then the native iterator's
+fast loop against its reference one, then — at the bottom — the
 table-driven build: fast and reference mode must write the same image.
 """
 
@@ -22,8 +23,6 @@ from repro.vindex.graph import (
     beam_search_lists,
     candidate_pairwise,
     filtered_top_k,
-    unseen_in_csr,
-    unseen_in_list,
 )
 from repro.vindex.image import freeze_adjacency
 from repro.vindex.registry import IndexSpec, create_index, deserialize_index, serialize_index
@@ -431,20 +430,102 @@ class TestCsrWalkWithTable:
         assert plain == tabled == beam_search_lists(distance, query, lists, entry, width)
         assert reads_plain == reads_table
 
-    @given(walk=walks())
-    @settings(max_examples=200, deadline=None)
-    def test_unseen_in_csr_matches_list_form(self, walk):
-        _, lists, _, entry, _ = walk
-        offsets, indices = freeze_adjacency(lists)
-        marks = (set(), bytearray(len(lists)), np.zeros(len(lists), dtype=bool))
-        order = [entry, *range(len(lists))]
-        for node in order:
-            want = unseen_in_list(lists[node], marks[0])
-            for mask in marks[1:]:
-                fresh = unseen_in_csr(offsets, indices, node, mask)
-                assert fresh == want and all(type(n) is int for n in fresh)
-        for mask in marks[1:]:
-            assert {n for n in range(len(lists)) if mask[n]} == marks[0]
+
+# ----------------------------------------------------------------------
+# The native iterator: fast mode's one loop against reference mode's
+# ``_expand_one`` (DESIGN.md §9, "One table, one loop")
+# ----------------------------------------------------------------------
+def drain(index, query, mode, **params):
+    """Every batch of one iterator made and run under ``mode``, as
+    comparable bytes, and whether it was granted a distance table."""
+    out = []
+    with kernel_mode(mode):
+        iterator = index.search_iterator(query, **params)
+        for _ in range(4096):  # a stream that never ends fails, not hangs
+            if iterator.exhausted:
+                break
+            batch = iterator.next_batch()
+            out.append((batch.ids.tobytes(), batch.distances.tobytes(), batch.visited))
+    assert iterator.exhausted
+    return out, iterator._table is not None
+
+
+def hand_made(points, lists, entry):
+    """An HNSW whose layer 0 is ``lists`` verbatim — repeated edges,
+    self-loops, isolated nodes — with no upper layer."""
+    n = len(lists)
+    index = create_index(IndexSpec(index_type="HNSW", dim=points.shape[1]))
+    index._vectors = points
+    index._ids = np.arange(n, dtype=np.int64)
+    index._links = None
+    index._frozen = hnsw._FrozenLinks(*freeze_adjacency(lists), np.zeros(n + 1, dtype=np.uint32))
+    index._entry_point, index._max_level = entry, 0
+    return index
+
+
+@pytest.fixture(scope="module")
+def by_metric(data):
+    """HNSW and HNSWSQ over 200 rows under each metric, as built and as
+    loaded from an image (read-only views, narrow neighbour ids)."""
+    out = {}
+    for name in ("HNSW", "HNSWSQ"):
+        for metric in ("l2", "ip", "cosine"):
+            index = create_index(
+                IndexSpec(index_type=name, dim=12, metric=metric, params={"m": 6})
+            )
+            index.add_with_ids(data[:200], np.arange(200))
+            out[name, metric, "built"] = index
+            out[name, metric, "loaded"] = deserialize_index(serialize_index(index))
+    return out
+
+
+class TestFastIteratorIsTheReference:
+    @pytest.mark.parametrize("form", ["built", "loaded"])
+    @pytest.mark.parametrize("metric", ["l2", "ip", "cosine"])
+    @pytest.mark.parametrize("name", ["HNSW", "HNSWSQ"])
+    def test_batch_for_batch_until_exhausted(
+        self, monkeypatch, by_metric, data, name, metric, form
+    ):
+        index = by_metric[name, metric, form]
+        assert index._frozen.indices.flags.writeable == (form == "built")
+        n = index.ntotal
+        dense = np.arange(n) % 3 != 0
+        sparse = np.arange(n) % 10 == 3
+        query = data[7] + np.float32(0.05)
+        # l2 walks on a table under the rule and on the gather above it.
+        for limit in (hnsw._TABLE_MAX_FLOATS, -1) if metric == "l2" else (hnsw._TABLE_MAX_FLOATS,):
+            monkeypatch.setattr(hnsw, "_TABLE_MAX_FLOATS", limit)
+            for bitset in (None, dense, sparse):
+                for batch_size in (1, 16, 64):
+                    params = {"bitset": bitset, "batch_size": batch_size}
+                    fast, tabled = drain(index, query, "fast", **params)
+                    assert tabled == (metric == "l2" and limit > 0)
+                    assert fast == drain(index, query, "reference", **params)[0]
+                    emitted = np.concatenate([np.frombuffer(ids, np.int64) for ids, _, _ in fast])
+                    assert np.unique(emitted).size == emitted.size > 0
+
+    @given(
+        walk=walks(),
+        allowed=st.lists(st.booleans(), min_size=12, max_size=12),
+        ef=st.integers(1, 8),
+        tabled=st.booleans(),
+        loaded=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_on_any_adjacency(self, walk, allowed, ef, tabled, loaded):
+        # Ties and zero distances everywhere, and repeated edges: the
+        # fast loop filters a hop, then marks it, as the list form does.
+        points, lists, query, entry, batch_size = walk
+        index = hand_made(points, lists, entry)
+        if loaded:
+            index = deserialize_index(serialize_index(index))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(hnsw, "_TABLE_MAX_FLOATS", float("inf") if tabled else -1)
+            for bitset in (None, np.array(allowed[: len(lists)])):
+                params = {"bitset": bitset, "batch_size": batch_size, "ef_search": ef}
+                fast, got_table = drain(index, query, "fast", **params)
+                assert got_table == tabled
+                assert fast == drain(index, query, "reference", **params)[0]
 
 
 # ----------------------------------------------------------------------

@@ -48,15 +48,17 @@ PARENT_MEMORY_BYTES = {
 }
 PARENT_DISKANN_DISK_BYTES = 231_584
 
-# Where each type keeps the arrays that must be views of the image.
+# Where each type keeps the arrays that must be views of the image —
+# the graph's CSR too, narrow neighbour ids and all.
+ADJACENCY = ["_frozen.offsets", "_frozen.indices", "_frozen.upper_ptr"]
 BULK = {
     "FLAT": ["_vectors", "_ids"],
     "IVFFLAT": ["_centroids", "_vectors", "_ids", "_cell_ptr"],
     "IVFPQ": ["_centroids", "_codes", "_ids", "_cell_ptr", "_pq._codebooks"],
     "IVFPQFS": ["_centroids", "_codes", "_ids", "_cell_ptr", "_pq._codebooks"],
-    "HNSW": ["_vectors", "_ids"],
-    "HNSWSQ": ["_codes", "_ids", "_vmin", "_vscale"],
-    "DISKANN": ["_vectors", "_ids"],
+    "HNSW": ["_vectors", "_ids", *ADJACENCY],
+    "HNSWSQ": ["_codes", "_ids", "_vmin", "_vscale", *ADJACENCY],
+    "DISKANN": ["_vectors", "_ids", "_csr.0", "_csr.1"],
 }
 
 
@@ -92,7 +94,7 @@ def images(built):
 
 def _attr(index, dotted):
     for name in dotted.split("."):
-        index = getattr(index, name)
+        index = index[int(name)] if name.isdigit() else getattr(index, name)
     return index
 
 
