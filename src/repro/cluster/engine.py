@@ -125,7 +125,12 @@ class SeparatedEngine:
 
 
 class ClusteredBlendHouse(SeparatedEngine):
-    """BlendHouse with query execution spread over a read warehouse."""
+    """BlendHouse with query execution spread over a read warehouse.
+
+    One warehouse, not a one-member fleet: fleet members name their
+    workers after the member, which moves every segment's ring placement
+    and with it the paper figures' cache numbers (DESIGN.md §13).
+    """
 
     def __init__(
         self,
@@ -135,28 +140,15 @@ class ClusteredBlendHouse(SeparatedEngine):
         ingest_config: Optional[IngestConfig] = None,
         warehouse_config: Optional[WarehouseConfig] = None,
         settings: Optional[EngineSettings] = None,
-        replicas: int = 1,
     ) -> None:
         super().__init__(clock, cost_model, ingest_config, settings)
-        if replicas > 1:
-            # Critical-workload mode (paper §II-E): redundant read VWs
-            # behind one query interface with transparent failover.
-            from repro.cluster.replicas import ReplicatedWarehouse
-
-            self.read_vw = ReplicatedWarehouse(
-                "read-vw", self.db.clock, self.db.cost, self.db.store,
-                replicas=replicas, workers_per_replica=read_workers,
-                metrics=self.db.metrics, config=warehouse_config,
-                tracer=self.db.tracer,
-            )
-        else:
-            self.read_vw = VirtualWarehouse(
-                "read-vw", self.db.clock, self.db.cost, self.db.store,
-                metrics=self.db.metrics, config=warehouse_config,
-                tracer=self.db.tracer,
-            )
-            for _ in range(read_workers):
-                self.read_vw.add_worker()
+        self.read_vw = VirtualWarehouse(
+            "read-vw", self.db.clock, self.db.cost, self.db.store,
+            metrics=self.db.metrics, config=warehouse_config,
+            tracer=self.db.tracer,
+        )
+        for _ in range(read_workers):
+            self.read_vw.add_worker()
         self._read_backend = WarehouseBackend(self.read_vw, self.db)
 
     def _backend(self, tenant: str, lane: str) -> WarehouseBackend:
@@ -178,8 +170,5 @@ class ClusteredBlendHouse(SeparatedEngine):
         )
 
     def scale_to(self, workers: int) -> None:
-        """Scale the read warehouse to ``workers`` nodes.
-
-        In replicated mode every replica scales to the same size.
-        """
+        """Scale the read warehouse to ``workers`` nodes."""
         self.read_vw.scale_to(workers)

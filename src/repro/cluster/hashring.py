@@ -15,7 +15,7 @@ from __future__ import annotations
 import bisect
 import functools
 import hashlib
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import NoWorkersError
 
@@ -28,6 +28,16 @@ _RING_SIZE = 1 << _RING_BITS
 def _hash64(value: str) -> int:
     digest = hashlib.blake2b(value.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big")
+
+
+def _clockwise_distance(positions: List[int], probe_position: int) -> int:
+    """Ring distance from a probe to its clockwise successor in the
+    sorted, non-empty ``positions``."""
+    idx = bisect.bisect_left(positions, probe_position)
+    if idx == len(positions):
+        # Wrap around to the first worker.
+        return positions[0] + _RING_SIZE - probe_position
+    return positions[idx] - probe_position
 
 
 @functools.lru_cache(maxsize=4096)
@@ -88,32 +98,27 @@ class MultiProbeHashRing:
     # ------------------------------------------------------------------
     # Assignment
     # ------------------------------------------------------------------
-    def _clockwise_distance(self, probe_position: int) -> Optional[int]:
-        """Ring distance from a probe to its clockwise successor worker."""
-        if not self._positions:
-            return None
-        idx = bisect.bisect_left(self._positions, probe_position)
-        if idx == len(self._positions):
-            # Wrap around to the first worker.
-            return self._positions[0] + _RING_SIZE - probe_position
-        return self._positions[idx] - probe_position
-
-    def assign(self, key: str) -> str:
+    def assign(self, key: str, skip: Collection[str] = ()) -> str:
         """Worker owning ``key``: the probe with minimal clockwise
         distance to a worker wins (Fig 3's Hash2 example).
+
+        Workers in ``skip`` are passed over: ``key`` goes where it would
+        on this ring with them removed, so only their keys move.
 
         Raises
         ------
         NoWorkersError
-            When the ring is empty.
+            When no worker outside ``skip`` is on the ring.
         """
-        if not self._positions:
+        positions = self._positions
+        if skip:
+            positions = [p for p in positions if self._worker_at[p] not in skip]
+        if not positions:
             raise NoWorkersError("hash ring has no workers")
         best_worker: Optional[str] = None
         best_distance: Optional[int] = None
         for position in _probe_positions(key, self.probes):
-            distance = self._clockwise_distance(position)
-            assert distance is not None
+            distance = _clockwise_distance(positions, position)
             if best_distance is None or distance < best_distance:
                 best_distance = distance
                 target = position + distance

@@ -385,8 +385,9 @@ class VirtualWarehouse:
 class WarehouseBackend:
     """SELECT scan backend that executes on a warehouse's workers.
 
-    Adapts a :class:`VirtualWarehouse` or ``ReplicatedWarehouse`` to the
-    contract of :meth:`repro.core.database.BlendHouse.select_stages`;
+    Adapts a :class:`VirtualWarehouse` (the clustered engine's read
+    warehouse, or the fleet member a query routes to) to the contract
+    of :meth:`repro.core.database.BlendHouse.select_stages`;
     ``db``, the planning engine, supplies the column reader and the
     table's cost constants the workers charge with.
     """

@@ -16,6 +16,9 @@ Membership follows the paper's masking protocol:
   warms the warehouse's hierarchical cache off the query path first; the
   warehouse sits in :attr:`pending` until the warm-up's simulated cost
   has elapsed, then :meth:`poll` admits it to the ring warm.
+
+A member left with no live workers stays on the ring but is passed over
+at routing (:meth:`WarehouseFleet.route`) until it has workers again.
 """
 
 from __future__ import annotations
@@ -208,13 +211,30 @@ class WarehouseFleet:
 
         Polls pending members first, so a warm warehouse starts taking
         traffic on the first query after its ready time.
+
+        Failover: when the routed member has no live workers, the query
+        goes to the member the key would map to were every worker-less
+        member evicted (counted in ``fleet.failovers``).  Only their
+        keys move, and a member that gets workers back serves its keys
+        again on the next query, with no re-admission.
+
+        Raises
+        ------
+        NoWorkersError
+            When no admitted member has live workers.
         """
         self.poll()
-        name = self.router.route(tenant, lane)
-        warehouse = self.members.get(name)
-        if warehouse is None:  # pragma: no cover - defensive
-            raise NoWorkersError(f"routed to unknown warehouse {name!r}")
-        return warehouse
+        warehouse = self.members[self.router.route(tenant, lane)]
+        if warehouse.worker_count:
+            return warehouse
+        down = {
+            name for name in self.router.members
+            if not self.members[name].worker_count
+        }
+        if len(down) == self.size:
+            raise NoWorkersError("no admitted warehouse has workers")
+        self.metrics.incr("fleet.failovers")
+        return self.members[self.router.route(tenant, lane, skip=down)]
 
     # ------------------------------------------------------------------
     # Cache maintenance

@@ -11,7 +11,7 @@ it; :meth:`admit` is the masking protocol's final step.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Collection, Dict, List, Sequence
 
 from repro.cluster.hashring import DEFAULT_PROBES, MultiProbeHashRing
 
@@ -53,16 +53,20 @@ class FleetRouter:
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
-    def route(self, tenant: str = "default", lane: str = "interactive") -> str:
-        """Warehouse id serving this (tenant, lane).
+    def route(
+        self, tenant: str = "default", lane: str = "interactive",
+        skip: Collection[str] = (),
+    ) -> str:
+        """Warehouse id serving this (tenant, lane); admitted members in
+        ``skip`` are passed over as if evicted.
 
         Raises
         ------
         NoWorkersError
-            When no warehouse is admitted.
+            When no warehouse outside ``skip`` is admitted.
         """
         self.routed += 1
-        return self.ring.assign(route_key(tenant, lane))
+        return self.ring.assign(route_key(tenant, lane), skip)
 
     def distribution(self, keys: Sequence[str]) -> Dict[str, int]:
         """Routing-key counts per warehouse (balance diagnostics)."""

@@ -122,6 +122,25 @@ class TestProperties:
         after = ring.assignment(keys(100))
         assert before == after
 
+    @given(
+        n_workers=st.integers(min_value=1, max_value=10),
+        skipped=st.sets(st.integers(min_value=0, max_value=11)),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_skip_routes_as_if_evicted(self, n_workers, skipped):
+        ring, evicted = MultiProbeHashRing(), MultiProbeHashRing()
+        skip = {f"w{i}" for i in skipped}
+        for i in range(n_workers):
+            ring.add_worker(f"w{i}")
+            if f"w{i}" not in skip:
+                evicted.add_worker(f"w{i}")
+        if not len(evicted):
+            with pytest.raises(NoWorkersError):
+                ring.assign("seg", skip)
+            return
+        for key in keys(60):
+            assert ring.assign(key, skip) == evicted.assign(key)
+
 
 class TestProbeBalance:
     """More probes flatten the load: the multi-probe trade-off."""

@@ -1,14 +1,17 @@
-"""Elastic fleet subsystem: routing, autoscaling, cold-cache masking.
+"""Elastic fleet subsystem: routing, failover, autoscaling, cold-cache
+masking.
 
 Covers the fleet's membership protocol (masked joins wait out their
-warm-up on the simulated clock before the router sees them), the
-SLO-burn autoscaler's control loop, byte-identical query results while
-the fleet scales mid-workload, staged serving routed across warehouses,
-and the scheduler routing-directory keying that lets every member share
-one directory without sharing mutable entries.
+warm-up on the simulated clock before the router sees them), failover
+past members with no live workers, the SLO-burn autoscaler's control
+loop, byte-identical query results while the fleet scales mid-workload,
+staged serving routed across warehouses (and a member scaled in under
+one), and the scheduler routing-directory keying that lets every member
+share one directory without sharing mutable entries.
 """
 
 import asyncio
+import contextlib
 
 import numpy as np
 import pytest
@@ -28,25 +31,23 @@ from repro.errors import NoWorkersError
 from repro.observe.slo import SLObjective, SLOMonitor
 from repro.serving import Lane, QueryRequest, ServingConfig, ServingFrontend, run_virtual
 
-from tests.helpers import vector_sql
+from tests.helpers import vector_sql, walk_spans
 
 DIM = 8
 SEGMENT_ROWS = 60
 ROWS = 360
 
 
-def make_fleet_db(seed=0, warehouses=2, **cfg) -> FleetBlendHouse:
-    db = FleetBlendHouse(
-        fleet_config=FleetConfig(
-            warehouses=warehouses, workers_per_warehouse=2, **cfg
-        )
-    )
-    db.execute(
+def load_docs(engine, seed=0):
+    """Create and fill ``docs`` on any engine; returns the rows."""
+    engine.execute(
         "CREATE TABLE docs (id UInt64, label String, "
         f"embedding Array(Float32), INDEX ann embedding "
         f"TYPE FLAT('DIM={DIM}'))"
     )
-    db.db.table("docs").writer.config.max_segment_rows = SEGMENT_ROWS
+    getattr(engine, "db", engine).table("docs").writer.config.max_segment_rows = (
+        SEGMENT_ROWS
+    )
     rng = np.random.default_rng(seed)
     rows = [
         {
@@ -56,8 +57,17 @@ def make_fleet_db(seed=0, warehouses=2, **cfg) -> FleetBlendHouse:
         }
         for i in range(ROWS)
     ]
-    db.insert_rows("docs", rows)
-    db._rows = rows
+    engine.insert_rows("docs", rows)
+    return rows
+
+
+def make_fleet_db(seed=0, warehouses=2, **cfg) -> FleetBlendHouse:
+    db = FleetBlendHouse(
+        fleet_config=FleetConfig(
+            warehouses=warehouses, workers_per_warehouse=2, **cfg
+        )
+    )
+    db._rows = load_docs(db, seed)
     return db
 
 
@@ -255,26 +265,9 @@ class TestFleetQueries:
     def test_results_match_core_engine(self):
         fleet_db = make_fleet_db(seed=5)
         core = BlendHouse()
-        core.execute(
-            "CREATE TABLE docs (id UInt64, label String, "
-            f"embedding Array(Float32), INDEX ann embedding "
-            f"TYPE FLAT('DIM={DIM}'))"
-        )
-        core.table("docs").writer.config.max_segment_rows = SEGMENT_ROWS
-        rng = np.random.default_rng(5)
-        rows = [
-            {
-                "id": i,
-                "label": ["a", "b"][i % 2],
-                "embedding": rng.normal(size=DIM).astype(np.float32),
-            }
-            for i in range(ROWS)
-        ]
-        core.insert_rows("docs", rows)
+        load_docs(core, seed=5)
         sql = ann_sql(fleet_db)
-        assert [r for r in fleet_db.execute(sql).rows] == (
-            [r for r in core.execute(sql).rows]
-        )
+        assert fleet_db.execute(sql).rows == core.execute(sql).rows
 
     def test_identical_across_warehouses(self):
         db = make_fleet_db()
@@ -350,6 +343,88 @@ class TestFleetQueries:
         assert db.db.table("docs").manager.store.pinned_count == 0
 
 
+TENANT = "tenant-0"
+
+
+def routed_and_other(db):
+    """The member ``TENANT`` routes to and the other one (two members)."""
+    routed = db.fleet.route(TENANT, "interactive").name
+    (other,) = set(db.fleet.warehouse_names) - {routed}
+    return routed, other
+
+
+def served_by(db, name):
+    return db.metrics.count(f"fleet.served_by.{name}")
+
+
+class TestFleetFailover:
+    """A routed member with no live workers is passed over at routing."""
+
+    def test_dead_routed_member_fails_over(self):
+        db = make_fleet_db()
+        core = BlendHouse()
+        load_docs(core)
+        sql = ann_sql(db)
+        routed, other = routed_and_other(db)
+        db.fleet.warehouse(routed).scale_to(0)
+        assert db.execute(sql, tenant=TENANT).rows == core.execute(sql).rows
+        assert db.metrics.count("fleet.failovers") == 1
+        assert served_by(db, other) == 1 and served_by(db, routed) == 0
+        assert routed in db.fleet.router  # skipped, not evicted
+
+    def test_every_member_workerless_raises(self):
+        db = make_fleet_db()
+        for name in db.fleet.warehouse_names:
+            db.fleet.warehouse(name).scale_to(0)
+        with pytest.raises(NoWorkersError):
+            db.execute(ann_sql(db), tenant=TENANT)
+        assert db.db.table("docs").manager.store.pinned_count == 0
+
+    def test_member_with_workers_again_takes_its_key_back(self):
+        db = make_fleet_db()
+        sql = ann_sql(db)
+        routed, other = routed_and_other(db)
+        db.fleet.warehouse(routed).scale_to(0)
+        db.execute(sql, tenant=TENANT)
+        db.fleet.warehouse(routed).scale_to(2)
+        db.execute(sql, tenant=TENANT)
+        assert served_by(db, routed) == 1 and served_by(db, other) == 1
+        assert db.metrics.count("fleet.failovers") == 1
+
+    def test_worker_failure_is_absorbed_inside_the_member(self):
+        db = make_fleet_db()
+        sql = ann_sql(db)
+        expected = top_ids(db, sql, tenant=TENANT)
+        routed, _ = routed_and_other(db)
+        warehouse = db.fleet.warehouse(routed)
+        warehouse.fail_worker(sorted(warehouse.workers)[0])
+        assert top_ids(db, sql, tenant=TENANT) == expected
+        assert db.metrics.count("fleet.failovers") == 0
+        assert served_by(db, routed) == 2
+
+    def test_preload_all_warms_every_member(self):
+        db = make_fleet_db()
+        manager = db.db.table("docs").manager
+        assert db.preload("docs") == db.fleet.size * len(manager)
+        for name in db.fleet.warehouse_names:
+            workers = db.fleet.warehouse(name).workers.values()
+            for segment_id in manager.segment_ids():
+                key = manager.index_key(segment_id)
+                assert any(worker.has_index_in_memory(key) for worker in workers)
+
+    def test_retired_index_dropped_on_every_member(self):
+        db = make_fleet_db()
+        db.preload("docs")
+        manager = db.db.table("docs").manager
+        keys = {manager.index_key(sid) for sid in manager.segment_ids()}
+        assert db.db.compact("docs")
+        retired = keys - {manager.index_key(sid) for sid in manager.segment_ids()}
+        assert retired
+        for name in db.fleet.warehouse_names:
+            for worker in db.fleet.warehouse(name).workers.values():
+                assert not any(worker.has_index_in_memory(key) for key in retired)
+
+
 class TestSchedulerDirectory:
     def test_shared_directory_keys_by_warehouse(self):
         directory = {}
@@ -411,3 +486,36 @@ class TestRoutedServing:
             warehouses.add(reply.flight["warehouse"])
         assert len(warehouses) > 1
         assert db.db.table("docs").manager.store.pinned_count == 0
+
+    def test_member_scaled_in_under_an_in_flight_query(self):
+        """The query fails typed and leaks nothing; the tenant's next
+        query is served by a live member."""
+        db = make_fleet_db()
+        sql = ann_sql(db)
+        routed, other = routed_and_other(db)
+        stages_of = db.select_stages
+
+        def scale_in_after_plan(*args, **kwargs):
+            with contextlib.closing(stages_of(*args, **kwargs)) as stages:
+                for stage in stages:
+                    yield stage
+                    if stage.name == "plan":
+                        assert db.scale_in(routed) == routed
+
+        db.select_stages = scale_in_after_plan
+        frontend = ServingFrontend(db, ServingConfig(max_inflight=4))
+        db.tracer.reset()
+        reply = run_virtual(frontend.submit(QueryRequest(sql=sql, tenant=TENANT)))
+        assert reply.status == "error"
+        assert reply.error.startswith("NoWorkersError")
+        assert db.db.table("docs").manager.store.pinned_count == 0
+        assert db.tracer.current is None
+        (root,) = db.tracer.roots
+        assert root.name == "query"
+        assert all(span.finished for span in walk_spans(root))
+
+        del db.select_stages
+        reply = run_virtual(frontend.submit(QueryRequest(sql=sql, tenant=TENANT)))
+        assert reply.ok and reply.flight["warehouse"] == other
+        assert served_by(db, other) == 1
+        assert db.metrics.count("fleet.failovers") == 0

@@ -46,7 +46,6 @@ ENGINES = {
     "core-serial": _core,
     "core-parallel4": lambda: _core(parallel_workers=4),
     "clustered": lambda: ClusteredBlendHouse(read_workers=2),
-    "clustered-replicas2": lambda: ClusteredBlendHouse(read_workers=2, replicas=2),
     "fleet-2x2": lambda: FleetBlendHouse(
         fleet_config=FleetConfig(warehouses=2, workers_per_warehouse=2)
     ),
