@@ -372,6 +372,17 @@ class TestFleetFailover:
         assert served_by(db, other) == 1 and served_by(db, routed) == 0
         assert routed in db.fleet.router  # skipped, not evicted
 
+    def test_failed_over_rows_match_before_and_core(self):
+        db = make_fleet_db()
+        core = BlendHouse()
+        load_docs(core)
+        sql = ann_sql(db, k=3, row=9)
+        baseline = db.execute(sql, tenant=TENANT).rows
+        assert baseline[0][0] == 9
+        routed, _ = routed_and_other(db)
+        db.fleet.warehouse(routed).scale_to(0)
+        assert db.execute(sql, tenant=TENANT).rows == baseline == core.execute(sql).rows
+
     def test_every_member_workerless_raises(self):
         db = make_fleet_db()
         for name in db.fleet.warehouse_names:
