@@ -44,7 +44,7 @@ PARENT_PICKLE_BYTES = {
 }
 PARENT_MEMORY_BYTES = {
     "FLAT": 132_000, "IVFFLAT": 137_632, "IVFPQ": 79_168, "IVFPQFS": 15_728,
-    "HNSW": 194_768, "HNSWSQ": 99_272, "DISKANN": 4_064,
+    "HNSW": 194_832, "HNSWSQ": 99_352, "DISKANN": 4_064,
 }
 PARENT_DISKANN_DISK_BYTES = 231_584
 
