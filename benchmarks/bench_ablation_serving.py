@@ -13,7 +13,7 @@ import pytest
 from benchmarks.common import BENCH_COST, fmt_table, record
 from repro.cluster.engine import ClusteredBlendHouse
 from repro.cluster.warehouse import WarehouseConfig
-from repro.simulate.metrics import LatencyRecorder
+from repro.simulate.metrics import Series
 from repro.workloads.datasets import make_cohere_like
 
 FIG_COST = BENCH_COST.scaled(rpc_round_trip_s=1e-4)
@@ -44,7 +44,7 @@ def _scaled_latency(serving_enabled: bool) -> dict:
     cluster.preload("bench")
 
     def run_pass():
-        recorder = LatencyRecorder()
+        recorder = Series()
         for query in dataset.queries:
             sql = (
                 f"SELECT id FROM bench ORDER BY "

@@ -17,7 +17,7 @@ import pytest
 from benchmarks.common import BENCH_COST, fmt_table, record
 from repro.cluster.engine import ClusteredBlendHouse
 from repro.cluster.warehouse import WarehouseConfig
-from repro.simulate.metrics import LatencyRecorder
+from repro.simulate.metrics import Series
 from repro.workloads.datasets import make_cohere_like
 
 PAPER = {"local": 1.0, "serving": 1.166, "brute": 14.5}
@@ -58,7 +58,7 @@ def latencies():
     queries = dataset.queries
 
     def run_pass(clear_caches=False):
-        recorder = LatencyRecorder()
+        recorder = Series()
         for query in queries:
             if clear_caches:
                 for worker in cluster.read_vw.workers.values():

@@ -295,7 +295,7 @@ def test_serving_open_loop(benchmark, open_report):
         report.errors == report.offered
     assert report.completed > 0 and report.errors == 0
     # The first tail poll precedes any completion: None, per the
-    # LatencyRecorder empty-window contract the load generator relies on.
+    # Series empty-window contract the load generator relies on.
     assert report.tail_samples and report.tail_samples[0] is None
     overall = report.latency["overall"]
     assert overall["p50"] <= overall["p99"] <= overall["p999"]

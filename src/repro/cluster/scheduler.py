@@ -60,11 +60,6 @@ class SegmentScheduler:
         self._lock = threading.Lock()
         self._current: Dict[str, str] = {}
         self._previous: Dict[str, str] = {}
-        # Manifest id each segment was last routed under (MVCC): the ring
-        # still hashes bare segment ids — placement must stay stable
-        # across commits — but serving decisions can consult which
-        # version a worker last saw.
-        self._manifest: Dict[str, int] = {}
         self._directory: MutableMapping[RouteKey, str] = (
             directory if directory is not None else OrderedDict()
         )
@@ -111,7 +106,6 @@ class SegmentScheduler:
                     self._previous[segment_id] = old
                 self._current[segment_id] = worker
                 if manifest_id is not None:
-                    self._manifest[segment_id] = manifest_id
                     self._publish_route(segment_id, manifest_id, worker)
                 assignment[segment_id] = worker
         return assignment
@@ -133,10 +127,6 @@ class SegmentScheduler:
             return self._directory.get(
                 (segment_id, manifest_id, self.warehouse_id)
             )
-
-    def routed_manifest(self, segment_id: str) -> Optional[int]:
-        """Manifest id ``segment_id`` was last routed under, if known."""
-        return self._manifest.get(segment_id)
 
     def group_by_worker(self, assignment: Dict[str, str]) -> Dict[str, List[str]]:
         """Invert an assignment into worker → [segments]."""

@@ -318,7 +318,7 @@ class VirtualWarehouse:
             queued = len(segment_ids) - 1
             if queued:
                 self.metrics.incr("warehouse.scans_queued", queued)
-            self.metrics.sample("warehouse.queue_depth", float(queued))
+            self.metrics.gauge("warehouse.queue_depth", queued)
 
         makespan = max(worker_costs) if worker_costs else 0.0
         effective = makespan * self._interference_factor()

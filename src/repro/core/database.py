@@ -573,7 +573,7 @@ class BlendHouse:
         signature = query.scan.signature
         cached = None
         if self.settings.enable_plan_cache:
-            cached = self.plan_cache.lookup(query.sql, version, signature)
+            cached = self.plan_cache.lookup(signature, version)
             span.set_tag("plan_cache", "hit" if cached is not None else "miss")
         else:
             span.set_tag("plan_cache", "disabled")
@@ -639,7 +639,7 @@ class BlendHouse:
         else:
             self.clock.advance(self.cost.plan_overhead_s)
         if self.settings.enable_plan_cache:
-            self.plan_cache.store(query.sql, plan, version, signature)
+            self.plan_cache.store(signature, plan, version)
         self.metrics.incr("planner.optimizations")
         return plan
 

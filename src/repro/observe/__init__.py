@@ -8,8 +8,9 @@ clock, and are the only place it is recorded:
   both clocks on every span; ``EXPLAIN ANALYZE`` renders them and
   :func:`~repro.observe.trace.profile` folds them per span name.
 * **Metrics** (:mod:`repro.simulate.metrics`,
-  :mod:`repro.observe.export`) — counters, latency recorders, sampled
-  gauges, histograms; Prometheus exposition via ``render()``.
+  :mod:`repro.observe.export`) — counters, gauges and latencies, each
+  gauge or latency one :class:`~repro.simulate.metrics.Series` of raw
+  observations; Prometheus exposition via ``render()``.
 * **Events** (:mod:`repro.observe.events`) — bounded structured log of
   control-plane transitions (admission, WAL commits, manifest swaps,
   cache promotions, compactions).
@@ -27,19 +28,18 @@ from repro.observe.export import MetricsExporter
 from repro.observe.slo import SLOMonitor, SLObjective
 from repro.observe.slowlog import FlightRecord, SlowQueryLog, SlowQueryReport
 from repro.observe.trace import Span, Tracer, maybe_span
-from repro.simulate.metrics import Histogram, MetricRegistry, SampledGauge
+from repro.simulate.metrics import MetricRegistry, Series
 
 __all__ = [
     "Event",
     "EventLog",
     "FlightRecord",
-    "Histogram",
     "JsonlSink",
     "MetricRegistry",
     "MetricsExporter",
     "SLOMonitor",
     "SLObjective",
-    "SampledGauge",
+    "Series",
     "SlowQueryLog",
     "SlowQueryReport",
     "Span",

@@ -11,9 +11,7 @@ on the shared simulated clock.
 Deep components do not take an :class:`EventLog` in their constructors;
 the owning engine attaches the log to its ``MetricRegistry`` (the one
 object already threaded everywhere) and components emit through
-:func:`emit_event`, which is a no-op when no log is attached — e.g. in
-the task-private registries the parallel executor hands each fan-out
-task.
+:func:`emit_event`, which is a no-op when no log is attached.
 
 Sinks (:class:`JsonlSink`) observe every event *as it is emitted*, so a
 JSONL sink sees the full stream even though the in-memory ring is
@@ -203,10 +201,9 @@ class EventLog:
 def emit_event(metrics: Any, etype: str, **fields: Any) -> None:
     """Emit through the EventLog attached to ``metrics``, if any.
 
-    The single emission helper deep components use: works with a bare
+    The single emission helper deep components use: a bare
     :class:`MetricRegistry` (whose ``events`` is None until an engine
-    attaches its log) and with task-private registries, both silently
-    dropping the event.
+    attaches its log) silently drops the event.
     """
     log = getattr(metrics, "events", None)
     if log is not None:

@@ -39,29 +39,22 @@ class MetricsExporter:
         """One counter's value (zero when absent).
 
         Reads the registry directly: building a full :meth:`as_dict`
-        snapshot (latency summaries, histogram buckets, trace
-        serialization) per single-counter read made pollers that sample
-        one counter in a loop quadratic in trace size.
+        snapshot (latency summaries, trace serialization) per
+        single-counter read made pollers that sample one counter in a
+        loop quadratic in trace size.
         """
         return int(self._registry.count(name))
 
     def gauge(self, name: str, default: float = 0.0) -> float:
-        """One gauge's current value.
-
-        Point-set gauges (``MetricRegistry.gauge``) live in the counter
-        table; sampled gauges (``MetricRegistry.sample``) report their
-        most recent sample.  ``default`` comes back when the name was
-        never recorded either way.
-        """
-        sampled = self._registry.samples.get(name)
-        if sampled is not None and sampled.count:
-            return float(sampled.last)
-        if name in self._registry.counters:
-            return float(self._registry.counters[name])
-        return default
+        """One gauge's current value: its most recent observation, or
+        ``default`` when the gauge was never recorded."""
+        series = self._registry.samples.get(name)
+        if series is None or not series.count:
+            return default
+        return series.last
 
     def as_dict(self) -> Dict[str, Any]:
-        """Snapshot of counters, latency summaries, histograms, samples.
+        """Snapshot of counters, latency summaries and gauges.
 
         When a tracer is attached the most recent root span tree rides
         along under ``"last_trace"`` (None when no query has run); an

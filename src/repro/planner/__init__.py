@@ -18,7 +18,7 @@ Pipeline (paper §II-C "Plan generation and optimization"):
 from repro.planner.cost import CostInputs, CostModelParams, plan_costs
 from repro.planner.logical import HybridLogicalPlan, bind_select
 from repro.planner.optimizer import ExecutionStrategy, Optimizer, PhysicalPlan
-from repro.planner.plancache import PlanCache, parameterize
+from repro.planner.plancache import PlanCache
 
 __all__ = [
     "CostInputs",
@@ -29,6 +29,5 @@ __all__ = [
     "PhysicalPlan",
     "PlanCache",
     "bind_select",
-    "parameterize",
     "plan_costs",
 ]

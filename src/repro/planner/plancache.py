@@ -32,19 +32,6 @@ from typing import Any, Optional
 
 from repro.planner.logical import PreparedSelect
 from repro.planner.optimizer import PhysicalPlan
-from repro.sqlparser.lexer import TokenType, scan_statement
-
-
-def parameterize(sql: str) -> str:
-    """Structural signature of a SQL statement: literals become ``?``.
-
-    Any balanced ``[...]`` region collapses to a single ``[?]`` so query
-    vectors of any dimensionality share one signature.
-    """
-    return " ".join(
-        "?" if token.type in (TokenType.NUMBER, TokenType.STRING) else token.value
-        for token in scan_statement(sql).tokens[:-1]
-    )
 
 
 class PlanCache:
@@ -70,12 +57,9 @@ class PlanCache:
         with self._lock:
             return sum(type(key) is tuple for key in self._entries)
 
-    def lookup(
-        self, sql: str, version: int = 0, signature: Optional[str] = None
-    ) -> Optional[PhysicalPlan]:
-        """Cached plan for this query shape at ``version``.  A caller that
-        has scanned ``sql`` passes its ``signature``; nothing is lexed."""
-        key = (version, signature or parameterize(sql))
+    def lookup(self, signature: str, version: int = 0) -> Optional[PhysicalPlan]:
+        """Cached plan for the shape ``signature`` at ``version``."""
+        key = (version, signature)
         with self._lock:
             plan = self._entries.get(key)
             if plan is None:
@@ -85,12 +69,9 @@ class PlanCache:
             self.hits += 1
             return plan
 
-    def store(
-        self, sql: str, plan: PhysicalPlan, version: int = 0,
-        signature: Optional[str] = None,
-    ) -> None:
-        """Remember ``plan`` for this shape at ``version``."""
-        self._put((version, signature or parameterize(sql)), plan)
+    def store(self, signature: str, plan: PhysicalPlan, version: int = 0) -> None:
+        """Remember ``plan`` for the shape ``signature`` at ``version``."""
+        self._put((version, signature), plan)
 
     def template(self, signature: str) -> Optional[PreparedSelect]:
         """The prepared SELECT of this shape, if cached."""

@@ -294,7 +294,7 @@ class ServingFrontend:
         loop = asyncio.get_running_loop()
         fut: asyncio.Future = loop.create_future()
         self._queues[lane].append(fut)
-        self.metrics.sample("serving.queue_depth", float(self.queued))
+        self.metrics.gauge("serving.queue_depth", self.queued)
         try:
             await fut
         except asyncio.CancelledError:

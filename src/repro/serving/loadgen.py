@@ -230,7 +230,7 @@ async def run_open_loop(
     for arrival in range(total_queries):
         if arrival % max(1, poll_every) == 0:
             # None until the first interactive completion lands — the
-            # LatencyRecorder.percentile empty-window contract.
+            # Series.percentile empty-window contract.
             tail_samples.append(recorder.percentile(99.0))
         request = _make_request(rng, sqls, batch_fraction, tenants, timeout_s)
         tasks.append(loop.create_task(one(request)))

@@ -12,12 +12,12 @@ machine.
 
 from repro.simulate.clock import SimulatedClock
 from repro.simulate.costmodel import DeviceCostModel
-from repro.simulate.metrics import LatencyRecorder, MetricRegistry, ThroughputWindow
+from repro.simulate.metrics import MetricRegistry, Series, ThroughputWindow
 
 __all__ = [
     "SimulatedClock",
     "DeviceCostModel",
-    "LatencyRecorder",
     "MetricRegistry",
+    "Series",
     "ThroughputWindow",
 ]

@@ -1,9 +1,9 @@
-"""Metric collectors: latency distributions, throughput windows, counters.
+"""Metric collectors: observation series, throughput windows, counters.
 
-Benchmarks record per-query simulated latencies with
-:class:`LatencyRecorder` and derive QPS either from total time
-(``count / span``) or from sliding :class:`ThroughputWindow` samples (used
-by the elasticity experiment, Fig 18, which needs QPS *during* scaling).
+Benchmarks record per-query simulated latencies in a :class:`Series`
+and derive QPS either from total time (``count / span``) or from
+sliding :class:`ThroughputWindow` samples (used by the elasticity
+experiment, Fig 18, which needs QPS *during* scaling).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ def percentile(sorted_values: Sequence[float], q: float) -> float:
 
 @dataclass
 class LatencySummary:
-    """Frozen summary of a latency distribution (seconds)."""
+    """Frozen summary of a :class:`Series` (seconds, for a latency)."""
 
     count: int
     mean: float
@@ -56,22 +56,23 @@ class LatencySummary:
         }
 
 
-class LatencyRecorder:
-    """Accumulates per-query latencies and summarizes them."""
+class Series:
+    """Raw observations of one latency or gauge, in record order.
+
+    A latency is a duration; a gauge is a point-in-time fact that varies
+    over a run (queue depth, manifest id, burn rate), observed at
+    instants.  Both keep every observation: benches read distributions
+    over them, and a gauge's current value is its last observation.
+    """
 
     def __init__(self) -> None:
         self._values: List[float] = []
 
-    def record(self, seconds: float) -> None:
-        """Record one observation; negative latencies are invalid."""
-        if seconds < 0:
-            raise ValueError(f"negative latency: {seconds}")
-        self._values.append(seconds)
-
-    def extend(self, seconds: Sequence[float]) -> None:
-        """Record many observations at once."""
-        for value in seconds:
-            self.record(value)
+    def record(self, value: float) -> None:
+        """Record one observation; negative values are invalid."""
+        if value < 0:
+            raise ValueError(f"negative observation: {value}")
+        self._values.append(value)
 
     @property
     def count(self) -> int:
@@ -83,24 +84,10 @@ class LatencyRecorder:
         """Copy of the raw observations in record order."""
         return list(self._values)
 
-    def total(self) -> float:
-        """Sum of all recorded latencies."""
-        return sum(self._values)
-
-    def qps(self) -> float:
-        """Throughput assuming queries ran back to back on one stream.
-
-        No observations is zero throughput; observations that together
-        cost zero simulated time (e.g. an all-memory-hit workload under
-        a frozen clock) are *infinite* throughput, not zero — collapsing
-        the two misreported the fastest workloads as the slowest.
-        """
-        if not self._values:
-            return 0.0
-        total = self.total()
-        if total <= 0:
-            return float("inf")
-        return self.count / total
+    @property
+    def last(self) -> Optional[float]:
+        """The most recent observation, or ``None`` with none."""
+        return self._values[-1] if self._values else None
 
     def percentile(self, q: float) -> Optional[float]:
         """Percentile ``q`` in [0, 100], or ``None`` with no observations.
@@ -116,7 +103,7 @@ class LatencyRecorder:
     def summary(self) -> LatencySummary:
         """Percentile summary of everything recorded so far."""
         if not self._values:
-            raise ValueError("no latencies recorded")
+            raise ValueError("no observations recorded")
         ordered = sorted(self._values)
         return LatencySummary(
             count=len(ordered),
@@ -127,10 +114,6 @@ class LatencyRecorder:
             minimum=ordered[0],
             maximum=ordered[-1],
         )
-
-    def clear(self) -> None:
-        """Drop all observations."""
-        self._values.clear()
 
 
 class ThroughputWindow:
@@ -166,143 +149,12 @@ class ThroughputWindow:
         return out
 
 
-class SampledGauge:
-    """A gauge observed at instants: keeps the sample series, not a sum.
-
-    Point-in-time facts that vary over a run (queue depth, burn rate)
-    are *sampled*, not accumulated — recording them through
-    :class:`LatencyRecorder` conflated "how deep is the queue" with "how
-    long did something take" and polluted the latency histograms.  A
-    sampled gauge keeps the raw series (benches read distributions over
-    it) plus O(1) last/min/max/sum for rendering.
-    """
-
-    def __init__(self) -> None:
-        self._values: List[float] = []
-        self.last: float = 0.0
-        self.minimum: float = math.inf
-        self.maximum: float = -math.inf
-        self.total: float = 0.0
-
-    def sample(self, value: float) -> None:
-        """Record one observation of the gauge's current value."""
-        value = float(value)
-        self._values.append(value)
-        self.last = value
-        if value < self.minimum:
-            self.minimum = value
-        if value > self.maximum:
-            self.maximum = value
-        self.total += value
-
-    @property
-    def count(self) -> int:
-        """Number of samples taken."""
-        return len(self._values)
-
-    @property
-    def values(self) -> List[float]:
-        """Copy of the raw samples in record order."""
-        return list(self._values)
-
-    def mean(self) -> float:
-        """Average sampled value (0.0 with no samples)."""
-        if not self._values:
-            return 0.0
-        return self.total / len(self._values)
-
-    def percentile(self, q: float) -> Optional[float]:
-        """Percentile ``q`` in [0, 100], or ``None`` with no samples."""
-        if not self._values:
-            return None
-        return percentile(sorted(self._values), q)
-
-    def extend(self, values: Sequence[float]) -> None:
-        """Record many samples at once (deterministic merge order)."""
-        for value in values:
-            self.sample(value)
-
-    def as_dict(self) -> Dict[str, float]:
-        """JSON-safe view: last/min/max/mean/count."""
-        if not self._values:
-            return {"count": 0, "last": 0.0, "min": 0.0, "max": 0.0, "mean": 0.0}
-        return {
-            "count": len(self._values),
-            "last": self.last,
-            "min": self.minimum,
-            "max": self.maximum,
-            "mean": self.mean(),
-        }
-
-
-class Histogram:
-    """Exponential-bucket histogram (Prometheus ``le`` semantics).
-
-    Buckets are cumulative upper bounds; an observation lands in every
-    bucket whose bound is >= the value, plus the implicit ``+Inf``.
-    Default bounds cover 1 µs .. ~100 s of simulated time.
-    """
-
-    DEFAULT_BOUNDS = tuple(1e-6 * (4.0 ** i) for i in range(14))
-
-    def __init__(self, bounds: Sequence[float] = DEFAULT_BOUNDS) -> None:
-        ordered = sorted(float(b) for b in bounds)
-        if not ordered:
-            raise ValueError("histogram needs at least one bucket bound")
-        self.bounds = tuple(ordered)
-        self.bucket_counts = [0] * len(self.bounds)
-        self.count = 0
-        self.total = 0.0
-
-    def observe(self, value: float) -> None:
-        """Record one observation."""
-        if value < 0:
-            raise ValueError(f"negative histogram observation: {value}")
-        self.count += 1
-        self.total += value
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.bucket_counts[i] += 1
-                break
-
-    def merge(self, other: "Histogram") -> None:
-        """Fold ``other``'s observations into this histogram.
-
-        Requires identical bucket bounds (both sides use the defaults in
-        practice; parallel scan tasks record into private registries that
-        are merged deterministically after the fan-out joins).
-        """
-        if self.bounds != other.bounds:
-            raise ValueError("cannot merge histograms with different bounds")
-        for i, count in enumerate(other.bucket_counts):
-            self.bucket_counts[i] += count
-        self.count += other.count
-        self.total += other.total
-
-    def cumulative_counts(self) -> List[int]:
-        """Cumulative count per bound (Prometheus ``le`` buckets)."""
-        out: List[int] = []
-        running = 0
-        for count in self.bucket_counts:
-            running += count
-            out.append(running)
-        return out
-
-    def as_dict(self) -> Dict[str, object]:
-        """JSON-safe view: bounds, cumulative counts, count, sum."""
-        return {
-            "bounds": list(self.bounds),
-            "cumulative": self.cumulative_counts(),
-            "count": self.count,
-            "sum": self.total,
-        }
-
-
 @dataclass
 class MetricRegistry:
-    """Named counters, latency recorders, and histograms shared by a
-    component tree.
+    """Named counters, gauges and latencies shared by a component tree.
 
+    One record per observation: :meth:`incr` adds to a counter,
+    :meth:`gauge` and :meth:`record_latency` append to a :class:`Series`.
     A single registry is threaded through the engine.  Tests and benches
     consume the *exported* views — :meth:`count`, :meth:`as_dict`, and
     the Prometheus-style :meth:`render` — instead of reaching into
@@ -310,20 +162,12 @@ class MetricRegistry:
     """
 
     counters: Dict[str, int] = field(default_factory=lambda: defaultdict(int))
-    latencies: Dict[str, LatencyRecorder] = field(
-        default_factory=lambda: defaultdict(LatencyRecorder)
-    )
-    histograms: Dict[str, Histogram] = field(
-        default_factory=lambda: defaultdict(Histogram)
-    )
-    samples: Dict[str, SampledGauge] = field(
-        default_factory=lambda: defaultdict(SampledGauge)
-    )
+    latencies: Dict[str, Series] = field(default_factory=lambda: defaultdict(Series))
+    # The gauges: each name's observations, exported as its last value.
+    samples: Dict[str, Series] = field(default_factory=lambda: defaultdict(Series))
     # Optional structured event log (repro.observe.events.EventLog),
     # attached by the engine that owns this registry.  Typed as Any so
-    # the simulate layer does not import observe; task-private
-    # registries used by parallel fan-out leave it None and merge()
-    # never touches it (events always flow through the engine registry).
+    # the simulate layer does not import observe.
     events: Any = None
 
     def incr(self, name: str, delta: int = 1) -> None:
@@ -335,86 +179,51 @@ class MetricRegistry:
         return self.counters.get(name, 0)
 
     def gauge(self, name: str, value: float) -> None:
-        """Set counter ``name`` to an absolute value (gauge semantics).
+        """Record one observation of gauge ``name``'s current value.
 
-        Used for point-in-time facts like ``mvcc.manifest_id`` or
-        ``mvcc.pinned_snapshots`` where increments would be meaningless.
+        For point-in-time facts like ``mvcc.manifest_id`` or
+        ``serving.queue_depth`` where increments would be meaningless.
         """
-        self.counters[name] = int(value)
+        self.samples[name].record(float(value))
 
     def record_latency(self, name: str, seconds: float) -> None:
-        """Record a latency observation under ``name`` (recorder and
-        histogram both, so exports carry the full distribution)."""
+        """Record a latency observation under ``name``."""
         self.latencies[name].record(seconds)
-        self.histograms[name].observe(seconds)
 
-    def sample(self, name: str, value: float) -> None:
-        """Record one point-in-time sample of gauge ``name``."""
-        self.samples[name].sample(value)
-
-    def sampled(self, name: str) -> SampledGauge:
-        """Sampled gauge for ``name``, created on first use."""
+    def sampled(self, name: str) -> Series:
+        """Observations of gauge ``name``, created on first use."""
         return self.samples[name]
 
-    def latency(self, name: str) -> LatencyRecorder:
-        """Recorder for ``name``, created on first use."""
+    def latency(self, name: str) -> Series:
+        """Observations of latency ``name``, created on first use."""
         return self.latencies[name]
-
-    def histogram(self, name: str) -> Histogram:
-        """Histogram for ``name``, created on first use."""
-        return self.histograms[name]
-
-    def merge(self, other: "MetricRegistry") -> None:
-        """Fold ``other``'s counters, latencies, and histograms into this
-        registry.
-
-        Parallel scan tasks record into private registries so concurrent
-        threads never race on shared dicts; after the fan-out joins, the
-        coordinator merges them in deterministic (input) order.
-        """
-        for name, delta in other.counters.items():
-            self.counters[name] += delta
-        for name, recorder in other.latencies.items():
-            self.latencies[name].extend(recorder.values)
-        for name, histogram in other.histograms.items():
-            if name in self.histograms:
-                self.histograms[name].merge(histogram)
-            else:
-                self.histograms[name] = histogram
-        for name, gauge in other.samples.items():
-            self.samples[name].extend(gauge.values)
 
     def as_dict(self) -> Dict[str, Dict[str, object]]:
         """Exported snapshot: the public surface benches assert against.
 
         ``{"counters": {...}, "latencies": {name: summary-dict},
-        "histograms": {name: histogram-dict}}``.  Latency series with no
-        observations are omitted rather than raising.
+        "samples": {gauge name: last/min/max/mean/count}}``.  Series with
+        no observations are omitted rather than raising.
         """
         return {
             "counters": dict(self.counters),
             "latencies": {
-                name: recorder.summary().as_dict()
-                for name, recorder in self.latencies.items()
-                if recorder.count
-            },
-            "histograms": {
-                name: histogram.as_dict()
-                for name, histogram in self.histograms.items()
-                if histogram.count
+                name: series.summary().as_dict()
+                for name, series in self.latencies.items()
+                if series.count
             },
             "samples": {
-                name: gauge.as_dict()
-                for name, gauge in self.samples.items()
-                if gauge.count
+                name: _gauge_view(series)
+                for name, series in self.samples.items()
+                if series.count
             },
         }
 
     def render(self) -> str:
         """Prometheus-style text exposition of every metric.
 
-        Counters render as ``name_total``, latencies as quantile gauges,
-        histograms as cumulative ``_bucket{le=...}`` series.
+        Counters render as ``name_total``, gauges as their last value
+        plus min/max/mean, latencies as one quantile summary each.
         """
         lines: List[str] = []
         for name in sorted(self.counters):
@@ -422,54 +231,49 @@ class MetricRegistry:
             lines.append(f"# TYPE {metric}_total counter")
             lines.append(f"{metric}_total {self.counters[name]}")
         for name in sorted(self.samples):
-            gauge = self.samples[name]
-            if not gauge.count:
+            series = self.samples[name]
+            if not series.count:
                 continue
             metric = _prom_name(name)
+            view = _gauge_view(series)
             lines.append(f"# TYPE {metric} gauge")
-            lines.append(f"{metric} {gauge.last:.9g}")
-            for stat, value in (("min", gauge.minimum), ("max", gauge.maximum),
-                                ("mean", gauge.mean())):
+            lines.append(f"{metric} {view['last']:.9g}")
+            for stat in ("min", "max", "mean"):
                 lines.append(
-                    f'{metric}{{stat={_prom_label_value(stat)}}} {value:.9g}'
+                    f'{metric}{{stat={_prom_label_value(stat)}}} {view[stat]:.9g}'
                 )
-            lines.append(f"{metric}_samples_count {gauge.count}")
+            lines.append(f"{metric}_samples_count {view['count']}")
         for name in sorted(self.latencies):
-            recorder = self.latencies[name]
-            if not recorder.count:
+            series = self.latencies[name]
+            if not series.count:
                 continue
             metric = _prom_name(name)
-            summary = recorder.summary()
+            summary = series.summary()
             lines.append(f"# TYPE {metric}_seconds summary")
             for label, value in (("0.5", summary.p50), ("0.95", summary.p95),
                                  ("0.99", summary.p99)):
                 lines.append(f'{metric}_seconds{{quantile="{label}"}} {value:.9g}')
-            lines.append(f"{metric}_seconds_sum {recorder.total():.9g}")
-            lines.append(f"{metric}_seconds_count {recorder.count}")
-        for name in sorted(self.histograms):
-            histogram = self.histograms[name]
-            if not histogram.count:
-                continue
-            metric = _prom_name(name)
-            lines.append(f"# TYPE {metric}_seconds histogram")
-            for bound, cumulative in zip(histogram.bounds,
-                                         histogram.cumulative_counts()):
-                lines.append(
-                    f'{metric}_seconds_bucket{{le="{bound:.9g}"}} {cumulative}'
-                )
-            lines.append(
-                f'{metric}_seconds_bucket{{le="+Inf"}} {histogram.count}'
-            )
-            lines.append(f"{metric}_seconds_sum {histogram.total:.9g}")
-            lines.append(f"{metric}_seconds_count {histogram.count}")
+            lines.append(f"{metric}_seconds_sum {sum(series.values):.9g}")
+            lines.append(f"{metric}_seconds_count {series.count}")
         return "\n".join(lines)
 
     def reset(self) -> None:
         """Zero all counters and drop all observations."""
         self.counters.clear()
         self.latencies.clear()
-        self.histograms.clear()
         self.samples.clear()
+
+
+def _gauge_view(series: Series) -> Dict[str, float]:
+    """A gauge's export: last/min/max/mean/count of its observations."""
+    summary = series.summary()
+    return {
+        "count": summary.count,
+        "last": series.last,
+        "min": summary.minimum,
+        "max": summary.maximum,
+        "mean": summary.mean,
+    }
 
 
 def _prom_name(name: str) -> str:

@@ -72,24 +72,6 @@ def squared_norms(vectors: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", vectors, vectors)
 
 
-def l2sq_via_norms(
-    query: np.ndarray,
-    rows: np.ndarray,
-    row_norms: np.ndarray,
-    query_norm: float,
-) -> np.ndarray:
-    """Squared L2 via ``||x||² + ||q||² − 2·x·q`` with one ``np.dot``.
-
-    Float32 throughout.  The cancellation in the subtraction costs a few
-    ulps versus the subtract-then-reduce form, so this kernel is reserved
-    for uses where comparison order need not be bit-stable against the
-    canonical kernel — build-time candidate scoring and pairwise
-    dominance matrices.  Traversal comparisons and anything feeding the
-    result boundary use the subtract form (see DESIGN.md §9).
-    """
-    return row_norms - np.float32(2.0) * (rows @ query) + np.float32(query_norm)
-
-
 def l2sq_pairwise_via_norms(rows: np.ndarray) -> np.ndarray:
     """All-pairs squared L2 of ``rows`` via the norms identity (one GEMM).
 

@@ -26,3 +26,27 @@ def run_plan_on_segments(plan, segments, bitmaps, ctx):
     result = merge_and_project(plan, partials, ctx, len(segments))
     result.simulated_seconds = ctx.clock.elapsed_since(start)
     return result
+
+
+def parse_exposition(text):
+    """Exposition text → ({series_with_labels: value}, {(name, type)}).
+
+    Strict: a family typed twice or a sample line written twice is an
+    assertion error, as it is to a Prometheus scraper.
+    """
+    values, types = {}, set()
+    for line in text.splitlines():
+        if not line:
+            continue
+        if line.startswith("# TYPE "):
+            _, _, name, kind = line.split(" ")
+            assert name not in {typed for typed, _ in types}, (
+                f"family {name} typed twice"
+            )
+            types.add((name, kind))
+            continue
+        assert not line.startswith("#"), f"unexpected comment: {line}"
+        series, value = line.rsplit(" ", 1)
+        assert series not in values, f"sample {series} repeated"
+        values[series] = float(value)
+    return values, types

@@ -234,7 +234,7 @@ class TestConcurrentReaders:
         # No leaked pins; retirement kept flowing under concurrency.
         assert runtime.manager.store.pinned_count == 0
         assert db.metrics.count("mvcc.commits") > self.WRITER_BATCHES
-        assert db.metrics.count("mvcc.pinned_snapshots") == 0
+        assert db.export_metrics().gauge("mvcc.pinned_snapshots", -1.0) == 0
 
     def test_snapshot_pins_survive_compaction_of_their_segments(self):
         db = make_db()

@@ -269,18 +269,13 @@ class TestExporterAccessors:
         exporter = MetricsExporter(registry)
         assert exporter.counter("hits") == 3
 
-    def test_gauge_prefers_sampled_values(self):
+    def test_gauge_reads_last_observation_then_default(self):
         registry = MetricRegistry()
-        registry.gauge("depth", 9)       # counter-style gauge
-        registry.sample("depth", 4.0)    # sampled gauge wins
-        exporter = MetricsExporter(registry)
-        assert exporter.gauge("depth") == pytest.approx(4.0)
-
-    def test_gauge_falls_back_to_counters_then_default(self):
-        registry = MetricRegistry()
+        registry.gauge("manifest_id", 11)
         registry.gauge("manifest_id", 12)
         exporter = MetricsExporter(registry)
-        assert exporter.gauge("manifest_id") == 12
+        assert exporter.gauge("manifest_id") == 12.0
+        assert exporter.counter("manifest_id") == 0  # not a counter
         assert exporter.gauge("absent") == 0.0
         assert exporter.gauge("absent", default=-1.0) == -1.0
 

@@ -15,6 +15,7 @@ import pytest
 
 from repro.core.database import BlendHouse
 from repro.observe.events import EventLog
+from repro.observe.export import MetricsExporter
 from repro.observe.slo import SLObjective, SLOMonitor
 from repro.serving import (
     Lane,
@@ -129,15 +130,16 @@ class TestSLOMonitor:
         firing = registry.events.last("slo.alert")
         assert firing.fields["state"] == "firing"
         assert firing.fields["objective"] == "latency"
-        assert registry.count("slo.latency.alerting") == 1
-        assert registry.count("slo.latency.fast_burn") >= 4
+        gauges = MetricsExporter(registry)
+        assert gauges.gauge("slo.latency.alerting") == 1.0
+        assert gauges.gauge("slo.latency.fast_burn") >= 4
 
         # Recovery: bad events age out of both windows -> cleared.
         clock.advance(20.0)
         status = monitor.evaluate()["latency"]
         assert not status["alerting"] and status["transitions"] == 2
         assert registry.events.last("slo.alert").fields["state"] == "cleared"
-        assert registry.count("slo.latency.alerting") == 0
+        assert gauges.gauge("slo.latency.alerting") == 0.0
         # Steady state: no transition, no new event.
         total = registry.events.count("slo.alert")
         monitor.evaluate()

@@ -1,41 +1,21 @@
 """Prometheus text exposition correctness for ``MetricRegistry.render``.
 
 A scrape endpoint that emits malformed names, unescaped labels, or
-non-cumulative buckets fails silently at the monitoring layer — the
+one family under two types fails silently at the monitoring layer — the
 engine looks healthy while every dashboard is empty.  These tests pin
 the exposition contract: name sanitization of the repo's dotted metric
-names, label-value escaping, summary/histogram series shape, bucket
-cumulativity, and the empty-registry render.
+names, label-value escaping, counter / gauge / summary series shape,
+one ``# TYPE`` per family, and the empty-registry render.
 """
 
 import pytest
 
 from repro.simulate.metrics import (
-    Histogram,
     MetricRegistry,
     _prom_label_value,
     _prom_name,
 )
-
-
-def parse_exposition(text):
-    """Exposition text → ({series_with_labels: value}, {(name, type)}).
-
-    Types are a set of pairs because ``record_latency`` legitimately
-    exposes the same base name as both a summary and a histogram.
-    """
-    values, types = {}, set()
-    for line in text.splitlines():
-        if not line:
-            continue
-        if line.startswith("# TYPE "):
-            _, _, name, kind = line.split(" ")
-            types.add((name, kind))
-            continue
-        assert not line.startswith("#"), f"unexpected comment: {line}"
-        series, value = line.rsplit(" ", 1)
-        values[series] = float(value)
-    return values, types
+from tests.helpers import parse_exposition
 
 
 class TestNameSanitization:
@@ -83,7 +63,7 @@ class TestCounterAndSampleSeries:
     def test_sampled_gauge_series(self):
         registry = MetricRegistry()
         for depth in (2, 8, 5):
-            registry.sample("serving.queue_depth", depth)
+            registry.gauge("serving.queue_depth", depth)
         values, types = parse_exposition(registry.render())
         assert ("serving_queue_depth", "gauge") in types
         assert values["serving_queue_depth"] == 5  # last observation
@@ -97,48 +77,14 @@ class TestCounterAndSampleSeries:
         for value in (0.01, 0.02, 0.03, 0.04):
             registry.record_latency("query.latency", value)
         values, types = parse_exposition(registry.render())
-        # record_latency feeds a recorder AND a histogram: both TYPE
-        # families render under the same base name.
-        assert ("query_latency_seconds", "summary") in types
-        assert ("query_latency_seconds", "histogram") in types
+        # One summary family per latency, and nothing else under its name.
+        assert {t for t in types if t[0] == "query_latency_seconds"} == {
+            ("query_latency_seconds", "summary")
+        }
         for quantile in ("0.5", "0.95", "0.99"):
             assert f'query_latency_seconds{{quantile="{quantile}"}}' in values
         assert values["query_latency_seconds_sum"] == pytest.approx(0.10)
         assert values["query_latency_seconds_count"] == 4
-
-
-class TestHistogramBuckets:
-    def test_buckets_are_cumulative_and_capped_by_inf(self):
-        registry = MetricRegistry()
-        histogram = registry.histogram("scan.time")
-        for value in (1e-6, 5e-6, 5e-6, 1e-3, 50.0):
-            histogram.observe(value)
-        values, types = parse_exposition(registry.render())
-        assert ("scan_time_seconds", "histogram") in types
-
-        buckets = [
-            (float(series.split('le="')[1].rstrip('"}')), count)
-            for series, count in values.items()
-            if series.startswith("scan_time_seconds_bucket") and "+Inf" not in series
-        ]
-        buckets.sort()
-        counts = [count for _, count in buckets]
-        # Cumulativity: each bucket includes everything below it.
-        assert counts == sorted(counts)
-        assert values['scan_time_seconds_bucket{le="+Inf"}'] == 5
-        assert counts[-1] <= 5
-        assert values["scan_time_seconds_count"] == 5
-        assert values["scan_time_seconds_sum"] == pytest.approx(
-            histogram.total
-        )
-
-    def test_every_finite_bound_renders_one_bucket(self):
-        registry = MetricRegistry()
-        registry.histogram("h").observe(1e-5)
-        values, _ = parse_exposition(registry.render())
-        finite = [s for s in values
-                  if s.startswith("h_seconds_bucket") and "+Inf" not in s]
-        assert len(finite) == len(Histogram.DEFAULT_BOUNDS)
 
 
 class TestRenderEdges:
@@ -147,18 +93,16 @@ class TestRenderEdges:
 
     def test_unobserved_series_are_omitted(self):
         registry = MetricRegistry()
-        registry.latency("touched.but_empty")  # recorder with no values
-        registry.histogram("also.empty")
+        registry.latency("touched.but_empty")  # series with no values
         registry.sampled("empty.gauge")
         assert registry.render() == ""
 
     def test_render_output_is_line_parseable(self):
         registry = MetricRegistry()
         registry.incr("a.b")
-        registry.sample("c.d", 1.0)
+        registry.gauge("c.d", 1.0)
         registry.record_latency("e.f", 0.5)
-        registry.histogram("g.h").observe(0.5)
         # Every non-comment line must be "<series> <float>".
         values, types = parse_exposition(registry.render())
-        # counter + gauge + (summary & histogram for e.f) + histogram.
-        assert values and len(types) == 5
+        # counter + gauge + summary.
+        assert values and len(types) == 3

@@ -3,9 +3,8 @@
 import pytest
 
 from repro.simulate.metrics import (
-    Histogram,
-    LatencyRecorder,
     MetricRegistry,
+    Series,
     ThroughputWindow,
     percentile,
 )
@@ -32,50 +31,38 @@ class TestPercentile:
             percentile([1.0], 150)
 
 
+def series_of(values):
+    series = Series()
+    for value in values:
+        series.record(value)
+    return series
+
+
 class TestLatencyRecorder:
     def test_record_and_count(self):
-        rec = LatencyRecorder()
-        rec.record(0.1)
-        rec.extend([0.2, 0.3])
+        rec = series_of([0.1, 0.2, 0.3])
         assert rec.count == 3
-        assert rec.total() == pytest.approx(0.6)
+        assert rec.values == [0.1, 0.2, 0.3]
+        assert rec.last == 0.3
+        assert Series().last is None
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            LatencyRecorder().record(-0.1)
-
-    def test_qps(self):
-        rec = LatencyRecorder()
-        rec.extend([0.1] * 10)
-        assert rec.qps() == pytest.approx(10.0)
-
-    def test_qps_empty_is_zero(self):
-        assert LatencyRecorder().qps() == 0.0
+            Series().record(-0.1)
 
     def test_percentile_empty_window_is_none(self):
         # Regression: live tail polling (serving load generator) samples
         # p99 before the first completion; an empty window answers None
         # instead of raising out of the module-level percentile().
-        assert LatencyRecorder().percentile(99.0) is None
+        assert Series().percentile(99.0) is None
 
     def test_percentile_nonempty(self):
-        rec = LatencyRecorder()
-        rec.extend([0.3, 0.1, 0.2])
+        rec = series_of([0.3, 0.1, 0.2])
         assert rec.percentile(50) == pytest.approx(0.2)
         assert rec.percentile(100) == pytest.approx(0.3)
 
-    def test_qps_zero_cost_observations_is_infinite(self):
-        # Regression: N queries costing zero simulated time are infinitely
-        # fast, not 0 QPS — the all-memory-hit workload must not report
-        # as the slowest one.
-        rec = LatencyRecorder()
-        rec.extend([0.0, 0.0, 0.0])
-        assert rec.qps() == float("inf")
-        assert rec.count == 3
-
     def test_summary(self):
-        rec = LatencyRecorder()
-        rec.extend([0.1, 0.2, 0.3, 0.4, 0.5])
+        rec = series_of([0.1, 0.2, 0.3, 0.4, 0.5])
         summary = rec.summary()
         assert summary.count == 5
         assert summary.mean == pytest.approx(0.3)
@@ -85,17 +72,10 @@ class TestLatencyRecorder:
 
     def test_summary_empty_rejected(self):
         with pytest.raises(ValueError):
-            LatencyRecorder().summary()
-
-    def test_clear(self):
-        rec = LatencyRecorder()
-        rec.record(1.0)
-        rec.clear()
-        assert rec.count == 0
+            Series().summary()
 
     def test_summary_as_dict(self):
-        rec = LatencyRecorder()
-        rec.extend([0.1, 0.2])
+        rec = series_of([0.1, 0.2])
         d = rec.summary().as_dict()
         assert set(d) == {"count", "mean", "p50", "p95", "p99", "min", "max"}
 
@@ -127,36 +107,6 @@ class TestThroughputWindow:
             ThroughputWindow(1.0).record(-1)
 
 
-class TestHistogram:
-    def test_observe_and_cumulative(self):
-        hist = Histogram(bounds=[0.001, 0.01, 0.1])
-        for value in (0.0005, 0.005, 0.05, 5.0):
-            hist.observe(value)
-        assert hist.count == 4
-        assert hist.cumulative_counts() == [1, 2, 3]
-        assert hist.total == pytest.approx(5.0555)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            Histogram().observe(-1.0)
-
-    def test_empty_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            Histogram(bounds=[])
-
-    def test_bounds_sorted(self):
-        hist = Histogram(bounds=[0.1, 0.001])
-        assert hist.bounds == (0.001, 0.1)
-
-    def test_as_dict(self):
-        hist = Histogram(bounds=[1.0])
-        hist.observe(0.5)
-        d = hist.as_dict()
-        assert d["count"] == 1
-        assert d["cumulative"] == [1]
-        assert d["sum"] == pytest.approx(0.5)
-
-
 class TestMetricRegistry:
     def test_counters(self):
         registry = MetricRegistry()
@@ -168,7 +118,15 @@ class TestMetricRegistry:
     def test_latency_recorders(self):
         registry = MetricRegistry()
         registry.record_latency("q", 0.2)
-        assert registry.latency("q").count == 1
+        assert registry.latency("q").values == [0.2]
+
+    def test_gauges_are_float_series_beside_the_counters(self):
+        registry = MetricRegistry()
+        registry.gauge("burn", 2.7)
+        registry.gauge("burn", 0.9)
+        assert registry.sampled("burn").values == [2.7, 0.9]
+        assert registry.count("burn") == 0
+        assert registry.as_dict()["samples"]["burn"]["last"] == 0.9
 
     def test_reset(self):
         registry = MetricRegistry()
@@ -177,12 +135,6 @@ class TestMetricRegistry:
         registry.reset()
         assert registry.count("a") == 0
         assert registry.latency("q").count == 0
-        assert registry.histogram("q").count == 0
-
-    def test_record_latency_feeds_histogram(self):
-        registry = MetricRegistry()
-        registry.record_latency("q", 0.2)
-        assert registry.histogram("q").count == 1
 
     def test_as_dict_shape(self):
         registry = MetricRegistry()
@@ -193,7 +145,7 @@ class TestMetricRegistry:
         assert exported["counters"] == {"hits": 3}
         assert exported["latencies"]["q"]["count"] == 1
         assert "silent" not in exported["latencies"]
-        assert exported["histograms"]["q"]["count"] == 1
+        assert set(exported) == {"counters", "latencies", "samples"}
 
     def test_render_prometheus_text(self):
         registry = MetricRegistry()
@@ -204,4 +156,4 @@ class TestMetricRegistry:
         assert "cache_hits_total 2" in text
         assert 'query_latency_seconds{quantile="0.5"} 0.25' in text
         assert "query_latency_seconds_count 1" in text
-        assert 'query_latency_seconds_bucket{le="+Inf"} 1' in text
+        assert "_bucket" not in text
