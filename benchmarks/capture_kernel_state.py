@@ -4,9 +4,11 @@ Runs the Fig 13 sweep of ``bench_fig13_index_recall_qps.py`` plus a
 DISKANN sweep and an HNSW / HNSWSQ post-filter (Plan C) sweep through
 the full engine and keeps, per (index, knob
 value), the simulated QPS, the recall, one sha256 over every query's
-ids, and one sha256 per query over its ids + ``float.hex()`` distances.
-Two kernels that return the same rows and charge the same simulated
-seconds produce the same file, so a traversal change is checked against
+ids, and one sha256 per query over its ids + ``float.hex()`` distances;
+and, per sweep, one sha256 per segment image its load built.  Two
+kernels that build the same images, return the same rows and charge
+the same simulated seconds produce the same file, so a build or
+traversal change is checked against
 ``benchmarks/baselines/kernel_digests.json`` instead of a raw row dump:
 
     PYTHONPATH=src:. python benchmarks/capture_kernel_state.py capture
@@ -17,7 +19,8 @@ Both run the sweep once per kernel mode.  ``capture`` rewrites the
 baseline (do it at the parent commit of a kernel pass): one set of
 digests, which the two modes must agree on, and each mode's simulated
 QPS, which they do not (fast traversal is charged the vectorized rate).
-``check`` exits 1 on any id, distance or simulated-QPS mismatch.
+``check`` exits 1 on any image byte, id, distance or simulated-QPS
+mismatch.
 Distances come from float32 numpy kernels, so the baseline names the
 numpy it was captured with: equal ids with differing distances on
 another build means the float kernels differ, not the traversal.
@@ -79,11 +82,21 @@ def _sha256(parts: list) -> str:
     return hashlib.sha256(json.dumps(parts).encode()).hexdigest()
 
 
-def sweep() -> dict:
-    """Every sweep point under the active kernel mode."""
+def segment_images(db) -> list:
+    """One sha256 per index image the load wrote, by storage key."""
+    table = db.table("bench")
+    return [
+        hashlib.sha256(table.store.get(key)).hexdigest()
+        for key in sorted(table.writer.built_indexes)
+    ]
+
+
+def sweep() -> tuple:
+    """Every sweep point, and every sweep's segment images, under the
+    active kernel mode."""
     dataset = make_cohere_like(n=3000, dim=32, n_queries=40)
     pure = make_hybrid_workload(dataset, k=10)
-    out = {}
+    out, images = {}, {}
     for label, index_type, options, knob, values in SWEEPS:
         db = load_blendhouse(dataset, index_type=index_type, index_options=options)
         db.execute(pure.sql(0))  # warmup: plan + column caches
@@ -116,16 +129,23 @@ def sweep() -> dict:
                 }
             )
         out[label] = points
-    return out
+        images[label] = segment_images(db)  # after the points: a read moves the clock
+    return out, images
 
 
-def capture() -> dict:
-    """The baseline: the digests both modes produce, QPS keyed by mode."""
-    runs = {}
+def capture() -> tuple:
+    """The baseline: the digests and images both modes produce, QPS
+    keyed by mode."""
+    runs, built = {}, {}
     for mode in KERNEL_MODES:
         with kernel_mode(mode):
-            runs[mode] = sweep()
+            runs[mode], built[mode] = sweep()
     first, *others = runs.values()
+    images, *other_images = built.values()
+    for other in other_images:
+        for label, digests in images.items():
+            if other[label] != digests:
+                raise SystemExit(f"kernel modes build different {label} images")
     for label, points in first.items():
         for index, point in enumerate(points):
             for other in others:
@@ -135,7 +155,21 @@ def capture() -> dict:
                         f"kernel modes disagree on {label} {point['knob']}={point['value']}"
                     )
             point["qps"] = {mode: run[label][index]["qps"] for mode, run in runs.items()}
-    return first
+    return first, images
+
+
+def compare_images(baseline: dict, current: dict, mode: str) -> int:
+    """Print one line per sweep's images; returns the number of segment
+    images whose bytes differ (or that one side lacks)."""
+    mismatches = 0
+    for label, digests in baseline.items():
+        built = current[label]
+        differ = sum(a != b for a, b in zip(digests, built)) + abs(len(digests) - len(built))
+        mismatches += differ
+        status = f"MISMATCH {differ} of {len(digests)}" if differ else "ok"
+        print(f"[{mode:9s}] {label:11s} images {len(built)} segments  [{status}]")
+    print(f"[{mode:9s}] image mismatches: {mismatches} segments")
+    return mismatches
 
 
 def compare(baseline: dict, current: dict, mode: str) -> int:
@@ -323,8 +357,11 @@ def main(argv: list) -> int:
         return 0
     path = argv[1] if len(argv) > 1 else BASELINE
     if command == "capture":
+        points, images = capture()
         with open(path, "w") as handle:
-            json.dump({"numpy": np.__version__, "points": capture()}, handle, indent=1)
+            json.dump(
+                {"numpy": np.__version__, "images": images, "points": points}, handle, indent=1
+            )
             handle.write("\n")
         print(f"wrote {path}")
         return 0
@@ -337,7 +374,9 @@ def main(argv: list) -> int:
     mismatches = 0
     for mode in KERNEL_MODES:
         with kernel_mode(mode):
-            mismatches += compare(baseline["points"], sweep(), mode)
+            points, images = sweep()
+        mismatches += compare_images(baseline["images"], images, mode)
+        mismatches += compare(baseline["points"], points, mode)
     return 1 if mismatches else 0
 
 

@@ -723,16 +723,17 @@ class TestExactCandidates:
 STRADDLED = 150 * 12
 
 
-def build_image(name, metric, rows, how):
+def build_image(name, metric, rows, how, ranges=None):
     """The image of ``rows`` built one of three ways under the active
     kernel mode: one ``add_with_ids``; several; or some, a save and a
-    load (lists thawed from the CSR, ``start > 0``), then the rest."""
+    load (lists thawed from the CSR, ``start > 0``), then the rest.
+    HNSWSQ learns its range from ``ranges`` (default: ``rows``)."""
     n = rows.shape[0]
     index = create_index(
         IndexSpec(index_type=name, dim=rows.shape[1], metric=metric, params=BUILD_PARAMS)
     )
     if name == "HNSWSQ":
-        index.train(rows)  # one range, however the rows arrive
+        index.train(rows if ranges is None else ranges)  # one range, however the rows arrive
     cuts = {"once": [n], "incremental": [1, 2, n // 3, n // 3 + 1, n], "reloaded": [n // 2, n]}[how]
     lo = 0
     for hi in cuts:
@@ -761,6 +762,34 @@ class TestBuildModesWriteOneImage:
             above = [node for node in range(1, 260) if node * 12 > limit]
             assert sorted(set(walked)) == above and len(walked) % 2 == 0
             del walked[:]
+
+
+def non_finite(data):
+    """260 rows with a NaN row, two rows sharing a +inf component (their
+    distance is NaN), a -inf component and duplicate rows."""
+    rows = data[:260].copy()
+    rows[7] = np.nan
+    rows[[30, 160], 2] = np.inf
+    rows[90, 5] = -np.inf
+    rows[[40, 41, 200]] = rows[3]
+    return rows
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("how", ["once", "reloaded"])
+@pytest.mark.parametrize("metric", ["l2", "ip", "cosine"])
+@pytest.mark.parametrize("name", ["HNSW", "HNSWSQ"])
+class TestNonFiniteRows:
+    def test_fast_and_reference_images_are_equal(self, monkeypatch, data, name, metric, how):
+        """NaN and infinite distances reach the candidate sort, Algorithm
+        4 and the shrinks (an SQ range learnt from finite rows decodes
+        them finite, so HNSWSQ sees the duplicates only)."""
+        rows = non_finite(data)
+        for limit in (hnsw._TABLE_MAX_FLOATS, STRADDLED, 0):
+            monkeypatch.setattr(hnsw, "_TABLE_MAX_FLOATS", limit)
+            with kernel_mode("reference"):
+                want = build_image(name, metric, rows, how, ranges=data[:260])
+            assert build_image(name, metric, rows, how, ranges=data[:260]) == want
 
 
 @pytest.mark.parametrize("how", ["once", "incremental", "reloaded"])
