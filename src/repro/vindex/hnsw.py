@@ -96,20 +96,54 @@ def _nearest(dists: np.ndarray, k: int) -> np.ndarray:
     return np.argsort(dists, kind="stable")[:k]
 
 
-# ``(node, layer)`` -> distances from the node to its links on that
-# layer, in list order, for the length of one ``add_with_ids``.
-_Carried = Dict[Tuple[int, int], List[float]]
-
-
-class _Kept(NamedTuple):
+class _Kept:
     """Squared l2 distances between the first rows one fast
-    ``add_with_ids`` inserts and every row before them, kept for the
-    call: ``table[node - start, other]`` is ``d(node, other)``, written
-    from ``node``'s scores when ``other < node`` and from ``other``'s
-    when it came later (subtract-``einsum`` is symmetric to the bit)."""
+    ``add_with_ids`` inserts and every row up to the last of them,
+    filled before the first is inserted and kept for the call:
+    ``table[node - start, other]`` is ``d(node, other)``, written from
+    ``node``'s scores when ``other < node`` and from ``other``'s when it
+    came later (subtract-``einsum`` is symmetric to the bit; the
+    diagonal stays 0 and is never read).  ``rows[node - start]`` is
+    that row as a slice of one flat ``memoryview``, indexed by
+    ``other``: a lookup is a python float, no numpy call."""
 
-    start: int
-    table: np.ndarray  # float32[rows, start + rows]
+    def __init__(self, start: int, table: np.ndarray) -> None:
+        self.start = start
+        self.table = table  # float32[rows, start + rows]
+        width = table.shape[1]
+        flat = memoryview(table.reshape(-1))
+        self.rows = [flat[base : base + width] for base in range(0, len(flat), width)]
+
+    def layer0(self, ef: int) -> Iterator[List[Tuple[float, int]]]:
+        """Each kept row's ``ef`` nearest earlier rows, ascending by
+        (distance, node), in row order: ``_nearest`` of the row's
+        scores, bit for bit, from one partition and sort per block of
+        rows.  A cell's sort key is its float32 bits (squared distances
+        are at least +0, so their bits order as their values do) over
+        its column, which makes every key unique and breaks ties by
+        position.  NaN, and every cell at or past the row's own node,
+        get the largest bits: after +inf, the row's own NaNs before the
+        masked cells.  A block holds at most ``_KEPT_MAX_FLOATS // 256``
+        cells (128 KiB of keys); larger ones raised a build's peak RSS,
+        since a block's python candidate lists are live at once."""
+        rows, width = self.table.shape
+        step = max(1, _KEPT_MAX_FLOATS // 256 // width)
+        for lo in range(0, rows, step):
+            hi = min(lo + step, rows)
+            nodes = np.arange(self.start + lo, self.start + hi)
+            block = self.table[lo:hi, : nodes[-1]]
+            keys = block.view(np.uint32).astype(np.uint64)
+            keys[np.isnan(block) | (np.arange(nodes[-1]) >= nodes[:, None])] = 0xFFFFFFFF
+            keys <<= np.uint64(32)
+            keys |= np.arange(nodes[-1], dtype=np.uint64)
+            if keys.shape[1] > ef:
+                keys = np.partition(keys, ef - 1, axis=1)[:, :ef]
+            keys.sort(axis=1)
+            order = (keys & np.uint64(0xFFFFFFFF)).astype(np.intp)
+            dists = np.take_along_axis(block, order, axis=1)
+            for node, near, by in zip(nodes.tolist(), order.tolist(), dists.tolist()):
+                count = min(node, ef)
+                yield list(zip(by[:count], near[:count]))
 
 
 class _FrozenLinks(NamedTuple):
@@ -285,41 +319,52 @@ class HNSWIndex(VectorIndex):
         levels = np.empty(stop, dtype=np.int64)
         levels[:start] = np.fromiter(map(len, self._links), dtype=np.int64, count=start) - 1
         # Fast l2 builds carry ``d(node, link)`` beside each list this
-        # call writes, keyed ``(node, layer)``: subtract-einsum is
-        # symmetric to the bit, so a back-link's score is the distance
-        # the new row was scored at and a shrink looks up instead of
-        # gathering; they also keep the scores of the rows they insert
-        # under the rule, for Algorithm 4.  ip / cosine GEMVs are not
+        # call writes, in lists parallel to ``_links`` (None for a row
+        # of an earlier call): subtract-einsum is symmetric to the bit,
+        # so a back-link's score is the distance the new row was scored
+        # at and a shrink looks up instead of gathering.  They also keep
+        # the scores of the rows they insert under the rule, for the
+        # layer-0 candidates and Algorithm 4.  ip / cosine GEMVs are not
         # symmetric, and reference mode is the judge: both gather.
-        carried: Optional[_Carried] = None
+        carried: Optional[List[Optional[List[List[float]]]]] = None
         kept: Optional[_Kept] = None
         if self.metric == "l2" and get_kernel_mode() == "fast":
-            carried = {}
+            carried = [None] * start
             kept = self._kept_tables(start, stop)
+        nearest = iter(()) if kept is None else kept.layer0(self.ef_construction)
         for node in range(start, stop):
-            self._insert(node, levels, carried, kept)
+            self._insert(node, levels, carried, kept, next(nearest, None))
 
     def _kept_tables(self, start: int, stop: int) -> Optional[_Kept]:
-        """Room for the scores of this call's rows under the size rule,
-        as many of them from ``start`` on as ``_KEPT_MAX_FLOATS`` holds."""
+        """The scores of this call's rows under the size rule, as many
+        of them from ``start`` on as ``_KEPT_MAX_FLOATS`` holds."""
         exact = min(stop, _TABLE_MAX_FLOATS // self.dim + 1) - start
         fits = (math.isqrt(start * start + 4 * _KEPT_MAX_FLOATS) - start) // 2
         rows = min(int(exact), fits)
         if rows <= 0:
             return None
-        return _Kept(start, np.zeros((rows, start + rows), dtype=np.float32))
+        table = np.zeros((rows, start + rows), dtype=np.float32)
+        for row in range(rows):
+            node = start + row
+            scores = self._scores(self._vectors[node], node)
+            table[row, :node] = scores
+            table[:row, node] = scores[start:]
+        return _Kept(start, table)
 
     def _insert(
         self,
         node: int,
         levels: np.ndarray,
-        carried: Optional[_Carried],
+        carried: Optional[List[Optional[List[List[float]]]]],
         kept: Optional[_Kept],
+        nearest: Optional[List[Tuple[float, int]]],
     ) -> None:
+        """Insert one row.  ``nearest`` is its layer-0 candidates when
+        ``kept`` holds it, else None (and ``kept`` is not read)."""
         level = levels[node] = self._random_level()
         self._links.append([[] for _ in range(level + 1)])
         if carried is not None:
-            carried.update(((node, layer), []) for layer in range(level + 1))
+            carried.append([[] for _ in range(level + 1)])
         if self._entry_point < 0:
             self._entry_point = node
             self._max_level = level
@@ -332,18 +377,19 @@ class HNSWIndex(VectorIndex):
             # Under the size rule the row is scored against every earlier
             # row once, and each layer's candidates are the exact nearest
             # ``ef_construction`` earlier rows on it (DESIGN.md §9): no
-            # descent, no walk.
-            scores = self._scores(query, node)
-            if kept is not None and node - kept.start < kept.table.shape[0]:
-                row = node - kept.start
-                kept.table[row, :node] = scores
-                kept.table[:row, node] = scores[kept.start:]
-            else:
+            # descent, no walk.  A kept row's scores and layer-0
+            # candidates are ready.
+            if nearest is None:
                 kept = None
-            layers = (
+                scores = self._scores(query, node)
+                nearest = self._nearest_on_layer(scores, levels, node, 0)
+            else:
+                scores = kept.table[node - kept.start, :node]
+            layers = [
                 (layer, self._nearest_on_layer(scores, levels, node, layer))
-                for layer in range(top, -1, -1)
-            )
+                for layer in range(top, 0, -1)
+            ]
+            layers.append((0, nearest))
         else:
             kept = None
             layers = self._walk_layers(query, top)
@@ -352,12 +398,12 @@ class HNSWIndex(VectorIndex):
             neighbors = self._select_heuristic(candidates, self.m, kept, walked)
             self._links[node][layer] = [idx for _, idx in neighbors]
             if carried is not None:
-                carried[node, layer] = [dist for dist, _ in neighbors]
+                carried[node][layer] = [dist for dist, _ in neighbors]
             for dist, neighbor in neighbors:
                 links = self._links[neighbor][layer]
                 links.append(node)
-                if carried is not None and (neighbor, layer) in carried:
-                    carried[neighbor, layer].append(dist)  # d(neighbor, node)
+                if carried is not None and carried[neighbor] is not None:
+                    carried[neighbor][layer].append(dist)  # d(neighbor, node)
                 if len(links) > m_max:
                     self._shrink_links(neighbor, layer, m_max, carried, kept, walked)
         if level > self._max_level:
@@ -397,19 +443,21 @@ class HNSWIndex(VectorIndex):
         node: int,
         layer: int,
         m_max: int,
-        carried: Optional[_Carried],
+        carried: Optional[List[Optional[List[List[float]]]]],
         kept: Optional[_Kept],
         walked: bool,
     ) -> None:
         """Re-apply heuristic selection when a node's links overflow."""
         links = self._links[node][layer]
-        dists = None if carried is None else carried.get((node, layer))
-        if dists is None:  # not carrying, or a list thawed from a loaded CSR
+        own = None if carried is None else carried[node]
+        if own is None:  # not carrying, or a row of an earlier call
             dists = self._distance(self._vectors[node], links).tolist()
+        else:
+            dists = own[layer]
         kept_links = self._select_heuristic(sorted(zip(dists, links)), m_max, kept, walked)
         self._links[node][layer] = [idx for _, idx in kept_links]
-        if carried is not None:
-            carried[node, layer] = [dist for dist, _ in kept_links]
+        if own is not None:
+            own[layer] = [dist for dist, _ in kept_links]
 
     def _select_heuristic(
         self,
@@ -422,49 +470,48 @@ class HNSWIndex(VectorIndex):
         already-selected neighbor, which preserves graph diversity.
 
         ``candidates`` arrive ascending: ``(distance to the query, node)``
-        pairs.  Each selected candidate's distances to all of them are
-        read once, as a python list.  For a row that ``walked`` (above
-        the size rule) they come from the norms-form matrix of
-        :func:`candidate_pairwise`, the same call in both kernel modes;
-        under the rule they are subtract-form, from ``kept`` when the
-        selected row is one of its rows, else gathered.
+        pairs.  A selected candidate's distances to the others are read
+        from one of three sources, with the same bits in both kernel
+        modes: for a row that ``walked`` (above the size rule), the
+        norms-form matrix of :func:`candidate_pairwise`; under the rule,
+        subtract-form, looked up in ``kept`` by node when the selected
+        row is one of its rows, else gathered once as a python list.
         """
         if len(candidates) <= m:
             return candidates
-        nodes = np.array([idx for _, idx in candidates], dtype=np.int64)
-        block = None
+        nodes = block = None
         if walked:
+            nodes = np.array([idx for _, idx in candidates], dtype=np.int64)
             block = candidate_pairwise(self._vectors[nodes], self.metric)
-        elif kept is not None and len(candidates) <= 2 * m:
-            # A shrink's few candidates: every kept row against every
-            # candidate in one gather (the rows of candidates ``kept``
-            # does not hold are clamped to its first and never read).
-            # An insert's ``ef_construction`` of them: a gather per
-            # selected row, since at most ``m`` are read.
-            block = kept.table[np.maximum(nodes - kept.start, 0)[:, None], nodes]
         selected: List[Tuple[float, int]] = []
         rejected: List[Tuple[float, int]] = []
-        to_selected: List[List[float]] = []  # distances from the selected
+        by_node: List[memoryview] = []  # kept rows of the selected
+        by_row: List[List[float]] = []  # the others', by candidate position
         for row, pair in enumerate(candidates):
-            if len(selected) >= m:
-                break
-            dist = pair[0]
-            for distances in to_selected:
-                if not dist <= distances[row]:  # not ``>``: a NaN rejects
-                    rejected.append(pair)
+            dist, node = pair
+            # ``not <=`` rather than ``>``: a NaN rejects.  A ``break``
+            # out of either distance loop rejects the candidate.
+            for distances in by_node:
+                if not dist <= distances[node]:
                     break
             else:
-                selected.append(pair)
-                chosen = pair[1]
-                if walked:
-                    from_chosen = block[row]
-                elif kept is None or chosen < kept.start:
-                    from_chosen = self._distance(self._vectors[chosen], nodes)
-                elif block is not None:
-                    from_chosen = block[row]
+                for distances in by_row:
+                    if not dist <= distances[row]:
+                        break
                 else:
-                    from_chosen = kept.table[chosen - kept.start, nodes]
-                to_selected.append(from_chosen.tolist())
+                    selected.append(pair)
+                    if len(selected) == m:
+                        break  # (an ``else`` clause: leaves the candidate loop)
+                    if kept is not None and node >= kept.start:
+                        by_node.append(kept.rows[node - kept.start])
+                    elif walked:
+                        by_row.append(block[row].tolist())
+                    else:
+                        if nodes is None:
+                            nodes = np.array([idx for _, idx in candidates], dtype=np.int64)
+                        by_row.append(self._distance(self._vectors[node], nodes).tolist())
+                    continue
+            rejected.append(pair)
         # Fill remaining slots with nearest rejected candidates (hnswlib
         # behaviour keeps connectivity on clustered data).
         return selected + rejected[: m - len(selected)]

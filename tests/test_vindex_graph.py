@@ -615,6 +615,49 @@ class TestSelectHeuristic:
             assert index._select_heuristic(candidates, m, kept) == got
 
 
+# Squared distances: +0, a subnormal, the largest finite float, +inf,
+# and NaN with either sign bit (``inf - inf`` gives the negative one).
+SORT_VALUES = np.concatenate([
+    np.array([0.0, 1e-45, 1.0, 2.0, 2.5, np.finfo(np.float32).max, np.inf], dtype=np.float32),
+    np.array([0x7FC00000, 0xFFC00000], dtype=np.uint32).view(np.float32),
+])
+
+
+class TestLayer0Sort:
+    """``_Kept.layer0`` sorts a block of rows at once; each row's
+    candidates must be ``_nearest`` of its own scores, bit for bit."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        start=st.integers(0, 40),
+        rows=st.integers(1, 60),
+        ef=st.integers(1, 50),
+        bound=st.sampled_from([0, 2000, 20000, hnsw._KEPT_MAX_FLOATS]),
+        discrete=st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_each_row_gets_its_nearest(self, seed, start, rows, ef, bound, discrete):
+        rng = np.random.default_rng(seed)
+        # Few distinct values: ties at the ``ef``-th value, NaN, +inf
+        # and zeros in most rows.  Otherwise mostly distinct scores with
+        # the same specials sprinkled in.
+        table = rng.choice(SORT_VALUES, size=(rows, start + rows))
+        if not discrete:
+            table = np.where(
+                rng.random(table.shape) < 0.8, rng.random(table.shape), table
+            ).astype(np.float32)
+        with pytest.MonkeyPatch.context() as patch:  # the bound sets the block height
+            patch.setattr(hnsw, "_KEPT_MAX_FLOATS", bound)
+            got = list(hnsw._Kept(start, table).layer0(ef))
+        assert len(got) == rows
+        for row, candidates in enumerate(got):
+            scores = table[row, : start + row]
+            want = hnsw._nearest(scores, ef)
+            assert [node for _, node in candidates] == want.tolist()
+            dists = np.array([dist for dist, _ in candidates], dtype=np.float32)
+            assert dists.tobytes() == scores[want].tobytes()
+
+
 def candidate_spy(monkeypatch):
     """``(node, candidates)`` for every list an insert hands Algorithm 4
     (a shrink's re-selection is not recorded)."""
@@ -661,6 +704,28 @@ def distance_spy(monkeypatch):
         lambda self, query, nodes: queries.append(query.tobytes()) or real(self, query, nodes),
     )
     return queries
+
+
+def gathering_spy(monkeypatch):
+    """The node being inserted at every ``_distance`` call."""
+    inserting = []
+    real = hnsw.HNSWIndex._distance
+    monkeypatch.setattr(
+        hnsw.HNSWIndex, "_distance",
+        lambda self, query, nodes: inserting.append(len(self._links) - 1)
+        or real(self, query, nodes),
+    )
+    return inserting
+
+
+def gemm_spy(monkeypatch):
+    """The candidate count of every ``candidate_pairwise`` call."""
+    calls = []
+    real = hnsw.candidate_pairwise
+    monkeypatch.setattr(
+        hnsw, "candidate_pairwise", lambda rows, metric: calls.append(len(rows)) or real(rows, metric)
+    )
+    return calls
 
 
 def brute_force_candidates(index, node):
@@ -797,17 +862,71 @@ class TestNonFiniteRows:
 class TestKeptTablesBound:
     def test_fast_and_reference_images_are_equal(self, monkeypatch, data, name, how):
         """Rows under the rule but past ``_KEPT_MAX_FLOATS`` keep no
-        scores and gather Algorithm 4's distances: the same image."""
+        scores and gather Algorithm 4's distances: the same image.  No
+        row under the rule runs the candidate GEMM, and a fresh build
+        gathers only while it inserts a row past the bound."""
         rows = data[:260]
         with kernel_mode("reference"):
             want = build_image(name, "l2", rows, how)
-        gathered = distance_spy(monkeypatch)
+        inserting = gathering_spy(monkeypatch)
+        gemms = gemm_spy(monkeypatch)
         committed = hnsw._KEPT_MAX_FLOATS
-        for bound in (committed, 100 * 100, 0):  # every row kept; the first 100; none
+        # Every row kept; the first 100; none.
+        for bound, kept in ((committed, 260), (100 * 100, 100), (0, 0)):
             monkeypatch.setattr(hnsw, "_KEPT_MAX_FLOATS", bound)
-            del gathered[:]
+            del inserting[:]
             assert build_image(name, "l2", rows, how) == want
-            assert (gathered == []) == (how == "once" and bound == committed)
+            assert gemms == []
+            if how == "once":  # a row's first gather needs more than m candidates
+                assert set(inserting) == set(range(max(kept, BUILD_PARAMS["m"] + 1), 260))
+            else:  # rows of an earlier call gather
+                assert inserting
+
+
+def layer0_spy(monkeypatch):
+    """The node of every layer-0 ``_nearest_on_layer`` call: a row the
+    kept table's sort did not serve."""
+    unsorted = []
+    real = hnsw.HNSWIndex._nearest_on_layer
+
+    def spy(self, scores, levels, node, layer):
+        if layer == 0:
+            unsorted.append(node)
+        return real(self, scores, levels, node, layer)
+
+    monkeypatch.setattr(hnsw.HNSWIndex, "_nearest_on_layer", spy)
+    return unsorted
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestOneSortCandidates:
+    @pytest.mark.parametrize("how", ["once", "reloaded", "past the bound"])
+    def test_each_row_gets_its_nearest(self, monkeypatch, data, how):
+        """Every layer-0 list a fast l2 build hands Algorithm 4 is
+        ``_nearest`` of the row's own scores, bit for bit, over rows with
+        NaN and infinite distances: for a fresh call, an extend after a
+        load (``start > 0``), and a call whose later rows are past
+        ``_KEPT_MAX_FLOATS`` (those alone take ``_nearest_on_layer``)."""
+        rows = non_finite(data)
+        lo = 130 if how == "reloaded" else 0
+        if how == "past the bound":
+            monkeypatch.setattr(hnsw, "_KEPT_MAX_FLOATS", 100 * 100)  # 100 rows kept
+        index = create_index(IndexSpec(index_type="HNSW", dim=12, params=BUILD_PARAMS))
+        if lo:
+            index.add_with_ids(rows[:lo], np.arange(lo))
+            index = deserialize_index(serialize_index(index))
+        handed = candidate_spy(monkeypatch)
+        unsorted = layer0_spy(monkeypatch)
+        index.add_with_ids(rows[lo:], np.arange(lo, 260))
+        layer0 = dict(handed)  # a row hands its layer-0 list last
+        assert sorted(layer0) == list(range(max(lo, 1), 260))
+        assert unsorted == (list(range(100, 260)) if how == "past the bound" else [])
+        for node, candidates in layer0.items():
+            scores = index._scores(index._vectors[node], node)
+            want = hnsw._nearest(scores, index.ef_construction)
+            assert [idx for _, idx in candidates] == want.tolist(), node
+            dists = np.array([dist for dist, _ in candidates], dtype=np.float32)
+            assert dists.tobytes() == scores[want].tobytes(), node
 
 
 class TestBuildLooksDistancesUp:
@@ -815,8 +934,10 @@ class TestBuildLooksDistancesUp:
         """Under the rule a fast l2 build scores each row once and looks
         every other distance up — the shrink's in the carried lists,
         Algorithm 4's in the kept tables — so it never calls
-        ``_distance``; reference mode gathers for both."""
+        ``_distance`` or ``candidate_pairwise``; reference mode gathers
+        for both."""
         gathered = distance_spy(monkeypatch)
+        gemms = gemm_spy(monkeypatch)
         shrunk = []
         real_shrink = hnsw.HNSWIndex._shrink_links
         monkeypatch.setattr(
@@ -826,7 +947,7 @@ class TestBuildLooksDistancesUp:
         )
         index = create_index(IndexSpec(index_type="HNSW", dim=12, params=BUILD_PARAMS))
         index.add_with_ids(data[:200], np.arange(200))
-        assert shrunk and gathered == []
+        assert shrunk and gathered == [] and gemms == []
         del shrunk[:]
         with kernel_mode("reference"):
             index = create_index(IndexSpec(index_type="HNSW", dim=12, params=BUILD_PARAMS))
