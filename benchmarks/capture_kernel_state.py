@@ -28,11 +28,12 @@ another build means the float kernels differ, not the traversal.
 ``time`` claims nothing about bytes: it prints the wall-clock grids the
 size rule (``repro.vindex.hnsw._TABLE_MAX_FLOATS``, DESIGN.md §9) was
 chosen on — µs per HNSW search with the distance table forced on and
-forced off, then µs per inserted row with exact candidates forced on
-and the construction walk forced on, and which side the committed
-constant picks — and ms per ``kmeans`` call at the LSM's IVF training
-shapes, seeding and Lloyd apart.  ``time search`` / ``time build`` /
-``time kmeans`` print one.
+forced off; then where one ledger-sized build spends its time (scores,
+candidate sort, insert selection, shrinks) and µs per inserted row with
+exact candidates forced on and the construction walk forced on, and
+which side the committed constant picks — and ms per ``kmeans`` call at
+the LSM's IVF training shapes, seeding and Lloyd apart.  ``time search``
+/ ``time build`` / ``time kmeans`` print one.
 """
 
 from __future__ import annotations
@@ -244,6 +245,69 @@ BUILD_ROWS = (250, 500, 1000, 2000, 4000, 8000, 16000)
 BUILD_CHUNK = 50
 
 
+def time_build_phases() -> None:
+    """ms per phase of one fast l2 HNSW build at the ledger's segment
+    shape (500 x 64 mixture rows, ``M=8, ef_construction=64``), best of
+    five builds each.  ``scores`` fills the call's kept table and
+    ``sort`` takes every row's layer-0 candidates from it, both timed
+    on their own; ``select`` is Algorithm 4 for the inserted rows and
+    ``shrink`` the back-link shrinks (their own Algorithm 4 included),
+    both timed inside a build whose two methods are wrapped (``wrapped``
+    is that build's time: the wrappers add ≈ 1 µs a call); ``rest`` is
+    the wrapped build minus the four — level draws, upper-layer
+    candidates, list bookkeeping."""
+    rows = _mixture(500, 64)
+    spec = IndexSpec("HNSW", 64, params={"m": 8, "ef_construction": 64})
+
+    def build():
+        index = create_index(spec)
+        index.add_with_ids(rows, np.arange(len(rows)))
+        return index
+
+    total, index = _best_ms(build, 5)
+    scores, kept = _best_ms(lambda: index._kept_tables(0, len(rows)), 5)
+    sort, _ = _best_ms(lambda: list(kept.layer0(index.ef_construction)), 5)
+    real_select = hnsw.HNSWIndex._select_heuristic
+    real_shrink = hnsw.HNSWIndex._shrink_links
+    spent = {"select": 0.0, "shrink": 0.0}
+    shrinking = []
+
+    def select(self, *args):
+        if shrinking:
+            return real_select(self, *args)
+        start = time.perf_counter()
+        try:
+            return real_select(self, *args)
+        finally:
+            spent["select"] += time.perf_counter() - start
+
+    def shrink(self, *args):
+        shrinking.append(1)
+        start = time.perf_counter()
+        try:
+            return real_shrink(self, *args)
+        finally:
+            spent["shrink"] += time.perf_counter() - start
+            shrinking.pop()
+
+    hnsw.HNSWIndex._select_heuristic, hnsw.HNSWIndex._shrink_links = select, shrink
+    try:
+        runs = []
+        for _ in range(5):
+            spent.update(select=0.0, shrink=0.0)
+            wrapped, _ = _best_ms(build, 1)
+            runs.append((wrapped, spent["select"] * 1e3, spent["shrink"] * 1e3))
+    finally:
+        hnsw.HNSWIndex._select_heuristic, hnsw.HNSWIndex._shrink_links = real_select, real_shrink
+    wrapped, select_ms, shrink_ms = min(runs)
+    rest = wrapped - scores - sort - select_ms - shrink_ms
+    print("build 500 x 64  total ms  wrapped ms  scores ms  sort ms  select ms  shrink ms  rest ms")
+    print(
+        f"{'':15s} {total:8.1f} {wrapped:11.1f} {scores:10.1f} {sort:8.1f} {select_ms:10.1f} "
+        f"{shrink_ms:10.1f} {rest:8.1f}"
+    )
+
+
 def time_build_grid() -> None:
     """µs per inserted row with exact candidates (the size rule forced
     on) against the construction walk (forced off), at store sizes
@@ -342,7 +406,12 @@ def time_kmeans_grid() -> None:
                 )
 
 
-TIME_GRIDS = {"search": time_table_grid, "build": time_build_grid, "kmeans": time_kmeans_grid}
+def time_build() -> None:
+    time_build_phases()
+    time_build_grid()
+
+
+TIME_GRIDS = {"search": time_table_grid, "build": time_build, "kmeans": time_kmeans_grid}
 
 
 def main(argv: list) -> int:

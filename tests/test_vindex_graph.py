@@ -10,8 +10,9 @@ open (``visited`` under a bitset, DiskANN's charged reads) is pinned
 below, then the per-query distance table, then the native iterator's
 fast loop against its reference one, then — at the bottom — the
 build: exact candidates under the size rule against a brute-force
-oracle, Algorithm 4 against a numpy one, and fast and reference mode
-writing the same image.
+oracle and the kept table's block sort against ``_nearest``, Algorithm
+4 against a numpy one, and fast and reference mode writing the same
+image, non-finite rows included.
 """
 
 import numpy as np
