@@ -27,7 +27,7 @@ import time
 import numpy as np
 import pytest
 
-from benchmarks.common import BENCH_COST, fmt_table, record
+from benchmarks.common import BENCH_COST, fmt_table
 from repro.simulate.clock import SimulatedClock
 from repro.vindex.registry import (
     IndexSpec,
@@ -99,7 +99,7 @@ def cold_read_results():
     return out
 
 
-def test_ablation_cold_read(benchmark, cold_read_results):
+def test_ablation_cold_read(cold_read_results):
     rows = []
     for label, values in cold_read_results.items():
         rows.append([
@@ -117,12 +117,6 @@ def test_ablation_cold_read(benchmark, cold_read_results):
          "cold (sim ms)", "warm (sim ms)", "cold/warm"],
         rows,
     ))
-    record(benchmark, "cold_ms", {
-        label: values["cold"] * 1e3 for label, values in cold_read_results.items()
-    })
-    record(benchmark, "load_us", {
-        label: values["load_us"] for label, values in cold_read_results.items()
-    })
 
     hnsw = cold_read_results["HNSW"]
     diskann = cold_read_results["DISKANN"]
@@ -133,5 +127,3 @@ def test_ablation_cold_read(benchmark, cold_read_results):
     # The flip side the paper accepts: disk-resident search is slower
     # when warm (per-node reads on the search path).
     assert diskann["warm"] > hnsw["warm"]
-
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)

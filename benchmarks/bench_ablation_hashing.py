@@ -12,7 +12,7 @@ Not a paper figure: this isolates the design choice behind §II-D
 import hashlib
 
 
-from benchmarks.common import fmt_table, record
+from benchmarks.common import fmt_table
 from repro.cluster.hashring import MultiProbeHashRing
 
 N_SEGMENTS = 600
@@ -58,7 +58,7 @@ def _imbalance(assign_fn, n_workers):
     return max(counts.values()) / mean
 
 
-def test_ablation_consistent_hashing(benchmark):
+def test_ablation_consistent_hashing():
     rows = []
     results = {}
     for n in WORKER_COUNTS:
@@ -74,7 +74,6 @@ def test_ablation_consistent_hashing(benchmark):
          "CH max/mean load"],
         rows,
     ))
-    record(benchmark, "moved", {str(n): v for n, v in results.items()})
 
     for n in WORKER_COUNTS:
         ring_moved, mod_moved = results[n]
@@ -86,8 +85,3 @@ def test_ablation_consistent_hashing(benchmark):
         assert ring_moved < mod_moved / 3, f"n={n}"
         # Balance within 2.5x of uniform with one ring point per worker.
         assert _imbalance(_ring_assign, n) < 2.5
-
-    ring = MultiProbeHashRing()
-    for i in range(8):
-        ring.add_worker(f"w{i}")
-    benchmark(lambda: ring.assign("t/seg-00042"))

@@ -16,23 +16,21 @@ scale event (interactive p99, per-window cache hit-rate, result bytes):
   all rows at scalar flop rates instead of an HNSW walk over ``ef``
   candidates at vectorized rates.  That compute gap is the cliff.
 
-Gates (also enforced by the CI ``elasticity-smoke`` job): masked keeps
+Gates (also enforced by CI at ``BENCH_SMOKE=1``): masked keeps
 during-scale p99 within 25% of steady state; unmasked degrades ≥ 2×;
 results are byte-identical per tenant before/during/after in every
 variant (``EF_SEARCH`` is sized so per-segment HNSW recall is exactly
 1.0, making warm graph walks and cold brute scans return the same
-bytes).  Emits ``BENCH_elasticity.json``.
+bytes).  Writes ``benchmarks/results/elasticity.json``.
 """
 
 import pytest
 
 from benchmarks.common import (
     BENCH_COST,
-    BENCH_SMOKE,
     fmt_table,
-    record,
     smoke_scaled,
-    write_bench_json,
+    write_results,
 )
 from repro.elastic import FleetBlendHouse, FleetConfig
 from repro.simulate.metrics import percentile
@@ -128,7 +126,6 @@ def _run_variant(dataset, masked):
     warm_cost_s = max(0.0, db.fleet.pending.get(joined, scale_at) - scale_at)
     during_p99, during_hit, during_results = _run_window(db, sqls)
 
-    admitted_during_workload = joined in db.fleet.router
     ready_at = db.fleet.pending.get(joined)
     if ready_at is not None:
         # The workload went quiet before the warm-up finished; idle out
@@ -140,10 +137,7 @@ def _run_variant(dataset, masked):
     assert joined in db.fleet.router
     identical = steady_results == during_results == after_results
     return {
-        "joined": joined,
-        "masked": masked,
         "warm_cost_s": warm_cost_s,
-        "admitted_during_workload": admitted_during_workload,
         "joined_served_queries": db.metrics.count(f"fleet.served_by.{joined}"),
         "steady_p99_s": steady_p99,
         "during_p99_s": during_p99,
@@ -159,7 +153,7 @@ def _run_variant(dataset, masked):
 
 
 @pytest.fixture(scope="module")
-def elasticity():
+def variants():
     dataset = make_cohere_like(n=ROWS, dim=DIM, n_queries=TENANTS, seed=33)
     variants = {
         "masked": _run_variant(dataset, True),
@@ -170,32 +164,23 @@ def elasticity():
     for name, variant in list(variants.items()):
         rows = variant.pop("_results", reference)
         assert rows == reference, f"{name} returned different rows"
-    payload = {
-        "rows": ROWS,
-        "dim": DIM,
-        "segment_rows": SEGMENT_ROWS,
-        "tenants": TENANTS,
-        "queries_per_window": TENANTS * ROUNDS_PER_WINDOW,
-        "smoke": BENCH_SMOKE,
-        "variants": variants,
-        "gates": {
-            "masked_within_25pct": (
-                variants["masked"]["during_over_steady"] <= MASKED_P99_HEADROOM
-            ),
-            "unmasked_degrades_2x": (
-                variants["unmasked"]["during_over_steady"] >= UNMASKED_P99_FLOOR
-            ),
-            "results_identical": all(
-                v["results_identical"] for v in variants.values()
-            ),
-        },
+    metrics = {
+        "rows": (ROWS, "count"),
+        "queries_per_window": (TENANTS * ROUNDS_PER_WINDOW, "count"),
     }
-    write_bench_json("elasticity", payload)
-    return payload
+    for name, v in variants.items():
+        for key in ("warm_cost_s", "steady_p99_s", "during_p99_s", "after_p99_s"):
+            metrics[f"{name}/{key}"] = (v[key], "s")
+        for key in ("during_over_steady", "after_over_steady"):
+            metrics[f"{name}/{key}"] = (v[key], "ratio")
+        for window, rate in v["hit_rate"].items():
+            metrics[f"{name}/hit_rate/{window}"] = (rate, "ratio")
+        metrics[f"{name}/joined_served_queries"] = (v["joined_served_queries"], "count")
+    write_results("elasticity", metrics)
+    return variants
 
 
-def test_elasticity_scale_event(benchmark, elasticity):
-    variants = elasticity["variants"]
+def test_elasticity_scale_event(variants):
     print(fmt_table(
         "Elastic fleet: interactive p99 through a mid-workload scale-out",
         ["variant", "steady p99 (s)", "during p99 (s)", "after p99 (s)",
@@ -212,15 +197,10 @@ def test_elasticity_scale_event(benchmark, elasticity):
             for name, v in variants.items()
         ],
     ))
-    record(benchmark, "elasticity", {
-        name: {k: val for k, val in v.items() if not k.startswith("_")}
-        for name, v in variants.items()
-    })
-    record(benchmark, "gates", elasticity["gates"])
 
     masked, unmasked = variants["masked"], variants["unmasked"]
     # Byte-identical service through every scale event.
-    assert elasticity["gates"]["results_identical"]
+    assert all(v["results_identical"] for v in variants.values())
     # The masked join is invisible to foreground p99...
     assert masked["during_over_steady"] <= MASKED_P99_HEADROOM, masked
     # ...while the cold join is a cliff the clients feel.
@@ -232,5 +212,3 @@ def test_elasticity_scale_event(benchmark, elasticity):
     assert unmasked["hit_rate"]["during"] < masked["hit_rate"]["during"]
     # The joining warehouse really serves traffic after admission.
     assert masked["joined_served_queries"] > 0
-
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)

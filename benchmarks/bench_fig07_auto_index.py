@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from benchmarks.common import fmt_table, record
+from benchmarks.common import fmt_table
 from repro.vindex.autoindex import select_ivf_nlist
 from repro.vindex.registry import IndexSpec, create_index
 
@@ -53,7 +53,7 @@ def timing_table():
     return table
 
 
-def test_fig07_search_time_vs_n(benchmark, timing_table):
+def test_fig07_search_time_vs_n(timing_table):
     rows = []
     for n in N_SETTINGS:
         row = [n] + [timing_table[(n, k)] * 1e3 for k in K_SETTINGS]
@@ -74,12 +74,3 @@ def test_fig07_search_time_vs_n(benchmark, timing_table):
     assert timing_table[(N_SETTINGS[-1], K_SETTINGS[0])] > timing_table[
         (N_SETTINGS[-1], best_large)
     ]
-    record(benchmark, "best_k_by_n",
-           {n: min(K_SETTINGS, key=lambda k: timing_table[(n, k)]) for n in N_SETTINGS})
-
-    # Wall-clock benchmark target: one search at the auto-chosen K.
-    rng = np.random.default_rng(1)
-    data = rng.normal(size=(4000, DIM)).astype(np.float32)
-    index = _build(data, select_ivf_nlist(4000))
-    query = data[0]
-    benchmark(lambda: index.search_with_filter(query, 10, nprobe=NPROBE))

@@ -10,7 +10,7 @@ end.
 
 import pytest
 
-from benchmarks.common import fmt_table, record, sweep_baseline, sweep_blendhouse
+from benchmarks.common import fmt_table, sweep_baseline, sweep_blendhouse
 from repro.workloads.vectorbench import make_hybrid_workload
 
 EF_SWEEP = [16, 32, 64, 128, 256]
@@ -26,7 +26,7 @@ def curves(cohere_ds, bh_cohere, milvus_cohere, pgvector_cohere):
     return out
 
 
-def test_fig10_recall_vs_qps(benchmark, curves, bh_cohere, cohere_ds):
+def test_fig10_recall_vs_qps(curves):
     rows = []
     for system, points in curves.items():
         for point in points:
@@ -36,10 +36,6 @@ def test_fig10_recall_vs_qps(benchmark, curves, bh_cohere, cohere_ds):
         ["system", "ef_search", "recall", "QPS"],
         rows,
     ))
-    record(benchmark, "curves", {
-        system: [(p.params["ef_search"], p.recall, p.qps) for p in points]
-        for system, points in curves.items()
-    })
 
     for system, points in curves.items():
         recalls = [p.recall for p in points]
@@ -57,7 +53,3 @@ def test_fig10_recall_vs_qps(benchmark, curves, bh_cohere, cohere_ds):
 
     assert qps_at_max_ef("BlendHouse") > qps_at_max_ef("Milvus")
     assert qps_at_max_ef("BlendHouse") > qps_at_max_ef("pgvector")
-
-    workload = make_hybrid_workload(cohere_ds, k=10)
-    sql = workload.sql(0)
-    benchmark(lambda: bh_cohere.execute(sql))

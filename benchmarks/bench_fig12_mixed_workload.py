@@ -10,7 +10,7 @@ placements.
 
 import pytest
 
-from benchmarks.common import BENCH_COST, fmt_table, record
+from benchmarks.common import BENCH_COST, fmt_table
 from benchmarks.conftest import HNSW_OPTIONS
 from repro.cluster.engine import ClusteredBlendHouse
 from repro.workloads.vectorbench import make_hybrid_workload, qps_from_latencies
@@ -47,7 +47,7 @@ def _read_qps(cluster, workload, background_load):
     return qps_from_latencies(latencies)
 
 
-def test_fig12_mixed_workload_interference(benchmark, cluster, cohere_ds):
+def test_fig12_mixed_workload_interference(cluster, cohere_ds):
     workload = make_hybrid_workload(cohere_ds, k=10, pass_fraction=0.99)
     # Warmup caches so the sweep is steady state.
     _read_qps(cluster, workload, 0.0)
@@ -66,7 +66,6 @@ def test_fig12_mixed_workload_interference(benchmark, cluster, cohere_ds):
         ["writers", "isolated VWs QPS", "mixed VW QPS"],
         rows,
     ))
-    record(benchmark, "series", series)
 
     # Shapes: mixed QPS decreases monotonically with write concurrency;
     # isolated QPS is flat; at high concurrency the gap is substantial.
@@ -79,5 +78,3 @@ def test_fig12_mixed_workload_interference(benchmark, cluster, cohere_ds):
     # overhead — so the QPS gap is narrower than pre-kernel-pass (the
     # absolute per-query interference cost is unchanged).
     assert isolated[-1] > 1.2 * mixed[-1]
-
-    benchmark(lambda: cluster.execute(workload.sql(0)))

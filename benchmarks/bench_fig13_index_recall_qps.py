@@ -13,8 +13,7 @@ from benchmarks.common import (
     fmt_table,
     load_blendhouse,
     measure_blendhouse,
-    record,
-    write_bench_json,
+    write_results,
 )
 from repro.workloads.vectorbench import SweepPoint, make_hybrid_workload
 
@@ -42,7 +41,7 @@ def curves(cohere_ds):
     return out
 
 
-def test_fig13_index_type_curves(benchmark, curves):
+def test_fig13_index_type_curves(curves):
     rows = []
     for label, points in curves.items():
         for point in points:
@@ -53,18 +52,14 @@ def test_fig13_index_type_curves(benchmark, curves):
         ["index", "search param", "recall", "QPS"],
         rows,
     ))
-    record(benchmark, "curves", {
-        label: [(p.recall, p.qps) for p in points] for label, points in curves.items()
-    })
-    # Artifact for the CI kernel-regression gate (see
-    # benchmarks/check_kernel_regression.py): per-point recall + QPS.
-    write_bench_json("fig13_index_recall_qps", {
-        label: [
-            {"params": p.params, "recall": p.recall, "qps": p.qps}
-            for p in points
-        ]
-        for label, points in curves.items()
-    })
+    # Per-point recall and QPS, gated by benchmarks/check_regression.py.
+    metrics = {}
+    for label, points in curves.items():
+        for p in points:
+            knob, value = next(iter(p.params.items()))
+            metrics[f"{label}/{knob}={value}/recall"] = (p.recall, "ratio")
+            metrics[f"{label}/{knob}={value}/qps"] = (p.qps, "1/s")
+    write_results("fig13_index_recall_qps", metrics)
 
     best_recall = {label: max(p.recall for p in points) for label, points in curves.items()}
     # HNSW has the highest recall ceiling; HNSWSQ is close behind;
@@ -78,5 +73,3 @@ def test_fig13_index_type_curves(benchmark, curves):
     for label, points in curves.items():
         recalls = [p.recall for p in points]
         assert recalls[-1] >= recalls[0] - 0.02, label
-
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)

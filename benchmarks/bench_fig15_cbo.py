@@ -7,7 +7,7 @@ disabled the engine defaults to pre-filter and loses throughput.
 
 import pytest
 
-from benchmarks.common import fmt_table, measure_blendhouse, record
+from benchmarks.common import fmt_table, measure_blendhouse
 from repro.planner.optimizer import ExecutionStrategy
 from repro.workloads.vectorbench import make_hybrid_workload
 
@@ -17,7 +17,7 @@ def workload(cohere_ds):
     return make_hybrid_workload(cohere_ds, k=10, pass_fraction=0.99)
 
 
-def test_fig15_cbo_on_off(benchmark, reset_settings, workload):
+def test_fig15_cbo_on_off(reset_settings, workload):
     db = reset_settings
     db.execute(workload.sql(0))  # warmup
 
@@ -39,11 +39,8 @@ def test_fig15_cbo_on_off(benchmark, reset_settings, workload):
         ["setting", "chosen strategy", "QPS", "recall"],
         rows,
     ))
-    record(benchmark, "qps", {"cbo_on": qps_on, "cbo_off": qps_off})
 
     assert strategy_on is ExecutionStrategy.POST_FILTER
     assert strategy_off is ExecutionStrategy.PRE_FILTER
     assert qps_on > qps_off, "CBO's strategy choice must pay off"
     assert recall_on > 0.9 and recall_off > 0.9
-
-    benchmark(lambda: db.execute(workload.sql(0)))

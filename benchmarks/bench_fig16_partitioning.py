@@ -13,7 +13,7 @@ against each.
 import numpy as np
 import pytest
 
-from benchmarks.common import BENCH_COST, fmt_table, record
+from benchmarks.common import BENCH_COST, fmt_table
 from repro.core.database import BlendHouse
 from repro.workloads.recall import ground_truth, recall_at_k
 from repro.workloads.vectorbench import qps_from_latencies
@@ -108,7 +108,7 @@ def strategy_results(laion_ds):
     return out
 
 
-def test_fig16_partition_strategies(benchmark, strategy_results):
+def test_fig16_partition_strategies(strategy_results):
     rows = [
         [label, qps, recall, segments]
         for label, (qps, recall, segments) in strategy_results.items()
@@ -118,7 +118,6 @@ def test_fig16_partition_strategies(benchmark, strategy_results):
         ["strategy", "QPS", "recall", "segments"],
         rows,
     ))
-    record(benchmark, "qps", {k: v[0] for k, v in strategy_results.items()})
 
     qps = {label: values[0] for label, values in strategy_results.items()}
     recall = {label: values[1] for label, values in strategy_results.items()}
@@ -129,5 +128,3 @@ def test_fig16_partition_strategies(benchmark, strategy_results):
     assert qps["combined"] > qps["random"] * 1.2
     # Pruning must not sacrifice accuracy.
     assert all(r > 0.85 for r in recall.values()), recall
-
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)

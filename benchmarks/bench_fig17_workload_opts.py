@@ -14,7 +14,7 @@ Our configurations:
 
 import pytest
 
-from benchmarks.common import fmt_table, measure_blendhouse, record
+from benchmarks.common import fmt_table, measure_blendhouse
 from repro.workloads.vectorbench import make_hybrid_workload
 
 # Paper: "+124.2%" and "+206.5%" QPS over the baseline.
@@ -36,7 +36,7 @@ def workload(cohere_ds):
     return wl
 
 
-def test_fig17_workload_aware_opts(benchmark, reset_settings, workload):
+def test_fig17_workload_aware_opts(reset_settings, workload):
     db = reset_settings
     results = {}
 
@@ -66,7 +66,6 @@ def test_fig17_workload_aware_opts(benchmark, reset_settings, workload):
         ["configuration", "QPS", "measured gain", "paper gain"],
         rows,
     ))
-    record(benchmark, "qps", results)
 
     # Shapes: each optimization layer adds meaningful throughput.
     assert results["READ_Opt"] > 1.3 * baseline, (
@@ -75,5 +74,3 @@ def test_fig17_workload_aware_opts(benchmark, reset_settings, workload):
     assert results["READ_Opt+Query_Opt"] > 1.15 * results["READ_Opt"], (
         "plan-level optimizations must add on top"
     )
-
-    benchmark(lambda: db.execute(workload.sql(0)))

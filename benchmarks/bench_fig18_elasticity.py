@@ -13,7 +13,7 @@ is visible); the serving/elasticity machinery is index-type agnostic.
 
 import pytest
 
-from benchmarks.common import BENCH_COST, fmt_table, record
+from benchmarks.common import BENCH_COST, fmt_table
 from repro.cluster.engine import ClusteredBlendHouse
 from repro.cluster.warehouse import WarehouseConfig
 from repro.observe.slo import SLObjective, SLOMonitor
@@ -102,7 +102,7 @@ def elasticity():
     return phase_qps, window.series(), end_serving - start_serving, slo_by_phase
 
 
-def test_fig18_elasticity(benchmark, elasticity):
+def test_fig18_elasticity(elasticity):
     phase_qps, series, serving_used, slo_by_phase = elasticity
     rows = [[workers, qps] for workers, qps in phase_qps.items()]
     print(fmt_table(
@@ -115,8 +115,6 @@ def test_fig18_elasticity(benchmark, elasticity):
         ["sim time (s)", "QPS"],
         [[t, qps] for t, qps in series if qps > 0][:24],
     ))
-    record(benchmark, "phase_qps", {str(k): v for k, v in phase_qps.items()})
-    record(benchmark, "slo_by_phase", {str(k): v for k, v in slo_by_phase.items()})
 
     assert serving_used > 0, "new workers must serve through RPC immediately"
     # Elasticity without an availability dip: the latency SLO never
@@ -134,5 +132,3 @@ def test_fig18_elasticity(benchmark, elasticity):
     )
     overall = qps_values[-1] / qps_values[0]
     assert overall > 1.8, f"8 vs 2 workers should give near-linear gains, got {overall:.2f}x"
-
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)

@@ -10,7 +10,7 @@ segment count and the QPS recover.
 
 import pytest
 
-from benchmarks.common import BENCH_COST, fmt_table, record, smoke_scaled, write_bench_json
+from benchmarks.common import BENCH_COST, fmt_table, smoke_scaled, write_results
 from repro.core.database import BlendHouse
 from repro.workloads.datasets import make_cohere_like
 from repro.workloads.vectorbench import qps_from_latencies
@@ -67,7 +67,7 @@ def stream_results():
     return samples, compacted
 
 
-def test_fig19_segment_count_vs_qps(benchmark, stream_results):
+def test_fig19_segment_count_vs_qps(stream_results):
     samples, compacted = stream_results
     rows = [[segments, qps, "write stream"] for segments, qps in samples]
     rows.append([compacted[0], compacted[1], "after compaction"])
@@ -76,11 +76,14 @@ def test_fig19_segment_count_vs_qps(benchmark, stream_results):
         ["segments", "QPS", "state"],
         rows,
     ))
-    record(benchmark, "samples", samples)
-    record(benchmark, "compacted", compacted)
-    write_bench_json(
-        "fig19_segment_count", {"samples": samples, "compacted": compacted}
-    )
+    metrics = {
+        "compacted/segments": (compacted[0], "count"),
+        "compacted/qps": (compacted[1], "1/s"),
+    }
+    for i, (segments, qps) in enumerate(samples):
+        metrics[f"sample{i}/segments"] = (segments, "count")
+        metrics[f"sample{i}/qps"] = (qps, "1/s")
+    write_results("fig19_segment_count", metrics)
 
     counts = [segments for segments, _ in samples]
     qps = [q for _, q in samples]
@@ -91,5 +94,3 @@ def test_fig19_segment_count_vs_qps(benchmark, stream_results):
     # with all rows still visible.
     assert compacted[0] < counts[-1] / 2
     assert compacted[1] > qps[-1] * 1.1
-
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)

@@ -26,9 +26,8 @@ from benchmarks.common import (
     fmt_table,
     measure_batch_latency,
     measure_serial_latency,
-    record,
     smoke_scaled,
-    write_bench_json,
+    write_results,
 )
 from repro.core.database import BlendHouse
 from repro.workloads.datasets import make_cohere_like
@@ -92,7 +91,7 @@ def fanout_results():
     return rows, results_by_workers
 
 
-def test_parallel_fanout_speedup(benchmark, fanout_results):
+def test_parallel_fanout_speedup(fanout_results):
     rows, by_workers = fanout_results
     print(fmt_table(
         "Parallel fan-out: 8 segments, serial vs 8 lanes (simulated)",
@@ -101,22 +100,17 @@ def test_parallel_fanout_speedup(benchmark, fanout_results):
     ))
     serial_total, serial_ids = by_workers[1]
     parallel_total, parallel_ids = by_workers[8]
-    record(benchmark, "serial_s", serial_total)
-    record(benchmark, "parallel_s", parallel_total)
     speedup = serial_total / parallel_total
-    record(benchmark, "speedup", speedup)
-    write_bench_json("parallel_fanout", {
-        "serial_s": serial_total,
-        "parallel_s": parallel_total,
-        "speedup": speedup,
+    write_results("parallel_fanout", {
+        "serial_s": (serial_total, "s"),
+        "parallel_s": (parallel_total, "s"),
+        "speedup": (speedup, "ratio"),
     })
 
     # Same top-k rows regardless of the pool size...
     assert parallel_ids == serial_ids
     # ...and the 8-lane makespan is at least 2x better than the serial sum.
     assert speedup >= 2.0
-
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
 
 BATCH_INDEX_TYPES = ("FLAT", "IVFFLAT", "HNSW")
@@ -166,7 +160,7 @@ def batch_results():
     return by_index
 
 
-def test_batched_queries_beat_sequential(benchmark, batch_results):
+def test_batched_queries_beat_sequential(batch_results):
     flat = batch_results["FLAT"]
     sequential_total, sequential_ids = flat["loop"]["sim_s"], flat["loop"]["ids"]
     batch_total, batch_ids = flat["execute_batch"]["sim_s"], flat["execute_batch"]["ids"]
@@ -182,26 +176,15 @@ def test_batched_queries_beat_sequential(benchmark, batch_results):
             for index_type, modes in batch_results.items()
         ],
     ))
-    record(benchmark, "sequential_s", sequential_total)
-    record(benchmark, "batch_s", batch_total)
-    record(benchmark, "api_batch_s", api_total)
     speedup = sequential_total / batch_total
-    record(benchmark, "speedup", speedup)
-    write_bench_json("batched_queries", {
-        "sequential_s": sequential_total,
-        "batch_s": batch_total,
-        "api_batch_s": api_total,
-        "speedup": speedup,
-        # Both clocks, every index type: simulated seconds of the first
-        # run, best wall-clock ms of WALL_REPEATS.
-        "by_index": {
-            index_type: {
-                mode: {"sim_s": run["sim_s"], "wall_ms": run["wall_ms"]}
-                for mode, run in modes.items()
-            }
-            for index_type, modes in batch_results.items()
-        },
-    })
+    # Both clocks, every index type: simulated seconds of the first run,
+    # best wall-clock ms of WALL_REPEATS.  FLAT's are the gated totals.
+    metrics = {"speedup": (speedup, "ratio")}
+    for index_type, modes in batch_results.items():
+        for mode, run in modes.items():
+            metrics[f"{index_type}/{mode}/sim_s"] = (run["sim_s"], "s")
+            metrics[f"{index_type}/{mode}/wall_ms"] = (run["wall_ms"], "ms")
+    write_results("batched_queries", metrics)
 
     # The batch returns the same neighbors per query...
     assert batch_ids == sequential_ids
@@ -216,5 +199,3 @@ def test_batched_queries_beat_sequential(benchmark, batch_results):
     # The one wall-clock gate: the (nq, n) kernel is not slower than the
     # loop it replaces where it is a single GEMM per segment.
     assert flat["execute_batch"]["wall_ms"] <= flat["loop"]["wall_ms"]
-
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)

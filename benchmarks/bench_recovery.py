@@ -9,7 +9,7 @@ shows recovery time growing with the tail and the checkpoint itself
 amortizing it — the reason the WAL-bytes trigger exists.
 
 Simulated seconds throughout (the engine charges every object-store read
-and WAL operation to its clock).  Emits ``BENCH_recovery.json``.
+and WAL operation to its clock).  Writes ``benchmarks/results/recovery.json``.
 """
 
 import numpy as np
@@ -18,9 +18,8 @@ import pytest
 from benchmarks.common import (
     BENCH_COST,
     fmt_table,
-    record,
     smoke_scaled,
-    write_bench_json,
+    write_results,
 )
 from repro.core.database import BlendHouse
 
@@ -75,7 +74,7 @@ def recovery_results():
             "points": points}
 
 
-def test_recovery_vs_checkpoint_recency(benchmark, recovery_results):
+def test_recovery_vs_checkpoint_recency(recovery_results):
     points = recovery_results["points"]
     rows = [
         [p["checkpoint_after_batch"], p["checkpoint_lsn"],
@@ -91,10 +90,16 @@ def test_recovery_vs_checkpoint_recency(benchmark, recovery_results):
          "segments loaded", "recovery (sim ms)"],
         rows,
     ))
-    record(benchmark, "recovery_sim_ms",
-           {str(p["checkpoint_after_batch"]): p["recovery_sim_s"] * 1e3
-            for p in points})
-    write_bench_json("recovery", recovery_results)
+    metrics = {
+        "n_batches": (recovery_results["n_batches"], "count"),
+        "rows_per_batch": (recovery_results["rows_per_batch"], "count"),
+    }
+    for p in points:
+        for key, unit in (("wal_tail_records", "count"), ("wal_lsn_at_crash", "lsn"),
+                          ("checkpoint_lsn", "lsn"), ("segments_loaded", "count"),
+                          ("recovery_sim_s", "s")):
+            metrics[f"ckpt_after_{p['checkpoint_after_batch']}/{key}"] = (p[key], unit)
+    write_results("recovery", metrics)
 
     by_ckpt = {p["checkpoint_after_batch"]: p for p in points}
     never = by_ckpt[0]
@@ -109,5 +114,3 @@ def test_recovery_vs_checkpoint_recency(benchmark, recovery_results):
     ordered = sorted(points, key=lambda p: p["checkpoint_after_batch"])
     times = [p["recovery_sim_s"] for p in ordered]
     assert all(a >= b * 0.999 for a, b in zip(times, times[1:]))
-
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)

@@ -10,7 +10,7 @@ with the same construction parameters; reported times are simulated.
 
 import pytest
 
-from benchmarks.common import BENCH_COST, fmt_table, record
+from benchmarks.common import BENCH_COST, fmt_table
 from benchmarks.conftest import HNSW_OPTIONS, HNSW_PARAMS
 from repro.baselines import MilvusLike, PgVectorLike
 
@@ -55,7 +55,7 @@ def load_times(cohere_ds, openai_ds):
     return results
 
 
-def test_table04_load_time(benchmark, load_times, cohere_ds):
+def test_table04_load_time(load_times):
     rows = []
     for dataset in ("cohere", "openai"):
         for system in ("BlendHouse", "Milvus", "pgvector"):
@@ -76,25 +76,3 @@ def test_table04_load_time(benchmark, load_times, cohere_ds):
         )
         ratio = measured["pgvector"] / measured["BlendHouse"]
         assert 1.2 < ratio < 6.0, "pgvector/BlendHouse gap should be a small factor"
-    record(benchmark, "load_times", load_times)
-
-    # Wall-clock target: a small real ingest through the full write path.
-    import numpy as np
-
-    def small_ingest():
-        from repro.core.database import BlendHouse
-
-        db = BlendHouse(cost_model=BENCH_COST)
-        db.execute(
-            "CREATE TABLE t (id UInt64, attr Int64, embedding Array(Float32), "
-            "INDEX ann embedding TYPE FLAT('DIM=16'))"
-        )
-        rng = np.random.default_rng(0)
-        db.insert_columns(
-            "t",
-            {"id": np.arange(200, dtype=np.uint64),
-             "attr": np.zeros(200, dtype=np.int64)},
-            rng.normal(size=(200, 16)).astype(np.float32),
-        )
-
-    benchmark.pedantic(small_ingest, rounds=3, iterations=1)

@@ -9,7 +9,7 @@ write path with identical data.
 
 import pytest
 
-from benchmarks.common import BENCH_COST, fmt_table, record
+from benchmarks.common import BENCH_COST, fmt_table
 from repro.core.database import BlendHouse
 
 PAPER = {
@@ -49,7 +49,7 @@ def load_times(cohere_ds, openai_ds):
     return out
 
 
-def test_table05_index_load_time(benchmark, load_times):
+def test_table05_index_load_time(load_times):
     rows = []
     for dataset in ("cohere", "openai"):
         for label in INDEX_DDL:
@@ -61,10 +61,8 @@ def test_table05_index_load_time(benchmark, load_times):
         ["dataset", "index", "paper (s)", "measured (sim s)"],
         rows,
     ))
-    record(benchmark, "load_times", load_times)
     for dataset in ("cohere", "openai"):
         measured = load_times[dataset]
         assert measured["BH-HNSW"] > measured["BH-HNSWSQ"] > measured["BH-IVFPQFS"], (
             f"{dataset}: index build-time ordering must match the paper"
         )
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)

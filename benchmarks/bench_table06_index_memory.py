@@ -10,7 +10,7 @@ codes are by far the smallest.  Measured sizes come from each index's
 import numpy as np
 import pytest
 
-from benchmarks.common import fmt_table, record
+from benchmarks.common import fmt_table
 from repro.vindex.registry import IndexSpec, create_index
 
 PAPER_GB = {"BH-HNSW": 596.0, "BH-HNSWSQ": 238.4, "BH-IVFPQFS": 91.2}
@@ -36,7 +36,7 @@ def memory(production_ds):
     return out
 
 
-def test_table06_index_memory(benchmark, memory):
+def test_table06_index_memory(memory):
     hnsw = memory["BH-HNSW"]
     rows = []
     for label in SPECS:
@@ -52,10 +52,8 @@ def test_table06_index_memory(benchmark, memory):
         ["index", "paper (GB)", "paper (x HNSW)", "measured (MiB)", "measured (x HNSW)"],
         rows,
     ))
-    record(benchmark, "bytes", memory)
     assert memory["BH-HNSW"] > memory["BH-HNSWSQ"] > memory["BH-IVFPQFS"]
     # Rough factor match: SQ should land near the paper's 0.4x, PQ well
     # below it.
     assert memory["BH-HNSWSQ"] / hnsw < 0.75
     assert memory["BH-IVFPQFS"] / hnsw < 0.35
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)

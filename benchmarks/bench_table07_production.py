@@ -21,7 +21,7 @@ collapses on the multi-predicate filter.  We run a scaled trace
 import numpy as np
 import pytest
 
-from benchmarks.common import BENCH_COST, fmt_table, record
+from benchmarks.common import BENCH_COST, fmt_table
 from benchmarks.conftest import HNSW_OPTIONS, HNSW_PARAMS
 from repro.baselines import MilvusLike, PgVectorLike
 from repro.core.database import BlendHouse
@@ -153,7 +153,7 @@ PAPER = {
 }
 
 
-def test_table07_production_workload(benchmark, production_results):
+def test_table07_production_workload(production_results):
     base = production_results["Milvus"]["latency"]
     rows = []
     for label in PAPER:
@@ -173,10 +173,6 @@ def test_table07_production_workload(benchmark, production_results):
          "recall", "latency (ms)", "speedup vs Milvus"],
         rows,
     ))
-    record(benchmark, "results", {
-        label: {"recall": v["recall"], "latency": v["latency"]}
-        for label, v in production_results.items()
-    })
 
     r = production_results
     # Accuracy shapes.
@@ -193,5 +189,3 @@ def test_table07_production_workload(benchmark, production_results):
         key=lambda label: r[label]["latency"],
     )
     assert best == "BlendHouse-Partition"
-
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)

@@ -4,8 +4,8 @@ Every benchmark regenerates one table or figure from the paper's
 evaluation section (see DESIGN.md §4 for the experiment index).  The
 helpers here load datasets into engines, drive SQL workloads, sweep
 search parameters, and format result tables that are printed to stdout
-(run with ``pytest benchmarks/ --benchmark-only -s`` to see them; they
-are also attached to each benchmark's ``extra_info``).
+(run with ``pytest benchmarks/ -s`` to see them).  A bench whose numbers
+feed a gate or a README table also writes them with ``write_results``.
 
 Numbers are *simulated* seconds/QPS unless a bench says otherwise; the
 claim being reproduced is always the paper's qualitative shape, not the
@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, List, Optional, Sequence, Tuple
+import platform
+from typing import Any, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -37,32 +38,41 @@ BENCH_COST = DeviceCostModel().scaled(object_store_latency_s=3e-3)
 # finishes in a couple of minutes while exercising the same code paths
 # and assertions.
 BENCH_SMOKE = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
+T = TypeVar("T")
 
 
-def smoke_scaled(full: int, smoke: int) -> int:
+def smoke_scaled(full: T, smoke: T) -> T:
     """``full`` normally, ``smoke`` when BENCH_SMOKE is set."""
     return smoke if BENCH_SMOKE else full
 
 
-def write_bench_json(name: str, payload: Any) -> str:
-    """Persist one benchmark's results as ``BENCH_<name>.json``.
+RESULTS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "results")
 
-    CI uploads these as artifacts; the payload mirrors what the bench
-    attaches to pytest-benchmark's ``extra_info``.
+
+def write_results(name: str, metrics: Dict[str, Tuple[float, str]]) -> None:
+    """Write one bench's results as ``benchmarks/results/<name>.json``.
+
+    ``metrics`` maps a slash-separated name to ``(value, unit)``.  The
+    file has the ledger's result shape: a host block and
+    ``{"metrics": {name: {"value": number, "unit": str}}}``, which is
+    what ``check_regression.py`` compares against a baseline.
     """
-    path = os.path.join(os.getcwd(), f"BENCH_{name}.json")
+    os.makedirs(RESULTS_DIR, exist_ok=True)
+    path = os.path.join(RESULTS_DIR, f"{name}.json")
+    payload = {
+        "host": {
+            "cpu_count": os.cpu_count(), "machine": platform.machine(),
+            "numpy": np.__version__, "python": platform.python_version(),
+        },
+        "metrics": {
+            key: {"value": value.item() if isinstance(value, np.generic) else value,
+                  "unit": unit}
+            for key, (value, unit) in metrics.items()
+        },
+    }
     with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True, default=_json_safe)
+        json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    return path
-
-
-def _json_safe(value: Any) -> Any:
-    if isinstance(value, np.generic):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    return str(value)
 
 
 def load_blendhouse(
@@ -216,13 +226,6 @@ def _fmt_cell(cell: Any) -> str:
             return f"{cell:.2f}"
         return f"{cell:.4f}"
     return str(cell)
-
-
-def record(benchmark: Any, key: str, value: Any) -> None:
-    """Attach a result to pytest-benchmark's extra_info (JSON-safe)."""
-    if isinstance(value, np.generic):
-        value = value.item()
-    benchmark.extra_info[key] = value
 
 
 def measure_serial_latency(

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.cluster.rpc import RpcFabric
 from repro.executor.cancel import CancelToken
-from repro.vindex.api import SearchResult
+from repro.vindex.api import SearchResult, range_by_doubling
 from repro.vindex.iterator import GenericRestartIterator, SearchIterator
 
 
@@ -75,15 +75,7 @@ class RemoteSearchProvider:
         **params: Any,
     ) -> SearchResult:
         """Range search: over-fetch through the remote top-k interface."""
-        k = min(64, self.ntotal)
-        while True:
-            result = self.search_with_filter(query, k, bitset=bitset, **params)
-            within = result.distances <= radius
-            if len(result) < k or k >= self.ntotal or (len(result) and not within[-1]):
-                keep = np.flatnonzero(within)
-                return SearchResult(result.ids[keep], result.distances[keep],
-                                    visited=result.visited)
-            k = min(k * 2, self.ntotal)
+        return range_by_doubling(self, query, radius, bitset, **params)
 
     def search_iterator(
         self,

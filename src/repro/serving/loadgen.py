@@ -50,24 +50,6 @@ class LoadReport:
     queue_depth: Optional[Dict[str, float]]
     tail_samples: List[Optional[float]] = field(default_factory=list)
 
-    def as_dict(self) -> Dict[str, Any]:
-        """JSON-safe view for ``BENCH_serving*.json``."""
-        return {
-            "mode": self.mode,
-            "offered": self.offered,
-            "completed": self.completed,
-            "rejected_admission": self.rejected_admission,
-            "rejected_quota": self.rejected_quota,
-            "timeouts": self.timeouts,
-            "errors": self.errors,
-            "duration_s": self.duration_s,
-            "qps": self.qps,
-            "latency": self.latency,
-            "queue_wait": self.queue_wait,
-            "queue_depth": self.queue_depth,
-            "tail_samples": self.tail_samples,
-        }
-
 
 def _distribution(values: Sequence[float]) -> Optional[Dict[str, float]]:
     if not values:

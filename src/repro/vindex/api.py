@@ -197,6 +197,38 @@ class SearchResult:
         return SearchResult(self.ids[:k], self.distances[:k], visited=self.visited)
 
 
+def range_by_doubling(
+    searcher: Any,
+    query: np.ndarray,
+    radius: float,
+    bitset: Optional[np.ndarray] = None,
+    **search_params: Any,
+) -> SearchResult:
+    """All rows within ``radius`` through ``searcher``'s top-k interface.
+
+    Over-fetches with doubling ``k`` until the farthest returned distance
+    exceeds the radius, the generic construction the paper uses for
+    libraries lacking native range search.  ``searcher`` needs
+    ``search_with_filter`` and ``ntotal``; ``visited`` is the sum over
+    every round, since each round is a search of its own.
+    """
+    if radius < 0:
+        raise IndexParameterError(f"radius must be non-negative, got {radius}")
+    if searcher.ntotal == 0:
+        return SearchResult.empty()
+    k = min(64, searcher.ntotal)
+    visited = 0
+    while True:
+        result = searcher.search_with_filter(query, k, bitset=bitset, **search_params)
+        visited += result.visited
+        within = result.distances <= radius
+        exhausted = len(result) < k or k >= searcher.ntotal
+        if exhausted or (len(result) > 0 and not within[-1]):
+            keep = np.flatnonzero(within)
+            return SearchResult(result.ids[keep], result.distances[keep], visited=visited)
+        k = min(k * 2, searcher.ntotal)
+
+
 @dataclass
 class IndexStats:
     """Build/search statistics an index reports for auto-tuning and benches."""
@@ -304,26 +336,9 @@ class VectorIndex(abc.ABC):
     ) -> SearchResult:
         """All rows within ``radius`` of ``query`` (distance-range scan).
 
-        The default implementation over-fetches with doubling ``k`` until
-        the farthest returned distance exceeds the radius, which is the
-        generic construction the paper uses for libraries lacking native
-        range search.
+        The default is :func:`range_by_doubling` over this index's top-k.
         """
-        if radius < 0:
-            raise IndexParameterError(f"radius must be non-negative, got {radius}")
-        if self.ntotal == 0:
-            return SearchResult.empty()
-        k = min(64, self.ntotal)
-        visited = 0
-        while True:
-            result = self.search_with_filter(query, k, bitset=bitset, **search_params)
-            visited += result.visited
-            within = result.distances <= radius
-            exhausted = len(result) < k or k >= self.ntotal
-            if exhausted or (len(result) > 0 and not within[-1]):
-                keep = np.flatnonzero(within)
-                return SearchResult(result.ids[keep], result.distances[keep], visited=visited)
-            k = min(k * 2, self.ntotal)
+        return range_by_doubling(self, query, radius, bitset, **search_params)
 
     def search_batch(
         self,

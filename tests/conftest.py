@@ -57,7 +57,7 @@ def _mvcc_leak_guard():
     """With MVCC_LEAK_CHECK=1, fail any test that leaks snapshot pins.
 
     A pin that outlives its query blocks segment retirement forever; the
-    concurrency-stress CI job runs the suite under this guard.
+    concurrency-stress entry of CI's checks job runs under this guard.
     """
     if os.environ.get("MVCC_LEAK_CHECK") != "1":
         yield
@@ -71,7 +71,7 @@ def _mvcc_leak_guard():
 
 
 def pytest_sessionfinish(session, exitstatus):
-    """Process-exit leak gate for the concurrency-stress CI job."""
+    """Process-exit leak gate for CI's concurrency-stress entry."""
     if os.environ.get("MVCC_LEAK_CHECK") == "1":
         from repro.storage.manifest import live_pinned_snapshots
 

@@ -6,10 +6,11 @@ import pytest
 from repro.cluster.rpc import RpcFabric
 from repro.cluster.serving import RemoteSearchProvider
 from repro.cluster.worker import Worker
-from repro.errors import WorkerUnavailableError
+from repro.errors import IndexParameterError, WorkerUnavailableError
 from repro.storage.lsm import index_storage_key
 from repro.storage.segment import Segment
 from repro.vindex.flat import FlatIndex
+from repro.vindex.hnsw import HNSWIndex
 from repro.vindex.registry import serialize_index
 
 
@@ -148,3 +149,30 @@ class TestRemoteProviderCosts:
         radius = float(np.sort(distances)[10])
         result = provider.search_with_range(query, radius)
         assert len(result) == 11
+
+    def test_served_range_matches_local(self, clock, cost, store, metrics):
+        """A served range search returns the local ids and charges every
+        doubling round's visits, as the local one does."""
+        vectors = np.random.default_rng(1).normal(size=(500, 8)).astype(np.float32)
+        segment = Segment.from_columns(
+            "t/seg-0", "t", {"id": np.arange(500, dtype=np.uint64)}, vectors
+        )
+        segment.meta.index_type = "HNSW"
+        index = HNSWIndex(dim=8)
+        index.add_with_ids(vectors, np.arange(500))
+        key = index_storage_key(segment.segment_id, "HNSW")
+        store.put(key, serialize_index(index))
+        fabric = RpcFabric(clock, cost, metrics)
+        owner = Worker("owner", clock, cost, store, fabric, metrics=metrics)
+        newcomer = Worker("newcomer", clock, cost, store, fabric, metrics=metrics)
+        owner.preload(key)
+        provider, tier = newcomer.resolve_provider(segment, key, owner)
+        assert tier == "serving"
+
+        local = index.search_with_range(vectors[0], 6.0)
+        served = provider.search_with_range(vectors[0], 6.0)
+        assert served.ids.tolist() == local.ids.tolist()
+        assert served.visited == local.visited
+        assert local.visited > index.ntotal  # more than one doubling round
+        with pytest.raises(IndexParameterError):
+            provider.search_with_range(vectors[0], -1.0)
