@@ -74,8 +74,8 @@ def build_engine(instrumented):
     else:
         db.tracer.enabled = False
         db.metrics.events = None  # emit_event becomes a no-op
-        db.slowlog.sample_every = 0
-        db.slowlog.threshold_s = float("inf")
+        db.settings.slowlog_sample_every = 0
+        db.settings.slowlog_threshold_ms = float("inf")
     sqls = [
         f"SELECT id, dist FROM bench ORDER BY "
         f"L2Distance(embedding, {vector_sql(query)}) AS dist LIMIT 10"
@@ -120,9 +120,11 @@ PATHS = {"direct": run_direct, "staged": run_staged}
 def measure():
     """Interleaved A/B wall-time measurement of both configs per path.
 
-    Passes alternate dark/instrumented so slow machine-level drift
-    (frequency scaling, page cache state) hits both configs equally;
-    the minimum per config is the steadiest observation.
+    Each repeat is one dark and one instrumented pass, and which of
+    the two runs first alternates from repeat to repeat (dark first,
+    then traced first, ...), so slow machine-level drift (frequency
+    scaling, page cache state) favours neither config; the minimum per
+    config is the steadiest observation.
     """
     db_off, sqls = build_engine(instrumented=False)
     db_on, _ = build_engine(instrumented=True)
@@ -130,15 +132,14 @@ def measure():
     for path, run_pass in PATHS.items():
         run_pass(db_off, sqls)  # warmups: caches, plan cache, index loads
         run_pass(db_on, sqls)
-        walls_off, walls_on = [], []
-        sum_off = sum_on = 0
-        for _ in range(REPEATS):
-            wall, sum_off = run_pass(db_off, sqls)
-            walls_off.append(wall)
-            wall, sum_on = run_pass(db_on, sqls)
-            walls_on.append(wall)
-        assert sum_on == sum_off, f"instrumentation changed {path} query results"
-        wall_off, wall_on = min(walls_off), min(walls_on)
+        walls = {db_off: [], db_on: []}
+        sums = {}
+        for repeat in range(REPEATS):
+            for db in (db_off, db_on) if repeat % 2 == 0 else (db_on, db_off):
+                wall, sums[db] = run_pass(db, sqls)
+                walls[db].append(wall)
+        assert sums[db_on] == sums[db_off], f"instrumentation changed {path} query results"
+        wall_off, wall_on = min(walls[db_off]), min(walls[db_on])
         rows[path] = {
             "wall_off_s": wall_off,
             "wall_on_s": wall_on,

@@ -170,7 +170,7 @@ def serve(mode, queries=TOTAL_QUERIES, concurrency=CLOSED_CONCURRENCY,
     slo = attach_slo(db, frontend)
     # Record a flight for anything over the SLO threshold (plus the
     # tail-sampled normals the log takes by default).
-    db.slowlog.threshold_s = SLO_LATENCY_THRESHOLD_S
+    db.settings.slowlog_threshold_ms = SLO_LATENCY_THRESHOLD_S * 1e3
     if mode == "closed":
         report = run_virtual(run_closed_loop(
             frontend, sqls, concurrency=concurrency, total_queries=queries,

@@ -112,7 +112,7 @@ def handle_dot_command(db: BlendHouse, line: str) -> Optional[str]:
     if command == ".metrics":
         return db.export_metrics().render() or "(no metrics yet)"
     if command == ".slowlog":
-        return db.slowlog.report().render()
+        return db.execute("SHOW SLOW QUERIES").render()
     if command == ".profile":
         return "\n".join(
             f"{name:<22} calls {row['calls']:>6}  wall {row['wall_s'] * 1e3:>10.3f} ms"

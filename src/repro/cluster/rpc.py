@@ -12,7 +12,7 @@ from typing import Any, Callable, Dict, Optional
 
 from repro.errors import WorkerUnavailableError
 from repro.executor.cancel import CancelToken
-from repro.observe.trace import Tracer, maybe_span
+from repro.observe.trace import Tracer
 from repro.simulate.clock import SimulatedClock
 from repro.simulate.costmodel import DeviceCostModel
 from repro.simulate.metrics import MetricRegistry
@@ -56,7 +56,7 @@ class RpcFabric:
         clock: SimulatedClock,
         cost: DeviceCostModel,
         metrics: MetricRegistry,
-        tracer: Optional[Tracer] = None,
+        tracer: Tracer,
     ) -> None:
         self._clock = clock
         self._cost = cost
@@ -103,7 +103,7 @@ class RpcFabric:
         if endpoint is None or not endpoint.reachable:
             self._metrics.incr("rpc.failures")
             raise WorkerUnavailableError(f"worker {target_id!r} is unreachable")
-        with maybe_span(self._tracer, "rpc.call", target=target_id, method=method):
+        with self._tracer.span("rpc.call", target=target_id, method=method):
             cost = self._cost.rpc_call(request_bytes, response_bytes)
             self._clock.advance(cost)
             self._metrics.incr("rpc.calls")

@@ -30,7 +30,7 @@ from repro.cluster.worker import Worker
 from repro.errors import NoWorkersError, WorkerUnavailableError
 from repro.executor.cancel import CancelToken
 from repro.executor.columnio import ColumnReader
-from repro.observe.trace import Tracer, maybe_span
+from repro.observe.trace import Tracer
 from repro.executor.pipeline import (
     ExecContext,
     PartialResult,
@@ -72,9 +72,9 @@ class VirtualWarehouse:
         clock: SimulatedClock,
         cost: DeviceCostModel,
         store: ObjectStore,
+        tracer: Tracer,
         metrics: Optional[MetricRegistry] = None,
         config: Optional[WarehouseConfig] = None,
-        tracer: Optional[Tracer] = None,
         directory=None,
     ) -> None:
         self.name = name
@@ -84,7 +84,7 @@ class VirtualWarehouse:
         self.metrics = metrics or MetricRegistry()
         self.config = config or WarehouseConfig()
         self.tracer = tracer
-        self.fabric = RpcFabric(clock, cost, self.metrics, tracer=tracer)
+        self.fabric = RpcFabric(clock, cost, self.metrics, tracer)
         # The scheduler namespaces its routing-directory entries by this
         # warehouse's name so a directory shared across a fleet never
         # mixes two warehouses' decisions for one (segment, manifest).
@@ -286,11 +286,10 @@ class VirtualWarehouse:
                 raise WorkerUnavailableError(f"worker {worker_id!r} is gone")
             # Each segment charges a capture of its own; replaying those
             # into this one (never applied) is what the worker span reads.
-            with self.clock.capturing() as charged, maybe_span(
-                self.tracer, "worker_scan",
-                worker=worker_id, segments=len(segment_ids),
+            with self.clock.capturing() as charged, self.tracer.span(
+                "worker_scan", worker=worker_id, segments=len(segment_ids),
             ) as scan_span:
-                if scan_span is not None and manifest_id is not None:
+                if manifest_id is not None:
                     scan_span.set_tag("manifest_id", manifest_id)
                 ctx = ExecContext(
                     clock=self.clock,
@@ -375,8 +374,7 @@ class VirtualWarehouse:
                 provider.cancel = cancel
             self.access_stats.record(segment.segment_id, tier, self.clock.now)
             self.metrics.incr(f"warehouse.tier.{tier}")
-            if self.tracer is not None:
-                self.tracer.annotate("tier", tier)
+            self.tracer.annotate("tier", tier)
             return provider
 
         return resolve

@@ -64,7 +64,7 @@ from repro.ingest.update import apply_delete, apply_update
 from repro.ingest.writer import IngestConfig, IngestReport
 from repro.observe.events import EventLog
 from repro.observe.export import MetricsExporter
-from repro.observe.slowlog import SlowQueryLog
+from repro.observe.slowlog import FlightRecord, SlowQueryLog, SlowQueryReport
 from repro.observe.trace import Span, Tracer
 from repro.partition.pruning import prune_segments_scalar, select_semantic_candidates
 from repro.planner.cost import CostModelParams
@@ -230,10 +230,7 @@ class BlendHouse:
         self.events = EventLog(self.clock)
         self.metrics.events = self.events
         self.tracer = Tracer(self.clock, metrics=self.metrics)
-        self.slowlog = SlowQueryLog(
-            threshold_s=self.settings.slowlog_threshold_ms / 1e3,
-            sample_every=self.settings.slowlog_sample_every,
-        )
+        self.slowlog = SlowQueryLog()
         if store is not None:
             # Recovery path: reuse the surviving shared store (and its
             # clock/cost model unless overridden above).
@@ -353,13 +350,15 @@ class BlendHouse:
             return result
         if isinstance(statement, SetStatement):
             self.settings.apply(statement.name, statement.value)
-            self.slowlog.threshold_s = self.settings.slowlog_threshold_ms / 1e3
-            self.slowlog.sample_every = self.settings.slowlog_sample_every
             return {"setting": statement.name, "value": statement.value}
         if isinstance(statement, Checkpoint):
             return self.checkpoint(reason="statement")
         if isinstance(statement, ShowSlowQueries):
-            return self.slowlog.report(statement.limit)
+            return SlowQueryReport(
+                records=self.slowlog.records(statement.limit),
+                threshold_s=self.settings.slowlog_threshold_ms / 1e3,
+                total_recorded=self.slowlog.recorded,
+            )
         raise BlendHouseError(f"unhandled statement type {type(statement).__name__}")
 
     # ------------------------------------------------------------------
@@ -914,18 +913,25 @@ class BlendHouse:
     ) -> None:
         """Offer one finished SELECT to the slow-query log.
 
-        ``flight`` is the final stage's payload; the record (plan
-        payload, cache deltas, the query's span tree — serialized at
-        export time) is only built if the log's cheap threshold/sampling
-        check wants it.  ``serving`` carries the serving tier's ``lane``
-        / ``tenant`` / ``queue_wait_s``.
+        The log records it as ``slow`` at or over ``slowlog_threshold_ms``
+        and as ``sampled`` when it is every ``slowlog_sample_every``-th
+        query offered.  ``flight`` is the final stage's payload; the
+        record (plan payload, cache deltas, the query's span tree —
+        serialized at export time) is only built for a recorded query.
+        ``serving`` carries the serving tier's ``lane`` / ``tenant`` /
+        ``queue_wait_s``.
         """
-        reason = self.slowlog.should_record(latency_s)
-        if reason is None:
+        seen = self.slowlog.offer()
+        every = self.settings.slowlog_sample_every
+        if latency_s >= self.settings.slowlog_threshold_ms / 1e3:
+            reason = "slow"
+        elif every > 0 and seen % every == 0:
+            reason = "sampled"
+        else:
             return
         plan = flight["plan"]
         before, after = flight["cache_before"], self._cache_counters()
-        self.slowlog.observe(
+        self.slowlog.append(FlightRecord(
             timestamp=self.clock.now,
             sql=sql,
             latency_s=latency_s,
@@ -945,7 +951,7 @@ class BlendHouse:
             cache={key: after[key] - before[key] for key in after},
             trace=flight["trace"],
             **serving,
-        )
+        ))
 
     # ------------------------------------------------------------------
     # Batched (nq > 1) queries: groups of more than one

@@ -47,9 +47,10 @@ class EngineSettings:
     # (>= 1).  Scans always run one after another on the calling thread;
     # rows are identical at any value, only simulated wall-time changes.
     parallel_workers: int = 1
-    # Flight-recorder knobs: queries slower than the threshold are always
-    # recorded; one in every ``slowlog_sample_every`` fast queries is
-    # tail-sampled too (0 disables sampling).
+    # The flight recorder's whole policy, read by ``offer_flight`` on
+    # every offer: queries at or over the threshold are always recorded;
+    # every ``slowlog_sample_every``-th query offered is tail-sampled
+    # too (0 disables sampling).
     slowlog_threshold_ms: float = 50.0
     slowlog_sample_every: int = 100
 

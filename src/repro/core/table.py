@@ -36,8 +36,8 @@ class TableRuntime:
         clock: SimulatedClock,
         cost: DeviceCostModel,
         metrics: MetricRegistry,
+        tracer: Tracer,
         ingest_config: Optional[IngestConfig] = None,
-        tracer: Optional[Tracer] = None,
     ) -> None:
         self.entry = entry
         self.store = store
@@ -94,32 +94,27 @@ class TableRuntime:
         loads, finally the object store (charging the cold-read cost).
         """
         if index_key is None:
-            self._annotate_tier("none")
+            self.tracer.annotate("tier", "none")
             return None
         built = self.writer.built_indexes.get(index_key)
         if built is not None:
-            self._annotate_tier("built")
+            self.tracer.annotate("tier", "built")
             return built
         cached = self._loaded_indexes.get(index_key)
         if cached is not None:
-            self._annotate_tier("memory")
+            self.tracer.annotate("tier", "memory")
             return cached
         try:
             payload = self.store.get(index_key)
         except ObjectNotFoundError:
-            self._annotate_tier("none")
+            self.tracer.annotate("tier", "none")
             return None
         index = deserialize_index(payload)
         self._attach_segment_hooks(index, segment)
         self._loaded_indexes[index_key] = index
         self.metrics.incr("table.index_cold_loads")
-        self._annotate_tier("remote")
+        self.tracer.annotate("tier", "remote")
         return index
-
-    def _annotate_tier(self, tier: str) -> None:
-        """Attribute the resolution tier to the in-flight trace span."""
-        if self.tracer is not None:
-            self.tracer.annotate("tier", tier)
 
     def _attach_segment_hooks(self, index: VectorIndex, segment: Segment) -> None:
         """Re-wire non-persisted hooks after deserialization."""

@@ -30,7 +30,7 @@ from repro.durability.crashpoints import CrashPointRegistry
 from repro.durability.wal import WriteAheadLog
 from repro.errors import RecoveryError
 from repro.observe.events import emit_event
-from repro.observe.trace import Tracer, maybe_span
+from repro.observe.trace import Tracer
 from repro.simulate.metrics import MetricRegistry
 from repro.storage.objectstore import ObjectStore
 
@@ -55,8 +55,8 @@ class Checkpointer:
         self,
         store: ObjectStore,
         wal: WriteAheadLog,
+        tracer: Tracer,
         metrics: Optional[MetricRegistry] = None,
-        tracer: Optional[Tracer] = None,
         crashpoints: Optional[CrashPointRegistry] = None,
         prefix: str = "checkpoints/",
     ) -> None:
@@ -116,7 +116,7 @@ class Checkpointer:
     # ------------------------------------------------------------------
     def write(self, catalog: Any, tables: Dict[str, Any], reason: str) -> CheckpointInfo:
         """Capture, upload, swap the pointer, truncate the WAL."""
-        with maybe_span(self._tracer, "checkpoint", reason=reason):
+        with self._tracer.span("checkpoint", reason=reason):
             self._crash.hit("checkpoint.before_upload")
             wal_lsn = self._wal.last_flushed_lsn
             checkpoint_id = self.next_checkpoint_id

@@ -65,8 +65,8 @@ class WarehouseFleet:
         clock: SimulatedClock,
         cost: DeviceCostModel,
         store: ObjectStore,
+        tracer: Tracer,
         metrics: Optional[MetricRegistry] = None,
-        tracer: Optional[Tracer] = None,
         config: Optional[FleetConfig] = None,
     ) -> None:
         self.clock = clock

@@ -41,7 +41,6 @@ from repro.executor.pipeline import (
     _resolve_index,
     _structured_scan_mask,
 )
-from repro.observe.trace import maybe_span
 from repro.planner.optimizer import ExecutionStrategy, PhysicalPlan
 from repro.storage.deletebitmap import DeleteBitmap
 from repro.storage.segment import Segment
@@ -107,8 +106,7 @@ def _batch_scan_segment(
     """
     k = plan.logical.k or 10
     nq = len(queries)
-    with maybe_span(ctx.tracer, "segment_scan",
-                    segment=segment.segment_id, queries=nq):
+    with ctx.tracer.span("segment_scan", segment=segment.segment_id, queries=nq):
         # Alive mask computed once for the whole batch.  A segment with
         # nothing deleted scans unmasked, exactly like the serial
         # ANN_ONLY path, so index traversals see the same inputs.

@@ -24,7 +24,7 @@ from repro.executor.annscan import (
     search_with_range_op,
 )
 from repro.executor.columnio import ColumnReader
-from repro.observe.trace import Tracer, maybe_span
+from repro.observe.trace import Tracer
 from repro.planner.cost import CostModelParams
 from repro.planner.optimizer import ExecutionStrategy, PhysicalPlan
 from repro.simulate.clock import SimulatedClock
@@ -58,8 +58,8 @@ class ExecContext:
     params: CostModelParams
     reader: ColumnReader
     resolve_index: IndexResolver
+    tracer: Tracer
     metrics: MetricRegistry = field(default_factory=MetricRegistry)
-    tracer: Optional[Tracer] = None
     # Manifest this execution is pinned to (MVCC); None outside snapshots.
     manifest_id: Optional[int] = None
 
@@ -137,8 +137,7 @@ def _segment_columns(segment: Segment, names: Set[str]) -> Dict[str, Any]:
 
 def _alive_mask(bitmap: DeleteBitmap, ctx: ExecContext) -> np.ndarray:
     """Delete-bitmap filtering, attributed to the trace and metrics."""
-    with maybe_span(ctx.tracer, "delete_bitmap.filter",
-                    deleted=bitmap.deleted_count):
+    with ctx.tracer.span("delete_bitmap.filter", deleted=bitmap.deleted_count):
         ctx.metrics.incr("delete_bitmap.filters")
         return bitmap.alive_mask()
 
@@ -188,7 +187,7 @@ def _resolve_index(
         return None
     # Resolvers annotate the open span with the tier the index came
     # from (built / memory / disk / serving / cold_load / brute).
-    with maybe_span(ctx.tracer, "index_resolve", segment=segment.segment_id):
+    with ctx.tracer.span("index_resolve", segment=segment.segment_id):
         return ctx.resolve_index(segment)
 
 
@@ -428,14 +427,12 @@ def execute_segment(
     ctx: ExecContext,
 ) -> PartialResult:
     """Run ``plan`` on one segment (the unit a cluster worker executes)."""
-    with maybe_span(ctx.tracer, "segment_scan",
-                    segment=segment.segment_id,
-                    strategy=plan.strategy.value) as span:
+    with ctx.tracer.span("segment_scan", segment=segment.segment_id,
+                         strategy=plan.strategy.value) as span:
         partial = _scan_segment(
             plan, segment, bitmap, ctx, _resolve_index(plan, segment, ctx)
         )
-        if span is not None:
-            span.set_tag("rows", int(partial.offsets.size))
+        span.set_tag("rows", int(partial.offsets.size))
         return partial
 
 
@@ -446,12 +443,10 @@ def merge_and_project(
     segments_scanned: int,
 ) -> QueryResult:
     """Merge partial top-k results and fetch the projected columns."""
-    with maybe_span(ctx.tracer, "merge_project",
-                    partials=len(partials)) as span:
+    with ctx.tracer.span("merge_project", partials=len(partials)) as span:
         merged = _merge_partials(plan, partials)
         names, rows = _project(plan, merged, ctx)
-        if span is not None:
-            span.set_tag("rows", len(rows))
+        span.set_tag("rows", len(rows))
         return QueryResult(
             columns=names,
             rows=rows,

@@ -23,18 +23,17 @@ The span model and metric name catalog are documented in DESIGN.md
 ("Observability") and README.md.
 """
 
-from repro.observe.events import Event, EventLog, JsonlSink, emit_event
+from repro.observe.events import Event, EventLog, emit_event
 from repro.observe.export import MetricsExporter
 from repro.observe.slo import SLOMonitor, SLObjective
 from repro.observe.slowlog import FlightRecord, SlowQueryLog, SlowQueryReport
-from repro.observe.trace import Span, Tracer, maybe_span
+from repro.observe.trace import Span, Tracer
 from repro.simulate.metrics import MetricRegistry, Series
 
 __all__ = [
     "Event",
     "EventLog",
     "FlightRecord",
-    "JsonlSink",
     "MetricRegistry",
     "MetricsExporter",
     "SLOMonitor",
@@ -45,5 +44,4 @@ __all__ = [
     "Span",
     "Tracer",
     "emit_event",
-    "maybe_span",
 ]

@@ -12,10 +12,6 @@ Deep components do not take an :class:`EventLog` in their constructors;
 the owning engine attaches the log to its ``MetricRegistry`` (the one
 object already threaded everywhere) and components emit through
 :func:`emit_event`, which is a no-op when no log is attached.
-
-Sinks (:class:`JsonlSink`) observe every event *as it is emitted*, so a
-JSONL sink sees the full stream even though the in-memory ring is
-bounded.
 """
 
 from __future__ import annotations
@@ -24,17 +20,17 @@ import json
 import threading
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, IO, List, Optional
+from typing import Any, Deque, Dict, List, Optional
 
 from repro.simulate.clock import SimulatedClock
 
-# Events retained in memory; the stream keeps flowing to sinks after the
-# ring wraps, and ``dropped`` counts what the ring forgot.
+# Events retained in memory; per-type counts survive the ring wrapping,
+# and ``dropped`` counts what the ring forgot.
 DEFAULT_MAX_EVENTS = 4096
 
 # Canonical event types.  Emission is not restricted to this set, but
 # everything the engine emits is named here so tests and docs have one
-# place to look.
+# place to look; a test holds it equal to the types emitted under src/.
 EVENT_TYPES = (
     "serving.admitted",
     "serving.rejected",
@@ -51,9 +47,6 @@ EVENT_TYPES = (
     "compaction.start",
     "compaction.finish",
     "slo.alert",
-    # Process scan plane: a pool worker died mid-scan / was replaced.
-    "worker.crash",
-    "worker.respawn",
     # Elastic fleet: membership and cold-cache-masking transitions.
     "fleet.scale_out",
     "fleet.scale_in",
@@ -80,38 +73,8 @@ class Event:
         return out
 
 
-class JsonlSink:
-    """Writes each event as one JSON line to a file-like object.
-
-    The sink owns flushing, not closing: pass an open handle (or a path,
-    which the sink opens and then does own).  Attach via
-    :meth:`EventLog.add_sink`.
-    """
-
-    def __init__(self, target: Any) -> None:
-        if hasattr(target, "write"):
-            self._fh: IO[str] = target
-            self._owns = False
-        else:
-            self._fh = open(target, "a", encoding="utf-8")
-            self._owns = True
-        self.written = 0
-
-    def __call__(self, event: Event) -> None:
-        self._fh.write(json.dumps(event.to_dict(), sort_keys=True) + "\n")
-        self.written += 1
-
-    def flush(self) -> None:
-        self._fh.flush()
-
-    def close(self) -> None:
-        self.flush()
-        if self._owns:
-            self._fh.close()
-
-
 class EventLog:
-    """Thread-safe bounded ring of :class:`Event` plus pluggable sinks."""
+    """Thread-safe bounded ring of :class:`Event`."""
 
     def __init__(
         self,
@@ -123,24 +86,14 @@ class EventLog:
         self._clock = clock
         self._lock = threading.Lock()
         self._ring: Deque[Event] = deque(maxlen=max_events)
-        self._sinks: List[Callable[[Event], None]] = []
         self._seq = 0
-        # Events the bounded ring has forgotten (sinks still saw them).
+        # Events the bounded ring has forgotten.
         self.dropped = 0
         # Per-type totals over the whole stream, not just the ring.
         self._counts: Dict[str, int] = {}
 
-    @property
-    def max_events(self) -> int:
-        return self._ring.maxlen or 0
-
-    def add_sink(self, sink: Callable[[Event], None]) -> None:
-        """Attach a sink invoked synchronously for every future event."""
-        with self._lock:
-            self._sinks.append(sink)
-
     def emit(self, etype: str, **fields: Any) -> Event:
-        """Record one event at clock-now and fan it out to sinks."""
+        """Record one event at clock-now."""
         with self._lock:
             event = Event(self._seq, self._clock.now, etype, dict(fields))
             self._seq += 1
@@ -148,9 +101,6 @@ class EventLog:
                 self.dropped += 1
             self._ring.append(event)
             self._counts[etype] = self._counts.get(etype, 0) + 1
-            sinks = list(self._sinks)
-        for sink in sinks:
-            sink(event)
         return event
 
     def events(self, etype: Optional[str] = None) -> List[Event]:
@@ -188,14 +138,6 @@ class EventLog:
             for event in retained:
                 fh.write(json.dumps(event.to_dict(), sort_keys=True) + "\n")
         return len(retained)
-
-    def clear(self) -> None:
-        """Drop retained events and reset stream accounting."""
-        with self._lock:
-            self._ring.clear()
-            self._counts.clear()
-            self._seq = 0
-            self.dropped = 0
 
 
 def emit_event(metrics: Any, etype: str, **fields: Any) -> None:

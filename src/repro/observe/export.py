@@ -11,7 +11,6 @@ engine tracer, event log, and slow-query log) and exposes
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, Optional
 
 from repro.observe.events import EventLog
@@ -72,10 +71,6 @@ class MetricsExporter:
                 record.to_dict() for record in self._slowlog.records()
             ]
         return snapshot
-
-    def as_json(self, indent: Optional[int] = None) -> str:
-        """The :meth:`as_dict` snapshot serialized to JSON."""
-        return json.dumps(self.as_dict(), indent=indent, sort_keys=True)
 
     def render(self) -> str:
         """Prometheus-style text exposition of the registry."""

@@ -242,10 +242,6 @@ class SLOMonitor:
             raise KeyError(f"unknown SLO objective: {name!r}")
         return bool(status[name]["alerting"])
 
-    def any_alerting(self) -> bool:
-        """Whether any objective is currently firing."""
-        return any(status["alerting"] for status in self.evaluate().values())
-
     def as_dict(self) -> Dict[str, Any]:
         """JSON-safe snapshot (objective config + current evaluation)."""
         status = self.evaluate()

@@ -7,11 +7,13 @@ alternatives it rejected, cache hit/miss deltas, the manifest the query
 pinned, its serving lane/tenant, and how long it waited for an
 admission slot.
 
-:class:`SlowQueryLog` captures that record for every query whose
-simulated latency exceeds a configurable threshold, plus every Nth
-normal query (tail sampling) so the log also shows what *healthy*
-executions look like.  Records live in a bounded ring; ``SHOW SLOW
-QUERIES`` and the REPL's ``.slowlog`` render them, and
+:class:`SlowQueryLog` holds that record for every query whose
+simulated latency is at or over the ``slowlog_threshold_ms`` setting, plus
+every ``slowlog_sample_every``-th query it is offered (tail sampling),
+so the log also shows what *healthy* executions look like.  The policy
+lives in the engine settings alone: ``BlendHouse.offer_flight`` makes
+the decision and appends the record.  Records live in a bounded ring;
+``SHOW SLOW QUERIES`` and the REPL's ``.slowlog`` render them, and
 ``MetricsExporter.as_dict`` exports them.
 """
 
@@ -25,21 +27,18 @@ from typing import Any, Deque, Dict, List, Optional
 
 # Flight records retained; diagnosis wants recency, not history.
 DEFAULT_MAX_RECORDS = 128
-# Queries slower than this (simulated seconds) are always recorded.
-DEFAULT_THRESHOLD_S = 0.050
-# One in every N fast queries is recorded anyway (0 disables sampling).
-DEFAULT_SAMPLE_EVERY = 100
 
 
 @dataclass
 class FlightRecord:
     """Everything captured about one recorded query."""
 
-    query_id: int
     timestamp: float
     sql: str
     latency_s: float
     reason: str  # "slow" | "sampled"
+    # Position in the log's lifetime, set by :meth:`SlowQueryLog.append`.
+    query_id: int = -1
     lane: Optional[str] = None
     tenant: Optional[str] = None
     queue_wait_s: Optional[float] = None
@@ -109,16 +108,9 @@ class SlowQueryReport:
 class SlowQueryLog:
     """Bounded, thread-safe ring of :class:`FlightRecord`."""
 
-    def __init__(
-        self,
-        threshold_s: float = DEFAULT_THRESHOLD_S,
-        sample_every: int = DEFAULT_SAMPLE_EVERY,
-        max_records: int = DEFAULT_MAX_RECORDS,
-    ) -> None:
+    def __init__(self, max_records: int = DEFAULT_MAX_RECORDS) -> None:
         if max_records < 1:
             raise ValueError(f"max_records must be positive: {max_records}")
-        self.threshold_s = float(threshold_s)
-        self.sample_every = int(sample_every)
         self._lock = threading.Lock()
         self._ring: Deque[FlightRecord] = deque(maxlen=max_records)
         self._seen = 0
@@ -134,60 +126,22 @@ class SlowQueryLog:
         """Flight records captured over the log's lifetime."""
         return self._recorded
 
-    def should_record(self, latency_s: float) -> Optional[str]:
-        """Why this query should be recorded, or None to skip it.
+    def offer(self) -> int:
+        """Count one offered query; returns the count including it.
 
-        Counts the query either way — tail sampling is "every Nth query
-        the log *saw*", so call this exactly once per query.
+        Tail sampling is "every Nth query the log *saw*", so call this
+        exactly once per query.
         """
         with self._lock:
             self._seen += 1
-            if latency_s >= self.threshold_s:
-                return "slow"
-            if self.sample_every > 0 and self._seen % self.sample_every == 0:
-                return "sampled"
-            return None
+            return self._seen
 
-    def record(self, record: FlightRecord) -> None:
-        """Append one flight record."""
+    def append(self, record: FlightRecord) -> None:
+        """Number ``record`` and append it to the ring."""
         with self._lock:
+            record.query_id = self._recorded
             self._recorded += 1
             self._ring.append(record)
-
-    def observe(
-        self,
-        *,
-        timestamp: float,
-        sql: str,
-        latency_s: float,
-        reason: str,
-        lane: Optional[str] = None,
-        tenant: Optional[str] = None,
-        queue_wait_s: Optional[float] = None,
-        manifest_id: Optional[int] = None,
-        plan: Optional[Dict[str, Any]] = None,
-        cache: Optional[Dict[str, int]] = None,
-        trace: Any = None,
-    ) -> FlightRecord:
-        """Build and append a record; returns it for enrichment in place."""
-        with self._lock:
-            record = FlightRecord(
-                query_id=self._recorded,
-                timestamp=timestamp,
-                sql=sql,
-                latency_s=latency_s,
-                reason=reason,
-                lane=lane,
-                tenant=tenant,
-                queue_wait_s=queue_wait_s,
-                manifest_id=manifest_id,
-                plan=dict(plan or {}),
-                cache=dict(cache or {}),
-                trace=trace,
-            )
-            self._recorded += 1
-            self._ring.append(record)
-            return record
 
     def records(self, limit: Optional[int] = None) -> List[FlightRecord]:
         """Retained records oldest-first (the ``limit`` newest when given)."""
@@ -197,14 +151,6 @@ class SlowQueryLog:
             retained = retained[-limit:] if limit else []
         return retained
 
-    def report(self, limit: Optional[int] = None) -> SlowQueryReport:
-        """The ``SHOW SLOW QUERIES`` result."""
-        return SlowQueryReport(
-            records=self.records(limit),
-            threshold_s=self.threshold_s,
-            total_recorded=self.recorded,
-        )
-
     def dump_jsonl(self, path: Any) -> int:
         """Write retained records to ``path`` as JSONL; returns the count."""
         retained = self.records()
@@ -212,10 +158,3 @@ class SlowQueryLog:
             for record in retained:
                 fh.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
         return len(retained)
-
-    def clear(self) -> None:
-        """Drop retained records and reset sampling state."""
-        with self._lock:
-            self._ring.clear()
-            self._seen = 0
-            self._recorded = 0

@@ -324,16 +324,6 @@ class Tracer:
         self._roots.clear()
 
 
-def maybe_span(
-    tracer: Optional[Tracer], name: str, **tags: Any
-) -> ContextManager[Optional[Span]]:
-    """``tracer.span`` when a tracer is present, else a shared no-op
-    context (yielding None)."""
-    if tracer is None:
-        return _NULL_CONTEXT
-    return tracer.start(name, **tags)
-
-
 def profile(roots: Iterable[Span]) -> Dict[str, Dict[str, Any]]:
     """Fold span trees into per-span-name totals, widest wall time first.
 

@@ -4,13 +4,14 @@ import pytest
 
 from repro.cluster.faults import FaultSchedule
 from repro.cluster.warehouse import VirtualWarehouse
+from repro.observe.trace import Tracer
 from repro.storage.objectstore import ObjectStore
 
 
 @pytest.fixture
 def warehouse(clock, cost, metrics):
     store = ObjectStore(clock, cost, metrics)
-    vw = VirtualWarehouse("vw", clock, cost, store, metrics=metrics)
+    vw = VirtualWarehouse("vw", clock, cost, store, Tracer(clock), metrics=metrics)
     for _ in range(3):
         vw.add_worker()
     return vw

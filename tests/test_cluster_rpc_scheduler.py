@@ -5,11 +5,12 @@ import pytest
 from repro.cluster.rpc import RpcFabric
 from repro.cluster.scheduler import SegmentScheduler
 from repro.errors import WorkerUnavailableError
+from repro.observe.trace import Tracer
 
 
 @pytest.fixture
 def fabric(clock, cost, metrics):
-    return RpcFabric(clock, cost, metrics)
+    return RpcFabric(clock, cost, metrics, Tracer(clock))
 
 
 class TestRpc:

@@ -7,6 +7,7 @@ from repro.cluster.rpc import RpcFabric
 from repro.cluster.serving import RemoteSearchProvider
 from repro.cluster.worker import Worker
 from repro.errors import IndexParameterError, WorkerUnavailableError
+from repro.observe.trace import Tracer
 from repro.storage.lsm import index_storage_key
 from repro.storage.segment import Segment
 from repro.vindex.flat import FlatIndex
@@ -28,7 +29,7 @@ def world(clock, cost, store, metrics):
     index.add_with_ids(vectors, np.arange(n))
     key = index_storage_key(segment.segment_id, "FLAT")
     store.put(key, serialize_index(index))
-    fabric = RpcFabric(clock, cost, metrics)
+    fabric = RpcFabric(clock, cost, metrics, Tracer(clock))
     owner = Worker("owner", clock, cost, store, fabric, metrics=metrics)
     newcomer = Worker("newcomer", clock, cost, store, fabric, metrics=metrics)
     return segment, key, owner, newcomer, vectors
@@ -162,7 +163,7 @@ class TestRemoteProviderCosts:
         index.add_with_ids(vectors, np.arange(500))
         key = index_storage_key(segment.segment_id, "HNSW")
         store.put(key, serialize_index(index))
-        fabric = RpcFabric(clock, cost, metrics)
+        fabric = RpcFabric(clock, cost, metrics, Tracer(clock))
         owner = Worker("owner", clock, cost, store, fabric, metrics=metrics)
         newcomer = Worker("newcomer", clock, cost, store, fabric, metrics=metrics)
         owner.preload(key)

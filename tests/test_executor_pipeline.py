@@ -6,6 +6,7 @@ import pytest
 from repro.catalog.schema import TableSchema
 from repro.executor.columnio import ColumnReader
 from repro.executor.pipeline import ExecContext, referenced_columns
+from repro.observe.trace import Tracer
 from repro.planner.cost import CostModelParams
 from repro.planner.logical import bind_select
 from repro.planner.optimizer import ExecutionStrategy, Optimizer, PhysicalPlan
@@ -63,6 +64,7 @@ def world(clock, cost, schema):
         params=CostModelParams.from_device_model(cost, DIM),
         reader=ColumnReader(clock, cost),
         resolve_index=lambda seg: indexes[seg.segment_id],
+        tracer=Tracer(clock),
     )
     return segments, bitmaps, ctx
 
@@ -228,6 +230,7 @@ class TestBruteForcePath:
             params=CostModelParams.from_device_model(cost, DIM),
             reader=ColumnReader(fresh_clock, cost),
             resolve_index=lambda seg: None,
+            tracer=Tracer(fresh_clock),
             metrics=metrics,
         )
         sql = f"SELECT id FROM t ORDER BY L2Distance(embedding, {VEC}) LIMIT 5"

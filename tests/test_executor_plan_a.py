@@ -27,6 +27,7 @@ from repro.executor.pipeline import (
     _project,
     _structured_scan_mask,
 )
+from repro.observe.trace import Tracer
 from repro.planner.cost import CostModelParams
 from repro.planner.logical import bind_select
 from repro.planner.optimizer import ExecutionStrategy, PhysicalPlan
@@ -158,6 +159,7 @@ def make_ctx() -> ExecContext:
         params=CostModelParams.from_device_model(cost, DIM),
         reader=ColumnReader(clock, cost),
         resolve_index=lambda segment: None,
+        tracer=Tracer(clock),
     )
 
 

@@ -17,6 +17,9 @@ numpy arrays, and every answer judged against brute force over them.
   ``RECALL_FLOOR``.  An HNSW search is judged here even when ``ef``
   covers every stored row: over repeated vectors some rows are not
   reachable from the entry point at any ``ef``.
+* Between steps the observe plane is at rest: the slow-query log was
+  offered exactly the SELECTs run, every snapshot pin event has its
+  unpin, and no span is open.
 
 Vectors have coordinates in {-1, 0, 1}, so SQL literals round-trip
 exactly and distance ties are common.  Inserted rows come from a seeded
@@ -66,6 +69,7 @@ class HistoryMachine(RuleBasedStateMachine):
         self.rows = {}  # id -> (vector float32[DIM], attr)
         self.next_id = 0
         self.hits = self.wanted = 0  # recall@k over the non-exhaustive answers
+        self.selects = 0  # SELECTs run, each offered once to the slow-query log
         self.insert(count, seed)
 
     # -- writes ---------------------------------------------------------------
@@ -134,6 +138,7 @@ class HistoryMachine(RuleBasedStateMachine):
             f"SELECT id, dist FROM t {where}ORDER BY "
             f"L2Distance(embedding, {vector_sql(query)}) AS dist LIMIT {k}"
         )
+        self.selects += 1
         exhaustive = self.index == "FLAT" or result.strategy is ExecutionStrategy.BRUTE_FORCE
         self.judge(result.rows, query, k, threshold, exhaustive)
 
@@ -164,6 +169,15 @@ class HistoryMachine(RuleBasedStateMachine):
     @invariant()
     def row_count(self):
         assert self.db.describe("t")["rows_alive"] == len(self.rows)
+
+    @invariant()
+    def observe_plane_at_rest(self):
+        """Every SELECT was offered to the flight recorder once, every
+        snapshot pin was released, and no span is left open."""
+        assert self.db.slowlog.seen == self.selects
+        events = self.db.events
+        assert events.count("snapshot.pin") == events.count("snapshot.unpin")
+        assert self.db.tracer.current is None
 
     def teardown(self):
         # Recall is a property of many answers, not of one.

@@ -1,4 +1,5 @@
-"""Structured event log: ring semantics, sinks, and engine emission.
+"""Structured event log: ring semantics, the event-type catalogue, and
+engine emission.
 
 The integration half drives the real engine — ingest, queries,
 checkpoints, compaction — and asserts the control-plane transitions
@@ -6,14 +7,16 @@ show up as typed events in order, since the event log's whole value is
 answering "what happened, when" after the fact.
 """
 
-import io
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core.database import BlendHouse
-from repro.observe.events import Event, EventLog, JsonlSink, emit_event
+from repro.observe.events import EVENT_TYPES, Event, EventLog, emit_event
 from repro.simulate.metrics import MetricRegistry
 from repro.storage.cache import (
     HierarchicalIndexCache,
@@ -66,22 +69,6 @@ class TestEventLog:
         assert summary["total"] == 3
         assert summary["by_type"] == {"snapshot.pin": 2, "snapshot.unpin": 1}
 
-    def test_sink_sees_full_stream_past_ring_wrap(self, clock):
-        log = EventLog(clock, max_events=2)
-        sink = JsonlSink(io.StringIO())
-        log.add_sink(sink)
-        for i in range(5):
-            log.emit("cache.promotion", i=i)
-        assert sink.written == 5
-
-    def test_jsonl_sink_writes_parseable_lines(self, clock, log):
-        buffer = io.StringIO()
-        log.add_sink(JsonlSink(buffer))
-        log.emit("manifest.publish", manifest_id=7, segments=2)
-        line = json.loads(buffer.getvalue())
-        assert line["type"] == "manifest.publish"
-        assert line["manifest_id"] == 7 and line["segments"] == 2
-
     def test_dump_jsonl_roundtrip(self, tmp_path, log):
         log.emit("compaction.start", inputs=[1, 2])
         log.emit("compaction.finish", output_segment_id=3)
@@ -97,11 +84,32 @@ class TestEventLog:
         as_dict = event.to_dict()
         assert as_dict["seq"] == 0 and as_dict["custom"] == 1
 
-    def test_clear_resets_stream_accounting(self, log):
-        log.emit("snapshot.pin")
-        log.clear()
-        assert log.events() == [] and log.count("snapshot.pin") == 0
-        assert log.emit("snapshot.pin").seq == 0
+
+def _emitted_types():
+    """Every event-type literal passed to ``emit_event`` (second
+    argument) or ``<log>.emit`` (first) anywhere under ``src/repro``."""
+    found = set()
+    for path in Path(repro.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name) and func.id == "emit_event":
+                args = node.args[1:2]
+            elif isinstance(func, ast.Attribute) and func.attr == "emit":
+                args = node.args[:1]
+            else:
+                continue
+            found.update(
+                arg.value for arg in args
+                if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+            )
+    return found
+
+
+def test_event_types_are_exactly_what_src_emits():
+    assert len(EVENT_TYPES) == len(set(EVENT_TYPES))
+    assert _emitted_types() == set(EVENT_TYPES)
 
 
 class TestEmitEventHelper:

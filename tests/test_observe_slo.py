@@ -169,7 +169,7 @@ class TestSLOMonitor:
         assert status["slow_total"] == 4
         # 2 of 4 rejected against a 50% budget: burn exactly 1.0.
         assert status["slow_burn"] == pytest.approx(1.0)
-        assert not monitor.any_alerting()
+        assert not monitor.alerting("rejections")
 
     def test_alerting_accessor_and_as_dict(self, clock):
         monitor = self.make(clock)
@@ -222,7 +222,7 @@ class TestServingSLOEndToEnd:
             name="interactive_latency", kind="latency", target=0.9,
             threshold_s=threshold_s, lane="interactive",
         ))
-        db.slowlog.threshold_s = float("inf")
+        db.settings.slowlog_threshold_ms = float("inf")
 
         async def main():
             # Warmup outside the SLO: first queries pay one-off costs
@@ -232,7 +232,7 @@ class TestServingSLOEndToEnd:
             for sql in self.sqls()[:4]:
                 await frontend.submit(QueryRequest(sql=sql, lane=Lane.INTERACTIVE))
             frontend.slo = slo
-            db.slowlog.threshold_s = threshold_s
+            db.settings.slowlog_threshold_ms = threshold_s * 1e3
             replies = []
             for sql in self.sqls():
                 replies.append(await frontend.submit(
