@@ -1,8 +1,10 @@
 """Kernel byte-identity as a small committed digest.
 
 Runs the Fig 13 sweep of ``bench_fig13_index_recall_qps.py`` plus a
-DISKANN sweep, an HNSW / HNSWSQ post-filter (Plan C) sweep and three
-IVFFLAT sweeps (nprobe, bitset, Plan C) through the full engine and
+DISKANN sweep, an HNSW / HNSWSQ post-filter (Plan C) sweep, three
+IVFFLAT sweeps (nprobe, bitset, Plan C), two FLAT sweeps (bitset, Plan
+C) and three over a table with no vector index (kNN and Plans A, B and
+C) through the full engine and
 keeps, per (index, knob value), the simulated QPS, the recall, one
 sha256 over every query's ids, and one sha256 per query over its ids +
 ``float.hex()`` distances; and, per sweep, one sha256 per segment image
@@ -73,7 +75,9 @@ BASELINE = "benchmarks/baselines/kernel_digests.json"
 # ledger's ingest index, ``nlist`` picked per segment by the auto-index
 # rule) is swept by ``nprobe``, under a forced bitmap scan (its bitset
 # path) and under a forced post-filter (the generic restart iterator).
-FORCED = {"pass_pct": "pre_filter", "post_pct": "post_filter"}
+# FLAT is swept as a bitmap scan and as Plan C, and a table declared with
+# no vector index (``None``) by kNN and Plans A, B and C: the exact scans.
+FORCED = {"pass_pct": "pre_filter", "post_pct": "post_filter", "brute_pct": "brute_force"}
 SWEEPS = (
     ("BH-HNSW", "HNSW", "M=8, ef_construction=64", "ef_search", [16, 32, 64, 128]),
     ("BH-HNSWSQ", "HNSWSQ", "M=8, ef_construction=64", "ef_search", [16, 32, 64, 128]),
@@ -84,6 +88,11 @@ SWEEPS = (
     ("BH-IVFFLAT", "IVFFLAT", "", "nprobe", [1, 2, 8, 32]),
     ("BH-IVFFLAT-B", "IVFFLAT", "", "pass_pct", [50, 20, 5]),
     ("BH-IVFFLAT-C", "IVFFLAT", "", "post_pct", [50, 20, 5]),
+    ("BH-FLAT-B", "FLAT", "", "pass_pct", [100, 50, 20, 5]),
+    ("BH-FLAT-C", "FLAT", "", "post_pct", [50, 20, 5]),
+    ("BH-NONE", None, "", "pass_pct", [100, 20, 5]),
+    ("BH-NONE-A", None, "", "brute_pct", [20, 5]),
+    ("BH-NONE-C", None, "", "post_pct", [20, 5]),
 )
 
 

@@ -77,7 +77,7 @@ def write_results(name: str, metrics: Dict[str, Tuple[float, str]]) -> None:
 
 def load_blendhouse(
     dataset: Dataset,
-    index_type: str = "HNSW",
+    index_type: Optional[str] = "HNSW",
     index_options: str = "",
     table: str = "bench",
     max_segment_rows: int = 1500,
@@ -85,15 +85,18 @@ def load_blendhouse(
     scalar_ddl: str = "attr Int64",
     scalar_columns: Optional[Sequence[str]] = None,
 ) -> BlendHouse:
-    """A BlendHouse with ``dataset`` loaded into ``table``."""
+    """A BlendHouse with ``dataset`` loaded into ``table``; an
+    ``index_type`` of None declares no vector index."""
     db = BlendHouse(cost_model=BENCH_COST)
-    options = f"'DIM={dataset.dim}'"
-    if index_options:
-        options += f", '{index_options}'"
+    index = ""
+    if index_type is not None:
+        options = f"'DIM={dataset.dim}'"
+        if index_options:
+            options += f", '{index_options}'"
+        index = f", INDEX ann embedding TYPE {index_type}({options})"
     db.execute(
         f"CREATE TABLE {table} (id UInt64, {scalar_ddl}, "
-        f"embedding Array(Float32), INDEX ann embedding TYPE {index_type}({options})) "
-        f"{ddl_suffix}"
+        f"embedding Array(Float32){index}) {ddl_suffix}"
     )
     db.table(table).writer.config.max_segment_rows = max_segment_rows
     names = list(scalar_columns or ["id", "attr"])
