@@ -593,8 +593,8 @@ class BlendHouse:
         ):
             # The index orders candidates under a different metric than
             # the query asks for; its results would be wrong.  Plan
-            # against no index: the exact brute-force kernels support
-            # every metric.
+            # against no index: the exact kernel (a FLAT view of each
+            # segment) supports every metric.
             index_spec = None
             self.metrics.incr("planner.metric_mismatch_fallbacks")
         if cached is not None and self._plan_rebindable(cached):

@@ -1,8 +1,10 @@
 """Physical execution.
 
 * :mod:`repro.executor.annscan` — the three ANN physical scan operators
-  (SearchWithFilter, SearchWithRange, SearchIterator) plus the brute
-  force fallback, all charging simulated compute to the clock.
+  (SearchWithFilter, SearchWithRange, SearchIterator), charging simulated
+  compute to the clock; a segment without an index is searched through
+  a FLAT view of its vectors (:mod:`repro.vindex.flat`), the one exact
+  kernel.
 * :mod:`repro.executor.columnio` — scalar column fetch with the paper's
   read-amplification treatment: reduced read granularity and an adaptive
   split-buffer cache (§IV-C).

@@ -1,15 +1,21 @@
 """ANN physical scan operators (paper §II-C "Plan execution").
 
-Each operator runs against one segment through a *search provider* — an
-object with the execution-layer index interface.  A provider is usually
-the segment's vector index (local cache hit), but may be a remote
-serving stub (:mod:`repro.cluster.serving`) or absent entirely, in which
-case the operator falls back to brute force over the raw vectors — the
-expensive path Fig 11 measures.
+Each operator — top-k, range, iterator — runs against one segment
+through a *search provider*, an object with the execution-layer index
+interface, and charges what the provider reports it visited.  A provider
+is the segment's vector index (local cache hit), a remote serving stub
+(:mod:`repro.cluster.serving`), or — under Plan A, or with no index
+resolved — a FLAT view of the segment's own vectors
+(:meth:`repro.vindex.flat.FlatIndex.view`): the exact scan, the expensive
+path Fig 11 measures.  The executor picks the provider and its
+:class:`ScanCharger` together (``pipeline._search_provider``); the
+operators hold no kernel of their own.
 
 Simulated compute is charged per visited candidate: full-precision
 indexes pay ``c_d``-style distance costs, PQ indexes pay ADC costs, and
-bitmap scans add the per-record bitmap test.
+bitmap scans add the per-record bitmap test.  An exact scan pays the
+scalar distance rate per allowed row and no bitmap test, counted as
+``annscan.brute_force_rows`` instead of ``annscan.visited``.
 """
 
 from __future__ import annotations
@@ -22,13 +28,7 @@ import numpy as np
 from repro.simulate.clock import SimulatedClock
 from repro.simulate.costmodel import DeviceCostModel
 from repro.simulate.metrics import MetricRegistry
-from repro.storage.segment import Segment
-from repro.vindex.api import (
-    SearchResult,
-    get_kernel_mode,
-    pairwise_distance,
-    top_k_from_distances,
-)
+from repro.vindex.api import SearchResult, get_kernel_mode
 from repro.vindex.iterator import SearchIterator
 
 
@@ -53,7 +53,11 @@ class SearchProvider(Protocol):
 
 @dataclass
 class ScanCharger:
-    """Charges simulated compute for ANN scans on one segment."""
+    """Charges simulated compute for ANN scans on one segment.
+
+    ``index_type`` None prices an exact scan of a segment searched
+    without an index.
+    """
 
     clock: SimulatedClock
     cost: DeviceCostModel
@@ -74,6 +78,11 @@ class ScanCharger:
         planner's cost model stays consistent with execution.
         """
         if visited <= 0:
+            return
+        if self.index_type is None:
+            # The allowed rows were gathered, not tested one by one.
+            self.clock.advance(self.cost.distance_cost(visited, self.dim))
+            self.metrics.incr("annscan.brute_force_rows", visited)
             return
         fast = get_kernel_mode() == "fast"
         if self._uses_codes():
@@ -96,53 +105,17 @@ class ScanCharger:
         amplified = int(max(1.0, sigma) * k)
         self.clock.advance(self.cost.distance_cost(amplified, self.dim))
 
-    def charge_brute_force(self, rows: int) -> None:
-        """Charge a full exact scan of ``rows`` vectors."""
-        self.clock.advance(self.cost.distance_cost(rows, self.dim))
-        self.metrics.incr("annscan.brute_force_rows", rows)
-
-
-def brute_force_scan(
-    segment: Segment,
-    query: np.ndarray,
-    k: int,
-    metric: str,
-    allowed: Optional[np.ndarray],
-    charger: ScanCharger,
-) -> SearchResult:
-    """Exact distances over the segment's raw vectors (Plan A kernel and
-    the index-cache-miss fallback)."""
-    if allowed is not None:
-        offsets = np.flatnonzero(allowed)
-        vectors = segment.vectors_at(offsets)
-    else:
-        offsets = np.arange(segment.row_count, dtype=np.int64)
-        # Full scan: use the segment's read-only view, not a gather copy.
-        vectors = segment.vectors()
-    if offsets.size == 0:
-        return SearchResult.empty()
-    distances = pairwise_distance(query, vectors, metric)
-    charger.charge_brute_force(int(offsets.size))
-    return top_k_from_distances(offsets, distances, k, visited=int(offsets.size))
-
 
 def search_with_filter_op(
-    provider: Optional[SearchProvider],
-    segment: Segment,
+    provider: SearchProvider,
     query: np.ndarray,
     k: int,
-    metric: str,
     bitset: Optional[np.ndarray],
     charger: ScanCharger,
     sigma: float = 1.0,
     **search_params: Any,
 ) -> SearchResult:
-    """SearchWithFilter: top-k through the index, bitset-restricted.
-
-    Falls back to brute force when no provider is available.
-    """
-    if provider is None:
-        return brute_force_scan(segment, query, k, metric, bitset, charger)
+    """SearchWithFilter: top-k through the provider, bitset-restricted."""
     result = provider.search_with_filter(query, k, bitset=bitset, **search_params)
     charger.charge_visits(result.visited, with_bitmap=bitset is not None)
     if charger._uses_codes():
@@ -151,69 +124,37 @@ def search_with_filter_op(
 
 
 def search_with_range_op(
-    provider: Optional[SearchProvider],
-    segment: Segment,
+    provider: SearchProvider,
     query: np.ndarray,
     radius: float,
-    metric: str,
     bitset: Optional[np.ndarray],
     charger: ScanCharger,
     **search_params: Any,
 ) -> SearchResult:
     """SearchWithRange: all rows within ``radius``."""
-    if provider is None:
-        # Brute force range: exact distances, then threshold.
-        if bitset is not None:
-            offsets = np.flatnonzero(bitset)
-            vectors = segment.vectors_at(offsets)
-        else:
-            offsets = np.arange(segment.row_count, dtype=np.int64)
-            vectors = segment.vectors()
-        if offsets.size == 0:
-            return SearchResult.empty()
-        distances = pairwise_distance(query, vectors, metric)
-        charger.charge_brute_force(int(offsets.size))
-        keep = np.flatnonzero(distances <= radius)
-        order = keep[np.argsort(distances[keep], kind="stable")]
-        return SearchResult(offsets[order], distances[order], visited=int(offsets.size))
     result = provider.search_with_range(query, radius, bitset=bitset, **search_params)
     charger.charge_visits(result.visited, with_bitmap=bitset is not None)
     return result
 
 
 def search_iterator_op(
-    provider: Optional[SearchProvider],
-    segment: Segment,
+    provider: SearchProvider,
     query: np.ndarray,
-    metric: str,
     bitset: Optional[np.ndarray],
     charger: ScanCharger,
     batch_size: int,
     **search_params: Any,
-) -> "SegmentIterator":
+) -> "_ChargingIterator":
     """SearchIterator: incremental distance-ordered stream for
     post-filter execution."""
-    if provider is None:
-        return _BruteForceIterator(segment, query, metric, bitset, charger, batch_size)
     inner = provider.search_iterator(
         query, bitset=bitset, batch_size=batch_size, **search_params
     )
     return _ChargingIterator(inner, charger)
 
 
-class SegmentIterator:
-    """Uniform iterator facade over native / generic / brute iterators."""
-
-    @property
-    def exhausted(self) -> bool:  # pragma: no cover - interface stub
-        raise NotImplementedError
-
-    def next_batch(self) -> SearchResult:  # pragma: no cover - interface stub
-        raise NotImplementedError
-
-
-class _ChargingIterator(SegmentIterator):
-    """Wraps an index iterator, charging per-batch visit deltas."""
+class _ChargingIterator:
+    """Wraps a provider's iterator, charging per-batch visit deltas."""
 
     def __init__(self, inner: SearchIterator, charger: ScanCharger) -> None:
         self._inner = inner
@@ -230,48 +171,4 @@ class _ChargingIterator(SegmentIterator):
         delta = max(0, batch.visited - self._charged_visits)
         self._charger.charge_visits(delta)
         self._charged_visits = batch.visited
-        return batch
-
-
-class _BruteForceIterator(SegmentIterator):
-    """Exact-scan iterator: one full distance pass, then batched emission."""
-
-    def __init__(
-        self,
-        segment: Segment,
-        query: np.ndarray,
-        metric: str,
-        bitset: Optional[np.ndarray],
-        charger: ScanCharger,
-        batch_size: int,
-    ) -> None:
-        self._batch_size = max(1, batch_size)
-        if bitset is not None:
-            offsets = np.flatnonzero(bitset)
-        else:
-            offsets = np.arange(segment.row_count, dtype=np.int64)
-        if offsets.size:
-            vectors = segment.vectors() if bitset is None else segment.vectors_at(offsets)
-            distances = pairwise_distance(query, vectors, metric)
-            charger.charge_brute_force(int(offsets.size))
-            order = np.argsort(distances, kind="stable")
-            self._ids = offsets[order]
-            self._distances = distances[order]
-        else:
-            self._ids = np.empty(0, dtype=np.int64)
-            self._distances = np.empty(0, dtype=np.float64)
-        self._cursor = 0
-
-    @property
-    def exhausted(self) -> bool:
-        return self._cursor >= self._ids.shape[0]
-
-    def next_batch(self) -> SearchResult:
-        end = self._cursor + self._batch_size
-        batch = SearchResult(
-            self._ids[self._cursor : end],
-            self._distances[self._cursor : end],
-            visited=int(self._ids.shape[0]),
-        )
-        self._cursor = end
         return batch

@@ -13,10 +13,11 @@ costs are packed onto ``parallel_workers`` simulated cores.
   simulated cores with longest-processing-time-first scheduling, and the
   clock advances by the busiest lane — *max* over concurrent scans, not
   the sum.
-* :func:`_batch_scan_segment` is the scan kernel for a *group* of
-  ``nq > 1`` same-shape vector queries: the segment is scanned once for
-  the whole group, with brute-force distances computed as a single
-  ``(nq, n)`` GEMM (see :func:`repro.vindex.api.pairwise_distance_batch`)
+* :func:`_batch_scan_segment` is the scan for a *group* of ``nq > 1``
+  same-shape vector queries: the segment is searched once for the whole
+  group through its provider's ``search_batch`` — for FLAT, IVF and a
+  segment searched without an index, a single ``(nq, n)`` distance
+  computation (see :func:`repro.vindex.api.pairwise_distance_batch`)
   charged at the batched rate.  The in-process scan backend picks it
   over ``execute_segment`` by the size of the group it is handed.
 
@@ -37,14 +38,12 @@ from repro.executor.pipeline import (
     ExecContext,
     PartialResult,
     QueryResult,
-    _charger,
-    _resolve_index,
+    _search_provider,
     _structured_scan_mask,
 )
-from repro.planner.optimizer import ExecutionStrategy, PhysicalPlan
+from repro.planner.optimizer import PhysicalPlan
 from repro.storage.deletebitmap import DeleteBitmap
 from repro.storage.segment import Segment
-from repro.vindex.api import pairwise_distance_batch, top_k_from_distances
 
 
 def lane_makespan(costs: Sequence[float], lanes: int) -> float:
@@ -100,9 +99,8 @@ def _batch_scan_segment(
     vectors of a group of same-shape pure-kNN plans, of which ``plan``
     is any one; one partial per row, in order.
 
-    The batch twin of :func:`~repro.executor.pipeline.execute_segment`,
-    sharing no logic with it: one mask, one index resolution and one
-    ``(nq, n)`` distance kernel serve every query.
+    The batch twin of :func:`~repro.executor.pipeline.execute_segment`:
+    one mask, one provider and one ``search_batch`` serve every query.
     """
     k = plan.logical.k or 10
     nq = len(queries)
@@ -113,57 +111,21 @@ def _batch_scan_segment(
         mask = None
         if bitmap is not None and bitmap.deleted_count > 0:
             mask = _structured_scan_mask(plan, segment, bitmap, ctx)
-        provider = None
-        if plan.strategy is not ExecutionStrategy.BRUTE_FORCE:
-            provider = _resolve_index(plan, segment, ctx)
-
-        if provider is not None:
-            # Vectorized for FLAT and IVF; the base class loops
-            # ``search_with_filter`` for graph indexes, which cannot
-            # batch their traversals and pay the single-query rate.
-            batch = provider.search_batch(
-                queries, k, bitset=mask, **plan.search_params
-            )
-            if provider.supports_batch:
-                total_visited = sum(result.visited for result in batch)
-                ctx.clock.advance(ctx.cost.distance_cost_batch(
-                    nq, int(round(total_visited / nq)), segment.dim
-                ))
-                ctx.metrics.incr("annscan.batch_visited", total_visited)
-            else:
-                charger = _charger(ctx, segment)
-                for result in batch:
-                    charger.charge_visits(
-                        result.visited, with_bitmap=mask is not None
-                    )
-            return [
-                PartialResult(segment, result.ids, result.distances)
-                for result in batch
-            ]
-
-        # Brute force: one batched GEMM over the alive rows.
-        if mask is None:
-            offsets = np.arange(segment.row_count, dtype=np.int64)
+        provider, charger = _search_provider(plan, segment, ctx)
+        # Vectorized for FLAT (and so for a segment searched without an
+        # index) and IVF; the base class loops ``search_with_filter`` for
+        # graph indexes, which cannot batch their traversals and pay the
+        # single-query rate.
+        batch = provider.search_batch(queries, k, bitset=mask, **plan.search_params)
+        if provider.supports_batch:
+            total_visited = sum(result.visited for result in batch)
+            ctx.clock.advance(ctx.cost.distance_cost_batch(
+                nq, int(round(total_visited / nq)), segment.dim
+            ))
+            ctx.metrics.incr("annscan.batch_visited", total_visited)
         else:
-            offsets = np.flatnonzero(mask)
-        if offsets.size == 0:
-            empty = PartialResult(
-                segment, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-            )
-            return [empty] * nq
-        # Full scans use the segment's read-only view instead of a gather copy.
-        vectors = segment.vectors() if mask is None else segment.vectors_at(offsets)
-        distances = pairwise_distance_batch(
-            queries, vectors, plan.logical.distance.metric
-        )
-        ctx.clock.advance(
-            ctx.cost.distance_cost_batch(nq, int(offsets.size), segment.dim)
-        )
-        ctx.metrics.incr("annscan.batch_brute_rows", int(offsets.size) * nq)
-        partials = []
-        for row in range(nq):
-            result = top_k_from_distances(
-                offsets, distances[row], k, visited=int(offsets.size)
-            )
-            partials.append(PartialResult(segment, result.ids, result.distances))
-        return partials
+            for result in batch:
+                charger.charge_visits(result.visited, with_bitmap=mask is not None)
+        return [
+            PartialResult(segment, result.ids, result.distances) for result in batch
+        ]

@@ -10,13 +10,24 @@ set so the *ordering and rough ratios* match the paper:
 * HNSW is the slowest build (full-precision beam per insert),
 * HNSWSQ ≈ 0.6× HNSW (cheap quantized distances),
 * IVFPQFS ≈ 0.5× HNSW (train on a sample + one encode pass).
+
+:func:`build_segment_index` is the one index build, for ingest and
+compaction alike, charged by :func:`estimate_index_build_cost`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any, Dict, Tuple
+
+import numpy as np
 
 from repro.simulate.costmodel import DeviceCostModel
+from repro.storage.lsm import index_storage_key
+from repro.storage.objectstore import ObjectStore
+from repro.storage.segment import Segment
+from repro.vindex.api import VectorIndex
+from repro.vindex.autoindex import auto_build_spec
+from repro.vindex.registry import IndexSpec, create_index, serialize_index
 
 # Effective fraction of peak distance throughput graph builds achieve
 # (branch-heavy traversal vs. dense scans).
@@ -78,3 +89,37 @@ def estimate_index_build_cost(
 
     # Unknown plugin types get a conservative graph-like estimate.
     return n_rows * 64 * dim * flop
+
+
+def build_segment_index(
+    segment: Segment,
+    declared: IndexSpec,
+    store: ObjectStore,
+    cost: DeviceCostModel,
+    charged: float = 0.0,
+) -> Tuple[VectorIndex, IndexSpec, str, float]:
+    """Build, persist and price the index of one written segment.
+
+    The auto-index rule sizes ``declared`` to the segment; the index is
+    trained on and filled with the segment's vectors under their row
+    offsets, its image is put under ``index_storage_key`` and the
+    segment's meta names its type.  Returns the index, the spec it was
+    built from, its storage key, and ``charged`` plus the simulated
+    build seconds plus the image write, added in that order.
+    """
+    spec = auto_build_spec(declared, segment.row_count)
+    vindex = create_index(spec)
+    vectors = segment.vectors()
+    vindex.train(vectors)
+    vindex.add_with_ids(vectors, np.arange(segment.row_count))
+    # PQ refinement re-ranks from the owning segment's raw vectors.
+    vindex.set_refiner(segment.vectors_at)
+    payload = serialize_index(vindex)
+    index_key = index_storage_key(segment.segment_id, spec.index_type)
+    store.put(index_key, payload)
+    segment.meta.index_type = spec.index_type
+    charged += estimate_index_build_cost(
+        spec.index_type, segment.row_count, segment.dim, spec.params, cost
+    )
+    charged += cost.object_store_write(len(payload))
+    return vindex, spec, index_key, charged

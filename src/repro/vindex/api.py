@@ -210,10 +210,10 @@ def range_by_doubling(
     exceeds the radius, the generic construction the paper uses for
     libraries lacking native range search.  ``searcher`` needs
     ``search_with_filter`` and ``ntotal``; ``visited`` is the sum over
-    every round, since each round is a search of its own.
+    every round, since each round is a search of its own.  Any radius is
+    a predicate: an ``ip`` distance is a negated inner product and may be
+    negative, and a negative ``l2`` or ``cosine`` radius keeps no row.
     """
-    if radius < 0:
-        raise IndexParameterError(f"radius must be non-negative, got {radius}")
     if searcher.ntotal == 0:
         return SearchResult.empty()
     k = min(64, searcher.ntotal)

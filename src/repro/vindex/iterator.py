@@ -1,10 +1,11 @@
 """Search iterators for the post-filter strategy (paper §III-B).
 
-Two implementations exist:
+Two kinds exist:
 
 * Native iterators — HNSW keeps its beam alive across batches
   (:class:`repro.vindex.hnsw.HNSWSearchIterator`), the extension the
-  paper added to hnswlib.
+  paper added to hnswlib; FLAT scores every allowed row once and emits
+  slices of one sort (:class:`repro.vindex.flat.FlatSearchIterator`).
 * :class:`GenericRestartIterator` — the generic wrapper (as used by
   SingleStore-V) for index types without incremental search: each time
   more rows are needed it *restarts* the top-k search from scratch with a

@@ -5,7 +5,6 @@ import pytest
 
 from repro.executor.annscan import (
     ScanCharger,
-    brute_force_scan,
     search_iterator_op,
     search_with_filter_op,
     search_with_range_op,
@@ -15,6 +14,7 @@ from repro.simulate.costmodel import DeviceCostModel
 from repro.simulate.metrics import MetricRegistry
 from repro.storage.segment import Segment
 from repro.vindex.flat import FlatIndex
+from repro.vindex.ivf import IVFFlatIndex
 from repro.vindex.ivfpq import IVFPQIndex
 
 DIM = 8
@@ -44,10 +44,16 @@ def charger(clock, index_type=None):
     )
 
 
+def exact(segment):
+    """The provider a segment without a resolved index falls back to:
+    a FLAT view of its own vectors."""
+    return FlatIndex.view(segment.vectors(), "l2")
+
+
 class TestBruteForce:
     def test_matches_numpy(self, segment, clock):
         query = segment.vectors()[5] + 0.01
-        result = brute_force_scan(segment, query, 5, "l2", None, charger(clock))
+        result = search_with_filter_op(exact(segment), query, 5, None, charger(clock))
         expected = np.argsort(
             np.linalg.norm(segment.vectors() - query, axis=1)
         )[:5]
@@ -56,30 +62,36 @@ class TestBruteForce:
     def test_allowed_mask(self, segment, clock):
         allowed = np.zeros(N, dtype=bool)
         allowed[10:20] = True
-        result = brute_force_scan(
-            segment, segment.vectors()[0], 5, "l2", allowed, charger(clock)
+        result = search_with_filter_op(
+            exact(segment), segment.vectors()[0], 5, allowed, charger(clock)
         )
         assert set(result.ids.tolist()) <= set(range(10, 20))
 
     def test_empty_mask(self, segment, clock):
-        result = brute_force_scan(
-            segment, segment.vectors()[0], 5, "l2",
+        result = search_with_filter_op(
+            exact(segment), segment.vectors()[0], 5,
             np.zeros(N, dtype=bool), charger(clock),
         )
         assert len(result) == 0
 
     def test_charges_full_scan(self, segment, clock):
         before = clock.now
-        brute_force_scan(segment, segment.vectors()[0], 5, "l2", None, charger(clock))
+        search_with_filter_op(
+            exact(segment), segment.vectors()[0], 5, None, charger(clock)
+        )
         cost = DeviceCostModel()
         assert clock.now - before == pytest.approx(cost.distance_cost(N, DIM))
+
+    def test_view_shares_the_segment_vectors(self, segment):
+        view = exact(segment)
+        assert view._vectors is segment.vectors()
+        assert view.ntotal == N
 
 
 class TestSearchWithFilterOp:
     def test_provider_path(self, segment, flat_index, clock):
         result = search_with_filter_op(
-            flat_index, segment, segment.vectors()[3], 4, "l2",
-            None, charger(clock),
+            flat_index, segment.vectors()[3], 4, None, charger(clock, "FLAT"),
         )
         assert result.ids[0] == 3
 
@@ -87,7 +99,7 @@ class TestSearchWithFilterOp:
         c = ScanCharger(clock=clock, cost=DeviceCostModel(), metrics=metrics,
                         dim=DIM, index_type=None)
         result = search_with_filter_op(
-            None, segment, segment.vectors()[3], 4, "l2", None, c,
+            exact(segment), segment.vectors()[3], 4, None, c,
         )
         assert result.ids[0] == 3
         assert metrics.count("annscan.brute_force_rows") == N
@@ -100,8 +112,7 @@ class TestSearchWithFilterOp:
         c = charger(clock, index_type="IVFPQ")
         before = clock.now
         search_with_filter_op(
-            index, segment, segment.vectors()[0], 4, "l2", None, c, sigma=2.0,
-            nprobe=4,
+            index, segment.vectors()[0], 4, None, c, sigma=2.0, nprobe=4,
         )
         assert clock.now > before  # ADC + refine charged
 
@@ -111,10 +122,10 @@ class TestRangeOp:
         query = segment.vectors()[0]
         radius = 3.0
         with_index = search_with_range_op(
-            flat_index, segment, query, radius, "l2", None, charger(clock)
+            flat_index, query, radius, None, charger(clock, "FLAT")
         )
         without = search_with_range_op(
-            None, segment, query, radius, "l2", None, charger(clock)
+            exact(segment), query, radius, None, charger(clock)
         )
         assert set(with_index.ids.tolist()) == set(without.ids.tolist())
 
@@ -122,8 +133,7 @@ class TestRangeOp:
         allowed = np.zeros(N, dtype=bool)
         allowed[::2] = True
         result = search_with_range_op(
-            None, segment, segment.vectors()[0], 100.0, "l2", allowed,
-            charger(clock),
+            exact(segment), segment.vectors()[0], 100.0, allowed, charger(clock),
         )
         assert all(i % 2 == 0 for i in result.ids.tolist())
 
@@ -131,7 +141,7 @@ class TestRangeOp:
 class TestIteratorOp:
     def test_brute_iterator_streams_sorted(self, segment, clock):
         iterator = search_iterator_op(
-            None, segment, segment.vectors()[0], "l2", None, charger(clock), 10,
+            exact(segment), segment.vectors()[0], None, charger(clock), 10,
         )
         distances = []
         while not iterator.exhausted:
@@ -142,17 +152,19 @@ class TestIteratorOp:
         assert distances == sorted(distances)
         assert len(distances) == N
 
-    def test_charging_iterator_matches_cumulative_visits(self, segment, flat_index):
+    def test_charging_iterator_matches_cumulative_visits(self, segment):
         """Charged compute equals the iterator's cumulative visit count —
         deltas are charged exactly once, including restart re-scans."""
+        index = IVFFlatIndex(dim=DIM, nlist=4)
+        index.train(segment.vectors())
+        index.add_with_ids(segment.vectors(), np.arange(N))
         clock = SimulatedClock()
-        c = charger(clock)
-        iterator = search_iterator_op(
-            flat_index, segment, segment.vectors()[0], "l2", None, c, 10,
-        )
+        c = charger(clock, "IVFFLAT")
+        iterator = search_iterator_op(index, segment.vectors()[0], None, c, 10)
         batch = iterator.next_batch()
         for _ in range(3):
             batch = iterator.next_batch()
+        assert batch.visited > N  # restarts re-scanned rows
         cost = DeviceCostModel()
         expected = cost.distance_cost(batch.visited, DIM)
         assert clock.now == pytest.approx(expected)
@@ -161,8 +173,7 @@ class TestIteratorOp:
         allowed = np.zeros(N, dtype=bool)
         allowed[:30] = True
         iterator = search_iterator_op(
-            flat_index, segment, segment.vectors()[0], "l2", allowed,
-            charger(clock), 8,
+            flat_index, segment.vectors()[0], allowed, charger(clock, "FLAT"), 8,
         )
         collected = []
         for _ in range(10):

@@ -1,7 +1,8 @@
 """An outside judge: random write/read histories against a numpy model.
 
 One ``hypothesis.stateful`` machine drives the core ``BlendHouse`` —
-one table under a FLAT or an HNSW index, built at ingest — through
+one table under a FLAT or an HNSW index, built at ingest, or under no
+vector index at all — through
 inserts (some rows repeating a vector already in the table), deletes,
 updates, compactions, and kNN and hybrid SELECTs under every
 ``forced_strategy``.  Beside it runs an out-of-engine model of the
@@ -10,9 +11,9 @@ numpy arrays, and every answer judged against brute force over them.
 
 * Every answer: at most ``LIMIT`` rows, no repeated id, only live rows
   that pass the filter, each with its true distance, in ascending order.
-* Where the search is exhaustive — a FLAT index or Plan A (brute
-  force) — the answer's distances are exactly the true top-k distances
-  (ties may pick either row).
+* Where the search is exhaustive — a FLAT index, no index, or Plan A
+  (brute force) — the answer's distances are exactly the true top-k
+  distances (ties may pick either row).
 * Elsewhere, recall@k over the history's answers is at least
   ``RECALL_FLOOR``.  An HNSW search is judged here even when ``ef``
   covers every stored row: over repeated vectors some rows are not
@@ -54,15 +55,15 @@ limits = st.sampled_from([1, 10])
 class HistoryMachine(RuleBasedStateMachine):
     """The engine and its model, moved in lockstep."""
 
-    @initialize(index=st.sampled_from(["FLAT", "HNSW"]), count=st.integers(60, 150),
+    @initialize(index=st.sampled_from(["FLAT", "HNSW", None]), count=st.integers(60, 150),
                 seed=seeds)
     def create(self, index, count, seed):
         self.index = index
         self.db = BlendHouse()
         options = f"'DIM={DIM}'" + (", 'M=4, ef_construction=16'" if index == "HNSW" else "")
+        declared = "" if index is None else f", INDEX ann embedding TYPE {index}({options})"
         self.db.execute(
-            "CREATE TABLE t (id UInt64, attr Int64, embedding Array(Float32), "
-            f"INDEX ann embedding TYPE {index}({options}))"
+            f"CREATE TABLE t (id UInt64, attr Int64, embedding Array(Float32){declared})"
         )
         self.db.table("t").writer.config.max_segment_rows = SEGMENT_ROWS
         # The model: one entry per live id.
@@ -139,7 +140,9 @@ class HistoryMachine(RuleBasedStateMachine):
             f"L2Distance(embedding, {vector_sql(query)}) AS dist LIMIT {k}"
         )
         self.selects += 1
-        exhaustive = self.index == "FLAT" or result.strategy is ExecutionStrategy.BRUTE_FORCE
+        exhaustive = (
+            self.index != "HNSW" or result.strategy is ExecutionStrategy.BRUTE_FORCE
+        )
         self.judge(result.rows, query, k, threshold, exhaustive)
 
     def judge(self, rows, query, k, threshold, exhaustive):
