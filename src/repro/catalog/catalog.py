@@ -1,8 +1,9 @@
 """The table catalog.
 
 A :class:`Catalog` maps table names to :class:`TableEntry` records holding
-the schema, live statistics, and the list of active segment ids.  The
-catalog itself is metadata-only; segment payloads live in the object
+the schema, live statistics and the segment-name sequence.  The catalog
+itself is metadata-only: a table's segments are listed by its manifest
+(:mod:`repro.storage.manifest`), and their payloads live in the object
 store and the per-node caches.
 """
 
@@ -22,8 +23,6 @@ class TableEntry:
 
     schema: TableSchema
     statistics: TableStatistics = field(default_factory=TableStatistics)
-    segment_ids: List[str] = field(default_factory=list)
-    next_rowid: int = 0
     next_segment_seq: int = 0
 
     def allocate_segment_id(self) -> str:

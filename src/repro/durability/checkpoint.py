@@ -99,8 +99,6 @@ class Checkpointer:
             "statistics": pickle.dumps(
                 entry.statistics, protocol=pickle.HIGHEST_PROTOCOL
             ),
-            "segment_ids": list(entry.segment_ids),
-            "next_rowid": entry.next_rowid,
             "next_segment_seq": entry.next_segment_seq,
             "centroids": runtime.writer._bucket_centroids,
             "manifest": {

@@ -157,7 +157,6 @@ class DurabilityManager:
                 "centroids": runtime.writer._bucket_centroids,
                 "vector_dim": schema.vector_dim,
                 "index_dim": schema.index_spec.dim if schema.index_spec else None,
-                "next_rowid": entry.next_rowid,
                 "next_segment_seq": entry.next_segment_seq,
             },
         )

@@ -124,8 +124,6 @@ def _restore_table(db: Any, table_state: Dict[str, Any], report: RecoveryReport)
     schema = pickle.loads(table_state["schema"])
     entry = db.catalog.create_table(schema)
     entry.statistics = pickle.loads(table_state["statistics"])
-    entry.segment_ids = list(table_state["segment_ids"])
-    entry.next_rowid = table_state["next_rowid"]
     entry.next_segment_seq = table_state["next_segment_seq"]
     runtime = db._attach_runtime(entry)
     centroids = table_state["centroids"]
@@ -204,15 +202,11 @@ def _replay_commit(db: Any, data: Dict[str, Any], report: RecoveryReport) -> Non
             segment = Segment.load(db.store, sid)  # cold read, charged
             report.segments_loaded += 1
             edit.commit(segment, index_key=index_key)
-            if sid not in entry.segment_ids:
-                entry.segment_ids.append(sid)
             entry.next_segment_seq = max(
                 entry.next_segment_seq, _segment_seq(sid) + 1
             )
         for sid in data["dropped"]:
             edit.drop(sid)
-            if sid in entry.segment_ids:
-                entry.segment_ids.remove(sid)
         for sid, bitmap_state in data["bitmaps"].items():
             row_count = edit.segment(sid).row_count
             bitmap = DeleteBitmap(row_count, version=bitmap_state["version"])
@@ -235,7 +229,6 @@ def _replay_stats(db: Any, data: Dict[str, Any], report: RecoveryReport) -> None
     runtime = db._tables[name]
     entry = runtime.entry
     entry.statistics = pickle.loads(data["statistics"])
-    entry.next_rowid = max(entry.next_rowid, data["next_rowid"])
     entry.next_segment_seq = max(entry.next_segment_seq, data["next_segment_seq"])
     if data["centroids"] is not None:
         runtime.writer._bucket_centroids = data["centroids"]

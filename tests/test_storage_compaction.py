@@ -174,8 +174,3 @@ class TestCosts:
         assert clock.now > before
         assert results[0].simulated_seconds > 0
 
-    def test_entry_segment_ids_updated(self, setup):
-        entry, manager, writer, compactor, _ = setup
-        ingest_batches(writer, 3)
-        compactor.run_once()
-        assert set(entry.segment_ids) == set(manager.segment_ids())
