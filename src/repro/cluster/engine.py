@@ -13,17 +13,12 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterator, List, Optional
 
-from repro.cluster.warehouse import (
-    VirtualWarehouse,
-    WarehouseBackend,
-    WarehouseConfig,
-)
+from repro.cluster.warehouse import VirtualWarehouse, WarehouseConfig
 from repro.core.database import BlendHouse, EngineSettings, SelectStage
 from repro.executor.cancel import CancelToken
 from repro.ingest.writer import IngestConfig
 from repro.simulate.clock import SimulatedClock
 from repro.simulate.costmodel import DeviceCostModel
-from repro.sqlparser.ast_nodes import Insert
 
 
 class SeparatedEngine:
@@ -31,10 +26,10 @@ class SeparatedEngine:
 
     ``self.db`` is the core :class:`BlendHouse`: it plans, ingests and
     owns the SELECT lifecycle.  A subclass supplies the warehouse that
-    scans a query (:meth:`_backend`) and hooks each table's compactor to
-    its caches (:meth:`_wire_table`); SQL dispatch, ingest and the
-    surface a :class:`~repro.serving.frontend.ServingFrontend` drives
-    are here.
+    scans a query (:meth:`_backend`) and adds the hook that drops a
+    retired index from its workers' caches to ``db.retire_hooks``; SQL
+    dispatch, ingest and the surface a
+    :class:`~repro.serving.frontend.ServingFrontend` drives are here.
     """
 
     def __init__(
@@ -49,12 +44,8 @@ class SeparatedEngine:
             ingest_config=ingest_config, settings=settings,
         )
 
-    def _backend(self, tenant: str, lane: str) -> WarehouseBackend:
+    def _backend(self, tenant: str, lane: str) -> VirtualWarehouse:
         """The warehouse that scans this (tenant, lane)'s query."""
-        raise NotImplementedError
-
-    def _wire_table(self, table: str) -> None:
-        """Idempotently hook ``table``'s retired indexes to the read side."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -89,14 +80,10 @@ class SeparatedEngine:
     # Ingest (write side)
     # ------------------------------------------------------------------
     def insert_rows(self, table: str, rows: List[Dict[str, Any]]):
-        report = self.db.insert_rows(table, rows)
-        self._wire_table(table)
-        return report
+        return self.db.insert_rows(table, rows)
 
     def insert_columns(self, table: str, scalar_columns, vectors):
-        report = self.db.insert_columns(table, scalar_columns, vectors)
-        self._wire_table(table)
-        return report
+        return self.db.insert_columns(table, scalar_columns, vectors)
 
     # ------------------------------------------------------------------
     # SQL
@@ -106,11 +93,9 @@ class SeparatedEngine:
     ) -> Any:
         """Execute SQL: SELECTs scan on the read side, everything else
         goes through the write-side engine."""
-        statement, result = self.db.run_statement(
+        _, result = self.db.run_statement(
             sql, route=lambda: self._backend(tenant, lane)
         )
-        if isinstance(statement, Insert):
-            self._wire_table(statement.table)
         return result
 
     def select_stages(
@@ -149,18 +134,12 @@ class ClusteredBlendHouse(SeparatedEngine):
         )
         for _ in range(read_workers):
             self.read_vw.add_worker()
-        self._read_backend = WarehouseBackend(self.read_vw, self.db)
+        self.db.retire_hooks.append(
+            lambda _sid, index_key: self.read_vw.invalidate_index(index_key)
+        )
 
-    def _backend(self, tenant: str, lane: str) -> WarehouseBackend:
-        return self._read_backend
-
-    def _wire_table(self, table: str) -> None:
-        runtime = self.db.table(table)
-        if not getattr(runtime, "_cluster_invalidation_wired", False):
-            runtime.compactor.on_retire(
-                lambda _sid, index_key: self.read_vw.invalidate_index(index_key)
-            )
-            runtime._cluster_invalidation_wired = True
+    def _backend(self, tenant: str, lane: str) -> VirtualWarehouse:
+        return self.read_vw
 
     def preload(self, table: str) -> int:
         """Preload every segment's index into its scheduled worker."""

@@ -1,10 +1,11 @@
 """Virtual warehouses: elastic pools of stateless workers.
 
-A :class:`VirtualWarehouse` executes hybrid queries across its workers:
-segments are assigned by the consistent-hash scheduler, each worker runs
-the physical plan on its share, and the warehouse advances the shared
-clock by the *makespan* — the maximum per-worker charged cost — modelling
-parallel execution on a single simulated timeline.
+A :class:`VirtualWarehouse` is a scan backend of the SELECT lifecycle
+(:meth:`repro.core.database.BlendHouse.select_stages`): segments are
+assigned by the consistent-hash scheduler, each worker runs the physical
+plan on its share, and a wave's time is the *makespan* — the maximum
+per-worker charged cost — modelling parallel execution on a single
+simulated timeline.
 
 Warehouses also model:
 
@@ -19,7 +20,7 @@ Warehouses also model:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional
 
 from repro.cluster.rpc import RpcFabric
@@ -29,7 +30,6 @@ from repro.cluster.stats import SegmentAccessStats
 from repro.cluster.worker import Worker
 from repro.errors import NoWorkersError, WorkerUnavailableError
 from repro.executor.cancel import CancelToken
-from repro.executor.columnio import ColumnReader
 from repro.observe.trace import Tracer
 from repro.executor.pipeline import (
     ExecContext,
@@ -38,12 +38,12 @@ from repro.executor.pipeline import (
     execute_segment,
     merge_and_project,
 )
-from repro.planner.cost import CostModelParams
 from repro.planner.optimizer import PhysicalPlan
 from repro.simulate.clock import SimulatedClock
 from repro.simulate.costmodel import DeviceCostModel
 from repro.simulate.metrics import MetricRegistry
 from repro.storage.deletebitmap import DeleteBitmap
+from repro.storage.manifest import Snapshot
 from repro.storage.objectstore import ObjectStore
 from repro.storage.segment import Segment
 
@@ -188,54 +188,24 @@ class VirtualWarehouse:
         load = min(max(self.background_load, 0.0), 0.95)
         return 1.0 / (1.0 - load)
 
-    def execute_query(
-        self,
-        plan: PhysicalPlan,
-        segments: List[Segment],
-        bitmaps: Dict[str, DeleteBitmap],
-        index_key_of: IndexKeyLookup,
-        reader: ColumnReader,
-        params: CostModelParams,
-        manifest_id: Optional[int] = None,
-        cancel: Optional[CancelToken] = None,
-    ) -> QueryResult:
-        """Run one planned query across the warehouse, synchronously:
-        :meth:`scan`, the makespan onto the clock, :meth:`merge_partials`.
-
-        ``manifest_id`` is the manifest the caller's snapshot pinned; it
-        rides along so scheduling and worker spans attribute work to the
-        exact version scanned.  ``cancel`` is checked before each segment
-        scan and before every serving RPC the query issues.
-
-        Raises
-        ------
-        NoWorkersError
-            If the warehouse has no live workers.
-        QueryCancelledError
-            If ``cancel`` is set while segments remain to scan.
-        """
-        start = self.clock.now
-        partials, _, effective = self.scan(
-            plan, segments, bitmaps, index_key_of, reader, params,
-            manifest_id=manifest_id, cancel=cancel,
-        )
-        self.clock.advance(effective)
-        result = self.merge_partials(plan, partials, reader, params, len(segments))
-        result.simulated_seconds = self.clock.elapsed_since(start)
-        return result
-
-    def scan(self, *args, **kwargs):
-        """:meth:`capture_scans` under the query-level retry (§II-E).
+    def scan(self, plans, waves, bitmaps, snapshot, ctx, cancel):
+        """The SELECT lifecycle's scan backend: one wave of a group of
+        one (a warehouse takes no batch) under the query-level retry
+        (§II-E); per-segment costs are reported after the join.
 
         A worker that died since scheduling fails the whole wave; it is
         retried on the refreshed topology up to :data:`MAX_QUERY_RETRIES`
         times.  Every wave that completes counts as one warehouse query
         and records its makespan.
         """
+        (plan,), (segments,) = plans, waves
         attempts = 0
         while True:
             try:
-                partials, scan_costs, makespan = self.capture_scans(*args, **kwargs)
+                partials, scan_costs, makespan = self.capture_scans(
+                    plan, segments, bitmaps, snapshot, ctx, cancel
+                )
+                break
             except WorkerUnavailableError:
                 # Memoized remote-cache handshakes may be stale; refresh.
                 for worker in self.workers.values():
@@ -244,35 +214,35 @@ class VirtualWarehouse:
                 self.metrics.incr("warehouse.query_retries")
                 if attempts > MAX_QUERY_RETRIES:
                     raise
-                continue
-            self.metrics.record_latency("warehouse.makespan", makespan)
-            self.metrics.incr("warehouse.queries")
-            return partials, scan_costs, makespan
+        self.metrics.record_latency("warehouse.makespan", makespan)
+        self.metrics.incr("warehouse.queries")
+        yield from scan_costs
+        return [partials], makespan
 
     def capture_scans(
         self,
         plan: PhysicalPlan,
         segments: List[Segment],
         bitmaps: Dict[str, DeleteBitmap],
-        index_key_of: IndexKeyLookup,
-        reader: ColumnReader,
-        params: CostModelParams,
-        manifest_id: Optional[int] = None,
+        snapshot: Snapshot,
+        ctx: ExecContext,
         cancel: Optional[CancelToken] = None,
     ):
         """Run every segment scan with the clock *capturing*.
 
-        Returns ``(partials, segment_costs, effective_makespan_s)`` where
+        Each worker scans its share with ``ctx`` resolving indexes
+        through its own caches (and, on a miss, its segment's previous
+        owner), keyed by the pinned ``snapshot``'s manifest.  Returns
+        ``(partials, segment_costs, effective_makespan_s)`` where
         ``segment_costs`` is ``[(segment_id, cost_s), ...]`` in scan
         order and the makespan already includes interference.  The clock
-        is NOT advanced — :meth:`execute_query` applies the makespan
-        directly, while the SELECT lifecycle hands it to whoever drains
-        the stages as the scan stage's ``advance_s``.
+        is NOT advanced: the SELECT lifecycle hands the makespan to
+        whoever drains the stages as the scan stage's ``advance_s``.
         """
         if not self.workers:
             raise NoWorkersError(f"warehouse {self.name!r} has no workers")
         by_id = {segment.segment_id: segment for segment in segments}
-        assignment = self.scheduler.assign(list(by_id), manifest_id=manifest_id)
+        assignment = self.scheduler.assign(list(by_id), manifest_id=snapshot.manifest_id)
         grouped = self.scheduler.group_by_worker(assignment)
 
         # A worker scans its segments one after another; the warehouse's
@@ -288,18 +258,10 @@ class VirtualWarehouse:
             # into this one (never applied) is what the worker span reads.
             with self.clock.capturing() as charged, self.tracer.span(
                 "worker_scan", worker=worker_id, segments=len(segment_ids),
-            ) as scan_span:
-                if manifest_id is not None:
-                    scan_span.set_tag("manifest_id", manifest_id)
-                ctx = ExecContext(
-                    clock=self.clock,
-                    cost=self.cost,
-                    params=params,
-                    reader=reader,
-                    resolve_index=self._resolver_for(worker, index_key_of, cancel),
-                    metrics=self.metrics,
-                    tracer=self.tracer,
-                    manifest_id=manifest_id,
+                manifest_id=snapshot.manifest_id,
+            ):
+                worker_ctx = replace(
+                    ctx, resolve_index=self._resolver_for(worker, snapshot.index_key, cancel)
                 )
                 segment_costs: List[float] = []
                 for segment_id in segment_ids:
@@ -308,7 +270,7 @@ class VirtualWarehouse:
                     segment = by_id[segment_id]
                     with self.clock.capturing() as captured:
                         partials.append(
-                            execute_segment(plan, segment, bitmaps.get(segment_id), ctx)
+                            execute_segment(plan, segment, bitmaps.get(segment_id), worker_ctx)
                         )
                     charged.add(captured.total)
                     segment_costs.append(captured.total)
@@ -323,25 +285,40 @@ class VirtualWarehouse:
         effective = makespan * self._interference_factor()
         return partials, scan_costs, effective
 
+    # Nothing in the engine calls these two; they stay while
+    # ``ledger/interpose.py`` names them.
+    def execute_query(
+        self,
+        plan: PhysicalPlan,
+        segments: List[Segment],
+        bitmaps: Dict[str, DeleteBitmap],
+        snapshot: Snapshot,
+        ctx: ExecContext,
+        cancel: Optional[CancelToken] = None,
+    ) -> QueryResult:
+        """One planned query, synchronously: :meth:`scan`, the makespan
+        onto the clock, :meth:`merge_partials`."""
+        start = self.clock.now
+        scan = self.scan([plan], [segments], bitmaps, snapshot, ctx, cancel)
+        try:
+            while True:
+                next(scan)
+        except StopIteration as done:
+            (partials,), makespan = done.value
+        self.clock.advance(makespan)
+        result = self.merge_partials(plan, partials, ctx, len(segments))
+        result.simulated_seconds = self.clock.elapsed_since(start)
+        return result
+
     def merge_partials(
         self,
         plan: PhysicalPlan,
         partials: List[PartialResult],
-        reader: ColumnReader,
-        params: CostModelParams,
+        ctx: ExecContext,
         n_segments: int,
     ) -> QueryResult:
-        """Merge per-segment partials into one result (charges merge cost)."""
-        merge_ctx = ExecContext(
-            clock=self.clock,
-            cost=self.cost,
-            params=params,
-            reader=reader,
-            resolve_index=lambda segment: None,
-            metrics=self.metrics,
-            tracer=self.tracer,
-        )
-        return merge_and_project(plan, partials, merge_ctx, n_segments)
+        """:func:`merge_and_project`, which the SELECT lifecycle calls."""
+        return merge_and_project(plan, partials, ctx, n_segments)
 
     def export_metrics(self) -> Dict:
         """JSON-safe warehouse snapshot including per-segment access
@@ -378,39 +355,3 @@ class VirtualWarehouse:
             return provider
 
         return resolve
-
-
-class WarehouseBackend:
-    """SELECT scan backend that executes on a warehouse's workers.
-
-    Adapts a :class:`VirtualWarehouse` (the clustered engine's read
-    warehouse, or the fleet member a query routes to) to the contract
-    of :meth:`repro.core.database.BlendHouse.select_stages`;
-    ``db``, the planning engine, supplies the column reader and the
-    table's cost constants the workers charge with.
-    """
-
-    def __init__(self, warehouse, db) -> None:
-        self.warehouse = warehouse
-        self.db = db
-        self.name = warehouse.name
-
-    def _params(self, plan: PhysicalPlan) -> CostModelParams:
-        schema = self.db.table(plan.logical.table).entry.schema
-        return self.db.cost_params(schema)
-
-    def scan(self, plans, waves, bitmaps, snapshot, cancel):
-        """Scan one wave of a group of one (a warehouse takes no batch);
-        per-segment costs are reported after the join."""
-        (plan,), (segments,) = plans, waves
-        partials, scan_costs, makespan = self.warehouse.scan(
-            plan, segments, bitmaps, snapshot.index_key, self.db.reader,
-            self._params(plan), manifest_id=snapshot.manifest_id, cancel=cancel,
-        )
-        yield from scan_costs
-        return [partials], makespan
-
-    def merge(self, plan, partials, n_segments) -> QueryResult:
-        return self.warehouse.merge_partials(
-            plan, partials, self.db.reader, self._params(plan), n_segments
-        )

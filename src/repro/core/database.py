@@ -89,6 +89,7 @@ from repro.sqlparser.ast_nodes import (
 )
 from repro.sqlparser.lexer import Scan, scan_statement
 from repro.sqlparser.parser import parse_statement
+from repro.storage.compaction import RetireHook
 from repro.storage.objectstore import ObjectStore
 from repro.storage.segment import Segment
 from repro.vindex.registry import IndexSpec, parse_index_options
@@ -133,9 +134,8 @@ class _InProcessBackend:
     def __init__(self, db: "BlendHouse") -> None:
         self.db = db
 
-    def scan(self, plans, waves, bitmaps, snapshot, cancel):
+    def scan(self, plans, waves, bitmaps, snapshot, ctx, cancel):
         db = self.db
-        ctx = db._exec_context(db.table(plans[0].logical.table), snapshot)
         lanes = db.settings.parallel_workers
         db.tracer.annotate("lanes", lanes)  # the ``execute`` span
         partials: List[List[Any]] = [[] for _ in plans]
@@ -174,11 +174,6 @@ class _InProcessBackend:
             costs.append(captured.total)
             yield segment.segment_id, captured.total
         return partials, lane_makespan(costs, lanes)
-
-    def merge(self, plan, partials, n_segments) -> QueryResult:
-        db = self.db
-        ctx = db._exec_context(db.table(plan.logical.table))
-        return merge_and_project(plan, partials, ctx, n_segments)
 
 
 @dataclass
@@ -243,6 +238,10 @@ class BlendHouse:
         self._ingest_config = ingest_config or IngestConfig()
         self.reader = ColumnReader(self.clock, self.cost, self.metrics)
         self._tables: Dict[str, TableRuntime] = {}
+        # Every table's compactor calls these with (segment_id, index_key)
+        # as it retires a segment: a separated engine's read side drops
+        # the retired index from its workers' caches.
+        self.retire_hooks: List[RetireHook] = []
         self.last_recovery: Optional[RecoveryReport] = None
         self._durability = DurabilityManager(self, durability)
         self._in_process = _InProcessBackend(self)
@@ -263,6 +262,8 @@ class BlendHouse:
         )
         self._tables[entry.schema.name] = runtime
         self._durability.register_table(runtime)
+        for hook in self.retire_hooks:
+            runtime.compactor.on_retire(hook)
         return runtime
 
     # ------------------------------------------------------------------
@@ -642,30 +643,21 @@ class BlendHouse:
         self.metrics.incr("planner.optimizations")
         return plan
 
-    def _exec_context(
-        self,
-        runtime: TableRuntime,
-        snapshot: Optional[Any] = None,
-    ) -> ExecContext:
-        params = self.cost_params(runtime.entry.schema)
+    def _exec_context(self, runtime: TableRuntime, snapshot: Any) -> ExecContext:
+        """What a group's scans and merges charge with, resolving indexes
+        at the pinned ``snapshot`` (a warehouse swaps in its workers'
+        resolvers)."""
         reader = self.reader
         if not self.settings.enable_read_opt:
             reader = ColumnReader(self.clock, self.cost, self.metrics, read_opt=False)
-        if snapshot is None:
-            resolve = runtime.resolve_index
-            manifest_id = None
-        else:
-            resolve = runtime.snapshot_resolver(snapshot)
-            manifest_id = snapshot.manifest_id
         return ExecContext(
             clock=self.clock,
             cost=self.cost,
-            params=params,
+            params=self.cost_params(runtime.entry.schema),
             reader=reader,
-            resolve_index=resolve,
+            resolve_index=runtime.snapshot_resolver(snapshot),
             metrics=self.metrics,
             tracer=self.tracer,
-            manifest_id=manifest_id,
         )
 
     def _prune(
@@ -748,12 +740,13 @@ class BlendHouse:
         ``execute`` spans what the driver advanced after ``plan``.
 
         ``backend`` is where segments are scanned: ``scan(plans, waves,
-        bitmaps, snapshot, cancel)`` takes a group's plans and the wave
-        of segments each one probes (here a group of one) and is a
-        generator yielding ``(segment_id, cost_s)`` as segments complete
-        and returning ``(partials per plan, makespan_s)``; ``merge(plan,
-        partials, n_segments)`` returns one plan's result; ``name`` is
-        the serving warehouse.  Default: this process.  ``tenant`` /
+        bitmaps, snapshot, ctx, cancel)`` takes a group's plans, the wave
+        of segments each one probes (here a group of one) and the
+        group's :class:`ExecContext`, and is a generator yielding
+        ``(segment_id, cost_s)`` as segments complete and returning
+        ``(partials per plan, makespan_s)``; ``name`` is the serving
+        warehouse.  Default: this process.  The lifecycle merges every
+        plan's partials itself, with the same context.  ``tenant`` /
         ``lane`` name the caller — a fleet engine routes on them, here
         they select nothing.
         """
@@ -810,6 +803,7 @@ class BlendHouse:
                 "plan", captured.total, captured.total,
                 manifest_id=snap.manifest_id,
             )
+            ctx = self._exec_context(runtime, snap)
             execute = tracer.open("execute", root, manifest_id=snap.manifest_id)
             members = range(len(plans))
             partials: List[List[Any]] = [[] for _ in members]
@@ -831,7 +825,7 @@ class BlendHouse:
                 scan = backend.scan(
                     [plans[member] for member in members],
                     [pruned[member][wave] for member in members],
-                    bitmaps, snap, cancel,
+                    bitmaps, snap, ctx, cancel,
                 )
                 wave_cost = 0.0
                 while True:
@@ -850,8 +844,9 @@ class BlendHouse:
                 for member, scans in zip(members, wave_partials):
                     partials[member] += scans  # one per segment scanned
                     with tracer.under(execute), self.clock.capturing() as captured:
-                        results[member] = backend.merge(
-                            plans[member], partials[member], len(partials[member])
+                        results[member] = merge_and_project(
+                            plans[member], partials[member], ctx,
+                            len(partials[member]),
                         )
                     finish_costs[member] += captured.total
             elapsed += sum(finish_costs)

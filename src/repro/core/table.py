@@ -65,13 +65,6 @@ class TableRuntime:
             self._loaded_indexes.pop(index_key, None)
             self.writer.built_indexes.pop(index_key, None)
 
-    def resolve_index(self, segment: Segment) -> Optional[VectorIndex]:
-        """The vector index for ``segment`` per the *current* manifest,
-        or None (→ brute force)."""
-        return self.resolve_index_at(
-            segment, self.manager.index_key(segment.segment_id)
-        )
-
     def snapshot_resolver(self, snapshot):
         """An index resolver bound to one pinned snapshot: index keys come
         from the snapshot's manifest, so a query keeps resolving the exact

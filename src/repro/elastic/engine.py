@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.cluster.engine import SeparatedEngine
-from repro.cluster.warehouse import WarehouseBackend
+from repro.cluster.warehouse import VirtualWarehouse
 from repro.core.database import EngineSettings
 from repro.elastic.autoscaler import AutoscalerPolicy, FleetAutoscaler
 from repro.elastic.fleet import FleetConfig, WarehouseFleet
@@ -45,7 +45,10 @@ class FleetBlendHouse(SeparatedEngine):
             metrics=self.db.metrics, tracer=self.db.tracer,
             config=fleet_config,
         )
-        self.preloader = BackgroundPreloader(self.fleet)
+        self.db.retire_hooks.append(
+            lambda _sid, index_key: self.fleet.invalidate_index(index_key)
+        )
+        self.preloader = BackgroundPreloader(self.fleet, self.db)
         self.autoscaler: Optional[FleetAutoscaler] = None
 
     # ------------------------------------------------------------------
@@ -73,25 +76,8 @@ class FleetBlendHouse(SeparatedEngine):
         """Manually remove one warehouse."""
         return self.fleet.remove_warehouse(name)
 
-    # ------------------------------------------------------------------
-    # Catalog wiring + preload
-    # ------------------------------------------------------------------
-    def _wire_table(self, table: str) -> None:
-        """Retire-hook invalidation across the fleet + catalog entry."""
-        runtime = self.db.table(table)
-        if not getattr(runtime, "_fleet_wired", False):
-            runtime.compactor.on_retire(
-                lambda _sid, index_key: self.fleet.invalidate_index(index_key)
-            )
-            manager = runtime.manager
-            self.fleet.register_table(
-                table, lambda: (manager.segment_ids(), manager.index_key)
-            )
-            runtime._fleet_wired = True
-
     def preload(self, table: str) -> int:
         """Warm every fleet member for ``table`` (initial preload)."""
-        self._wire_table(table)
         runtime = self.db.table(table)
         return self.fleet.preload_all(
             runtime.manager.segment_ids(), runtime.manager.index_key
@@ -100,12 +86,12 @@ class FleetBlendHouse(SeparatedEngine):
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
-    def _backend(self, tenant: str, lane: str) -> WarehouseBackend:
+    def _backend(self, tenant: str, lane: str) -> VirtualWarehouse:
         """Route one query: the serving member's workers scan it."""
         warehouse = self.fleet.route(tenant, lane)
         self.metrics.incr("fleet.queries")
         self.metrics.incr(f"fleet.served_by.{warehouse.name}")
-        return WarehouseBackend(warehouse, self.db)
+        return warehouse
 
     def execute(
         self, sql: str, tenant: str = "default", lane: str = "interactive"

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.cluster.stats import SegmentAccessStats
 from repro.cluster.warehouse import VirtualWarehouse, WarehouseConfig
@@ -38,10 +38,6 @@ from repro.simulate.metrics import MetricRegistry
 from repro.storage.objectstore import ObjectStore
 
 from repro.elastic.router import FleetRouter
-
-# A catalog provider returns (segment_ids, index_key_of) for one table —
-# re-evaluated at every warm-up so a preload sees the current manifest.
-CatalogProvider = Callable[[], Tuple[List[str], Callable[[str], Optional[str]]]]
 
 NAME_PREFIX = "fleet-vw"
 # Join mode of a scale-out that names none (the autoscaler's default).
@@ -86,20 +82,9 @@ class WarehouseFleet:
         # Access stats of warehouses that have since been scaled in —
         # heat observed before a scale event still guides later preloads.
         self._retired_stats = SegmentAccessStats()
-        self._catalog: Dict[str, CatalogProvider] = {}
         self._next_seq = 0
         for _ in range(max(0, self.config.warehouses)):
             self.add_warehouse(masked=False)
-
-    # ------------------------------------------------------------------
-    # Catalog (what a joining warehouse could be warmed with)
-    # ------------------------------------------------------------------
-    def register_table(self, table: str, provider: CatalogProvider) -> None:
-        """Register a table's segment/index-key source for preloads."""
-        self._catalog[table] = provider
-
-    def catalog_providers(self) -> List[CatalogProvider]:
-        return list(self._catalog.values())
 
     # ------------------------------------------------------------------
     # Membership

@@ -26,8 +26,10 @@ from repro.observe.events import emit_event
 class BackgroundPreloader:
     """Warms joining warehouses from fleet-wide access statistics."""
 
-    def __init__(self, fleet) -> None:
+    def __init__(self, fleet, db) -> None:
         self.fleet = fleet
+        # The core engine: every table of its catalog is warmed.
+        self.db = db
         self.warmups = 0
 
     def _hot_set(self) -> Optional[set]:
@@ -53,11 +55,12 @@ class BackgroundPreloader:
         hot = self._hot_set()
         loaded = 0
         with warehouse.clock.capturing() as captured:
-            for provider in self.fleet.catalog_providers():
-                segment_ids, index_key_of = provider()
+            for entry in self.db.catalog.entries():
+                manager = self.db.table(entry.schema.name).manager
+                segment_ids = manager.segment_ids()
                 if hot is not None:
                     segment_ids = [s for s in segment_ids if s in hot]
-                loaded += warehouse.preload_indexes(segment_ids, index_key_of)
+                loaded += warehouse.preload_indexes(segment_ids, manager.index_key)
         self.warmups += 1
         self.fleet.metrics.incr("fleet.preloaded_indexes", loaded)
         emit_event(

@@ -60,8 +60,6 @@ class ExecContext:
     resolve_index: IndexResolver
     tracer: Tracer
     metrics: MetricRegistry = field(default_factory=MetricRegistry)
-    # Manifest this execution is pinned to (MVCC); None outside snapshots.
-    manifest_id: Optional[int] = None
 
 
 @dataclass

@@ -251,6 +251,23 @@ class TestCompactionInvalidation:
             for key in retired_keys:
                 assert not worker.has_index_in_memory(key)
 
+    def test_tables_filled_through_the_core_engine_are_hooked_too(self, cluster):
+        """The hook is the engine's, not the facade insert's."""
+        cluster.execute(
+            "CREATE TABLE more (id UInt64, label String, embedding Array(Float32), "
+            "INDEX ann embedding TYPE FLAT('DIM=8'))"
+        )
+        runtime = cluster.db.table("more")
+        runtime.writer.config.max_segment_rows = 100
+        cluster.db.insert_rows("more", cluster._rows)
+        cluster.preload("more")
+        keys_before = set(map(runtime.manager.index_key, runtime.manager.segment_ids()))
+        assert cluster.db.compact("more")
+        retired = keys_before - set(map(runtime.manager.index_key, runtime.manager.segment_ids()))
+        assert retired
+        for worker in cluster.read_vw.workers.values():
+            assert not any(worker.has_index_in_memory(key) for key in retired)
+
 
 class TestAdmissionControl:
     def make_cluster(self):

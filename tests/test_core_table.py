@@ -21,12 +21,17 @@ def runtime(rng):
     return db, db.table("t")
 
 
+def resolve(table, segment):
+    """Resolve ``segment``'s index under the current manifest's key."""
+    return table.resolve_index_at(segment, table.manager.index_key(segment.segment_id))
+
+
 class TestResolution:
     def test_freshly_built_index_served_from_memory(self, runtime, ):
         db, table = runtime
         segment = table.manager.segments()[0]
         before = db.clock.now
-        index = table.resolve_index(segment)
+        index = resolve(table, segment)
         assert index is not None
         assert db.clock.now == before  # built_indexes path is free
 
@@ -35,12 +40,12 @@ class TestResolution:
         segment = table.manager.segments()[0]
         table.writer.built_indexes.clear()
         before = db.clock.now
-        index = table.resolve_index(segment)
+        index = resolve(table, segment)
         assert index is not None
         assert db.clock.now > before  # object-store fetch charged
         assert db.metrics.count("table.index_cold_loads") == 1
         mark = db.clock.now
-        again = table.resolve_index(segment)
+        again = resolve(table, segment)
         assert again is index  # memoized
         assert db.clock.now == mark
 
@@ -50,7 +55,7 @@ class TestResolution:
         key = table.manager.index_key(segment.segment_id)
         table.writer.built_indexes.clear()
         db.store.delete(key)
-        assert table.resolve_index(segment) is None
+        assert resolve(table, segment) is None
 
     def test_refiner_reattached_after_cold_load(self, runtime):
         """IVFPQ needs its segment-backed refiner rewired after
@@ -58,7 +63,7 @@ class TestResolution:
         db, table = runtime
         segment = table.manager.segments()[0]
         table.writer.built_indexes.clear()
-        index = table.resolve_index(segment)
+        index = resolve(table, segment)
         assert index._refiner is not None
         query = segment.vectors()[5]
         result = index.search_with_filter(query, 1, nprobe=index.nlist)
@@ -76,7 +81,7 @@ class TestResolution:
         # Force cold loads so the memo is populated.
         table.writer.built_indexes.clear()
         for segment in table.manager.segments():
-            table.resolve_index(segment)
+            resolve(table, segment)
         results = db.compact("t")
         assert results
         surviving = set(table.manager.segment_ids())

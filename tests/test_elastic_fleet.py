@@ -179,7 +179,7 @@ class TestPreloader:
     def test_warm_cost_is_captured_not_applied(self):
         db = make_fleet_db()
         db.execute(ann_sql(db))
-        preloader = BackgroundPreloader(db.fleet)
+        preloader = BackgroundPreloader(db.fleet, db.db)
         fresh = db.fleet.add_warehouse(masked=False)
         warehouse = db.fleet.warehouse(fresh)
         warehouse.invalidate_index(None)  # no-op; keep caches as-built
@@ -199,7 +199,7 @@ class TestPreloader:
 
     def test_no_heat_warms_full_catalog(self):
         db = make_fleet_db()
-        preloader = BackgroundPreloader(db.fleet)
+        preloader = BackgroundPreloader(db.fleet, db.db)
         name = db.fleet.add_warehouse(masked=False)
         loaded, _ = preloader.warm(db.fleet.warehouse(name))
         assert loaded == len(db.db.table("docs").manager.segment_ids())

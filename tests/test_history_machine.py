@@ -1,8 +1,10 @@
 """An outside judge: random write/read histories against a numpy model.
 
-One ``hypothesis.stateful`` machine drives the core ``BlendHouse`` —
-one table under a FLAT or an HNSW index, built at ingest, or under no
-vector index at all — through
+One ``hypothesis.stateful`` machine drives an engine — the core
+``BlendHouse``, a ``ClusteredBlendHouse`` of two workers or a
+``FleetBlendHouse`` of two warehouses of two, all through the facade —
+with one table under a FLAT or an HNSW index, built at ingest, or under
+no vector index at all, through
 inserts (some rows repeating a vector already in the table), deletes,
 updates, compactions, and kNN and hybrid SELECTs under every
 ``forced_strategy``.  Beside it runs an out-of-engine model of the
@@ -33,7 +35,9 @@ import numpy as np
 from hypothesis import HealthCheck, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
+from repro.cluster.engine import ClusteredBlendHouse
 from repro.core.database import BlendHouse
+from repro.elastic import FleetBlendHouse, FleetConfig
 from repro.planner.optimizer import ExecutionStrategy
 from tests.helpers import vector_sql
 
@@ -50,16 +54,25 @@ seeds = st.integers(0, 2**16)
 # LIMIT 10 under a 10 % filter (attr < 1) makes Plan C restart its
 # segment searches past the first batch.
 limits = st.sampled_from([1, 10])
+ENGINES = {
+    "core": BlendHouse,
+    "clustered": lambda: ClusteredBlendHouse(read_workers=2),
+    "fleet": lambda: FleetBlendHouse(
+        fleet_config=FleetConfig(warehouses=2, workers_per_warehouse=2)
+    ),
+}
 
 
 class HistoryMachine(RuleBasedStateMachine):
     """The engine and its model, moved in lockstep."""
 
     @initialize(index=st.sampled_from(["FLAT", "HNSW", None]), count=st.integers(60, 150),
-                seed=seeds)
-    def create(self, index, count, seed):
+                seed=seeds, engine=st.sampled_from(list(ENGINES)))
+    def create(self, index, count, seed, engine):
         self.index = index
-        self.db = BlendHouse()
+        self.db = ENGINES[engine]()
+        # What only the core engine has: compaction and the observe plane.
+        self.core = getattr(self.db, "db", self.db)
         options = f"'DIM={DIM}'" + (", 'M=4, ef_construction=16'" if index == "HNSW" else "")
         declared = "" if index is None else f", INDEX ann embedding TYPE {index}({options})"
         self.db.execute(
@@ -112,7 +125,7 @@ class HistoryMachine(RuleBasedStateMachine):
 
     @rule()
     def compact(self):
-        self.db.compact("t")
+        self.core.compact("t")
 
     # -- reads ----------------------------------------------------------------
     @rule(query=vectors, k=limits, ef=st.sampled_from([4, 16, 256]))
@@ -171,16 +184,16 @@ class HistoryMachine(RuleBasedStateMachine):
 
     @invariant()
     def row_count(self):
-        assert self.db.describe("t")["rows_alive"] == len(self.rows)
+        assert self.core.describe("t")["rows_alive"] == len(self.rows)
 
     @invariant()
     def observe_plane_at_rest(self):
         """Every SELECT was offered to the flight recorder once, every
         snapshot pin was released, and no span is left open."""
-        assert self.db.slowlog.seen == self.selects
-        events = self.db.events
+        assert self.core.slowlog.seen == self.selects
+        events = self.core.events
         assert events.count("snapshot.pin") == events.count("snapshot.unpin")
-        assert self.db.tracer.current is None
+        assert self.core.tracer.current is None
 
     def teardown(self):
         # Recall is a property of many answers, not of one.

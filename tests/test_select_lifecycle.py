@@ -280,6 +280,24 @@ def test_every_engine_and_entry_point_agree(engine_name, table):
         assert all(span.finished for root in core.tracer.roots for span in walk(root))
 
 
+@pytest.mark.parametrize("entry", [run_execute, run_stages], ids=["execute", "stages"])
+@pytest.mark.parametrize("engine_name", list(ENGINES))
+def test_read_opt_off_reaches_every_engine_and_entry(engine_name, entry):
+    """``SET read_opt = 0`` (Fig 17's baseline) holds whichever backend
+    scans: the same rows, and every column fetch a full-block read."""
+    engine, sql = build(engine_name, "hybrid")
+    engine.execute("SET read_opt = 0")
+    metrics = core_of(engine).metrics
+    names = ("columnio.block_reads", "columnio.ranged_reads")
+    before = [metrics.count(name) for name in names]
+    result, _ = entry(engine, sql)
+    assert result.rows == reference_rows("hybrid")
+    block_reads, ranged_reads = (
+        metrics.count(name) - count for name, count in zip(names, before)
+    )
+    assert block_reads > 0 and ranged_reads == 0
+
+
 @pytest.mark.parametrize("engine_name", list(ENGINES))
 def test_synchronous_selects_reach_the_slow_query_log(engine_name):
     engine, sql = build(engine_name, "hybrid")
