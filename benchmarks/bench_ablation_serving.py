@@ -35,7 +35,7 @@ def _scaled_latency(serving_enabled: bool) -> dict:
         f"CREATE TABLE bench (id UInt64, attr Int64, embedding Array(Float32), "
         f"INDEX ann embedding TYPE IVFFLAT('DIM={dataset.dim}'))"
     )
-    cluster.db.table("bench").writer.config.max_segment_rows = 8000
+    cluster.table("bench").writer.config.max_segment_rows = 8000
     cluster.insert_columns(
         "bench",
         {"id": dataset.scalars["id"], "attr": dataset.scalars["attr"]},

@@ -66,7 +66,7 @@ def _build_fleet(dataset):
         f"INDEX ann embedding TYPE HNSW('DIM={DIM}', 'M=8, ef_construction=64'))"
     )
     db.execute(f"SET ef_search = {EF_SEARCH}")
-    db.db.table("bench").writer.config.max_segment_rows = SEGMENT_ROWS
+    db.table("bench").writer.config.max_segment_rows = SEGMENT_ROWS
     # Streamed ingest: fixed-size chunks arriving over time, the way the
     # serving tier sees continuous writes — not one bulk load.
     for lo in range(0, ROWS, INGEST_CHUNK):

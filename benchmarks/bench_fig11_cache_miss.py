@@ -48,7 +48,7 @@ def latencies():
         f"CREATE TABLE bench (id UInt64, attr Int64, embedding Array(Float32), "
         f"INDEX ann embedding TYPE IVFFLAT('DIM={dataset.dim}'))"
     )
-    cluster.db.table("bench").writer.config.max_segment_rows = 10_000
+    cluster.table("bench").writer.config.max_segment_rows = 10_000
     cluster.insert_columns(
         "bench",
         {"id": dataset.scalars["id"], "attr": dataset.scalars["attr"]},

@@ -26,7 +26,7 @@ def cluster(cohere_ds):
         f"CREATE TABLE bench (id UInt64, attr Int64, embedding Array(Float32), "
         f"INDEX ann embedding TYPE HNSW('DIM={cohere_ds.dim}', '{HNSW_OPTIONS}'))"
     )
-    engine.db.table("bench").writer.config.max_segment_rows = 1500
+    engine.table("bench").writer.config.max_segment_rows = 1500
     engine.insert_columns(
         "bench",
         {"id": cohere_ds.scalars["id"], "attr": cohere_ds.scalars["attr"]},

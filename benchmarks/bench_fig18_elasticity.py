@@ -41,7 +41,7 @@ def elasticity():
         f"CREATE TABLE bench (id UInt64, attr Int64, embedding Array(Float32), "
         f"INDEX ann embedding TYPE FLAT('DIM={dataset.dim}'))"
     )
-    cluster.db.table("bench").writer.config.max_segment_rows = 950
+    cluster.table("bench").writer.config.max_segment_rows = 950
     cluster.insert_columns(
         "bench",
         {"id": dataset.scalars["id"], "attr": dataset.scalars["attr"]},
@@ -82,7 +82,7 @@ def elasticity():
     # burn-rate monitor holding *clear* throughout scaling is the
     # deterministic assertion of "cold-cache misses are masked".
     slo_threshold = 2.0 * percentile(sorted(baseline), 99.0)
-    slo = SLOMonitor(cluster.clock, metrics=cluster.db.metrics)
+    slo = SLOMonitor(cluster.clock, metrics=cluster.metrics)
     slo.add_objective(SLObjective(
         name="scaling_latency", kind="latency",
         target=0.9, threshold_s=slo_threshold,

@@ -60,14 +60,14 @@ def main() -> None:
         )
         """
     )
-    cluster.db.table("photos").writer.config.max_segment_rows = 600
+    cluster.table("photos").writer.config.max_segment_rows = 600
     cluster.insert_columns(
         "photos",
         {name: dataset.scalars[name]
          for name in ("id", "category", "source", "day", "score")},
         dataset.vectors,
     )
-    segments = len(cluster.db.table("photos").manager)
+    segments = len(cluster.table("photos").manager)
     print(f"loaded {dataset.n} photos into {segments} segments "
           f"on a {cluster.read_vw.worker_count}-worker read warehouse")
 

@@ -1,8 +1,8 @@
 """Stateless workers with hierarchical vector-index caches.
 
 A worker owns no data: segments and indexes live in the shared object
-store, and the worker keeps an in-memory (split metadata/data) cache plus
-a local-disk cache (paper §II-D "Hierarchical vector index cache").
+store, and the worker keeps an in-memory index cache (one LRU) plus a
+local-disk cache (paper §II-D "Hierarchical vector index cache").
 
 Index resolution for a scheduled segment returns one of three tiers the
 cache-miss experiment (Fig 11) measures:
@@ -26,14 +26,13 @@ from repro.executor.annscan import SearchProvider
 from repro.simulate.clock import SimulatedClock
 from repro.simulate.costmodel import DeviceCostModel
 from repro.simulate.metrics import MetricRegistry
-from repro.storage.cache import HierarchicalIndexCache, SplitIndexCache
+from repro.storage.cache import HierarchicalIndexCache, LRUCache, object_size
 from repro.storage.localdisk import LocalDisk
 from repro.storage.objectstore import ObjectStore
 from repro.storage.segment import Segment
 from repro.vindex.api import SearchResult, VectorIndex
 from repro.vindex.registry import deserialize_index
 
-DEFAULT_MEM_META_BYTES = 64 << 20
 DEFAULT_MEM_DATA_BYTES = 4 << 30
 DEFAULT_DISK_BYTES = 16 << 30
 
@@ -51,7 +50,6 @@ class Worker:
         store: ObjectStore,
         fabric: RpcFabric,
         metrics: Optional[MetricRegistry] = None,
-        mem_meta_bytes: int = DEFAULT_MEM_META_BYTES,
         mem_data_bytes: int = DEFAULT_MEM_DATA_BYTES,
         disk_bytes: int = DEFAULT_DISK_BYTES,
     ) -> None:
@@ -62,11 +60,10 @@ class Worker:
         self.fabric = fabric
         self.metrics = metrics or MetricRegistry()
         self.alive = True
-        self._memory = SplitIndexCache(mem_meta_bytes, mem_data_bytes)
         self._disk = LocalDisk(clock, disk_bytes, cost, self.metrics)
         self.cache = HierarchicalIndexCache(
-            clock, self._memory, self._disk, store, deserialize_index,
-            cost, self.metrics,
+            clock, LRUCache(mem_data_bytes, size_of=object_size), self._disk,
+            store, deserialize_index, cost, self.metrics,
         )
         # index_key -> simulated completion time of an async warm-up load.
         self._pending_loads: Dict[str, float] = {}

@@ -1,10 +1,13 @@
-"""The BlendHouse engine facade.
+"""The BlendHouse engine.
 
-One :class:`BlendHouse` instance is a single-process deployment of the
-full stack: SQL front-end → catalog → optimizer (RBO + CBO + plan cache
-+ short-circuit) → segment pruning (scalar, plus semantic on ``CLUSTER
+One :class:`BlendHouse` instance is a deployment of the full stack: SQL
+front-end → catalog → optimizer (RBO + CBO + plan cache +
+short-circuit) → segment pruning (scalar, plus semantic on ``CLUSTER
 BY`` tables, widened to the reserve segments when the kept ones come
 back short) → per-segment execution → partial top-k merge → projection.
+Segments are scanned in this process; the clustered and fleet engines
+are subclasses that scan on a read warehouse instead
+(:meth:`BlendHouse._backend`).
 
 Typical use::
 
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 from contextlib import closing
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -239,8 +242,8 @@ class BlendHouse:
         self.reader = ColumnReader(self.clock, self.cost, self.metrics)
         self._tables: Dict[str, TableRuntime] = {}
         # Every table's compactor calls these with (segment_id, index_key)
-        # as it retires a segment: a separated engine's read side drops
-        # the retired index from its workers' caches.
+        # as it retires a segment: an engine that scans on warehouses
+        # drops the retired index from its workers' caches.
         self.retire_hooks: List[RetireHook] = []
         self.last_recovery: Optional[RecoveryReport] = None
         self._durability = DurabilityManager(self, durability)
@@ -269,30 +272,37 @@ class BlendHouse:
     # ------------------------------------------------------------------
     # SQL entry point
     # ------------------------------------------------------------------
-    def execute(self, sql: str) -> Any:
+    def execute(
+        self, sql: str, tenant: str = "default", lane: str = "interactive"
+    ) -> Any:
         """Execute one SQL statement.
 
         Returns a :class:`QueryResult` for SELECTs, an
         :class:`IngestReport` for INSERTs, an :class:`ExplainResult`
         for EXPLAIN [ANALYZE], and small ack objects for other
         statements.  Every statement records a ``query`` root span with
-        the parse and dispatch work as children.
+        the parse and dispatch work as children.  A SELECT (and EXPLAIN
+        ANALYZE) scans on ``self._backend(tenant, lane)``.
         """
-        return self.run_statement(sql)[1]
+        return self._execute(sql, tenant, lane)
 
-    def run_statement(
-        self, sql: str, route: Optional[Callable[[], Any]] = None
-    ) -> Tuple[Any, Any]:
-        """:meth:`execute`, also returning the parsed statement.
-
-        ``route()`` picks the scan backend of a SELECT — the engines
-        that scan elsewhere pass it; by default scans run in-process.
-        """
+    def _execute(self, sql: str, tenant: str, lane: str) -> Any:
+        """The statement path every engine's :meth:`execute` runs."""
         with self.tracer.span("query") as root:
             with self.tracer.span("parse"):
                 statement, query = self._parse(sql)
             root.set_tag("statement", type(statement).__name__)
-            return statement, self._dispatch(statement, query, root, route)
+            return self._dispatch(statement, query, root, tenant, lane)
+
+    def _backend(self, tenant: str, lane: str) -> Any:
+        """Where a SELECT from ``(tenant, lane)`` scans: this process.
+
+        The one hook the engines that scan elsewhere override — a
+        clustered engine returns its read warehouse, a fleet engine the
+        member its router picks.  A backend is what
+        :meth:`select_stages` documents.
+        """
+        return self._in_process
 
     def _parse(self, sql: str) -> Tuple[Any, Optional[_SelectQuery]]:
         """The statement front door: one scan of ``sql``, then its shape's
@@ -319,10 +329,11 @@ class BlendHouse:
 
     def _dispatch(
         self, statement: Any, query: Optional[_SelectQuery], root: Span,
-        route: Any = None,
+        tenant: str, lane: str,
     ) -> Any:
         if isinstance(statement, Explain):
-            return self._execute_explain(query, statement.analyze, root)
+            backend = self._backend(tenant, lane) if statement.analyze else None
+            return self._execute_explain(query, root, backend)
         if isinstance(statement, CreateTable):
             return self._execute_create(statement)
         if isinstance(statement, DropTable):
@@ -330,9 +341,9 @@ class BlendHouse:
         if isinstance(statement, Insert):
             return self._execute_insert(statement)
         if isinstance(statement, Select):
-            backend = route() if route is not None else None
             (stage,) = self._drain(
-                [query.sql], self._lifecycle([query], root, backend)
+                [query.sql],
+                self._lifecycle([query], root, self._backend(tenant, lane)),
             )
             return stage.result
         if isinstance(statement, Update):
@@ -450,36 +461,30 @@ class BlendHouse:
             rows = read_csv_rows(
                 statement.infile, schema, statement.columns or None
             )
-            report = runtime.writer.ingest_rows(rows)
-            self.plan_cache.invalidate_plans()
-            self._maybe_compact(runtime)
-            self._durability.statement_boundary()
-            return report
-        columns = statement.columns or schema.column_order
-        if len(columns) != len(schema.column_order) or set(columns) != set(schema.column_order):
-            raise SQLError("INSERT must provide every column exactly once")
-        rows = [dict(zip(columns, row)) for row in statement.rows]
-        report = runtime.writer.ingest_rows(rows)
-        self.plan_cache.invalidate_plans()
-        self._maybe_compact(runtime)
-        self._durability.statement_boundary()
-        return report
+        else:
+            columns = statement.columns or schema.column_order
+            if len(columns) != len(schema.column_order) or set(columns) != set(schema.column_order):
+                raise SQLError("INSERT must provide every column exactly once")
+            rows = [dict(zip(columns, row)) for row in statement.rows]
+        return self._ingested(runtime, runtime.writer.ingest_rows(rows))
 
     def insert_rows(self, table: str, rows: List[Dict[str, Any]]) -> IngestReport:
         """Programmatic bulk insert of row dicts."""
         runtime = self.table(table)
-        report = runtime.writer.ingest_rows(rows)
-        self.plan_cache.invalidate_plans()
-        self._maybe_compact(runtime)
-        self._durability.statement_boundary()
-        return report
+        return self._ingested(runtime, runtime.writer.ingest_rows(rows))
 
     def insert_columns(
         self, table: str, scalar_columns: Dict[str, Any], vectors: np.ndarray
     ) -> IngestReport:
         """Programmatic columnar bulk load (the CSV INFILE fast path)."""
         runtime = self.table(table)
-        report = runtime.writer.ingest_columns(scalar_columns, vectors)
+        return self._ingested(
+            runtime, runtime.writer.ingest_columns(scalar_columns, vectors)
+        )
+
+    def _ingested(self, runtime: TableRuntime, report: IngestReport) -> IngestReport:
+        """The tail of every ingest: fence cached plans, maybe compact,
+        and commit the statement."""
         self.plan_cache.invalidate_plans()
         self._maybe_compact(runtime)
         self._durability.statement_boundary()
@@ -739,16 +744,15 @@ class BlendHouse:
         the wave's ``segment_scan`` spans, the ``merge_project`` spans;
         ``execute`` spans what the driver advanced after ``plan``.
 
-        ``backend`` is where segments are scanned: ``scan(plans, waves,
-        bitmaps, snapshot, ctx, cancel)`` takes a group's plans, the wave
-        of segments each one probes (here a group of one) and the
-        group's :class:`ExecContext`, and is a generator yielding
-        ``(segment_id, cost_s)`` as segments complete and returning
-        ``(partials per plan, makespan_s)``; ``name`` is the serving
-        warehouse.  Default: this process.  The lifecycle merges every
-        plan's partials itself, with the same context.  ``tenant`` /
-        ``lane`` name the caller — a fleet engine routes on them, here
-        they select nothing.
+        ``backend`` is where segments are scanned, by default
+        ``self._backend(tenant, lane)``: ``scan(plans, waves, bitmaps,
+        snapshot, ctx, cancel)`` takes a group's plans, the wave of
+        segments each one probes (here a group of one) and the group's
+        :class:`ExecContext`, and is a generator yielding ``(segment_id,
+        cost_s)`` as segments complete and returning ``(partials per
+        plan, makespan_s)``; ``name`` is the serving warehouse, None in
+        this process.  The lifecycle merges every plan's partials itself,
+        with the same context.
         """
         tracer = self.tracer
         root = tracer.open("query")
@@ -758,6 +762,7 @@ class BlendHouse:
             root.set_tag("statement", type(statement).__name__)
             if not isinstance(statement, Select):
                 raise SQLError("staged serving execution supports SELECT only")
+            backend = backend or self._backend(tenant, lane)
             yield from self._lifecycle([query], root, backend, cancel)
         finally:
             tracer.finish(root)
@@ -1087,11 +1092,13 @@ class BlendHouse:
     # EXPLAIN
     # ------------------------------------------------------------------
     def _execute_explain(
-        self, query: _SelectQuery, analyze: bool, root: Span
+        self, query: _SelectQuery, root: Span, backend: Optional[Any]
     ) -> ExplainResult:
-        root.set_tag("explain", "analyze" if analyze else "plan")
-        if analyze:
-            (stage,) = self._drain([query.sql], self._lifecycle([query], root))
+        """EXPLAIN plans the query; EXPLAIN ANALYZE (a ``backend`` given)
+        runs it there, as the SELECT itself would run."""
+        root.set_tag("explain", "plan" if backend is None else "analyze")
+        if backend is not None:
+            (stage,) = self._drain([query.sql], self._lifecycle([query], root, backend))
             return ExplainResult(
                 sql=query.sql, analyze=True, plan=stage.flight["plan"],
                 trace=root, result=stage.result,
@@ -1128,8 +1135,9 @@ class BlendHouse:
         """Simulate a clean node restart: cold boot from shared storage.
 
         Flushes the WAL (so nothing acknowledged is lost), then builds a
-        fresh engine over the same object store via :meth:`recover`.  The
-        old instance must not be used afterwards.
+        fresh engine of the same class over the same object store via
+        :meth:`recover`; a read side comes back cold, at its constructor
+        defaults.  The old instance must not be used afterwards.
         """
         self._durability.statement_boundary()
         return type(self).recover(

@@ -1,11 +1,11 @@
 """FleetBlendHouse: the SQL engine fronted by an elastic warehouse fleet.
 
-Write-side planning stays in the core :class:`BlendHouse` (the dedicated
+Ingest and planning stay in the engine's own process (the dedicated
 write warehouse of the paper's read/write separation); every SELECT is
 routed by ``(tenant, lane)`` to one member of a
 :class:`~repro.elastic.fleet.WarehouseFleet` and executes on that
-warehouse's workers.  ``select_stages`` is the core engine's staged
-SELECT with the routed warehouse as its scan backend, so a
+warehouse's workers.  ``select_stages`` is the engine's staged SELECT
+with the routed warehouse as its scan backend, so a
 :class:`~repro.serving.frontend.ServingFrontend` can front the whole
 fleet — staged queries route across warehouses instead of one frontend
 pinning one engine.
@@ -13,22 +13,24 @@ pinning one engine.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
 
-from repro.cluster.engine import SeparatedEngine
 from repro.cluster.warehouse import VirtualWarehouse
-from repro.core.database import EngineSettings
+from repro.core.database import BlendHouse, EngineSettings, SelectStage
+from repro.durability.manager import DurabilityConfig
 from repro.elastic.autoscaler import AutoscalerPolicy, FleetAutoscaler
 from repro.elastic.fleet import FleetConfig, WarehouseFleet
 from repro.elastic.preloader import BackgroundPreloader
+from repro.executor.cancel import CancelToken
 from repro.executor.pipeline import QueryResult
 from repro.ingest.writer import IngestConfig
 from repro.observe.slo import SLOMonitor
 from repro.simulate.clock import SimulatedClock
 from repro.simulate.costmodel import DeviceCostModel
+from repro.storage.objectstore import ObjectStore
 
 
-class FleetBlendHouse(SeparatedEngine):
+class FleetBlendHouse(BlendHouse):
     """BlendHouse with SELECTs spread across an elastic warehouse fleet."""
 
     def __init__(
@@ -38,18 +40,28 @@ class FleetBlendHouse(SeparatedEngine):
         ingest_config: Optional[IngestConfig] = None,
         settings: Optional[EngineSettings] = None,
         fleet_config: Optional[FleetConfig] = None,
+        store: Optional[ObjectStore] = None,
+        durability: Optional[DurabilityConfig] = None,
     ) -> None:
-        super().__init__(clock, cost_model, ingest_config, settings)
-        self.fleet = WarehouseFleet(
-            self.db.clock, self.db.cost, self.db.store,
-            metrics=self.db.metrics, tracer=self.db.tracer,
-            config=fleet_config,
+        super().__init__(
+            clock=clock, cost_model=cost_model, ingest_config=ingest_config,
+            settings=settings, store=store, durability=durability,
         )
-        self.db.retire_hooks.append(
+        self.fleet = WarehouseFleet(
+            self.clock, self.cost, self.store,
+            metrics=self.metrics, tracer=self.tracer, config=fleet_config,
+        )
+        self.retire_hooks.append(
             lambda _sid, index_key: self.fleet.invalidate_index(index_key)
         )
-        self.preloader = BackgroundPreloader(self.fleet, self.db)
+        self.preloader = BackgroundPreloader(self.fleet, self)
         self.autoscaler: Optional[FleetAutoscaler] = None
+
+    @property
+    def db(self) -> "FleetBlendHouse":
+        """This engine, under the name the benchmark's fleet workload
+        (``ledger/workloads.py``) reads it by; no other caller uses it."""
+        return self
 
     # ------------------------------------------------------------------
     # Autoscaling
@@ -78,7 +90,7 @@ class FleetBlendHouse(SeparatedEngine):
 
     def preload(self, table: str) -> int:
         """Warm every fleet member for ``table`` (initial preload)."""
-        runtime = self.db.table(table)
+        runtime = self.table(table)
         return self.fleet.preload_all(
             runtime.manager.segment_ids(), runtime.manager.index_key
         )
@@ -97,12 +109,23 @@ class FleetBlendHouse(SeparatedEngine):
         self, sql: str, tenant: str = "default", lane: str = "interactive"
     ) -> Any:
         """Execute SQL; SELECTs route through the fleet by (tenant, lane)
-        and tick the autoscaler."""
-        start = self.db.clock.now
-        result = super().execute(sql, tenant, lane)
+        and tick the autoscaler.  Runs the shared statement path, not
+        :meth:`BlendHouse.execute`: the benchmark's traced fleet run
+        records a statement as ``elastic.execute`` and no ``core.execute``."""
+        start = self.clock.now
+        result = self._execute(sql, tenant, lane)
         if self.autoscaler is not None and isinstance(result, QueryResult):
-            self.autoscaler.observe_latency(
-                lane, self.db.clock.elapsed_since(start)
-            )
+            self.autoscaler.observe_latency(lane, self.clock.elapsed_since(start))
             self.autoscaler.tick()
         return result
+
+    def select_stages(
+        self, sql: str, cancel: Optional[CancelToken] = None,
+        tenant: str = "default", lane: str = "interactive",
+    ) -> Iterator[SelectStage]:
+        """:meth:`BlendHouse.select_stages`, routed when called (a
+        serving tier routes a query as it admits it); the finish stage's
+        ``flight["warehouse"]`` names the member that served it."""
+        return super().select_stages(
+            sql, cancel, tenant, lane, backend=self._backend(tenant, lane)
+        )

@@ -26,10 +26,10 @@ from repro.observe.events import emit_event
 class BackgroundPreloader:
     """Warms joining warehouses from fleet-wide access statistics."""
 
-    def __init__(self, fleet, db) -> None:
+    def __init__(self, fleet, engine) -> None:
         self.fleet = fleet
-        # The core engine: every table of its catalog is warmed.
-        self.db = db
+        # The engine the fleet serves: every table of its catalog is warmed.
+        self.engine = engine
         self.warmups = 0
 
     def _hot_set(self) -> Optional[set]:
@@ -55,8 +55,8 @@ class BackgroundPreloader:
         hot = self._hot_set()
         loaded = 0
         with warehouse.clock.capturing() as captured:
-            for entry in self.db.catalog.entries():
-                manager = self.db.table(entry.schema.name).manager
+            for entry in self.engine.catalog.entries():
+                manager = self.engine.table(entry.schema.name).manager
                 segment_ids = manager.segment_ids()
                 if hot is not None:
                     segment_ids = [s for s in segment_ids if s in hot]

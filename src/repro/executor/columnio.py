@@ -8,10 +8,9 @@ insertion/sort order (paper §IV-C "Read amplification").  The model:
   from remote storage, however few rows are needed.
 * **Reduced granularity** — a ranged read fetches only the needed rows'
   bytes (one request latency + per-row bytes).
-* **Adaptive cache** — an LRU over column blocks with split buffers
-  (small hot metadata vs. large data) makes repeat access RAM-speed; a
-  :data:`CACHE_ROW_LIMIT` guard bypasses the cache for huge reads so
-  scans cannot thrash it.
+* **Adaptive cache** — an LRU over column blocks makes repeat access
+  RAM-speed; a :data:`CACHE_ROW_LIMIT` guard bypasses the cache for huge
+  reads so scans cannot thrash it.
 
 READ_Opt (Fig 17) is the last two together: a reader built with
 ``read_opt=False`` is the baseline.  Data values themselves come from
@@ -25,12 +24,11 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 from repro.simulate.clock import SimulatedClock
 from repro.simulate.costmodel import DeviceCostModel
 from repro.simulate.metrics import MetricRegistry
-from repro.storage.cache import SplitIndexCache
+from repro.storage.cache import LRUCache, object_size
 from repro.storage.segment import Segment
 
 
 CACHE_ROW_LIMIT = 4096  # reads of more rows bypass the block cache
-META_CACHE_BYTES = 8 << 20
 DATA_CACHE_BYTES = 256 << 20
 
 
@@ -48,7 +46,7 @@ class ColumnReader:
         self._cost = cost
         self._metrics = metrics or MetricRegistry()
         self._read_opt = read_opt
-        self._cache = SplitIndexCache(META_CACHE_BYTES, DATA_CACHE_BYTES)
+        self._cache = LRUCache(DATA_CACHE_BYTES, size_of=object_size)
         # Per-(segment, column) cell-size memo: segments are immutable,
         # so the bytes-per-row ratio never changes for a given key and
         # the decode hot path skips the dict lookup + division per fetch.
@@ -71,14 +69,14 @@ class ColumnReader:
         key = f"{segment.segment_id}/{column}"
         block_bytes = segment.meta.nbytes_by_column.get(column, 8 * segment.row_count)
         if self._read_opt and n_rows <= CACHE_ROW_LIMIT:
-            if self._cache.get_data(key) is not None:
+            if self._cache.get(key) is not None:
                 hit_bytes = int(n_rows * self._cell_bytes(segment, column))
                 self._clock.advance(self._cost.ram_read(hit_bytes))
                 self._metrics.incr("columnio.cache_hits")
                 return
             # Miss: fetch (possibly reduced) then populate the cache.
             self._charge_remote(segment, column, n_rows, block_bytes)
-            self._cache.put_data(key, ("block", block_bytes))
+            self._cache.put(key, ("block", block_bytes))
             self._metrics.incr("columnio.cache_fills")
             return
         self._charge_remote(segment, column, n_rows, block_bytes)

@@ -12,12 +12,11 @@ Implements the storage side of the paper's architecture (Fig 1):
   visibility, tombstones).
 * :mod:`repro.storage.compaction` — background merge of small segments
   with automatic vector-index rebuild.
-* :mod:`repro.storage.cache` — LRU caches, including the paper's split
-  metadata/data in-memory index cache and the hierarchical
-  memory → local disk → object store read path.
+* :mod:`repro.storage.cache` — the byte-budgeted LRU cache and the
+  hierarchical memory → local disk → object store index read path.
 """
 
-from repro.storage.cache import HierarchicalIndexCache, LRUCache, SplitIndexCache
+from repro.storage.cache import HierarchicalIndexCache, LRUCache
 from repro.storage.deletebitmap import DeleteBitmap
 from repro.storage.localdisk import LocalDisk
 from repro.storage.lsm import SegmentManager
@@ -33,5 +32,4 @@ __all__ = [
     "Segment",
     "SegmentManager",
     "SegmentMeta",
-    "SplitIndexCache",
 ]

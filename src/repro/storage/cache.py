@@ -1,15 +1,13 @@
 """Cache tiers used throughout BlendHouse.
 
-Three building blocks:
+Two building blocks:
 
-* :class:`LRUCache` — generic byte-budgeted LRU over arbitrary values.
-* :class:`SplitIndexCache` — the paper's in-memory vector-index cache with
-  *separate* spaces for small frequently-touched metadata and large data
-  payloads, so neither access pattern thrashes the other (§II-D, §IV-C).
+* :class:`LRUCache` — generic byte-budgeted LRU over arbitrary values
+  (sized by :func:`object_size` for live indexes and column blocks).
 * :class:`HierarchicalIndexCache` — the memory → local disk → object store
-  read path for vector indexes: a hit in RAM is nearly free, a disk hit
-  avoids the remote fetch, and a full miss pays object-store cost and
-  back-fills both tiers.
+  read path for vector indexes (§II-D): a hit in RAM is nearly free, a
+  disk hit avoids the remote fetch, and a full miss pays object-store
+  cost and back-fills both tiers.
 """
 
 from __future__ import annotations
@@ -121,51 +119,7 @@ class LRUCache:
         return list(self._entries.keys())
 
 
-class SplitIndexCache:
-    """In-memory index cache with independent metadata and data spaces.
-
-    The paper observes that index *metadata* (small, touched on every
-    query) and index *data* (large, reloaded occasionally) have different
-    access patterns; giving each its own LRU space prevents a burst of
-    large data loads from evicting all the hot metadata.
-    """
-
-    def __init__(self, meta_capacity_bytes: int, data_capacity_bytes: int) -> None:
-        self.meta = LRUCache(meta_capacity_bytes, size_of=_object_size)
-        self.data = LRUCache(data_capacity_bytes, size_of=_object_size)
-
-    def get_meta(self, key: str) -> Optional[Any]:
-        """Metadata-space lookup."""
-        return self.meta.get(key)
-
-    def put_meta(self, key: str, value: Any) -> bool:
-        """Metadata-space insert."""
-        return self.meta.put(key, value)
-
-    def get_data(self, key: str) -> Optional[Any]:
-        """Data-space lookup."""
-        return self.data.get(key)
-
-    def put_data(self, key: str, value: Any) -> bool:
-        """Data-space insert.
-
-        Returns False when ``value`` alone exceeds the data space; any
-        stale entry under ``key`` has still been evicted (never serve a
-        pre-compaction index because its replacement did not fit).
-        """
-        return self.data.put(key, value)
-
-    def evict_data(self, key: str) -> bool:
-        """Drop one data entry (e.g. when its segment is compacted away)."""
-        return self.data.evict(key)
-
-    def clear(self) -> None:
-        """Empty both spaces."""
-        self.meta.clear()
-        self.data.clear()
-
-
-def _object_size(value: Any) -> int:
+def object_size(value: Any) -> int:
     """Best-effort byte size of a cached value.
 
     Values exposing ``memory_bytes()`` (vector indexes) report exactly;
@@ -195,7 +149,7 @@ class HierarchicalIndexCache:
     def __init__(
         self,
         clock: SimulatedClock,
-        memory: SplitIndexCache,
+        memory: LRUCache,
         disk: Optional[LocalDisk],
         store: ObjectStore,
         deserialize: Callable[[bytes], Any],
@@ -209,7 +163,7 @@ class HierarchicalIndexCache:
         self._deserialize = deserialize
         self._cost = cost_model or DeviceCostModel()
         self._metrics = metrics or MetricRegistry()
-        self._memory.data.on_evict = self._on_memory_evict
+        self._memory.on_evict = self._on_memory_evict
 
     def _on_memory_evict(self, key: str, nbytes: int) -> None:
         self._metrics.incr("index_cache.memory_evictions")
@@ -235,7 +189,7 @@ class HierarchicalIndexCache:
         return value, tier
 
     def _resolve(self, key: str) -> Tuple[Any, str]:
-        value = self._memory.get_data(key)
+        value = self._memory.get(key)
         if value is not None:
             # A resident index costs one pointer chase to reach; the
             # bytes a search actually touches are charged by the ANN
@@ -260,7 +214,7 @@ class HierarchicalIndexCache:
     def _fill_memory(self, key: str, value: Any, source: str = "remote") -> None:
         """Back-fill the RAM tier; an oversize value still displaces any
         stale predecessor (see :meth:`LRUCache.put`) but is not cached."""
-        if self._memory.put_data(key, value):
+        if self._memory.put(key, value):
             emit_event(
                 self._metrics, "cache.promotion", tier="memory",
                 key=key, source=source,
@@ -270,7 +224,7 @@ class HierarchicalIndexCache:
 
     def contains_in_memory(self, key: str) -> bool:
         """True if a live index is resident in RAM (no cost charged)."""
-        return key in self._memory.data
+        return key in self._memory
 
     def preload(self, key: str) -> bool:
         """Pull ``key`` into RAM and disk ahead of queries (paper §II-D).
@@ -291,7 +245,7 @@ class HierarchicalIndexCache:
 
     def invalidate(self, key: str) -> None:
         """Drop ``key`` from RAM and disk (segment compacted or dropped)."""
-        self._memory.evict_data(key)
+        self._memory.evict(key)
         if self._disk is not None:
             self._disk.evict(key)
 

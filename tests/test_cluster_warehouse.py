@@ -20,7 +20,7 @@ def cluster():
         "CREATE TABLE docs (id UInt64, label String, embedding Array(Float32), "
         "INDEX ann embedding TYPE FLAT('DIM=8'))"
     )
-    engine.db.table("docs").writer.config.max_segment_rows = 100
+    engine.table("docs").writer.config.max_segment_rows = 100
     rng = np.random.default_rng(0)
     rows = [
         {"id": i, "label": ["a", "b"][i % 2],
@@ -62,7 +62,7 @@ class TestDistributedCorrectness:
 
     def test_preload_switches_to_local(self, cluster):
         loaded = cluster.preload("docs")
-        assert loaded == len(cluster.db.table("docs").manager)
+        assert loaded == len(cluster.table("docs").manager)
         before = cluster.metrics.count("warehouse.tier.local")
         top_ids(cluster)
         assert cluster.metrics.count("warehouse.tier.local") > before
@@ -135,7 +135,7 @@ class TestWarehouseAccessStats:
         top_ids(cluster)
         latency = cluster.metrics.as_dict()["latencies"]["index_cache.tier.memory"]
         assert latency["count"] > 0
-        assert latency["mean"] == pytest.approx(cluster.db.cost.ram_latency_s)
+        assert latency["mean"] == pytest.approx(cluster.cost.ram_latency_s)
 
 
 class TestScaling:
@@ -235,12 +235,12 @@ class TestFaults:
 class TestCompactionInvalidation:
     def test_retired_indexes_dropped_from_workers(self, cluster):
         cluster.preload("docs")
-        runtime = cluster.db.table("docs")
+        runtime = cluster.table("docs")
         keys_before = {
             sid: runtime.manager.index_key(sid)
             for sid in runtime.manager.segment_ids()
         }
-        results = cluster.db.compact("docs")
+        results = cluster.compact("docs")
         assert results, "compaction should merge the small segments"
         surviving = set(runtime.manager.segment_ids())
         retired_keys = [
@@ -252,17 +252,18 @@ class TestCompactionInvalidation:
                 assert not worker.has_index_in_memory(key)
 
     def test_tables_filled_through_the_core_engine_are_hooked_too(self, cluster):
-        """The hook is the engine's, not the facade insert's."""
+        """The retire hook is the engine's, so a table created and filled
+        after the engine was built drops its retired indexes too."""
         cluster.execute(
             "CREATE TABLE more (id UInt64, label String, embedding Array(Float32), "
             "INDEX ann embedding TYPE FLAT('DIM=8'))"
         )
-        runtime = cluster.db.table("more")
+        runtime = cluster.table("more")
         runtime.writer.config.max_segment_rows = 100
-        cluster.db.insert_rows("more", cluster._rows)
+        cluster.insert_rows("more", cluster._rows)
         cluster.preload("more")
         keys_before = set(map(runtime.manager.index_key, runtime.manager.segment_ids()))
-        assert cluster.db.compact("more")
+        assert cluster.compact("more")
         retired = keys_before - set(map(runtime.manager.index_key, runtime.manager.segment_ids()))
         assert retired
         for worker in cluster.read_vw.workers.values():
@@ -276,7 +277,7 @@ class TestAdmissionControl:
             "CREATE TABLE docs (id UInt64, embedding Array(Float32), "
             "INDEX ann embedding TYPE FLAT('DIM=8'))"
         )
-        engine.db.table("docs").writer.config.max_segment_rows = 50
+        engine.table("docs").writer.config.max_segment_rows = 50
         rng = np.random.default_rng(0)
         rows = [
             {"id": i, "embedding": rng.normal(size=8).astype(np.float32)}

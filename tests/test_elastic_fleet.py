@@ -45,9 +45,7 @@ def load_docs(engine, seed=0):
         f"embedding Array(Float32), INDEX ann embedding "
         f"TYPE FLAT('DIM={DIM}'))"
     )
-    getattr(engine, "db", engine).table("docs").writer.config.max_segment_rows = (
-        SEGMENT_ROWS
-    )
+    engine.table("docs").writer.config.max_segment_rows = SEGMENT_ROWS
     rng = np.random.default_rng(seed)
     rows = [
         {
@@ -179,7 +177,7 @@ class TestPreloader:
     def test_warm_cost_is_captured_not_applied(self):
         db = make_fleet_db()
         db.execute(ann_sql(db))
-        preloader = BackgroundPreloader(db.fleet, db.db)
+        preloader = BackgroundPreloader(db.fleet, db)
         fresh = db.fleet.add_warehouse(masked=False)
         warehouse = db.fleet.warehouse(fresh)
         warehouse.invalidate_index(None)  # no-op; keep caches as-built
@@ -194,15 +192,15 @@ class TestPreloader:
         db.execute(ann_sql(db))
         hot = db.fleet.hot_segments()
         assert hot
-        all_segments = db.db.table("docs").manager.segment_ids()
+        all_segments = db.table("docs").manager.segment_ids()
         assert set(hot) <= set(all_segments)
 
     def test_no_heat_warms_full_catalog(self):
         db = make_fleet_db()
-        preloader = BackgroundPreloader(db.fleet, db.db)
+        preloader = BackgroundPreloader(db.fleet, db)
         name = db.fleet.add_warehouse(masked=False)
         loaded, _ = preloader.warm(db.fleet.warehouse(name))
-        assert loaded == len(db.db.table("docs").manager.segment_ids())
+        assert loaded == len(db.table("docs").manager.segment_ids())
 
 
 class TestAutoscaler:
@@ -286,9 +284,9 @@ class TestFleetQueries:
         db = make_fleet_db()
         gen = db.select_stages(ann_sql(db))
         next(gen)
-        assert db.db.table("docs").manager.store.pinned_count == 1
+        assert db.table("docs").manager.store.pinned_count == 1
         gen.close()
-        assert db.db.table("docs").manager.store.pinned_count == 0
+        assert db.table("docs").manager.store.pinned_count == 0
 
     def test_results_stable_through_masked_scale_event(self):
         """The tentpole acceptance shape: byte-identical rows before,
@@ -340,7 +338,7 @@ class TestFleetQueries:
         db.fleet.poll()
         post = top_ids(db, sql, tenant="race")
         assert post == top_ids(db, sql, tenant="race-check")
-        assert db.db.table("docs").manager.store.pinned_count == 0
+        assert db.table("docs").manager.store.pinned_count == 0
 
 
 TENANT = "tenant-0"
@@ -389,7 +387,7 @@ class TestFleetFailover:
             db.fleet.warehouse(name).scale_to(0)
         with pytest.raises(NoWorkersError):
             db.execute(ann_sql(db), tenant=TENANT)
-        assert db.db.table("docs").manager.store.pinned_count == 0
+        assert db.table("docs").manager.store.pinned_count == 0
 
     def test_member_with_workers_again_takes_its_key_back(self):
         db = make_fleet_db()
@@ -415,7 +413,7 @@ class TestFleetFailover:
 
     def test_preload_all_warms_every_member(self):
         db = make_fleet_db()
-        manager = db.db.table("docs").manager
+        manager = db.table("docs").manager
         assert db.preload("docs") == db.fleet.size * len(manager)
         for name in db.fleet.warehouse_names:
             workers = db.fleet.warehouse(name).workers.values()
@@ -426,9 +424,9 @@ class TestFleetFailover:
     def test_retired_index_dropped_on_every_member(self):
         db = make_fleet_db()
         db.preload("docs")
-        manager = db.db.table("docs").manager
+        manager = db.table("docs").manager
         keys = {manager.index_key(sid) for sid in manager.segment_ids()}
-        assert db.db.compact("docs")
+        assert db.compact("docs")
         retired = keys - {manager.index_key(sid) for sid in manager.segment_ids()}
         assert retired
         for name in db.fleet.warehouse_names:
@@ -496,7 +494,7 @@ class TestRoutedServing:
             assert reply.result.rows == direct.rows
             warehouses.add(reply.flight["warehouse"])
         assert len(warehouses) > 1
-        assert db.db.table("docs").manager.store.pinned_count == 0
+        assert db.table("docs").manager.store.pinned_count == 0
 
     def test_member_scaled_in_under_an_in_flight_query(self):
         """The query fails typed and leaks nothing; the tenant's next
@@ -519,7 +517,7 @@ class TestRoutedServing:
         reply = run_virtual(frontend.submit(QueryRequest(sql=sql, tenant=TENANT)))
         assert reply.status == "error"
         assert reply.error.startswith("NoWorkersError")
-        assert db.db.table("docs").manager.store.pinned_count == 0
+        assert db.table("docs").manager.store.pinned_count == 0
         assert db.tracer.current is None
         (root,) = db.tracer.roots
         assert root.name == "query"

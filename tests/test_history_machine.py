@@ -1,13 +1,13 @@
 """An outside judge: random write/read histories against a numpy model.
 
-One ``hypothesis.stateful`` machine drives an engine — the core
+One ``hypothesis.stateful`` machine drives an engine — a
 ``BlendHouse``, a ``ClusteredBlendHouse`` of two workers or a
-``FleetBlendHouse`` of two warehouses of two, all through the facade —
-with one table under a FLAT or an HNSW index, built at ingest, or under
-no vector index at all, through
-inserts (some rows repeating a vector already in the table), deletes,
-updates, compactions, and kNN and hybrid SELECTs under every
-``forced_strategy``.  Beside it runs an out-of-engine model of the
+``FleetBlendHouse`` of two warehouses of two — with one table under a
+FLAT or an HNSW index, built at ingest, or under no vector index at all,
+through inserts (some rows repeating a vector already in the table),
+deletes, updates, compactions, restarts (a cold engine of the same
+class over the same object store), and kNN and hybrid SELECTs under
+every ``forced_strategy``.  Beside it runs an out-of-engine model of the
 logical table, in the shape of ``ledger/oracle.py``: the live rows as
 numpy arrays, and every answer judged against brute force over them.
 
@@ -21,8 +21,10 @@ numpy arrays, and every answer judged against brute force over them.
   covers every stored row: over repeated vectors some rows are not
   reachable from the entry point at any ``ef``.
 * Between steps the observe plane is at rest: the slow-query log was
-  offered exactly the SELECTs run, every snapshot pin event has its
-  unpin, and no span is open.
+  offered exactly the SELECTs run since the engine started, every
+  snapshot pin event has its unpin, and no span is open.
+* A restart loses no acknowledged write: the live rows, the model and
+  every check above carry over to the engine ``restart`` returns.
 
 Vectors have coordinates in {-1, 0, 1}, so SQL literals round-trip
 exactly and distance ties are common.  Inserted rows come from a seeded
@@ -71,8 +73,6 @@ class HistoryMachine(RuleBasedStateMachine):
     def create(self, index, count, seed, engine):
         self.index = index
         self.db = ENGINES[engine]()
-        # What only the core engine has: compaction and the observe plane.
-        self.core = getattr(self.db, "db", self.db)
         options = f"'DIM={DIM}'" + (", 'M=4, ef_construction=16'" if index == "HNSW" else "")
         declared = "" if index is None else f", INDEX ann embedding TYPE {index}({options})"
         self.db.execute(
@@ -125,7 +125,16 @@ class HistoryMachine(RuleBasedStateMachine):
 
     @rule()
     def compact(self):
-        self.core.compact("t")
+        self.db.compact("t")
+
+    @rule()
+    def restart(self):
+        """Every acknowledged write survives a clean restart; the new
+        engine's slow-query log has been offered nothing yet."""
+        engine_class = type(self.db)
+        self.db = self.db.restart()
+        assert type(self.db) is engine_class
+        self.selects = 0
 
     # -- reads ----------------------------------------------------------------
     @rule(query=vectors, k=limits, ef=st.sampled_from([4, 16, 256]))
@@ -184,16 +193,16 @@ class HistoryMachine(RuleBasedStateMachine):
 
     @invariant()
     def row_count(self):
-        assert self.core.describe("t")["rows_alive"] == len(self.rows)
+        assert self.db.describe("t")["rows_alive"] == len(self.rows)
 
     @invariant()
     def observe_plane_at_rest(self):
         """Every SELECT was offered to the flight recorder once, every
         snapshot pin was released, and no span is left open."""
-        assert self.core.slowlog.seen == self.selects
-        events = self.core.events
+        assert self.db.slowlog.seen == self.selects
+        events = self.db.events
         assert events.count("snapshot.pin") == events.count("snapshot.unpin")
-        assert self.core.tracer.current is None
+        assert self.db.tracer.current is None
 
     def teardown(self):
         # Recall is a property of many answers, not of one.

@@ -184,7 +184,7 @@ class TestClusterParityWithLocal:
 
         clustered = ClusteredBlendHouse(read_workers=3)
         clustered.execute(ddl)
-        clustered.db.table("par").writer.config.max_segment_rows = 300
+        clustered.table("par").writer.config.max_segment_rows = 300
         clustered.insert_columns(
             "par", {"id": ds.scalars["id"], "attr": ds.scalars["attr"]}, ds.vectors
         )

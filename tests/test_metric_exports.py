@@ -70,7 +70,7 @@ def seeded_run():
             "CREATE TABLE t (id UInt64, attr Int64, embedding Array(Float32), "
             f"INDEX ann embedding TYPE HNSW('DIM={DIM}'))"
         )
-        cluster.db.table("t").writer.config.max_segment_rows = 60
+        cluster.table("t").writer.config.max_segment_rows = 60
         cluster.insert_rows("t", [
             {"id": i, "attr": i % 10,
              "embedding": rng.normal(size=DIM).astype(np.float32)}
@@ -88,7 +88,7 @@ def seeded_run():
         cluster.scale_to(3)
         freeze_background_loads(cluster)
         cluster.execute(knn_sql(queries[2]))
-        cluster.db.execute_batch([knn_sql(q) for q in queries[:3]])
+        cluster.execute_batch([knn_sql(q) for q in queries[:3]])
         frontend = ServingFrontend(cluster)
         reply = run_virtual(frontend.submit(
             QueryRequest(sql=knn_sql(queries[3]), lane=Lane.INTERACTIVE)

@@ -21,7 +21,8 @@ from repro.simulate.metrics import MetricRegistry
 from repro.storage.cache import (
     HierarchicalIndexCache,
     LocalDisk,
-    SplitIndexCache,
+    LRUCache,
+    object_size,
 )
 
 
@@ -174,7 +175,7 @@ class TestEngineEmission:
         # every memory fill and evictions on capacity displacement.
         registry = MetricRegistry()
         registry.events = EventLog(clock)
-        memory = SplitIndexCache(1 << 20, 24)  # data tier fits one value
+        memory = LRUCache(24, size_of=object_size)  # fits one value
         disk = LocalDisk(clock, 1 << 20, cost, registry)
         cache = HierarchicalIndexCache(
             clock, memory, disk, store, deserialize=bytes,

@@ -1,9 +1,10 @@
 """One SELECT lifecycle: every engine and entry point runs the same stages.
 
 ``BlendHouse.select_stages`` is the single implementation of a SELECT;
-``execute`` drains it, and the clustered and fleet engines only swap the
-scan backend.  So for every engine x entry point x table the rows, the
-``simulated_seconds`` definition, the clock advance and the accounting
+``execute`` and ``EXPLAIN ANALYZE`` drain it, and the clustered and fleet
+engines only swap the scan backend (``_backend``).  So for every engine
+x entry point x table the rows, the ``simulated_seconds`` definition,
+the clock advance and the accounting
 (``queries``, ``query.latency``, widening, slow-query log, snapshot pin)
 must agree — the staged-vs-direct checks that used to live one per suite
 are this module's inputs.  So must the trace: one ``query`` tree per
@@ -52,10 +53,6 @@ ENGINES = {
 }
 
 
-def core_of(engine) -> BlendHouse:
-    return getattr(engine, "db", engine)
-
-
 def load_hybrid(engine) -> str:
     """8 HNSW segments; a filtered kNN that scans all of them."""
     ds = make_cohere_like(n=400, dim=DIM, n_queries=1)
@@ -63,11 +60,11 @@ def load_hybrid(engine) -> str:
         "CREATE TABLE t (id UInt64, attr Int64, embedding Array(Float32), "
         f"INDEX ann embedding TYPE HNSW('DIM={DIM}'))"
     )
-    core_of(engine).table("t").writer.config.max_segment_rows = 50
+    engine.table("t").writer.config.max_segment_rows = 50
     engine.insert_columns(
         "t", {"id": ds.scalars["id"], "attr": ds.scalars["attr"]}, ds.vectors
     )
-    assert len(core_of(engine).table("t").manager) == 8
+    assert len(engine.table("t").manager) == 8
     threshold = int(np.median(ds.scalars["attr"]))
     return (
         f"SELECT id, dist FROM t WHERE attr < {threshold} ORDER BY "
@@ -87,7 +84,7 @@ def load_widening(engine) -> str:
         "t", {"id": ds.scalars["id"], "attr": ds.scalars["attr"]}, ds.vectors
     )
     engine.execute("SET semantic_prune_keep = 1")
-    segments = core_of(engine).table("t").manager.segments()
+    segments = engine.table("t").manager.segments()
     k = min(segment.row_count for segment in segments) + 50
     return (
         f"SELECT id, dist FROM t ORDER BY "
@@ -111,11 +108,15 @@ def run_execute(engine, sql):
     return engine.execute(sql), None
 
 
+def run_explain(engine, sql):
+    return engine.execute(f"EXPLAIN ANALYZE {sql}").result, None
+
+
 def run_stages(engine, sql):
     """Drain the generator the way ``execute`` does: advance the clock."""
     stages = []
     for stage in engine.select_stages(sql):
-        core_of(engine).clock.advance(stage.advance_s)
+        engine.clock.advance(stage.advance_s)
         stages.append(stage)
     return stages[-1].result, stages
 
@@ -123,18 +124,17 @@ def run_stages(engine, sql):
 def accounted(engine, sql, run):
     """Run once; returns (result, stages, clock advance, counter deltas),
     the deltas including the span trees the run retained."""
-    core = core_of(engine)
-    metrics = core.metrics
-    core.tracer.reset()
+    metrics = engine.metrics
+    engine.tracer.reset()
     names = ("queries", "pruning.widenings", "warehouse.queries")
     before = {name: metrics.count(name) for name in names}
     samples = len(metrics.latency("query.latency").values)
-    start = core.clock.now
+    start = engine.clock.now
     result, stages = run(engine, sql)
-    advance = core.clock.now - start
+    advance = engine.clock.now - start
     delta = {name: metrics.count(name) - before[name] for name in names}
     delta["latency_samples"] = len(metrics.latency("query.latency").values) - samples
-    delta["roots"] = core.tracer.roots
+    delta["roots"] = engine.tracer.roots
     return result, stages, advance, delta
 
 
@@ -199,13 +199,13 @@ def reference_rows(table: str):
 @pytest.mark.parametrize("engine_name", list(ENGINES))
 def test_every_engine_and_entry_point_agree(engine_name, table):
     engine, sql = build(engine_name, table)
-    core = core_of(engine)
-    pins = core.table("t").manager.store
+    pins = engine.table("t").manager.store
     widened = 1 if table == "widening" else 0
-    waves = 0 if core is engine else 1 + widened
+    waves = 0 if engine_name.startswith("core") else 1 + widened
 
     direct, _, direct_advance, direct_delta = accounted(engine, sql, run_execute)
     staged, stages, staged_advance, staged_delta = accounted(engine, sql, run_stages)
+    explained, _, _, explain_delta = accounted(engine, sql, run_explain)
 
     assert direct.rows == staged.rows == reference_rows(table)
     # Captured sums on both sides; clock differences lose the last bits.
@@ -251,6 +251,20 @@ def test_every_engine_and_entry_point_agree(engine_name, table):
     assert direct_delta == staged_delta
     assert pins.pinned_count == 0
 
+    # EXPLAIN ANALYZE runs the SELECT where the SELECT runs: the same
+    # rows and cost, the same warehouse, the same scans at the same tiers.
+    # (Only its plan stage may differ: the EXPLAIN is another shape.)
+    assert explained.rows == direct.rows
+    assert explained.simulated_seconds == pytest.approx(
+        direct.simulated_seconds, rel=1e-12
+    )
+    explain_tree = check_query_tree(
+        engine_name, explain_delta.pop("roots"), explained, widened
+    )
+    assert explain_delta == direct_delta
+    assert explain_tree.tags.get("warehouse") == trees[0].tags.get("warehouse")
+    assert shape(explain_tree.find("execute")) == shape(trees[0].find("execute"))
+
     names = [stage.name for stage in stages]
     assert names[:2] == ["pin", "plan"] and names[-1] == "finish"
     assert ("widen" in names) == bool(widened)
@@ -267,17 +281,17 @@ def test_every_engine_and_entry_point_agree(engine_name, table):
     # Abandoning the generator after any number of stages releases the pin
     # and closes the query's tree: nothing left open, nothing left current.
     for stop in range(len(names) + 1):
-        core.tracer.reset()
+        engine.tracer.reset()
         gen = engine.select_stages(sql)
         for _ in range(stop):
             next(gen)
-            assert core.tracer.current is None
+            assert engine.tracer.current is None
         assert pins.pinned_count == (1 if stop else 0)
         gen.close()
         assert pins.pinned_count == 0
-        assert core.tracer.current is None
-        assert [root.name for root in core.tracer.roots] == ["query"] * bool(stop)
-        assert all(span.finished for root in core.tracer.roots for span in walk(root))
+        assert engine.tracer.current is None
+        assert [root.name for root in engine.tracer.roots] == ["query"] * bool(stop)
+        assert all(span.finished for root in engine.tracer.roots for span in walk(root))
 
 
 @pytest.mark.parametrize("entry", [run_execute, run_stages], ids=["execute", "stages"])
@@ -287,7 +301,7 @@ def test_read_opt_off_reaches_every_engine_and_entry(engine_name, entry):
     scans: the same rows, and every column fetch a full-block read."""
     engine, sql = build(engine_name, "hybrid")
     engine.execute("SET read_opt = 0")
-    metrics = core_of(engine).metrics
+    metrics = engine.metrics
     names = ("columnio.block_reads", "columnio.ranged_reads")
     before = [metrics.count(name) for name in names]
     result, _ = entry(engine, sql)

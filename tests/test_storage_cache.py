@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import IndexCorruptError, ObjectNotFoundError
-from repro.storage.cache import HierarchicalIndexCache, LRUCache, SplitIndexCache
+from repro.storage.cache import HierarchicalIndexCache, LRUCache, object_size
 from repro.storage.localdisk import LocalDisk
 from repro.vindex.registry import deserialize_index
 
@@ -75,38 +75,6 @@ class TestLRUCache:
             LRUCache(0)
 
 
-class TestSplitIndexCache:
-    def test_spaces_are_independent(self):
-        cache = SplitIndexCache(50, 50)
-        cache.put_meta("k", b"m" * 40)
-        cache.put_data("k", b"d" * 40)
-        assert cache.get_meta("k") == b"m" * 40
-        assert cache.get_data("k") == b"d" * 40
-
-    def test_data_churn_does_not_evict_meta(self):
-        cache = SplitIndexCache(100, 50)
-        cache.put_meta("hot", b"m" * 10)
-        for i in range(20):
-            cache.put_data(f"d{i}", b"d" * 40)
-        assert cache.get_meta("hot") is not None
-
-    def test_clear(self):
-        cache = SplitIndexCache(50, 50)
-        cache.put_meta("a", b"x")
-        cache.put_data("b", b"y")
-        cache.clear()
-        assert cache.get_meta("a") is None
-        assert cache.get_data("b") is None
-
-    def test_oversize_data_put_evicts_stale_entry(self):
-        # The LRUCache oversize fix must propagate through put_data:
-        # a rebuilt index that no longer fits evicts its predecessor.
-        cache = SplitIndexCache(50, 10)
-        assert cache.put_data("idx", b"old")
-        assert not cache.put_data("idx", b"x" * 20)
-        assert cache.get_data("idx") is None
-
-
 class _FakeIndex:
     """Deserialized stand-in exposing memory_bytes like a real index."""
 
@@ -119,7 +87,7 @@ class _FakeIndex:
 
 @pytest.fixture
 def hierarchy(clock, cost, metrics, store):
-    memory = SplitIndexCache(1 << 20, 1 << 20)
+    memory = LRUCache(1 << 20, size_of=object_size)
     disk = LocalDisk(clock, 1 << 20, cost, metrics)
     cache = HierarchicalIndexCache(
         clock, memory, disk, store, deserialize=_FakeIndex,
@@ -217,7 +185,7 @@ class TestCorruptIndexBytes:
 
     @pytest.fixture
     def tiers(self, clock, cost, metrics, store):
-        memory = SplitIndexCache(1 << 20, 1 << 20)
+        memory = LRUCache(1 << 20, size_of=object_size)
         disk = LocalDisk(clock, 1 << 20, cost, metrics)
         cache = HierarchicalIndexCache(
             clock, memory, disk, store, deserialize=deserialize_index,
