@@ -3,9 +3,9 @@
 A :class:`VirtualWarehouse` is a scan backend of the SELECT lifecycle
 (:meth:`repro.core.database.BlendHouse.select_stages`): segments are
 assigned by the consistent-hash scheduler, each worker runs the physical
-plan on its share, and a wave's time is the *makespan* — the maximum
-per-worker charged cost — modelling parallel execution on a single
-simulated timeline.
+plans of the query (or batch) on its share, and a wave's time is the
+*makespan* — the maximum per-worker charged cost — modelling parallel
+execution on a single simulated timeline.
 
 Warehouses also model:
 
@@ -31,11 +31,11 @@ from repro.cluster.worker import Worker
 from repro.errors import NoWorkersError, WorkerUnavailableError
 from repro.executor.cancel import CancelToken
 from repro.observe.trace import Tracer
+from repro.executor.parallel import GroupScan
 from repro.executor.pipeline import (
     ExecContext,
     PartialResult,
     QueryResult,
-    execute_segment,
     merge_and_project,
 )
 from repro.planner.optimizer import PhysicalPlan
@@ -190,20 +190,19 @@ class VirtualWarehouse:
 
     def scan(self, plans, waves, bitmaps, snapshot, ctx, cancel):
         """The SELECT lifecycle's scan backend: one wave of a group of
-        one (a warehouse takes no batch) under the query-level retry
-        (§II-E); per-segment costs are reported after the join.
+        plans — a SELECT's one or a batch's many — under the query-level
+        retry (§II-E); per-segment costs are reported after the join.
 
         A worker that died since scheduling fails the whole wave; it is
         retried on the refreshed topology up to :data:`MAX_QUERY_RETRIES`
         times.  Every wave that completes counts as one warehouse query
         and records its makespan.
         """
-        (plan,), (segments,) = plans, waves
         attempts = 0
         while True:
             try:
                 partials, scan_costs, makespan = self.capture_scans(
-                    plan, segments, bitmaps, snapshot, ctx, cancel
+                    plans, waves, bitmaps, snapshot, ctx, cancel
                 )
                 break
             except WorkerUnavailableError:
@@ -217,37 +216,41 @@ class VirtualWarehouse:
         self.metrics.record_latency("warehouse.makespan", makespan)
         self.metrics.incr("warehouse.queries")
         yield from scan_costs
-        return [partials], makespan
+        return partials, makespan
 
     def capture_scans(
         self,
-        plan: PhysicalPlan,
-        segments: List[Segment],
+        plans: List[PhysicalPlan],
+        waves: List[List[Segment]],
         bitmaps: Dict[str, DeleteBitmap],
         snapshot: Snapshot,
         ctx: ExecContext,
         cancel: Optional[CancelToken] = None,
     ):
-        """Run every segment scan with the clock *capturing*.
+        """Run every segment scan of one group's wave with the clock
+        *capturing*.
 
-        Each worker scans its share with ``ctx`` resolving indexes
-        through its own caches (and, on a miss, its segment's previous
-        owner), keyed by the pinned ``snapshot``'s manifest.  Returns
-        ``(partials, segment_costs, effective_makespan_s)`` where
-        ``segment_costs`` is ``[(segment_id, cost_s), ...]`` in scan
-        order and the makespan already includes interference.  The clock
-        is NOT advanced: the SELECT lifecycle hands the makespan to
-        whoever drains the stages as the scan stage's ``advance_s``.
+        The union of the ``waves``' segments is assigned to workers, and
+        each worker scans its share once for every plan probing a
+        segment (a :class:`~repro.executor.parallel.GroupScan`), with
+        ``ctx`` resolving indexes through its own caches (and, on a miss,
+        its segment's previous owner), keyed by the pinned ``snapshot``'s
+        manifest.  Returns ``(partials per plan, segment_costs,
+        effective_makespan_s)`` where ``segment_costs`` is
+        ``[(segment_id, cost_s), ...]`` in scan order and the makespan
+        already includes interference.  The clock is NOT advanced: the
+        SELECT lifecycle hands the makespan to whoever drains the stages
+        as the scan stage's ``advance_s``.
         """
         if not self.workers:
             raise NoWorkersError(f"warehouse {self.name!r} has no workers")
-        by_id = {segment.segment_id: segment for segment in segments}
+        group = GroupScan(plans, waves)
+        by_id = {segment.segment_id: segment for segment in group.segments}
         assignment = self.scheduler.assign(list(by_id), manifest_id=snapshot.manifest_id)
         grouped = self.scheduler.group_by_worker(assignment)
 
         # A worker scans its segments one after another; the warehouse's
         # time is its slowest worker's.
-        partials: List[PartialResult] = []
         worker_costs: List[float] = []
         scan_costs: List[tuple] = []
         for worker_id, segment_ids in grouped.items():
@@ -267,11 +270,8 @@ class VirtualWarehouse:
                 for segment_id in segment_ids:
                     if cancel is not None:
                         cancel.raise_if_cancelled()
-                    segment = by_id[segment_id]
                     with self.clock.capturing() as captured:
-                        partials.append(
-                            execute_segment(plan, segment, bitmaps.get(segment_id), worker_ctx)
-                        )
+                        group.scan(by_id[segment_id], bitmaps.get(segment_id), worker_ctx)
                     charged.add(captured.total)
                     segment_costs.append(captured.total)
                     scan_costs.append((segment_id, captured.total))
@@ -283,7 +283,7 @@ class VirtualWarehouse:
 
         makespan = max(worker_costs) if worker_costs else 0.0
         effective = makespan * self._interference_factor()
-        return partials, scan_costs, effective
+        return group.partials, scan_costs, effective
 
     # Nothing in the engine calls these two; they stay while
     # ``ledger/interpose.py`` names them.

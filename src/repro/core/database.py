@@ -52,17 +52,8 @@ from repro.durability.recovery import RecoveryReport, run_recovery
 from repro.errors import BlendHouseError, SQLError
 from repro.executor.cancel import CancelToken
 from repro.executor.columnio import ColumnReader
-from repro.executor.parallel import (
-    BatchExecutionResult,
-    _batch_scan_segment,
-    lane_makespan,
-)
-from repro.executor.pipeline import (
-    ExecContext,
-    QueryResult,
-    execute_segment,
-    merge_and_project,
-)
+from repro.executor.parallel import BatchExecutionResult, GroupScan, lane_makespan
+from repro.executor.pipeline import ExecContext, QueryResult, merge_and_project
 from repro.ingest.update import apply_delete, apply_update
 from repro.ingest.writer import IngestConfig, IngestReport
 from repro.observe.events import EventLog
@@ -128,8 +119,6 @@ class _InProcessBackend:
     One after another, reporting each segment as it completes (a real
     interleave point for whoever drives the stages); the wave's time is
     the captured costs packed onto ``parallel_workers`` simulated cores.
-    A group of one scans with ``execute_segment`` (every strategy), a
-    larger one with the batched kNN kernel — chosen by the group's size.
     """
 
     name: Optional[str] = None  # no warehouse serves these queries
@@ -141,42 +130,16 @@ class _InProcessBackend:
         db = self.db
         lanes = db.settings.parallel_workers
         db.tracer.annotate("lanes", lanes)  # the ``execute`` span
-        partials: List[List[Any]] = [[] for _ in plans]
-        probing = None
-        if len(plans) == 1:
-            (segments,) = waves
-        else:
-            # Plans probing one segment scan it together, once; segments
-            # are visited in the order the group first names them.
-            probing, segments = {}, []
-            for position, wave in enumerate(waves):
-                for segment in wave:
-                    if segment.segment_id not in probing:
-                        segments.append(segment)
-                    probing.setdefault(segment.segment_id, []).append(position)
-            matrix = np.stack(
-                [plan.logical.distance.query_vector for plan in plans]
-            )
+        group = GroupScan(plans, waves)
         costs = []
-        for segment in segments:
+        for segment in group.segments:
             if cancel is not None:
                 cancel.raise_if_cancelled()
-            bitmap = bitmaps.get(segment.segment_id)
             with db.clock.capturing() as captured:
-                if probing is None:
-                    partials[0].append(
-                        execute_segment(plans[0], segment, bitmap, ctx)
-                    )
-                else:
-                    positions = probing[segment.segment_id]
-                    scanned = _batch_scan_segment(
-                        plans[0], matrix[positions], segment, bitmap, ctx
-                    )
-                    for position, partial in zip(positions, scanned):
-                        partials[position].append(partial)
+                group.scan(segment, bitmaps.get(segment.segment_id), ctx)
             costs.append(captured.total)
             yield segment.segment_id, captured.total
-        return partials, lane_makespan(costs, lanes)
+        return group.partials, lane_makespan(costs, lanes)
 
 
 @dataclass
@@ -746,13 +709,14 @@ class BlendHouse:
 
         ``backend`` is where segments are scanned, by default
         ``self._backend(tenant, lane)``: ``scan(plans, waves, bitmaps,
-        snapshot, ctx, cancel)`` takes a group's plans, the wave of
-        segments each one probes (here a group of one) and the group's
-        :class:`ExecContext`, and is a generator yielding ``(segment_id,
-        cost_s)`` as segments complete and returning ``(partials per
-        plan, makespan_s)``; ``name`` is the serving warehouse, None in
-        this process.  The lifecycle merges every plan's partials itself,
-        with the same context.
+        snapshot, ctx, cancel)`` takes a group's plans (one here, more
+        for a batch), the wave of segments each one probes and the
+        group's :class:`ExecContext`, scans them as one
+        :class:`~repro.executor.parallel.GroupScan`, and is a generator
+        yielding ``(segment_id, cost_s)`` as segments complete and
+        returning ``(partials per plan, makespan_s)``; ``name`` is the
+        serving warehouse, None in this process.  The lifecycle merges
+        every plan's partials itself, with the same context.
         """
         tracer = self.tracer
         root = tracer.open("query")
@@ -768,9 +732,8 @@ class BlendHouse:
             tracer.finish(root)
 
     def _lifecycle(
-        self, queries: List[_SelectQuery], root: Span,
-        backend: Optional[Any] = None, cancel: Optional[CancelToken] = None,
-        rows: Optional[np.ndarray] = None,
+        self, queries: List[_SelectQuery], root: Span, backend: Any,
+        cancel: Optional[CancelToken] = None, rows: Optional[np.ndarray] = None,
     ) -> Iterator[SelectStage]:
         """The stages of one *group* of SELECTs, recorded under the
         caller's open ``root`` span (which the caller finishes).
@@ -783,7 +746,6 @@ class BlendHouse:
         ``finish`` stage each) on its own.
         """
         tracer = self.tracer
-        backend = backend or self._in_process
         runtime = self.table(queries[0].select.table)
         cache_before = self._cache_counters()
         if backend.name is not None:
@@ -970,12 +932,11 @@ class BlendHouse:
         """Top-``k`` vector search for every row of ``queries`` at once.
 
         The batch is planned once (one optimizer pass, rebound per query
-        vector), each scheduled segment is scanned a single time for all
-        queries probing it — brute-force and IVF distance computation run
-        as one ``(nq, n)`` kernel — and the segment scans' costs are packed
-        onto the ``parallel_workers`` simulated lanes.  Results match
-        issuing the queries one at a time through SQL (bit-for-bit under
-        the ``l2`` metric).
+        vector) and scans where a SELECT scans: each scheduled segment is
+        scanned a single time for all queries probing it — brute-force
+        and IVF distance computation run as one ``(nq, n)`` kernel.
+        Results match issuing the queries one at a time through SQL
+        (bit-for-bit under the ``l2`` metric).
         """
         query_matrix = np.asarray(queries, dtype=np.float32)
         if query_matrix.ndim == 1:
@@ -1037,8 +998,12 @@ class BlendHouse:
         self, root: Span, sqls: Sequence[str], queries: List[_SelectQuery],
         rows: Optional[np.ndarray] = None,
     ) -> BatchExecutionResult:
-        """Drain one group through the lifecycle as one batch submission."""
-        finished = self._drain(sqls, self._lifecycle(queries, root, rows=rows))
+        """Drain one group through the lifecycle as one batch submission,
+        scanning where a SELECT from the default tenant and lane scans."""
+        backend = self._backend("default", "interactive")
+        finished = self._drain(
+            sqls, self._lifecycle(queries, root, backend, rows=rows)
+        )
         results = [stage.result for stage in finished]
         batch = BatchExecutionResult(
             results, sum(result.simulated_seconds for result in results)

@@ -247,11 +247,6 @@ class VectorIndex(abc.ABC):
 
     index_type: str = "ABSTRACT"
     requires_training: bool = False
-    supports_native_iterator: bool = False
-    # True when search_batch is genuinely vectorized across queries
-    # (FLAT, IVF); graph-traversal indexes keep the per-query loop and
-    # are charged at the single-query rate by the batch executor.
-    supports_batch: bool = False
 
     def __init__(self, dim: int, metric: str = "l2") -> None:
         if dim <= 0:
@@ -339,29 +334,6 @@ class VectorIndex(abc.ABC):
         The default is :func:`range_by_doubling` over this index's top-k.
         """
         return range_by_doubling(self, query, radius, bitset, **search_params)
-
-    def search_batch(
-        self,
-        queries: np.ndarray,
-        k: int,
-        bitset: Optional[np.ndarray] = None,
-        **search_params: Any,
-    ) -> List[SearchResult]:
-        """Top-``k`` for each row of ``queries`` (the nq > 1 serving path).
-
-        The default loops :meth:`search_with_filter` per query, so every
-        index type accepts batched submissions; FLAT and IVF override it
-        with genuinely vectorized kernels (one ``(nq, n)`` distance
-        computation) and advertise ``supports_batch = True`` so the
-        executor charges the amortized GEMM rate.
-        """
-        queries = np.asarray(queries, dtype=np.float32)
-        if queries.ndim == 1:
-            queries = queries.reshape(1, -1)
-        return [
-            self.search_with_filter(queries[row], k, bitset=bitset, **search_params)
-            for row in range(queries.shape[0])
-        ]
 
     def search_iterator(
         self,

@@ -31,8 +31,6 @@ class FlatIndex(VectorIndex):
 
     index_type = "FLAT"
     requires_training = False
-    supports_native_iterator = True
-    supports_batch = True
 
     def __init__(self, dim: int, metric: str = "l2") -> None:
         super().__init__(dim, metric)

@@ -176,7 +176,6 @@ class HNSWIndex(VectorIndex):
 
     index_type = "HNSW"
     requires_training = False
-    supports_native_iterator = True
 
     def __init__(
         self,

@@ -37,7 +37,6 @@ class HNSWSQIndex(HNSWIndex):
 
     index_type = "HNSWSQ"
     requires_training = False
-    supports_native_iterator = True
 
     def __init__(
         self,

@@ -73,7 +73,6 @@ class IVFFlatIndex(VectorIndex):
 
     index_type = "IVFFLAT"
     requires_training = True
-    supports_batch = True
 
     def __init__(
         self, dim: int, metric: str = "l2", nlist: int = DEFAULT_NLIST, seed: int = 0

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.cluster.engine import ClusteredBlendHouse
 from repro.cluster.rpc import RpcFabric
 from repro.cluster.serving import RemoteSearchProvider
 from repro.cluster.worker import Worker
@@ -13,6 +14,7 @@ from repro.storage.segment import Segment
 from repro.vindex.flat import FlatIndex
 from repro.vindex.hnsw import HNSWIndex
 from repro.vindex.registry import serialize_index
+from tests.helpers import vector_sql
 
 
 @pytest.fixture
@@ -178,3 +180,41 @@ class TestRemoteProviderCosts:
         # A negative l2 radius is a predicate no row meets, served or local.
         assert len(provider.search_with_range(vectors[0], -1.0)) == 0
         assert len(index.search_with_range(vectors[0], -1.0)) == 0
+
+    def test_served_batch_matches_sequential(self):
+        """A batch over segments that moved to a cold worker is searched
+        by their previous owners, query by query, and answers as the
+        same SELECTs one at a time do."""
+        rng = np.random.default_rng(2)
+        cluster = ClusteredBlendHouse(read_workers=2)
+        cluster.execute(
+            "CREATE TABLE t (id UInt64, embedding Array(Float32), "
+            "INDEX ann embedding TYPE HNSW('DIM=16'))"
+        )
+        cluster.table("t").writer.config.max_segment_rows = 500
+        vectors = rng.normal(size=(4000, 16)).astype(np.float32)
+        cluster.insert_columns("t", {"id": np.arange(4000, dtype=np.uint64)}, vectors)
+        cluster.preload("t")
+        cluster.scale_to(4)
+        for worker in cluster.read_vw.workers.values():
+            worker.schedule_background_load = lambda key: None
+        # Quarter steps: the SQL literals are the matrix rows exactly.
+        queries = (rng.integers(-8, 9, size=(3, 16)) / 4).astype(np.float32)
+        sequential = [
+            cluster.execute(
+                f"SELECT id, dist FROM t ORDER BY "
+                f"L2Distance(embedding, {vector_sql(query)}) AS dist LIMIT 10"
+            ).rows
+            for query in queries
+        ]
+        served = cluster.metrics.count("worker.served_searches")
+        cluster.tracer.reset()
+        batch = cluster.search_batch("t", queries, k=10)
+        assert [result.rows for result in batch.results] == sequential
+        tiers = [
+            span.tags["tier"]
+            for span in cluster.tracer.last_root().find_all("index_resolve")
+        ]
+        moved = tiers.count("serving")
+        assert moved > 0
+        assert cluster.metrics.count("worker.served_searches") == served + 3 * moved

@@ -6,10 +6,11 @@ One ``hypothesis.stateful`` machine drives an engine — a
 FLAT or an HNSW index, built at ingest, or under no vector index at all,
 through inserts (some rows repeating a vector already in the table),
 deletes, updates, compactions, restarts (a cold engine of the same
-class over the same object store), and kNN and hybrid SELECTs under
-every ``forced_strategy``.  Beside it runs an out-of-engine model of the
-logical table, in the shape of ``ledger/oracle.py``: the live rows as
-numpy arrays, and every answer judged against brute force over them.
+class over the same object store), kNN and hybrid SELECTs under every
+``forced_strategy``, and batches of kNN SELECTs as one
+``execute_batch``.  Beside it runs an out-of-engine model of the logical
+table, in the shape of ``ledger/oracle.py``: the live rows as numpy
+arrays, and every answer judged against brute force over them.
 
 * Every answer: at most ``LIMIT`` rows, no repeated id, only live rows
   that pass the filter, each with its true distance, in ascending order.
@@ -151,6 +152,22 @@ class HistoryMachine(RuleBasedStateMachine):
         """One filtered query under every strategy."""
         for strategy in STRATEGIES:
             self.select(query, k, ef, strategy, threshold)
+
+    @rule(queries=st.lists(vectors, min_size=1, max_size=4), k=limits,
+          ef=st.sampled_from([4, 16, 256]))
+    def knn_batch(self, queries, k, ef):
+        """Same-shape kNN statements as one ``execute_batch``."""
+        queries = [np.array(query, dtype=np.float32) for query in queries]
+        self.db.execute("SET forced_strategy = auto")
+        self.db.execute(f"SET ef_search = {ef}")
+        results = self.db.execute_batch([
+            f"SELECT id, dist FROM t ORDER BY "
+            f"L2Distance(embedding, {vector_sql(query)}) AS dist LIMIT {k}"
+            for query in queries
+        ])
+        self.selects += len(queries)
+        for query, result in zip(queries, results):
+            self.judge(result.rows, query, k, None, self.index != "HNSW")
 
     def select(self, query, k, ef, strategy, threshold):
         query = np.array(query, dtype=np.float32)

@@ -12,11 +12,12 @@ query, the same spans on every path, both clocks on every span, and
 stage costs that are span durations.
 
 A batch — ``search_batch`` of a query matrix, ``execute_batch`` of
-same-shape statements — is a *group* through that same lifecycle, so on
-the core engines it is held to the same rows, accounting, single
-``query`` tree and leak checks, plus what only a group can get wrong:
-one pin honouring ``AS OF``, and a widen wave that scans the reserve
-segments only.
+same-shape statements — is a *group* through that same lifecycle, on
+the same backend as the engine's SELECTs, so on every engine it is held
+to the same rows, accounting, warehouse, cache tiers, single ``query``
+tree and leak checks, plus what only a group can get wrong: one pin
+honouring ``AS OF``, and a widen wave that scans the reserve segments
+only.
 """
 
 import re
@@ -25,10 +26,10 @@ import numpy as np
 import pytest
 
 from repro.cluster.engine import ClusteredBlendHouse
-from repro.core import database
 from repro.core.database import BlendHouse
 from repro.elastic import FleetBlendHouse, FleetConfig
 from repro.errors import QueryCancelledError, WorkerUnavailableError
+from repro.executor import parallel
 from repro.executor.cancel import CancelToken
 from repro.workloads import make_cohere_like
 from tests.helpers import vector_sql, walk_spans as walk
@@ -411,18 +412,31 @@ BATCH_COUNTERS = (
 @pytest.mark.parametrize("entry", list(BATCH_ENTRIES))
 @pytest.mark.parametrize("nq", [1, 3])
 @pytest.mark.parametrize("table", list(TABLES))
-@pytest.mark.parametrize("engine_name", ["core-serial", "core-parallel4"])
-def test_a_batch_is_a_group_through_the_same_lifecycle(engine_name, table, nq, entry):
+@pytest.mark.parametrize("engine_name", list(ENGINES))
+def test_a_batch_is_a_group_through_the_same_lifecycle(
+    engine_name, table, nq, entry, monkeypatch
+):
     engine, sql = build(engine_name, table)
     engine.execute("SET slowlog_threshold_ms = 0")
     widened = table == "widening"
     queries = make_cohere_like(n=600, dim=DIM, n_queries=nq).queries
     sqls = knn_sqls(sql, queries)
+    flights, offer = [], engine.offer_flight
+
+    def recording(sql, latency_s, flight, **serving):
+        flights.append(flight["warehouse"])
+        return offer(sql, latency_s, flight, **serving)
+
+    monkeypatch.setattr(engine, "offer_flight", recording)
+    engine.tracer.reset()
     sequential = [engine.execute(one) for one in sqls]
     assert all(len(result.rows) > 0 for result in sequential)
+    sequential_roots, sequential_flights = engine.tracer.roots, flights[:]
 
     metrics, pins = engine.metrics, engine.table("t").manager.store
     engine.tracer.reset()
+    del flights[:]
+    waves_before = metrics.count("warehouse.queries")
     before = {name: metrics.count(name) for name in BATCH_COUNTERS}
     samples = len(metrics.latency("query.latency").values)
     offered, start = engine.slowlog.seen, engine.clock.now
@@ -478,13 +492,34 @@ def test_a_batch_is_a_group_through_the_same_lifecycle(engine_name, table, nq, e
         assert len(scans) < sum(result.segments_scanned for result in results)
     assert len(execute.find_all("merge_project")) == nq * (1 + widened)
 
+    # The batch scans where its SELECTs scan: the same warehouse, one
+    # warehouse query per wave, the same index cache tiers.
+    warehouses = {one.tags.get("warehouse") for one in sequential_roots}
+    assert len(warehouses) == 1
+    assert root.tags.get("warehouse") in warehouses
+    assert flights == sequential_flights
+    if engine_name.startswith("core"):
+        assert warehouses == {None}
+        assert metrics.count("warehouse.queries") == waves_before
+    else:
+        assert warehouses != {None}
+        assert metrics.count("warehouse.queries") == waves_before + 1 + widened
+        assert execute.find_all("worker_scan")
+
+    def tiers(roots):
+        return {
+            span.tags["tier"] for one in roots for span in one.find_all("index_resolve")
+        }
+
+    assert tiers([root]) == tiers(sequential_roots)
+
 
 @pytest.mark.parametrize("entry", list(BATCH_ENTRIES))
 def test_a_batch_that_raises_mid_scan_leaves_nothing_behind(entry, monkeypatch):
     engine, sql = build("core-serial", "widening")
     queries = make_cohere_like(n=600, dim=DIM, n_queries=3).queries
     pins = engine.table("t").manager.store
-    kernel, calls = database._batch_scan_segment, []
+    kernel, calls = parallel._batch_scan_segment, []
 
     def failing_kernel(*args):
         calls.append(1)
@@ -492,7 +527,7 @@ def test_a_batch_that_raises_mid_scan_leaves_nothing_behind(entry, monkeypatch):
             raise RuntimeError("kernel died")
         return kernel(*args)
 
-    monkeypatch.setattr(database, "_batch_scan_segment", failing_kernel)
+    monkeypatch.setattr(parallel, "_batch_scan_segment", failing_kernel)
     engine.tracer.reset()
     queries_before = engine.metrics.count("queries")
     with pytest.raises(RuntimeError, match="kernel died"):
@@ -510,7 +545,8 @@ def test_a_batch_checks_for_cancellation_between_segments():
     rows = make_cohere_like(n=600, dim=DIM, n_queries=3).queries
     token, seen = CancelToken(), []
     with engine.tracer.span("query") as root, pytest.raises(QueryCancelledError):
-        for stage in engine._lifecycle([query], root, cancel=token, rows=rows):
+        backend = engine._backend("default", "interactive")
+        for stage in engine._lifecycle([query], root, backend, cancel=token, rows=rows):
             seen.append(stage.name)
             if stage.name == "scan":
                 token.cancel()

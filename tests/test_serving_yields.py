@@ -18,7 +18,7 @@ import random
 import numpy as np
 import pytest
 
-import repro.core.database as database
+import repro.executor.parallel as parallel
 from repro.core.database import BlendHouse
 from repro.serving import (
     Lane,
@@ -185,7 +185,7 @@ class TestTokenStopsScanAtNextSegment:
         assert db.execute(sql).segments_scanned > 2
         request = QueryRequest(sql=sql)
         scanned = []
-        execute_segment = database.execute_segment
+        execute_segment = parallel.execute_segment
 
         def scan_then_cancel(plan, segment, bitmap, ctx):
             scanned.append(segment.segment_id)
@@ -193,7 +193,7 @@ class TestTokenStopsScanAtNextSegment:
                 request.cancel.cancel("client gone mid-scan")
             return execute_segment(plan, segment, bitmap, ctx)
 
-        monkeypatch.setattr(database, "execute_segment", scan_then_cancel)
+        monkeypatch.setattr(parallel, "execute_segment", scan_then_cancel)
 
         async def main():
             return await frontend.submit(request)
