@@ -201,6 +201,10 @@ class Worker:
     ) -> SearchResult:
         """Remote search against this worker's cached index.
 
+        Charges nothing itself: the requester's ``ScanCharger`` prices
+        the visits at the rate a local search of the segment pays, so a
+        served search costs a local one plus the RPC.
+
         Raises
         ------
         WorkerUnavailableError
@@ -212,7 +216,5 @@ class Worker:
             )
         index, _ = self.cache.get(index_key)
         result = index.search_with_filter(query, k, bitset=bitset, **params)
-        # The owner's compute counts toward the query's critical path.
-        self.clock.advance(self.cost.distance_cost(result.visited, index.dim))
         self.metrics.incr("worker.served_searches")
         return result

@@ -8,6 +8,7 @@ from repro.cluster.rpc import RpcFabric
 from repro.cluster.serving import RemoteSearchProvider
 from repro.cluster.worker import Worker
 from repro.errors import WorkerUnavailableError
+from repro.executor.annscan import ScanCharger, search_with_filter_op
 from repro.observe.trace import Tracer
 from repro.storage.lsm import index_storage_key
 from repro.storage.segment import Segment
@@ -180,6 +181,52 @@ class TestRemoteProviderCosts:
         # A negative l2 radius is a predicate no row meets, served or local.
         assert len(provider.search_with_range(vectors[0], -1.0)) == 0
         assert len(index.search_with_range(vectors[0], -1.0)) == 0
+
+    def test_served_knn_charges_a_local_knn_plus_the_rpc(
+        self, clock, cost, store, metrics
+    ):
+        """A served kNN charges what a local kNN of the segment charges,
+        plus the ``rpc.call`` span: the walk is priced once, by the
+        requester's ``ScanCharger``, never by the owner."""
+        vectors = np.random.default_rng(3).normal(size=(500, 8)).astype(np.float32)
+        segment = Segment.from_columns(
+            "t/seg-0", "t", {"id": np.arange(500, dtype=np.uint64)}, vectors
+        )
+        segment.meta.index_type = "HNSW"
+        index = HNSWIndex(dim=8)
+        index.add_with_ids(vectors, np.arange(500))
+        key = index_storage_key(segment.segment_id, "HNSW")
+        store.put(key, serialize_index(index))
+        tracer = Tracer(clock)
+        fabric = RpcFabric(clock, cost, metrics, tracer)
+        owner = Worker("owner", clock, cost, store, fabric, metrics=metrics)
+        newcomer = Worker("newcomer", clock, cost, store, fabric, metrics=metrics)
+        owner.preload(key)
+        local, local_tier = owner.resolve_provider(segment, key, None)
+        served, served_tier = newcomer.resolve_provider(segment, key, owner)
+        assert (local_tier, served_tier) == ("local", "serving")
+        charger = ScanCharger(clock, cost, metrics, 8, "HNSW")
+
+        def charged(provider):
+            with clock.capturing() as captured, tracer.span("probe") as probe:
+                result = search_with_filter_op(provider, vectors[5], 10, None, charger)
+            return result, captured.total, probe.find_all("rpc.call")
+
+        local_result, local_cost, local_rpcs = charged(local)
+        handshakes = metrics.latency("rpc.latency").count
+        served_result, served_cost, rpcs = charged(served)
+        network = metrics.latency("rpc.latency").values[handshakes:]
+        assert served_result.ids.tolist() == local_result.ids.tolist()
+        assert served_result.visited == local_result.visited > 0
+        assert not local_rpcs and len(rpcs) == len(network) == 1
+        # The RPC span holds the round trip and the owner's memory-tier
+        # lookup of the index, not the walk.
+        with clock.capturing() as lookup:
+            owner.cache.get(key)
+        assert rpcs[0].duration == pytest.approx(network[0] + lookup.total, rel=1e-12)
+        assert served_cost == pytest.approx(
+            local_cost + sum(span.duration for span in rpcs), rel=1e-12
+        )
 
     def test_served_batch_matches_sequential(self):
         """A batch over segments that moved to a cold worker is searched
