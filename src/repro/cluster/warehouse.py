@@ -75,7 +75,6 @@ class VirtualWarehouse:
         tracer: Tracer,
         metrics: Optional[MetricRegistry] = None,
         config: Optional[WarehouseConfig] = None,
-        directory=None,
     ) -> None:
         self.name = name
         self.clock = clock
@@ -85,10 +84,7 @@ class VirtualWarehouse:
         self.config = config or WarehouseConfig()
         self.tracer = tracer
         self.fabric = RpcFabric(clock, cost, self.metrics, tracer)
-        # The scheduler namespaces its routing-directory entries by this
-        # warehouse's name so a directory shared across a fleet never
-        # mixes two warehouses' decisions for one (segment, manifest).
-        self.scheduler = SegmentScheduler(warehouse_id=name, directory=directory)
+        self.scheduler = SegmentScheduler()
         # Per-segment hit/miss/preload counters (the elastic preloader's
         # input signal); recorded at every index resolution.
         self.access_stats = SegmentAccessStats()
@@ -191,7 +187,7 @@ class VirtualWarehouse:
     def scan(self, plans, waves, bitmaps, snapshot, ctx, cancel):
         """The SELECT lifecycle's scan backend: one wave of a group of
         plans — a SELECT's one or a batch's many — under the query-level
-        retry (§II-E); per-segment costs are reported after the join.
+        retry (§II-E).  Returns ``(partials per plan, makespan_s)``.
 
         A worker that died since scheduling fails the whole wave; it is
         retried on the refreshed topology up to :data:`MAX_QUERY_RETRIES`
@@ -201,7 +197,7 @@ class VirtualWarehouse:
         attempts = 0
         while True:
             try:
-                partials, scan_costs, makespan = self.capture_scans(
+                partials, makespan = self.capture_scans(
                     plans, waves, bitmaps, snapshot, ctx, cancel
                 )
                 break
@@ -215,7 +211,6 @@ class VirtualWarehouse:
                     raise
         self.metrics.record_latency("warehouse.makespan", makespan)
         self.metrics.incr("warehouse.queries")
-        yield from scan_costs
         return partials, makespan
 
     def capture_scans(
@@ -235,24 +230,22 @@ class VirtualWarehouse:
         segment (a :class:`~repro.executor.parallel.GroupScan`), with
         ``ctx`` resolving indexes through its own caches (and, on a miss,
         its segment's previous owner), keyed by the pinned ``snapshot``'s
-        manifest.  Returns ``(partials per plan, segment_costs,
-        effective_makespan_s)`` where ``segment_costs`` is
-        ``[(segment_id, cost_s), ...]`` in scan order and the makespan
-        already includes interference.  The clock is NOT advanced: the
-        SELECT lifecycle hands the makespan to whoever drains the stages
-        as the scan stage's ``advance_s``.
+        manifest; ``cancel`` is checked before every segment.  Returns
+        ``(partials per plan, effective_makespan_s)``, the makespan
+        including interference.  The clock is NOT advanced: the SELECT
+        lifecycle hands the makespan to whoever drains the stages as the
+        wave stage's ``advance_s``.
         """
         if not self.workers:
             raise NoWorkersError(f"warehouse {self.name!r} has no workers")
         group = GroupScan(plans, waves)
         by_id = {segment.segment_id: segment for segment in group.segments}
-        assignment = self.scheduler.assign(list(by_id), manifest_id=snapshot.manifest_id)
+        assignment = self.scheduler.assign(list(by_id))
         grouped = self.scheduler.group_by_worker(assignment)
 
         # A worker scans its segments one after another; the warehouse's
         # time is its slowest worker's.
         worker_costs: List[float] = []
-        scan_costs: List[tuple] = []
         for worker_id, segment_ids in grouped.items():
             worker = self.workers.get(worker_id)
             if worker is None or not worker.alive:
@@ -274,7 +267,6 @@ class VirtualWarehouse:
                         group.scan(by_id[segment_id], bitmaps.get(segment_id), worker_ctx)
                     charged.add(captured.total)
                     segment_costs.append(captured.total)
-                    scan_costs.append((segment_id, captured.total))
             worker_costs.append(sum(segment_costs))
             queued = len(segment_ids) - 1
             if queued:
@@ -283,7 +275,7 @@ class VirtualWarehouse:
 
         makespan = max(worker_costs) if worker_costs else 0.0
         effective = makespan * self._interference_factor()
-        return group.partials, scan_costs, effective
+        return group.partials, effective
 
     # Nothing in the engine calls these two; they stay while
     # ``ledger/interpose.py`` names them.
@@ -299,12 +291,9 @@ class VirtualWarehouse:
         """One planned query, synchronously: :meth:`scan`, the makespan
         onto the clock, :meth:`merge_partials`."""
         start = self.clock.now
-        scan = self.scan([plan], [segments], bitmaps, snapshot, ctx, cancel)
-        try:
-            while True:
-                next(scan)
-        except StopIteration as done:
-            (partials,), makespan = done.value
+        (partials,), makespan = self.scan(
+            [plan], [segments], bitmaps, snapshot, ctx, cancel
+        )
         self.clock.advance(makespan)
         result = self.merge_partials(plan, partials, ctx, len(segments))
         result.simulated_seconds = self.clock.elapsed_since(start)

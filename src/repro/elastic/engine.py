@@ -4,24 +4,24 @@ Ingest and planning stay in the engine's own process (the dedicated
 write warehouse of the paper's read/write separation); every SELECT is
 routed by ``(tenant, lane)`` to one member of a
 :class:`~repro.elastic.fleet.WarehouseFleet` and executes on that
-warehouse's workers.  ``select_stages`` is the engine's staged SELECT
-with the routed warehouse as its scan backend, so a
+warehouse's workers.  The only override of the SELECT path is
+:meth:`FleetBlendHouse._backend`, so the inherited ``select_stages``
+routes too — on its first step, after the statement parses — and a
 :class:`~repro.serving.frontend.ServingFrontend` can front the whole
-fleet — staged queries route across warehouses instead of one frontend
+fleet: staged queries route across warehouses instead of one frontend
 pinning one engine.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Optional
+from typing import Any, Optional
 
 from repro.cluster.warehouse import VirtualWarehouse
-from repro.core.database import BlendHouse, EngineSettings, SelectStage
+from repro.core.database import BlendHouse, EngineSettings
 from repro.durability.manager import DurabilityConfig
 from repro.elastic.autoscaler import AutoscalerPolicy, FleetAutoscaler
 from repro.elastic.fleet import FleetConfig, WarehouseFleet
 from repro.elastic.preloader import BackgroundPreloader
-from repro.executor.cancel import CancelToken
 from repro.executor.pipeline import QueryResult
 from repro.ingest.writer import IngestConfig
 from repro.observe.slo import SLOMonitor
@@ -118,14 +118,3 @@ class FleetBlendHouse(BlendHouse):
             self.autoscaler.observe_latency(lane, self.clock.elapsed_since(start))
             self.autoscaler.tick()
         return result
-
-    def select_stages(
-        self, sql: str, cancel: Optional[CancelToken] = None,
-        tenant: str = "default", lane: str = "interactive",
-    ) -> Iterator[SelectStage]:
-        """:meth:`BlendHouse.select_stages`, routed when called (a
-        serving tier routes a query as it admits it); the finish stage's
-        ``flight["warehouse"]`` names the member that served it."""
-        return super().select_stages(
-            sql, cancel, tenant, lane, backend=self._backend(tenant, lane)
-        )

@@ -1,11 +1,10 @@
 """The warehouse fleet: concurrent virtual warehouses over one store.
 
 A :class:`WarehouseFleet` owns N :class:`VirtualWarehouse` members that
-share one simulated clock, one object store and one scheduler routing
-directory (safe because directory entries are keyed per
-``(segment_id, manifest_id, warehouse_id)``).  Each member's workers
-keep their own memory and local-disk tiers; nothing is cached
-fleet-wide, so a member that misses both reads the object store.
+share one simulated clock and one object store.  Each member schedules
+its segments on its own ring, and its workers keep their own memory and
+local-disk tiers; nothing is cached or routed fleet-wide below the
+member, so a member that misses both tiers reads the object store.
 
 Membership follows the paper's masking protocol:
 
@@ -23,7 +22,6 @@ at routing (:meth:`WarehouseFleet.route`) until it has workers again.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -71,10 +69,6 @@ class WarehouseFleet:
         self.metrics = metrics or MetricRegistry()
         self.tracer = tracer
         self.config = config or FleetConfig()
-        # One routing directory spans every member's scheduler; entries
-        # are keyed (segment_id, manifest_id, warehouse_id) so members
-        # never share a mutable entry.
-        self.directory: OrderedDict = OrderedDict()
         self.router = FleetRouter()
         self.members: Dict[str, VirtualWarehouse] = {}
         # name -> simulated time its masked warm-up completes.
@@ -120,7 +114,7 @@ class WarehouseFleet:
         warehouse = VirtualWarehouse(
             name, self.clock, self.cost, self.store,
             metrics=self.metrics, config=self.config.warehouse,
-            tracer=self.tracer, directory=self.directory,
+            tracer=self.tracer,
         )
         for _ in range(self.config.workers_per_warehouse):
             warehouse.add_worker()

@@ -20,11 +20,11 @@ flow-control a cloud deployment needs under heavy concurrent traffic:
   the query's :class:`~repro.executor.cancel.CancelToken` stops segment
   scans and serving RPCs at the next boundary.  No pin ever leaks.
 
-Execution itself drives the engine's ``select_stages``: each stage's
-simulated advance becomes an ``await asyncio.sleep`` on the
-(virtual-time) event loop — stages that advance nothing are not awaited
-— so thousands of queries genuinely contend for slots on one timeline
-while every latency number stays deterministic.
+Execution itself drives the engine's ``select_stages``: each stage
+(plan, scan, [widen], finish) advances simulated time, and that advance
+becomes an ``await asyncio.sleep`` on the (virtual-time) event loop, so
+thousands of queries genuinely contend for slots on one timeline while
+every latency number stays deterministic.
 """
 
 from __future__ import annotations
@@ -337,12 +337,13 @@ class ServingFrontend:
     ) -> "tuple[QueryResult, Optional[Dict[str, object]]]":
         """Drive the staged generator, sleeping each stage's advance.
 
-        Only a stage that moves time is awaited, and the clock is synced
-        only after time moved.  Awaiting a zero-advance stage (``pin``,
-        each ``segment:<id>``) would cost an event-loop pass and change
-        nothing: on the virtual loop no timer can fire until the running
-        query sleeps, and the engine itself checks the query's
-        ``CancelToken`` before every segment it scans.
+        Every stage moves time unless its work charged nothing (a wave
+        over no segments); such a stage is not awaited, since on the
+        virtual loop no timer can fire until the running query sleeps.
+        The clock is synced before the first step — a fleet engine
+        routes there — and after every sleep.  Cancellation lands
+        between stages or inside a scan, where the engine checks the
+        query's ``CancelToken`` before every segment.
 
         Closing the generator (any exception at the awaits, including
         cancellation) releases the snapshot pin via its ``finally``.

@@ -5,9 +5,8 @@ Covers the fleet's membership protocol (masked joins wait out their
 warm-up on the simulated clock before the router sees them), failover
 past members with no live workers, the SLO-burn autoscaler's control
 loop, byte-identical query results while the fleet scales mid-workload,
-staged serving routed across warehouses (and a member scaled in under
-one), and the scheduler routing-directory keying that lets every member
-share one directory without sharing mutable entries.
+and staged serving routed across warehouses (and a member scaled in
+under one).
 """
 
 import asyncio
@@ -16,7 +15,6 @@ import contextlib
 import numpy as np
 import pytest
 
-from repro.cluster.scheduler import SegmentScheduler
 from repro.core.database import BlendHouse
 from repro.elastic import (
     AutoscalerPolicy,
@@ -307,16 +305,15 @@ class TestFleetQueries:
         assert before == during == after
 
     def test_scale_event_races_ingest(self):
-        """Satellite regression: scale out between a snapshot-pinned
-        manifest and a concurrent ingest commit.  Routing entries are
-        keyed per (segment_id, manifest_id, warehouse_id), so the new
-        member never reuses another warehouse's cache entry and every
-        query sees exactly its pinned manifest's rows."""
+        """Scale out between a snapshot-pinned manifest and a concurrent
+        ingest commit: the query, routed and pinned at its first step,
+        drains on its warehouse across the scale event and sees exactly
+        its pinned manifest's rows, whatever the new member caches."""
         db = make_fleet_db()
         sql = ann_sql(db)
         expected = top_ids(db, sql, tenant="race")
         gen = db.select_stages(sql, tenant="race")
-        next(gen)  # pin the current manifest
+        next(gen)  # route, pin the current manifest and plan
         rng = np.random.default_rng(99)
         db.insert_rows(
             "docs",
@@ -432,38 +429,6 @@ class TestFleetFailover:
         for name in db.fleet.warehouse_names:
             for worker in db.fleet.warehouse(name).workers.values():
                 assert not any(worker.has_index_in_memory(key) for key in retired)
-
-
-class TestSchedulerDirectory:
-    def test_shared_directory_keys_by_warehouse(self):
-        directory = {}
-        a = SegmentScheduler(warehouse_id="vw-a", directory=directory)
-        b = SegmentScheduler(warehouse_id="vw-b", directory=directory)
-        for scheduler in (a, b):
-            scheduler.add_worker("w0")
-            scheduler.add_worker("w1")
-        a.assign(["seg-1"], manifest_id=7)
-        b.assign(["seg-1"], manifest_id=7)
-        keys = sorted(directory)
-        assert keys == [("seg-1", 7, "vw-a"), ("seg-1", 7, "vw-b")]
-
-    def test_routed_worker_scoped_to_own_warehouse(self):
-        directory = {}
-        a = SegmentScheduler(warehouse_id="vw-a", directory=directory)
-        b = SegmentScheduler(warehouse_id="vw-b", directory=directory)
-        a.add_worker("a0")
-        b.add_worker("b0")
-        a.assign(["seg-1"], manifest_id=3)
-        assert a.routed_worker("seg-1", 3) == "a0"
-        assert b.routed_worker("seg-1", 3) is None
-
-    def test_fleet_members_share_one_directory(self):
-        db = make_fleet_db()
-        db.execute(ann_sql(db))
-        warehouses = {key[2] for key in db.fleet.directory}
-        assert warehouses  # routes were published
-        for warehouse in warehouses:
-            assert warehouse in db.fleet.warehouse_names
 
 
 class TestRoutedServing:

@@ -93,8 +93,8 @@ class TestStagedSelect:
     def test_generator_close_releases_pin(self):
         db = make_db()
         gen = db.select_stages(ann_sql())
-        next(gen)  # pin
         next(gen)  # plan
+        next(gen)  # scan
         assert pinned(db) == 1
         gen.close()
         assert pinned(db) == 0

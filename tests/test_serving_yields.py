@@ -1,13 +1,15 @@
 """The serving loop awaits only the stages that move time.
 
 ``ServingFrontend._run_stages`` used to ``await asyncio.sleep(0)`` after
-every zero-advance stage (``pin`` and each ``segment:<id>``).  On the
-virtual-time loop such an await cannot move time: no timer fires until
-the running query sleeps.  These tests keep that old loop as the
-reference and drive one seeded open-loop storm — admission cap, bounded
-queue, both lanes, a tenant quota, a deadline and task cancels — through
-a front end of each kind: every request must end the same way at the
-same virtual instants, and no pin or open span may be left behind.
+every zero-advance stage.  The engine no longer yields such stages
+(every stage — plan, scan, widen, finish — charges time, unless a wave
+scans no segment), and on the virtual-time loop such an await could not
+move time anyway: no timer fires until the running query sleeps.  These
+tests keep that old loop as the reference and drive one seeded open-loop
+storm — admission cap, bounded queue, both lanes, a tenant quota, a
+deadline and task cancels — through a front end of each kind: every
+request must end the same way at the same virtual instants, and no pin
+or open span may be left behind.
 Cancellation through the query's ``CancelToken`` must still stop a scan
 at the next segment, since the engine checks the token there itself.
 """
@@ -65,7 +67,7 @@ class YieldEveryStageFrontend(ServingFrontend):
 
 
 def make_db(seed: int = 5) -> BlendHouse:
-    """Eight segments: a query yields a zero-advance stage per segment."""
+    """Eight segments of HNSW rows."""
     rng = np.random.default_rng(seed)
     db = BlendHouse()
     db.execute(
