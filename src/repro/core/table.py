@@ -52,7 +52,7 @@ class TableRuntime:
         )
         self.compactor = Compactor(
             entry=entry, manager=self.manager, store=store, clock=clock,
-            cost=cost, metrics=metrics,
+            cost=cost, metrics=metrics, resident_index=self._resident_index,
         )
         self._loaded_indexes: Dict[str, VectorIndex] = {}
         self.compactor.on_retire(self._forget_index)
@@ -64,6 +64,12 @@ class TableRuntime:
         if index_key is not None:
             self._loaded_indexes.pop(index_key, None)
             self.writer.built_indexes.pop(index_key, None)
+
+    def _resident_index(self, index_key: str) -> Optional[VectorIndex]:
+        """The index under ``index_key`` if this process holds it: built
+        by the writer or memoized by a load."""
+        built = self.writer.built_indexes.get(index_key)
+        return built if built is not None else self._loaded_indexes.get(index_key)
 
     def snapshot_resolver(self, snapshot):
         """An index resolver bound to one pinned snapshot: index keys come

@@ -17,7 +17,7 @@ compaction alike, charged by :func:`estimate_index_build_cost`.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -26,7 +26,8 @@ from repro.storage.lsm import index_storage_key
 from repro.storage.objectstore import ObjectStore
 from repro.storage.segment import Segment
 from repro.vindex.api import VectorIndex
-from repro.vindex.autoindex import auto_build_spec
+from repro.vindex.autoindex import IVF_FAMILY, auto_build_spec
+from repro.vindex.kmeans import BUILD_ITERATIONS, Seeds
 from repro.vindex.registry import IndexSpec, create_index, serialize_index
 
 # Effective fraction of peak distance throughput graph builds achieve
@@ -34,7 +35,6 @@ from repro.vindex.registry import IndexSpec, create_index, serialize_index
 _GRAPH_EFFICIENCY = 0.5
 # k-means training sample: points per centroid (faiss default region).
 _TRAIN_POINTS_PER_CENTROID = 50
-_KMEANS_ITERATIONS = 10
 
 
 def estimate_index_build_cost(
@@ -66,10 +66,10 @@ def estimate_index_build_cost(
             total = total * 0.55 + n_rows * dim * flop
         return total
 
-    if index_type in ("IVFFLAT", "IVFPQ", "IVFPQFS"):
+    if index_type in IVF_FAMILY:
         nlist = int(params.get("nlist", 64))
         train_points = min(n_rows, _TRAIN_POINTS_PER_CENTROID * nlist)
-        total = cost.kmeans_cost(train_points, dim, nlist, _KMEANS_ITERATIONS)
+        total = cost.kmeans_cost(train_points, dim, nlist, BUILD_ITERATIONS)
         # Assignment of every vector to its coarse cell.
         total += n_rows * nlist * dim * flop * 0.1
         if index_type in ("IVFPQ", "IVFPQFS"):
@@ -77,7 +77,7 @@ def estimate_index_build_cost(
             ksub = 16 if index_type == "IVFPQFS" else 256
             dsub = max(1, dim // m)
             # Sub-quantizer training on the sample + one encode pass.
-            total += m * cost.kmeans_cost(train_points, dsub, ksub, _KMEANS_ITERATIONS)
+            total += m * cost.kmeans_cost(train_points, dsub, ksub, BUILD_ITERATIONS)
             total += n_rows * m * ksub * dsub * flop * 0.25
         return total
 
@@ -97,20 +97,26 @@ def build_segment_index(
     store: ObjectStore,
     cost: DeviceCostModel,
     charged: float = 0.0,
+    seeds: Optional[Seeds] = None,
 ) -> Tuple[VectorIndex, IndexSpec, str, float]:
     """Build, persist and price the index of one written segment.
 
     The auto-index rule sizes ``declared`` to the segment; the index is
     trained on and filled with the segment's vectors under their row
     offsets, its image is put under ``index_storage_key`` and the
-    segment's meta names its type.  Returns the index, the spec it was
-    built from, its storage key, and ``charged`` plus the simulated
-    build seconds plus the image write, added in that order.
+    segment's meta names its type.  An IVF-family build starts its
+    coarse quantizer from ``seeds`` when a merge offers them.  Returns
+    the index, the spec it was built from, its storage key, and
+    ``charged`` plus the simulated build seconds plus the image write,
+    added in that order.
     """
     spec = auto_build_spec(declared, segment.row_count)
     vindex = create_index(spec)
     vectors = segment.vectors()
-    vindex.train(vectors)
+    if seeds is None:
+        vindex.train(vectors)
+    else:
+        vindex.train(vectors, seeds)
     vindex.add_with_ids(vectors, np.arange(segment.row_count))
     # PQ refinement re-ranks from the owning segment's raw vectors.
     vindex.set_refiner(segment.vectors_at)

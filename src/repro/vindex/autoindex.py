@@ -30,6 +30,9 @@ MIN_TRAIN_POINTS_PER_CENTROID = 39   # faiss's documented minimum
 MIN_NLIST = 1
 MAX_NLIST = 65536
 
+# The index types whose coarse cell count the rule sizes.
+IVF_FAMILY = ("IVFFLAT", "IVFPQ", "IVFPQFS")
+
 
 def select_ivf_nlist(n_rows: int, coefficient: float = SQRT_COEFFICIENT) -> int:
     """Rule-based ``K_IVF`` for a segment of ``n_rows`` vectors."""
@@ -55,7 +58,7 @@ def auto_build_spec(spec: IndexSpec, n_rows: int) -> IndexSpec:
     specific to the IVF family).  Explicit user-provided ``nlist`` wins
     over the rule.
     """
-    if spec.index_type not in ("IVFFLAT", "IVFPQ", "IVFPQFS"):
+    if spec.index_type not in IVF_FAMILY:
         return spec
     if "nlist" in spec.params:
         return spec

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.errors import IndexNotTrainedError, IndexParameterError
 from repro.vindex.image import array_field
-from repro.vindex.kmeans import assign_to_centroids, kmeans
+from repro.vindex.kmeans import BUILD_ITERATIONS, assign_to_centroids, kmeans
 
 
 class ProductQuantizer:
@@ -75,7 +75,7 @@ class ProductQuantizer:
         codebooks = np.zeros((self.m, self.ksub, self.dsub), dtype=np.float32)
         for sub in range(self.m):
             block = vectors[:, sub * self.dsub : (sub + 1) * self.dsub]
-            fitted = kmeans(block, ksub, seed=self.seed + sub)
+            fitted = kmeans(block, ksub, max_iterations=BUILD_ITERATIONS, seed=self.seed + sub)
             codebooks[sub, :ksub] = fitted.centroids
             if ksub < self.ksub:
                 # Pad unused codewords far away so they are never chosen.

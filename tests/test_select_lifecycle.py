@@ -21,6 +21,7 @@ only.
 """
 
 import re
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -120,6 +121,27 @@ def run_stages(engine, sql):
         engine.clock.advance(stage.advance_s)
         stages.append(stage)
     return stages[-1].result, stages
+
+
+def run_batch_of_one(engine, sql):
+    """``execute_batch([sql])``, with the stages its group yielded."""
+    stages, drain = [], engine._drain
+
+    def recording(sqls, group):
+        def recorded():
+            with closing(group):
+                for stage in group:
+                    stages.append(stage)
+                    yield stage
+
+        return drain(sqls, recorded())
+
+    engine._drain = recording
+    try:
+        (result,) = engine.execute_batch([sql])
+    finally:
+        del engine._drain
+    return result, stages
 
 
 def accounted(engine, sql, run):
@@ -253,6 +275,20 @@ def test_every_engine_and_entry_point_agree(engine_name, table):
     # Every stage moves time; the per-segment costs are spans.
     names = [stage.name for stage in stages]
     assert names == ["plan", "scan"] + ["widen"] * widened + ["finish"]
+
+    # A batch of one statement is a group of one through the same
+    # lifecycle: the same rows, stages, accounting and tree.
+    batched, batch_stages, batch_advance, batch_delta = accounted(
+        engine, sql, run_batch_of_one
+    )
+    assert batched.rows == direct.rows
+    assert [stage.name for stage in batch_stages] == names
+    assert batched.simulated_seconds == pytest.approx(direct.simulated_seconds, rel=1e-12)
+    assert batch_advance == pytest.approx(direct_advance, rel=1e-6)
+    batch_tree = check_query_tree(engine_name, batch_delta.pop("roots"), batched, widened)
+    assert batch_delta == direct_delta
+    assert batch_tree.tags.get("warehouse") == trees[0].tags.get("warehouse")
+    assert shape(batch_tree.find("execute")) == shape(trees[0].find("execute"))
     assert all(stage.advance_s > 0 for stage in stages), names
     scans = root.find("execute").find_all("segment_scan")
     assert len(scans) == staged.segments_scanned

@@ -174,3 +174,181 @@ class TestCosts:
         assert clock.now > before
         assert results[0].simulated_seconds > 0
 
+
+
+def blob_rows(n: int, dim: int = 8, seed: int = 0) -> np.ndarray:
+    """``n`` rows around 6 separated centres."""
+    rng = np.random.default_rng(seed)
+    centres = rng.normal(scale=4.0, size=(6, dim))
+    return (centres[rng.integers(0, 6, n)] + rng.normal(size=(n, dim))).astype(np.float32)
+
+
+def ingest_ivf(writer, batches: int, rows_per_batch: int, dim: int = 8):
+    points = blob_rows(batches * rows_per_batch, dim)
+    for start in range(0, len(points), rows_per_batch):
+        writer.ingest_rows(
+            [{"id": i, "embedding": points[i]} for i in range(start, start + rows_per_batch)]
+        )
+
+
+@pytest.fixture
+def offered(monkeypatch):
+    """What each merge hands the index build: ``(seeds, kmeans init)``."""
+    import repro.vindex.ivf
+
+    calls = []
+    build, fit = compaction.build_segment_index, repro.vindex.ivf.kmeans
+
+    def recording_build(*args):
+        calls.append([args[5], None])
+        return build(*args)
+
+    def recording_fit(*args, **kwargs):
+        if calls:
+            calls[-1][1] = kwargs["init"]
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(compaction, "build_segment_index", recording_build)
+    monkeypatch.setattr(repro.vindex.ivf, "kmeans", recording_fit)
+    return calls
+
+
+class TestWarmMerge:
+    """An IVF merge trains from the centroids its inputs hold, each
+    ranked by the live rows of its cell (DESIGN.md §9, "k-means
+    training")."""
+
+    def world(self, clock, cost, rows):
+        return make_world(clock, cost, index_type="IVFFLAT", max_segment_rows=rows)
+
+    def input_indexes(self, manager, store):
+        return [
+            deserialize_index(store.get(manager.index_key(segment_id)))
+            for segment_id in manager.segment_ids()
+        ]
+
+    def test_more_seeds_than_cells_keeps_the_most_populated(self, clock, cost, offered):
+        # 4 × 200 rows train 5 cells each; 50 deletes leave 750 rows, 19 cells.
+        _, manager, writer, compactor, store = self.world(clock, cost, 200)
+        ingest_ivf(writer, 4, 200)
+        inputs = self.input_indexes(manager, store)
+        manager.mark_deleted(manager.segment_ids()[2], list(range(50)))
+        alive = [manager.bitmap(sid).alive_mask() for sid in manager.segment_ids()]
+        compactor.run_once()
+        ((seeds, init),) = offered
+        assert seeds.centroids.tobytes() == np.vstack([i._centroids for i in inputs]).tobytes()
+        for cells, index, mask in zip(np.split(seeds.population, 4), inputs, alive):
+            members = np.repeat(np.arange(index.nlist), np.diff(index._cell_ptr))
+            assert cells.tolist() == np.bincount(
+                members[mask[index._ids]], minlength=index.nlist
+            ).tolist()
+        (merged,) = manager.segments()
+        assert merged.row_count == 750 and len(seeds.population) == 20
+        nlist = deserialize_index(store.get(manager.index_key(merged.segment_id))).nlist
+        assert nlist == 19
+        # The least populated cell is dropped, the rest stay in input order.
+        dropped = int(np.argsort(seeds.population, kind="stable")[0])
+        assert init.tobytes() == np.delete(seeds.centroids, dropped, axis=0).tobytes()
+
+    def test_fewer_seeds_than_cells_are_topped_up(self, clock, cost, offered):
+        # 4 × 150 rows train 3 cells each; the 600-row merge wants 15.
+        _, manager, writer, compactor, store = self.world(clock, cost, 150)
+        ingest_ivf(writer, 4, 150)
+        compactor.run_once()
+        ((seeds, init),) = offered
+        assert init.tobytes() == seeds.centroids.tobytes() and len(init) == 12
+        (merged,) = manager.segments()
+        merged_index = deserialize_index(store.get(manager.index_key(merged.segment_id)))
+        assert merged_index.nlist == 15
+        result = merged_index.search_with_filter(merged.vectors()[7], 1, nprobe=15)
+        assert result.ids[0] == 7
+
+    def test_an_input_with_every_row_deleted_offers_nothing(self, clock, cost, offered):
+        _, manager, writer, compactor, store = self.world(clock, cost, 150)
+        ingest_ivf(writer, 4, 150)
+        inputs = self.input_indexes(manager, store)
+        emptied = manager.segment_ids()[1]
+        emptied_key = manager.index_key(emptied)
+        manager.mark_deleted(emptied, list(range(150)))
+        gets = []
+        get = store.get
+        store.get = lambda key: gets.append(key) or get(key)
+        compactor.run_once()
+        ((seeds, _),) = offered
+        kept = [inputs[0], inputs[2], inputs[3]]
+        assert seeds.centroids.tobytes() == np.vstack([i._centroids for i in kept]).tobytes()
+        assert emptied_key not in gets and len(gets) == 3
+
+    def test_an_input_with_no_index_offers_nothing(self, clock, cost, offered):
+        entry, manager, writer, compactor, store = self.world(clock, cost, 150)
+        spec, entry.schema.index_spec = entry.schema.index_spec, None
+        ingest_ivf(writer, 1, 150)
+        entry.schema.index_spec = spec
+        points = blob_rows(450, seed=1)
+        for start in range(0, 450, 150):
+            writer.ingest_rows(
+                [{"id": 150 + i, "embedding": points[i]} for i in range(start, start + 150)]
+            )
+        assert manager.index_key(manager.segment_ids()[0]) is None
+        inputs = [
+            deserialize_index(store.get(manager.index_key(sid)))
+            for sid in manager.segment_ids()[1:]
+        ]
+        compactor.run_once()
+        ((seeds, _),) = offered
+        assert seeds.centroids.tobytes() == np.vstack([i._centroids for i in inputs]).tobytes()
+
+    def test_no_same_type_index_trains_cold(self, clock, cost, offered):
+        entry, manager, writer, compactor, _ = self.world(clock, cost, 150)
+        spec = entry.schema.index_spec
+        entry.schema.index_spec = IndexSpec(index_type="FLAT", dim=8)
+        ingest_ivf(writer, 4, 150)
+        entry.schema.index_spec = spec
+        compactor.run_once()
+        assert offered == [[None, None]]
+
+
+class TestWarmMergeAcrossRestart:
+    """A merge reads its seeds from the indexes the process holds, or
+    from the store when it holds none; both write the same image."""
+
+    def merge(self, restart_after: int):
+        from repro.core.database import BlendHouse
+
+        db = BlendHouse(ingest_config=IngestConfig(max_segment_rows=150))
+        db.execute(
+            "CREATE TABLE t (id UInt64, embedding Array(Float32), "
+            "INDEX ann embedding TYPE IVFFLAT('DIM=8'))"
+        )
+        points = blob_rows(600)
+        for start in range(0, 600, 150):
+            if start == restart_after:
+                db.checkpoint()
+                db = db.restart()
+            db.insert_columns("t", {"id": np.arange(start, start + 150)}, points[start:start + 150])
+        db.execute("DELETE FROM t WHERE id >= 140 AND id < 170")
+        manager = db.table("t").manager
+        input_keys = {manager.index_key(sid) for sid in manager.segment_ids()}
+        reads, get = [], db.store.get
+
+        def recording_get(key):
+            payload = get(key)
+            if key in input_keys:
+                reads.append(len(payload))
+            return payload
+
+        db.store.get = recording_get
+        (result,) = db.compact("t")
+        (segment,) = manager.segments()
+        return get(manager.index_key(segment.segment_id)), result.simulated_seconds, reads
+
+    def test_resident_and_stored_seeds_write_the_same_image(self):
+        resident, resident_s, resident_reads = self.merge(restart_after=None)
+        stored, stored_s, stored_reads = self.merge(restart_after=450)
+        assert stored == resident
+        assert resident_reads == [] and len(stored_reads) == 3
+        # Each read is priced into the merge.
+        from repro.simulate.costmodel import DeviceCostModel
+
+        read_s = sum(DeviceCostModel().object_store_read(n) for n in stored_reads)
+        assert stored_s == pytest.approx(resident_s + read_s, rel=1e-9)
