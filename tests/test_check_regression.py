@@ -50,6 +50,22 @@ PARENT_VALUES = {
     },
 }
 
+# Values a declared re-baseline replaced since: the IVFPQFS points moved
+# when every IVF build was capped at the Lloyd rounds it is priced at
+# (DESIGN.md §9, "k-means training").
+REBASELINED = {
+    "fig13_index_recall_qps": {
+        "BH-IVFPQFS/nprobe=2/qps": 46246.41012241227,
+        "BH-IVFPQFS/nprobe=2/recall": 0.6200000000000001,
+        "BH-IVFPQFS/nprobe=4/qps": 44939.57873638756,
+        "BH-IVFPQFS/nprobe=4/recall": 0.78,
+        "BH-IVFPQFS/nprobe=8/qps": 42641.19565912514,
+        "BH-IVFPQFS/nprobe=8/recall": 0.8675,
+        "BH-IVFPQFS/nprobe=16/qps": 38741.370359751265,
+        "BH-IVFPQFS/nprobe=16/recall": 0.915,
+    },
+}
+
 
 def _write(directory, name, metrics):
     payload = {"metrics": {key: {"value": value, "unit": "x"} for key, value in metrics.items()}}
@@ -115,7 +131,7 @@ class TestCommittedBaselines:
         for result, values in PARENT_VALUES.items():
             with open(f"{BASELINES}/{result}.json") as handle:
                 metrics = json.load(handle)["metrics"]
-            for name, value in values.items():
+            for name, value in {**values, **REBASELINED.get(result, {})}.items():
                 assert metrics[name]["value"] == value, (result, name)
 
     def test_gate_the_same_32_metrics(self, capsys):
