@@ -448,10 +448,11 @@ def time_merge_grid() -> None:
     uncapped (the call's default 25 rounds) and capped at
     ``BUILD_ITERATIONS``; seeding is the k-means++ draw, or the top-up a
     warm start draws for the cells its seeds leave missing.  Inertia is
-    relative to the cold uncapped fit."""
+    relative to the cold uncapped fit; max/mean is the largest cell's
+    population over the mean cell population (1.0 is perfectly even)."""
     print(
         "\n       rows   dim     k seeds  start  cap  seeding ms  lloyd ms"
-        "  total ms  iterations  inertia"
+        "  total ms  iterations  inertia  max/mean"
     )
     for n in MERGE_ROWS:
         vectors = _mixture(n, 64)
@@ -471,10 +472,11 @@ def time_merge_grid() -> None:
                 lambda: kmeans.kmeans(vectors, k, max_iterations=cap, seed=0, init=given)
             )
             reference = reference or fit.inertia
+            cells = np.bincount(fit.assignments, minlength=k)
             print(
                 f"{n:11d} {64:5d} {k:5d} {len(seeds.population):5d} {start:>6s} {cap:4d} "
                 f"{seeding:11.1f} {total - seeding:9.1f} {total:9.1f} {fit.iterations:11d} "
-                f"{fit.inertia / reference:8.4f}"
+                f"{fit.inertia / reference:8.4f} {cells.max() / cells.mean():9.2f}"
             )
 
 

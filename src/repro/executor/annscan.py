@@ -4,11 +4,12 @@ Each operator — top-k, range, iterator — runs against one segment
 through a *search provider*, an object with the execution-layer index
 interface, and charges what the provider reports it visited.  A provider
 is the segment's vector index (local cache hit), a remote serving stub
-(:mod:`repro.cluster.serving`), or — under Plan A, or with no index
-resolved — a FLAT view of the segment's own vectors
-(:meth:`repro.vindex.flat.FlatIndex.view`): the exact scan, the expensive
-path Fig 11 measures.  The executor picks the provider and its
-:class:`ScanCharger` together (``pipeline._search_provider``); the
+(:mod:`repro.cluster.serving`), or a FLAT view of the segment's own
+vectors (:meth:`repro.vindex.flat.FlatIndex.view`): the exact scan, the
+expensive path Fig 11 measures.  Plan A takes the view without resolving
+an index; any other plan takes it when its resolve finds none.  The
+executor picks the provider and its :class:`ScanCharger` together
+(``pipeline._search_provider``), from a plan prepared once a wave; the
 operators hold no kernel of their own.
 
 Simulated compute is charged per visited candidate: full-precision

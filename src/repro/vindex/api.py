@@ -113,6 +113,13 @@ def pairwise_distance(query: np.ndarray, vectors: np.ndarray, metric: str = "l2"
         raise IndexParameterError(
             f"dimension mismatch: query {query.shape[-1]} vs vectors {vectors.shape[-1]}"
         )
+    return distance_kernel(query, vectors, metric)
+
+
+def distance_kernel(query: np.ndarray, vectors: np.ndarray, metric: str) -> np.ndarray:
+    """:func:`pairwise_distance` after its checks: ``query`` a float32
+    vector and ``vectors`` a float32 matrix of its dimension, as an
+    index's own checks leave them (FLAT searches through this)."""
     if metric == "l2":
         diff = vectors - query
         return np.sqrt(np.maximum(np.einsum("ij,ij->i", diff, diff), 0.0))
@@ -148,6 +155,14 @@ def pairwise_distance_batch(
         raise IndexParameterError(
             f"dimension mismatch: queries {queries.shape[-1]} vs vectors {vectors.shape[-1]}"
         )
+    return distance_kernel_batch(queries, vectors, metric)
+
+
+def distance_kernel_batch(
+    queries: np.ndarray, vectors: np.ndarray, metric: str
+) -> np.ndarray:
+    """:func:`pairwise_distance_batch` after its checks: ``queries`` and
+    ``vectors`` float32 matrices of one dimension."""
     if metric == "l2":
         diff = vectors[np.newaxis, :, :] - queries[:, np.newaxis, :]
         return np.sqrt(np.maximum(np.einsum("qnd,qnd->qn", diff, diff), 0.0))

@@ -5,7 +5,9 @@ rows.  This is both the cache-miss fallback (paper §II-D) and the Plan A
 executor's distance kernel (paper §IV-A, Equation 1): the executor
 searches a segment without a resolved index through
 :meth:`FlatIndex.view` of the segment's own vectors, so top-k, batch,
-range and the post-filter iterator are each written once, here.
+range and the post-filter iterator are each written once, here.  A
+search checks its query and bitset once, then runs the unchecked
+:func:`~repro.vindex.api.distance_kernel` over the float32 rows it holds.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from repro.errors import IndexParameterError
 from repro.vindex.api import (
     SearchResult,
     VectorIndex,
-    pairwise_distance,
-    pairwise_distance_batch,
+    distance_kernel,
+    distance_kernel_batch,
     top_k_from_distances,
 )
 from repro.vindex.image import array_field
@@ -90,7 +92,7 @@ class FlatIndex(VectorIndex):
         ids, vectors = self._allowed(bitset)
         if ids.size == 0:
             return SearchResult.empty()
-        distances = pairwise_distance(query, vectors, self.metric)
+        distances = distance_kernel(query, vectors, self.metric)
         return top_k_from_distances(ids, distances, k, visited=int(ids.size))
 
     def search_batch(
@@ -114,7 +116,7 @@ class FlatIndex(VectorIndex):
         ids, vectors = self._allowed(bitset)
         if ids.size == 0 or k <= 0:
             return [SearchResult.empty() for _ in range(nq)]
-        distances = pairwise_distance_batch(queries, vectors, self.metric)
+        distances = distance_kernel_batch(queries, vectors, self.metric)
         visited = int(ids.size)
         return [
             top_k_from_distances(ids, distances[row], k, visited=visited)
@@ -136,7 +138,7 @@ class FlatIndex(VectorIndex):
         ids, vectors = self._allowed(bitset)
         if ids.size == 0:
             return SearchResult.empty()
-        distances = pairwise_distance(query, vectors, self.metric)
+        distances = distance_kernel(query, vectors, self.metric)
         keep = np.flatnonzero(distances <= radius)
         order = keep[np.argsort(distances[keep], kind="stable")]
         return SearchResult(ids[order], distances[order], visited=int(ids.size))
@@ -153,7 +155,7 @@ class FlatIndex(VectorIndex):
         query = self._check_query(query)
         bitset = self._check_bitset(bitset, self.ntotal)
         ids, vectors = self._allowed(bitset)
-        distances = pairwise_distance(query, vectors, self.metric)
+        distances = distance_kernel(query, vectors, self.metric)
         order = np.argsort(distances, kind="stable")
         return FlatSearchIterator(ids[order], distances[order], batch_size)
 

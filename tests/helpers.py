@@ -16,11 +16,12 @@ def run_plan_on_segments(plan, segments, bitmaps, ctx):
     """One plan over ``segments`` through the executor's two pieces —
     ``execute_segment`` per segment, then ``merge_and_project`` — with
     the time it charged to ``ctx.clock`` on the result."""
-    from repro.executor.pipeline import execute_segment, merge_and_project
+    from repro.executor.pipeline import PreparedScan, execute_segment, merge_and_project
 
     start = ctx.clock.now
+    scan = PreparedScan.of(plan)
     partials = [
-        execute_segment(plan, segment, bitmaps.get(segment.segment_id), ctx)
+        execute_segment(scan, segment, bitmaps.get(segment.segment_id), ctx)
         for segment in segments
     ]
     result = merge_and_project(plan, partials, ctx, len(segments))

@@ -23,6 +23,7 @@ from repro.executor.columnio import ColumnReader
 from repro.executor.pipeline import (
     ExecContext,
     PartialResult,
+    PreparedScan,
     _merge_partials,
     _project,
     _structured_scan_mask,
@@ -192,7 +193,7 @@ class TestScanMaskIsTheCallers:
         before = {name: segment.scalar_column(name).copy() for name in names}
         alive_before = None if bitmap is None else bitmap.alive_mask()
 
-        mask = _structured_scan_mask(plan, segment, bitmap, make_ctx())
+        mask = _structured_scan_mask(PreparedScan.of(plan), segment, bitmap, make_ctx())
         assert mask.dtype == bool and mask.shape == (segment.row_count,)
         assert mask.flags.writeable
         if deleted:

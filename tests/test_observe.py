@@ -9,6 +9,7 @@ from repro.core.database import BlendHouse, ExplainResult
 from repro.executor.parallel import lane_makespan
 from repro.observe.export import MetricsExporter
 from repro.observe.trace import Span, Tracer, profile
+from repro.planner.optimizer import ExecutionStrategy
 from repro.simulate.metrics import MetricRegistry
 from tests.helpers import walk_spans
 
@@ -199,9 +200,14 @@ class TestExplainAnalyze:
         for stage in ("parse", "plan", "prune", "execute", "segment_scan"):
             assert root.find(stage) is not None, stage
         scan = root.find("segment_scan")
-        assert scan.find("index_resolve").tags["tier"] == "built"
+        # Plan A searches the segment's own vectors and resolves no index.
+        assert result.plan.strategy is ExecutionStrategy.BRUTE_FORCE
+        assert scan.find("index_resolve") is None
         child_total = sum(child.duration for child in root.children)
         assert child_total <= root.duration + 1e-12
+        db.execute("SET forced_strategy = 'pre_filter'")
+        scan = db.execute(_hybrid_sql("EXPLAIN ANALYZE ")).trace.find("segment_scan")
+        assert scan.find("index_resolve").tags["tier"] == "built"
 
     def test_plan_cache_attribution(self):
         db = _seeded_db()

@@ -32,6 +32,7 @@ from repro.elastic import FleetBlendHouse, FleetConfig
 from repro.errors import QueryCancelledError, WorkerUnavailableError
 from repro.executor import parallel
 from repro.executor.cancel import CancelToken
+from repro.planner.optimizer import ExecutionStrategy
 from repro.workloads import make_cohere_like
 from tests.helpers import vector_sql, walk_spans as walk
 
@@ -167,8 +168,7 @@ def shape(span):
 
 
 SPAN_NAMES = {
-    "query", "parse", "plan", "prune", "execute", "segment_scan",
-    "index_resolve", "merge_project",
+    "query", "parse", "plan", "prune", "execute", "segment_scan", "merge_project",
 }
 
 
@@ -178,7 +178,10 @@ def check_query_tree(engine_name, roots, result, widened):
     root = roots[0]
     names = {span.name for span in walk(root)}
     grouping = set() if engine_name.startswith("core") else {"worker_scan"}
-    assert names - {"delete_bitmap.filter"} == SPAN_NAMES | grouping
+    # Plan A searches no index, so it resolves none.
+    resolves = result.strategy is not ExecutionStrategy.BRUTE_FORCE
+    resolving = {"index_resolve"} if resolves else set()
+    assert names - {"delete_bitmap.filter"} == SPAN_NAMES | grouping | resolving
     for span in walk(root):
         assert span.finished and span.wall_s > 0, span.name
     assert [child.name for child in root.children] == [
@@ -191,7 +194,8 @@ def check_query_tree(engine_name, roots, result, widened):
     assert len(execute.find_all("merge_project")) == 1 + widened
     for scan in execute.find_all("segment_scan"):
         assert scan.duration > 0
-        assert scan.find("index_resolve").tags["tier"]
+        resolve = scan.find("index_resolve")
+        assert resolve.tags["tier"] if resolves else resolve is None
     return root
 
 
