@@ -18,12 +18,9 @@ traversal change is checked against
     ... apply kernel changes ...
     PYTHONPATH=src:. python benchmarks/capture_kernel_state.py check
 
-Both run the sweep once per kernel mode.  ``capture`` rewrites the
-baseline (do it at the parent commit of a kernel pass): one set of
-digests, which the two modes must agree on, and each mode's simulated
-QPS, which they do not (fast traversal is charged the vectorized rate).
-``check`` exits 1 on any image byte, id, distance or simulated-QPS
-mismatch.
+Both run the sweep once.  ``capture`` rewrites the baseline (do it at
+the parent commit of a kernel pass); ``check`` exits 1 on any image
+byte, id, distance or simulated-QPS mismatch.
 Distances come from float32 numpy kernels, so the baseline names the
 numpy it was captured with: equal ids with differing distances on
 another build means the float kernels differ, not the traversal.
@@ -60,7 +57,6 @@ import numpy as np
 
 from benchmarks.common import load_blendhouse
 from repro.vindex import hnsw, kmeans
-from repro.vindex.api import KERNEL_MODES, kernel_mode
 from repro.vindex.autoindex import select_ivf_nlist
 from repro.vindex.registry import IndexSpec, create_index
 from repro.workloads.datasets import make_cohere_like
@@ -112,8 +108,7 @@ def segment_images(db) -> list:
 
 
 def sweep() -> tuple:
-    """Every sweep point, and every sweep's segment images, under the
-    active kernel mode."""
+    """Every sweep point, and every sweep's segment images."""
     dataset = make_cohere_like(n=3000, dim=32, n_queries=40)
     pure = make_hybrid_workload(dataset, k=10)
     out, images = {}, {}
@@ -154,31 +149,16 @@ def sweep() -> tuple:
 
 
 def capture() -> tuple:
-    """The baseline: the digests and images both modes produce, QPS
-    keyed by mode."""
-    runs, built = {}, {}
-    for mode in KERNEL_MODES:
-        with kernel_mode(mode):
-            runs[mode], built[mode] = sweep()
-    first, *others = runs.values()
-    images, *other_images = built.values()
-    for other in other_images:
-        for label, digests in images.items():
-            if other[label] != digests:
-                raise SystemExit(f"kernel modes build different {label} images")
-    for label, points in first.items():
-        for index, point in enumerate(points):
-            for other in others:
-                twin = other[label][index]
-                if (point["ids"], point["rows"]) != (twin["ids"], twin["rows"]):
-                    raise SystemExit(
-                        f"kernel modes disagree on {label} {point['knob']}={point['value']}"
-                    )
-            point["qps"] = {mode: run[label][index]["qps"] for mode, run in runs.items()}
-    return first, images
+    """The baseline: the sweep, each point's QPS under the key ``check``
+    reads."""
+    points, images = sweep()
+    for sweep_points in points.values():
+        for point in sweep_points:
+            point["qps"] = {"fast": point["qps"]}
+    return points, images
 
 
-def compare_images(baseline: dict, current: dict, mode: str) -> int:
+def compare_images(baseline: dict, current: dict) -> int:
     """Print one line per sweep's images; returns the number of segment
     images whose bytes differ (or that one side lacks)."""
     mismatches = 0
@@ -187,17 +167,17 @@ def compare_images(baseline: dict, current: dict, mode: str) -> int:
         differ = sum(a != b for a, b in zip(digests, built)) + abs(len(digests) - len(built))
         mismatches += differ
         status = f"MISMATCH {differ} of {len(digests)}" if differ else "ok"
-        print(f"[{mode:9s}] {label:12s} images {len(built)} segments  [{status}]")
-    print(f"[{mode:9s}] image mismatches: {mismatches} segments")
+        print(f"{label:12s} images {len(built)} segments  [{status}]")
+    print(f"image mismatches: {mismatches} segments")
     return mismatches
 
 
-def compare(baseline: dict, current: dict, mode: str) -> int:
+def compare(baseline: dict, current: dict) -> int:
     """Print one line per sweep point; returns the number of mismatches."""
     id_mismatches = dist_mismatches = qps_mismatches = 0
     for label, points in baseline.items():
         for point, other in zip(points, current[label]):
-            qps = point["qps"][mode]
+            qps = point["qps"]["fast"]
             ids_differ = point["ids"] != other["ids"]
             rows_differ = sum(a != b for a, b in zip(point["rows"], other["rows"]))
             rows_differ += abs(len(point["rows"]) - len(other["rows"]))
@@ -212,12 +192,12 @@ def compare(baseline: dict, current: dict, mode: str) -> int:
                     f"rows_differing={rows_differ}"
                 )
             print(
-                f"[{mode:9s}] {label:12s} {point['knob']}={point['value']:<4d} "
+                f"{label:12s} {point['knob']}={point['value']:<4d} "
                 f"qps {qps:9.1f} -> {other['qps']:9.1f}  "
                 f"recall {point['recall']:.4f} -> {other['recall']:.4f}  [{status}]"
             )
     print(
-        f"[{mode:9s}] id mismatches: {id_mismatches} points; distance mismatches: "
+        f"id mismatches: {id_mismatches} points; distance mismatches: "
         f"{dist_mismatches} queries; simulated qps/recall mismatches: {qps_mismatches} points"
     )
     return id_mismatches + dist_mismatches + qps_mismatches
@@ -544,12 +524,9 @@ def main(argv: list) -> int:
     with open(path) as handle:
         baseline = json.load(handle)
     print(f"baseline {path} captured with numpy {baseline['numpy']}; this is {np.__version__}")
-    mismatches = 0
-    for mode in KERNEL_MODES:
-        with kernel_mode(mode):
-            points, images = sweep()
-        mismatches += compare_images(baseline["images"], images, mode)
-        mismatches += compare(baseline["points"], points, mode)
+    points, images = sweep()
+    mismatches = compare_images(baseline["images"], images)
+    mismatches += compare(baseline["points"], points)
     return 1 if mismatches else 0
 
 

@@ -29,7 +29,7 @@ import numpy as np
 from repro.simulate.clock import SimulatedClock
 from repro.simulate.costmodel import DeviceCostModel
 from repro.simulate.metrics import MetricRegistry
-from repro.vindex.api import SearchResult, get_kernel_mode
+from repro.vindex.api import SearchResult
 from repro.vindex.iterator import SearchIterator
 
 
@@ -70,13 +70,10 @@ class ScanCharger:
         return self.index_type in ("IVFPQ", "IVFPQFS")
 
     def charge_visits(self, visited: int, with_bitmap: bool = False) -> None:
-        """Charge ``visited`` candidate inspections.
-
-        The fast kernel mode charges the cheaper vectorized rates for the
-        kernels that actually changed: graph traversal (CSR gather +
-        contiguous distance blocks) and 4-bit fast-scan ADC.  Exact
-        scans, 8-bit ADC, and refinement keep the scalar rates, so the
-        planner's cost model stays consistent with execution.
+        """Charge ``visited`` candidate inspections, at one rate per
+        index type: graph traversal (CSR gather + contiguous distance
+        blocks) and 4-bit fast-scan ADC at the vectorized rates; exact
+        scans, 8-bit ADC and refinement at the scalar ones.
         """
         if visited <= 0:
             return
@@ -85,15 +82,14 @@ class ScanCharger:
             self.clock.advance(self.cost.distance_cost(visited, self.dim))
             self.metrics.incr("annscan.brute_force_rows", visited)
             return
-        fast = get_kernel_mode() == "fast"
         if self._uses_codes():
-            if fast and self.index_type == "IVFPQFS":
+            if self.index_type == "IVFPQFS":
                 # In-register table shuffles (cached LUT, batched build).
                 self.clock.advance(self.cost.adc_cost_fastscan(visited, 8))
             else:
                 # ADC over PQ codes: m table lookups per code (m=8 default).
                 self.clock.advance(self.cost.adc_cost(visited, 8))
-        elif fast and self.index_type in ("HNSW", "HNSWSQ", "DISKANN"):
+        elif self.index_type in ("HNSW", "HNSWSQ", "DISKANN"):
             self.clock.advance(self.cost.distance_cost_vectorized(visited, self.dim))
         else:
             self.clock.advance(self.cost.distance_cost(visited, self.dim))

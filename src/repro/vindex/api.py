@@ -15,52 +15,14 @@ algorithm.
 from __future__ import annotations
 
 import abc
-import contextlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import IndexNotTrainedError, IndexParameterError
 
 SUPPORTED_METRICS = ("l2", "ip", "cosine")
-
-# ----------------------------------------------------------------------
-# Kernel mode
-# ----------------------------------------------------------------------
-# "fast" selects the vectorized hot-path kernels (batched neighbor
-# gather, cached ADC tables, bitmask visited sets); "reference" selects
-# the original per-node loops.  Both modes share the same arithmetic and
-# the same result-boundary contract, so their top-k output is
-# byte-identical — the kernel-equivalence test suite asserts exactly
-# that.  The switch exists for that suite and for bisecting kernel
-# regressions, not for production tuning.
-KERNEL_MODES = ("fast", "reference")
-_kernel_mode = "fast"
-
-
-def get_kernel_mode() -> str:
-    """The active distance-kernel implementation ("fast" or "reference")."""
-    return _kernel_mode
-
-
-def set_kernel_mode(mode: str) -> None:
-    """Select the kernel implementation; see :data:`KERNEL_MODES`."""
-    global _kernel_mode
-    if mode not in KERNEL_MODES:
-        raise IndexParameterError(f"unknown kernel mode {mode!r}; expected {KERNEL_MODES}")
-    _kernel_mode = mode
-
-
-@contextlib.contextmanager
-def kernel_mode(mode: str) -> Iterator[None]:
-    """Temporarily switch kernel mode (equivalence tests)."""
-    previous = get_kernel_mode()
-    set_kernel_mode(mode)
-    try:
-        yield
-    finally:
-        set_kernel_mode(previous)
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import IndexCorruptError, IndexParameterError
-from repro.vindex.api import SearchResult, VectorIndex, get_kernel_mode, pairwise_distance
+from repro.vindex.api import SearchResult, VectorIndex, pairwise_distance
 from repro.vindex.graph import (
     beam_search_csr,
     beam_search_lists,
@@ -80,10 +80,9 @@ class DiskANNIndex(VectorIndex):
         self._ids = np.empty(0, dtype=np.int64)
         # The Vamana graph in two forms, at least one of them present
         # (same discipline as HNSWIndex): the builder's adjacency lists
-        # while a build runs and for the reference kernel, the frozen
-        # CSR ``(offsets, indices)`` for the fast kernel and the image.
-        # During construction the graph mutates per node, so search
-        # takes the list-of-lists walk.
+        # while a build runs, the frozen CSR ``(offsets, indices)`` for
+        # queries and the image.  During construction the graph mutates
+        # per node, so search takes the list-of-lists walk.
         self._graph_lists: Optional[List[List[int]]] = []
         self._csr: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._medoid = -1
@@ -113,8 +112,8 @@ class DiskANNIndex(VectorIndex):
 
     @property
     def _graph(self) -> List[List[int]]:
-        """Adjacency lists, thawed from the CSR when the reference
-        kernel (or a test) asks for them after a freeze or a load."""
+        """Adjacency lists, thawed from the CSR when a test asks for them
+        after a freeze or a load."""
         lists = self._graph_lists
         if lists is None:
             lists = self._graph_lists = thaw_adjacency(*self._csr)
@@ -229,21 +228,19 @@ class DiskANNIndex(VectorIndex):
         """Beam search from the medoid; returns the visited pool — every
         node expanded plus the final beam — as ascending (distance, node).
 
-        Takes the CSR kernel when the fast mode is active and the graph
-        is frozen; construction-time calls (graph still mutating per
-        node) always take the list walk, charge no reads and are the
-        only ones that pass a ``table``.
+        Queries walk the frozen CSR and charge their reads;
+        construction-time calls (graph still mutating per node) take the
+        list walk, charge no reads and are the only ones that pass a
+        ``table``.
         """
-        charged = self._io_charger is not None and not self._building
-        on_read = self._charge_node_read if charged else None
-        if get_kernel_mode() == "fast" and not self._building:
-            nearest, settled, _ = beam_search_csr(
-                self._dist_internal, query, *self._frozen_graph(), self._medoid, beam, on_read
+        if self._building:
+            nearest, settled, _ = beam_search_lists(
+                self._dist_internal, query, self._graph, self._medoid, beam, table=table
             )
         else:
-            nearest, settled, _ = beam_search_lists(
-                self._dist_internal, query, self._graph, self._medoid, beam,
-                on_read=on_read, table=table,
+            on_read = None if self._io_charger is None else self._charge_node_read
+            nearest, settled, _ = beam_search_csr(
+                self._dist_internal, query, *self._frozen_graph(), self._medoid, beam, on_read
             )
         merged = {node: dist for dist, node in settled}
         for dist, node in nearest:

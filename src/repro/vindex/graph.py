@@ -3,15 +3,13 @@
 HNSW, HNSWSQ and DiskANN walk a proximity graph the same way — pop the
 nearest frontier node, gather its unseen neighbours, admit those that
 beat the beam's worst — so the walk lives here once per adjacency
-form: :func:`beam_search_lists` (python lists
-and a ``set``: the builders' walk, since the graph mutates between
-calls — HNSW's only above its size rule — and the *reference* kernel)
-and :func:`beam_search_csr` (frozen CSR, a ``bytearray`` and an
-optional per-query distance table: the *fast* kernel).  They are two
-independent implementations of one traversal — same arithmetic, heap
-discipline, strict-``<`` admission and neighbour order — which is what
-lets the kernel-equivalence suite
-hold either against the other.
+form: :func:`beam_search_lists` (python lists and a ``set``: the
+builders' walk, since the graph mutates between calls — HNSW's only
+above its size rule) and :func:`beam_search_csr` (frozen CSR, a
+``bytearray`` and an optional per-query distance table: every query's
+walk).  They are two independent implementations of one traversal —
+same arithmetic, heap discipline, strict-``<`` admission and neighbour
+order — so the tests hold the query walk against the builders' one.
 
 Both take ``distance(query, nodes)``, an index's bound method (passed
 with the query so a hop pays no closure frame), and return ``(beam,
@@ -68,9 +66,8 @@ def beam_search_lists(
     """Beam search over adjacency lists: ``links[node]``, or
     ``links[node][layer]`` for HNSW's per-node layer lists.
 
-    ``table``, when DiskANN's builder in fast mode passes one, is
-    ``distance(query, node)`` for every node the lists can name; the
-    reference kernel never does, and walks exactly as it always has.
+    ``table``, when DiskANN's builder passes one, is ``distance(query,
+    node)`` for every node the lists can name.
     """
     seen: Set[int] = {entry}
     marked = 1
@@ -179,15 +176,6 @@ def beam_search_csr(
                 heappushpop(beam, (-neighbor_dist, neighbor))
                 worst = -beam[0][0]
     return sorted((-negdist, node) for negdist, node in beam), settled, marked
-
-
-def unseen_in_list(neighbors: Sequence[int], seen: Set[int]) -> List[int]:
-    """The native iterator's unbounded expansion in reference mode: the
-    neighbours not yet in ``seen``, in list order, marked on the way out.
-    (The fast iterator inlines the same step over the CSR.)"""
-    fresh = [n for n in neighbors if n not in seen]
-    seen.update(fresh)
-    return fresh
 
 
 def filtered_top_k(

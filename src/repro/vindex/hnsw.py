@@ -33,7 +33,6 @@ from repro.vindex.api import (
     SearchResult,
     VectorIndex,
     boundary_distances,
-    get_kernel_mode,
     pairwise_distance,
 )
 from repro.vindex.graph import (
@@ -41,7 +40,6 @@ from repro.vindex.graph import (
     beam_search_lists,
     candidate_pairwise,
     filtered_top_k,
-    unseen_in_list,
 )
 from repro.vindex.image import (
     adjacency_bytes,
@@ -62,13 +60,13 @@ DEFAULT_EF_SEARCH = 64
 # (``ntotal * dim``: 512 KiB of float32, so the ``rows - query`` scratch
 # array stays cache-resident) gets one per-query distance table instead
 # of a numpy call per hop.  The builder applies the same product to the
-# rows before each one it inserts, for every metric and both kernel
-# modes: under it a row's candidates are the exact nearest earlier rows
+# rows before each one it inserts, for every metric: under it a row's
+# candidates are the exact nearest earlier rows
 # on each layer, above it they come from the construction walk.  The
 # grids that chose it are in DESIGN.md §9;
 # ``benchmarks/capture_kernel_state.py time`` re-runs them.
 _TABLE_MAX_FLOATS = 1 << 17
-# The most floats of distances one fast l2 ``add_with_ids`` keeps between
+# The most floats of distances one l2 ``add_with_ids`` keeps between
 # the rows it inserts (16 MiB of float32), whatever the ``dim``: enough
 # for a whole 2,048 x 64 segment added at once.
 _KEPT_MAX_FLOATS = 1 << 22
@@ -79,9 +77,8 @@ def table_granted(metric: str, floats: int) -> bool:
     on lookups: proven only for l2 (``einsum`` reduces each row on its
     own, so the whole store gives the gathered form's bits; ip and
     cosine go through a GEMV, which sums a full product in another order
-    than a gathered one), paying only for a cache-sized store, and never
-    granted to reference mode, the independent side."""
-    return metric == "l2" and floats <= _TABLE_MAX_FLOATS and get_kernel_mode() == "fast"
+    than a gathered one), and paying only for a cache-sized store."""
+    return metric == "l2" and floats <= _TABLE_MAX_FLOATS
 
 
 def _nearest(dists: np.ndarray, k: int) -> np.ndarray:
@@ -97,7 +94,7 @@ def _nearest(dists: np.ndarray, k: int) -> np.ndarray:
 
 
 class _Kept:
-    """Squared l2 distances between the first rows one fast
+    """Squared l2 distances between the first rows one l2
     ``add_with_ids`` inserts and every row up to the last of them,
     filled before the first is inserted and kept for the call:
     ``table[node - start, other]`` is ``d(node, other)``, written from
@@ -153,7 +150,7 @@ class _FrozenLinks(NamedTuple):
     layer 0 reads ``offsets`` / ``indices`` as a plain per-node CSR; the
     list of ``node`` on layer ``l >= 1`` is slot
     ``ntotal + upper_ptr[node] + l - 1``, and ``upper_ptr[node + 1] -
-    upper_ptr[node]`` is the node's level.  The fast kernels read all
+    upper_ptr[node]`` is the node's level.  The query kernels read all
     three through ``memoryview``s, so ``indices`` is int64 when frozen
     here and the image's narrow unsigned view when loaded.
     """
@@ -201,8 +198,7 @@ class HNSWIndex(VectorIndex):
         self._ids = np.empty(0, dtype=np.int64)
         # Adjacency in two forms, at least one present: the builder's
         # lists (``_links[node][level]`` -> neighbor node indices) while
-        # rows are added and for the reference kernels, the frozen CSR
-        # for the fast kernels and the image.  A mutation drops the CSR
+        # rows are added, the frozen CSR for queries and the image.  A mutation drops the CSR
         # (the dirty flag), the next freeze drops the lists, a load
         # starts CSR-only.  Each transition publishes the new form before
         # dropping the old and readers fetch lists-then-CSR, so
@@ -253,7 +249,7 @@ class HNSWIndex(VectorIndex):
         """``_distance(query, node)`` for every node below ``stop`` at
         once, as float32: the builder's exact candidates.  l2 reduces
         each row on its own (the gathered form's bits); ip / cosine run
-        one GEMV over those rows, the same call in both kernel modes."""
+        one GEMV over those rows."""
         rows = self._vectors[:stop]
         if self.metric == "l2":
             diff = rows - query
@@ -278,8 +274,8 @@ class HNSWIndex(VectorIndex):
         return frozen
 
     def _thawed_links(self) -> List[List[List[int]]]:
-        """The builder's lists, thawed from the CSR on the first add or
-        reference-kernel search after a freeze or a load."""
+        """The builder's lists, thawed from the CSR on the first add
+        after a freeze or a load."""
         lists = self._links
         if lists is None:
             frozen = self._frozen
@@ -317,17 +313,17 @@ class HNSWIndex(VectorIndex):
         # Every row's top layer, for the exact candidates of layers >= 1.
         levels = np.empty(stop, dtype=np.int64)
         levels[:start] = np.fromiter(map(len, self._links), dtype=np.int64, count=start) - 1
-        # Fast l2 builds carry ``d(node, link)`` beside each list this
-        # call writes, in lists parallel to ``_links`` (None for a row
-        # of an earlier call): subtract-einsum is symmetric to the bit,
-        # so a back-link's score is the distance the new row was scored
-        # at and a shrink looks up instead of gathering.  They also keep
+        # l2 builds carry ``d(node, link)`` beside each list this call
+        # writes, in lists parallel to ``_links`` (None for a row of an
+        # earlier call): subtract-einsum is symmetric to the bit, so a
+        # back-link's score is the distance the new row was scored at
+        # and a shrink looks up instead of gathering.  They also keep
         # the scores of the rows they insert under the rule, for the
         # layer-0 candidates and Algorithm 4.  ip / cosine GEMVs are not
-        # symmetric, and reference mode is the judge: both gather.
+        # symmetric: they gather.
         carried: Optional[List[Optional[List[List[float]]]]] = None
         kept: Optional[_Kept] = None
-        if self.metric == "l2" and get_kernel_mode() == "fast":
+        if self.metric == "l2":
             carried = [None] * start
             kept = self._kept_tables(start, stop)
         nearest = iter(()) if kept is None else kept.layer0(self.ef_construction)
@@ -470,8 +466,8 @@ class HNSWIndex(VectorIndex):
 
         ``candidates`` arrive ascending: ``(distance to the query, node)``
         pairs.  A selected candidate's distances to the others are read
-        from one of three sources, with the same bits in both kernel
-        modes: for a row that ``walked`` (above the size rule), the
+        from one of three sources: for a row that ``walked`` (above the
+        size rule), the
         norms-form matrix of :func:`candidate_pairwise`; under the rule,
         subtract-form, looked up in ``kept`` by node when the selected
         row is one of its rows, else gathered once as a python list.
@@ -519,8 +515,8 @@ class HNSWIndex(VectorIndex):
     # Traversal primitives
     # ------------------------------------------------------------------
     def _greedy_closest(self, query: np.ndarray, start: int, layer: int) -> int:
-        """One layer of the descent over the lists: the reference kernel
-        and the builder above the size rule."""
+        """One layer of the descent over the lists: the builder's, above
+        the size rule (queries take :meth:`_greedy_closest_fast`)."""
         current = start
         current_dist = float(self._distance(query, [current])[0])
         improved = True
@@ -577,33 +573,23 @@ class HNSWIndex(VectorIndex):
         return current
 
     def _descend(self, query: np.ndarray, table: Optional[List[float]]) -> int:
-        """Greedy walk from the entry point through the upper layers;
-        returns the layer-0 entry, through the active kernel mode."""
+        """Greedy walk from the entry point through the upper layers of
+        the CSR; returns the layer-0 entry."""
         current = self._entry_point
-        if get_kernel_mode() == "fast":
-            frozen = self._frozen_links()
-            for layer in range(self._max_level, 0, -1):
-                current = self._greedy_closest_fast(query, current, layer, frozen, table)
-        else:
-            self._thawed_links()
-            for layer in range(self._max_level, 0, -1):
-                current = self._greedy_closest(query, current, layer)
+        frozen = self._frozen_links()
+        for layer in range(self._max_level, 0, -1):
+            current = self._greedy_closest_fast(query, current, layer, frozen, table)
         return current
 
     def _query_layer0(
         self, query: np.ndarray, entry: int, table: Optional[List[float]], ef: int
     ) -> Tuple[List[Tuple[float, int]], int]:
-        """Layer-0 beam search through the active kernel mode: the
-        ascending (distance, node) beam and the visited count."""
-        if get_kernel_mode() == "fast":
-            offsets, indices, _ = self._frozen_links()
-            beam, _, marked = beam_search_csr(
-                self._distance, query, offsets, indices, entry, ef, table=table
-            )
-        else:
-            beam, _, marked = beam_search_lists(
-                self._distance, query, self._thawed_links(), entry, ef, layer=0
-            )
+        """Layer-0 beam search over the CSR: the ascending (distance,
+        node) beam and the visited count."""
+        offsets, indices, _ = self._frozen_links()
+        beam, _, marked = beam_search_csr(
+            self._distance, query, offsets, indices, entry, ef, table=table
+        )
         return beam, marked
 
     # ------------------------------------------------------------------
@@ -687,7 +673,7 @@ class HNSWIndex(VectorIndex):
         index._ids = array_field(payload, "ids", np.int64, None)
         n = index.ntotal
         index._load_rows(payload)
-        # Everything the fast kernels gather through is checked once
+        # Everything the query kernels gather through is checked once
         # here: the CSR, the slot arithmetic of the upper layers, and
         # that the descent can only ever step onto a node that has a
         # list on the layer it is walking.
@@ -738,12 +724,9 @@ class HNSWSearchIterator(SearchIterator):
         self._query = query
         self._batch_size = batch_size
         self._ef = ef
-        # Kernel mode is pinned at construction so one iterator never
-        # mixes bookkeeping structures mid-stream: memoryviews of the
-        # CSR, a bytearray and (where the index grants one) a distance
-        # table in fast mode, a set over the lists in reference mode.
-        self._fast = get_kernel_mode() == "fast"
-        self._seen: Any = bytearray(index.ntotal) if self._fast else set()
+        # Memoryviews of the CSR, a bytearray of seen nodes and, where
+        # the index grants one, a distance table.
+        self._seen = bytearray(index.ntotal)
         self._table: Optional[List[float]] = None
         # The bitset by node, as bytes: a pop reads a python int.
         self._allowed = None if bitset is None else bitset[index._ids].tobytes()
@@ -752,17 +735,12 @@ class HNSWSearchIterator(SearchIterator):
         self._graph_exhausted = index.ntotal == 0 or index._entry_point < 0
         self.visited_total = 0
         if not self._graph_exhausted:
-            if self._fast:
-                offsets, indices, _ = index._frozen_links()
-                self._offsets, self._indices = memoryview(offsets), memoryview(indices)
-                self._table = index._distance_table(query)
-            table = self._table
+            offsets, indices, _ = index._frozen_links()
+            self._offsets, self._indices = memoryview(offsets), memoryview(indices)
+            table = self._table = index._distance_table(query)
             current = index._descend(query, table)
             dist = float(index._distance(query, [current])[0]) if table is None else table[current]
-            if self._fast:
-                self._seen[current] = 1
-            else:
-                self._seen.add(current)
+            self._seen[current] = 1
             self.visited_total += 1
             heapq.heappush(self._candidates, (dist, current))
 
@@ -770,27 +748,11 @@ class HNSWSearchIterator(SearchIterator):
     def exhausted(self) -> bool:
         return self._graph_exhausted and not self._pool
 
-    def _expand_one(self) -> None:
-        """Reference mode: pop the nearest frontier node, settle it, and
-        grow the frontier."""
-        nearest = heapq.heappop(self._candidates)
-        node = nearest[1]
-        if self._allowed is None or self._allowed[node]:
-            heapq.heappush(self._pool, nearest)
-        fresh = unseen_in_list(self._index._thawed_links()[node][0], self._seen)
-        if fresh:
-            self.visited_total += len(fresh)
-            dists = self._index._distance(self._query, fresh).tolist()
-            for pair in zip(dists, fresh):
-                heapq.heappush(self._candidates, pair)
-        if not self._candidates:
-            self._graph_exhausted = True
-
     def _expand_fast(self, fill: int, slack: int) -> None:
-        """Fast mode: :meth:`_expand_one` over the CSR until the pool
-        holds ``fill`` entries (or ``slack`` that the frontier cannot
-        improve on), as one loop whose state lives in locals and is
-        written back once."""
+        """Pop the nearest frontier node, pool it if the bitset allows it
+        and push its unseen neighbours, until the pool holds ``fill``
+        entries (or ``slack`` that the frontier cannot improve on), as
+        one loop whose state lives in locals and is written back once."""
         candidates, pool, seen = self._candidates, self._pool, self._seen
         offsets, indices = self._offsets, self._indices
         table, allowed = self._table, self._allowed
@@ -832,19 +794,7 @@ class HNSWSearchIterator(SearchIterator):
         """
         want = max(self._batch_size, 1)
         slack = max(self._ef, want)
-        if self._fast:
-            self._expand_fast(want + slack, slack)
-        else:
-            while not self._graph_exhausted and len(self._pool) < want + slack:
-                # Stop early once the frontier cannot improve on what we hold.
-                if (
-                    len(self._pool) >= want
-                    and self._candidates
-                    and self._candidates[0][0] > self._pool[0][0]
-                    and len(self._pool) >= slack
-                ):
-                    break
-                self._expand_one()
+        self._expand_fast(want + slack, slack)
         index = self._index
         out_nodes: List[int] = []
         out_dists: List[float] = []

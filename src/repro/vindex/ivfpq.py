@@ -28,7 +28,6 @@ from repro.vindex.api import (
     SearchResult,
     VectorIndex,
     boundary_distances,
-    get_kernel_mode,
     pairwise_distance,
     top_k_from_distances,
 )
@@ -188,12 +187,11 @@ class IVFPQIndex(VectorIndex):
         nprobe = max(1, min(int(nprobe), self.nlist))
         centroid_dist = pairwise_distance(query, self._centroids, "l2")
         probe = np.argsort(centroid_dist, kind="stable")[:nprobe]
-        fast = get_kernel_mode() == "fast"
-        tables = self._tables_for(query, probe) if fast else None
+        tables = self._tables_for(query, probe)
 
-        # Collect surviving (cell, ids, codes) first so the fast path can
-        # size its output buffers once; empty or fully-filtered probe
-        # lists fall through to the documented empty SearchResult.
+        # Collect surviving (cell, ids, codes) first so the output
+        # buffers are sized once; empty or fully-filtered probe lists
+        # fall through to the documented empty SearchResult.
         cell_rows: List[Any] = []
         visited = 0
         for cell, lo, hi in cell_ranges(self._cell_ptr, probe):
@@ -212,31 +210,18 @@ class IVFPQIndex(VectorIndex):
         if not cell_rows:
             return SearchResult.empty(visited=visited)
 
-        if fast:
-            assert tables is not None
-            # Allocation-free hot loop: two output buffers sized once,
-            # filled by slice — no per-cell list churn, no final
-            # concatenate + astype copies.
-            total = sum(ids.size for _, ids, _ in cell_rows)
-            all_ids = np.empty(total, dtype=np.int64)
-            all_dist = np.empty(total, dtype=np.float32)
-            pos = 0
-            for cell, ids, codes in cell_rows:
-                nxt = pos + ids.size
-                all_ids[pos:nxt] = ids
-                all_dist[pos:nxt] = self._pq.adc_distances(tables[cell], codes)
-                pos = nxt
-        else:
-            gathered_ids: List[np.ndarray] = []
-            gathered_dist: List[np.ndarray] = []
-            for cell, ids, codes in cell_rows:
-                # Residual encoding: the ADC table is built from the
-                # residual of the query against this cell's centroid.
-                table = self._pq.adc_table(query - self._centroids[cell])
-                gathered_ids.append(ids)
-                gathered_dist.append(self._pq.adc_distances(table, codes))
-            all_ids = np.concatenate(gathered_ids)
-            all_dist = np.concatenate(gathered_dist)
+        # Allocation-free hot loop: two output buffers sized once,
+        # filled by slice — no per-cell list churn, no final
+        # concatenate + astype copies.
+        total = sum(ids.size for _, ids, _ in cell_rows)
+        all_ids = np.empty(total, dtype=np.int64)
+        all_dist = np.empty(total, dtype=np.float32)
+        pos = 0
+        for cell, ids, codes in cell_rows:
+            nxt = pos + ids.size
+            all_ids[pos:nxt] = ids
+            all_dist[pos:nxt] = self._pq.adc_distances(tables[cell], codes)
+            pos = nxt
 
         # Selection runs on float32 squared distances (same order as the
         # old float64 upcast — the cast was injective); sqrt happens once

@@ -1,5 +1,19 @@
 """Shared test helpers (importable: tests/ is a package)."""
 
+import functools
+import heapq
+from types import SimpleNamespace
+from unittest import mock
+
+import numpy as np
+
+from repro.vindex.api import SearchResult, boundary_distances
+from repro.vindex.diskann import DEFAULT_SEARCH_BEAM
+from repro.vindex.graph import beam_search_lists, filtered_top_k
+from repro.vindex.hnsw import DEFAULT_EF_SEARCH
+from repro.vindex.iterator import GenericRestartIterator, SearchIterator
+
+
 def vector_sql(vector) -> str:
     """Render a numpy vector as a SQL vector literal."""
     return "[" + ",".join(f"{float(x):.6f}" for x in vector) + "]"
@@ -51,3 +65,100 @@ def parse_exposition(text):
         assert series not in values, f"sample {series} repeated"
         values[series] = float(value)
     return values, types
+
+
+def reference_search(index, query, k, bitset=None, on_read=None, **params):
+    """``index.search_with_filter`` through the kernels kept beside the
+    query ones: the builders' list walk and descent over the thawed
+    lists for the graphs (``on_read`` gets DiskANN's reads), a per-cell
+    ``adc_table`` for IVFPQ, the batched scan for FLAT and IVFFLAT."""
+    kind = index.index_type
+    if kind.startswith("IVFPQ"):
+        centroids = index._centroids
+        tables = {cell: index._pq.adc_table(query - centroids[cell]) for cell in range(index.nlist)}
+        with mock.patch.object(index, "_tables_for", lambda query, probe: tables):
+            return index.search_with_filter(query, k, bitset=bitset, **params)
+    if kind in ("FLAT", "IVFFLAT"):
+        return index.search_batch(query[None], k, bitset=bitset, **params)[0]
+    if kind == "DISKANN":
+        def search(width):
+            nearest, settled, _ = beam_search_lists(
+                index._dist_internal, query, index._graph, index._medoid, width, on_read=on_read
+            )
+            pool = sorted(set(settled).union(nearest))  # a node has one distance
+            return pool, len(pool)
+
+        width = params.get("beam", DEFAULT_SEARCH_BEAM)
+    else:
+        links, entry = reference_entry(index, query)
+
+        def search(width):
+            beam, _, marked = beam_search_lists(index._distance, query, links, entry, width, 0)
+            return beam, marked
+
+        width = params.get("ef_search", DEFAULT_EF_SEARCH)
+    return filtered_top_k(search, k, max(width, k), index._ids, bitset, index.metric)
+
+
+def reference_entry(index, query):
+    """An HNSW's thawed lists and the layer-0 entry the builders' greedy
+    descent over them reaches from the entry point."""
+    links, entry = index._thawed_links(), index._entry_point
+    for layer in range(index._max_level, 0, -1):
+        entry = index._greedy_closest(query, entry, layer)
+    return links, entry
+
+
+def reference_iterator(index, query, bitset=None, batch_size=64, **params):
+    """``index.search_iterator`` through the references: HNSW's stream
+    as :class:`ListWalkIterator`, the restart wrapper over
+    :func:`reference_search` for the rest."""
+    if index.index_type.startswith("HNSW"):
+        ef = params.get("ef_search", DEFAULT_EF_SEARCH)
+        return ListWalkIterator(index, query, bitset, batch_size, ef)
+    reference = SimpleNamespace(
+        ntotal=index.ntotal, search_with_filter=functools.partial(reference_search, index)
+    )
+    return GenericRestartIterator(reference, query, bitset, batch_size, **params)
+
+
+class ListWalkIterator(SearchIterator):
+    """The native HNSW iterator's stream, one node a step over the
+    thawed lists and a ``set``: the reference its CSR loop is held to."""
+
+    def __init__(self, index, query, bitset, batch_size, ef):
+        self.index, self.query, self.want, self.slack = index, query, batch_size, max(ef, batch_size)
+        self.allowed = None if bitset is None else bitset[index._ids]
+        self.candidates, self.pool, self.visited_total = [], [], 0
+        if index.ntotal and index._entry_point >= 0:
+            self.links, entry = reference_entry(index, query)
+            self.seen, self.visited_total = {entry}, 1
+            self.candidates.append((float(index._distance(query, [entry])[0]), entry))
+
+    @property
+    def exhausted(self):
+        return not self.candidates and not self.pool
+
+    def _expand_one(self):
+        nearest = heapq.heappop(self.candidates)
+        if self.allowed is None or self.allowed[nearest[1]]:
+            heapq.heappush(self.pool, nearest)
+        fresh = [n for n in self.links[nearest[1]][0] if n not in self.seen]
+        self.seen.update(fresh)
+        self.visited_total += len(fresh)
+        if fresh:
+            for pair in zip(self.index._distance(self.query, fresh).tolist(), fresh):
+                heapq.heappush(self.candidates, pair)
+
+    def next_batch(self):
+        pool, candidates = self.pool, self.candidates
+        while candidates and len(pool) < self.want + self.slack:
+            if len(pool) >= self.slack and candidates[0][0] > pool[0][0]:
+                break  # the frontier cannot improve on what is held
+            self._expand_one()
+        out = [heapq.heappop(pool) for _ in range(min(self.want, len(pool)))]
+        ids = self.index._ids[np.array([node for _, node in out], dtype=np.intp)]
+        dists = np.array([dist for dist, _ in out], dtype=np.float32)
+        return SearchResult(
+            ids, boundary_distances(dists, self.index.metric), visited=self.visited_total
+        )

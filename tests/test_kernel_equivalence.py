@@ -1,11 +1,14 @@
-"""Fast-vs-reference kernel equivalence and the DESIGN §9 boundary contract.
+"""The query kernels against the references kept beside them, and the
+DESIGN §9 boundary contract.
 
-The vectorized "fast" kernels (CSR neighbor gather, cached ADC tables,
-allocation-free probe loops) must be *byte-identical* to the reference
-per-node kernels: same ids in the same order, and bit-equal float64
-distances at the result boundary.  These tests pin that invariant across
-every index type, including the delete-bitmap and ``AS OF`` snapshot
-paths, plus adversarial tie/zero-norm inputs via hypothesis.
+Every search (CSR neighbour gather, cached ADC tables, allocation-free
+probe loops) must be *byte-identical* to :func:`tests.helpers.reference_search`
+— the builders' list walk, per-cell ``adc_table`` calls, the batched
+exact scan: same ids in the same order, and bit-equal float64 distances
+at the result boundary.  These tests pin that invariant across every
+index type, including the delete-bitmap path and adversarial tie /
+zero-norm inputs via hypothesis, and hold the engine's delete-bitmap
+and ``AS OF`` answers against a numpy exact top-k.
 """
 
 import numpy as np
@@ -14,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.database import BlendHouse
 from repro.errors import IndexParameterError
-from repro.vindex.api import kernel_mode, pairwise_distance
+from repro.vindex.api import pairwise_distance
 from repro.vindex.hnsw import HNSWIndex
 from repro.vindex.ivfpq import IVFPQIndex
 from repro.vindex.pq import ProductQuantizer
@@ -25,7 +28,7 @@ from repro.vindex.registry import (
     serialize_index,
 )
 
-from tests.helpers import vector_sql
+from tests.helpers import reference_iterator, reference_search, vector_sql
 
 INDEX_TYPES = ["FLAT", "IVFFLAT", "IVFPQ", "IVFPQFS", "HNSW", "HNSWSQ", "DISKANN"]
 # HNSW small enough for a distance table, under the metrics that must not
@@ -48,9 +51,6 @@ def queries(data):
 
 @pytest.fixture(scope="module")
 def built(data):
-    # Graph construction is mode-independent (build-time kernels always
-    # use the norms form; DiskANN pins reference greedy search while
-    # building), so one build serves both modes.
     out = {}
     for name in INDEX_TYPES + NON_L2_GRAPHS:
         params = {"m": 4} if name.startswith("IVFPQ") else {}
@@ -72,11 +72,19 @@ def assert_byte_identical(fast, ref):
 
 
 def both_modes(index, query, k, **params):
-    with kernel_mode("fast"):
-        fast = index.search_with_filter(query, k, **params)
-    with kernel_mode("reference"):
-        ref = index.search_with_filter(query, k, **params)
-    return fast, ref
+    """The search and its reference, on the same arguments."""
+    fast = index.search_with_filter(query, k, **params)
+    return fast, reference_search(index, query, k, **params)
+
+
+SEARCHES = {
+    "fast": lambda index, *args, **params: index.search_with_filter(*args, **params),
+    "reference": reference_search,
+}
+ITERATORS = {
+    "fast": lambda index, *args, **params: index.search_iterator(*args, **params),
+    "reference": reference_iterator,
+}
 
 
 @pytest.mark.parametrize("name", INDEX_TYPES + NON_L2_GRAPHS)
@@ -104,22 +112,22 @@ class TestFastReferenceIdentity:
 
 @pytest.mark.parametrize("name", ["HNSW", "HNSWSQ", "DISKANN"])
 class TestLoadedGraphIdentity:
-    """A loaded graph index holds only the CSR: the fast kernels search
-    it as it is, the reference kernels thaw their lists from it.  Either
-    way the answer is the built index's, byte for byte."""
+    """A loaded graph index holds only the CSR: the query kernels search
+    it as it is, the references thaw their lists from it.  Either way
+    the answer is the built index's, byte for byte."""
 
     @pytest.mark.parametrize("mode", ["fast", "reference"])
     def test_loaded_matches_built(self, built, data, queries, name, mode):
         loaded = deserialize_index(serialize_index(built[name]))
         bitset = np.ones(data.shape[0], dtype=bool)
         bitset[::3] = False
-        with kernel_mode(mode):
-            for query in queries:
-                for params in ({}, {"bitset": bitset}):
-                    want = built[name].search_with_filter(query, 10, **params)
-                    got = loaded.search_with_filter(query, 10, **params)
-                    assert_byte_identical(got, want)
-                    assert got.visited == want.visited
+        search = SEARCHES[mode]
+        for query in queries:
+            for params in ({}, {"bitset": bitset}):
+                want = search(built[name], query, 10, **params)
+                got = search(loaded, query, 10, **params)
+                assert_byte_identical(got, want)
+                assert got.visited == want.visited
 
     def test_loaded_fast_matches_loaded_reference(self, built, queries, name):
         loaded = deserialize_index(serialize_index(built[name]))
@@ -131,11 +139,10 @@ class TestLoadedGraphIdentity:
     @pytest.mark.parametrize("mode", ["fast", "reference"])
     def test_loaded_iterator_matches_built(self, built, queries, name, mode):
         loaded = deserialize_index(serialize_index(built[name]))
-        with kernel_mode(mode):
-            want = built[name].search_iterator(queries[0], batch_size=16)
-            got = loaded.search_iterator(queries[0], batch_size=16)
-            for _ in range(3):
-                assert_byte_identical(got.next_batch(), want.next_batch())
+        want = ITERATORS[mode](built[name], queries[0], batch_size=16)
+        got = ITERATORS[mode](loaded, queries[0], batch_size=16)
+        for _ in range(3):
+            assert_byte_identical(got.next_batch(), want.next_batch())
 
 
 class TestDepthKnobs:
@@ -158,11 +165,10 @@ class TestDepthKnobs:
         # Repeating the same query must serve the ADC tables from the
         # per-index LUT cache without changing a single byte.
         index = built["IVFPQ"]
-        with kernel_mode("fast"):
-            first = index.search_with_filter(queries[0], 10, nprobe=8)
-            index._lut_cache.clear()
-            cold = index.search_with_filter(queries[0], 10, nprobe=8)
-            warm = index.search_with_filter(queries[0], 10, nprobe=8)
+        first = index.search_with_filter(queries[0], 10, nprobe=8)
+        index._lut_cache.clear()
+        cold = index.search_with_filter(queries[0], 10, nprobe=8)
+        warm = index.search_with_filter(queries[0], 10, nprobe=8)
         assert_byte_identical(cold, first)
         assert_byte_identical(warm, cold)
 
@@ -243,11 +249,8 @@ class TestPQCodeGuard:
 class TestIVFPQEmptyProbes:
     def test_fully_filtered_probes_return_empty(self, built, data, queries):
         bitset = np.zeros(data.shape[0], dtype=bool)  # everything deleted
-        for mode in ("fast", "reference"):
-            with kernel_mode(mode):
-                result = built["IVFPQ"].search_with_filter(
-                    queries[0], 10, bitset=bitset
-                )
+        for search in SEARCHES.values():
+            result = search(built["IVFPQ"], queries[0], 10, bitset=bitset)
             assert len(result) == 0
             assert result.ids.dtype == np.int64
             assert result.visited > 0  # probed cells are still charged
@@ -286,32 +289,40 @@ def _topk_sql(query, k=10, suffix="", where=""):
     )
 
 
+def _exact(rows, query, visible, k=10):
+    """The numpy exact top-``k`` (id, distance) of the ``visible`` rows,
+    for the query as its SQL literal spells it."""
+    literal = np.array(vector_sql(query)[1:-1].split(","), dtype=np.float32)
+    ids = np.array([row["id"] for row in rows if visible(row["id"])])
+    dists = pairwise_distance(literal, np.stack([rows[i]["embedding"] for i in ids]), "l2")
+    order = np.argsort(dists, kind="stable")[:k]
+    return [(int(ids[i]), float(dists[i])) for i in order]
+
+
 class TestEngineModesAgree:
     """End-to-end: the full SQL path (delete bitmaps, AS OF snapshots)
-    returns identical rows under both kernel modes."""
+    returns the exact top-k of the rows its snapshot sees; ``ef_search``
+    at the row count makes the walk exhaustive."""
 
     def test_delete_bitmap_query_identical(self, rng):
         db, rows = _engine(rng)
+        db.execute("SET ef_search = 300")
         db.execute("DELETE FROM docs WHERE id < 50")
-        sql = _topk_sql(rows[60]["embedding"])
-        with kernel_mode("fast"):
-            fast = db.execute(sql).rows
-        with kernel_mode("reference"):
-            ref = db.execute(sql).rows
-        assert fast == ref
-        assert all(row[0] >= 50 for row in fast)
+        query = rows[60]["embedding"]
+        got = [tuple(row) for row in db.execute(_topk_sql(query)).rows]
+        assert got == _exact(rows, query, lambda i: i >= 50)
 
     def test_as_of_snapshot_query_identical(self, rng):
         db, rows = _engine(rng)
+        db.execute("SET ef_search = 300")
         pinned = db.table("docs").manager.manifest_id
         db.execute("DELETE FROM docs WHERE id = 17")
-        sql = _topk_sql(rows[17]["embedding"], k=1, suffix=f" AS OF {pinned}")
-        with kernel_mode("fast"):
-            fast = db.execute(sql).rows
-        with kernel_mode("reference"):
-            ref = db.execute(sql).rows
-        assert fast == ref
-        assert fast[0][0] == 17  # the snapshot still sees the deleted row
+        query = rows[17]["embedding"]
+        as_of = [tuple(row) for row in db.execute(_topk_sql(query, suffix=f" AS OF {pinned}")).rows]
+        now = [tuple(row) for row in db.execute(_topk_sql(query)).rows]
+        assert as_of == _exact(rows, query, lambda i: True)
+        assert as_of[0][0] == 17  # the snapshot still sees the deleted row
+        assert now == _exact(rows, query, lambda i: i != 17)
 
 
 class TestPlanRebind:

@@ -5,14 +5,16 @@ beam search, so they are held against each other here on adjacency the
 index builders never produce — isolated nodes, self-loops, repeated
 edges, disconnected components — over points chosen so that tied and
 zero distances are the common case.  ``test_kernel_equivalence.py``
-pins the two kernel modes on built indexes; the cost side it leaves
-open (``visited`` under a bitset, DiskANN's charged reads) is pinned
-below, then the per-query distance table, then the native iterator's
-fast loop against its reference one, then — at the bottom — the
-build: exact candidates under the size rule against a brute-force
-oracle and the kept table's block sort against ``_nearest``, Algorithm
-4 against a numpy one, and fast and reference mode writing the same
-image, non-finite rows included.
+holds built indexes' searches against ``tests.helpers.reference_search``
+(the list walk); the cost side it leaves open (``visited`` under a
+bitset, DiskANN's charged reads) is pinned below, then the per-query
+distance table, then the native iterator's CSR loop against the list
+walk's one-node-a-step stream, then — at the bottom — the build: exact
+candidates under the size rule against a brute-force oracle and the
+kept table's block sort against ``_nearest``, Algorithm 4 against a
+numpy one, the distance symmetry the carried back-link distances rest
+on, and the kept tables and the Vamana pass's table writing the image
+a build without them writes, non-finite rows included.
 """
 
 import numpy as np
@@ -20,10 +22,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.vindex import hnsw
-from repro.vindex.api import kernel_mode, pairwise_distance
+from repro.vindex.api import pairwise_distance
 from repro.vindex.graph import beam_search_csr, beam_search_lists, filtered_top_k
 from repro.vindex.image import freeze_adjacency
 from repro.vindex.registry import IndexSpec, create_index, deserialize_index, serialize_index
+
+from tests.helpers import reference_iterator, reference_search
 
 
 @pytest.fixture(scope="module")
@@ -176,19 +180,19 @@ class TestFilteredTopK:
 
     @pytest.mark.parametrize("name", ["HNSW", "HNSWSQ", "DISKANN"])
     def test_indexes_return_empty_under_all_false_bitset(self, built, data, name):
-        for mode in ("fast", "reference"):
-            with kernel_mode(mode):
-                result = built[name].search_with_filter(
-                    data[0], 5, bitset=np.zeros(data.shape[0], dtype=bool)
-                )
+        index, bitset = built[name], np.zeros(data.shape[0], dtype=bool)
+        for result in (
+            index.search_with_filter(data[0], 5, bitset=bitset),
+            reference_search(index, data[0], 5, bitset=bitset),
+        ):
             assert len(result) == 0 and result.visited > 0
 
 
 @pytest.mark.parametrize("name", ["HNSW", "HNSWSQ", "DISKANN"])
 class TestModesAgreeOnCost:
-    """What the simulated clock is charged from must not depend on the
-    kernel mode: ``visited`` (also when a sparse bitset re-runs the walk
-    with a wider beam) and every simulated node read."""
+    """What the simulated clock is charged from is what the list walk
+    counts: ``visited`` (also when a sparse bitset re-runs the walk with
+    a wider beam) and every simulated node read."""
 
     def test_visited_under_bitsets(self, built, data, name):
         sparse = np.zeros(data.shape[0], dtype=bool)
@@ -197,20 +201,15 @@ class TestModesAgreeOnCost:
         dense[::3] = False
         for bitset in (None, dense, sparse):
             for query in data[:6] + 0.05:
-                with kernel_mode("fast"):
-                    fast = built[name].search_with_filter(query, 5, bitset=bitset)
-                with kernel_mode("reference"):
-                    ref = built[name].search_with_filter(query, 5, bitset=bitset)
+                fast = built[name].search_with_filter(query, 5, bitset=bitset)
+                ref = reference_search(built[name], query, 5, bitset=bitset)
                 assert fast.visited == ref.visited > 0
                 assert fast.ids.tolist() == ref.ids.tolist()
 
     def test_iterator_visited(self, built, data, name):
-        batches = {}
-        for mode in ("fast", "reference"):
-            with kernel_mode(mode):
-                iterator = built[name].search_iterator(data[1] + 0.05, batch_size=8)
-                batches[mode] = [iterator.next_batch() for _ in range(3)]
-        for fast, ref in zip(batches["fast"], batches["reference"]):
+        fast = built[name].search_iterator(data[1] + 0.05, batch_size=8)
+        ref = reference_iterator(built[name], data[1] + 0.05, batch_size=8)
+        for fast, ref in [(fast.next_batch(), ref.next_batch()) for _ in range(3)]:
             assert fast.visited == ref.visited > 0
             assert fast.ids.tolist() == ref.ids.tolist()
 
@@ -218,24 +217,22 @@ class TestModesAgreeOnCost:
         index = built[name]
         sparse = np.zeros(data.shape[0], dtype=bool)
         sparse[::37] = True
-        charged = {}
-        for mode in ("fast", "reference"):
-            charged[mode] = []
-            index.set_io_charger(charged[mode].append)
-            try:
-                with kernel_mode(mode):
-                    for bitset in (None, sparse):
-                        index.search_with_filter(data[2] + 0.05, 5, bitset=bitset)
-            finally:
-                index.set_io_charger(None)
-        # The same reads in the same order, not just the same total.
-        assert charged["fast"] == charged["reference"]
+        charged, read = [], []
+        index.set_io_charger(charged.append)
+        try:
+            for bitset in (None, sparse):
+                index.search_with_filter(data[2] + 0.05, 5, bitset=bitset)
+                if name == "DISKANN":  # the list walk's reads, by node count
+                    reference_search(index, data[2] + 0.05, 5, bitset=bitset, on_read=read.append)
+        finally:
+            index.set_io_charger(None)
         if name == "DISKANN":
+            # The same reads in the same order, not just the same total.
             node_bytes = index.dim * 4 + index.r * 8
-            assert charged["fast"][0] == node_bytes  # the medoid, first
-            assert all(nbytes % node_bytes == 0 for nbytes in charged["fast"])
+            assert charged == [count * node_bytes for count in read]
+            assert charged[0] == node_bytes  # the medoid, first
         else:
-            assert charged["fast"] == []  # memory-resident: nothing to charge
+            assert charged == []  # memory-resident: nothing to charge
 
 
 # ----------------------------------------------------------------------
@@ -300,6 +297,33 @@ class TestDistanceTableBits:
             assert [table[node] for node in nodes] == index._distance(query, nodes).tolist()
 
 
+class TestDistanceSymmetry:
+    """What the carried back-link distances rest on (DESIGN.md §9):
+    ``d(a, b)`` scored from ``a`` has the bits of ``d(b, a)`` scored
+    from ``b``, so a back-link keeps the score its new row was given."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("name", ["HNSW", "HNSWSQ"])
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(1, 200),
+        scale=st.sampled_from([1e-3, 1.0, 1e3, 1e20]),
+        special=st.sampled_from([0.0, np.inf, -np.inf, np.nan]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_distance_is_symmetric_to_the_bit(self, name, seed, dim, scale, special):
+        rng = np.random.default_rng(seed)
+        rows = (rng.normal(size=(8, dim)) * scale).astype(np.float32)
+        rows[1] = rows[0]  # a duplicate row
+        rows[2, rng.integers(0, dim)] = special
+        index = unbuilt(name, rows, "owned")
+        stored = index._gather_rows(slice(None))
+        for a in range(8):
+            for b in range(8):
+                forward = index._distance(stored[a], [b])
+                assert forward.tobytes() == index._distance(stored[b], [a]).tobytes()
+
+
 @pytest.fixture(scope="module")
 def across_the_rule(built):
     """An HNSW on each side of the size rule (the small one also as SQ)."""
@@ -324,17 +348,20 @@ def table_spy(monkeypatch):
     return returned
 
 
-def everything(index, query):
-    """Every search shape that can take a table, as comparable bytes."""
+def everything(index, query, search=None, iterate=None):
+    """Every search shape that can take a table, as comparable bytes:
+    through ``index``'s own search and iterator unless others are given."""
+    search = search or type(index).search_with_filter
+    iterate = iterate or type(index).search_iterator
     n = index.ntotal
     half = np.arange(n) % 2 == 0
     tenth = np.arange(n) % 10 == 3
     out = []
     for bitset in (None, half, tenth, np.zeros(n, dtype=bool)):
-        result = index.search_with_filter(query, 5, bitset=bitset, ef_search=8)
+        result = search(index, query, 5, bitset=bitset, ef_search=8)
         out.append((result.ids.tobytes(), result.distances.tobytes(), result.visited))
     for bitset in (None, tenth):
-        for batch in index.search_iterator(query, bitset=bitset, batch_size=32):
+        for batch in iterate(index, query, bitset=bitset, batch_size=32):
             out.append((batch.ids.tobytes(), batch.distances.tobytes(), batch.visited))
     return out
 
@@ -344,8 +371,7 @@ class TestTableChangesNothing:
     def test_same_bytes_with_and_without(self, monkeypatch, across_the_rule, which):
         index = across_the_rule[which]
         query = index._gather_rows(np.array([3]))[0] + np.float32(0.05)
-        with kernel_mode("reference"):
-            want = everything(index, query)
+        want = everything(index, query, reference_search, reference_iterator)
         assert all(ids for ids, _, _ in want[:3]) and not want[3][0]  # all-false: nothing
         tables = table_spy(monkeypatch)
         assert everything(index, query) == want  # the rule as committed
@@ -390,12 +416,6 @@ class TestTableChangesNothing:
         index.search_iterator(data[0], batch_size=8).next_batch()
         assert tables == [None, None]
 
-    def test_reference_mode_gets_no_table(self, monkeypatch, built, data):
-        tables = table_spy(monkeypatch)
-        with kernel_mode("reference"):
-            built["HNSW"].search_with_filter(data[0], 5)
-        assert tables == [None]
-
     def test_diskann_passes_no_table(self, monkeypatch, built, data):
         from repro.vindex import diskann
 
@@ -430,22 +450,25 @@ class TestCsrWalkWithTable:
 
 
 # ----------------------------------------------------------------------
-# The native iterator: fast mode's one loop against reference mode's
-# ``_expand_one`` (DESIGN.md §9, "One table, one loop")
+# The native iterator: its CSR loop against the list walk's one node a
+# step, ``tests.helpers.ListWalkIterator`` (DESIGN.md §9, "One table,
+# one loop")
 # ----------------------------------------------------------------------
-def drain(index, query, mode, **params):
-    """Every batch of one iterator made and run under ``mode``, as
-    comparable bytes, and whether it was granted a distance table."""
+def drain(index, query, **params):
+    """Every batch of the native iterator and of the list walk's, as
+    comparable bytes, and whether the native one got a distance table."""
+    native = index.search_iterator(query, **params)
     out = []
-    with kernel_mode(mode):
-        iterator = index.search_iterator(query, **params)
+    for iterator in (native, reference_iterator(index, query, **params)):
+        batches = []
         for _ in range(4096):  # a stream that never ends fails, not hangs
             if iterator.exhausted:
                 break
             batch = iterator.next_batch()
-            out.append((batch.ids.tobytes(), batch.distances.tobytes(), batch.visited))
-    assert iterator.exhausted
-    return out, iterator._table is not None
+            batches.append((batch.ids.tobytes(), batch.distances.tobytes(), batch.visited))
+        assert iterator.exhausted
+        out.append(batches)
+    return out[0], out[1], native._table is not None
 
 
 def hand_made(points, lists, entry):
@@ -478,6 +501,9 @@ def by_metric(data):
 
 
 class TestFastIteratorIsTheReference:
+    """The native iterator streams what the list walk, one node a step,
+    streams: batch for batch, ``visited`` included."""
+
     @pytest.mark.parametrize("form", ["built", "loaded"])
     @pytest.mark.parametrize("metric", ["l2", "ip", "cosine"])
     @pytest.mark.parametrize("name", ["HNSW", "HNSWSQ"])
@@ -496,9 +522,9 @@ class TestFastIteratorIsTheReference:
             for bitset in (None, dense, sparse):
                 for batch_size in (1, 16, 64):
                     params = {"bitset": bitset, "batch_size": batch_size}
-                    fast, tabled = drain(index, query, "fast", **params)
+                    fast, ref, tabled = drain(index, query, **params)
                     assert tabled == (metric == "l2" and limit > 0)
-                    assert fast == drain(index, query, "reference", **params)[0]
+                    assert fast == ref
                     emitted = np.concatenate([np.frombuffer(ids, np.int64) for ids, _, _ in fast])
                     assert np.unique(emitted).size == emitted.size > 0
 
@@ -521,9 +547,9 @@ class TestFastIteratorIsTheReference:
             patch.setattr(hnsw, "_TABLE_MAX_FLOATS", float("inf") if tabled else -1)
             for bitset in (None, np.array(allowed[: len(lists)])):
                 params = {"bitset": bitset, "batch_size": batch_size, "ef_search": ef}
-                fast, got_table = drain(index, query, "fast", **params)
+                fast, ref, got_table = drain(index, query, **params)
                 assert got_table == tabled
-                assert fast == drain(index, query, "reference", **params)[0]
+                assert fast == ref
 
 
 # ----------------------------------------------------------------------
@@ -604,11 +630,9 @@ class TestSelectHeuristic:
         nodes = rng.permutation(60)[:count]
         candidates = sorted(zip(index._distance(query, nodes).tolist(), nodes.tolist()))
         got = algorithm4(rows, candidates, m, metric)
-        for mode in ("fast", "reference"):
-            with kernel_mode(mode):
-                assert index._select_heuristic(candidates, m) == got  # gathered
-                # A walked row's norms-form matrix: exact on the grid.
-                assert index._select_heuristic(candidates, m, walked=True) == got
+        assert index._select_heuristic(candidates, m) == got  # gathered
+        # A walked row's norms-form matrix: exact on the grid.
+        assert index._select_heuristic(candidates, m, walked=True) == got
         assert len(got) == min(m, count) and len(set(got)) == len(got)
         if metric == "l2":  # the same choice read from kept tables
             start = int(rng.integers(0, 60))
@@ -810,6 +834,16 @@ def build_image(name, metric, rows, how, ranges=None):
     return serialize_index(index)
 
 
+def unkept(build, *args):
+    """``build(*args)`` with ``_KEPT_MAX_FLOATS`` at 0: no row's scores
+    are kept, so every layer-0 list comes from ``_nearest_on_layer`` and
+    Algorithm 4 gathers — the reference build the kept tables must not
+    change a byte of."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hnsw, "_KEPT_MAX_FLOATS", 0)
+        return build(*args)
+
+
 @pytest.mark.parametrize("how", ["once", "incremental", "reloaded"])
 @pytest.mark.parametrize("metric", ["l2", "ip", "cosine"])
 @pytest.mark.parametrize("name", ["HNSW", "HNSWSQ"])
@@ -818,13 +852,12 @@ class TestBuildModesWriteOneImage:
         rows = data[:260]
         walked = walk_spy(monkeypatch)
         # All under the rule; across it; all above it.  The rule shapes
-        # the graph, so it is patched for both modes.
+        # the graph, so it is patched for both builds.
         for limit in (hnsw._TABLE_MAX_FLOATS, STRADDLED, 0):
             monkeypatch.setattr(hnsw, "_TABLE_MAX_FLOATS", limit)
-            with kernel_mode("reference"):
-                want = build_image(name, metric, rows, how)
+            want = unkept(build_image, name, metric, rows, how)
             assert build_image(name, metric, rows, how) == want
-            # Both modes walk for exactly the rows above the rule.
+            # Both builds walk for exactly the rows above the rule.
             above = [node for node in range(1, 260) if node * 12 > limit]
             assert sorted(set(walked)) == above and len(walked) % 2 == 0
             del walked[:]
@@ -853,8 +886,7 @@ class TestNonFiniteRows:
         rows = non_finite(data)
         for limit in (hnsw._TABLE_MAX_FLOATS, STRADDLED, 0):
             monkeypatch.setattr(hnsw, "_TABLE_MAX_FLOATS", limit)
-            with kernel_mode("reference"):
-                want = build_image(name, metric, rows, how, ranges=data[:260])
+            want = unkept(build_image, name, metric, rows, how, data[:260])
             assert build_image(name, metric, rows, how, ranges=data[:260]) == want
 
 
@@ -867,13 +899,12 @@ class TestKeptTablesBound:
         row under the rule runs the candidate GEMM, and a fresh build
         gathers only while it inserts a row past the bound."""
         rows = data[:260]
-        with kernel_mode("reference"):
-            want = build_image(name, "l2", rows, how)
+        want = unkept(build_image, name, "l2", rows, how)
         inserting = gathering_spy(monkeypatch)
         gemms = gemm_spy(monkeypatch)
         committed = hnsw._KEPT_MAX_FLOATS
-        # Every row kept; the first 100; none.
-        for bound, kept in ((committed, 260), (100 * 100, 100), (0, 0)):
+        # Every row kept; the first 100.
+        for bound, kept in ((committed, 260), (100 * 100, 100)):
             monkeypatch.setattr(hnsw, "_KEPT_MAX_FLOATS", bound)
             del inserting[:]
             assert build_image(name, "l2", rows, how) == want
@@ -935,8 +966,8 @@ class TestBuildLooksDistancesUp:
         """Under the rule a fast l2 build scores each row once and looks
         every other distance up — the shrink's in the carried lists,
         Algorithm 4's in the kept tables — so it never calls
-        ``_distance`` or ``candidate_pairwise``; reference mode gathers
-        for both."""
+        ``_distance`` or ``candidate_pairwise``; without kept tables,
+        Algorithm 4 gathers."""
         gathered = distance_spy(monkeypatch)
         gemms = gemm_spy(monkeypatch)
         shrunk = []
@@ -949,11 +980,11 @@ class TestBuildLooksDistancesUp:
         index = create_index(IndexSpec(index_type="HNSW", dim=12, params=BUILD_PARAMS))
         index.add_with_ids(data[:200], np.arange(200))
         assert shrunk and gathered == [] and gemms == []
-        del shrunk[:]
-        with kernel_mode("reference"):
+        with monkeypatch.context() as patch:
+            patch.setattr(hnsw, "_KEPT_MAX_FLOATS", 0)
             index = create_index(IndexSpec(index_type="HNSW", dim=12, params=BUILD_PARAMS))
             index.add_with_ids(data[:200], np.arange(200))
-        assert len(gathered) > 2 * len(shrunk) > 0
+        assert gathered and gemms == []
 
     def test_extend_after_a_load_gathers_only_for_earlier_rows(self, monkeypatch, data):
         index = create_index(IndexSpec(index_type="HNSW", dim=12, params=BUILD_PARAMS))
@@ -986,9 +1017,8 @@ class TestBuildLooksDistancesUp:
         assert sorted(set(walked)) == above
         assert gemms and set(gemms) <= set(above)
         monkeypatch.undo()
-        with kernel_mode("reference"):
-            twin = create_index(IndexSpec(index_type="HNSW", dim=192, params=BUILD_PARAMS))
-            twin.add_with_ids(wide, np.arange(700))
+        twin = create_index(IndexSpec(index_type="HNSW", dim=192, params=BUILD_PARAMS))
+        unkept(twin.add_with_ids, wide, np.arange(700))
         assert serialize_index(index) == serialize_index(twin)
 
 
@@ -1050,7 +1080,8 @@ class TestVamanaPassWithTable:
             index.add_with_ids(data[:200], np.arange(200))
             return serialize_index(index)
 
-        with kernel_mode("reference"):
+        with monkeypatch.context() as patch:  # the pass without a table
+            patch.setattr(hnsw, "_TABLE_MAX_FLOATS", -1)
             want = build()
         tables = []
         real = diskann.beam_search_lists

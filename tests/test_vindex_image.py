@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.errors import IndexCorruptError, UnknownIndexTypeError
-from repro.vindex.api import kernel_mode
 from repro.vindex.image import ALIGNMENT, decode_image, encode_image
 from repro.vindex.registry import (
     IndexSpec,
@@ -22,6 +21,8 @@ from repro.vindex.registry import (
     deserialize_index,
     serialize_index,
 )
+
+from tests.helpers import reference_search
 
 N, DIM = 500, 64
 PARAMS = {
@@ -106,10 +107,12 @@ def _arrays(tree):
             yield from _arrays(value)
 
 
-def _same_answers(left, right, queries, **params):
+def _same_answers(left, right, queries, search=None):
+    """``right`` answers every query as ``left``'s own search does,
+    through its own search or ``search(right, query, k)``."""
+    search = search or type(right).search_with_filter
     for query in queries:
-        a = left.search_with_filter(query, 10, **params)
-        b = right.search_with_filter(query, 10, **params)
+        a, b = left.search_with_filter(query, 10), search(right, query, 10)
         assert a.ids.tobytes() == b.ids.tobytes()
         assert a.distances.tobytes() == b.distances.tobytes()
         assert a.visited == b.visited
@@ -229,14 +232,14 @@ class TestRoundTrips:
         loaded.add_with_ids(vectors[400:], np.arange(400, N))
         assert loaded.ntotal == N
         assert serialize_index(loaded) == serialize_index(original)
-        for mode in ("fast", "reference"):
-            with kernel_mode(mode):
-                _same_answers(original, loaded, queries)
+        for search in (None, reference_search):
+            _same_answers(original, loaded, queries, search)
 
     def test_reference_kernel_runs_on_a_loaded_index(self, built, images, queries, index_type):
+        # The reference kernels (for a graph, the list walk over the lists
+        # thawed from the loaded CSR) answer as the built index's search...
         loaded = deserialize_index(images[index_type])
-        with kernel_mode("reference"):
-            _same_answers(built[index_type], loaded, queries)
+        _same_answers(built[index_type], loaded, queries, reference_search)
         # ...and thawing for it does not disturb the image.
         assert serialize_index(loaded) == images[index_type]
 
