@@ -148,16 +148,6 @@ def sweep() -> tuple:
     return out, images
 
 
-def capture() -> tuple:
-    """The baseline: the sweep, each point's QPS under the key ``check``
-    reads."""
-    points, images = sweep()
-    for sweep_points in points.values():
-        for point in sweep_points:
-            point["qps"] = {"fast": point["qps"]}
-    return points, images
-
-
 def compare_images(baseline: dict, current: dict) -> int:
     """Print one line per sweep's images; returns the number of segment
     images whose bytes differ (or that one side lacks)."""
@@ -177,7 +167,7 @@ def compare(baseline: dict, current: dict) -> int:
     id_mismatches = dist_mismatches = qps_mismatches = 0
     for label, points in baseline.items():
         for point, other in zip(points, current[label]):
-            qps = point["qps"]["fast"]
+            qps = point["qps"]
             ids_differ = point["ids"] != other["ids"]
             rows_differ = sum(a != b for a, b in zip(point["rows"], other["rows"]))
             rows_differ += abs(len(point["rows"]) - len(other["rows"]))
@@ -510,7 +500,7 @@ def main(argv: list) -> int:
         return 0
     path = argv[1] if len(argv) > 1 else BASELINE
     if command == "capture":
-        points, images = capture()
+        points, images = sweep()
         with open(path, "w") as handle:
             json.dump(
                 {"numpy": np.__version__, "images": images, "points": points}, handle, indent=1
