@@ -61,10 +61,9 @@ DEFAULT_EF_SEARCH = 64
 # array stays cache-resident) gets one per-query distance table instead
 # of a numpy call per hop.  The builder applies the same product to the
 # rows before each one it inserts, for every metric: under it a row's
-# candidates are the exact nearest earlier rows
-# on each layer, above it they come from the construction walk.  The
-# grids that chose it are in DESIGN.md §9;
-# ``benchmarks/capture_kernel_state.py time`` re-runs them.
+# candidates are the exact nearest earlier rows on each layer, above it
+# they come from the construction walk.  The grids that chose it are in
+# DESIGN.md §9; ``benchmarks/capture_kernel_state.py time`` re-runs them.
 _TABLE_MAX_FLOATS = 1 << 17
 # The most floats of distances one l2 ``add_with_ids`` keeps between
 # the rows it inserts (16 MiB of float32), whatever the ``dim``: enough
@@ -198,11 +197,11 @@ class HNSWIndex(VectorIndex):
         self._ids = np.empty(0, dtype=np.int64)
         # Adjacency in two forms, at least one present: the builder's
         # lists (``_links[node][level]`` -> neighbor node indices) while
-        # rows are added, the frozen CSR for queries and the image.  A mutation drops the CSR
-        # (the dirty flag), the next freeze drops the lists, a load
-        # starts CSR-only.  Each transition publishes the new form before
-        # dropping the old and readers fetch lists-then-CSR, so
-        # concurrent searches always find one.
+        # rows are added, the frozen CSR for queries and the image.  A
+        # mutation drops the CSR (the dirty flag), the next freeze drops
+        # the lists, a load starts CSR-only.  Each transition publishes
+        # the new form before dropping the old and readers fetch
+        # lists-then-CSR, so concurrent searches always find one.
         self._links: Optional[List[List[List[int]]]] = []
         self._frozen: Optional[_FrozenLinks] = None
         self._entry_point = -1
@@ -724,8 +723,6 @@ class HNSWSearchIterator(SearchIterator):
         self._query = query
         self._batch_size = batch_size
         self._ef = ef
-        # Memoryviews of the CSR, a bytearray of seen nodes and, where
-        # the index grants one, a distance table.
         self._seen = bytearray(index.ntotal)
         self._table: Optional[List[float]] = None
         # The bitset by node, as bytes: a pop reads a python int.

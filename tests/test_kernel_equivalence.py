@@ -1,14 +1,12 @@
-"""The query kernels against the references kept beside them, and the
-DESIGN §9 boundary contract.
+"""Every search against its reference, and the DESIGN §9 boundary contract.
 
-Every search (CSR neighbour gather, cached ADC tables, allocation-free
-probe loops) must be *byte-identical* to :func:`tests.helpers.reference_search`
-— the builders' list walk, per-cell ``adc_table`` calls, the batched
-exact scan: same ids in the same order, and bit-equal float64 distances
-at the result boundary.  These tests pin that invariant across every
-index type, including the delete-bitmap path and adversarial tie /
-zero-norm inputs via hypothesis, and hold the engine's delete-bitmap
-and ``AS OF`` answers against a numpy exact top-k.
+The query kernels (CSR neighbor gather, cached ADC tables,
+allocation-free probe loops) must be *byte-identical* to
+``tests.helpers.reference_search``: same ids in the same order, and
+bit-equal float64 distances at the result boundary.  These tests pin
+that invariant across every index type, including the delete-bitmap
+path, plus adversarial tie/zero-norm inputs via hypothesis, and hold
+the engine's delete-bitmap and ``AS OF`` answers to a numpy exact top-k.
 """
 
 import numpy as np
@@ -77,16 +75,6 @@ def both_modes(index, query, k, **params):
     return fast, reference_search(index, query, k, **params)
 
 
-SEARCHES = {
-    "fast": lambda index, *args, **params: index.search_with_filter(*args, **params),
-    "reference": reference_search,
-}
-ITERATORS = {
-    "fast": lambda index, *args, **params: index.search_iterator(*args, **params),
-    "reference": reference_iterator,
-}
-
-
 @pytest.mark.parametrize("name", INDEX_TYPES + NON_L2_GRAPHS)
 class TestFastReferenceIdentity:
     def test_topk_byte_identical(self, built, queries, name):
@@ -121,7 +109,7 @@ class TestLoadedGraphIdentity:
         loaded = deserialize_index(serialize_index(built[name]))
         bitset = np.ones(data.shape[0], dtype=bool)
         bitset[::3] = False
-        search = SEARCHES[mode]
+        search = reference_search if mode == "reference" else type(loaded).search_with_filter
         for query in queries:
             for params in ({}, {"bitset": bitset}):
                 want = search(built[name], query, 10, **params)
@@ -139,8 +127,9 @@ class TestLoadedGraphIdentity:
     @pytest.mark.parametrize("mode", ["fast", "reference"])
     def test_loaded_iterator_matches_built(self, built, queries, name, mode):
         loaded = deserialize_index(serialize_index(built[name]))
-        want = ITERATORS[mode](built[name], queries[0], batch_size=16)
-        got = ITERATORS[mode](loaded, queries[0], batch_size=16)
+        iterate = reference_iterator if mode == "reference" else type(loaded).search_iterator
+        want = iterate(built[name], queries[0], batch_size=16)
+        got = iterate(loaded, queries[0], batch_size=16)
         for _ in range(3):
             assert_byte_identical(got.next_batch(), want.next_batch())
 
@@ -249,7 +238,7 @@ class TestPQCodeGuard:
 class TestIVFPQEmptyProbes:
     def test_fully_filtered_probes_return_empty(self, built, data, queries):
         bitset = np.zeros(data.shape[0], dtype=bool)  # everything deleted
-        for search in SEARCHES.values():
+        for search in (IVFPQIndex.search_with_filter, reference_search):
             result = search(built["IVFPQ"], queries[0], 10, bitset=bitset)
             assert len(result) == 0
             assert result.ids.dtype == np.int64

@@ -5,16 +5,14 @@ beam search, so they are held against each other here on adjacency the
 index builders never produce — isolated nodes, self-loops, repeated
 edges, disconnected components — over points chosen so that tied and
 zero distances are the common case.  ``test_kernel_equivalence.py``
-holds built indexes' searches against ``tests.helpers.reference_search``
-(the list walk); the cost side it leaves open (``visited`` under a
-bitset, DiskANN's charged reads) is pinned below, then the per-query
-distance table, then the native iterator's CSR loop against the list
-walk's one-node-a-step stream, then — at the bottom — the build: exact
-candidates under the size rule against a brute-force oracle and the
-kept table's block sort against ``_nearest``, Algorithm 4 against a
-numpy one, the distance symmetry the carried back-link distances rest
-on, and the kept tables and the Vamana pass's table writing the image
-a build without them writes, non-finite rows included.
+holds built indexes' searches against the list walk; the cost side it
+leaves open (``visited`` under a bitset, DiskANN's charged reads) is
+pinned below, then the per-query distance table, then the native
+iterator's CSR loop against the list walk's, then — at the bottom —
+the build: exact candidates under the size rule against a brute-force
+oracle and the kept table's block sort against ``_nearest``, Algorithm
+4 against a numpy one, and a build with its tables writing the image
+one without them writes, non-finite rows included.
 """
 
 import numpy as np
@@ -298,9 +296,8 @@ class TestDistanceTableBits:
 
 
 class TestDistanceSymmetry:
-    """What the carried back-link distances rest on (DESIGN.md §9):
-    ``d(a, b)`` scored from ``a`` has the bits of ``d(b, a)`` scored
-    from ``b``, so a back-link keeps the score its new row was given."""
+    """``d(a, b)`` scored from ``a`` has the bits of ``d(b, a)`` scored
+    from ``b``: what a carried back-link distance rests on (DESIGN §9)."""
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("name", ["HNSW", "HNSWSQ"])
@@ -314,14 +311,11 @@ class TestDistanceSymmetry:
     def test_distance_is_symmetric_to_the_bit(self, name, seed, dim, scale, special):
         rng = np.random.default_rng(seed)
         rows = (rng.normal(size=(8, dim)) * scale).astype(np.float32)
-        rows[1] = rows[0]  # a duplicate row
-        rows[2, rng.integers(0, dim)] = special
+        rows[1], rows[2, 0] = rows[0], special  # a duplicate row; a zero or non-finite
         index = unbuilt(name, rows, "owned")
         stored = index._gather_rows(slice(None))
-        for a in range(8):
-            for b in range(8):
-                forward = index._distance(stored[a], [b])
-                assert forward.tobytes() == index._distance(stored[b], [a]).tobytes()
+        for a, b in zip(*np.triu_indices(8)):
+            assert index._distance(stored[a], [b]).tobytes() == index._distance(stored[b], [a]).tobytes()
 
 
 @pytest.fixture(scope="module")
