@@ -22,6 +22,7 @@ from typing import Any, Optional, Tuple
 import numpy as np
 
 from repro.baselines.common import BaselineProfile, BaselineVectorDB
+from repro.vindex.hnsw import DEFAULT_EF_SEARCH
 
 
 class PgVectorLike(BaselineVectorDB):
@@ -42,7 +43,7 @@ class PgVectorLike(BaselineVectorDB):
         k: int,
         mask: Optional[np.ndarray] = None,
         partition_filter: Optional[set] = None,
-        ef_search: int = 64,
+        ef_search: int = DEFAULT_EF_SEARCH,
         mask_eval_columns: int = 1,
         **params: Any,
     ) -> Tuple[np.ndarray, np.ndarray]:

@@ -29,8 +29,10 @@ import numpy as np
 from repro.simulate.clock import SimulatedClock
 from repro.simulate.costmodel import DeviceCostModel
 from repro.simulate.metrics import MetricRegistry
-from repro.vindex.api import SearchResult
+from repro.vindex.api import SearchResult, VisitKernel
 from repro.vindex.iterator import SearchIterator
+from repro.vindex.ivfpq import PRICED_SUBQUANTIZERS
+from repro.vindex.registry import index_class
 
 
 class SearchProvider(Protocol):
@@ -66,30 +68,30 @@ class ScanCharger:
     dim: int
     index_type: Optional[str]
 
-    def _uses_codes(self) -> bool:
-        return self.index_type in ("IVFPQ", "IVFPQFS")
+    def __post_init__(self) -> None:
+        # The registered type's visit kernel; None for an exact scan.
+        self.kernel = index_class(self.index_type).visit_kernel if self.index_type else None
 
     def charge_visits(self, visited: int, with_bitmap: bool = False) -> None:
-        """Charge ``visited`` candidate inspections, at one rate per
-        index type: graph traversal (CSR gather + contiguous distance
-        blocks) and 4-bit fast-scan ADC at the vectorized rates; exact
+        """Charge ``visited`` candidate inspections at the rate of the
+        index type's declared visit kernel: gathered blocks (graph
+        traversal) and 4-bit fast-scan ADC at the vectorized rates; exact
         scans, 8-bit ADC and refinement at the scalar ones.
         """
         if visited <= 0:
             return
-        if self.index_type is None:
+        if self.kernel is None:
             # The allowed rows were gathered, not tested one by one.
             self.clock.advance(self.cost.distance_cost(visited, self.dim))
             self.metrics.incr("annscan.brute_force_rows", visited)
             return
-        if self._uses_codes():
-            if self.index_type == "IVFPQFS":
-                # In-register table shuffles (cached LUT, batched build).
-                self.clock.advance(self.cost.adc_cost_fastscan(visited, 8))
-            else:
-                # ADC over PQ codes: m table lookups per code (m=8 default).
-                self.clock.advance(self.cost.adc_cost(visited, 8))
-        elif self.index_type in ("HNSW", "HNSWSQ", "DISKANN"):
+        if self.kernel is VisitKernel.ADC_FASTSCAN:
+            # In-register table shuffles (cached LUT, batched build).
+            self.clock.advance(self.cost.adc_cost_fastscan(visited, PRICED_SUBQUANTIZERS))
+        elif self.kernel is VisitKernel.ADC:
+            # ADC over PQ codes: m table lookups per code.
+            self.clock.advance(self.cost.adc_cost(visited, PRICED_SUBQUANTIZERS))
+        elif self.kernel is VisitKernel.VECTORIZED:
             self.clock.advance(self.cost.distance_cost_vectorized(visited, self.dim))
         else:
             self.clock.advance(self.cost.distance_cost(visited, self.dim))
@@ -115,7 +117,7 @@ def search_with_filter_op(
     """SearchWithFilter: top-k through the provider, bitset-restricted."""
     result = provider.search_with_filter(query, k, bitset=bitset, **search_params)
     charger.charge_visits(result.visited, with_bitmap=bitset is not None)
-    if charger._uses_codes():
+    if charger.kernel in (VisitKernel.ADC, VisitKernel.ADC_FASTSCAN):
         charger.charge_refine(k, sigma)
     return result
 

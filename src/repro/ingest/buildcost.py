@@ -25,8 +25,10 @@ from repro.simulate.costmodel import DeviceCostModel
 from repro.storage.lsm import index_storage_key
 from repro.storage.objectstore import ObjectStore
 from repro.storage.segment import Segment
-from repro.vindex.api import VectorIndex
-from repro.vindex.autoindex import IVF_FAMILY, auto_build_spec
+from repro.vindex import diskann, hnsw, ivfpq, registry
+from repro.vindex.api import IndexFamily, VectorIndex
+from repro.vindex.autoindex import auto_build_spec
+from repro.vindex.ivf import DEFAULT_NLIST
 from repro.vindex.kmeans import BUILD_ITERATIONS, Seeds
 from repro.vindex.registry import IndexSpec, create_index, serialize_index
 
@@ -56,8 +58,8 @@ def estimate_index_build_cost(
         return n_rows * dim * flop * 0.01
 
     if index_type in ("HNSW", "HNSWSQ"):
-        m = int(params.get("m", 16))
-        ef = int(params.get("ef_construction", 100))
+        m = int(params.get("m", hnsw.DEFAULT_M))
+        ef = int(params.get("ef_construction", hnsw.DEFAULT_EF_CONSTRUCTION))
         # Each insert runs a beam of ~ef expansions touching ~m neighbors.
         per_insert = ef * m * dim * flop / _GRAPH_EFFICIENCY
         total = n_rows * per_insert
@@ -66,14 +68,15 @@ def estimate_index_build_cost(
             total = total * 0.55 + n_rows * dim * flop
         return total
 
-    if index_type in IVF_FAMILY:
-        nlist = int(params.get("nlist", 64))
+    registered = index_type in registry.registered_types()
+    if registered and registry.index_class(index_type).family is IndexFamily.IVF:
+        nlist = int(params.get("nlist", DEFAULT_NLIST))
         train_points = min(n_rows, _TRAIN_POINTS_PER_CENTROID * nlist)
         total = cost.kmeans_cost(train_points, dim, nlist, BUILD_ITERATIONS)
         # Assignment of every vector to its coarse cell.
         total += n_rows * nlist * dim * flop * 0.1
         if index_type in ("IVFPQ", "IVFPQFS"):
-            m = int(params.get("m", 8))
+            m = int(params.get("m", ivfpq.DEFAULT_M))
             ksub = 16 if index_type == "IVFPQFS" else 256
             dsub = max(1, dim // m)
             # Sub-quantizer training on the sample + one encode pass.
@@ -82,8 +85,8 @@ def estimate_index_build_cost(
         return total
 
     if index_type == "DISKANN":
-        r = int(params.get("r", 24))
-        beam = int(params.get("build_beam", 48))
+        r = int(params.get("r", diskann.DEFAULT_R))
+        beam = int(params.get("build_beam", diskann.DEFAULT_BUILD_BEAM))
         per_insert = beam * r * dim * flop / _GRAPH_EFFICIENCY
         return n_rows * per_insert
 

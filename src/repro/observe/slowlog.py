@@ -108,11 +108,9 @@ class SlowQueryReport:
 class SlowQueryLog:
     """Bounded, thread-safe ring of :class:`FlightRecord`."""
 
-    def __init__(self, max_records: int = DEFAULT_MAX_RECORDS) -> None:
-        if max_records < 1:
-            raise ValueError(f"max_records must be positive: {max_records}")
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._ring: Deque[FlightRecord] = deque(maxlen=max_records)
+        self._ring: Deque[FlightRecord] = deque(maxlen=DEFAULT_MAX_RECORDS)
         self._seen = 0
         self._recorded = 0
 

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Dict
 
 from repro.simulate.costmodel import DeviceCostModel
+from repro.vindex.ivfpq import PRICED_SUBQUANTIZERS
 
 # Selectivity floor to keep the 1/s amplification finite when the
 # estimator reports (near-)zero qualifying rows.
@@ -49,7 +50,7 @@ class CostModelParams:
 
     @classmethod
     def from_device_model(
-        cls, cost: DeviceCostModel, dim: int, m_subquantizers: int = 8, sigma: float = 2.0
+        cls, cost: DeviceCostModel, dim: int, sigma: float = 2.0
     ) -> "CostModelParams":
         """Instantiate the constants for a table of dimension ``dim``."""
         return cls(
@@ -57,7 +58,7 @@ class CostModelParams:
             c_d=dim * cost.distance_flop_s + cost.ram_latency_s,
             # "fetch a code and run ADC": one memory access per code plus
             # the sub-quantizer table lookups.
-            c_c=m_subquantizers * cost.adc_lookup_s + cost.ram_latency_s,
+            c_c=PRICED_SUBQUANTIZERS * cost.adc_lookup_s + cost.ram_latency_s,
             t0_per_row=cost.row_decode_s,
             sigma=sigma,
         )

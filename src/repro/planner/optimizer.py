@@ -28,10 +28,10 @@ from typing import Any, Dict, Optional
 from repro.catalog.statistics import TableStatistics
 from repro.planner.cost import CostInputs, CostModelParams, plan_costs
 from repro.planner.logical import HybridLogicalPlan
-from repro.vindex.registry import IndexSpec
+from repro.vindex.api import IndexFamily
+from repro.vindex.ivf import DEFAULT_NLIST
+from repro.vindex.registry import IndexSpec, index_class
 
-DEFAULT_EF_SEARCH = 64
-DEFAULT_NPROBE = 8
 # Plan B needs this many qualifying rows (the paper's "~10k rows" rule,
 # scaled to this reproduction's table sizes).
 PREFILTER_ROW_THRESHOLD = 1000
@@ -86,24 +86,21 @@ def estimate_visit_fraction(
     index_spec: Optional[IndexSpec],
     search_params: Dict[str, Any],
     n: int,
-    k: int,
+    k: float,
 ) -> float:
-    """The β / γ of Table II: fraction of tuples an ANN scan touches."""
+    """The β / γ of Table II: fraction of tuples an ANN scan touches
+    when it must collect ``k`` rows (only a graph's walk widens with k)."""
     if n <= 0:
         return 0.0
     if index_spec is None:
         return 1.0  # no index: every scan is a full scan
-    index_type = index_spec.index_type
-    if index_type in ("HNSW", "HNSWSQ", "DISKANN"):
-        ef = int(search_params.get("ef_search", DEFAULT_EF_SEARCH))
-        ef = max(ef, k)
-        return min(1.0, ef * GRAPH_VISIT_EXPANSION / n)
-    if index_type in ("IVFFLAT", "IVFPQ", "IVFPQFS"):
-        nlist = int(index_spec.params.get("nlist", 64))
-        nprobe = int(search_params.get("nprobe", DEFAULT_NPROBE))
-        return min(1.0, max(1, nprobe) / max(1, nlist))
-    if index_type == "FLAT":
-        return 1.0
+    cls = index_class(index_spec.index_type)
+    depth = int(search_params.get(cls.search_knob, cls.search_knob_default))
+    if cls.family is IndexFamily.GRAPH:
+        return min(1.0, max(depth, k) * GRAPH_VISIT_EXPANSION / n)
+    if cls.family is IndexFamily.IVF:
+        nlist = int(index_spec.params.get("nlist", DEFAULT_NLIST))
+        return min(1.0, max(1, depth) / max(1, nlist))
     return 1.0
 
 
@@ -130,7 +127,7 @@ class Optimizer:
         self.forced_strategy = forced_strategy
 
     def default_search_params(self, index_spec: Optional[IndexSpec]) -> Dict[str, Any]:
-        """Per-index-type search-parameter defaults.
+        """The index type's search knob at its default.
 
         Public because the plan-cache rebind fast path recomputes params
         fresh (defaults + current SET overrides) instead of trusting the
@@ -138,13 +135,8 @@ class Optimizer:
         """
         if index_spec is None:
             return {}
-        if index_spec.index_type in ("HNSW", "HNSWSQ"):
-            return {"ef_search": DEFAULT_EF_SEARCH}
-        if index_spec.index_type == "DISKANN":
-            return {"beam": DEFAULT_EF_SEARCH}
-        if index_spec.index_type in ("IVFFLAT", "IVFPQ", "IVFPQFS"):
-            return {"nprobe": DEFAULT_NPROBE}
-        return {}
+        cls = index_class(index_spec.index_type)
+        return {} if cls.search_knob is None else {cls.search_knob: cls.search_knob_default}
 
     def choose(
         self,
@@ -193,15 +185,8 @@ class Optimizer:
         k = logical.k or 10
         beta = estimate_visit_fraction(index_spec, params, n, k)
         # Bitmap scans on graph indexes widen their beam until k allowed
-        # rows are collected, so the visit fraction grows like k/s when
-        # the filter is sparse.
-        gamma = beta
-        if index_spec is not None and index_spec.index_type in (
-            "HNSW", "HNSWSQ", "DISKANN"
-        ):
-            ef = int(params.get("ef_search", DEFAULT_EF_SEARCH))
-            widened = max(ef, k / max(s, 1e-4))
-            gamma = min(1.0, widened * GRAPH_VISIT_EXPANSION / n)
+        # rows are collected, so they visit as if asked for k/s rows.
+        gamma = estimate_visit_fraction(index_spec, params, n, k / max(s, 1e-4))
         inputs = CostInputs(n=n, s=s, k=k, beta=beta, gamma=gamma)
         costs = plan_costs(inputs, self.params)
 

@@ -41,11 +41,10 @@ from repro.simulate.metrics import MetricRegistry
 from repro.storage.lsm import SegmentManager
 from repro.storage.objectstore import ObjectStore
 from repro.storage.segment import Segment
-from repro.vindex.api import VectorIndex
-from repro.vindex.autoindex import IVF_FAMILY
+from repro.vindex.api import IndexFamily, VectorIndex
 from repro.vindex.ivf import cell_seeds
 from repro.vindex.kmeans import Seeds
-from repro.vindex.registry import deserialize_index
+from repro.vindex.registry import deserialize_index, index_class
 
 RetireHook = Callable[[str, Optional[str]], None]
 
@@ -181,7 +180,7 @@ class Compactor:
         input offers any.  An index neither the writer nor a read holds
         is read from the store: returns ``charged`` plus those reads."""
         index_type = self.entry.schema.index_spec.index_type
-        if index_type not in IVF_FAMILY:
+        if index_class(index_type).family is not IndexFamily.IVF:
             return None, charged
         offered: List[Seeds] = []
         for segment, alive in zip(group, alive_masks):

@@ -15,8 +15,9 @@ algorithm.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Tuple
+import enum
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -206,24 +207,37 @@ def range_by_doubling(
         k = min(k * 2, searcher.ntotal)
 
 
-@dataclass
-class IndexStats:
-    """Build/search statistics an index reports for auto-tuning and benches."""
+class IndexFamily(enum.Enum):
+    """How a search reaches its candidates (the planner's β and γ)."""
 
-    build_seconds: float = 0.0
-    train_points: int = 0
-    extras: Dict[str, Any] = field(default_factory=dict)
+    FLAT = "flat"    # every row
+    GRAPH = "graph"  # a beam walk ``search_knob`` wide
+    IVF = "ivf"      # ``search_knob`` of ``nlist`` k-means cells
+
+
+class VisitKernel(enum.Enum):
+    """The rate ``ScanCharger`` charges one visited candidate at."""
+
+    SCALAR = "scalar"              # one exact distance
+    VECTORIZED = "vectorized"      # a gathered block's distances
+    ADC = "adc"                    # 8-bit PQ table lookups, then refine
+    ADC_FASTSCAN = "adc_fastscan"  # 4-bit in-register shuffles, then refine
 
 
 class VectorIndex(abc.ABC):
     """Base class every pluggable index implements.
 
-    Subclasses must set ``index_type`` (registry name) and
-    ``requires_training``.
+    Subclasses set ``index_type`` (registry name), ``requires_training``
+    and the type's facts below, whose defaults describe an exact scan.
     """
 
     index_type: str = "ABSTRACT"
     requires_training: bool = False
+    build_options: Mapping[str, type] = {}  # SQL option -> int / float
+    search_knob: Optional[str] = None       # the one search-depth parameter
+    search_knob_default: int = 0            # the depth every engine search uses
+    family: IndexFamily = IndexFamily.FLAT
+    visit_kernel: VisitKernel = VisitKernel.SCALAR
 
     def __init__(self, dim: int, metric: str = "l2") -> None:
         if dim <= 0:
@@ -234,7 +248,6 @@ class VectorIndex(abc.ABC):
             )
         self.dim = dim
         self.metric = metric
-        self.stats = IndexStats()
 
     # ------------------------------------------------------------------
     # Storage layer

@@ -23,22 +23,20 @@ from __future__ import annotations
 
 import math
 
-from repro.vindex.registry import IndexSpec
+from repro.vindex.api import IndexFamily
+from repro.vindex.registry import IndexSpec, index_class
 
 SQRT_COEFFICIENT = 4.0
 MIN_TRAIN_POINTS_PER_CENTROID = 39   # faiss's documented minimum
 MIN_NLIST = 1
 MAX_NLIST = 65536
 
-# The index types whose coarse cell count the rule sizes.
-IVF_FAMILY = ("IVFFLAT", "IVFPQ", "IVFPQFS")
 
-
-def select_ivf_nlist(n_rows: int, coefficient: float = SQRT_COEFFICIENT) -> int:
+def select_ivf_nlist(n_rows: int) -> int:
     """Rule-based ``K_IVF`` for a segment of ``n_rows`` vectors."""
     if n_rows <= 0:
         return MIN_NLIST
-    by_sqrt = int(coefficient * math.sqrt(n_rows))
+    by_sqrt = int(SQRT_COEFFICIENT * math.sqrt(n_rows))
     by_training = n_rows // MIN_TRAIN_POINTS_PER_CENTROID
     return max(MIN_NLIST, min(by_sqrt, max(by_training, MIN_NLIST), MAX_NLIST))
 
@@ -58,7 +56,7 @@ def auto_build_spec(spec: IndexSpec, n_rows: int) -> IndexSpec:
     specific to the IVF family).  Explicit user-provided ``nlist`` wins
     over the rule.
     """
-    if spec.index_type not in IVF_FAMILY:
+    if index_class(spec.index_type).family is not IndexFamily.IVF:
         return spec
     if "nlist" in spec.params:
         return spec

@@ -19,7 +19,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import IndexCorruptError, IndexParameterError
-from repro.vindex.api import SearchResult, VectorIndex, pairwise_distance
+from repro.vindex.api import IndexFamily, SearchResult, VectorIndex, VisitKernel, pairwise_distance
 from repro.vindex.graph import (
     beam_search_csr,
     beam_search_lists,
@@ -38,7 +38,7 @@ from repro.vindex.image import (
 
 DEFAULT_R = 24            # max out-degree
 DEFAULT_BUILD_BEAM = 48   # L during construction
-DEFAULT_SEARCH_BEAM = 48  # L during search
+DEFAULT_SEARCH_BEAM = 64  # L during search
 DEFAULT_ALPHA = 1.2
 
 
@@ -57,6 +57,11 @@ class DiskANNIndex(VectorIndex):
 
     index_type = "DISKANN"
     requires_training = False
+    build_options = {"r": int, "alpha": float, "build_beam": int, "seed": int}
+    search_knob = "beam"
+    search_knob_default = DEFAULT_SEARCH_BEAM
+    family = IndexFamily.GRAPH
+    visit_kernel = VisitKernel.VECTORIZED
 
     def __init__(
         self,

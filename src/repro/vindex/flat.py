@@ -48,7 +48,7 @@ class FlatIndex(VectorIndex):
 
         It copies no vector and skips the constructors: the segment and
         the plan checked the vectors and the metric, and a view is never
-        trained, added to, saved or sized, so it has no build stats.
+        trained, added to, saved or sized.
         """
         index = cls.__new__(cls)
         index.dim, index.metric = int(vectors.shape[1]), metric

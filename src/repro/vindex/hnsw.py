@@ -30,8 +30,10 @@ import numpy as np
 
 from repro.errors import IndexCorruptError, IndexParameterError
 from repro.vindex.api import (
+    IndexFamily,
     SearchResult,
     VectorIndex,
+    VisitKernel,
     boundary_distances,
     pairwise_distance,
 )
@@ -172,6 +174,11 @@ class HNSWIndex(VectorIndex):
 
     index_type = "HNSW"
     requires_training = False
+    build_options = {"m": int, "ef_construction": int, "seed": int}
+    search_knob = "ef_search"
+    search_knob_default = DEFAULT_EF_SEARCH
+    family = IndexFamily.GRAPH
+    visit_kernel = VisitKernel.VECTORIZED
 
     def __init__(
         self,

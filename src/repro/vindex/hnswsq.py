@@ -65,7 +65,6 @@ class HNSWSQIndex(HNSWIndex):
         span[span == 0] = 1.0
         self._vmin = vmin.astype(np.float32)
         self._vscale = (span / 255.0).astype(np.float32)
-        self.stats.train_points = int(vectors.shape[0])
 
     @property
     def is_trained(self) -> bool:

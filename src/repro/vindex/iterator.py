@@ -57,9 +57,7 @@ class GenericRestartIterator(SearchIterator):
     bitset:
         Optional allowed-rows bitset forwarded to the underlying search.
     batch_size:
-        Rows returned per :meth:`next_batch`.
-    initial_k:
-        First search depth; defaults to ``batch_size``.
+        Rows returned per :meth:`next_batch`; also the first search depth.
     """
 
     def __init__(
@@ -68,7 +66,6 @@ class GenericRestartIterator(SearchIterator):
         query: np.ndarray,
         bitset: Optional[np.ndarray] = None,
         batch_size: int = 64,
-        initial_k: Optional[int] = None,
         **search_params: Any,
     ) -> None:
         if batch_size <= 0:
@@ -79,7 +76,7 @@ class GenericRestartIterator(SearchIterator):
         self._batch_size = batch_size
         self._search_params = search_params
         self._seen: set = set()                # ids of the rows already handed out
-        self._current_k = max(initial_k or batch_size, 1)
+        self._current_k = batch_size
         self._last: Optional[SearchResult] = None
         self._window_ids: list = []            # self._last.ids as Python ints
         self._cursor = 0                       # window rows before it are all seen

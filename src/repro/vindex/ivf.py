@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.errors import IndexNotTrainedError, IndexParameterError
 from repro.vindex.api import (
+    IndexFamily,
     SearchResult,
     VectorIndex,
     pairwise_distance,
@@ -82,6 +83,10 @@ class IVFFlatIndex(VectorIndex):
 
     index_type = "IVFFLAT"
     requires_training = True
+    build_options = {"nlist": int, "seed": int}
+    search_knob = "nprobe"
+    search_knob_default = DEFAULT_NPROBE
+    family = IndexFamily.IVF
 
     def __init__(
         self, dim: int, metric: str = "l2", nlist: int = DEFAULT_NLIST, seed: int = 0
@@ -121,7 +126,6 @@ class IVFFlatIndex(VectorIndex):
         self._vectors = np.empty((0, self.dim), dtype=np.float32)
         self._ids = np.empty(0, dtype=np.int64)
         self._cell_ptr = np.zeros(self.nlist + 1, dtype=np.uint32)
-        self.stats.train_points = int(vectors.shape[0])
 
     def add_with_ids(self, vectors: np.ndarray, ids: np.ndarray) -> None:
         if self._centroids is None:

@@ -25,20 +25,24 @@ import numpy as np
 
 from repro.errors import IndexCorruptError, IndexNotTrainedError, IndexParameterError
 from repro.vindex.api import (
+    IndexFamily,
     SearchResult,
     VectorIndex,
+    VisitKernel,
     boundary_distances,
     pairwise_distance,
     top_k_from_distances,
 )
 from repro.vindex.image import array_field
+from repro.vindex.ivf import DEFAULT_NLIST, DEFAULT_NPROBE
 from repro.vindex.ivf import cell_ranges, load_cell_ptr, post_to_cells
 from repro.vindex.kmeans import BUILD_ITERATIONS, Seeds, assign_to_centroids, kmeans
 from repro.vindex.pq import ProductQuantizer
 
-DEFAULT_NLIST = 64
-DEFAULT_NPROBE = 8
 DEFAULT_M = 8
+# The sub-quantizer count every ADC visit is priced at, whatever a
+# segment's own ``m`` (ScanCharger and the planner's c_c).
+PRICED_SUBQUANTIZERS = DEFAULT_M
 DEFAULT_REFINE_FACTOR = 4
 
 Refiner = Callable[[np.ndarray], np.ndarray]
@@ -59,6 +63,11 @@ class IVFPQIndex(VectorIndex):
 
     index_type = "IVFPQ"
     requires_training = True
+    build_options = {"nlist": int, "m": int, "seed": int}
+    search_knob = "nprobe"
+    search_knob_default = DEFAULT_NPROBE
+    family = IndexFamily.IVF
+    visit_kernel = VisitKernel.ADC
     _nbits = 8
 
     def __init__(
@@ -129,7 +138,6 @@ class IVFPQIndex(VectorIndex):
         self._cell_ptr = np.zeros(self.nlist + 1, dtype=np.uint32)
         with self._lut_lock:
             self._lut_cache.clear()
-        self.stats.train_points = int(vectors.shape[0])
 
     def _tables_for(self, query: np.ndarray, probe: np.ndarray) -> Dict[int, np.ndarray]:
         """ADC tables for the probed cells, cached per (query, codebook).
@@ -297,4 +305,5 @@ class IVFPQFastScanIndex(IVFPQIndex):
     """
 
     index_type = "IVFPQFS"
+    visit_kernel = VisitKernel.ADC_FASTSCAN
     _nbits = 4

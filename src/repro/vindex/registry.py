@@ -1,19 +1,23 @@
 """Pluggable index registry and the SQL-facing index spec.
 
 The registry is the extensibility point the paper claims: a new index
-library is integrated by implementing :class:`repro.vindex.api.VectorIndex`
-and calling :func:`register_index_type`; the engine, the SQL dialect
-(``INDEX ann_idx embedding TYPE HNSW('M=16')``), persistence, and the
-auto-index machinery pick it up with no further changes.
+library is a :class:`repro.vindex.api.VectorIndex` subclass and one
+``register_index_type(name, cls)`` call.  The class declares every fact
+the engine reads of its type: its SQL build options (``build_options``),
+its one search-depth knob and the default every search uses
+(``search_knob``, ``search_knob_default``), its ``family`` (flat, graph
+or IVF) and the ``visit_kernel`` a visit is priced at.  The SQL dialect
+(``INDEX ann_idx embedding TYPE HNSW('M=16')``), the planner, the scan
+charger, auto-index, compaction and persistence read them here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Type
+from dataclasses import dataclass, field, replace
+from typing import Any, Dict, List, Type
 
 from repro.errors import IndexCorruptError, IndexParameterError, UnknownIndexTypeError
-from repro.vindex.api import VectorIndex
+from repro.vindex.api import IndexFamily, VectorIndex
 from repro.vindex.diskann import DiskANNIndex
 from repro.vindex.flat import FlatIndex
 from repro.vindex.hnsw import HNSWIndex
@@ -22,35 +26,25 @@ from repro.vindex.image import decode_image, encode_image
 from repro.vindex.ivf import IVFFlatIndex
 from repro.vindex.ivfpq import IVFPQFastScanIndex, IVFPQIndex
 
-# Registered constructors keyed by upper-case type name.
+# Registered classes keyed by upper-case type name.
 _REGISTRY: Dict[str, Type[VectorIndex]] = {}
 
-# Constructor-parameter whitelist per type: SQL options map onto these.
-_INT_PARAMS = {
-    "FLAT": set(),
-    "IVFFLAT": {"nlist", "seed"},
-    "IVFPQ": {"nlist", "m", "seed"},
-    "IVFPQFS": {"nlist", "m", "seed"},
-    "HNSW": {"m", "ef_construction", "seed"},
-    "HNSWSQ": {"m", "ef_construction", "seed"},
-    "DISKANN": {"r", "build_beam", "seed"},
-}
-_FLOAT_PARAMS = {"DISKANN": {"alpha"}}
 
-
-def register_index_type(
-    name: str,
-    cls: Type[VectorIndex],
-    int_params: Optional[set] = None,
-    float_params: Optional[set] = None,
-) -> None:
+def register_index_type(name: str, cls: Type[VectorIndex]) -> None:
     """Register a new pluggable index type under ``name``."""
-    key = name.upper()
-    _REGISTRY[key] = cls
-    if int_params is not None:
-        _INT_PARAMS[key] = set(int_params)
-    if float_params is not None:
-        _FLOAT_PARAMS[key] = set(float_params)
+    if cls.family is not IndexFamily.FLAT and cls.search_knob is None:
+        raise IndexParameterError(
+            f"a {cls.family.value} index type must declare its search_knob: {name}"
+        )
+    _REGISTRY[name.upper()] = cls
+
+
+def index_class(index_type: str) -> Type[VectorIndex]:
+    """The class registered under ``index_type``: its facts are the type's."""
+    cls = _REGISTRY.get(index_type)
+    if cls is None:
+        raise UnknownIndexTypeError(f"unknown index type {index_type!r}: {registered_types()}")
+    return cls
 
 
 def registered_types() -> List[str]:
@@ -58,16 +52,10 @@ def registered_types() -> List[str]:
     return sorted(_REGISTRY)
 
 
-for _name, _cls in (
-    ("FLAT", FlatIndex),
-    ("IVFFLAT", IVFFlatIndex),
-    ("IVFPQ", IVFPQIndex),
-    ("IVFPQFS", IVFPQFastScanIndex),
-    ("HNSW", HNSWIndex),
-    ("HNSWSQ", HNSWSQIndex),
-    ("DISKANN", DiskANNIndex),
+for _cls in (
+    FlatIndex, IVFFlatIndex, IVFPQIndex, IVFPQFastScanIndex, HNSWIndex, HNSWSQIndex, DiskANNIndex
 ):
-    register_index_type(_name, _cls)
+    register_index_type(_cls.index_type, _cls)
 
 
 @dataclass
@@ -89,26 +77,13 @@ class IndexSpec:
 
     def __post_init__(self) -> None:
         self.index_type = self.index_type.upper()
-        if self.index_type not in _REGISTRY:
-            raise UnknownIndexTypeError(
-                f"unknown index type {self.index_type!r}; "
-                f"registered: {registered_types()}"
-            )
+        index_class(self.index_type)  # raises for an unregistered type
         if self.dim <= 0:
             raise IndexParameterError(f"index dim must be positive, got {self.dim}")
 
     def with_params(self, **overrides: Any) -> "IndexSpec":
         """Copy of this spec with some build params replaced (auto-index)."""
-        merged = dict(self.params)
-        merged.update(overrides)
-        return IndexSpec(
-            index_type=self.index_type,
-            dim=self.dim,
-            metric=self.metric,
-            params=merged,
-            name=self.name,
-            column=self.column,
-        )
+        return replace(self, params={**self.params, **overrides})
 
 
 def parse_index_options(option_string: str) -> Dict[str, Any]:
@@ -135,22 +110,18 @@ def parse_index_options(option_string: str) -> Dict[str, Any]:
 
 def create_index(spec: IndexSpec) -> VectorIndex:
     """Instantiate a fresh index from a spec, validating parameters."""
-    cls = _REGISTRY[spec.index_type]
+    cls = index_class(spec.index_type)
     kwargs: Dict[str, Any] = {}
-    int_ok = _INT_PARAMS.get(spec.index_type, set())
-    float_ok = _FLOAT_PARAMS.get(spec.index_type, set())
     for key, value in spec.params.items():
         key = key.lower()
         if key in ("dim", "metric"):
             continue
-        if key in int_ok:
-            kwargs[key] = int(value)
-        elif key in float_ok:
-            kwargs[key] = float(value)
-        else:
+        convert = cls.build_options.get(key)
+        if convert is None:
             raise IndexParameterError(
                 f"index type {spec.index_type} does not accept parameter {key!r}"
             )
+        kwargs[key] = convert(value)
     return cls(spec.dim, spec.metric, **kwargs)
 
 
@@ -178,9 +149,7 @@ def deserialize_index(buffer: Any) -> VectorIndex:
     type_name = state.get("index_type") if isinstance(state, dict) else None
     if not isinstance(type_name, str):
         raise IndexCorruptError("index image names no index type")
-    cls = _REGISTRY.get(type_name)
-    if cls is None:
-        raise UnknownIndexTypeError(f"cannot deserialize unknown index type {type_name!r}")
+    cls = index_class(type_name)
     try:
         return cls.from_payload(state)
     except (LookupError, TypeError, ValueError, IndexParameterError) as exc:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.catalog.schema import TableSchema
+from repro.core.database import BlendHouse
 from repro.catalog.statistics import TableStatistics
 from repro.planner.cost import CostModelParams
 from repro.planner.logical import bind_select
@@ -168,6 +169,43 @@ class TestOverridesAndSwitches:
         rebound = plan.rebound(logical2)
         assert rebound.strategy is plan.strategy
         assert rebound.logical is logical2
+
+
+def explain_after_set(index_type, setting):
+    """The plans of one filtered top-10 on a 1,000 × 8-d table with a
+    ``index_type`` index, before and after ``setting``."""
+    db = BlendHouse()
+    db.execute(
+        "CREATE TABLE t (id UInt64, attr UInt32, embedding Array(Float32), "
+        f"INDEX ann embedding TYPE {index_type}('DIM=8')) ORDER BY id"
+    )
+    rng = np.random.default_rng(0)
+    db.insert_columns(
+        "t",
+        {"id": np.arange(1000, dtype=np.uint64), "attr": np.arange(1000, dtype=np.uint32) % 100},
+        rng.standard_normal((1000, 8)).astype(np.float32),
+    )
+    sql = (
+        "EXPLAIN SELECT id FROM t WHERE attr < 30 "
+        f"ORDER BY L2Distance(embedding, [{', '.join(['0.1'] * 8)}]) LIMIT 10"
+    )
+    before = db.execute(sql).plan
+    db.execute(setting)
+    return before, db.execute(sql).plan
+
+
+class TestSearchKnobSetting:
+    def test_ef_search_does_not_move_a_diskann_plan(self):
+        # DiskANN walks ``beam``; a depth it does not walk prices nothing.
+        before, after = explain_after_set("DISKANN", "SET ef_search = 512")
+        assert after.search_params["beam"] == before.search_params["beam"] == 64
+        assert after.strategy is before.strategy
+        assert after.estimated_costs == before.estimated_costs
+
+    def test_ef_search_moves_an_hnsw_plan(self):
+        before, after = explain_after_set("HNSW", "SET ef_search = 512")
+        assert after.search_params["ef_search"] == 512
+        assert after.estimated_costs["C"] > before.estimated_costs["C"]
 
 
 class TestVisitFraction:
