@@ -179,6 +179,7 @@ class BlendHouse:
             store.cost_model if store is not None else DeviceCostModel()
         )
         self.settings = settings or EngineSettings()
+        self._cost_params: Dict[int, CostModelParams] = {}
         self.metrics = MetricRegistry()
         # The engine-wide event log rides on the registry so deep
         # components (manifest store, caches, WAL, compactor) can emit
@@ -466,10 +467,16 @@ class BlendHouse:
     # SELECT
     # ------------------------------------------------------------------
     def cost_params(self, schema: TableSchema) -> CostModelParams:
-        """The cost-model constants at ``schema``'s vector dimension."""
-        return CostModelParams.from_device_model(
-            self.cost, max(schema.vector_dim, 1)
-        )
+        """The cost-model constants at ``schema``'s vector dimension,
+        built once a dimension: the engine's cost model is frozen and
+        never replaced."""
+        dim = max(schema.vector_dim, 1)
+        params = self._cost_params.get(dim)
+        if params is None:
+            params = self._cost_params[dim] = CostModelParams.from_device_model(
+                self.cost, dim
+            )
+        return params
 
     def _optimizer(self, schema: TableSchema) -> Optimizer:
         return Optimizer(

@@ -47,47 +47,44 @@ class ColumnReader:
         self._metrics = metrics or MetricRegistry()
         self._read_opt = read_opt
         self._cache = LRUCache(DATA_CACHE_BYTES, size_of=object_size)
-        # Per-(segment, column) cell-size memo: segments are immutable,
-        # so the bytes-per-row ratio never changes for a given key and
-        # the decode hot path skips the dict lookup + division per fetch.
-        self._cell_bytes_memo: Dict[Tuple[str, str], float] = {}
+        # Per-(segment, column) memo of the block's cache key, its bytes
+        # and its bytes per row: segments are immutable, so a fetch
+        # looks them up once, with one dict probe.
+        self._facts: Dict[Tuple[str, str], Tuple[str, int, float]] = {}
 
     # ------------------------------------------------------------------
     # Cost accounting
     # ------------------------------------------------------------------
-    def _cell_bytes(self, segment: Segment, column: str) -> float:
-        key = (segment.segment_id, column)
-        cached = self._cell_bytes_memo.get(key)
-        if cached is not None:
-            return cached
-        nbytes = segment.meta.nbytes_by_column.get(column, 8 * segment.row_count)
-        value = nbytes / max(1, segment.row_count)
-        self._cell_bytes_memo[key] = value
-        return value
+    def _column_facts(self, segment: Segment, column: str) -> Tuple[str, int, float]:
+        """(cache key, block bytes, bytes per row) of one segment column."""
+        memo = (segment.segment_id, column)
+        facts = self._facts.get(memo)
+        if facts is None:
+            rows = segment.row_count
+            block_bytes = segment.meta.nbytes_by_column.get(column, 8 * rows)
+            facts = (f"{memo[0]}/{column}", block_bytes, block_bytes / max(1, rows))
+            self._facts[memo] = facts
+        return facts
 
     def _charge_fetch(self, segment: Segment, column: str, n_rows: int) -> None:
-        key = f"{segment.segment_id}/{column}"
-        block_bytes = segment.meta.nbytes_by_column.get(column, 8 * segment.row_count)
+        key, block_bytes, cell_bytes = self._column_facts(segment, column)
         if self._read_opt and n_rows <= CACHE_ROW_LIMIT:
             if self._cache.get(key) is not None:
-                hit_bytes = int(n_rows * self._cell_bytes(segment, column))
-                self._clock.advance(self._cost.ram_read(hit_bytes))
+                self._clock.advance(self._cost.ram_read(int(n_rows * cell_bytes)))
                 self._metrics.incr("columnio.cache_hits")
                 return
             # Miss: fetch (possibly reduced) then populate the cache.
-            self._charge_remote(segment, column, n_rows, block_bytes)
+            self._charge_remote(n_rows, block_bytes, cell_bytes)
             self._cache.put(key, ("block", block_bytes))
             self._metrics.incr("columnio.cache_fills")
             return
-        self._charge_remote(segment, column, n_rows, block_bytes)
+        self._charge_remote(n_rows, block_bytes, cell_bytes)
         if n_rows > CACHE_ROW_LIMIT:
             self._metrics.incr("columnio.cache_bypass")
 
-    def _charge_remote(
-        self, segment: Segment, column: str, n_rows: int, block_bytes: int
-    ) -> None:
+    def _charge_remote(self, n_rows: int, block_bytes: int, cell_bytes: float) -> None:
         if self._read_opt:
-            nbytes = int(n_rows * self._cell_bytes(segment, column))
+            nbytes = int(n_rows * cell_bytes)
             self._clock.advance(self._cost.object_store_read(nbytes))
             self._metrics.incr("columnio.ranged_reads")
         else:
@@ -115,4 +112,4 @@ class ColumnReader:
     def clear_cache(self) -> None:
         """Drop cached blocks (tests / between benchmark phases)."""
         self._cache.clear()
-        self._cell_bytes_memo.clear()
+        self._facts.clear()

@@ -10,6 +10,7 @@ pruning + reduced read granularity keep this cheap).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -366,19 +367,28 @@ def _merge_partials(
     logical = plan.logical
     rows: List[Tuple[Segment, int, Optional[float]]] = []
     if logical.is_vector_query:
-        for partial in partials:
-            if partial.distances is None:
-                continue
-            for offset, dist in zip(partial.offsets.tolist(), partial.distances.tolist()):
-                rows.append((partial.segment, int(offset), float(dist)))
-        rows.sort(key=lambda row: (row[2], row[0].segment_id, row[1]))
+        # Each row is its own sort key, built once: (distance, segment
+        # id, offset, partial's position).  The position, last, only
+        # breaks ties the first three leave, as a stable sort on them
+        # would, and keeps the segment objects out of the comparisons.
+        keyed: List[Tuple[float, str, int, int]] = []
+        for position, partial in enumerate(partials):
+            if partial.distances is not None:
+                keyed += zip(
+                    partial.distances.tolist(), repeat(partial.segment.segment_id),
+                    partial.offsets.tolist(), repeat(position),
+                )
+        keyed.sort()
         if logical.distance_range is not None:
-            rows = [row for row in rows if row[2] is not None
-                    and row[2] <= logical.distance_range]
+            keyed = [row for row in keyed if row[0] <= logical.distance_range]
         if logical.k is not None:
             # k already includes the offset (top-k pushdown rule), so the
             # window is [offset, k).
-            rows = rows[logical.offset : logical.k]
+            keyed = keyed[logical.offset : logical.k]
+        rows = [
+            (partials[position].segment, offset, dist)
+            for dist, _, offset, position in keyed
+        ]
     else:
         for partial in partials:
             for offset in partial.offsets.tolist():
@@ -403,12 +413,16 @@ def _project(
         else:
             names.append(column)
 
-    # Group surviving rows by segment for batched column fetches.
-    by_segment: Dict[str, List[int]] = {}
-    segment_objects: Dict[str, Segment] = {}
+    # Group surviving rows by segment for batched column fetches:
+    # (segment, positions, offsets), in the order the merge names them.
+    groups: Dict[str, Tuple[Segment, List[int], List[int]]] = {}
     for position, (segment, offset, _) in enumerate(merged):
-        by_segment.setdefault(segment.segment_id, []).append(position)
-        segment_objects[segment.segment_id] = segment
+        group = groups.get(segment.segment_id)
+        if group is None:
+            groups[segment.segment_id] = (segment, [position], [offset])
+        else:
+            group[1].append(position)
+            group[2].append(offset)
 
     columns: List[List[Any]] = []
     for column in logical.output_columns:
@@ -416,9 +430,7 @@ def _project(
             columns.append([dist for _, _, dist in merged])
             continue
         values: List[Any] = [None] * len(merged)
-        for segment_id, positions in by_segment.items():
-            segment = segment_objects[segment_id]
-            offsets = [merged[p][1] for p in positions]
+        for segment, positions, offsets in groups.values():
             if column == segment.meta.vector_column:
                 fetched = segment.vectors_at(offsets)
                 ctx.clock.advance(

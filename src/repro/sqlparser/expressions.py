@@ -12,6 +12,7 @@ force DISTANCE computation and range predicates on distance work.
 
 from __future__ import annotations
 
+import operator
 import re
 from typing import Any, Dict, Union
 
@@ -78,12 +79,14 @@ def evaluate_expression(expr: Expression, columns: ColumnBatch, row_count: int) 
     """
     if isinstance(expr, Literal):
         return expr.value
-    if isinstance(expr, VectorLiteral):
-        return np.asarray(expr.values, dtype=np.float32)
     if isinstance(expr, ColumnRef):
         if expr.name not in columns:
             raise BindError(f"unknown column {expr.name!r}")
         return columns[expr.name]
+    if isinstance(expr, BinaryOp):
+        return _evaluate_binary(expr, columns, row_count)
+    if isinstance(expr, VectorLiteral):
+        return np.asarray(expr.values, dtype=np.float32)
     if isinstance(expr, UnaryOp):
         operand = evaluate_expression(expr.operand, columns, row_count)
         if expr.op == "not":
@@ -112,8 +115,6 @@ def evaluate_expression(expr: Expression, columns: ColumnBatch, row_count: int) 
             for value in values:
                 result |= arr == value
         return ~result if expr.negated else result
-    if isinstance(expr, BinaryOp):
-        return _evaluate_binary(expr, columns, row_count)
     if isinstance(expr, FunctionCall):
         return _evaluate_function(expr, columns, row_count)
     raise BindError(f"cannot evaluate expression node {type(expr).__name__}")
@@ -125,8 +126,31 @@ def _to_bool(value: Value, row_count: int) -> np.ndarray:
     return np.full(row_count, bool(value))
 
 
+# The six comparisons, checked first: a filter is mostly one of them.
+# ``operator``'s functions are the ``arr < value`` calls themselves (an
+# ``=`` against a string literal on a numeric column is all False, where
+# the bare ufunc would raise).
+_COMPARISONS = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
 def _evaluate_binary(expr: BinaryOp, columns: ColumnBatch, row_count: int) -> Value:
     op = expr.op
+    compare = _COMPARISONS.get(op)
+    if compare is not None:
+        left = evaluate_expression(expr.left, columns, row_count)
+        right = evaluate_expression(expr.right, columns, row_count)
+        if isinstance(left, list) or isinstance(right, list):
+            # String comparisons against list columns.
+            pairs = zip(_as_string_list(left, row_count), _as_string_list(right, row_count))
+            return np.array([compare(a, b) for a, b in pairs], dtype=bool)
+        return compare(_broadcast(left, row_count), right)
     if op in ("and", "or"):
         left = _to_bool(evaluate_expression(expr.left, columns, row_count), row_count)
         right = _to_bool(evaluate_expression(expr.right, columns, row_count), row_count)
@@ -152,35 +176,8 @@ def _evaluate_binary(expr: BinaryOp, columns: ColumnBatch, row_count: int) -> Va
 
     left = evaluate_expression(expr.left, columns, row_count)
     right = evaluate_expression(expr.right, columns, row_count)
-    # String comparisons against list columns.
     if isinstance(left, list) or isinstance(right, list):
-        left_list = _as_string_list(left, row_count)
-        right_list = _as_string_list(right, row_count)
-        pairs = zip(left_list, right_list)
-        comparators = {
-            "=": lambda a, b: a == b,
-            "!=": lambda a, b: a != b,
-            "<": lambda a, b: a < b,
-            "<=": lambda a, b: a <= b,
-            ">": lambda a, b: a > b,
-            ">=": lambda a, b: a >= b,
-        }
-        if op not in comparators:
-            raise BindError(f"operator {op!r} not supported on strings")
-        fn = comparators[op]
-        return np.array([fn(a, b) for a, b in pairs], dtype=bool)
-    if op == "=":
-        return _broadcast(left, row_count) == right
-    if op == "!=":
-        return _broadcast(left, row_count) != right
-    if op == "<":
-        return _broadcast(left, row_count) < right
-    if op == "<=":
-        return _broadcast(left, row_count) <= right
-    if op == ">":
-        return _broadcast(left, row_count) > right
-    if op == ">=":
-        return _broadcast(left, row_count) >= right
+        raise BindError(f"operator {op!r} not supported on strings")
     if op == "+":
         return left + right
     if op == "-":

@@ -14,7 +14,7 @@ seeing the exact alive set they were opened against.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -31,6 +31,8 @@ class DeleteBitmap:
         self._deleted = np.zeros(row_count, dtype=bool)
         self.version = version
         self._frozen = False
+        # A frozen version's deleted count, taken on its first read.
+        self._count: Optional[int] = None
 
     @property
     def row_count(self) -> int:
@@ -39,8 +41,18 @@ class DeleteBitmap:
 
     @property
     def deleted_count(self) -> int:
-        """Number of rows currently marked deleted."""
-        return int(self._deleted.sum())
+        """Number of rows currently marked deleted.
+
+        Every scan asks; a frozen version is immutable, so it counts
+        once and keeps the count (a pickle carries it).  A mutable one
+        counts afresh each time.
+        """
+        if self._count is not None:
+            return self._count
+        count = int(self._deleted.sum())
+        if self._frozen:
+            self._count = count
+        return count
 
     @property
     def alive_count(self) -> int:

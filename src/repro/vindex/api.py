@@ -84,8 +84,10 @@ def distance_kernel(query: np.ndarray, vectors: np.ndarray, metric: str) -> np.n
     vector and ``vectors`` a float32 matrix of its dimension, as an
     index's own checks leave them (FLAT searches through this)."""
     if metric == "l2":
+        # A sum of squares is never negative (NaN stays NaN), so no
+        # clamp: it would return the same bits.
         diff = vectors - query
-        return np.sqrt(np.maximum(np.einsum("ij,ij->i", diff, diff), 0.0))
+        return np.sqrt(np.einsum("ij,ij->i", diff, diff))
     if metric == "ip":
         return -(vectors @ query)
     if metric == "cosine":
@@ -128,7 +130,7 @@ def distance_kernel_batch(
     ``vectors`` float32 matrices of one dimension."""
     if metric == "l2":
         diff = vectors[np.newaxis, :, :] - queries[:, np.newaxis, :]
-        return np.sqrt(np.maximum(np.einsum("qnd,qnd->qn", diff, diff), 0.0))
+        return np.sqrt(np.einsum("qnd,qnd->qn", diff, diff))
     if metric == "ip":
         return -(queries @ vectors.T)
     if metric == "cosine":
@@ -155,8 +157,11 @@ class SearchResult:
     visited: int = 0
 
     def __post_init__(self) -> None:
-        self.ids = np.asarray(self.ids, dtype=np.int64)
-        self.distances = np.asarray(self.distances, dtype=np.float64)
+        # Convert only what a kernel did not already hand over as such.
+        if type(self.ids) is not np.ndarray or self.ids.dtype != np.int64:
+            self.ids = np.asarray(self.ids, dtype=np.int64)
+        if type(self.distances) is not np.ndarray or self.distances.dtype != np.float64:
+            self.distances = np.asarray(self.distances, dtype=np.float64)
         if self.ids.shape != self.distances.shape:
             raise ValueError("ids and distances must have identical shapes")
 
@@ -401,12 +406,11 @@ def top_k_from_distances(
     ids: np.ndarray, distances: np.ndarray, k: int, visited: int
 ) -> SearchResult:
     """Select the k smallest distances with a partial sort (shared helper)."""
-    n = distances.shape[0]
-    if n == 0 or k <= 0:
+    if k >= distances.shape[0]:
+        order = distances.argsort(kind="stable")
+    elif k <= 0:
         return SearchResult.empty(visited=visited)
-    if k >= n:
-        order = np.argsort(distances, kind="stable")
     else:
         part = np.argpartition(distances, k - 1)[:k]
         order = part[np.argsort(distances[part], kind="stable")]
-    return SearchResult(ids[order], distances[order], visited=visited)
+    return SearchResult(ids[order], distances[order], visited)

@@ -73,9 +73,9 @@ class FlatIndex(VectorIndex):
                 ids = np.arange(self.ntotal, dtype=np.int64)
             return ids, self._vectors
         if ids is None:
-            rows = np.flatnonzero(bitset)
+            rows = bitset.nonzero()[0]
             return rows, self._vectors[rows]
-        rows = np.flatnonzero(bitset[ids])
+        rows = bitset[ids].nonzero()[0]
         return ids[rows], self._vectors[rows]
 
     def search_with_filter(

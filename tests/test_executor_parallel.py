@@ -11,6 +11,8 @@ queries sequentially.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,7 @@ from repro.errors import QueryCancelledError, SQLError
 from repro.executor import parallel
 from repro.executor.cancel import CancelToken
 from repro.executor.parallel import lane_makespan
-from repro.executor.pipeline import execute_segment
+from repro.executor.pipeline import PartialResult, _merge_partials, execute_segment
 from repro.simulate.clock import SimulatedClock
 
 
@@ -229,6 +231,8 @@ class TestParallelDeterminism:
         # Duplicate vectors across segments force exact distance ties;
         # the merge's (distance, segment_id, offset) ordering must hold
         # for any pool size.
+        base = np.random.default_rng(1).standard_normal((10, DIM)).astype(np.float32)
+
         def build(workers):
             db = BlendHouse()
             db.execute(
@@ -236,8 +240,7 @@ class TestParallelDeterminism:
                 f"INDEX ann embedding TYPE FLAT('DIM={DIM}'))"
             )
             db.table("t").writer.config.max_segment_rows = 10
-            base = np.random.default_rng(1).standard_normal((10, DIM))
-            vectors = np.tile(base, (6, 1)).astype(np.float32)  # 6 identical segments
+            vectors = np.tile(base, (6, 1))  # 6 identical segments
             db.insert_columns(
                 "t", {"id": np.arange(60, dtype=np.int64)}, vectors
             )
@@ -254,6 +257,38 @@ class TestParallelDeterminism:
         for workers in (2, 8):
             got = [tuple(row) for row in build(workers).execute(sql).rows]
             assert got == expected
+        # The oracle: segment n holds ids 10n .. 10n + 9 at offsets 0 .. 9,
+        # so (distance, segment id, offset) order is (distance, id) order.
+        # The ten distinct distances are far apart; rounding only makes
+        # the copies' float64 norms tie as the kernel's do.
+        norms = np.linalg.norm(np.tile(base, (6, 1)).astype(np.float64), axis=1)
+        oracle = sorted(zip(np.round(norms, 5).tolist(), range(60)))[:30]
+        assert [row[0] for row in expected] == [i for _, i in oracle]
+
+    @pytest.mark.parametrize("offset, k", [(0, None), (0, 5), (2, 7)])
+    def test_merge_breaks_ties_by_segment_id_then_offset(self, offset, k):
+        # Partials in reverse segment-id order, with every distance tied
+        # across segments: only the explicit (distance, segment id,
+        # offset) key can order the rows, not the order partials arrive.
+        segments = [SimpleNamespace(segment_id=f"t/seg-{n:08d}") for n in range(3)]
+        partials = [
+            PartialResult(segment, np.array([4, 1, 2, 7]), np.array([0.5, 0.25, 0.5, 0.25]))
+            for segment in reversed(segments)
+        ]
+        logical = SimpleNamespace(
+            is_vector_query=True, distance_range=None, k=k, offset=offset
+        )
+        merged = _merge_partials(SimpleNamespace(logical=logical), partials)
+        oracle = sorted(
+            (dist, segment.segment_id, off)
+            for segment in segments
+            for off, dist in ((4, 0.5), (1, 0.25), (2, 0.5), (7, 0.25))
+        )[offset:k]
+        assert [(dist, seg.segment_id, off) for seg, off, dist in merged] == oracle
+        assert all(
+            type(off) is int and type(dist) is float and seg in segments
+            for seg, off, dist in merged
+        )
 
     def test_hybrid_predicate_queries_match(self):
         queries = np.random.default_rng(11).standard_normal((3, DIM)).astype(np.float32)

@@ -1,5 +1,7 @@
 """Tests for delete bitmaps, including hypothesis invariants."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -116,13 +118,39 @@ class TestProperties:
         data=st.data(),
     )
     def test_alive_plus_deleted_is_total(self, rows, data):
+        def draw():
+            return data.draw(
+                st.lists(st.integers(min_value=0, max_value=rows - 1), max_size=50)
+            )
+
+        def assert_counts(bitmap):
+            # The count a scan reads agrees with the mask, however the
+            # bitmap was reached and whether or not it was read before.
+            assert bitmap.deleted_count == int((~bitmap.alive_mask()).sum())
+            assert bitmap.alive_count + bitmap.deleted_count == rows
+
         bitmap = DeleteBitmap(rows)
-        offsets = data.draw(
-            st.lists(st.integers(min_value=0, max_value=rows - 1), max_size=50)
-        )
+        offsets = draw()
         bitmap.mark_deleted(offsets)
-        assert bitmap.alive_count + bitmap.deleted_count == rows
+        assert_counts(bitmap)
         assert bitmap.deleted_count == len(set(offsets))
+        bitmap.mark_deleted(draw())  # mutable: read, then mark again
+        assert_counts(bitmap)
+        bitmap.freeze()
+        assert_counts(bitmap)
+        successor = bitmap.copy()  # copy of a read frozen version, then mark
+        successor.mark_deleted(draw())
+        assert_counts(successor)
+        other = DeleteBitmap(rows)
+        other.mark_deleted(draw())
+        successor.merge(other)
+        assert_counts(successor)
+        successor.freeze()
+        assert_counts(successor)
+        assert_counts(DeleteBitmap.from_bytes(successor.to_bytes()))
+        clone = pickle.loads(pickle.dumps(successor))
+        assert_counts(clone)
+        assert clone.frozen
 
     @given(
         rows=st.integers(min_value=1, max_value=100),
