@@ -45,8 +45,8 @@ def _probe_positions(key: str, probes: int) -> Tuple[int, ...]:
     """Ring positions of ``key``'s probes.
 
     They depend on the key and the probe count only — not on who is on
-    the ring — so the digests are memoised: a scheduler re-assigning the
-    same segments every query pays ``probes`` bisects, no hashing.
+    the ring — so the digests are memoised: re-placing a key after a
+    membership change pays ``probes`` bisects, no hashing.
     """
     return tuple(_hash64(f"key::{key}::probe::{probe}") for probe in range(probes))
 
@@ -60,6 +60,10 @@ class MultiProbeHashRing:
         self.probes = probes
         self._positions: List[int] = []       # sorted worker positions
         self._worker_at: Dict[int, str] = {}  # position -> worker id
+        # key -> worker for the current members: a scheduler re-assigning
+        # the same segments every query pays one dict probe a key.  Any
+        # membership change clears it; a call with ``skip`` bypasses it.
+        self._placed: Dict[str, str] = {}
 
     # ------------------------------------------------------------------
     # Membership
@@ -74,6 +78,7 @@ class MultiProbeHashRing:
             position = _hash64(f"worker::{worker_id}::salt")
         bisect.insort(self._positions, position)
         self._worker_at[position] = worker_id
+        self._placed.clear()
 
     def remove_worker(self, worker_id: str) -> bool:
         """Remove ``worker_id``; returns whether it was present."""
@@ -81,6 +86,7 @@ class MultiProbeHashRing:
             if owner == worker_id:
                 self._positions.remove(position)
                 del self._worker_at[position]
+                self._placed.clear()
                 return True
         return False
 
@@ -110,9 +116,17 @@ class MultiProbeHashRing:
         NoWorkersError
             When no worker outside ``skip`` is on the ring.
         """
-        positions = self._positions
         if skip:
-            positions = [p for p in positions if self._worker_at[p] not in skip]
+            return self._place(
+                key, [p for p in self._positions if self._worker_at[p] not in skip]
+            )
+        worker = self._placed.get(key)
+        if worker is None:
+            worker = self._placed[key] = self._place(key, self._positions)
+        return worker
+
+    def _place(self, key: str, positions: List[int]) -> str:
+        """The worker at ``positions`` (sorted) that ``key`` lands on."""
         if not positions:
             raise NoWorkersError("hash ring has no workers")
         best_worker: Optional[str] = None

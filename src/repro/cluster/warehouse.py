@@ -21,6 +21,7 @@ Warehouses also model:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Callable, Dict, List, Optional
 
 from repro.cluster.rpc import RpcFabric
@@ -246,32 +247,51 @@ class VirtualWarehouse:
         # A worker scans its segments one after another; the warehouse's
         # time is its slowest worker's.
         worker_costs: List[float] = []
+        reordered = False
         for worker_id, segment_ids in grouped.items():
             worker = self.workers.get(worker_id)
             if worker is None or not worker.alive:
                 raise WorkerUnavailableError(f"worker {worker_id!r} is gone")
+            # The worker scans the segments whose index it holds first,
+            # so its LRU keeps them (DESIGN.md §13, "Resident first").
+            order, resident = worker.scan_order(segment_ids, snapshot.index_key)
+            reordered = reordered or order != segment_ids
             # Each segment charges a capture of its own; replaying those
             # into this one (never applied) is what the worker span reads.
+            # Both add in scheduler order, so the float sums do not depend
+            # on the scan order.
             with self.clock.capturing() as charged, self.tracer.span(
                 "worker_scan", worker=worker_id, segments=len(segment_ids),
-                manifest_id=snapshot.manifest_id,
+                resident=resident, manifest_id=snapshot.manifest_id,
             ):
                 worker_ctx = replace(
                     ctx, resolve_index=self._resolver_for(worker, snapshot.index_key, cancel)
                 )
-                segment_costs: List[float] = []
-                for segment_id in segment_ids:
+                cost_of: Dict[str, float] = {}
+                for segment_id in order:
                     if cancel is not None:
                         cancel.raise_if_cancelled()
                     with self.clock.capturing() as captured:
                         group.scan(by_id[segment_id], bitmaps.get(segment_id), worker_ctx)
-                    charged.add(captured.total)
-                    segment_costs.append(captured.total)
+                    cost_of[segment_id] = captured.total
+                segment_costs = [cost_of[segment_id] for segment_id in segment_ids]
+                for cost in segment_costs:
+                    charged.add(cost)
             worker_costs.append(sum(segment_costs))
             queued = len(segment_ids) - 1
             if queued:
                 self.metrics.incr("warehouse.scans_queued", queued)
             self.metrics.gauge("warehouse.queue_depth", queued)
+
+        if reordered:
+            # Partials keep scheduler order too: a LIMIT without ORDER BY
+            # takes the first rows it meets.
+            rank = {
+                segment_id: position
+                for position, segment_id in enumerate(chain.from_iterable(grouped.values()))
+            }
+            for partials in group.partials:
+                partials.sort(key=lambda partial: rank[partial.segment.segment_id])
 
         makespan = max(worker_costs) if worker_costs else 0.0
         effective = makespan * self._interference_factor()

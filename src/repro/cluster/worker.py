@@ -15,7 +15,7 @@ cache-miss experiment (Fig 11) measures:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -101,6 +101,30 @@ class Worker:
         done_at = self.clock.now + self.cost.object_store_read(size)
         self._pending_loads[index_key] = done_at
         self.metrics.incr("worker.background_loads")
+
+    def scan_order(
+        self, segment_ids: List[str], index_key_of: Callable[[str], Optional[str]]
+    ) -> Tuple[List[str], int]:
+        """``segment_ids`` reordered to scan the resident ones first, and
+        how many those are.
+
+        Resident means the segment's index is in this worker's memory
+        tier once completed background loads are promoted; each group
+        keeps the given order.  With ``k`` of ``n`` indexes resident,
+        LRU then hits all ``k`` on every scan of the share, where a
+        fixed order evicts each index just before it is needed once
+        ``n > k``.  Charges nothing.
+        """
+        self._promote_completed_loads()
+        resident: List[str] = []
+        cold: List[str] = []
+        for segment_id in segment_ids:
+            key = index_key_of(segment_id)
+            if key is not None and self.cache.contains_in_memory(key):
+                resident.append(segment_id)
+            else:
+                cold.append(segment_id)
+        return resident + cold, len(resident)
 
     def _promote_completed_loads(self) -> None:
         now = self.clock.now

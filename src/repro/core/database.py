@@ -387,17 +387,23 @@ class BlendHouse:
             self._durability.statement_boundary()
         if dropped and runtime is not None:
             # Garbage-collect the table's persisted state so the shared
-            # store does not leak dropped tables' segments and indexes.
+            # store does not leak dropped tables' segments and indexes,
+            # and forget what the caches hold of it: segment ids restart
+            # per table name, so a table re-created under this name would
+            # otherwise read the dropped one's blocks and indexes.
             keys: List[str] = []
             for segment in runtime.manager.segments():
                 for column in list(segment.scalar_column_names) + [
                     segment.meta.vector_column
                 ]:
                     keys.append(Segment.column_key(segment.segment_id, column))
+                    self.reader.forget(segment.segment_id, column)
                 keys.append(Segment.meta_key(segment.segment_id))
                 index_key = runtime.manager.index_key(segment.segment_id)
                 if index_key is not None:
                     keys.append(index_key)
+                    for hook in self.retire_hooks:
+                        hook(segment.segment_id, index_key)
             if self._durability.active:
                 # Deletion is only safe once no checkpoint references
                 # these objects; checkpointing now makes it immediate.

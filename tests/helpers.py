@@ -26,6 +26,49 @@ def walk_spans(span):
         yield from walk_spans(child)
 
 
+def drop_and_recreate(engine, k=3):
+    """Fill, preload and query an 8-d HNSW table ``t`` on ``engine``,
+    drop it, create it again with other vectors and ids, and run one
+    top-``k`` query on the new table.
+
+    Segment ids restart per table name, so the new table's segments
+    and index keys are the dropped table's.  Returns the query's ids,
+    numpy's top-``k`` ids and the ``columnio.cache_hits`` the query
+    counted.
+    """
+    ddl = (
+        "CREATE TABLE t (id UInt64, embedding Array(Float32), "
+        "INDEX ann embedding TYPE HNSW('DIM=8'))"
+    )
+    rng = np.random.default_rng(0)
+    old, new = (rng.normal(size=(200, 8)).astype(np.float32) for _ in range(2))
+
+    def knn(query):
+        sql = (
+            f"SELECT id, d FROM t ORDER BY L2Distance(embedding, "
+            f"{vector_sql(query)}) AS d LIMIT {k}"
+        )
+        return engine.execute(sql).rows
+
+    def fill(first_id, vectors):
+        engine.execute(ddl)
+        engine.table("t").writer.config.max_segment_rows = 50
+        engine.insert_rows(
+            "t", [{"id": first_id + i, "embedding": v} for i, v in enumerate(vectors)]
+        )
+
+    fill(0, old)
+    engine.preload("t")
+    knn(old[5])
+    engine.execute("DROP TABLE t")
+    fill(2000, new)
+    hits = engine.metrics.count("columnio.cache_hits")
+    rows = knn(new[5])
+    hits = engine.metrics.count("columnio.cache_hits") - hits
+    exact = (2000 + np.argsort(((new - new[5]) ** 2).sum(axis=1))[:k]).tolist()
+    return [row[0] for row in rows], exact, hits
+
+
 def run_plan_on_segments(plan, segments, bitmaps, ctx):
     """One plan over ``segments`` through the executor's two pieces —
     ``execute_segment`` per segment, then ``merge_and_project`` — with

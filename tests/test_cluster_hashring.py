@@ -142,6 +142,37 @@ class TestProperties:
             assert ring.assign(key, skip) == evicted.assign(key)
 
 
+class TestPlacementMemo:
+    @given(
+        ops=st.lists(
+            st.tuples(st.booleans(), st.integers(min_value=0, max_value=6)),
+            min_size=1, max_size=25,
+        )
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_memo_places_as_a_fresh_ring(self, ops):
+        """The ring memoises placements; after every join or leave it
+        places each key where a ring built from its members would."""
+        ring, members = MultiProbeHashRing(), set()
+        probe_keys = keys(40)
+        for add, idx in ops:
+            name = f"w{idx}"
+            if add:
+                ring.add_worker(name)
+                members.add(name)
+            else:
+                ring.remove_worker(name)
+                members.discard(name)
+            if not members:
+                with pytest.raises(NoWorkersError):
+                    ring.assign(probe_keys[0])
+                continue
+            fresh = MultiProbeHashRing()
+            for member in sorted(members):
+                fresh.add_worker(member)
+            assert ring.assignment(probe_keys) == fresh.assignment(probe_keys)
+
+
 class TestProbeBalance:
     """More probes flatten the load: the multi-probe trade-off."""
 

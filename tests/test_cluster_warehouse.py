@@ -8,6 +8,8 @@ from repro.cluster.faults import FaultSchedule
 from repro.cluster.stats import SegmentAccessStats
 from repro.errors import NoWorkersError
 
+from tests.helpers import drop_and_recreate
+
 
 def vector_sql(vector):
     return "[" + ",".join(f"{float(x):.6f}" for x in vector) + "]"
@@ -268,6 +270,98 @@ class TestCompactionInvalidation:
         assert retired
         for worker in cluster.read_vw.workers.values():
             assert not any(worker.has_index_in_memory(key) for key in retired)
+
+
+class TestDropTable:
+    def test_recreated_table_reads_nothing_of_the_dropped_one(self):
+        """Segment ids restart per table name: without the drop retiring
+        its indexes and column blocks, the new table's segments resolve
+        the dropped table's indexes from the workers' caches."""
+        ids, exact, cache_hits = drop_and_recreate(ClusteredBlendHouse(read_workers=2))
+        assert ids == exact
+        assert cache_hits == 0
+
+
+def knn_sql(table, query, k):
+    return (
+        f"SELECT id, dist FROM {table} ORDER BY "
+        f"L2Distance(embedding, {vector_sql(query)}) AS dist LIMIT {k}"
+    )
+
+
+class TestResidentFirst:
+    """A worker scans the segments whose index it holds first (DESIGN.md
+    §13, "Resident first")."""
+
+    @staticmethod
+    def make_items(capped):
+        """Two workers over an 8-segment HNSW table the ring splits 4 / 4;
+        ``capped``: each worker's memory tier holds 2 of its 4 indexes."""
+        engine = ClusteredBlendHouse(read_workers=0)
+        engine.execute(
+            "CREATE TABLE items (id UInt64, embedding Array(Float32), "
+            "INDEX ann embedding TYPE HNSW('DIM=8'))"
+        )
+        runtime = engine.table("items")
+        runtime.writer.config.max_segment_rows = 50
+        vectors = np.random.default_rng(3).normal(size=(400, 8)).astype(np.float32)
+        engine.insert_rows("items", [{"id": i, "embedding": v} for i, v in enumerate(vectors)])
+        if capped:
+            sizes = [index.memory_bytes() for index in runtime.writer.built_indexes.values()]
+            budget = int(2.5 * max(sizes))
+            assert 3 * min(sizes) > budget
+            engine.read_vw.config.worker_mem_data_bytes = budget
+        engine.scale_to(2)
+        engine.preload("items")
+        scheduler = engine.read_vw.scheduler
+        shares = scheduler.group_by_worker(scheduler.assign(runtime.manager.segment_ids()))
+        assert sorted(map(len, shares.values())) == [4, 4]
+        return engine, vectors
+
+    def test_capped_worker_hits_every_index_it_holds(self):
+        capped, vectors = self.make_items(capped=True)
+        unconstrained, _ = self.make_items(capped=False)
+        sql = knn_sql("items", vectors[17], 10)
+        expected = unconstrained.execute(sql).rows
+        exact = np.argsort(((vectors - vectors[17]) ** 2).sum(axis=1), kind="stable")[:10]
+        assert [row[0] for row in expected] == exact.tolist()
+        for query in range(5):
+            before = {t: capped.metrics.count(f"index_cache.{t}_hits") for t in ("memory", "disk")}
+            assert capped.execute(sql).rows == expected
+            hits = {t: capped.metrics.count(f"index_cache.{t}_hits") - before[t] for t in before}
+            if query:
+                # Scheduler order would hit nothing: each index is evicted
+                # just before it is needed, 8 disk hits a query.
+                assert hits == {"memory": 4, "disk": 4}
+
+    def test_unconstrained_scan_order_keeps_bits_and_rows(self):
+        """25 segments over 5 workers scaled to 4: the survivors hold
+        their own indexes but not the ones they take over, so they scan
+        out of scheduler order; costs still add, and partials still
+        merge, in scheduler order."""
+        engine = ClusteredBlendHouse(read_workers=5)
+        engine.execute(
+            "CREATE TABLE docs (id UInt64, embedding Array(Float32), "
+            "INDEX ann embedding TYPE HNSW('DIM=8'))"
+        )
+        engine.table("docs").writer.config.max_segment_rows = 40
+        vectors = np.random.default_rng(0).normal(size=(1000, 8)).astype(np.float32)
+        engine.insert_rows("docs", [{"id": i, "embedding": v} for i, v in enumerate(vectors)])
+        engine.preload("docs")
+        sql = knn_sql("docs", vectors[17], 5)
+        expected = engine.execute(sql).rows
+        engine.scale_to(4)
+        result = engine.execute(sql)
+        assert result.rows == expected
+        scans = engine.tracer.last_root().find_all("worker_scan")
+        assert any(0 < scan.tags["resident"] < scan.tags["segments"] for scan in scans)
+        # The bits scheduler order gives (summed in scan order they end
+        # ...7afa3p-20).
+        assert result.simulated_seconds.hex() == "0x1.c9d1114c7afa4p-20"
+        # A LIMIT without ORDER BY concatenates the partials; in scan order
+        # the rows after segment 0's would be segment 13's, not 8's.
+        rows = engine.execute("SELECT id FROM docs WHERE id >= 0 LIMIT 45").rows
+        assert [row[0] for row in rows] == list(range(40)) + list(range(320, 325))
 
 
 class TestAdmissionControl:

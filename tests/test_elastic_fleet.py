@@ -29,7 +29,7 @@ from repro.errors import NoWorkersError
 from repro.observe.slo import SLObjective, SLOMonitor
 from repro.serving import Lane, QueryRequest, ServingConfig, ServingFrontend, run_virtual
 
-from tests.helpers import vector_sql, walk_spans
+from tests.helpers import drop_and_recreate, vector_sql, walk_spans
 
 DIM = 8
 SEGMENT_ROWS = 60
@@ -255,6 +255,16 @@ class TestAutoscaler:
             db.execute(sql, tenant=f"t{i % 4}")
         assert any(d.action == "scale_in" for d in scaler.history)
         assert db.fleet.size >= 2
+
+
+class TestDropTable:
+    def test_recreated_table_reads_nothing_of_the_dropped_one(self):
+        """DROP TABLE retires the table's indexes from every member's
+        workers; a re-created table reuses its segment ids and keys."""
+        db = FleetBlendHouse(fleet_config=FleetConfig(warehouses=2))
+        ids, exact, cache_hits = drop_and_recreate(db)
+        assert ids == exact
+        assert cache_hits == 0
 
 
 class TestFleetQueries:
