@@ -17,6 +17,11 @@ from repro.catalog.statistics import TableStatistics
 from repro.errors import TableAlreadyExistsError, TableNotFoundError
 
 
+def segment_prefix(table: str) -> str:
+    """What every segment id of ``table`` starts with."""
+    return f"{table}/seg-"
+
+
 @dataclass
 class TableEntry:
     """Catalog record for one table."""
@@ -29,7 +34,7 @@ class TableEntry:
         """Unique, stable segment name (hashed by the scheduler)."""
         seq = self.next_segment_seq
         self.next_segment_seq += 1
-        return f"{self.schema.name}/seg-{seq:08d}"
+        return f"{segment_prefix(self.schema.name)}{seq:08d}"
 
 
 class Catalog:

@@ -54,6 +54,7 @@ class ClusteredBlendHouse(BlendHouse):
         self.retire_hooks.append(
             lambda _sid, index_key: self.read_vw.invalidate_index(index_key)
         )
+        self.drop_hooks.append(self.read_vw.forget_segments)
 
     def _backend(self, tenant: str, lane: str) -> VirtualWarehouse:
         return self.read_vw

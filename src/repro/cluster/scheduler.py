@@ -67,6 +67,14 @@ class SegmentScheduler:
                 assignment[segment_id] = worker
         return assignment
 
+    def forget(self, prefix: str) -> None:
+        """Drop the owner history of every segment whose id starts with
+        ``prefix`` (a dropped table's)."""
+        with self._lock:
+            for owners in (self._current, self._previous):
+                for segment_id in [s for s in owners if s.startswith(prefix)]:
+                    del owners[segment_id]
+
     def group_by_worker(self, assignment: Dict[str, str]) -> Dict[str, List[str]]:
         """Invert an assignment into worker → [segments]."""
         grouped: Dict[str, List[str]] = {}

@@ -178,6 +178,13 @@ class VirtualWarehouse:
         for worker in self.workers.values():
             worker.invalidate(index_key)
 
+    def forget_segments(self, prefix: str) -> None:
+        """Drop the access stats and owner history of every segment whose
+        id starts with ``prefix``: a dropped table's, so that a table
+        re-created under its name starts cold."""
+        self.access_stats.forget(prefix)
+        self.scheduler.forget(prefix)
+
     # ------------------------------------------------------------------
     # Query execution
     # ------------------------------------------------------------------
@@ -254,7 +261,7 @@ class VirtualWarehouse:
                 raise WorkerUnavailableError(f"worker {worker_id!r} is gone")
             # The worker scans the segments whose index it holds first,
             # so its LRU keeps them (DESIGN.md §13, "Resident first").
-            order, resident = worker.scan_order(segment_ids, snapshot.index_key)
+            order, resident, keys = worker.scan_order(segment_ids, snapshot.index_key)
             reordered = reordered or order != segment_ids
             # Each segment charges a capture of its own; replaying those
             # into this one (never applied) is what the worker span reads.
@@ -265,7 +272,7 @@ class VirtualWarehouse:
                 resident=resident, manifest_id=snapshot.manifest_id,
             ):
                 worker_ctx = replace(
-                    ctx, resolve_index=self._resolver_for(worker, snapshot.index_key, cancel)
+                    ctx, resolve_index=self._resolver_for(worker, keys, cancel)
                 )
                 cost_of: Dict[str, float] = {}
                 for segment_id in order:
@@ -343,11 +350,14 @@ class VirtualWarehouse:
     def _resolver_for(
         self,
         worker: Worker,
-        index_key_of: IndexKeyLookup,
+        keys: Dict[str, Optional[str]],
         cancel: Optional[CancelToken] = None,
     ):
+        """``ctx.resolve_index`` for ``worker``'s share of a wave, whose
+        index keys :meth:`Worker.scan_order` looked up."""
+
         def resolve(segment: Segment):
-            index_key = index_key_of(segment.segment_id)
+            index_key = keys[segment.segment_id]
             previous: Optional[Worker] = None
             prev_id = self.scheduler.previous_owner(segment.segment_id)
             if prev_id is not None:

@@ -67,6 +67,9 @@ class Worker:
         )
         # index_key -> simulated completion time of an async warm-up load.
         self._pending_loads: Dict[str, float] = {}
+        # The instant completed loads were last promoted: promoting again
+        # before the clock moves finds nothing new.
+        self._promoted_at: Optional[float] = None
         # Memoized has_index handshakes: (owner_id, index_key) -> bool,
         # so steady-state serving pays one RPC per search, not two.
         self._known_remote: Dict[Tuple[str, str], bool] = {}
@@ -100,13 +103,16 @@ class Worker:
             return
         done_at = self.clock.now + self.cost.object_store_read(size)
         self._pending_loads[index_key] = done_at
+        if done_at <= self.clock.now:
+            self._promoted_at = None  # due already: the next call promotes it
         self.metrics.incr("worker.background_loads")
 
     def scan_order(
         self, segment_ids: List[str], index_key_of: Callable[[str], Optional[str]]
-    ) -> Tuple[List[str], int]:
-        """``segment_ids`` reordered to scan the resident ones first, and
-        how many those are.
+    ) -> Tuple[List[str], int, Dict[str, Optional[str]]]:
+        """``segment_ids`` reordered to scan the resident ones first, how
+        many those are, and each segment's index key (for the wave's
+        :meth:`resolve_provider` calls).
 
         Resident means the segment's index is in this worker's memory
         tier once completed background loads are promoted; each group
@@ -118,16 +124,23 @@ class Worker:
         self._promote_completed_loads()
         resident: List[str] = []
         cold: List[str] = []
+        keys: Dict[str, Optional[str]] = {}
         for segment_id in segment_ids:
-            key = index_key_of(segment_id)
+            key = keys[segment_id] = index_key_of(segment_id)
             if key is not None and self.cache.contains_in_memory(key):
                 resident.append(segment_id)
             else:
                 cold.append(segment_id)
-        return resident + cold, len(resident)
+        return resident + cold, len(resident), keys
 
     def _promote_completed_loads(self) -> None:
+        """Move every background load due by now into the memory tier,
+        once per instant of the clock: a wave's :meth:`scan_order` does
+        it and the wave's resolves, captured at the same instant, skip."""
         now = self.clock.now
+        if now == self._promoted_at:
+            return
+        self._promoted_at = now
         completed = [key for key, t in self._pending_loads.items() if t <= now]
         for key in completed:
             del self._pending_loads[key]

@@ -38,11 +38,11 @@ from __future__ import annotations
 
 from contextlib import closing
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.catalog.catalog import Catalog, TableEntry
+from repro.catalog.catalog import Catalog, TableEntry, segment_prefix
 from repro.catalog.schema import TableSchema
 from repro.core.explain import ExplainResult
 from repro.core.settings import EngineSettings
@@ -204,6 +204,10 @@ class BlendHouse:
         # as it retires a segment: an engine that scans on warehouses
         # drops the retired index from its workers' caches.
         self.retire_hooks: List[RetireHook] = []
+        # Called with a dropped table's segment-id prefix: an engine that
+        # scans on warehouses forgets those segments' access stats and
+        # owner history.
+        self.drop_hooks: List[Callable[[str], None]] = []
         self.last_recovery: Optional[RecoveryReport] = None
         self._durability = DurabilityManager(self, durability)
         self._in_process = _InProcessBackend(self)
@@ -404,6 +408,8 @@ class BlendHouse:
                     keys.append(index_key)
                     for hook in self.retire_hooks:
                         hook(segment.segment_id, index_key)
+            for hook in self.drop_hooks:
+                hook(segment_prefix(statement.name))
             if self._durability.active:
                 # Deletion is only safe once no checkpoint references
                 # these objects; checkpointing now makes it immediate.

@@ -54,6 +54,7 @@ class FleetBlendHouse(BlendHouse):
         self.retire_hooks.append(
             lambda _sid, index_key: self.fleet.invalidate_index(index_key)
         )
+        self.drop_hooks.append(self.fleet.forget_segments)
         self.preloader = BackgroundPreloader(self.fleet, self)
         self.autoscaler: Optional[FleetAutoscaler] = None
 

@@ -225,6 +225,13 @@ class WarehouseFleet:
         for warehouse in self.members.values():
             warehouse.invalidate_index(index_key)
 
+    def forget_segments(self, prefix: str) -> None:
+        """:meth:`VirtualWarehouse.forget_segments` on every member, and
+        the stats retired members left behind."""
+        for warehouse in self.members.values():
+            warehouse.forget_segments(prefix)
+        self._retired_stats.forget(prefix)
+
     def preload_all(self, segment_ids, index_key_of) -> int:
         """Warm every member (initial fleet warm-up before a workload)."""
         loaded = 0

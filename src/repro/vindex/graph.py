@@ -20,8 +20,10 @@ adds them to its pool) and how many nodes were marked seen (HNSW's
 entry and then once per non-empty expansion with the number of
 neighbours gathered, in traversal order — DiskANN's simulated reads.
 
-Lists are expected to name a neighbour at most once, as every builder
-guarantees; a repeated edge is admitted once per repeat, by both walks.
+Every walk marks a neighbour seen as it gathers it, so a node is
+gathered at most once per walk: a neighbour named twice in one list
+(never written by a builder) is gathered once, like a self-loop or an
+edge back to a node already seen.
 """
 
 from __future__ import annotations
@@ -84,10 +86,13 @@ def beam_search_lists(
             break
         settled.append(nearest)
         neighbors = links[node] if layer is None else links[node][layer]
-        fresh = [n for n in neighbors if n not in seen]
+        fresh = []
+        for neighbor in neighbors:
+            if neighbor not in seen:
+                seen.add(neighbor)
+                fresh.append(neighbor)
         if not fresh:
             continue
-        seen.update(fresh)
         marked += len(fresh)
         if on_read is not None:
             on_read(len(fresh))
@@ -112,15 +117,20 @@ def beam_search_csr(
     width: int,
     on_read: Optional[Callable[[int], None]] = None,
     table: Optional[List[float]] = None,
+    lists: Optional[Sequence[Sequence[int]]] = None,
 ) -> Walk:
     """Beam search over a CSR: node ``i``'s neighbours are
     ``indices[offsets[i]:offsets[i + 1]]`` (the query hot path).
 
     Both arrays are read through ``memoryview``s, so a hop slices a
-    buffer and reads python ints without a numpy call.  ``table``, when
-    given, is ``distance(query, node)`` for every node as a python list
-    (:meth:`HNSWIndex._distance_table`): the hop then looks each fresh
-    neighbour's distance up as it admits it and calls numpy not at all.
+    buffer and reads python ints without a numpy call.  ``lists``, when
+    given, is the same adjacency as python lists (a built HNSW's kept
+    layer 0, DESIGN.md §9): the hop iterates ``lists[node]`` instead of a
+    slice, the same ids in the same order without a new int per id.
+    ``table``, when given, is ``distance(query, node)`` for every node as
+    a python list (:meth:`HNSWIndex._distance_table`): the hop then
+    checks, marks and admits each neighbour in one pass over its list and
+    calls numpy not at all.
     """
     offsets, indices = memoryview(offsets), memoryview(indices)
     seen = bytearray(len(offsets) - 1)
@@ -141,16 +151,14 @@ def beam_search_csr(
         if dist > worst and room <= 0:
             break
         settled.append(nearest)
-        # Filter, then mark: a repeated edge is gathered once per repeat.
-        fresh = [n for n in indices[offsets[node]:offsets[node + 1]] if not seen[n]]
-        if not fresh:
-            continue
-        marked += len(fresh)
-        if on_read is not None:
-            on_read(len(fresh))
+        neighbors = indices[offsets[node]:offsets[node + 1]] if lists is None else lists[node]
         if table is not None:
-            for neighbor in fresh:
+            before = marked
+            for neighbor in neighbors:
+                if seen[neighbor]:
+                    continue
                 seen[neighbor] = 1
+                marked += 1
                 neighbor_dist = table[neighbor]
                 if room > 0:
                     room -= 1
@@ -161,9 +169,19 @@ def beam_search_csr(
                     heappush(frontier, (neighbor_dist, neighbor))
                     heappushpop(beam, (-neighbor_dist, neighbor))
                     worst = -beam[0][0]
+            if on_read is not None and marked != before:
+                on_read(marked - before)
             continue
-        for neighbor in fresh:
-            seen[neighbor] = 1
+        fresh = []
+        for neighbor in neighbors:
+            if not seen[neighbor]:
+                seen[neighbor] = 1
+                fresh.append(neighbor)
+        if not fresh:
+            continue
+        marked += len(fresh)
+        if on_read is not None:
+            on_read(len(fresh))
         for pair in zip(distance(query, fresh).tolist(), fresh):
             neighbor_dist, neighbor = pair
             if room > 0:

@@ -154,11 +154,18 @@ class _FrozenLinks(NamedTuple):
     upper_ptr[node]`` is the node's level.  The query kernels read all
     three through ``memoryview``s, so ``indices`` is int64 when frozen
     here and the image's narrow unsigned view when loaded.
+
+    ``layer0`` is the builder's layer-0 lists, kept by the freeze of a
+    built graph so its layer-0 hop iterates python lists rather than
+    slicing the CSR (DESIGN.md §9, "Built graphs walk their own lists");
+    it lives and dies with the CSR it was frozen with.  A loaded graph
+    has None and walks the CSR: nothing is thawed on load.
     """
 
     offsets: np.ndarray    # uint32[slots + 1]
     indices: np.ndarray    # int64 (frozen) or uint16 / uint32 (loaded) [links]
     upper_ptr: np.ndarray  # uint32[ntotal + 1]
+    layer0: Optional[List[List[int]]] = None
 
 
 class HNSWIndex(VectorIndex):
@@ -206,9 +213,10 @@ class HNSWIndex(VectorIndex):
         # lists (``_links[node][level]`` -> neighbor node indices) while
         # rows are added, the frozen CSR for queries and the image.  A
         # mutation drops the CSR (the dirty flag), the next freeze drops
-        # the lists, a load starts CSR-only.  Each transition publishes
-        # the new form before dropping the old and readers fetch
-        # lists-then-CSR, so concurrent searches always find one.
+        # the lists (keeping layer 0's inside the frozen form), a load
+        # starts CSR-only.  Each transition publishes the new form before
+        # dropping the old and readers fetch lists-then-CSR, so
+        # concurrent searches always find one.
         self._links: Optional[List[List[List[int]]]] = []
         self._frozen: Optional[_FrozenLinks] = None
         self._entry_point = -1
@@ -273,15 +281,17 @@ class HNSWIndex(VectorIndex):
             upper_ptr[1:] = np.cumsum(
                 np.fromiter(map(len, lists), dtype=np.int64, count=len(lists)) - 1
             )
-            slots = [node[0] for node in lists]
-            slots.extend(layer for node in lists for layer in node[1:])
-            frozen = self._frozen = _FrozenLinks(*freeze_adjacency(slots), upper_ptr)
+            layer0 = [node[0] for node in lists]
+            slots = layer0 + [layer for node in lists for layer in node[1:]]
+            frozen = self._frozen = _FrozenLinks(*freeze_adjacency(slots), upper_ptr, layer0)
             self._links = None
         return frozen
 
     def _thawed_links(self) -> List[List[List[int]]]:
         """The builder's lists, thawed from the CSR on the first add
-        after a freeze or a load."""
+        after a freeze or a load.  Always from the CSR, never from the
+        kept layer-0 lists: a search that fetched the frozen form before
+        this add may still be walking them."""
         lists = self._links
         if lists is None:
             frozen = self._frozen
@@ -552,7 +562,7 @@ class HNSWIndex(VectorIndex):
         ``memoryview``s: same distances, same first-minimum tie-break,
         same neighbor order — through numpy (``argmin``) without a
         table, through ``min`` + ``list.index`` with one."""
-        offsets, indices, upper_ptr = map(memoryview, frozen)
+        offsets, indices, upper_ptr = map(memoryview, frozen[:3])
         base = self.ntotal + layer - 1
         current = start
         if table is None:
@@ -590,11 +600,13 @@ class HNSWIndex(VectorIndex):
     def _query_layer0(
         self, query: np.ndarray, entry: int, table: Optional[List[float]], ef: int
     ) -> Tuple[List[Tuple[float, int]], int]:
-        """Layer-0 beam search over the CSR: the ascending (distance,
-        node) beam and the visited count."""
-        offsets, indices, _ = self._frozen_links()
+        """Layer-0 beam search over the CSR (over the kept lists of a
+        built graph): the ascending (distance, node) beam and the visited
+        count."""
+        frozen = self._frozen_links()
         beam, _, marked = beam_search_csr(
-            self._distance, query, offsets, indices, entry, ef, table=table
+            self._distance, query, frozen.offsets, frozen.indices, entry, ef,
+            table=table, lists=frozen.layer0,
         )
         return beam, marked
 
@@ -738,9 +750,11 @@ class HNSWSearchIterator(SearchIterator):
         self._pool: List[Tuple[float, int]] = []        # settled, not yet emitted
         self._graph_exhausted = index.ntotal == 0 or index._entry_point < 0
         self.visited_total = 0
+        self._offsets = self._indices = self._lists = None  # stay None on an empty graph
         if not self._graph_exhausted:
-            offsets, indices, _ = index._frozen_links()
-            self._offsets, self._indices = memoryview(offsets), memoryview(indices)
+            frozen = index._frozen_links()
+            self._offsets, self._indices = memoryview(frozen.offsets), memoryview(frozen.indices)
+            self._lists = frozen.layer0
             table = self._table = index._distance_table(query)
             current = index._descend(query, table)
             dist = float(index._distance(query, [current])[0]) if table is None else table[current]
@@ -756,9 +770,11 @@ class HNSWSearchIterator(SearchIterator):
         """Pop the nearest frontier node, pool it if the bitset allows it
         and push its unseen neighbours, until the pool holds ``fill``
         entries (or ``slack`` that the frontier cannot improve on), as
-        one loop whose state lives in locals and is written back once."""
+        one loop whose state lives in locals and is written back once.
+        A neighbour is marked as it is gathered, in one pass over the
+        list (the kept lists of a built graph, else the CSR slice)."""
         candidates, pool, seen = self._candidates, self._pool, self._seen
-        offsets, indices = self._offsets, self._indices
+        offsets, indices, lists = self._offsets, self._indices, self._lists
         table, allowed = self._table, self._allowed
         distance, query = self._index._distance, self._query
         visited = self.visited_total
@@ -770,18 +786,23 @@ class HNSWSearchIterator(SearchIterator):
             node = nearest[1]
             if allowed is None or allowed[node]:
                 heappush(pool, nearest)
-            # Filter, then mark: a repeated edge is gathered once per repeat.
-            fresh = [n for n in indices[offsets[node]:offsets[node + 1]] if not seen[n]]
+            neighbors = indices[offsets[node]:offsets[node + 1]] if lists is None else lists[node]
+            if table is not None:
+                for neighbor in neighbors:
+                    if seen[neighbor]:
+                        continue
+                    seen[neighbor] = 1
+                    visited += 1
+                    heappush(candidates, (table[neighbor], neighbor))
+                continue
+            fresh = []
+            for neighbor in neighbors:
+                if not seen[neighbor]:
+                    seen[neighbor] = 1
+                    fresh.append(neighbor)
             if not fresh:
                 continue
             visited += len(fresh)
-            if table is not None:
-                for neighbor in fresh:
-                    seen[neighbor] = 1
-                    heappush(candidates, (table[neighbor], neighbor))
-                continue
-            for neighbor in fresh:
-                seen[neighbor] = 1
             for pair in zip(distance(query, fresh).tolist(), fresh):
                 heappush(candidates, pair)
         self.visited_total = visited

@@ -26,10 +26,11 @@ def walk_spans(span):
         yield from walk_spans(child)
 
 
-def drop_and_recreate(engine, k=3):
+def drop_and_recreate(engine, k=3, before_drop=None):
     """Fill, preload and query an 8-d HNSW table ``t`` on ``engine``,
-    drop it, create it again with other vectors and ids, and run one
-    top-``k`` query on the new table.
+    call ``before_drop()`` if given, drop the table, create it again
+    with other vectors and ids, and run one top-``k`` query on the new
+    table.
 
     Segment ids restart per table name, so the new table's segments
     and index keys are the dropped table's.  Returns the query's ids,
@@ -60,6 +61,8 @@ def drop_and_recreate(engine, k=3):
     fill(0, old)
     engine.preload("t")
     knn(old[5])
+    if before_drop is not None:
+        before_drop()
     engine.execute("DROP TABLE t")
     fill(2000, new)
     hits = engine.metrics.count("columnio.cache_hits")
@@ -186,8 +189,11 @@ class ListWalkIterator(SearchIterator):
         nearest = heapq.heappop(self.candidates)
         if self.allowed is None or self.allowed[nearest[1]]:
             heapq.heappush(self.pool, nearest)
-        fresh = [n for n in self.links[nearest[1]][0] if n not in self.seen]
-        self.seen.update(fresh)
+        fresh = []
+        for neighbor in self.links[nearest[1]][0]:
+            if neighbor not in self.seen:
+                self.seen.add(neighbor)
+                fresh.append(neighbor)
         self.visited_total += len(fresh)
         if fresh:
             for pair in zip(self.index._distance(self.query, fresh).tolist(), fresh):

@@ -281,6 +281,19 @@ class TestDropTable:
         assert ids == exact
         assert cache_hits == 0
 
+    def test_recreated_table_inherits_no_heat(self):
+        """The dropped table's access stats and owner history go with
+        it: the new table's segments read no hit and no preload, and
+        its first query misses on every segment."""
+        engine = ClusteredBlendHouse(read_workers=2)
+        drop_and_recreate(engine)
+        segment_ids = engine.table("t").manager.segment_ids()
+        assert len(segment_ids) == 4
+        for segment_id in segment_ids:
+            entry = engine.read_vw.access_stats.get(segment_id)
+            assert (entry.hits, entry.misses, entry.preloads) == (0, 1, 0)
+            assert engine.read_vw.scheduler.previous_owner(segment_id) is None
+
 
 def knn_sql(table, query, k):
     return (

@@ -266,6 +266,20 @@ class TestDropTable:
         assert ids == exact
         assert cache_hits == 0
 
+    def test_recreated_table_inherits_no_heat(self):
+        """No member, and no member scaled in before the drop, keeps the
+        dropped table's access stats: the new table's segments read no
+        hit and no preload fleet-wide."""
+        db = FleetBlendHouse(fleet_config=FleetConfig(warehouses=2))
+        drop_and_recreate(db, before_drop=db.fleet.remove_warehouse)
+        stats = db.fleet.access_stats()
+        segment_ids = db.table("t").manager.segment_ids()
+        assert len(segment_ids) == 4
+        for segment_id in segment_ids:
+            entry = stats.get(segment_id)
+            assert (entry.hits, entry.misses, entry.preloads) == (0, 1, 0)
+        assert db.fleet.hot_segments() == segment_ids
+
 
 class TestFleetQueries:
     def test_results_match_core_engine(self):

@@ -4,7 +4,8 @@ The list walk and the CSR walk are independent implementations of one
 beam search, so they are held against each other here on adjacency the
 index builders never produce — isolated nodes, self-loops, repeated
 edges, disconnected components — over points chosen so that tied and
-zero distances are the common case.  ``test_kernel_equivalence.py``
+zero distances are the common case; the CSR walk also over the same
+adjacency as python lists, as a built HNSW keeps its layer 0.  ``test_kernel_equivalence.py``
 holds built indexes' searches against the list walk; the cost side it
 leaves open (``visited`` under a bitset, DiskANN's charged reads) is
 pinned below, then the per-query distance table, then the native
@@ -22,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 from repro.vindex import hnsw
 from repro.vindex.api import pairwise_distance
 from repro.vindex.graph import beam_search_csr, beam_search_lists, filtered_top_k
-from repro.vindex.image import freeze_adjacency
+from repro.vindex.image import freeze_adjacency, thaw_adjacency
 from repro.vindex.registry import IndexSpec, create_index, deserialize_index, serialize_index
 
 from tests.helpers import reference_iterator, reference_search
@@ -45,7 +46,7 @@ def built(data):
 
 
 @st.composite
-def walks(draw, repeats=True):
+def walks(draw):
     """(points, adjacency lists, query, entry, width) over ≤ 12 nodes on
     a 3 × 3 integer grid: most distances tie, many are zero."""
     n = draw(st.integers(1, 12))
@@ -56,8 +57,6 @@ def walks(draw, repeats=True):
     lists = draw(
         st.lists(st.lists(st.integers(0, n - 1), max_size=6), min_size=n, max_size=n)
     )
-    if not repeats:
-        lists = [list(dict.fromkeys(neighbors)) for neighbors in lists]
     query = np.array(draw(st.tuples(coords, coords)), dtype=np.float32)
     return points, lists, query, draw(st.integers(0, n - 1)), draw(st.integers(1, n + 3))
 
@@ -76,9 +75,13 @@ def both_walks(points, lists, query, entry, width):
     by_lists = beam_search_lists(
         distance, query, lists, entry, width, on_read=reads_lists.append
     )
-    by_csr = beam_search_csr(
-        distance, query, *freeze_adjacency(lists), entry, width, on_read=reads_csr.append
+    csr = freeze_adjacency(lists)
+    by_csr = beam_search_csr(distance, query, *csr, entry, width, on_read=reads_csr.append)
+    reads_kept = []
+    by_kept = beam_search_csr(
+        distance, query, *csr, entry, width, on_read=reads_kept.append, lists=lists
     )
+    assert (by_kept, reads_kept) == (by_csr, reads_csr)
     return by_lists, reads_lists, by_csr, reads_csr
 
 
@@ -114,13 +117,12 @@ class TestTwoWalksOneTraversal:
             distance, query, layered, entry, width, layer=1
         ) == beam_search_lists(distance, query, lists, entry, width)
 
-    @given(walk=walks(repeats=False))
+    @given(walk=walks())
     @settings(max_examples=300, deadline=None)
     def test_wide_beam_returns_every_reachable_node_once(self, walk):
-        # Lists that name a neighbour once — the builders' guarantee;
-        # a repeated edge is admitted once per repeat by both walks
-        # (test_lists_and_csr_agree covers those).  Self-loops,
-        # isolated nodes and unreachable components are all in play.
+        # Every walk gathers a node at most once, so repeated edges,
+        # self-loops, isolated nodes and unreachable components all
+        # leave one beam entry and one mark per reachable node.
         points, lists, query, entry, _ = walk
         want = sorted(reachable(lists, entry))
         for width in (len(lists), len(lists) + 1):
@@ -439,8 +441,12 @@ class TestCsrWalkWithTable:
         tabled = beam_search_csr(
             None, None, *csr, entry, width, on_read=reads_table.append, table=table
         )
-        assert plain == tabled == beam_search_lists(distance, query, lists, entry, width)
-        assert reads_plain == reads_table
+        reads_kept = []
+        kept = beam_search_csr(
+            None, None, *csr, entry, width, on_read=reads_kept.append, table=table, lists=lists
+        )
+        assert plain == tabled == kept == beam_search_lists(distance, query, lists, entry, width)
+        assert reads_plain == reads_table == reads_kept
 
 
 # ----------------------------------------------------------------------
@@ -465,15 +471,18 @@ def drain(index, query, **params):
     return out[0], out[1], native._table is not None
 
 
-def hand_made(points, lists, entry):
+def hand_made(points, lists, entry, kept=False):
     """An HNSW whose layer 0 is ``lists`` verbatim — repeated edges,
-    self-loops, isolated nodes — with no upper layer."""
+    self-loops, isolated nodes — with no upper layer; ``kept``: frozen
+    with the lists kept, as a build freezes."""
     n = len(lists)
     index = create_index(IndexSpec(index_type="HNSW", dim=points.shape[1]))
     index._vectors = points
     index._ids = np.arange(n, dtype=np.int64)
     index._links = None
-    index._frozen = hnsw._FrozenLinks(*freeze_adjacency(lists), np.zeros(n + 1, dtype=np.uint32))
+    index._frozen = hnsw._FrozenLinks(
+        *freeze_adjacency(lists), np.zeros(n + 1, dtype=np.uint32), lists if kept else None
+    )
     index._entry_point, index._max_level = entry, 0
     return index
 
@@ -506,6 +515,7 @@ class TestFastIteratorIsTheReference:
     ):
         index = by_metric[name, metric, form]
         assert index._frozen.indices.flags.writeable == (form == "built")
+        assert (index._frozen.layer0 is not None) == (form == "built")
         n = index.ntotal
         dense = np.arange(n) % 3 != 0
         sparse = np.arange(n) % 10 == 3
@@ -527,15 +537,16 @@ class TestFastIteratorIsTheReference:
         allowed=st.lists(st.booleans(), min_size=12, max_size=12),
         ef=st.integers(1, 8),
         tabled=st.booleans(),
-        loaded=st.booleans(),
+        form=st.sampled_from(["csr", "kept", "loaded"]),
     )
     @settings(max_examples=300, deadline=None)
-    def test_on_any_adjacency(self, walk, allowed, ef, tabled, loaded):
+    def test_on_any_adjacency(self, walk, allowed, ef, tabled, form):
         # Ties and zero distances everywhere, and repeated edges: the
-        # fast loop filters a hop, then marks it, as the list form does.
+        # fast loop marks a neighbour as it gathers it, as the list form
+        # does, over the CSR and over kept lists alike.
         points, lists, query, entry, batch_size = walk
-        index = hand_made(points, lists, entry)
-        if loaded:
+        index = hand_made(points, lists, entry, kept=form == "kept")
+        if form == "loaded":
             index = deserialize_index(serialize_index(index))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(hnsw, "_TABLE_MAX_FLOATS", float("inf") if tabled else -1)
@@ -544,6 +555,52 @@ class TestFastIteratorIsTheReference:
                 fast, ref, got_table = drain(index, query, **params)
                 assert got_table == tabled
                 assert fast == ref
+
+
+class TestKeptLayer0:
+    """A built graph walks the layer-0 lists its freeze kept, a loaded
+    one its CSR (DESIGN.md §9, "Built graphs walk their own lists"); an
+    add drops the kept lists with the CSR and thaws from the CSR."""
+
+    @pytest.mark.parametrize("name", ["HNSW", "HNSWSQ"])
+    def test_built_keeps_its_lists_and_loaded_walks_the_csr(self, by_metric, data, name):
+        built, loaded = by_metric[name, "l2", "built"], by_metric[name, "l2", "loaded"]
+        frozen = built._frozen_links()
+        n = built.ntotal
+        assert frozen.layer0 == thaw_adjacency(frozen.offsets, frozen.indices)[:n]
+        assert loaded._frozen_links().layer0 is None
+        query = data[7] + np.float32(0.05)
+        assert everything(built, query) == everything(loaded, query)
+
+    @pytest.mark.parametrize("name", ["HNSW", "HNSWSQ"])
+    def test_extended_index_walks_its_new_graph(self, data, name):
+        spec = IndexSpec(index_type=name, dim=12, params={"m": 6})
+        first, rows = 150, data[:300]
+        extended, before = create_index(spec), create_index(spec)
+        for index in (extended, before):
+            index.add_with_ids(rows[:first], np.arange(first))
+        query = data[11] + np.float32(0.05)
+        extended.search_with_filter(query, 5)  # freezes, keeping layer 0
+        opened = extended.search_iterator(query, batch_size=16)
+        first_batch = opened.next_batch()
+        extended.add_with_ids(rows[first:], np.arange(first, len(rows)))
+        fresh = create_index(spec)
+        if name == "HNSWSQ":
+            fresh.train(rows[:first])  # the range the first add learned
+        fresh.add_with_ids(rows, np.arange(len(rows)))
+        assert extended._frozen is None
+        for probe in (query, data[200], data[40] - np.float32(0.1)):
+            assert everything(extended, probe) == everything(fresh, probe)
+        # The iterator opened before the add streams the graph it was
+        # opened on: the add thawed the CSR, not the lists it walks.
+        reference = before.search_iterator(query, batch_size=16)
+        streams = []
+        for iterator, head in ((opened, first_batch), (reference, None)):
+            batches = [head or iterator.next_batch()]
+            while not iterator.exhausted:
+                batches.append(iterator.next_batch())
+            streams.append([(b.ids.tobytes(), b.distances.tobytes(), b.visited) for b in batches])
+        assert streams[0] == streams[1]
 
 
 # ----------------------------------------------------------------------

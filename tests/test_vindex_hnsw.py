@@ -113,6 +113,11 @@ class TestIterator:
             total.extend(batch.ids.tolist())
         assert sorted(total) == list(range(20))
 
+    def test_empty_index_iterator_yields_nothing(self, data):
+        iterator = HNSWIndex(dim=16).search_iterator(data[0], batch_size=8)
+        assert iterator.exhausted
+        assert len(iterator.next_batch()) == 0
+
     def test_iterator_matches_oneshot_prefix(self, index, data):
         query = data[77] + 0.03
         oneshot = index.search_with_filter(query, 20, ef_search=128)
