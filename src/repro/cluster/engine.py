@@ -51,13 +51,15 @@ class ClusteredBlendHouse(BlendHouse):
         )
         for _ in range(read_workers):
             self.read_vw.add_worker()
-        self.retire_hooks.append(
-            lambda _sid, index_key: self.read_vw.invalidate_index(index_key)
-        )
-        self.drop_hooks.append(self.read_vw.forget_segments)
 
     def _backend(self, tenant: str, lane: str) -> VirtualWarehouse:
         return self.read_vw
+
+    def _release_index(self, index_key: Optional[str]) -> None:
+        self.read_vw.invalidate_index(index_key)
+
+    def _forget_segments(self, prefix: str) -> None:
+        self.read_vw.forget_segments(prefix)
 
     def preload(self, table: str) -> int:
         """Preload every segment's index into its scheduled worker."""

@@ -38,7 +38,8 @@ from __future__ import annotations
 
 from contextlib import closing
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -83,7 +84,6 @@ from repro.sqlparser.ast_nodes import (
 )
 from repro.sqlparser.lexer import Scan, scan_statement
 from repro.sqlparser.parser import parse_statement
-from repro.storage.compaction import RetireHook
 from repro.storage.objectstore import ObjectStore
 from repro.storage.segment import Segment
 from repro.vindex.registry import IndexSpec, parse_index_options
@@ -200,14 +200,6 @@ class BlendHouse:
         self._ingest_config = ingest_config or IngestConfig()
         self.reader = ColumnReader(self.clock, self.cost, self.metrics)
         self._tables: Dict[str, TableRuntime] = {}
-        # Every table's compactor calls these with (segment_id, index_key)
-        # as it retires a segment: an engine that scans on warehouses
-        # drops the retired index from its workers' caches.
-        self.retire_hooks: List[RetireHook] = []
-        # Called with a dropped table's segment-id prefix: an engine that
-        # scans on warehouses forgets those segments' access stats and
-        # owner history.
-        self.drop_hooks: List[Callable[[str], None]] = []
         self.last_recovery: Optional[RecoveryReport] = None
         self._durability = DurabilityManager(self, durability)
         self._in_process = _InProcessBackend(self)
@@ -228,9 +220,39 @@ class BlendHouse:
         )
         self._tables[entry.schema.name] = runtime
         self._durability.register_table(runtime)
-        for hook in self.retire_hooks:
-            runtime.compactor.on_retire(hook)
+        runtime.manager.on_retire(partial(self._retire, runtime))
         return runtime
+
+    # ------------------------------------------------------------------
+    # Segment retirement
+    # ------------------------------------------------------------------
+    def _retire(
+        self, runtime: TableRuntime, segment: Segment, index_key: Optional[str]
+    ) -> None:
+        """The one way out for a segment: compaction's inputs, once no
+        pinned manifest holds them (the manifest store's retire event),
+        and every segment of a dropped table.  Caches forget the index
+        now; the payloads wait for a checkpoint that no longer needs
+        them."""
+        runtime.forget_index(index_key)
+        self._release_index(index_key)
+        self._durability.defer_segment_delete(segment, index_key)
+
+    def _drop_table(self, name: str) -> None:
+        """Retire every segment of table ``name``, already gone from the
+        catalog, and forget what caches hold of it: segment ids restart
+        per table name, so a table re-created under this name would
+        otherwise read the dropped one's column blocks, indexes and
+        access history."""
+        runtime = self._tables.pop(name)
+        for segment in runtime.manager.segments():
+            for column in list(segment.scalar_column_names) + [
+                segment.meta.vector_column
+            ]:
+                self.reader.forget(segment.segment_id, column)
+            index_key = runtime.manager.index_key(segment.segment_id)
+            self._retire(runtime, segment, index_key)
+        self._forget_segments(segment_prefix(name))
 
     # ------------------------------------------------------------------
     # SQL entry point
@@ -260,12 +282,24 @@ class BlendHouse:
     def _backend(self, tenant: str, lane: str) -> Any:
         """Where a SELECT from ``(tenant, lane)`` scans: this process.
 
-        The one hook the engines that scan elsewhere override — a
-        clustered engine returns its read warehouse, a fleet engine the
-        member its router picks.  A backend is what
-        :meth:`select_stages` documents.
+        The engines that scan elsewhere override it — a clustered engine
+        returns its read warehouse, a fleet engine the member its router
+        picks — and, beside it, what their workers forget when a segment
+        retires (:meth:`_release_index`, :meth:`_forget_segments`).  A
+        backend is what :meth:`select_stages` documents.
         """
         return self._in_process
+
+    def _release_index(self, index_key: Optional[str]) -> None:
+        """Drop a retired index from where SELECTs scan: nothing to do
+        in this process, whose table runtimes forget their own.  An
+        engine that scans on warehouses overrides it, as it does
+        :meth:`_backend`."""
+
+    def _forget_segments(self, prefix: str) -> None:
+        """Forget the access stats and owner history of a dropped table's
+        segments (ids starting with ``prefix``): none are kept in this
+        process.  Overridden beside :meth:`_release_index`."""
 
     def _parse(self, sql: str) -> Tuple[Any, Optional[_SelectQuery]]:
         """The statement front door: one scan of ``sql``, then its shape's
@@ -380,44 +414,17 @@ class BlendHouse:
         return schema
 
     def _execute_drop(self, statement: DropTable) -> bool:
-        runtime = self._tables.get(statement.name)
         dropped = self.catalog.drop_table(statement.name, if_exists=statement.if_exists)
-        self._tables.pop(statement.name, None)
         if dropped:
             # Prepared templates are bound against the schema that just died.
             self.plan_cache.invalidate()
             # The drop record must be durable before any payload dies.
             self._durability.log_drop(statement.name)
             self._durability.statement_boundary()
-        if dropped and runtime is not None:
-            # Garbage-collect the table's persisted state so the shared
-            # store does not leak dropped tables' segments and indexes,
-            # and forget what the caches hold of it: segment ids restart
-            # per table name, so a table re-created under this name would
-            # otherwise read the dropped one's blocks and indexes.
-            keys: List[str] = []
-            for segment in runtime.manager.segments():
-                for column in list(segment.scalar_column_names) + [
-                    segment.meta.vector_column
-                ]:
-                    keys.append(Segment.column_key(segment.segment_id, column))
-                    self.reader.forget(segment.segment_id, column)
-                keys.append(Segment.meta_key(segment.segment_id))
-                index_key = runtime.manager.index_key(segment.segment_id)
-                if index_key is not None:
-                    keys.append(index_key)
-                    for hook in self.retire_hooks:
-                        hook(segment.segment_id, index_key)
-            for hook in self.drop_hooks:
-                hook(segment_prefix(statement.name))
-            if self._durability.active:
-                # Deletion is only safe once no checkpoint references
-                # these objects; checkpointing now makes it immediate.
-                self._durability.defer_keys(keys)
-                self._durability.checkpoint(reason="drop")
-            else:
-                for key in keys:
-                    self.store.delete(key)
+            self._drop_table(statement.name)
+            # Deletion is only safe once no checkpoint references the
+            # payloads; checkpointing now makes it immediate.
+            self._durability.checkpoint(reason="drop")
         return dropped
 
     # ------------------------------------------------------------------

@@ -55,12 +55,12 @@ class TableRuntime:
             cost=cost, metrics=metrics, resident_index=self._resident_index,
         )
         self._loaded_indexes: Dict[str, VectorIndex] = {}
-        self.compactor.on_retire(self._forget_index)
 
     # ------------------------------------------------------------------
     # Index resolution (local mode)
     # ------------------------------------------------------------------
-    def _forget_index(self, segment_id: str, index_key: Optional[str]) -> None:
+    def forget_index(self, index_key: Optional[str]) -> None:
+        """Drop a retired index this process built or loaded."""
         if index_key is not None:
             self._loaded_indexes.pop(index_key, None)
             self.writer.built_indexes.pop(index_key, None)

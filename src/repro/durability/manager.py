@@ -101,7 +101,6 @@ class DurabilityManager:
         runtime.writer.on_stats_refresh = (
             lambda _r=runtime: self._log_stats(_r)
         )
-        runtime.compactor.defer_physical_delete = self.defer_segment_delete
 
     # ------------------------------------------------------------------
     # Record producers
@@ -216,8 +215,8 @@ class DurabilityManager:
 
         The last checkpoint's manifest may still reference the segment;
         deleting now would make that checkpoint unrecoverable.  The keys
-        become deletable once a checkpoint covers the commit that
-        dropped the segment.
+        become deletable once a checkpoint covers the commit (or the
+        DROP TABLE) that dropped the segment.
         """
         keys = [
             Segment.column_key(segment.segment_id, column)
@@ -227,12 +226,6 @@ class DurabilityManager:
         keys.append(Segment.meta_key(segment.segment_id))
         if index_key is not None:
             keys.append(index_key)
-        self.defer_keys(keys)
-
-    def defer_keys(self, keys: List[str]) -> None:
-        """Queue raw object keys for post-checkpoint deletion."""
-        if not keys:
-            return
         self._gc_pending.append(
             _DeferredDelete(safe_after_lsn=self.wal.last_assigned_lsn, keys=keys)
         )

@@ -176,15 +176,10 @@ def _replay_drop(db: Any, data: Dict[str, Any], report: RecoveryReport) -> None:
     if name not in db.catalog:
         return
     db.catalog.drop_table(name)
-    runtime = db._tables.pop(name, None)
-    if runtime is not None:
-        # The pre-crash engine deferred these deletions to its next
-        # checkpoint; re-queue them so this engine's next checkpoint
-        # finishes the job.
-        for segment in runtime.manager.segments():
-            db._durability.defer_segment_delete(
-                segment, runtime.manager.index_key(segment.segment_id)
-            )
+    # The pre-crash engine deferred the payloads' deletion to its next
+    # checkpoint; retiring them again lets this engine's next checkpoint
+    # finish the job.
+    db._drop_table(name)
     if name in report.tables:
         report.tables.remove(name)
 

@@ -51,10 +51,6 @@ class FleetBlendHouse(BlendHouse):
             self.clock, self.cost, self.store,
             metrics=self.metrics, tracer=self.tracer, config=fleet_config,
         )
-        self.retire_hooks.append(
-            lambda _sid, index_key: self.fleet.invalidate_index(index_key)
-        )
-        self.drop_hooks.append(self.fleet.forget_segments)
         self.preloader = BackgroundPreloader(self.fleet, self)
         self.autoscaler: Optional[FleetAutoscaler] = None
 
@@ -105,6 +101,12 @@ class FleetBlendHouse(BlendHouse):
         self.metrics.incr("fleet.queries")
         self.metrics.incr(f"fleet.served_by.{warehouse.name}")
         return warehouse
+
+    def _release_index(self, index_key: Optional[str]) -> None:
+        self.fleet.invalidate_index(index_key)
+
+    def _forget_segments(self, prefix: str) -> None:
+        self.fleet.forget_segments(prefix)
 
     def execute(
         self, sql: str, tenant: str = "default", lane: str = "interactive"

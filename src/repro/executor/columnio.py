@@ -104,11 +104,6 @@ class ColumnReader:
         self._charge_fetch(segment, column, len(offsets))
         return segment.scalar_at(column, offsets)
 
-    def fetch_full_column(self, segment: Segment, column: str) -> Any:
-        """Whole column (structured scans), charged as one block read."""
-        self._charge_fetch(segment, column, segment.row_count)
-        return segment.scalar_column(column)
-
     def forget(self, segment_id: str, column: str) -> None:
         """Drop one segment column's cached block and facts (its table
         was dropped)."""

@@ -10,7 +10,6 @@ widening when cardinality estimates prove wrong.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
 
 import numpy as np
 
@@ -28,13 +27,6 @@ class SemanticClustering:
     def bucket_count(self) -> int:
         """Number of buckets actually produced."""
         return int(self.centroids.shape[0])
-
-    def rows_by_bucket(self) -> Dict[int, List[int]]:
-        """Row offsets grouped by bucket id."""
-        groups: Dict[int, List[int]] = {}
-        for offset, bucket in enumerate(self.assignments.tolist()):
-            groups.setdefault(int(bucket), []).append(offset)
-        return groups
 
 
 def cluster_vectors(

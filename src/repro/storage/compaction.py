@@ -46,8 +46,6 @@ from repro.vindex.ivf import cell_seeds
 from repro.vindex.kmeans import Seeds
 from repro.vindex.registry import deserialize_index, index_class
 
-RetireHook = Callable[[str, Optional[str]], None]
-
 
 def _nothing_resident(index_key: str) -> Optional[VectorIndex]:
     """A compactor's default: no index is held in memory."""
@@ -81,45 +79,9 @@ class Compactor:
     clock: SimulatedClock
     cost: DeviceCostModel = field(default_factory=DeviceCostModel)
     metrics: MetricRegistry = field(default_factory=MetricRegistry)
-    retire_hooks: List[RetireHook] = field(default_factory=list)
-    # When set (by the durability manager), retired payloads are not
-    # deleted here but queued until a checkpoint no longer references
-    # them — the last checkpoint's manifest may still need the objects
-    # for cold-restart recovery.
-    defer_physical_delete: Optional[Callable[[Segment, Optional[str]], None]] = None
     # The index object stored under a key, when this process already
     # holds it (the table's built and loaded indexes); None otherwise.
     resident_index: Callable[[str], Optional[VectorIndex]] = _nothing_resident
-
-    def __post_init__(self) -> None:
-        # Physical deletion is deferred to the MVCC layer: a compacted
-        # input leaves the *current* manifest immediately, but its
-        # payloads and index survive until the last retained or pinned
-        # manifest referencing it expires.  Only then is it safe to
-        # delete objects and invalidate caches.
-        self.manager.on_retire(self._on_segment_retired)
-
-    def on_retire(self, hook: RetireHook) -> None:
-        """Register a callback fired with (segment_id, index_key) once a
-        segment is physically retired (no live manifest references it) —
-        workers use it to invalidate index caches."""
-        self.retire_hooks.append(hook)
-
-    def _on_segment_retired(self, segment: Segment, index_key: Optional[str]) -> None:
-        """Manifest-store callback: last reference to ``segment`` died."""
-        for hook in self.retire_hooks:
-            hook(segment.segment_id, index_key)
-        if self.defer_physical_delete is not None:
-            self.defer_physical_delete(segment, index_key)
-            return
-        with self.clock.paused():
-            for column in list(segment.scalar_column_names) + [
-                segment.meta.vector_column
-            ]:
-                self.store.delete(Segment.column_key(segment.segment_id, column))
-            self.store.delete(Segment.meta_key(segment.segment_id))
-            if index_key is not None:
-                self.store.delete(index_key)
 
     # ------------------------------------------------------------------
     # Policy
@@ -275,7 +237,8 @@ class Compactor:
             # concurrent readers observe either the whole group or its
             # replacement, never a half-merged table.  Inputs are only
             # *logically* dropped here — physical deletion waits for the
-            # retire callback once no snapshot can reach them.
+            # manifest store's retire event once no snapshot can reach
+            # them (``BlendHouse._retire``).
             with self.manager.transaction() as edit:
                 for segment in group:
                     edit.drop(segment.segment_id)

@@ -321,7 +321,7 @@ class ManifestStore:
         self._pins: Dict[int, int] = {}
         self._strong: set = set()  # manifest ids holding segment refs
         self._segment_refs: Dict[str, int] = {}
-        self._retire_hooks: List[RetireCallback] = []
+        self._retire_callbacks: List[RetireCallback] = []
         self._publish_hooks: List[Callable[[Manifest, Manifest], None]] = []
         self._next_id = 1
         root = Manifest(0, table, {}, ())
@@ -354,7 +354,7 @@ class ManifestStore:
     def on_retire(self, hook: RetireCallback) -> None:
         """Register a callback fired with ``(segment, index_key)`` once a
         segment leaves its last live manifest (safe to delete payloads)."""
-        self._retire_hooks.append(hook)
+        self._retire_callbacks.append(hook)
 
     def on_publish(self, hook: Callable[[Manifest, Manifest], None]) -> None:
         """Register ``(previous, published)`` callback fired inside every
@@ -536,7 +536,7 @@ class ManifestStore:
                 self.metrics, "manifest.retire", table=self.table,
                 manifest_id=manifest_id, segment_id=sid,
             )
-            for hook in self._retire_hooks:
+            for hook in self._retire_callbacks:
                 hook(version.segment, version.index_key)
 
 

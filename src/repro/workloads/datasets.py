@@ -20,7 +20,7 @@ production       30M × (multi-column)    ``make_production_like`` 8k × 48
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, Tuple
+from typing import Any, Dict
 
 import numpy as np
 
@@ -81,34 +81,6 @@ def _queries_from(
     norms = np.linalg.norm(queries, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
     return (queries / norms).astype(np.float32)
-
-
-def stream_clustered_vectors(
-    n: int, dim: int, n_clusters: int, rng: np.random.Generator,
-    chunk_rows: int = 4096, cluster_std: float = 0.35,
-) -> Iterator[Tuple[int, np.ndarray]]:
-    """Chunked version of :func:`_clustered_vectors`.
-
-    Yields ``(start_row, chunk)`` pairs; each chunk is at most
-    ``chunk_rows`` rows, drawn from the same mixture-of-Gaussians model
-    (centers sampled once up front).  Peak driver memory is one chunk,
-    so paper-scale datasets (1M × 128 ≈ 512 MB) can be ingested segment
-    by segment without ever materializing the full ``(n, dim)`` array.
-    Deterministic for a given
-    ``(seed, n_clusters, chunk_rows)``; chunking changes the RNG call
-    sequence, so the values differ from the one-shot generator.
-    """
-    centers = rng.normal(size=(n_clusters, dim)).astype(np.float32)
-    centers /= np.linalg.norm(centers, axis=1, keepdims=True)
-    for start in range(0, n, max(1, int(chunk_rows))):
-        rows = min(chunk_rows, n - start)
-        assignments = rng.integers(0, n_clusters, size=rows)
-        points = centers[assignments] + rng.normal(
-            scale=cluster_std, size=(rows, dim)
-        ).astype(np.float32)
-        norms = np.linalg.norm(points, axis=1, keepdims=True)
-        norms[norms == 0] = 1.0
-        yield start, (points / norms).astype(np.float32)
 
 
 def make_cohere_like(

@@ -58,12 +58,14 @@ def make_workload():
     batch_a = _batch(rng, 0, 30, "a")
     batch_b = _batch(rng, 30, 30, "b")
     batch_c = _batch(rng, 60, 30, "c")
+    batch_d = _batch(rng, 90, 30, "z")
     query = rng.normal(size=DIM).astype(np.float32)
+    create = (
+        "CREATE TABLE docs (id UInt64, label String, embedding Array(Float32), "
+        f"INDEX ann embedding TYPE FLAT('DIM={DIM}'))"
+    )
     ops = [
-        ("create", lambda db: db.execute(
-            "CREATE TABLE docs (id UInt64, label String, "
-            "embedding Array(Float32), "
-            f"INDEX ann embedding TYPE FLAT('DIM={DIM}'))")),
+        ("create", lambda db: db.execute(create)),
         ("insert_a", lambda db: db.insert_rows("docs", batch_a)),
         ("insert_b", lambda db: db.insert_rows("docs", batch_b)),
         ("delete", lambda db: db.execute("DELETE FROM docs WHERE id < 10")),
@@ -74,6 +76,10 @@ def make_workload():
         ("compact", lambda db: db.compact("docs")),
         ("delete_2", lambda db: db.execute(
             "DELETE FROM docs WHERE id BETWEEN 35 AND 45")),
+        # The re-created table's segment ids are the dropped one's.
+        ("drop", lambda db: db.execute("DROP TABLE docs")),
+        ("recreate", lambda db: db.execute(create)),
+        ("insert_d", lambda db: db.insert_rows("docs", batch_d)),
     ]
     return ops, query
 

@@ -33,11 +33,6 @@ class TestDataCorrectness:
         r = reader(clock, cost)
         assert list(r.fetch(segment, "id", [])) == []
 
-    def test_fetch_full_column(self, clock, cost, segment):
-        r = reader(clock, cost)
-        values = r.fetch_full_column(segment, "id")
-        assert len(values) == segment.row_count
-
 
 class TestReadAmplification:
     def test_reduced_granularity_cheaper_for_few_rows(self, clock, cost, segment):

@@ -6,8 +6,9 @@ One ``hypothesis.stateful`` machine drives an engine — a
 FLAT, an HNSW or an IVFFLAT index (the one type here whose Plan C runs
 the generic restart iterator), built at ingest, or under no vector index
 at all, through inserts (some rows repeating a vector already in the
-table), deletes, updates, compactions, restarts (a cold engine of the
-same class over the same object store), kNN and hybrid SELECTs under
+table), deletes, updates, compactions, checkpoints, drops of the table
+followed by the same CREATE and fresh rows, restarts (a cold engine of
+the same class over the same object store), kNN and hybrid SELECTs under
 every ``forced_strategy``, batches of kNN SELECTs as one
 ``execute_batch``, hybrid SELECTs served through a ``ServingFrontend``,
 and staged SELECTs abandoned after a few stages.  Beside it runs an
@@ -82,15 +83,18 @@ class HistoryMachine(RuleBasedStateMachine):
         self.db = ENGINES[engine]()
         options = f"'DIM={DIM}'" + (", 'M=4, ef_construction=16'" if index == "HNSW" else "")
         declared = "" if index is None else f", INDEX ann embedding TYPE {index}({options})"
-        self.db.execute(
-            f"CREATE TABLE t (id UInt64, attr Int64, embedding Array(Float32){declared})"
-        )
-        self.db.table("t").writer.config.max_segment_rows = SEGMENT_ROWS
-        # The model: one entry per live id.
-        self.rows = {}  # id -> (vector float32[DIM], attr)
+        self.ddl = f"CREATE TABLE t (id UInt64, attr Int64, embedding Array(Float32){declared})"
         self.next_id = 0
         self.hits = self.wanted = 0  # recall@k over the non-exhaustive answers
         self.selects = 0  # SELECTs run, each offered once to the slow-query log
+        self.fill(count, seed)
+
+    def fill(self, count, seed):
+        """Create ``t`` and insert its first rows into an empty model."""
+        self.db.execute(self.ddl)
+        self.db.table("t").writer.config.max_segment_rows = SEGMENT_ROWS
+        # The model: one entry per live id.
+        self.rows = {}  # id -> (vector float32[DIM], attr)
         self.insert(count, seed)
 
     # -- writes ---------------------------------------------------------------
@@ -133,6 +137,21 @@ class HistoryMachine(RuleBasedStateMachine):
     @rule()
     def compact(self):
         self.db.compact("t")
+
+    @rule(count=st.integers(1, 150), seed=seeds)
+    def recreate(self, count, seed):
+        """DROP TABLE, then the same CREATE and fresh rows.  Segment ids
+        restart per table name, so the new table's segments and index
+        keys are the dropped one's: no cache may answer from what the
+        drop retired."""
+        self.db.execute("DROP TABLE t")
+        self.fill(count, seed)
+
+    @rule()
+    def checkpoint(self):
+        """A checkpoint deletes the payloads every retirement so far
+        deferred; nothing live may go with them."""
+        self.db.execute("CHECKPOINT")
 
     @rule()
     def restart(self):

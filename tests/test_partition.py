@@ -74,13 +74,6 @@ class TestSemanticPartition:
         labels_b = set(clustering.assignments[50:].tolist())
         assert labels_a.isdisjoint(labels_b)
 
-    def test_rows_by_bucket_partitions_everything(self):
-        vectors = np.random.default_rng(1).normal(size=(60, 4)).astype(np.float32)
-        clustering = cluster_vectors(vectors, 4, seed=0)
-        groups = clustering.rows_by_bucket()
-        all_rows = sorted(r for rows in groups.values() for r in rows)
-        assert all_rows == list(range(60))
-
     def test_assign_to_existing_buckets(self):
         centroids = np.array([[0, 0], [10, 10]], dtype=np.float32)
         vectors = np.array([[0.5, 0.1], [9, 11]], dtype=np.float32)

@@ -5,6 +5,8 @@ import pytest
 
 from repro.catalog.catalog import Catalog
 from repro.catalog.schema import TableSchema
+from repro.cluster.engine import ClusteredBlendHouse
+from repro.core.database import BlendHouse
 from repro.ingest.writer import IngestConfig, SegmentWriter
 from repro.sqlparser.parser import parse_statement
 from repro.storage import compaction
@@ -33,9 +35,26 @@ def make_world(clock, cost, columns="", index_type="FLAT", dim=8, max_segment_ro
 
 
 @pytest.fixture
-def setup(monkeypatch, clock, cost):
+def fanout3(monkeypatch):
     monkeypatch.setattr(compaction, "FANOUT", 3)
+
+
+@pytest.fixture
+def setup(fanout3, clock, cost):
     return make_world(clock, cost)
+
+
+def fragmented_table(db, batches: int = 3):
+    """Table ``t`` on engine ``db``: ``batches`` FLAT segments of 40
+    rows, one merge's worth at ``fanout3``."""
+    db.execute(
+        "CREATE TABLE t (id UInt64, embedding Array(Float32), "
+        "INDEX ann embedding TYPE FLAT('DIM=8'))"
+    )
+    runtime = db.table("t")
+    runtime.writer.config.max_segment_rows = 50
+    ingest_batches(runtime.writer, batches)
+    return runtime
 
 
 def ingest_batches(writer, batches: int, rows_per_batch: int = 40, dim: int = 8):
@@ -147,22 +166,42 @@ class TestIndexLifecycle:
         result = index.search_with_filter(segment.vectors()[7], 1, nprobe=index.nlist)
         assert result.ids[0] == 7  # row offsets within the merged segment
 
-    def test_retired_objects_deleted_from_store(self, setup):
-        _, manager, writer, compactor, store = setup
-        ingest_batches(writer, 3)
-        old_ids = manager.segment_ids()
-        old_keys = [manager.index_key(s) for s in old_ids]
-        compactor.run_once()
-        for key in old_keys:
-            assert key not in store
+    def test_retired_objects_deleted_from_store(self, fanout3):
+        """The engine retires a merge's inputs: their payloads and
+        indexes outlive the merge, as auto-compaction runs it (the last
+        checkpoint may still name them), and are gone after the next
+        checkpoint."""
+        db = BlendHouse()
+        runtime = fragmented_table(db)
+        inputs = runtime.manager.segment_ids()
+        keys = [key for sid in inputs for key in db.store.list_keys(f"segments/{sid}/")]
+        keys += [runtime.manager.index_key(sid) for sid in inputs]
+        assert len(keys) == 4 * len(inputs)  # id, embedding, meta, index
+        (result,) = runtime.compactor.run_once()
+        assert sorted(result.input_segment_ids) == sorted(inputs)
+        assert all(key in db.store for key in keys)
+        db.execute("CHECKPOINT")
+        assert [key for key in keys if key in db.store] == []
 
-    def test_retire_hooks_fired(self, setup):
-        _, manager, writer, compactor, _ = setup
-        ingest_batches(writer, 3)
-        retired = []
-        compactor.on_retire(lambda sid, key: retired.append(sid))
-        compactor.run_once()
-        assert len(retired) == 3
+    def test_retired_indexes_leave_workers(self, fanout3):
+        """A clustered engine's workers drop the indexes of a merge's
+        inputs, and keep the merged segment's."""
+        db = ClusteredBlendHouse(read_workers=2)
+        runtime = fragmented_table(db)
+        retired = [runtime.manager.index_key(sid) for sid in runtime.manager.segment_ids()]
+        db.preload("t")
+
+        def held(key):
+            return any(
+                worker.cache.contains_in_memory(key) for worker in db.read_vw.workers.values()
+            )
+
+        assert all(held(key) for key in retired)
+        db.compact("t")
+        db.preload("t")
+        assert [key for key in retired if held(key)] == []
+        (merged,) = runtime.manager.segment_ids()
+        assert held(runtime.manager.index_key(merged))
 
 
 class TestCosts:

@@ -13,7 +13,6 @@ from repro.workloads import (
     recall_at_k,
     selectivity_threshold,
 )
-from repro.workloads.datasets import stream_clustered_vectors
 from repro.workloads.vectorbench import SweepPoint, qps_at_recall, qps_from_latencies
 
 
@@ -66,19 +65,6 @@ class TestDatasets:
     def test_production_columns(self):
         ds = make_production_like(n=300, dim=8)
         assert {"category", "source", "day", "score"} <= set(ds.scalars)
-
-
-class TestChunkStream:
-    def test_chunk_stream_covers_all_rows(self, rng):
-        total = 0
-        for start, chunk in stream_clustered_vectors(
-            1000, 8, 4, rng, chunk_rows=256
-        ):
-            assert start == total
-            total += chunk.shape[0]
-            norms = np.linalg.norm(chunk, axis=1)
-            assert np.allclose(norms, 1.0, atol=1e-3)
-        assert total == 1000
 
 
 class TestGroundTruth:
