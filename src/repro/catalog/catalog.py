@@ -1,7 +1,9 @@
 """The table catalog.
 
 A :class:`Catalog` maps table names to :class:`TableEntry` records holding
-the schema, live statistics and the segment-name sequence.  The catalog
+the schema, live statistics and the segment-name sequence.  Segment ids
+never repeat: a dropped table's next sequence number outlives it, and a
+table re-created under its name continues from there.  The catalog
 itself is metadata-only: a table's segments are listed by its manifest
 (:mod:`repro.storage.manifest`), and their payloads live in the object
 store and the per-node caches.
@@ -17,11 +19,6 @@ from repro.catalog.statistics import TableStatistics
 from repro.errors import TableAlreadyExistsError, TableNotFoundError
 
 
-def segment_prefix(table: str) -> str:
-    """What every segment id of ``table`` starts with."""
-    return f"{table}/seg-"
-
-
 @dataclass
 class TableEntry:
     """Catalog record for one table."""
@@ -31,10 +28,11 @@ class TableEntry:
     next_segment_seq: int = 0
 
     def allocate_segment_id(self) -> str:
-        """Unique, stable segment name (hashed by the scheduler)."""
+        """Segment name unique for the life of the store (hashed by the
+        scheduler)."""
         seq = self.next_segment_seq
         self.next_segment_seq += 1
-        return f"{segment_prefix(self.schema.name)}{seq:08d}"
+        return f"{self.schema.name}/seg-{seq:08d}"
 
 
 class Catalog:
@@ -42,6 +40,8 @@ class Catalog:
 
     def __init__(self) -> None:
         self._tables: Dict[str, TableEntry] = {}
+        # Next segment sequence number of each dropped table name.
+        self.next_seqs: Dict[str, int] = {}
 
     def create_table(self, schema: TableSchema, if_not_exists: bool = False) -> TableEntry:
         """Register a new table.
@@ -55,7 +55,9 @@ class Catalog:
             if if_not_exists:
                 return self._tables[schema.name]
             raise TableAlreadyExistsError(f"table {schema.name!r} already exists")
-        entry = TableEntry(schema=schema)
+        entry = TableEntry(
+            schema=schema, next_segment_seq=self.next_seqs.pop(schema.name, 0)
+        )
         self._tables[schema.name] = entry
         return entry
 
@@ -65,7 +67,7 @@ class Catalog:
             if if_exists:
                 return False
             raise TableNotFoundError(f"table {name!r} does not exist")
-        del self._tables[name]
+        self.next_seqs[name] = self._tables.pop(name).next_segment_seq
         return True
 
     def get(self, name: str) -> TableEntry:

@@ -55,11 +55,8 @@ class ClusteredBlendHouse(BlendHouse):
     def _backend(self, tenant: str, lane: str) -> VirtualWarehouse:
         return self.read_vw
 
-    def _release_index(self, index_key: Optional[str]) -> None:
-        self.read_vw.invalidate_index(index_key)
-
-    def _forget_segments(self, prefix: str) -> None:
-        self.read_vw.forget_segments(prefix)
+    def _release(self, segment_id: str, index_key: Optional[str]) -> None:
+        self.read_vw.retire_segment(segment_id, index_key)
 
     def preload(self, table: str) -> int:
         """Preload every segment's index into its scheduled worker."""

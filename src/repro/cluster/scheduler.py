@@ -67,13 +67,11 @@ class SegmentScheduler:
                 assignment[segment_id] = worker
         return assignment
 
-    def forget(self, prefix: str) -> None:
-        """Drop the owner history of every segment whose id starts with
-        ``prefix`` (a dropped table's)."""
+    def forget(self, segment_id: str) -> None:
+        """Drop a retired segment's owner history."""
         with self._lock:
-            for owners in (self._current, self._previous):
-                for segment_id in [s for s in owners if s.startswith(prefix)]:
-                    del owners[segment_id]
+            self._current.pop(segment_id, None)
+            self._previous.pop(segment_id, None)
 
     def group_by_worker(self, assignment: Dict[str, str]) -> Dict[str, List[str]]:
         """Invert an assignment into worker → [segments]."""

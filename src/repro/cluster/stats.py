@@ -69,13 +69,10 @@ class SegmentAccessStats:
             entry.preloads += 1
             entry.last_access = max(entry.last_access, now)
 
-    def forget(self, prefix: str) -> None:
-        """Drop the counters of every segment whose id starts with
-        ``prefix`` (a dropped table's: a table re-created under its name
-        reuses its segment ids)."""
+    def forget(self, segment_id: str) -> None:
+        """Drop a retired segment's counters."""
         with self._lock:
-            for segment_id in [s for s in self._segments if s.startswith(prefix)]:
-                del self._segments[segment_id]
+            self._segments.pop(segment_id, None)
 
     def get(self, segment_id: str) -> Optional[SegmentAccess]:
         """Counters for one segment, or None if never seen."""

@@ -171,19 +171,14 @@ class VirtualWarehouse:
                 self.access_stats.record_preload(segment_id, self.clock.now)
         return loaded
 
-    def invalidate_index(self, index_key: Optional[str]) -> None:
-        """Drop a retired index from every worker's caches."""
-        if index_key is None:
-            return
-        for worker in self.workers.values():
-            worker.invalidate(index_key)
-
-    def forget_segments(self, prefix: str) -> None:
-        """Drop the access stats and owner history of every segment whose
-        id starts with ``prefix``: a dropped table's, so that a table
-        re-created under its name starts cold."""
-        self.access_stats.forget(prefix)
-        self.scheduler.forget(prefix)
+    def retire_segment(self, segment_id: str, index_key: Optional[str]) -> None:
+        """Forget a retired segment: its index from every worker's caches,
+        its access stats and its owner history."""
+        if index_key is not None:
+            for worker in self.workers.values():
+                worker.invalidate(index_key)
+        self.access_stats.forget(segment_id)
+        self.scheduler.forget(segment_id)
 
     # ------------------------------------------------------------------
     # Query execution

@@ -43,7 +43,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.catalog.catalog import Catalog, TableEntry, segment_prefix
+from repro.catalog.catalog import Catalog, TableEntry
 from repro.catalog.schema import TableSchema
 from repro.core.explain import ExplainResult
 from repro.core.settings import EngineSettings
@@ -232,27 +232,22 @@ class BlendHouse:
         """The one way out for a segment: compaction's inputs, once no
         pinned manifest holds them (the manifest store's retire event),
         and every segment of a dropped table.  Caches forget the index
-        now; the payloads wait for a checkpoint that no longer needs
-        them."""
+        now, and warehouses the segment's access stats and owner
+        history; the payloads wait for a checkpoint that no longer needs
+        them.  Ids never repeat (the catalog), so a column block still
+        cached under a retired id is never read again."""
         runtime.forget_index(index_key)
-        self._release_index(index_key)
+        self._release(segment.segment_id, index_key)
         self._durability.defer_segment_delete(segment, index_key)
 
     def _drop_table(self, name: str) -> None:
         """Retire every segment of table ``name``, already gone from the
-        catalog, and forget what caches hold of it: segment ids restart
-        per table name, so a table re-created under this name would
-        otherwise read the dropped one's column blocks, indexes and
-        access history."""
+        catalog."""
         runtime = self._tables.pop(name)
         for segment in runtime.manager.segments():
-            for column in list(segment.scalar_column_names) + [
-                segment.meta.vector_column
-            ]:
-                self.reader.forget(segment.segment_id, column)
-            index_key = runtime.manager.index_key(segment.segment_id)
-            self._retire(runtime, segment, index_key)
-        self._forget_segments(segment_prefix(name))
+            self._retire(
+                runtime, segment, runtime.manager.index_key(segment.segment_id)
+            )
 
     # ------------------------------------------------------------------
     # SQL entry point
@@ -285,21 +280,16 @@ class BlendHouse:
         The engines that scan elsewhere override it — a clustered engine
         returns its read warehouse, a fleet engine the member its router
         picks — and, beside it, what their workers forget when a segment
-        retires (:meth:`_release_index`, :meth:`_forget_segments`).  A
-        backend is what :meth:`select_stages` documents.
+        retires (:meth:`_release`).  A backend is what
+        :meth:`select_stages` documents.
         """
         return self._in_process
 
-    def _release_index(self, index_key: Optional[str]) -> None:
-        """Drop a retired index from where SELECTs scan: nothing to do
-        in this process, whose table runtimes forget their own.  An
+    def _release(self, segment_id: str, index_key: Optional[str]) -> None:
+        """Forget a retired segment where SELECTs scan: nothing to do in
+        this process, whose table runtimes forget their own indexes.  An
         engine that scans on warehouses overrides it, as it does
         :meth:`_backend`."""
-
-    def _forget_segments(self, prefix: str) -> None:
-        """Forget the access stats and owner history of a dropped table's
-        segments (ids starting with ``prefix``): none are kept in this
-        process.  Overridden beside :meth:`_release_index`."""
 
     def _parse(self, sql: str) -> Tuple[Any, Optional[_SelectQuery]]:
         """The statement front door: one scan of ``sql``, then its shape's

@@ -2,7 +2,8 @@
 
 A checkpoint serializes everything needed to cold-boot the engine except
 segment/index payloads (those are already durable under ``segments/``
-and ``indexes/``): the catalog (schemas, statistics, id allocators), and
+and ``indexes/``): the catalog (schemas, statistics, id allocators, and
+the next segment sequence of each dropped table name), and
 per table the *current* manifest — segment ids in commit order, each
 with its frozen delete bitmap and index descriptor key — plus learned
 cluster centroids so future ingest keeps bucket semantics stable.
@@ -34,7 +35,7 @@ from repro.observe.trace import Tracer
 from repro.simulate.metrics import MetricRegistry
 from repro.storage.objectstore import ObjectStore
 
-CHECKPOINT_FORMAT = 1
+CHECKPOINT_FORMAT = 2
 
 
 @dataclass
@@ -123,6 +124,7 @@ class Checkpointer:
                     "format": CHECKPOINT_FORMAT,
                     "checkpoint_id": checkpoint_id,
                     "wal_lsn": wal_lsn,
+                    "next_seqs": dict(catalog.next_seqs),
                     "tables": [
                         self._capture_table(entry, tables[entry.schema.name])
                         for entry in catalog.entries()

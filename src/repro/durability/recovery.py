@@ -4,8 +4,9 @@ Given an object store containing only durable state — segment and index
 payloads, checkpoint objects, WAL chunks — recovery rebuilds a fresh
 engine that answers queries identically to the pre-crash one:
 
-1. load ``checkpoints/CURRENT`` (if any) and rebuild the catalog, table
-   runtimes, manifests (via :meth:`ManifestStore.restore`, preserving
+1. load ``checkpoints/CURRENT`` (if any) and rebuild the catalog (first
+   the next segment sequence of each dropped name), table runtimes,
+   manifests (via :meth:`ManifestStore.restore`, preserving
    ``manifest_id`` monotonicity for ``AS OF`` and the plan cache),
    delete bitmaps, and learned cluster centroids;
 2. read the WAL, truncating a torn tail at the last complete group
@@ -90,6 +91,7 @@ def run_recovery(db: Any) -> RecoveryReport:
                 checkpoint = load_checkpoint(store, pointer)
                 report.checkpoint_id = checkpoint["checkpoint_id"]
                 report.checkpoint_lsn = checkpoint["wal_lsn"]
+                db.catalog.next_seqs.update(checkpoint["next_seqs"])
                 for table_state in checkpoint["tables"]:
                     _restore_table(db, table_state, report)
                 db._durability.checkpointer.next_checkpoint_id = (
@@ -175,7 +177,7 @@ def _replay_drop(db: Any, data: Dict[str, Any], report: RecoveryReport) -> None:
     name = data["table"]
     if name not in db.catalog:
         return
-    db.catalog.drop_table(name)
+    db.catalog.drop_table(name)  # keeps the name's next segment sequence
     # The pre-crash engine deferred the payloads' deletion to its next
     # checkpoint; retiring them again lets this engine's next checkpoint
     # finish the job.

@@ -102,11 +102,8 @@ class FleetBlendHouse(BlendHouse):
         self.metrics.incr(f"fleet.served_by.{warehouse.name}")
         return warehouse
 
-    def _release_index(self, index_key: Optional[str]) -> None:
-        self.fleet.invalidate_index(index_key)
-
-    def _forget_segments(self, prefix: str) -> None:
-        self.fleet.forget_segments(prefix)
+    def _release(self, segment_id: str, index_key: Optional[str]) -> None:
+        self.fleet.retire_segment(segment_id, index_key)
 
     def execute(
         self, sql: str, tenant: str = "default", lane: str = "interactive"

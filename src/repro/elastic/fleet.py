@@ -218,19 +218,13 @@ class WarehouseFleet:
     # ------------------------------------------------------------------
     # Cache maintenance
     # ------------------------------------------------------------------
-    def invalidate_index(self, index_key: Optional[str]) -> None:
-        """Drop a retired index from every member (admitted or pending)."""
-        if index_key is None:
-            return
+    def retire_segment(self, segment_id: str, index_key: Optional[str]) -> None:
+        """:meth:`VirtualWarehouse.retire_segment` on every member
+        (admitted or pending), and the stats retired members left
+        behind."""
         for warehouse in self.members.values():
-            warehouse.invalidate_index(index_key)
-
-    def forget_segments(self, prefix: str) -> None:
-        """:meth:`VirtualWarehouse.forget_segments` on every member, and
-        the stats retired members left behind."""
-        for warehouse in self.members.values():
-            warehouse.forget_segments(prefix)
-        self._retired_stats.forget(prefix)
+            warehouse.retire_segment(segment_id, index_key)
+        self._retired_stats.forget(segment_id)
 
     def preload_all(self, segment_ids, index_key_of) -> int:
         """Warm every member (initial fleet warm-up before a workload)."""

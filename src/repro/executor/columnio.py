@@ -104,13 +104,6 @@ class ColumnReader:
         self._charge_fetch(segment, column, len(offsets))
         return segment.scalar_at(column, offsets)
 
-    def forget(self, segment_id: str, column: str) -> None:
-        """Drop one segment column's cached block and facts (its table
-        was dropped)."""
-        facts = self._facts.pop((segment_id, column), None)
-        if facts is not None:
-            self._cache.evict(facts[0])
-
     def clear_cache(self) -> None:
         """Drop cached blocks (tests / between benchmark phases)."""
         self._cache.clear()

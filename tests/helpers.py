@@ -32,10 +32,10 @@ def drop_and_recreate(engine, k=3, before_drop=None):
     with other vectors and ids, and run one top-``k`` query on the new
     table.
 
-    Segment ids restart per table name, so the new table's segments
-    and index keys are the dropped table's.  Returns the query's ids,
-    numpy's top-``k`` ids and the ``columnio.cache_hits`` the query
-    counted.
+    The new table's segment ids continue past the dropped table's, so
+    none of its segments or index keys is one of the dropped table's.
+    Returns the query's ids, numpy's top-``k`` ids and the
+    ``columnio.cache_hits`` the query counted.
     """
     ddl = (
         "CREATE TABLE t (id UInt64, embedding Array(Float32), "

@@ -64,3 +64,15 @@ class TestEntry:
         ids = {entry.allocate_segment_id() for _ in range(100)}
         assert len(ids) == 100
         assert all(sid.startswith("t/seg-") for sid in ids)
+
+    def test_recreated_table_continues_past_dropped_ids(self):
+        catalog = Catalog()
+        first = catalog.create_table(schema())
+        dropped = [first.allocate_segment_id() for _ in range(3)]
+        catalog.drop_table("t")
+        assert catalog.next_seqs == {"t": 3}
+        again = catalog.create_table(schema())
+        assert again.allocate_segment_id() == "t/seg-00000003"
+        assert "t/seg-00000003" not in dropped
+        assert catalog.next_seqs == {}
+        assert catalog.create_table(schema("u")).allocate_segment_id() == "u/seg-00000000"

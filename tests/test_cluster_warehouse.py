@@ -271,20 +271,34 @@ class TestCompactionInvalidation:
         for worker in cluster.read_vw.workers.values():
             assert not any(worker.has_index_in_memory(key) for key in retired)
 
+    def test_retired_segments_leave_stats_and_owner_maps(self, cluster):
+        """A compaction input's access stats and owner history go with it,
+        as a dropped table's do."""
+        cluster.preload("docs")
+        runtime = cluster.table("docs")
+        before = runtime.manager.segment_ids()
+        assert all(cluster.read_vw.access_stats.get(sid) for sid in before)
+        assert cluster.compact("docs")
+        retired = set(before) - set(runtime.manager.segment_ids())
+        assert retired
+        for segment_id in retired:
+            assert cluster.read_vw.access_stats.get(segment_id) is None
+            assert cluster.read_vw.scheduler.current_owner(segment_id) is None
+
 
 class TestDropTable:
     def test_recreated_table_reads_nothing_of_the_dropped_one(self):
-        """Segment ids restart per table name: without the drop retiring
-        its indexes and column blocks, the new table's segments resolve
-        the dropped table's indexes from the workers' caches."""
+        """The re-created table's segments answer from its own rows
+        alone: no index and no column block of the dropped table is
+        read under the new table's segment ids."""
         ids, exact, cache_hits = drop_and_recreate(ClusteredBlendHouse(read_workers=2))
         assert ids == exact
         assert cache_hits == 0
 
     def test_recreated_table_inherits_no_heat(self):
         """The dropped table's access stats and owner history go with
-        it: the new table's segments read no hit and no preload, and
-        its first query misses on every segment."""
+        its segments' retirement: the new table's segments read no hit
+        and no preload, and its first query misses on every segment."""
         engine = ClusteredBlendHouse(read_workers=2)
         drop_and_recreate(engine)
         segment_ids = engine.table("t").manager.segment_ids()

@@ -1,5 +1,8 @@
 """Checkpoint tests: atomic swap, triggers, WAL truncation, deferred GC."""
 
+import pickle
+import zlib
+
 import numpy as np
 import pytest
 
@@ -129,4 +132,19 @@ class TestCheckpointLoad:
         pointer = load_pointer(db.store)
         db.store.delete(pointer["key"])
         with pytest.raises(RecoveryError):
+            load_checkpoint(db.store, pointer)
+
+    def test_body_of_another_format_raises(self):
+        """A body without ``next_seqs`` (format 1) fails the format
+        check, not a key lookup."""
+        db = small_db()
+        db.execute("CHECKPOINT")
+        pointer = load_pointer(db.store)
+        data = pickle.loads(db.store.get(pointer["key"]))
+        del data["next_seqs"]
+        data["format"] = 1
+        body = pickle.dumps(data)
+        db.store.put(pointer["key"], body)
+        pointer["crc"] = zlib.crc32(body) & 0xFFFFFFFF
+        with pytest.raises(RecoveryError, match="format 1"):
             load_checkpoint(db.store, pointer)

@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.cluster.engine import ClusteredBlendHouse
 from repro.core.database import BlendHouse
+from repro.durability.crashpoints import CrashPointRegistry, InjectedCrash
+from repro.durability.manager import DurabilityConfig
+from repro.elastic import FleetBlendHouse, FleetConfig
 from tests.helpers import vector_sql
 
 DIM = 8
@@ -248,3 +252,79 @@ class TestStatsRecovery:
         np.testing.assert_array_equal(
             np.asarray(centroids), np.asarray(rcentroids)
         )
+
+
+ENGINES = {
+    "core": BlendHouse,
+    "clustered": lambda: ClusteredBlendHouse(read_workers=2),
+    "fleet": lambda: FleetBlendHouse(
+        fleet_config=FleetConfig(warehouses=2, workers_per_warehouse=2)
+    ),
+}
+
+
+def fill_flat_t(db, rng, first_id, inserts=4):
+    """CREATE a FLAT table ``t`` and run ``inserts`` 20-row inserts (one
+    segment each)."""
+    db.execute(
+        "CREATE TABLE t (id UInt64, label String, embedding Array(Float32), "
+        f"INDEX ann embedding TYPE FLAT('DIM={DIM}'))"
+    )
+    for batch in range(inserts):
+        db.insert_rows("t", rows_for(rng, first_id + 20 * batch, 20))
+
+
+class TestIdsNeverRepeat:
+    """A re-created table allocates segment ids past the dropped table's
+    (DESIGN.md §7, "Ids never repeat"), so retiring one of the dropped
+    table's segments can never delete one of the new table's payloads."""
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_pinned_compaction_inputs_retire_after_recreate(self, engine, rng):
+        """A pin outlives compaction, DROP and re-CREATE; its release
+        retires the dropped table's compaction inputs, which must not
+        name the new table's payloads."""
+        db = ENGINES[engine]()
+        fill_flat_t(db, rng, 0)
+        pin = db.table("t").manager.snapshot()
+        db.compact("t")
+        db.execute("DROP TABLE t")
+        fill_flat_t(db, rng, 1000)
+        pin.release()
+        db.execute("CHECKPOINT")
+        recovered = db.restart()
+        assert recovered.describe("t")["rows_alive"] == 80
+        # Compaction's output was seg-4: the new table starts at 5.
+        live = recovered.table("t").manager.segment_ids()
+        assert live == [f"t/seg-{seq:08d}" for seq in range(5, 9)]
+        rows = recovered.execute(
+            "SELECT id FROM t ORDER BY L2Distance(embedding, "
+            f"{vector_sql(np.zeros(DIM))}) AS d LIMIT 100"
+        ).rows
+        assert sorted(row[0] for row in rows) == list(range(1000, 1080))
+
+    def test_recreate_after_restart_continues_the_sequence(self, rng):
+        """The checkpoint carries the dropped name's next sequence."""
+        db = BlendHouse()
+        fill_flat_t(db, rng, 0, inserts=3)
+        db.execute("DROP TABLE t")
+        db.execute("CHECKPOINT")
+        recovered = db.restart()
+        fill_flat_t(recovered, rng, 100, inserts=1)
+        assert recovered.table("t").manager.segment_ids() == ["t/seg-00000003"]
+
+    def test_recreate_after_replayed_drop_continues_the_sequence(self, rng):
+        """The DROP's checkpoint never lands; WAL replay of the drop
+        record restores the dropped name's next sequence."""
+        registry = CrashPointRegistry()
+        db = BlendHouse(durability=DurabilityConfig(crashpoints=registry))
+        fill_flat_t(db, rng, 0, inserts=3)
+        db.execute("CHECKPOINT")
+        registry.arm("checkpoint.before_upload")
+        with pytest.raises(InjectedCrash):
+            db.execute("DROP TABLE t")
+        registry.reset()
+        recovered = BlendHouse.recover(db.store)
+        assert "t" not in recovered.catalog
+        fill_flat_t(recovered, rng, 100, inserts=1)
+        assert recovered.table("t").manager.segment_ids() == ["t/seg-00000003"]

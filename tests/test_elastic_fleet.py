@@ -178,7 +178,6 @@ class TestPreloader:
         preloader = BackgroundPreloader(db.fleet, db)
         fresh = db.fleet.add_warehouse(masked=False)
         warehouse = db.fleet.warehouse(fresh)
-        warehouse.invalidate_index(None)  # no-op; keep caches as-built
         before = db.clock.now
         loaded, cost_s = preloader.warm(warehouse)
         assert db.clock.now == before  # background timeline
@@ -260,7 +259,8 @@ class TestAutoscaler:
 class TestDropTable:
     def test_recreated_table_reads_nothing_of_the_dropped_one(self):
         """DROP TABLE retires the table's indexes from every member's
-        workers; a re-created table reuses its segment ids and keys."""
+        workers; a re-created table's segment ids and keys continue past
+        the dropped table's."""
         db = FleetBlendHouse(fleet_config=FleetConfig(warehouses=2))
         ids, exact, cache_hits = drop_and_recreate(db)
         assert ids == exact

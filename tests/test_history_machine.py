@@ -7,8 +7,9 @@ FLAT, an HNSW or an IVFFLAT index (the one type here whose Plan C runs
 the generic restart iterator), built at ingest, or under no vector index
 at all, through inserts (some rows repeating a vector already in the
 table), deletes, updates, compactions, checkpoints, drops of the table
-followed by the same CREATE and fresh rows, restarts (a cold engine of
-the same class over the same object store), kNN and hybrid SELECTs under
+followed by the same CREATE and fresh rows, a snapshot of ``t`` held
+across any of these and released later, restarts (a cold engine of the
+same class over the same object store), kNN and hybrid SELECTs under
 every ``forced_strategy``, batches of kNN SELECTs as one
 ``execute_batch``, hybrid SELECTs served through a ``ServingFrontend``,
 and staged SELECTs abandoned after a few stages.  Beside it runs an
@@ -27,7 +28,8 @@ judged against brute force over them.
   reachable from the entry point at any ``ef``.
 * Between steps the observe plane is at rest: the slow-query log was
   offered exactly the SELECTs run since the engine started, every
-  snapshot pin event has its unpin, and no span is open.
+  snapshot pin event but a held snapshot's has its unpin, and no span
+  is open.
 * A restart loses no acknowledged write: the live rows, the model and
   every check above carry over to the engine ``restart`` returns.
 
@@ -87,6 +89,7 @@ class HistoryMachine(RuleBasedStateMachine):
         self.next_id = 0
         self.hits = self.wanted = 0  # recall@k over the non-exhaustive answers
         self.selects = 0  # SELECTs run, each offered once to the slow-query log
+        self.held = None  # the snapshot ``hold`` pinned, until ``release``
         self.fill(count, seed)
 
     def fill(self, count, seed):
@@ -140,12 +143,27 @@ class HistoryMachine(RuleBasedStateMachine):
 
     @rule(count=st.integers(1, 150), seed=seeds)
     def recreate(self, count, seed):
-        """DROP TABLE, then the same CREATE and fresh rows.  Segment ids
-        restart per table name, so the new table's segments and index
-        keys are the dropped one's: no cache may answer from what the
-        drop retired."""
+        """DROP TABLE, then the same CREATE and fresh rows.  The new
+        table's segment ids continue past the dropped one's, so what the
+        drop retires — now, or when a held snapshot is released — names
+        none of the new table's payloads."""
         self.db.execute("DROP TABLE t")
         self.fill(count, seed)
+
+    @precondition(lambda self: self.held is None)
+    @rule()
+    def hold(self):
+        """Pin the current snapshot of ``t``, as a long-running reader
+        would: the segments it holds outlive compaction and DROP TABLE
+        until ``release``."""
+        self.held = self.db.table("t").manager.snapshot()
+
+    @precondition(lambda self: self.held is not None)
+    @rule()
+    def release(self):
+        """Release the held snapshot: the segments only it kept retire."""
+        self.held.release()
+        self.held = None
 
     @rule()
     def checkpoint(self):
@@ -157,6 +175,8 @@ class HistoryMachine(RuleBasedStateMachine):
     def restart(self):
         """Every acknowledged write survives a clean restart; the new
         engine's slow-query log has been offered nothing yet."""
+        if self.held is not None:
+            self.release()
         engine_class = type(self.db)
         self.db = self.db.restart()
         assert type(self.db) is engine_class
@@ -265,14 +285,18 @@ class HistoryMachine(RuleBasedStateMachine):
     @invariant()
     def observe_plane_at_rest(self):
         """Every SELECT was offered to the flight recorder once, every
-        snapshot pin was released, and no span is left open."""
+        snapshot pin but the held one was released, and no span is left
+        open."""
         assert self.db.slowlog.seen == self.selects
         events = self.db.events
-        assert events.count("snapshot.pin") == events.count("snapshot.unpin")
+        held = int(self.held is not None)
+        assert events.count("snapshot.pin") == events.count("snapshot.unpin") + held
         assert self.db.tracer.current is None
         assert all(span.finished for root in self.db.tracer.roots for span in walk_spans(root))
 
     def teardown(self):
+        if getattr(self, "held", None) is not None:
+            self.release()  # a history may end while it holds a snapshot
         # Recall is a property of many answers, not of one.
         if self.wanted >= RECALL_SAMPLE:
             recall = self.hits / self.wanted
