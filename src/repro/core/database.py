@@ -233,12 +233,11 @@ class BlendHouse:
         pinned manifest holds them (the manifest store's retire event),
         and every segment of a dropped table.  Caches forget the index
         now, and warehouses the segment's access stats and owner
-        history; the payloads wait for a checkpoint that no longer needs
-        them.  Ids never repeat (the catalog), so a column block still
-        cached under a retired id is never read again."""
+        history; the next checkpoint's sweep deletes the payloads.  Ids
+        never repeat (the catalog), so a column block still cached under
+        a retired id is never read again."""
         runtime.forget_index(index_key)
         self._release(segment.segment_id, index_key)
-        self._durability.defer_segment_delete(segment, index_key)
 
     def _drop_table(self, name: str) -> None:
         """Retire every segment of table ``name``, already gone from the
@@ -412,8 +411,7 @@ class BlendHouse:
             self._durability.log_drop(statement.name)
             self._durability.statement_boundary()
             self._drop_table(statement.name)
-            # Deletion is only safe once no checkpoint references the
-            # payloads; checkpointing now makes it immediate.
+            # The checkpoint's sweep deletes the dropped payloads now.
             self._durability.checkpoint(reason="drop")
         return dropped
 

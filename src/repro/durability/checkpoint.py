@@ -15,9 +15,10 @@ the previous checkpoint intact.  After the swap the WAL is truncated up
 to the checkpointed LSN and superseded checkpoint objects are deleted.
 
 Triggers (wired in the durability manager): an explicit ``CHECKPOINT``
-SQL statement, the WAL growing past a byte threshold, compaction, and
-``DROP TABLE`` (which makes deferred physical deletion safe
-immediately).
+SQL statement, the WAL growing past a byte threshold, ``db.compact()``,
+and ``DROP TABLE``.  After each, the durability manager sweeps the
+segment and index payloads no live manifest holds, so compaction's
+inputs and a dropped table's payloads go then.
 """
 
 from __future__ import annotations

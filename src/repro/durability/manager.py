@@ -13,23 +13,24 @@ WAL/checkpointer:
 * at each statement boundary the buffer is group-committed (the
   acknowledgment point) and the WAL-bytes checkpoint trigger
   (:data:`CHECKPOINT_WAL_BYTES`) is checked;
-* physical deletion of retired segment payloads is *deferred* until a
-  checkpoint no longer references them — the previous checkpoint's
-  manifest may still need those objects for recovery.
+* after each checkpoint's pointer swap, one LIST of the store finds the
+  segment and index payloads no strong manifest of a live table holds,
+  and deletes them: retired segments', and whatever a crash left behind
+  (an unacknowledged statement's, or retired ones the crashed engine
+  never swept).
 """
 
 from __future__ import annotations
 
 import pickle
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.durability.checkpoint import Checkpointer, CheckpointInfo
 from repro.durability.crashpoints import CrashPointRegistry
 from repro.durability.wal import WriteAheadLog
 from repro.storage.manifest import Manifest
-from repro.storage.segment import Segment
 
 # Auto-checkpoint once this many WAL bytes accumulate since the last one.
 CHECKPOINT_WAL_BYTES = 8 * 1024 * 1024
@@ -37,23 +38,18 @@ CHECKPOINT_WAL_BYTES = 8 * 1024 * 1024
 
 @dataclass
 class DurabilityConfig:
-    """Where the log and checkpoints live, and the crash-test seam."""
+    """The crash-test seam."""
 
-    wal_prefix: str = "wal/"
-    checkpoint_prefix: str = "checkpoints/"
     crashpoints: Optional[CrashPointRegistry] = None
 
 
-@dataclass
-class _DeferredDelete:
-    """Object keys whose physical deletion awaits a covering checkpoint."""
-
-    safe_after_lsn: int
-    keys: List[str] = field(default_factory=list)
-
-
 class DurabilityManager:
-    """WAL + checkpoint + deferred-GC coordination for one engine."""
+    """WAL, checkpoints and payload garbage collection for one engine.
+
+    One engine owns its object store: the checkpoint's sweep deletes
+    every ``segments/`` and ``indexes/`` key that this engine's tables
+    do not hold.
+    """
 
     def __init__(self, db: Any, config: Optional[DurabilityConfig] = None) -> None:
         self.db = db
@@ -61,15 +57,13 @@ class DurabilityManager:
         self.crashpoints = self.config.crashpoints or CrashPointRegistry()
         self._suspended = 0
         self._bytes_since_checkpoint = 0
-        self._gc_pending: List[_DeferredDelete] = []
         self._checkpointing = False
         self.wal = WriteAheadLog(
-            db.store, metrics=db.metrics,
-            prefix=self.config.wal_prefix, crashpoints=self.crashpoints,
+            db.store, metrics=db.metrics, crashpoints=self.crashpoints
         )
         self.checkpointer = Checkpointer(
             db.store, self.wal, metrics=db.metrics, tracer=db.tracer,
-            crashpoints=self.crashpoints, prefix=self.config.checkpoint_prefix,
+            crashpoints=self.crashpoints,
         )
 
     # ------------------------------------------------------------------
@@ -194,7 +188,7 @@ class DurabilityManager:
             self.checkpoint(reason="wal_bytes")
 
     def checkpoint(self, reason: str = "statement") -> Optional[CheckpointInfo]:
-        """Flush, checkpoint, truncate the WAL, release deferred GC."""
+        """Flush, checkpoint, truncate the WAL, sweep unheld payloads."""
         if not self.active or self._checkpointing:
             return None
         self._checkpointing = True
@@ -202,50 +196,29 @@ class DurabilityManager:
             self.wal.flush()
             info = self.checkpointer.write(self.db.catalog, self.db._tables, reason)
             self._bytes_since_checkpoint = 0
-            self._run_deferred_gc(info.wal_lsn)
+            self._sweep()
             return info
         finally:
             self._checkpointing = False
 
-    # ------------------------------------------------------------------
-    # Deferred physical deletion
-    # ------------------------------------------------------------------
-    def defer_segment_delete(self, segment: Segment, index_key: Optional[str]) -> None:
-        """Queue a retired segment's payloads for post-checkpoint deletion.
+    def _sweep(self) -> None:
+        """Delete every segment and index payload no live table holds.
 
-        The last checkpoint's manifest may still reference the segment;
-        deleting now would make that checkpoint unrecoverable.  The keys
-        become deletable once a checkpoint covers the commit (or the
-        DROP TABLE) that dropped the segment.
+        Runs only after a pointer swap: before it, the previous
+        checkpoint may still name a retired segment; the one just written
+        names only held ones.
         """
-        keys = [
-            Segment.column_key(segment.segment_id, column)
-            for column in list(segment.scalar_column_names)
-            + [segment.meta.vector_column]
-        ]
-        keys.append(Segment.meta_key(segment.segment_id))
-        if index_key is not None:
-            keys.append(index_key)
-        self._gc_pending.append(
-            _DeferredDelete(safe_after_lsn=self.wal.last_assigned_lsn, keys=keys)
-        )
-
-    @property
-    def gc_pending_keys(self) -> int:
-        """Object keys queued for post-checkpoint deletion."""
-        return sum(len(entry.keys) for entry in self._gc_pending)
-
-    def _run_deferred_gc(self, checkpoint_lsn: int) -> None:
-        keep: List[_DeferredDelete] = []
+        held = set()
+        for runtime in self.db._tables.values():
+            held |= runtime.manager.store.held_segment_ids()
         deleted = 0
-        for entry in self._gc_pending:
-            if entry.safe_after_lsn <= checkpoint_lsn:
-                for key in entry.keys:
-                    if self.db.store.delete(key):
-                        deleted += 1
-            else:
-                keep.append(entry)
-        self._gc_pending = keep
+        for key in self.db.store.list_keys():
+            # <root>/<table>/seg-<n>/...: the id is the two parts after root.
+            root, _, rest = key.partition("/")
+            if root in ("segments", "indexes") and (
+                "/".join(rest.split("/", 2)[:2]) not in held
+            ):
+                deleted += self.db.store.delete(key)
         if deleted:
             self.db.metrics.incr("durability.gc_deleted_objects", deleted)
 
@@ -259,5 +232,4 @@ class DurabilityManager:
             "pending_records": self.wal.pending_records,
             "next_checkpoint_id": self.checkpointer.next_checkpoint_id,
             "bytes_since_checkpoint": self._bytes_since_checkpoint,
-            "gc_pending_keys": self.gc_pending_keys,
         }

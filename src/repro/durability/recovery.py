@@ -85,7 +85,7 @@ def run_recovery(db: Any) -> RecoveryReport:
     with db.tracer.span("recover") as root:
         report.trace = root
         with db.tracer.span("load_checkpoint") as span:
-            pointer = load_pointer(store, db._durability.config.checkpoint_prefix)
+            pointer = load_pointer(store)
             checkpoint = None
             if pointer is not None:
                 checkpoint = load_checkpoint(store, pointer)
@@ -100,9 +100,7 @@ def run_recovery(db: Any) -> RecoveryReport:
             span.set_tag("checkpoint_id", report.checkpoint_id)
             span.set_tag("tables", len(report.tables))
         with db.tracer.span("replay_wal") as span:
-            state = read_wal(
-                store, db._durability.config.wal_prefix, metrics=db.metrics
-            )
+            state = read_wal(store, metrics=db.metrics)
             report.torn_records_dropped = state.torn_records_dropped
             for record in state.records:
                 if record.lsn <= report.checkpoint_lsn:
@@ -178,9 +176,8 @@ def _replay_drop(db: Any, data: Dict[str, Any], report: RecoveryReport) -> None:
     if name not in db.catalog:
         return
     db.catalog.drop_table(name)  # keeps the name's next segment sequence
-    # The pre-crash engine deferred the payloads' deletion to its next
-    # checkpoint; retiring them again lets this engine's next checkpoint
-    # finish the job.
+    # This engine's next checkpoint sweeps the payloads, if the crashed
+    # one's did not.
     db._drop_table(name)
     if name in report.tables:
         report.tables.remove(name)

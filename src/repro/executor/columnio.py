@@ -19,7 +19,7 @@ the in-memory segment (the simulation holds them); only *costs* differ.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Optional, Sequence
 
 from repro.simulate.clock import SimulatedClock
 from repro.simulate.costmodel import DeviceCostModel
@@ -47,27 +47,12 @@ class ColumnReader:
         self._metrics = metrics or MetricRegistry()
         self._read_opt = read_opt
         self._cache = LRUCache(DATA_CACHE_BYTES, size_of=object_size)
-        # Per-(segment, column) memo of the block's cache key, its bytes
-        # and its bytes per row: segments are immutable, so a fetch
-        # looks them up once, with one dict probe.
-        self._facts: Dict[Tuple[str, str], Tuple[str, int, float]] = {}
 
     # ------------------------------------------------------------------
     # Cost accounting
     # ------------------------------------------------------------------
-    def _column_facts(self, segment: Segment, column: str) -> Tuple[str, int, float]:
-        """(cache key, block bytes, bytes per row) of one segment column."""
-        memo = (segment.segment_id, column)
-        facts = self._facts.get(memo)
-        if facts is None:
-            rows = segment.row_count
-            block_bytes = segment.meta.nbytes_by_column.get(column, 8 * rows)
-            facts = (f"{memo[0]}/{column}", block_bytes, block_bytes / max(1, rows))
-            self._facts[memo] = facts
-        return facts
-
     def _charge_fetch(self, segment: Segment, column: str, n_rows: int) -> None:
-        key, block_bytes, cell_bytes = self._column_facts(segment, column)
+        key, block_bytes, cell_bytes = segment.column_block(column)
         if self._read_opt and n_rows <= CACHE_ROW_LIMIT:
             if self._cache.get(key) is not None:
                 self._clock.advance(self._cost.ram_read(int(n_rows * cell_bytes)))
@@ -107,4 +92,3 @@ class ColumnReader:
     def clear_cache(self) -> None:
         """Drop cached blocks (tests / between benchmark phases)."""
         self._cache.clear()
-        self._facts.clear()

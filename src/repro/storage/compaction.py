@@ -236,9 +236,9 @@ class Compactor:
             # Swap inputs for the merged segment in ONE manifest commit:
             # concurrent readers observe either the whole group or its
             # replacement, never a half-merged table.  Inputs are only
-            # *logically* dropped here — physical deletion waits for the
-            # manifest store's retire event once no snapshot can reach
-            # them (``BlendHouse._retire``).
+            # *logically* dropped here: their payloads go at the first
+            # checkpoint after no snapshot holds them (the durability
+            # manager's sweep).
             with self.manager.transaction() as edit:
                 for segment in group:
                     edit.drop(segment.segment_id)

@@ -296,8 +296,9 @@ class ManifestStore:
     Strong manifests hold one reference on each of their segments; when
     a segment's last strong reference drops (the current view moved on
     and no live snapshot still pins a manifest containing it), its
-    retire callbacks fire — that is the only point where object-store
-    payloads and cached indexes may be physically deleted.
+    retire callbacks fire (caches drop its index), and it leaves
+    :meth:`held_segment_ids`, so the next checkpoint deletes its
+    object-store payloads.
 
     Manifests inside the retention window stay *addressable* for
     ``AS OF`` time travel after losing strength: their in-memory segment
@@ -350,6 +351,12 @@ class ManifestStore:
         """Manifest ids currently addressable by ``AS OF``."""
         with self._lock:
             return list(self._retained)
+
+    def held_segment_ids(self) -> set:
+        """Ids of the segments strong manifests hold: the current one's,
+        and those a pin has kept since they were current."""
+        with self._lock:
+            return set(self._segment_refs)
 
     def on_retire(self, hook: RetireCallback) -> None:
         """Register a callback fired with ``(segment, index_key)`` once a

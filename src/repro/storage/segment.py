@@ -120,6 +120,7 @@ class Segment:
             self._scalars[name] = values
         self._vectors = np.ascontiguousarray(vectors, dtype=np.float32)
         self._vectors.setflags(write=False)
+        self._blocks: Dict[str, Tuple[str, int, float]] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -208,6 +209,17 @@ class Segment:
             raise SegmentError(
                 f"segment {self.segment_id!r} has no column {name!r}"
             ) from None
+
+    def column_block(self, column: str) -> Tuple[str, int, float]:
+        """(cache key, block bytes, bytes per row) of one column block,
+        worked out once: the memo dies with the segment."""
+        block = self._blocks.get(column)
+        if block is None:
+            rows = self.row_count
+            nbytes = self.meta.nbytes_by_column.get(column, 8 * rows)
+            block = (f"{self.segment_id}/{column}", nbytes, nbytes / max(1, rows))
+            self._blocks[column] = block
+        return block
 
     def scalar_at(self, name: str, offsets: Sequence[int]) -> Any:
         """Values of column ``name`` at ``offsets`` (non-consecutive fetch)."""

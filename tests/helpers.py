@@ -26,6 +26,18 @@ def walk_spans(span):
         yield from walk_spans(child)
 
 
+def payload_ids(store):
+    """Ids of the segments whose payloads the object store holds: column
+    blocks and meta under ``segments/<id>/``, indexes under
+    ``indexes/<id>/`` (an id is ``<table>/seg-<n>``).  Iterating the
+    store charges nothing."""
+    return {
+        "/".join(key.split("/")[1:3])
+        for key in store
+        if key.startswith(("segments/", "indexes/"))
+    }
+
+
 def drop_and_recreate(engine, k=3, before_drop=None):
     """Fill, preload and query an 8-d HNSW table ``t`` on ``engine``,
     call ``before_drop()`` if given, drop the table, create it again

@@ -17,6 +17,10 @@ resurrected.
 ``DURABILITY_FUZZ=1`` widens the randomized sweep from 12 to 120
 histories (the CI durability-fuzz job); ``DURABILITY_FUZZ_SEED``
 overrides the seed, which every failure message includes.
+
+Equivalence covers the store too: after one CHECKPOINT on each engine,
+the recovered store and the twin's hold the same ``segments/`` and
+``indexes/`` keys, so a crash may leave no payload behind for good.
 """
 
 import os
@@ -126,6 +130,19 @@ def assert_equivalent(recovered, twin, query, context):
             assert rows_r == rows_t, (
                 f"{context}: query rows diverged\n{rows_r}\n{rows_t}"
             )
+    # After one checkpoint each, the stores hold the same payloads: the
+    # sweep deletes whatever the crash left that no manifest names.
+    recovered.execute("CHECKPOINT")
+    twin.execute("CHECKPOINT")
+    keys_r, keys_t = (
+        [key for key in db.store if key.startswith(("segments/", "indexes/"))]
+        for db in (recovered, twin)
+    )
+    assert keys_r == keys_t, (
+        f"{context}: payload keys diverged\n"
+        f"only recovered: {sorted(set(keys_r) - set(keys_t))}\n"
+        f"only twin: {sorted(set(keys_t) - set(keys_r))}"
+    )
 
 
 def crash_and_verify(ops, query, arm, context):

@@ -8,7 +8,7 @@ from repro.core.database import BlendHouse
 from repro.durability.crashpoints import CrashPointRegistry, InjectedCrash
 from repro.durability.manager import DurabilityConfig
 from repro.elastic import FleetBlendHouse, FleetConfig
-from tests.helpers import vector_sql
+from tests.helpers import payload_ids, vector_sql
 
 DIM = 8
 
@@ -328,3 +328,42 @@ class TestIdsNeverRepeat:
         assert "t" not in recovered.catalog
         fill_flat_t(recovered, rng, 100, inserts=1)
         assert recovered.table("t").manager.segment_ids() == ["t/seg-00000003"]
+
+
+class TestSweep:
+    """Each checkpoint deletes the payloads no live manifest holds
+    (DESIGN.md §7, "Garbage collection"), so what a crash leaves in the
+    store goes at the first checkpoint after recovery."""
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_crash_after_the_swap_leaves_no_orphans(self, engine, rng):
+        """Measurement E: compaction's checkpoint dies after its pointer
+        swap, before the inputs' payloads could go."""
+        db = ENGINES[engine]()
+        fill_flat_t(db, rng, 0)
+        db._durability.crashpoints.arm("checkpoint.after_truncate")
+        with pytest.raises(InjectedCrash):
+            db.compact("t")
+        assert len(payload_ids(db.store)) == 5
+        recovered = type(db).recover(db.store)
+        recovered.execute("CHECKPOINT")
+        assert recovered.table("t").manager.segment_ids() == ["t/seg-00000004"]
+        assert payload_ids(recovered.store) == {"t/seg-00000004"}
+        assert recovered.describe("t")["rows_alive"] == 80
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_unacknowledged_insert_leaves_no_payloads(self, engine, rng):
+        """An INSERT that dies before its group commit wrote its segment
+        but never logged it; recovery does not know it, the sweep does."""
+        db = ENGINES[engine]()
+        fill_flat_t(db, rng, 0, inserts=3)
+        db._durability.crashpoints.arm("wal.before_flush")
+        with pytest.raises(InjectedCrash):
+            db.insert_rows("t", rows_for(rng, 60, 20))
+        assert "t/seg-00000003" in payload_ids(db.store)
+        recovered = type(db).recover(db.store)
+        recovered.execute("CHECKPOINT")
+        assert recovered.describe("t")["rows_alive"] == 60
+        live = set(recovered.table("t").manager.segment_ids())
+        assert payload_ids(recovered.store) == live
+        assert "t/seg-00000003" not in live

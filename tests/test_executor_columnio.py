@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.database import BlendHouse
 from repro.executor import columnio
 from repro.executor.columnio import ColumnReader
 from repro.storage.segment import Segment
@@ -82,3 +83,35 @@ class TestMetrics:
         r.fetch(segment, "id", [2])
         assert metrics.count("columnio.cache_fills") == 1
         assert metrics.count("columnio.cache_hits") == 1
+
+
+class TestRetiredSegments:
+    def test_reader_keeps_nothing_by_retired_id(self):
+        """A column's block facts live on its segment and die with it.
+        The block cache is LRU-bounded: a block cached under a retired id
+        is never read again (ids never repeat) and ages out."""
+        db = BlendHouse()
+        db.execute(
+            "CREATE TABLE t (id UInt64, label String, embedding Array(Float32), "
+            "INDEX ann embedding TYPE FLAT('DIM=4'))"
+        )
+        rng = np.random.default_rng(3)
+        for batch in range(4):
+            db.insert_rows("t", [
+                {"id": 20 * batch + i, "label": "ab"[i % 2],
+                 "embedding": rng.normal(size=4)}
+                for i in range(20)
+            ])
+        retired = set(db.table("t").manager.segment_ids())
+        db.execute(
+            "SELECT id, label, d FROM t ORDER BY "
+            "L2Distance(embedding, [0.0, 0.0, 0.0, 0.0]) AS d LIMIT 50"
+        )
+        assert db.metrics.count("columnio.cache_fills") > 0
+        db.compact("t")
+        db.execute("CHECKPOINT")
+        assert not retired & set(db.table("t").manager.segment_ids())
+        for name, value in vars(db.reader).items():
+            if name != "_cache" and isinstance(value, (dict, list, set)):
+                named = [sid for sid in retired for item in value if sid in str(item)]
+                assert not named, f"ColumnReader.{name} names {named}"

@@ -32,6 +32,8 @@ judged against brute force over them.
   is open.
 * A restart loses no acknowledged write: the live rows, the model and
   every check above carry over to the engine ``restart`` returns.
+* After a checkpoint the object store holds the payloads of exactly the
+  live and held segments.
 
 Vectors have coordinates in {-1, 0, 1}, so SQL literals round-trip
 exactly and distance ties are common.  Inserted rows come from a seeded
@@ -49,7 +51,7 @@ from repro.core.database import BlendHouse
 from repro.elastic import FleetBlendHouse, FleetConfig
 from repro.planner.optimizer import ExecutionStrategy
 from repro.serving import QueryRequest, ServingFrontend, run_virtual
-from tests.helpers import vector_sql, walk_spans
+from tests.helpers import payload_ids, vector_sql, walk_spans
 
 DIM = 4
 # Plan C pulls 32-row batches from each segment's iterator: segments
@@ -157,6 +159,7 @@ class HistoryMachine(RuleBasedStateMachine):
         would: the segments it holds outlive compaction and DROP TABLE
         until ``release``."""
         self.held = self.db.table("t").manager.snapshot()
+        self.held_manager = self.db.table("t").manager
 
     @precondition(lambda self: self.held is not None)
     @rule()
@@ -167,9 +170,15 @@ class HistoryMachine(RuleBasedStateMachine):
 
     @rule()
     def checkpoint(self):
-        """A checkpoint deletes the payloads every retirement so far
-        deferred; nothing live may go with them."""
+        """A checkpoint deletes every payload no live manifest holds: the
+        store keeps exactly the segments of ``t``'s current manifest and
+        of the held snapshot, unless a drop has retired the latter."""
         self.db.execute("CHECKPOINT")
+        manager = self.db.table("t").manager
+        held = set(manager.segment_ids())
+        if self.held is not None and self.held_manager is manager:
+            held |= set(self.held.segment_ids())
+        assert payload_ids(self.db.store) == held
 
     @rule()
     def restart(self):

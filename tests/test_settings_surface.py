@@ -38,7 +38,7 @@ SET_VALUES = {
 CONFIG_FIELDS = {
     EngineSettings: set(SET_VALUES),
     IngestConfig: {"max_segment_rows"},
-    DurabilityConfig: {"wal_prefix", "checkpoint_prefix", "crashpoints"},
+    DurabilityConfig: {"crashpoints"},
     ServingConfig: {"max_inflight", "max_queue_depth", "tenant_quota", "time_scale"},
     WarehouseConfig: {"serving_enabled", "worker_mem_data_bytes"},
     FleetConfig: {"warehouses", "workers_per_warehouse", "warehouse"},
